@@ -1,6 +1,8 @@
 //! Micro-benchmarks of the protocol core — the per-operation overheads
 //! the paper's §6 claims are "small": guard tagging, arrival processing,
-//! fork/join bookkeeping, abort cascades and CDG cycle detection.
+//! fork/join bookkeeping, abort cascades and CDG cycle detection — plus the
+//! resolution path at pipeline depth: a commit wave through n forks, a
+//! PRECEDENCE guard ingest, and the delivery choice over a pooled backlog.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use opcsp_core::{
@@ -93,6 +95,75 @@ fn bench_abort_cascade(c: &mut Criterion) {
     g.finish();
 }
 
+/// A pipeline of `n` forks (call streaming: each right thread forks the
+/// next), then every guess commits in fork order — each commit removes
+/// its guess from every later thread's guard.
+fn bench_commit_wave(c: &mut Criterion) {
+    let mut g = c.benchmark_group("core/commit_wave");
+    for n in [128u32, 512] {
+        g.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
+            b.iter(|| {
+                let mut core = ProcessCore::new(ProcessId(0), CoreConfig::default());
+                let guesses: Vec<GuessId> = (0..n).map(|t| core.fork(t, 1).guess).collect();
+                for guess in guesses {
+                    black_box(core.join_left_done(guess, true));
+                }
+                assert!(core.speculation_quiescent());
+                core
+            })
+        });
+    }
+    g.finish();
+}
+
+/// A server that consumed a message guarded by a 128-deep pipeline
+/// ingests the pipeline's PRECEDENCE messages: guess k is preceded by
+/// guesses 1..k, ~8k edges in all.
+fn bench_precedence_ingest(c: &mut Criterion) {
+    let pipeline: Vec<GuessId> = (1..=128).map(|i| GuessId::first(ProcessId(0), i)).collect();
+    let tag = env_with(ProcessId(2), pipeline.iter().copied().collect());
+    let guards: Vec<Guard> = (0..pipeline.len())
+        .map(|k| pipeline[..k].iter().copied().collect())
+        .collect();
+    c.bench_function("cdg/precedence_ingest/128", |b| {
+        b.iter(|| {
+            let mut core = ProcessCore::new(ProcessId(2), CoreConfig::default());
+            core.deliver(0, &tag);
+            for (guess, guard) in pipeline.iter().zip(&guards) {
+                black_box(core.on_precedence(*guess, guard));
+            }
+            assert_eq!(core.cdg.edge_count(), 128 * 127 / 2);
+            core
+        })
+    });
+}
+
+/// The §4.2.3 delivery choice over a backlog of 64 pooled messages whose
+/// tags are windows of a 96-deep pipeline; the receiver already depends on
+/// the pipeline's first 32 guesses.
+fn bench_choose_delivery(c: &mut Criterion) {
+    let pipeline: Vec<GuessId> = (1..=96).map(|i| GuessId::first(ProcessId(0), i)).collect();
+    let mut core = ProcessCore::new(ProcessId(2), CoreConfig::default());
+    core.deliver(
+        0,
+        &env_with(ProcessId(2), pipeline[..32].iter().copied().collect()),
+    );
+    let pool: Vec<Envelope> = (0..64)
+        .map(|i| {
+            let from = (i * 7) % 48;
+            let len = 16 + (i * 5) % 32;
+            env_with(
+                ProcessId(2),
+                pipeline[from..from + len].iter().copied().collect(),
+            )
+        })
+        .collect();
+    let refs: Vec<&Envelope> = pool.iter().collect();
+    c.bench_function("core/choose_delivery/pool64", |b| {
+        b.iter(|| black_box(core.choose_delivery(0, black_box(&refs))))
+    });
+}
+
 fn bench_cdg(c: &mut Criterion) {
     c.bench_function("cdg/add_edge_cycle_check", |b| {
         b.iter(|| {
@@ -117,6 +188,9 @@ criterion_group!(
     bench_fork_join_cycle,
     bench_deliver,
     bench_abort_cascade,
+    bench_commit_wave,
+    bench_precedence_ingest,
+    bench_choose_delivery,
     bench_cdg
 );
 criterion_main!(benches);

@@ -1,24 +1,102 @@
 //! The Commit Dependency Graph (§4.1.4, §4.2.8).
 //!
-//! For each thread we maintain a DAG over guess identifiers. PRECEDENCE
-//! control messages add edges: `PRECEDENCE(x_n, Guard)` asserts that every
-//! `g ∈ Guard` precedes `x_n`, so edges `g → x_n` are added. If an edge
-//! insertion creates a cycle, a *time fault* has been detected and every
-//! guess on the cycle must abort (§4.2.5: "If an edge added to the CDG
+//! Each process maintains a DAG over guess identifiers (one per process,
+//! not one per thread — see the deviation note in [`crate::process`]).
+//! PRECEDENCE control messages add edges: `PRECEDENCE(x_n, Guard)` asserts
+//! that every `g ∈ Guard` precedes `x_n`, so edges `g → x_n` are added. If
+//! an edge insertion creates a cycle, a *time fault* has been detected and
+//! every guess on the cycle must abort (§4.2.5: "If an edge added to the CDG
 //! creates a cycle, then a time fault has been detected. All threads in the
 //! cycle are aborted.").
+//!
+//! ## Representation
+//!
+//! An indexed graph over dense storage. Nodes live in a slot vector
+//! (`GuessId → slot` through one ordered index); edges live in one arena,
+//! each threaded on two intrusive doubly-linked lists — its source's
+//! out-list and its target's in-list. Freed slots of both vectors are
+//! chained through their own link fields and reused, so storage is bounded
+//! by the peak number of live nodes and edges. There is no per-edge
+//! allocation and no per-node container, and a node takes a slot only once
+//! an edge touches it — a guess that is merely *known* (it sits in some
+//! guard, §4.2.3) is one index entry:
+//!
+//! - inserting an edge is O(1) after the two index lookups;
+//! - [`Cdg::successors`] / [`Cdg::predecessors`] walk one list, O(degree)
+//!   (plus the sort that keeps every query in `GuessId` order, so traces
+//!   and forensics reports do not depend on insertion history);
+//! - [`Cdg::remove`] unlinks each incident edge from the opposite
+//!   endpoint's list in O(1), so it is O(degree) too — resolving a guess
+//!   never scans the rest of the graph;
+//! - [`Cdg::add_edges_into`] ingests a whole PRECEDENCE guard with *one*
+//!   forward reachability from the target instead of one per member (new
+//!   edges all point into the target, so they cannot change what the
+//!   target reaches), and skips even that when the target has no
+//!   successors — the case of every guess whose PRECEDENCE arrives before
+//!   anything was ordered after it.
+//!
+//! Traversals mark nodes with an epoch stamp stored in the slot, so a
+//! reachability costs what it visits and allocates only its work stack.
 
 use crate::ids::GuessId;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, BTreeSet};
+
+/// Null link / absent slot.
+const NIL: u32 = u32::MAX;
+
+#[derive(Debug, Clone)]
+struct Node {
+    id: GuessId,
+    /// First edge of the out-list (`id → _`) and in-list (`_ → id`).
+    out_head: u32,
+    in_head: u32,
+    /// Epoch of the last traversal phase that visited this node.
+    mark: u32,
+}
+
+/// One edge `from → to` (slot numbers), linked into `from`'s out-list and
+/// `to`'s in-list.
+#[derive(Debug, Clone, Copy)]
+struct Edge {
+    from: u32,
+    to: u32,
+    out_prev: u32,
+    out_next: u32,
+    in_prev: u32,
+    in_next: u32,
+}
 
 /// Commit dependency graph: nodes are guesses, an edge `a → b` means "guess
 /// `a` (logically) precedes guess `b`", i.e. `b` cannot commit before `a`.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct Cdg {
-    /// Forward adjacency: edges[a] = set of b with a → b.
-    edges: BTreeMap<GuessId, BTreeSet<GuessId>>,
-    /// All nodes ever mentioned (sources or targets).
-    nodes: BTreeSet<GuessId>,
+    /// Live nodes, in `GuessId` order, with their slot — `NIL` until the
+    /// first edge touches the node.
+    index: BTreeMap<GuessId, u32>,
+    nodes: Vec<Node>,
+    edges: Vec<Edge>,
+    /// Heads of the free-slot chains (through `Node::out_head` and
+    /// `Edge::out_next`), and how many edge slots are on theirs.
+    free_node: u32,
+    free_edge: u32,
+    free_edges: usize,
+    /// Last traversal epoch handed out; node marks never exceed it.
+    epoch: u32,
+}
+
+impl Default for Cdg {
+    fn default() -> Self {
+        Cdg {
+            index: BTreeMap::new(),
+            nodes: Vec::new(),
+            edges: Vec::new(),
+            free_node: NIL,
+            free_edge: NIL,
+            free_edges: 0,
+            epoch: 0,
+        }
+    }
 }
 
 /// Result of inserting an edge.
@@ -37,26 +115,26 @@ impl Cdg {
     }
 
     pub fn contains_node(&self, g: GuessId) -> bool {
-        self.nodes.contains(&g)
+        self.index.contains_key(&g)
     }
 
     pub fn add_node(&mut self, g: GuessId) {
-        self.nodes.insert(g);
+        self.index.entry(g).or_insert(NIL);
     }
 
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.index.len()
     }
 
     pub fn edge_count(&self) -> usize {
-        self.edges.values().map(|s| s.len()).sum()
+        self.edges.len() - self.free_edges
     }
 
     pub fn has_edge(&self, from: GuessId, to: GuessId) -> bool {
-        self.edges
-            .get(&from)
-            .map(|s| s.contains(&to))
-            .unwrap_or(false)
+        match (self.index.get(&from), self.index.get(&to)) {
+            (Some(&f), Some(&t)) => self.out_edges(f).any(|e| e.to == t),
+            _ => false,
+        }
     }
 
     /// Insert the edge `from → to`, detecting cycles.
@@ -64,140 +142,336 @@ impl Cdg {
     /// A self-loop `g → g` (the Figure 4 local time fault, `{x1} → {x1}`)
     /// is reported as a cycle containing just `g`.
     pub fn add_edge(&mut self, from: GuessId, to: GuessId) -> EdgeOutcome {
-        self.nodes.insert(from);
-        self.nodes.insert(to);
-        if from == to {
-            return EdgeOutcome::Cycle(BTreeSet::from([from]));
-        }
-        // A cycle through the new edge exists iff `from` is reachable from
-        // `to` in the existing graph. Collect all nodes on such paths.
-        if let Some(on_cycle) = self.nodes_on_paths(to, from) {
-            let mut cyc = on_cycle;
-            cyc.insert(from);
-            cyc.insert(to);
-            // Record the edge anyway: callers abort every guess on the cycle
-            // and then remove them, which erases it.
-            self.edges.entry(from).or_default().insert(to);
-            return EdgeOutcome::Cycle(cyc);
-        }
-        self.edges.entry(from).or_default().insert(to);
-        EdgeOutcome::Acyclic
+        self.add_edges_into(to, [from], false)
     }
 
-    /// All nodes lying on some path `src → ... → dst` (inclusive), or `None`
-    /// if `dst` is unreachable from `src`.
-    fn nodes_on_paths(&self, src: GuessId, dst: GuessId) -> Option<BTreeSet<GuessId>> {
-        // Forward reachability from src.
-        let fwd = self.reachable_from(src);
-        if !fwd.contains(&dst) {
-            return None;
+    /// Insert the edges `from → to` for every `from` in `froms` — one
+    /// PRECEDENCE guard — and report the union of the cycles they close,
+    /// exactly as inserting them one by one with [`Cdg::add_edge`] would.
+    ///
+    /// With `only_if_known`, §4.2.8's admission rule applies member by
+    /// member: the edge is added only "if either g or x_n is a node of the
+    /// CDG" at that point (so once one edge has made `to` a node, every
+    /// later member is admitted).
+    ///
+    /// As with `add_edge`, cycle-closing edges are recorded anyway: callers
+    /// abort every guess on the cycle and remove it, which erases them.
+    pub fn add_edges_into(
+        &mut self,
+        to: GuessId,
+        froms: impl IntoIterator<Item = GuessId>,
+        only_if_known: bool,
+    ) -> EdgeOutcome {
+        let mut cycle: BTreeSet<GuessId> = BTreeSet::new();
+        let [present, reached, on_cycle] = self.fresh_stamps();
+        // `to`'s slot: `None` while it is not a node at all, `NIL` while
+        // it is one no edge has touched.
+        let mut to_slot = self.index.get(&to).copied();
+        // Phase 1: link the new edges, skipping ones already present
+        // (existing predecessors of `to` carry this phase's stamp).
+        let mut e = self.in_head(to_slot.unwrap_or(NIL));
+        while e != NIL {
+            let edge = self.edges[e as usize];
+            self.nodes[edge.from as usize].mark = present;
+            e = edge.in_next;
         }
-        // Backward reachability from dst, intersected with fwd.
-        let back = self.reverse_reachable_from(dst);
-        Some(fwd.intersection(&back).copied().collect())
-    }
-
-    fn reachable_from(&self, src: GuessId) -> BTreeSet<GuessId> {
-        let mut seen = BTreeSet::from([src]);
-        let mut queue = VecDeque::from([src]);
-        while let Some(n) = queue.pop_front() {
-            if let Some(succs) = self.edges.get(&n) {
-                for &s in succs {
-                    if seen.insert(s) {
-                        queue.push_back(s);
-                    }
+        let mut sources: Vec<u32> = Vec::new();
+        for from in froms {
+            if from == to {
+                to_slot.get_or_insert_with(|| *self.index.entry(to).or_insert(NIL));
+                cycle.insert(to);
+                continue;
+            }
+            if only_if_known && to_slot.is_none() && !self.index.contains_key(&from) {
+                continue;
+            }
+            let f = self.slot_of(from);
+            let t = match to_slot {
+                Some(t) if t != NIL => t,
+                _ => *to_slot.insert(self.slot_of(to)),
+            };
+            if self.nodes[f as usize].mark != present {
+                self.nodes[f as usize].mark = present;
+                self.link(f, t);
+            }
+            sources.push(f);
+        }
+        // Phase 2: a cycle through `from → to` exists iff `to` reaches
+        // `from`. Edges into `to` do not change what `to` reaches, so one
+        // forward reachability serves every member.
+        let t = match to_slot {
+            Some(t) if !sources.is_empty() && self.out_head(t) != NIL => t,
+            _ => return Self::outcome(cycle),
+        };
+        self.nodes[t as usize].mark = reached;
+        let mut stack = vec![t];
+        while let Some(n) = stack.pop() {
+            let mut e = self.nodes[n as usize].out_head;
+            while e != NIL {
+                let edge = self.edges[e as usize];
+                if self.nodes[edge.to as usize].mark != reached {
+                    self.nodes[edge.to as usize].mark = reached;
+                    stack.push(edge.to);
                 }
+                e = edge.out_next;
             }
         }
-        seen
-    }
-
-    fn reverse_reachable_from(&self, dst: GuessId) -> BTreeSet<GuessId> {
-        let mut seen = BTreeSet::from([dst]);
-        loop {
-            let mut grew = false;
-            for (&a, succs) in &self.edges {
-                if !seen.contains(&a) && succs.iter().any(|b| seen.contains(b)) {
-                    seen.insert(a);
-                    grew = true;
+        // Phase 3: the guesses on those cycles are the nodes on some path
+        // `to → … → from`: walk backwards from the reached sources without
+        // leaving the reached set.
+        for f in sources {
+            if self.nodes[f as usize].mark == reached {
+                self.nodes[f as usize].mark = on_cycle;
+                stack.push(f);
+            }
+        }
+        while let Some(n) = stack.pop() {
+            cycle.insert(self.nodes[n as usize].id);
+            let mut e = self.nodes[n as usize].in_head;
+            while e != NIL {
+                let edge = self.edges[e as usize];
+                if self.nodes[edge.from as usize].mark == reached {
+                    self.nodes[edge.from as usize].mark = on_cycle;
+                    stack.push(edge.from);
                 }
+                e = edge.in_next;
             }
-            if !grew {
-                return seen;
-            }
+        }
+        Self::outcome(cycle)
+    }
+
+    fn outcome(cycle: BTreeSet<GuessId>) -> EdgeOutcome {
+        if cycle.is_empty() {
+            EdgeOutcome::Acyclic
+        } else {
+            EdgeOutcome::Cycle(cycle)
         }
     }
 
-    /// Predecessors of `g` currently in the graph.
+    /// Predecessors of `g` currently in the graph, in `GuessId` order.
     pub fn predecessors(&self, g: GuessId) -> Vec<GuessId> {
-        self.edges
-            .iter()
-            .filter(|(_, succs)| succs.contains(&g))
-            .map(|(&a, _)| a)
-            .collect()
+        let Some(&slot) = self.index.get(&g) else {
+            return Vec::new();
+        };
+        let mut out: Vec<GuessId> = self
+            .in_edges(slot)
+            .map(|e| self.nodes[e.from as usize].id)
+            .collect();
+        out.sort_unstable();
+        out
     }
 
-    /// Successors of `g` currently in the graph.
+    /// Successors of `g` currently in the graph, in `GuessId` order.
     pub fn successors(&self, g: GuessId) -> Vec<GuessId> {
-        self.edges
-            .get(&g)
-            .map(|s| s.iter().copied().collect())
-            .unwrap_or_default()
+        let Some(&slot) = self.index.get(&g) else {
+            return Vec::new();
+        };
+        let mut out: Vec<GuessId> = self
+            .out_edges(slot)
+            .map(|e| self.nodes[e.to as usize].id)
+            .collect();
+        out.sort_unstable();
+        out
     }
 
     /// Remove a resolved guess (committed or aborted) and its edges
     /// (§4.2.6: "x_n is removed from the CDG. Any predecessors of x_n are
     /// also removed").
     pub fn remove(&mut self, g: GuessId) {
-        self.nodes.remove(&g);
-        self.edges.remove(&g);
-        for succs in self.edges.values_mut() {
-            succs.remove(&g);
+        let slot = match self.index.remove(&g) {
+            None | Some(NIL) => return,
+            Some(slot) => slot,
+        };
+        let mut e = self.nodes[slot as usize].out_head;
+        while e != NIL {
+            let edge = self.edges[e as usize];
+            self.unlink_in(e, edge);
+            self.release_edge(e);
+            e = edge.out_next;
         }
-        self.edges.retain(|_, succs| !succs.is_empty());
+        let mut e = self.nodes[slot as usize].in_head;
+        while e != NIL {
+            let edge = self.edges[e as usize];
+            self.unlink_out(e, edge);
+            self.release_edge(e);
+            e = edge.in_next;
+        }
+        self.nodes[slot as usize].out_head = self.free_node;
+        self.free_node = slot;
     }
 
     /// Is `g` a *root*: present, with no unresolved predecessors? A guess
     /// whose predecessors have all committed can itself commit when its own
     /// guard empties.
     pub fn is_root(&self, g: GuessId) -> bool {
-        self.nodes.contains(&g) && self.predecessors(g).is_empty()
+        self.index
+            .get(&g)
+            .is_some_and(|&slot| self.in_head(slot) == NIL)
     }
 
     /// Iterate nodes in deterministic order.
     pub fn nodes(&self) -> impl Iterator<Item = GuessId> + '_ {
-        self.nodes.iter().copied()
+        self.index.keys().copied()
     }
 
     /// Exhaustive acyclicity check (test/diagnostic use; the incremental
     /// `add_edge` maintains this invariant in normal operation).
     pub fn is_acyclic(&self) -> bool {
-        // Kahn's algorithm.
-        let mut indeg: BTreeMap<GuessId, usize> = self.nodes.iter().map(|&n| (n, 0)).collect();
-        for succs in self.edges.values() {
-            for &b in succs {
-                *indeg.entry(b).or_insert(0) += 1;
-            }
+        // Kahn's algorithm over the slot vector (a node without a slot has
+        // no edges and cannot be on a cycle).
+        let slots = || self.index.values().copied().filter(|&slot| slot != NIL);
+        let mut indeg = vec![0usize; self.nodes.len()];
+        for slot in slots() {
+            indeg[slot as usize] = self.in_edges(slot).count();
         }
-        let mut queue: VecDeque<GuessId> = indeg
-            .iter()
-            .filter(|(_, &d)| d == 0)
-            .map(|(&n, _)| n)
-            .collect();
+        let mut queue: Vec<u32> = slots().filter(|&slot| indeg[slot as usize] == 0).collect();
         let mut visited = 0usize;
-        while let Some(n) = queue.pop_front() {
+        while let Some(n) = queue.pop() {
             visited += 1;
-            if let Some(succs) = self.edges.get(&n) {
-                for &b in succs {
-                    let d = indeg.get_mut(&b).unwrap();
-                    *d -= 1;
-                    if *d == 0 {
-                        queue.push_back(b);
-                    }
+            for e in self.out_edges(n) {
+                indeg[e.to as usize] -= 1;
+                if indeg[e.to as usize] == 0 {
+                    queue.push(e.to);
                 }
             }
         }
-        visited == indeg.len()
+        visited == slots().count()
+    }
+
+    // ------------------------------------------------------------------
+    // Storage
+    // ------------------------------------------------------------------
+
+    /// The slot of node `g`, making it a node and giving it a slot as
+    /// needed.
+    fn slot_of(&mut self, g: GuessId) -> u32 {
+        let entry = match self.index.entry(g) {
+            Entry::Occupied(o) if *o.get() != NIL => return *o.get(),
+            entry => entry,
+        };
+        let node = Node {
+            id: g,
+            out_head: NIL,
+            in_head: NIL,
+            mark: 0,
+        };
+        let slot = if self.free_node != NIL {
+            let slot = self.free_node;
+            self.free_node = self.nodes[slot as usize].out_head;
+            self.nodes[slot as usize] = node;
+            slot
+        } else {
+            let slot = u32::try_from(self.nodes.len()).expect("CDG node slots fit u32");
+            assert!(slot != NIL, "CDG node slots fit u32");
+            self.nodes.push(node);
+            slot
+        };
+        *entry.or_insert(NIL) = slot;
+        slot
+    }
+
+    fn out_head(&self, slot: u32) -> u32 {
+        self.nodes.get(slot as usize).map_or(NIL, |n| n.out_head)
+    }
+
+    fn in_head(&self, slot: u32) -> u32 {
+        self.nodes.get(slot as usize).map_or(NIL, |n| n.in_head)
+    }
+
+    fn release_edge(&mut self, e: u32) {
+        self.edges[e as usize].out_next = self.free_edge;
+        self.free_edge = e;
+        self.free_edges += 1;
+    }
+
+    /// Prepend a new edge `f → t` to both endpoint lists.
+    fn link(&mut self, f: u32, t: u32) {
+        let out_next = self.nodes[f as usize].out_head;
+        let in_next = self.nodes[t as usize].in_head;
+        let edge = Edge {
+            from: f,
+            to: t,
+            out_prev: NIL,
+            out_next,
+            in_prev: NIL,
+            in_next,
+        };
+        let e = if self.free_edge != NIL {
+            let e = self.free_edge;
+            self.free_edge = self.edges[e as usize].out_next;
+            self.free_edges -= 1;
+            self.edges[e as usize] = edge;
+            e
+        } else {
+            let e = u32::try_from(self.edges.len()).expect("CDG edge slots fit u32");
+            assert!(e != NIL, "CDG edge slots fit u32");
+            self.edges.push(edge);
+            e
+        };
+        if out_next != NIL {
+            self.edges[out_next as usize].out_prev = e;
+        }
+        if in_next != NIL {
+            self.edges[in_next as usize].in_prev = e;
+        }
+        self.nodes[f as usize].out_head = e;
+        self.nodes[t as usize].in_head = e;
+    }
+
+    /// Take edge `e` (a copy of which is `edge`) off its target's in-list.
+    fn unlink_in(&mut self, e: u32, edge: Edge) {
+        if edge.in_prev == NIL {
+            debug_assert_eq!(self.nodes[edge.to as usize].in_head, e);
+            self.nodes[edge.to as usize].in_head = edge.in_next;
+        } else {
+            self.edges[edge.in_prev as usize].in_next = edge.in_next;
+        }
+        if edge.in_next != NIL {
+            self.edges[edge.in_next as usize].in_prev = edge.in_prev;
+        }
+    }
+
+    /// Take edge `e` (a copy of which is `edge`) off its source's out-list.
+    fn unlink_out(&mut self, e: u32, edge: Edge) {
+        if edge.out_prev == NIL {
+            debug_assert_eq!(self.nodes[edge.from as usize].out_head, e);
+            self.nodes[edge.from as usize].out_head = edge.out_next;
+        } else {
+            self.edges[edge.out_prev as usize].out_next = edge.out_next;
+        }
+        if edge.out_next != NIL {
+            self.edges[edge.out_next as usize].out_prev = edge.out_prev;
+        }
+    }
+
+    fn out_edges(&self, slot: u32) -> impl Iterator<Item = Edge> + '_ {
+        let mut e = self.out_head(slot);
+        std::iter::from_fn(move || {
+            let edge = *self.edges.get(e as usize)?;
+            e = edge.out_next;
+            Some(edge)
+        })
+    }
+
+    fn in_edges(&self, slot: u32) -> impl Iterator<Item = Edge> + '_ {
+        let mut e = self.in_head(slot);
+        std::iter::from_fn(move || {
+            let edge = *self.edges.get(e as usize)?;
+            e = edge.in_next;
+            Some(edge)
+        })
+    }
+
+    /// Three stamps no node carries yet (one per ingest phase).
+    fn fresh_stamps(&mut self) -> [u32; 3] {
+        if self.epoch > u32::MAX - 3 {
+            for n in &mut self.nodes {
+                n.mark = 0;
+            }
+            self.epoch = 0;
+        }
+        self.epoch += 3;
+        [self.epoch - 2, self.epoch - 1, self.epoch]
     }
 }
 
@@ -305,5 +579,68 @@ mod tests {
             EdgeOutcome::Cycle(s) => assert_eq!(s.len(), 10),
             _ => panic!("expected 10-cycle"),
         }
+    }
+
+    #[test]
+    fn queries_are_sorted_whatever_the_insertion_order() {
+        let mut c = Cdg::new();
+        for p in [3, 0, 2, 1] {
+            c.add_edge(g(p, 1), g(9, 1));
+            c.add_edge(g(8, 1), g(p, 2));
+        }
+        let sorted = |v: &[GuessId]| v.windows(2).all(|w| w[0] < w[1]);
+        assert!(sorted(&c.predecessors(g(9, 1))));
+        assert!(sorted(&c.successors(g(8, 1))));
+        assert!(sorted(&c.nodes().collect::<Vec<_>>()));
+    }
+
+    #[test]
+    fn slots_and_edges_are_reused_after_remove() {
+        let mut c = Cdg::new();
+        for round in 0..50u32 {
+            for i in 0..8 {
+                c.add_edge(g(i, round), g(i + 1, round));
+            }
+            for i in 0..9 {
+                c.remove(g(i, round));
+            }
+            assert_eq!((c.node_count(), c.edge_count()), (0, 0));
+        }
+        assert!(c.nodes.len() <= 9 && c.edges.len() <= 8);
+    }
+
+    #[test]
+    fn bulk_ingest_admits_members_by_the_paper_rule() {
+        // §4.2.8: an edge is added only if one endpoint is already a node.
+        let mut c = Cdg::new();
+        let members = [g(0, 1), g(1, 1), g(2, 1)];
+        // Nothing known: nothing added.
+        assert_eq!(
+            c.add_edges_into(g(5, 1), members, true),
+            EdgeOutcome::Acyclic
+        );
+        assert_eq!(c.node_count(), 0);
+        // y1 known: x1 (before it, target still unknown) is skipped, y1
+        // makes the target a node, z1 is then admitted.
+        c.add_node(g(1, 1));
+        c.add_edges_into(g(5, 1), members, true);
+        assert!(!c.contains_node(g(0, 1)));
+        assert_eq!(c.predecessors(g(5, 1)), vec![g(1, 1), g(2, 1)]);
+    }
+
+    #[test]
+    fn bulk_ingest_reports_the_union_of_cycles() {
+        // t → a → b and t → c; PRECEDENCE(t, {b, c, d}) closes t→a→b→t and
+        // t→c→t; d is merely a new predecessor.
+        let (t, a, b, c_, d) = (g(0, 1), g(1, 1), g(2, 1), g(3, 1), g(4, 1));
+        let mut c = Cdg::new();
+        c.add_edge(t, a);
+        c.add_edge(a, b);
+        c.add_edge(t, c_);
+        match c.add_edges_into(t, [b, c_, d], false) {
+            EdgeOutcome::Cycle(s) => assert_eq!(s, BTreeSet::from([t, a, b, c_])),
+            other => panic!("expected cycle, got {other:?}"),
+        }
+        assert!(c.has_edge(d, t));
     }
 }

@@ -17,9 +17,11 @@
 //!
 //! - **inline** for up to [`Guard::INLINE_CAP`] guesses — no heap
 //!   allocation at all;
-//! - **shared** (`Arc<[GuessId]>`) beyond that — `clone` is a reference
-//!   count bump, and mutation copies the slice only when it is actually
-//!   shared.
+//! - **shared** (a window over an `Arc<[GuessId]>`) beyond that — `clone`
+//!   is a reference count bump, removing the first or last guess narrows
+//!   the window in O(1) (§3.1's "p_i is removed from the set" when guesses
+//!   resolve in fork order, which is how a pipeline commits), and any other
+//!   mutation builds a new slice.
 //!
 //! Iteration order is sorted either way, so traces stay deterministic and
 //! the derived `Ord` matches the previous `BTreeSet`-backed ordering
@@ -39,7 +41,14 @@ enum Repr {
         len: u8,
         elems: [GuessId; Guard::INLINE_CAP],
     },
-    Shared(Arc<[GuessId]>),
+    /// The guesses are `elems[start..end]`. Every view of the storage is
+    /// sorted, so equality, ordering and hashing (all over
+    /// [`Guard::as_slice`]) do not see the window.
+    Shared {
+        elems: Arc<[GuessId]>,
+        start: u32,
+        end: u32,
+    },
 }
 
 /// A commit guard set: the uncommitted guesses a computation depends upon.
@@ -99,8 +108,13 @@ impl Guard {
                 },
             }
         } else {
+            let end = u32::try_from(v.len()).expect("guard length fits u32");
             Guard {
-                repr: Repr::Shared(v.into()),
+                repr: Repr::Shared {
+                    elems: v.into(),
+                    start: 0,
+                    end,
+                },
             }
         }
     }
@@ -110,7 +124,7 @@ impl Guard {
     pub fn as_slice(&self) -> &[GuessId] {
         match &self.repr {
             Repr::Inline { len, elems } => &elems[..*len as usize],
-            Repr::Shared(a) => a,
+            Repr::Shared { elems, start, end } => &elems[*start as usize..*end as usize],
         }
     }
 
@@ -124,7 +138,7 @@ impl Guard {
     pub fn len(&self) -> usize {
         match &self.repr {
             Repr::Inline { len, .. } => *len as usize,
-            Repr::Shared(a) => a.len(),
+            Repr::Shared { start, end, .. } => (end - start) as usize,
         }
     }
 
@@ -159,6 +173,10 @@ impl Guard {
     /// Remove a guess whose predicate committed (§3.1: "When a predicate
     /// p_i in a computation's commit guard set commits, pi is removed from
     /// the set"). Returns true if it was present.
+    ///
+    /// Removing the smallest or largest guess of a shared guard narrows its
+    /// window without touching (or unsharing) the storage; a guard that
+    /// does not hold `g` is left alone.
     pub fn remove(&mut self, g: GuessId) -> bool {
         let pos = match self.as_slice().binary_search(&g) {
             Ok(p) => p,
@@ -169,8 +187,17 @@ impl Guard {
                 elems[pos..*len as usize].rotate_left(1);
                 *len -= 1;
             }
-            Repr::Shared(_) => {
-                let mut v = Vec::with_capacity(self.len() - 1);
+            Repr::Shared { start, end, .. } => {
+                let len = (*end - *start) as usize;
+                if len - 1 > Guard::INLINE_CAP && (pos == 0 || pos == len - 1) {
+                    if pos == 0 {
+                        *start += 1;
+                    } else {
+                        *end -= 1;
+                    }
+                    return true;
+                }
+                let mut v = Vec::with_capacity(len - 1);
                 v.extend_from_slice(&self.as_slice()[..pos]);
                 v.extend_from_slice(&self.as_slice()[pos + 1..]);
                 *self = Guard::from_sorted_vec(v);
@@ -295,11 +322,19 @@ impl Guard {
         2 + self.len() * GuessId::WIRE_BYTES
     }
 
-    /// Do `self` and `other` share one heap allocation? Inline guards never
-    /// do (they own no allocation). Test hook for the O(1)-clone guarantee.
+    /// Are `self` and `other` the same window over one heap allocation?
+    /// Inline guards never are (they own no allocation). Test hook for the
+    /// O(1)-clone guarantee, and the fast path of the set operations.
     pub fn shares_storage_with(&self, other: &Guard) -> bool {
         match (&self.repr, &other.repr) {
-            (Repr::Shared(a), Repr::Shared(b)) => Arc::ptr_eq(a, b),
+            (
+                Repr::Shared { elems, start, end },
+                Repr::Shared {
+                    elems: other_elems,
+                    start: other_start,
+                    end: other_end,
+                },
+            ) => Arc::ptr_eq(elems, other_elems) && start == other_start && end == other_end,
             _ => false,
         }
     }

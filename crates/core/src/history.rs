@@ -172,6 +172,12 @@ impl History {
         self.fate(g) == Fate::Committed
     }
 
+    /// Has `g` committed or aborted? One [`fate`](Self::fate) lookup — the
+    /// test for "no longer a live dependency".
+    pub fn is_resolved(&self, g: GuessId) -> bool {
+        self.fate(g) != Fate::Unknown
+    }
+
     fn set_fate(&mut self, g: GuessId, f: Fate) {
         let m = self.fates.entry(g.process).or_default();
         if m.get(&(g.incarnation, g.index)) != Some(&f) {
@@ -281,6 +287,11 @@ mod tests {
         h.record_abort(gid(1, 0, 2));
         assert!(h.is_committed(gid(0, 0, 1)));
         assert!(h.is_aborted(gid(1, 0, 2)));
+        assert!(h.is_resolved(gid(0, 0, 1)) && h.is_resolved(gid(1, 0, 2)));
+        // Implicitly aborted counts; unheard-of and PRECEDENCE-only do not.
+        assert!(h.is_resolved(gid(1, 0, 3)));
+        h.record_unknown(gid(2, 0, 1));
+        assert!(!h.is_resolved(gid(2, 0, 1)) && !h.is_resolved(gid(3, 0, 1)));
     }
 
     #[test]

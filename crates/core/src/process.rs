@@ -12,6 +12,16 @@
 //! only arrive via control messages, which are visible to the whole
 //! process), so we keep a single per-process CDG; behavior is equivalent and
 //! bookkeeping is simpler.
+//!
+//! Records are never retired here: every thread and every own guess this
+//! process ever created stays in [`ProcessCore::threads`] /
+//! [`ProcessCore::own`], because oracles, forensics and end-of-run reports
+//! read them. What the hot paths need is kept beside the records instead of
+//! being rediscovered by scanning them: the set of own guesses awaiting
+//! resolution (the commit cascade's only candidates) and the count of own
+//! guesses still pending (the completion check). The delivery choice
+//! ([`ProcessCore::choose_delivery`]) likewise stops counting a candidate's
+//! new dependencies as soon as it cannot beat the best one seen.
 
 use crate::cdg::Cdg;
 use crate::cow::CowMap;
@@ -238,6 +248,12 @@ pub struct ProcessCore {
     /// Own guesses, keyed by guess id (fork indices recur across
     /// incarnations).
     pub own: BTreeMap<GuessId, OwnGuess>,
+    /// Own guesses in [`OwnGuessState::AwaitingResolution`] — the only
+    /// candidates of the commit cascade — and the number still
+    /// [`OwnGuessState::Pending`]. Maintained by `fork` and the resolution
+    /// paths wherever they change an [`OwnGuess::state`].
+    pub(crate) awaiting: BTreeSet<GuessId>,
+    pub(crate) pending_own: usize,
     /// Per-fork-site speculation controllers (§3.3 policy state: retry
     /// counts, success/latency EWMAs, effective budgets, decision log).
     speculation: SpeculationState,
@@ -303,6 +319,8 @@ impl ProcessCore {
             cdg: Cdg::new(),
             threads,
             own: BTreeMap::new(),
+            awaiting: BTreeSet::new(),
+            pending_own: 0,
             speculation: SpeculationState::default(),
             spec_clock: 0,
             dependents: BTreeMap::new(),
@@ -406,7 +424,7 @@ impl ProcessCore {
         // the wire codec can ship rows for our own later-incarnation
         // guesses (the compact encoder needs rows 1..=i for x_{i,n}).
         self.history.observe_guess(guess);
-        self.own.insert(
+        let replaced = self.own.insert(
             guess,
             OwnGuess {
                 id: guess,
@@ -418,6 +436,8 @@ impl ProcessCore {
                 state: OwnGuessState::Pending,
             },
         );
+        debug_assert!(replaced.is_none(), "guess ids are never reused");
+        self.pending_own += 1;
         ForkRecord {
             guess,
             left_thread: creating,
@@ -534,22 +554,32 @@ impl ProcessCore {
         if !self.config.deliver_min_deps {
             return Some(0);
         }
-        candidates
-            .iter()
-            .enumerate()
-            .min_by_key(|(i, env)| (self.live_new_guard_count(thread, env.guard()), *i))
-            .map(|(i, _)| i)
+        // Earliest candidate with the smallest count: a later candidate
+        // only wins with a strictly smaller one, so its count need not go
+        // past the best so far, and nothing beats zero.
+        let mut best = (usize::MAX, 0);
+        for (i, env) in candidates.iter().enumerate() {
+            let count = self.live_new_guard_count(thread, env.guard(), best.0);
+            if count < best.0 {
+                best = (count, i);
+                if count == 0 {
+                    break;
+                }
+            }
+        }
+        Some(best.1)
     }
 
     /// Number of genuinely new (unresolved) dependencies a guard tag would
     /// introduce to `thread` — committed/aborted guesses don't count.
-    pub fn live_new_guard_count(&self, thread: ForkIndex, incoming: &Guard) -> usize {
+    /// Counting stops at `limit`: callers that only compare against a
+    /// threshold pass it, callers that want the number pass `usize::MAX`.
+    pub fn live_new_guard_count(&self, thread: ForkIndex, incoming: &Guard, limit: usize) -> usize {
         let mine = &self.threads[&thread].guard;
         incoming
             .iter()
-            .filter(|g| {
-                !mine.contains(*g) && !self.history.is_committed(*g) && !self.history.is_aborted(*g)
-            })
+            .filter(|g| !mine.contains(*g) && !self.history.is_resolved(*g))
+            .take(limit)
             .count()
     }
 
@@ -575,12 +605,9 @@ impl ProcessCore {
     /// (the orphan rule then drops the message) or committed (delivery is
     /// then harmless).
     pub fn guard_depends_on_future(&self, thread: ForkIndex, guard: &Guard) -> Option<GuessId> {
-        guard.iter().find(|g| {
-            g.process == self.id
-                && g.index > thread
-                && !self.history.is_aborted(*g)
-                && !self.history.is_committed(*g)
-        })
+        guard
+            .iter()
+            .find(|g| g.process == self.id && g.index > thread && !self.history.is_resolved(*g))
     }
 
     /// Deliver a message to a thread (§4.2.3 tail): acquire new guards,
@@ -601,7 +628,7 @@ impl ProcessCore {
         // (§4.1.5 — the commit history makes them implicit commits), and
         // aborted ones were filtered by the orphan check.
         let mut new_guards = meta.guard.new_guards(&tag);
-        new_guards.retain(|g| !history.is_committed(*g) && !history.is_aborted(*g));
+        new_guards.retain(|g| !history.is_resolved(*g));
         if new_guards.is_empty() {
             return DeliveryEffect {
                 new_guards,
@@ -623,9 +650,8 @@ impl ProcessCore {
             // when the thread's guard was empty.
             meta.guard.union_with(&tag);
         } else {
-            for &g in &new_guards {
-                meta.guard.insert(g);
-            }
+            // Only some are: still one merge, not an O(guard) copy each.
+            meta.guard.union_with(&new_guards.iter().copied().collect());
         }
         for &g in &new_guards {
             meta.rollbacks.insert(g, idx);
@@ -648,17 +674,36 @@ impl ProcessCore {
         self.own.get(&g)
     }
 
+    /// Move own guess `g` to `state` (`None`: forget the record — its fork
+    /// was undone), keeping the awaiting set and the pending count in step.
+    /// Every write to an [`OwnGuess::state`] goes through here.
+    pub(crate) fn set_own_state(&mut self, g: GuessId, state: Option<OwnGuessState>) {
+        let old = match state {
+            Some(new) => self
+                .own
+                .get_mut(&g)
+                .map(|o| std::mem::replace(&mut o.state, new)),
+            None => self.own.remove(&g).map(|o| o.state),
+        };
+        debug_assert!(
+            state != Some(OwnGuessState::Pending),
+            "only `fork` creates pending guesses"
+        );
+        match old {
+            Some(OwnGuessState::Pending) => self.pending_own -= 1,
+            Some(OwnGuessState::AwaitingResolution) => {
+                self.awaiting.remove(&g);
+            }
+            _ => {}
+        }
+        if old.is_some() && state == Some(OwnGuessState::AwaitingResolution) {
+            self.awaiting.insert(g);
+        }
+    }
+
     /// Total live (unresolved) own guesses — diagnostics.
     pub fn pending_own_guesses(&self) -> usize {
-        self.own
-            .values()
-            .filter(|o| {
-                matches!(
-                    o.state,
-                    OwnGuessState::Pending | OwnGuessState::AwaitingResolution
-                )
-            })
-            .count()
+        self.pending_own + self.awaiting.len()
     }
 
     /// Poll-style completion check for executors: no own guess is still
@@ -668,12 +713,18 @@ impl ProcessCore {
     /// kept here (not in the executor) so both runtime executors and the
     /// simulator answer the question identically.
     pub fn speculation_quiescent(&self) -> bool {
-        !self.own.values().any(|o| {
-            matches!(
-                o.state,
-                OwnGuessState::Pending | OwnGuessState::AwaitingResolution
-            )
-        })
+        debug_assert_eq!(
+            self.pending_own_guesses(),
+            self.own
+                .values()
+                .filter(|o| matches!(
+                    o.state,
+                    OwnGuessState::Pending | OwnGuessState::AwaitingResolution
+                ))
+                .count(),
+            "live-guess bookkeeping out of step with the own-guess records"
+        );
+        self.pending_own_guesses() == 0
     }
 }
 

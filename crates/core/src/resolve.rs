@@ -105,19 +105,13 @@ impl ProcessCore {
         }
         // Unknown: some other guard g_m is in our past. Record the edges
         // locally and broadcast PRECEDENCE (§3.2).
-        let mut cycle_members: BTreeSet<GuessId> = BTreeSet::new();
-        for g in left_guard.iter() {
-            if let EdgeOutcome::Cycle(c) = self.cdg.add_edge(g, guess) {
-                cycle_members.extend(c);
-            }
-        }
-        if !cycle_members.is_empty() {
-            let effects = self.abort_cycle(cycle_members);
+        if let EdgeOutcome::Cycle(members) =
+            self.cdg.add_edges_into(guess, left_guard.iter(), false)
+        {
+            let effects = self.abort_cycle(members);
             return JoinDecision::Abort { effects };
         }
-        if let Some(o) = self.own.get_mut(&guess) {
-            o.state = OwnGuessState::AwaitingResolution;
-        }
+        self.set_own_state(guess, Some(OwnGuessState::AwaitingResolution));
         if let Some(t) = self.threads.get_mut(&own.left_thread) {
             t.phase = ThreadPhase::AwaitingResolution;
         }
@@ -132,6 +126,11 @@ impl ProcessCore {
     /// have committed" — from histories, guards and the CDG, then commits
     /// any own guesses whose guards emptied.
     pub fn on_commit(&mut self, g: GuessId) -> CommitEffects {
+        if self.history.is_committed(g) {
+            // A repeat (relayed twice, or inferred earlier as a predecessor
+            // of another COMMIT): everything below already happened.
+            return CommitEffects::default();
+        }
         let mut to_commit: BTreeSet<GuessId> = BTreeSet::from([g]);
         // Transitive CDG predecessors must have committed already.
         let mut stack = vec![g];
@@ -159,19 +158,28 @@ impl ProcessCore {
     /// §4.2.8: a PRECEDENCE(g, guard) control message arrived: every member
     /// of `guard` precedes `g`. Edges are added "if either g or x_n is a
     /// node of the CDG"; cycles are time faults.
+    ///
+    /// The guard is ingested in one pass. What the history already has
+    /// committed is left out — a late PRECEDENCE (it raced the COMMITs of
+    /// its members, or of `g` itself) constrains nothing any more, and
+    /// re-inserting a committed guess would leave a node no COMMIT will
+    /// ever remove. So a CDG node is never a committed guess.
     pub fn on_precedence(&mut self, g: GuessId, guard: &Guard) -> AbortEffects {
         self.history.record_unknown(g);
+        if self.history.is_committed(g) {
+            return AbortEffects::default();
+        }
         let mut cycle_members: BTreeSet<GuessId> = BTreeSet::new();
-        for h in guard.iter() {
+        let history = &self.history;
+        let preceding = guard.iter().filter(|&h| {
             if h == g {
                 cycle_members.insert(g);
-                continue;
+                return false;
             }
-            if self.cdg.contains_node(h) || self.cdg.contains_node(g) {
-                if let EdgeOutcome::Cycle(c) = self.cdg.add_edge(h, g) {
-                    cycle_members.extend(c);
-                }
-            }
+            !history.is_committed(h)
+        });
+        if let EdgeOutcome::Cycle(c) = self.cdg.add_edges_into(g, preceding, true) {
+            cycle_members.extend(c);
         }
         if cycle_members.is_empty() {
             AbortEffects::default()
@@ -200,11 +208,11 @@ impl ProcessCore {
     /// starts a fresh computation there, so its retry budget resets (§3.3's
     /// L bounds re-executions of *the same* computation).
     fn commit_own(&mut self, g: GuessId, cause: ResolutionCause) {
-        if let Some(o) = self.own.get_mut(&g) {
-            o.state = OwnGuessState::Committed;
+        if let Some(o) = self.own.get(&g) {
             let left = o.left_thread;
             let site = o.site;
             let forked_tick = o.forked_tick;
+            self.set_own_state(g, Some(OwnGuessState::Committed));
             if let Some(t) = self.threads.get_mut(&left) {
                 t.phase = ThreadPhase::Done;
             }
@@ -218,8 +226,11 @@ impl ProcessCore {
         self.remove_committed_guess(g);
     }
 
-    /// Remove a committed guess from history/CDG/guards/rollbacks.
+    /// Remove a committed guess from history/CDG/guards/rollbacks — once
+    /// per guess: `on_commit` ignores repeats, and a CDG node is never a
+    /// committed guess, so predecessor inference cannot reach one again.
     fn remove_committed_guess(&mut self, g: GuessId) {
+        debug_assert!(!self.history.is_committed(g), "{g} committed twice");
         self.history.record_commit(g);
         self.cdg.remove(g);
         self.purge_interned(g);
@@ -234,14 +245,9 @@ impl ProcessCore {
     fn cascade_commits(&mut self) -> Vec<GuessId> {
         let mut committed = Vec::new();
         loop {
-            let next: Option<GuessId> = self.own.values().find_map(|o| {
-                if o.state == OwnGuessState::AwaitingResolution
-                    && self.threads[&o.left_thread].guard.is_empty()
-                {
-                    Some(o.id)
-                } else {
-                    None
-                }
+            let next: Option<GuessId> = self.awaiting.iter().copied().find(|g| {
+                let left = self.own[g].left_thread;
+                self.threads[&left].guard.is_empty()
             });
             match next {
                 Some(g) => {
@@ -412,7 +418,7 @@ impl ProcessCore {
                 if fork_undone {
                     // Fork undone entirely; forget the record (replay may
                     // re-fork under the new incarnation).
-                    self.own.remove(d);
+                    self.set_own_state(*d, None);
                 } else {
                     // Fork stands but its guess is dead. If S1 has already
                     // finished and the left thread is not being rolled
@@ -426,9 +432,7 @@ impl ProcessCore {
                         effects.rerun_sequential.push(o.id);
                         self.thread_mut(o.left_thread).phase = ThreadPhase::Running;
                     }
-                    if let Some(om) = self.own.get_mut(d) {
-                        om.state = OwnGuessState::Aborted;
-                    }
+                    self.set_own_state(*d, Some(OwnGuessState::Aborted));
                 }
             }
         }
@@ -503,9 +507,7 @@ impl ProcessCore {
         // resolved; they are no longer guard members. Aborted ones cannot
         // remain either (the abort that doomed them pointed at an even
         // earlier rollback, or this very restore).
-        let resolved = t
-            .guard
-            .retain(|g| !self.history.is_committed(g) && !self.history.is_aborted(g));
+        let resolved = t.guard.retain(|g| !self.history.is_resolved(g));
         for g in resolved {
             t.rollbacks.remove(&g);
         }
@@ -694,6 +696,64 @@ mod tests {
         s.on_commit(g(1, 1));
         assert!(s.history.is_committed(g(0, 1)));
         assert!(s.thread(0).guard.is_empty());
+    }
+
+    #[test]
+    fn late_precedence_never_resurrects_a_committed_guess() {
+        // A server's thread depends on a two-deep pipeline x1, x2.
+        let (x1, x2, y1) = (g(0, 1), g(0, 2), g(1, 1));
+        let mut s = server(2);
+        s.deliver(0, &env(2, Guard::from_iter([x1, x2])));
+        assert_eq!(s.cdg.node_count(), 2);
+        // COMMIT(x1) overtakes PRECEDENCE(x2, {x1}).
+        s.on_commit(x1);
+        assert!(!s.cdg.contains_node(x1));
+        // The late PRECEDENCE names a committed member: no node comes
+        // back, no edge is recorded.
+        assert!(s.on_precedence(x2, &Guard::single(x1)).is_empty());
+        assert!(!s.cdg.contains_node(x1));
+        assert_eq!((s.cdg.node_count(), s.cdg.edge_count()), (1, 0));
+        // Nor does one whose *subject* has committed.
+        assert!(s.on_precedence(x1, &Guard::single(y1)).is_empty());
+        assert!(!s.cdg.contains_node(x1) && !s.cdg.contains_node(y1));
+        // So COMMIT(x2) finds no predecessor to commit again:
+        // `remove_committed_guess` debug-asserts it runs once per guess
+        // (the resurrected x1 used to be re-committed here), and a
+        // repeated COMMIT is ignored outright.
+        s.on_commit(x2);
+        assert_eq!(s.on_commit(x2), CommitEffects::default());
+        assert_eq!((s.cdg.node_count(), s.cdg.edge_count()), (0, 0));
+        assert!(s.history.is_committed(x1) && s.history.is_committed(x2));
+        assert!(s.thread(0).guard.is_empty());
+    }
+
+    #[test]
+    fn commit_cascade_follows_the_awaiting_set() {
+        // Two own guesses: x1 awaits on y1, x2 is still pending. The
+        // live-guess bookkeeping tracks each state change, and only the
+        // awaiting one is a cascade candidate.
+        let mut c = client();
+        let r1 = c.fork(0, 1);
+        c.deliver(r1.left_thread, &env(0, Guard::single(g(1, 1))));
+        assert!(matches!(
+            c.join_left_done(r1.guess, true),
+            JoinDecision::Await { .. }
+        ));
+        let r2 = c.fork(r1.right_thread, 2);
+        assert_eq!(c.pending_own_guesses(), 2);
+        assert_eq!(c.awaiting, BTreeSet::from([r1.guess]));
+        assert!(!c.speculation_quiescent());
+        // COMMIT(y1): x1 cascades; x2 (pending, guard now empty) does not.
+        assert_eq!(c.on_commit(g(1, 1)).own_committed, vec![r1.guess]);
+        assert!(c.awaiting.is_empty());
+        assert_eq!(c.pending_own_guesses(), 1);
+        // x2 aborts on a value fault: nothing live remains.
+        assert!(matches!(
+            c.join_left_done(r2.guess, false),
+            JoinDecision::Abort { .. }
+        ));
+        assert_eq!(c.pending_own_guesses(), 0);
+        assert!(c.speculation_quiescent());
     }
 
     #[test]

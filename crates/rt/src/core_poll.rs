@@ -99,6 +99,12 @@ struct RtThread {
 }
 
 impl RtThread {
+    /// `Done` with nothing buffered: no delivery, flush or completion scan
+    /// has anything left to do with this thread.
+    fn finished(&self) -> bool {
+        self.status == Status::Done && self.out_buf.is_empty()
+    }
+
     fn new(state: BehaviorState) -> Self {
         let chk = Checkpoint {
             state: state.clone(),
@@ -140,6 +146,12 @@ pub(crate) struct ProcessActor {
     report: Sender<Report>,
     core: ProcessCore,
     threads: BTreeMap<u32, RtThread>,
+    /// Indices (ascending) of the threads a delivery, waiter, flush or
+    /// completion scan can still concern: every thread except those that
+    /// are `Done` with nothing buffered. Finished threads keep their record
+    /// in `threads` (the final log is read from it) but are never scanned
+    /// again.
+    live: Vec<u32>,
     pool: Vec<Envelope>,
     /// (thread, resume) work items to run, in FIFO order (preserves the
     /// program's send order across fork chains).
@@ -213,6 +225,7 @@ impl ProcessActor {
             report,
             core: ProcessCore::new(pid, cfg.core.clone()),
             threads: BTreeMap::new(),
+            live: Vec::new(),
             pool: Vec::new(),
             ready: VecDeque::new(),
             stats: RtStats::default(),
@@ -234,6 +247,7 @@ impl ProcessActor {
     /// first blocking point, and arm the transport tick (threaded mode).
     pub fn start(&mut self) {
         self.threads.insert(0, RtThread::new(self.behavior.init()));
+        self.mark_live(0);
         self.ready.push_back((0, Resume::Start));
         self.pump();
         if self.self_ticks {
@@ -326,14 +340,40 @@ impl ProcessActor {
         }
     }
 
+    /// A thread was created, or a rollback re-opened it.
+    fn mark_live(&mut self, tid: u32) {
+        if let Err(i) = self.live.binary_search(&tid) {
+            self.live.insert(i, tid);
+        }
+    }
+
+    /// Drop `tid` from the scans if it was discarded, or is `Done` with
+    /// nothing buffered.
+    fn retire_if_finished(&mut self, tid: u32) {
+        let finished = self
+            .threads
+            .get(&tid)
+            .is_none_or(|th| th.finished());
+        if finished {
+            if let Ok(i) = self.live.binary_search(&tid) {
+                self.live.remove(i);
+            }
+        }
+    }
+
+    fn live_threads(&self) -> impl Iterator<Item = (u32, &RtThread)> {
+        self.live.iter().map(|tid| (*tid, &self.threads[tid]))
+    }
+
     fn maybe_report_done(&mut self) {
         if self.done_reported || !self.is_client {
             return;
         }
+        // Retired threads are `Done`; only the live ones can still be
+        // running.
         let program_done = self
-            .threads
-            .values()
-            .all(|t| matches!(t.status, Status::Done));
+            .live_threads()
+            .all(|(_, t)| matches!(t.status, Status::Done));
         if program_done && self.core.speculation_quiescent() {
             self.done_reported = true;
             let _ = self.report.send(Report::ClientDone(self.pid));
@@ -436,6 +476,7 @@ impl ProcessActor {
                     right.call_stack = left.call_stack.clone();
                     right.checkpoints[0].call_stack = right.call_stack.clone();
                     self.threads.insert(rec.right_thread, right);
+                    self.mark_live(rec.right_thread);
                     self.guesses.insert(rec.guess, guesses.clone());
                     self.ready
                         .push_back((rec.right_thread, Resume::ForkRight { guesses }));
@@ -466,6 +507,7 @@ impl ProcessActor {
                 right.call_stack = left.call_stack.clone();
                 right.checkpoints[0].call_stack = right.call_stack.clone();
                 self.threads.insert(rec.right_thread, right);
+                self.mark_live(rec.right_thread);
                 self.guesses.insert(rec.guess, guesses.clone());
                 self.ready.push_back((tid, Resume::ForkLeft));
                 self.ready
@@ -482,6 +524,7 @@ impl ProcessActor {
                         meta.phase = opcsp_core::ThreadPhase::Done;
                     }
                 }
+                self.retire_if_finished(tid);
             }
         }
     }
@@ -620,10 +663,9 @@ impl ProcessActor {
         }
         if let DataKind::Return(cid) = env.kind {
             let waiter = self
-                .threads
-                .iter()
+                .live_threads()
                 .find(|(_, t)| t.status == Status::BlockedCall(cid))
-                .map(|(id, _)| *id);
+                .map(|(id, _)| id);
             if let Some(w) = waiter {
                 if let Some(doomed) = self.core.return_depends_on_future(w, &env) {
                     let eff = self.core.on_abort(doomed);
@@ -666,18 +708,18 @@ impl ProcessActor {
         if self.pool.is_empty() {
             return None;
         }
-        for (tid, th) in &self.threads {
+        for (tid, th) in self.live_threads() {
             if let Status::BlockedCall(cid) = th.status {
                 if let Some(i) = self
                     .pool
                     .iter()
                     .position(|m| m.kind == DataKind::Return(cid))
                 {
-                    return Some((*tid, i));
+                    return Some((tid, i));
                 }
             }
         }
-        for (tid, th) in &self.threads {
+        for (tid, th) in self.live_threads() {
             if th.status != Status::BlockedRecv {
                 continue;
             }
@@ -694,22 +736,22 @@ impl ProcessActor {
                 .enumerate()
                 .filter(|(_, m)| {
                     !m.kind.is_return()
-                        && self.core.guard_depends_on_future(*tid, m.guard()).is_none()
+                        && self.core.guard_depends_on_future(tid, m.guard()).is_none()
                 })
                 .collect();
             if candidates.is_empty() {
                 continue;
             }
             let envs: Vec<&Envelope> = candidates.iter().map(|(_, e)| *e).collect();
-            if let Some(k) = self.core.choose_delivery(*tid, &envs) {
-                return Some((*tid, candidates[k].0));
+            if let Some(k) = self.core.choose_delivery(tid, &envs) {
+                return Some((tid, candidates[k].0));
             }
         }
         None
     }
 
     fn deliver_to(&mut self, tid: u32, env: Envelope) {
-        let new_deps = self.core.live_new_guard_count(tid, env.guard());
+        let new_deps = self.core.live_new_guard_count(tid, env.guard(), usize::MAX);
         let introduces = new_deps > 0;
         if introduces {
             let th = self.threads.get_mut(&tid).unwrap();
@@ -815,6 +857,7 @@ impl ProcessActor {
             if let Some(th) = self.threads.get_mut(&left) {
                 th.status = Status::Done;
                 th.fork_guess = None;
+                self.retire_if_finished(left);
             }
         }
         self.flush_buffers();
@@ -888,6 +931,7 @@ impl ProcessActor {
         }
         for tid in &effects.discard_threads {
             if let Some(mut th) = self.threads.remove(tid) {
+                self.retire_if_finished(*tid);
                 self.stats.discarded_threads += 1;
                 if self.tele.enabled() {
                     let t = self.now_us();
@@ -950,6 +994,7 @@ impl ProcessActor {
         for (_, env) in th.consumed.split_off(chk.consumed_len) {
             self.pool.push(env);
         }
+        self.mark_live(tid);
         // Cancel queued work for the rolled-back thread: it is blocked at
         // its checkpointed receive/call again.
         self.ready.retain(|(t, _)| *t != tid);
@@ -985,18 +1030,32 @@ impl ProcessActor {
     }
 
     fn flush_buffers(&mut self) {
-        let mut released = Vec::new();
-        for (tid, th) in self.threads.iter_mut() {
-            let guard_empty = self
-                .core
+        let ProcessActor {
+            threads,
+            live,
+            core,
+            external,
+            ..
+        } = self;
+        live.retain(|tid| {
+            let th = threads.get_mut(tid).expect("live threads exist");
+            let guard_empty = core
                 .threads
                 .get(tid)
                 .map(|m| m.guard.is_empty())
                 .unwrap_or(false);
-            if guard_empty && !th.out_buf.is_empty() {
-                released.append(&mut th.out_buf);
+            if guard_empty {
+                external.append(&mut th.out_buf);
             }
-        }
-        self.external.extend(released);
+            !th.finished()
+        });
+        debug_assert!(
+            threads
+                .iter()
+                .filter(|(_, th)| !th.finished())
+                .map(|(tid, _)| tid)
+                .eq(live.iter()),
+            "live list out of step with thread statuses"
+        );
     }
 }

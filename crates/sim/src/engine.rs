@@ -249,6 +249,12 @@ struct SimThread {
 }
 
 impl SimThread {
+    /// `Done` with nothing buffered: no delivery, flush or completion scan
+    /// has anything left to do with this thread.
+    fn finished(&self) -> bool {
+        self.status == Status::Done && self.out_buf.is_empty()
+    }
+
     fn new(index: u32, state: BehaviorState) -> Self {
         let chk = Boundary {
             state: Some(state.clone()),
@@ -283,10 +289,42 @@ struct SimProcess {
     behavior: Arc<dyn Behavior>,
     core: ProcessCore,
     threads: BTreeMap<u32, SimThread>,
+    /// Indices (ascending) of the threads a delivery, waiter or flush scan
+    /// can still concern: every thread except those that are `Done` with
+    /// nothing buffered. Finished threads keep their record in `threads`
+    /// (the committed logs are read from it) but are never scanned again.
+    live: Vec<u32>,
     /// Arrived, not yet consumed messages.
     pool: Vec<Envelope>,
     /// Control messages already relayed (targeted dissemination dedup).
     relayed: std::collections::BTreeSet<(u8, GuessId)>,
+}
+
+impl SimProcess {
+    /// A thread was created, or a rollback re-opened it.
+    fn mark_live(&mut self, tid: u32) {
+        if let Err(i) = self.live.binary_search(&tid) {
+            self.live.insert(i, tid);
+        }
+    }
+
+    /// Drop `tid` from the scans if it was discarded, or is `Done` with
+    /// nothing buffered.
+    fn retire_if_finished(&mut self, tid: u32) {
+        let finished = self
+            .threads
+            .get(&tid)
+            .is_none_or(|th| th.finished());
+        if finished {
+            if let Ok(i) = self.live.binary_search(&tid) {
+                self.live.remove(i);
+            }
+        }
+    }
+
+    fn live_threads(&self) -> impl Iterator<Item = &SimThread> {
+        self.live.iter().map(|tid| &self.threads[tid])
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -474,6 +512,7 @@ impl World {
                 behavior: b,
                 core,
                 threads,
+                live: vec![0],
                 pool: Vec::new(),
                 relayed: std::collections::BTreeSet::new(),
             });
@@ -780,6 +819,7 @@ impl World {
                     right.checkpoints[0].call_stack = right.call_stack.clone();
                     right.clock = left_clock.max(now) + self.cfg.fork_cost;
                     p.threads.insert(rec.right_thread, right);
+                    p.mark_live(rec.right_thread);
                     self.guesses.insert(rec.guess, guesses.clone());
                     let (lt, rt) = (self.tid(pid, tid), self.tid(pid, rec.right_thread));
                     self.trace.push(TraceEvent::Fork {
@@ -820,6 +860,7 @@ impl World {
                         meta.phase = opcsp_core::ThreadPhase::Done;
                     }
                 }
+                p.retire_if_finished(tid);
                 let t = self.tid(pid, tid);
                 self.trace
                     .push(TraceEvent::ThreadDone { t: now, thread: t });
@@ -1015,6 +1056,7 @@ impl World {
         right.checkpoints[0].call_stack = right.call_stack.clone();
         right.clock = left_clock.max(now) + self.cfg.fork_cost;
         p.threads.insert(rec.right_thread, right);
+        p.mark_live(rec.right_thread);
         self.guesses.insert(rec.guess, guesses.clone());
         let (lt, rt) = (self.tid(pid, tid), self.tid(pid, rec.right_thread));
         self.trace.push(TraceEvent::Fork {
@@ -1138,6 +1180,7 @@ impl World {
             if let Some(th) = p.threads.get_mut(&left) {
                 th.status = Status::Done;
                 th.fork_guess = None;
+                p.retire_if_finished(left);
                 let t = self.tid(pid, left);
                 self.trace.push(TraceEvent::ThreadDone {
                     t: self.now,
@@ -1178,8 +1221,7 @@ impl World {
         // thread is the one blocked on this call id.
         if let DataKind::Return(cid) = env.kind {
             let waiter = p
-                .threads
-                .values()
+                .live_threads()
                 .find(|t| t.status == Status::BlockedCall(cid))
                 .map(|t| t.index);
             if let Some(w) = waiter {
@@ -1242,7 +1284,7 @@ impl World {
             return None;
         }
         // Returns to call-blocked threads.
-        for th in p.threads.values() {
+        for th in p.live_threads() {
             if let Status::BlockedCall(cid) = th.status {
                 if let Some(i) = p.pool.iter().position(|m| m.kind == DataKind::Return(cid)) {
                     return Some((th.index, i));
@@ -1250,7 +1292,7 @@ impl World {
             }
         }
         // Receives.
-        for th in p.threads.values() {
+        for th in p.live_threads() {
             if th.status != Status::BlockedRecv {
                 continue;
             }
@@ -1314,7 +1356,7 @@ impl World {
         let p = &mut self.procs[pid.0 as usize];
         // Checkpoint *before* applying a dependency-introducing message
         // (§3.1). Peek whether new guards arrive.
-        let new_deps = p.core.live_new_guard_count(tid, env.guard());
+        let new_deps = p.core.live_new_guard_count(tid, env.guard(), usize::MAX);
         let introduces = new_deps > 0;
         if introduces {
             let every = self.cfg.checkpoint_every.max(1);
@@ -1525,6 +1567,7 @@ impl World {
         for tid in &effects.discard_threads {
             let p = &mut self.procs[pid.0 as usize];
             if let Some(mut th) = p.threads.remove(tid) {
+                p.retire_if_finished(*tid);
                 th.epoch += 1;
                 let mut repooled_data = 0usize;
                 for (_, env) in th.consumed.drain(..) {
@@ -1636,6 +1679,7 @@ impl World {
             }
             p.pool.push(env);
         }
+        p.mark_live(tid);
         self.rewind_sched_pos(pid, repooled_data);
         let t = self.tid(pid, tid);
         self.trace.push(TraceEvent::Rollback {
@@ -1689,11 +1733,17 @@ impl World {
         let now = self.now;
         let p = &mut self.procs[pid.0 as usize];
         let mut released = Vec::new();
-        for th in p.threads.values_mut() {
-            let guard_empty = p
-                .core
+        let SimProcess {
+            threads,
+            live,
+            core,
+            ..
+        } = p;
+        live.retain(|tid| {
+            let th = threads.get_mut(tid).expect("live threads exist");
+            let guard_empty = core
                 .threads
-                .get(&th.index)
+                .get(tid)
                 .map(|m| m.guard.is_empty())
                 .unwrap_or(false);
             if guard_empty && !th.out_buf.is_empty() {
@@ -1701,7 +1751,16 @@ impl World {
                     released.push(v);
                 }
             }
-        }
+            !th.finished()
+        });
+        debug_assert!(
+            threads
+                .values()
+                .filter(|th| !th.finished())
+                .map(|th| th.index)
+                .eq(live.iter().copied()),
+            "live list out of step with thread statuses"
+        );
         for v in released {
             self.external.push((now, pid, v.clone()));
             self.trace.push(TraceEvent::External {
