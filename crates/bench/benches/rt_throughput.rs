@@ -10,7 +10,7 @@
 //! `figures scaling` table (EXPERIMENTS.md E11).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use opcsp_core::Value;
+use opcsp_core::{CoreConfig, Value};
 use opcsp_rt::{Executor, RtConfig, RtWorld};
 use opcsp_workloads::servers::Server;
 use opcsp_workloads::streaming::{rt_pairs_world, PutLineClient};
@@ -18,7 +18,11 @@ use std::time::Duration;
 
 fn run_once(n: u32, optimism: bool, latency_ms: u64) -> opcsp_rt::RtResult {
     let cfg = RtConfig {
-        optimism,
+        core: if optimism {
+            CoreConfig::default()
+        } else {
+            CoreConfig::pessimistic()
+        },
         latency: Duration::from_millis(latency_ms),
         fork_timeout: Duration::from_secs(2),
         run_timeout: Duration::from_secs(20),
@@ -49,7 +53,7 @@ fn bench_rt(c: &mut Criterion) {
 /// injected latency (the executor, not the wire, is under test).
 fn run_pairs(procs: u32, executor: Executor) -> opcsp_rt::RtResult {
     let cfg = RtConfig {
-        optimism: false,
+        core: CoreConfig::pessimistic(),
         latency: Duration::ZERO,
         run_timeout: Duration::from_secs(60),
         executor,

@@ -2,6 +2,7 @@
 //! machinery): how fast the simulator executes optimistic vs pessimistic
 //! runs, and how cost scales with stream length and chain depth.
 
+use opcsp_core::CoreConfig;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use opcsp_workloads::chain::{run_chain, ChainOpts};
 use opcsp_workloads::streaming::{run_streaming, run_tally, StreamingOpts, TallyOpts};
@@ -23,7 +24,7 @@ fn bench_streaming(c: &mut Criterion) {
                 run_streaming(StreamingOpts {
                     n,
                     latency: 50,
-                    optimism: false,
+                    core: CoreConfig::pessimistic(),
                     ..Default::default()
                 })
             })

@@ -24,7 +24,6 @@ fn bench_timewarp(c: &mut Criterion) {
                     n_per_client: 8,
                     latency: 20,
                     skew,
-                    ..ContentionOpts::default()
                 })
             })
         });

@@ -74,7 +74,7 @@ fn figure_run(title: &str, r: &SimResult, procs: &[ProcessId]) -> String {
 /// Figure 2: no call streaming (pessimistic).
 pub fn fig2() -> String {
     let r = run_update_write(UpdateWriteOpts {
-        optimism: false,
+        core: CoreConfig::pessimistic(),
         latency: fig4_latency(50),
         ..UpdateWriteOpts::default()
     });
@@ -124,7 +124,7 @@ pub fn fig5() -> String {
 /// Figure 6: two optimistic processes, PRECEDENCE chain commits.
 pub fn fig6() -> String {
     use opcsp_workloads::two_clients::{W, X as FX, Y as FY, Z as FZ};
-    let r = run_fig6(true, 40);
+    let r = run_fig6(CoreConfig::default(), 40);
     figure_run(
         "Figure 6 — successful parallelization of two processes",
         &r,
@@ -135,7 +135,7 @@ pub fn fig6() -> String {
 /// Figure 7: the cross-dependency cycle, mutual abort and recovery.
 pub fn fig7() -> String {
     use opcsp_workloads::two_clients::{W, X as FX, Y as FY, Z as FZ};
-    let r = run_fig7(true, 40);
+    let r = run_fig7(CoreConfig::default(), 40);
     figure_run(
         "Figure 7 — aborted parallelization (cycle z1 → x1 → z1)",
         &r,
@@ -170,7 +170,7 @@ pub fn e1_latency_sweep() -> Table {
         let p = run_streaming(StreamingOpts {
             n: 32,
             latency: d,
-            optimism: false,
+            core: CoreConfig::pessimistic(),
             ..Default::default()
         });
         assert!(o.unresolved.is_empty() && fas.unresolved.is_empty());
@@ -208,7 +208,7 @@ pub fn e2_n_sweep() -> Table {
         let p = run_streaming(StreamingOpts {
             n,
             latency: 100,
-            optimism: false,
+            core: CoreConfig::pessimistic(),
             ..Default::default()
         });
         assert!(o.unresolved.is_empty());
@@ -249,7 +249,7 @@ pub fn e3_abort_sweep() -> Table {
             n: 32,
             latency: 50,
             p_per_mille: p_mille,
-            optimism: false,
+            core: CoreConfig::pessimistic(),
             ..Default::default()
         });
         assert!(o.unresolved.is_empty(), "p={p_mille}: {:?}", o.unresolved);
@@ -392,7 +392,6 @@ pub fn e6_timewarp() -> Table {
             n_per_client: 8,
             latency: 20,
             skew,
-            ..ContentionOpts::default()
         });
         assert!(ours.unresolved.is_empty());
         t.row(vec![
@@ -585,7 +584,7 @@ pub fn chain_depth() -> Table {
             depth,
             n: 8,
             latency: 40,
-            optimism: false,
+            core: CoreConfig::pessimistic(),
             ..Default::default()
         });
         assert!(o.unresolved.is_empty());
@@ -613,7 +612,7 @@ pub fn t1_equivalence() -> Table {
             "fig3 streaming ok",
             run_update_write(UpdateWriteOpts::default()),
             run_update_write(UpdateWriteOpts {
-                optimism: false,
+                core: CoreConfig::pessimistic(),
                 ..Default::default()
             }),
         ),
@@ -625,7 +624,7 @@ pub fn t1_equivalence() -> Table {
             }),
             run_update_write(UpdateWriteOpts {
                 latency: fig4_latency(50),
-                optimism: false,
+                core: CoreConfig::pessimistic(),
                 ..Default::default()
             }),
         ),
@@ -637,7 +636,7 @@ pub fn t1_equivalence() -> Table {
             }),
             run_streaming(StreamingOpts {
                 fail_lines: BTreeSet::from([3, 7]),
-                optimism: false,
+                core: CoreConfig::pessimistic(),
                 ..Default::default()
             }),
         ),
@@ -649,7 +648,7 @@ pub fn t1_equivalence() -> Table {
             }),
             run_chain(ChainOpts {
                 fail_items: BTreeSet::from([1]),
-                optimism: false,
+                core: CoreConfig::pessimistic(),
                 ..Default::default()
             }),
         ),
@@ -723,7 +722,6 @@ pub fn interner_stats() -> Table {
         latency: 30,
         p_per_mille: 300,
         seed: 7,
-        optimism: true,
         core: CoreConfig {
             codec: GuardCodec::Compact,
             ..CoreConfig::default()
@@ -852,7 +850,6 @@ pub fn lifecycle_stats() -> Table {
         latency: 30,
         p_per_mille: 300,
         seed: 7,
-        optimism: true,
         core: CoreConfig::default(),
     });
     row("sim tally n=12 p=0.3", tally.telemetry.lifecycle());
@@ -961,7 +958,6 @@ pub fn lifecycle_site_stats() -> Table {
         latency: 30,
         p_per_mille: 300,
         seed: 7,
-        optimism: true,
         core: CoreConfig::default(),
     });
     rows("sim tally p=0.3 static:3", tally.telemetry.lifecycle());
@@ -970,7 +966,6 @@ pub fn lifecycle_site_stats() -> Table {
         latency: 30,
         p_per_mille: 300,
         seed: 7,
-        optimism: true,
         core: CoreConfig::adaptive(),
     });
     rows("sim tally p=0.3 adaptive", adaptive.telemetry.lifecycle());
@@ -1147,7 +1142,7 @@ pub fn e13_explore() -> Table {
                    t: &mut Table|
      -> opcsp_sim::ExploreOutcome {
         let mut pess_cfg = opt_cfg.clone();
-        pess_cfg.optimism = false;
+        pess_cfg.core.speculation = SpeculationPolicy::Pessimistic;
         let out = explore(
             &opt_cfg,
             &pess_cfg,
@@ -1247,7 +1242,7 @@ pub fn scaling() -> Table {
     );
     let run = |procs: u32, ex: opcsp_rt::Executor| -> (Duration, u64) {
         let cfg = opcsp_rt::RtConfig {
-            optimism: false,
+            core: CoreConfig::pessimistic(),
             latency: Duration::ZERO,
             run_timeout: Duration::from_secs(120),
             executor: ex,
@@ -1424,7 +1419,8 @@ pub fn e14_replicated_kv() -> Table {
          optimistic SMR. Jitter perturbs arrival order at the sequencer, so it is the misguess \
          knob. Every row passed the cross-replica agreement oracle (identical stores, identical \
          read streams, full contiguous position range). rt throughput is wall-clock and \
-         machine-dependent; sim throughput is virtual-time.",
+         machine-dependent; sim throughput is virtual-time. Design in DESIGN.md §15; run it \
+         yourself with `opcsp-run kv:`.",
     );
     t
 }

@@ -149,8 +149,14 @@ impl Options {
     /// The one `CoreConfig` assembly point for both engines: the sim and
     /// rt paths must build the protocol core from the same knobs, or a new
     /// option silently applies to only one side of a `--compare`.
-    fn core_config(&self) -> CoreConfig {
-        CoreConfig::default().with_speculation(self.speculation)
+    /// `pessimistic` is the sequential baseline: `--pessimistic`, or the
+    /// reference run a `--compare`/`--explore` builds for itself.
+    fn core_config(&self, pessimistic: bool) -> CoreConfig {
+        CoreConfig::default().with_speculation(if pessimistic {
+            SpeculationPolicy::Pessimistic
+        } else {
+            self.speculation
+        })
     }
 }
 
@@ -557,8 +563,7 @@ fn rt_config(
 ) -> opcsp_rt::RtConfig {
     use std::time::Duration;
     opcsp_rt::RtConfig {
-        core: opts.core_config(),
-        optimism: !opts.pessimistic,
+        core: opts.core_config(opts.pessimistic),
         // Simulator ticks become milliseconds on real threads; a fork
         // timeout in simulated ticks would dwarf any real run, so cap it.
         latency: Duration::from_millis(opts.latency),
@@ -751,7 +756,7 @@ fn run_rt(sys: &System, opts: &Options) -> ExitCode {
 
 /// Parse the `kv:[key=value,...]` builtin-world spec. World-shape keys
 /// live in the spec; engine knobs (latency, jitter, seed, timeout,
-/// speculation, optimism) come from the ordinary flags so a `kv:` run
+/// speculation, `--pessimistic`) come from the ordinary flags so a `kv:` run
 /// composes with the rest of the CLI.
 fn parse_kv_spec(spec: &str, opts: &Options) -> Result<KvOpts, String> {
     let mut kv = KvOpts {
@@ -759,8 +764,7 @@ fn parse_kv_spec(spec: &str, opts: &Options) -> Result<KvOpts, String> {
         jitter: opts.jitter,
         seed: opts.seed,
         fork_timeout: opts.timeout,
-        optimism: !opts.pessimistic,
-        core: opts.core_config(),
+        core: opts.core_config(opts.pessimistic),
         ..KvOpts::default()
     };
     let body = spec.strip_prefix("kv:").expect("caller checked the prefix");
@@ -1055,8 +1059,7 @@ fn main() -> ExitCode {
         LatencyModel::fixed(opts.latency)
     };
     let make_cfg = |model: &LatencyModel, optimism: bool| SimConfig {
-        core: opts.core_config(),
-        optimism,
+        core: opts.core_config(!optimism),
         latency: model.clone(),
         fork_timeout: opts.timeout,
         fault: match (optimism, opts.inject_phantom, opts.inject_lifo) {

@@ -2,6 +2,7 @@
 //! both modes, and satisfy Theorem 1 — the programs shipped to users stay
 //! green.
 
+use opcsp_core::CoreConfig;
 use opcsp_lang::{parse_program, System};
 use opcsp_sim::{check_conservation, check_equivalence, LatencyModel, SimConfig};
 use std::path::PathBuf;
@@ -43,7 +44,11 @@ fn every_example_satisfies_theorem_1() {
         let sys = System::compile(&program).unwrap();
         for d in [10u64, 50, 120] {
             let cfg = |optimism: bool| SimConfig {
-                optimism,
+                core: if optimism {
+                    CoreConfig::default()
+                } else {
+                    CoreConfig::pessimistic()
+                },
                 latency: LatencyModel::fixed(d),
                 ..SimConfig::default()
             };
@@ -69,7 +74,6 @@ fn every_example_survives_jitter() {
         let sys = System::compile(&program).unwrap();
         for seed in [3u64, 17] {
             let r = sys.run(SimConfig {
-                optimism: true,
                 latency: LatencyModel::jitter(10, 90, seed),
                 ..SimConfig::default()
             });

@@ -1,6 +1,7 @@
 //! Interpreter and parser edge cases: loop nesting, shadowing-free store
 //! semantics, error paths, and a never-panic property for the parser.
 
+use opcsp_core::CoreConfig;
 use opcsp_lang::{parse_expr, parse_program, run_source, System};
 use opcsp_sim::{LatencyModel, SimConfig};
 use proptest::prelude::*;
@@ -9,7 +10,7 @@ fn run_ok(src: &str) -> opcsp_sim::SimResult {
     run_source(
         src,
         SimConfig {
-            optimism: false,
+            core: CoreConfig::pessimistic(),
             latency: LatencyModel::fixed(1),
             ..SimConfig::default()
         },
@@ -125,7 +126,7 @@ fn deterministic_interleaving_of_two_independent_clients() {
     let p = parse_program(src).unwrap();
     let sys = System::compile(&p).unwrap();
     let cfg = || SimConfig {
-        optimism: false,
+        core: CoreConfig::pessimistic(),
         latency: LatencyModel::fixed(5),
         ..SimConfig::default()
     };

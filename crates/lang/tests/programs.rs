@@ -2,13 +2,17 @@
 //! parse → transform → interpret → protocol, with Theorem-1 equivalence
 //! checks against their pessimistic executions.
 
-use opcsp_core::ProcessId;
+use opcsp_core::{CoreConfig, ProcessId};
 use opcsp_lang::{parse_program, System};
 use opcsp_sim::{check_conservation, check_equivalence, LatencyModel, SimConfig, SimResult};
 
 fn cfg(optimism: bool, d: u64) -> SimConfig {
     SimConfig {
-        optimism,
+        core: if optimism {
+            CoreConfig::default()
+        } else {
+            CoreConfig::pessimistic()
+        },
         latency: LatencyModel::fixed(d),
         ..SimConfig::default()
     }
@@ -332,7 +336,7 @@ fn list_operations_evaluate() {
     "#,
     );
     let r = sys.run(SimConfig {
-        optimism: false,
+        core: CoreConfig::pessimistic(),
         latency: LatencyModel::fixed(1),
         ..SimConfig::default()
     });

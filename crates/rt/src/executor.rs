@@ -218,7 +218,10 @@ fn spawn_threaded(spec: WorldSpec) -> Running {
     }
 }
 
-fn threaded_loop(spec: ActorSpec, rx: Receiver<Wire>) {
+/// The thread-per-process actor loop: build the actor on the thread that
+/// will own it, run it until `Shutdown` (or a dropped inbox), report. Also
+/// the loop of every actor a socket worker hosts (`rt::sock`).
+pub(crate) fn threaded_loop(spec: ActorSpec, rx: Receiver<Wire>) {
     let mut actor = ProcessActor::new(spec);
     actor.start();
     loop {

@@ -45,7 +45,6 @@ use std::time::{Duration, Instant};
 #[derive(Debug, Clone)]
 pub struct RtConfig {
     pub core: CoreConfig,
-    pub optimism: bool,
     /// One-way injected network latency.
     pub latency: Duration,
     /// Wall-clock budget for a left thread before its guess aborts.
@@ -81,7 +80,6 @@ impl Default for RtConfig {
     fn default() -> Self {
         RtConfig {
             core: CoreConfig::default(),
-            optimism: true,
             latency: Duration::from_millis(2),
             fork_timeout: Duration::from_secs(5),
             compute_unit: Duration::ZERO,

@@ -31,7 +31,7 @@
 //! (documented limitation): `RtResult::telemetry` is empty under this
 //! transport.
 
-use crate::core_poll::{ActorSpec, FinalReport, ProcessActor, Report};
+use crate::core_poll::{ActorSpec, FinalReport, Report};
 use crate::net::{Delayer, Frame, Mailbox, Payload, Wire};
 use crate::runtime::{drain_rounds, Coord, RtResult, RtStats, RtWorld, Step};
 use crossbeam::channel::{unbounded, Receiver, Sender};
@@ -1254,15 +1254,7 @@ fn run_worker(world: RtWorld, addr: &SockAddr, index: usize, workers: usize) -> 
                 .spawn(move || {
                     let p = ProcessId(pid as u32);
                     let r = catch_unwind(AssertUnwindSafe(move || {
-                        let mut actor = ProcessActor::new(spec);
-                        actor.start();
-                        loop {
-                            match rx.recv() {
-                                Ok(Wire::Shutdown) | Err(_) => break,
-                                Ok(w) => actor.on_wire(w),
-                            }
-                        }
-                        actor.finalize();
+                        crate::executor::threaded_loop(spec, rx)
                     }));
                     if let Err(payload) = r {
                         let _ = report.send(Report::Panicked {

@@ -19,7 +19,6 @@ use std::time::Duration;
 
 fn cfg(latency_ms: u64, faults: NetFaults) -> RtConfig {
     RtConfig {
-        optimism: true,
         latency: Duration::from_millis(latency_ms),
         fork_timeout: Duration::from_secs(5),
         run_timeout: Duration::from_secs(20),

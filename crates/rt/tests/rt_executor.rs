@@ -13,7 +13,7 @@
 //! under `Executor::Sharded` (the thread-per-process executor never
 //! spawns a world that wide).
 
-use opcsp_core::ProcessId;
+use opcsp_core::{CoreConfig, ProcessId};
 use opcsp_rt::{merge_equiv, Executor, NetFaults, RtConfig, RtResult, RtWorld};
 use opcsp_sim::Observable;
 use opcsp_workloads::chain::OptimisticForwarder;
@@ -24,7 +24,6 @@ use std::time::Duration;
 
 fn cfg(ex: Executor, faults: NetFaults) -> RtConfig {
     RtConfig {
-        optimism: true,
         latency: Duration::from_millis(2),
         fork_timeout: Duration::from_secs(5),
         run_timeout: Duration::from_secs(30),
@@ -218,7 +217,7 @@ fn run_wide(producers: u32, workers: usize) -> RtResult {
         ..FanInOpts::default()
     };
     let cfg = RtConfig {
-        optimism: false,
+        core: CoreConfig::pessimistic(),
         latency: Duration::ZERO,
         run_timeout: Duration::from_secs(120),
         executor: Executor::Sharded { workers },

@@ -2,7 +2,7 @@
 //! (value faults on real threads), chained optimistic forwarders, and two
 //! contending clients.
 
-use opcsp_core::{ProcessId, Value};
+use opcsp_core::{CoreConfig, ProcessId, Value};
 use opcsp_rt::{RtConfig, RtWorld};
 use opcsp_sim::Observable;
 use opcsp_workloads::chain::OptimisticForwarder;
@@ -13,7 +13,11 @@ use std::time::Duration;
 
 fn rt_cfg(optimism: bool, latency_ms: u64) -> RtConfig {
     RtConfig {
-        optimism,
+        core: if optimism {
+            CoreConfig::default()
+        } else {
+            CoreConfig::pessimistic()
+        },
         latency: Duration::from_millis(latency_ms),
         fork_timeout: Duration::from_secs(2),
         run_timeout: Duration::from_secs(20),
@@ -132,7 +136,6 @@ fn targeted_control_on_real_threads() {
             targeted_control: true,
             ..CoreConfig::default()
         },
-        optimism: true,
         latency: Duration::from_millis(2),
         fork_timeout: Duration::from_secs(2),
         run_timeout: Duration::from_secs(20),

@@ -25,7 +25,6 @@ use std::time::Duration;
 
 fn base_cfg(faults: NetFaults, transport: RtTransport) -> RtConfig {
     RtConfig {
-        optimism: true,
         latency: Duration::from_millis(2),
         fork_timeout: Duration::from_secs(5),
         run_timeout: Duration::from_secs(30),

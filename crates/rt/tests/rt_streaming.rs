@@ -1,7 +1,7 @@
 //! Real-thread runtime tests: call streaming with genuine wall-clock
 //! latency, value faults, and equivalence against the pessimistic run.
 
-use opcsp_core::{ProcessId, Value};
+use opcsp_core::{CoreConfig, ProcessId, Value};
 use opcsp_rt::{RtConfig, RtWorld};
 use opcsp_sim::Observable;
 use opcsp_workloads::servers::Server;
@@ -13,7 +13,11 @@ const SERVER: ProcessId = ProcessId(1);
 
 fn run_rt(n: u32, optimism: bool, latency_ms: u64, fail_at: Option<u32>) -> opcsp_rt::RtResult {
     let cfg = RtConfig {
-        optimism,
+        core: if optimism {
+            CoreConfig::default()
+        } else {
+            CoreConfig::pessimistic()
+        },
         latency: Duration::from_millis(latency_ms),
         fork_timeout: Duration::from_secs(2),
         run_timeout: Duration::from_secs(20),
@@ -111,7 +115,6 @@ fn rt_logs_match_across_modes() {
 fn rt_fork_after_send_streams_too() {
     use opcsp_workloads::streaming::PutLineClientFas;
     let cfg = RtConfig {
-        optimism: true,
         latency: Duration::from_millis(3),
         fork_timeout: Duration::from_secs(2),
         run_timeout: Duration::from_secs(20),

@@ -1,0 +1,465 @@
+//! The driver against a scripted in-memory environment: no threads, no
+//! clock, no network — the substitution the [`Env`] interface exists for.
+//! What is pinned here holds for every engine, because every engine runs
+//! this code.
+
+use super::*;
+use crate::behavior::FnBehavior;
+use std::collections::VecDeque;
+
+const P0: ProcessId = ProcessId(0);
+const P1: ProcessId = ProcessId(1);
+const P2: ProcessId = ProcessId(2);
+const P3: ProcessId = ProcessId(3);
+
+/// Records everything the driver asks for; runs resumes only when told to.
+#[derive(Default)]
+struct Fake {
+    ids: u64,
+    data: Vec<Envelope>,
+    ctrl: Vec<(ProcessId, Control)>,
+    ready: VecDeque<(ThreadId, Resume)>,
+    cancelled: Vec<ThreadId>,
+    timers: Vec<GuessId>,
+    external: Vec<Value>,
+    tele: Telemetry,
+}
+
+impl Env for Fake {
+    fn now(&self) -> u64 {
+        0
+    }
+    fn next_msg_id(&mut self) -> MsgId {
+        self.ids += 1;
+        MsgId(1000 + self.ids)
+    }
+    fn next_call_id(&mut self) -> CallId {
+        self.ids += 1;
+        CallId(self.ids)
+    }
+    fn n_processes(&self) -> usize {
+        4
+    }
+    fn send_data(&mut self, msg: Envelope) -> u32 {
+        self.data.push(msg);
+        0
+    }
+    fn send_control(&mut self, from: ProcessId, to: ProcessId, ctrl: Control) {
+        assert_eq!(from, P0);
+        self.ctrl.push((to, ctrl));
+    }
+    fn resume(&mut self, thread: ThreadId, _after: After, resume: Resume) {
+        self.ready.push_back((thread, resume));
+    }
+    fn cancel_resumes(&mut self, thread: ThreadId) {
+        self.ready.retain(|(t, _)| *t != thread);
+        self.cancelled.push(thread);
+    }
+    fn arm_fork_timer(&mut self, guess: GuessId) {
+        self.timers.push(guess);
+    }
+    fn release_external(&mut self, _from: ProcessId, payload: Value) {
+        self.external.push(payload);
+    }
+    fn telemetry(&mut self) -> &mut Telemetry {
+        &mut self.tele
+    }
+    fn trace(&mut self, _ev: impl FnOnce(u64) -> TraceEvent) {}
+}
+
+impl Fake {
+    /// Start `d`'s initial thread and run it to its first blocking point.
+    fn start(d: &mut Driver) -> Fake {
+        let mut fake = Fake::default();
+        fake.ready.push_back((thread(0), Resume::Start));
+        fake.run(d);
+        fake
+    }
+
+    fn run(&mut self, d: &mut Driver) {
+        while let Some((th, resume)) = self.ready.pop_front() {
+            d.step(self, th.index, resume);
+        }
+    }
+
+    /// Deliver `m` from the network and run to quiescence.
+    fn arrive(&mut self, d: &mut Driver, m: Envelope) {
+        d.on_data(self, m);
+        self.run(d);
+    }
+}
+
+fn thread(index: u32) -> ThreadId {
+    ThreadId { process: P0, index }
+}
+
+fn driver(behavior: Arc<dyn Behavior>, policy: DriverPolicy) -> Driver {
+    Driver::new(P0, behavior, CoreConfig::default(), policy)
+}
+
+/// A one-way message to P0 carrying `v`, tagged with `guard`.
+fn msg(id: u64, from: ProcessId, guard: Guard, v: i64) -> Envelope {
+    Envelope {
+        id: MsgId(id),
+        from,
+        from_thread: 0,
+        to: P0,
+        guard: guard.into(),
+        table_acks: vec![],
+        kind: DataKind::Send,
+        payload: Value::Int(v),
+        label: format!("m{id}").into(),
+        link_seq: 0,
+    }
+}
+
+/// A guess of a remote process.
+fn remote_guess(owner: ProcessId) -> GuessId {
+    GuessId::first(owner, 1)
+}
+
+fn received(from: ProcessId, v: i64) -> Observable {
+    Observable::Received {
+        from,
+        kind: ObsKind::Send,
+        payload: Value::Int(v),
+    }
+}
+
+fn output(v: i64) -> Observable {
+    Observable::Output {
+        payload: Value::Int(v),
+    }
+}
+
+/// Receives forever. State: the ints received so far; after each one it
+/// emits their sum as an external output.
+fn sink() -> Arc<dyn Behavior> {
+    Arc::new(FnBehavior::new(
+        "sink",
+        Vec::<i64>::new(),
+        |seen, resume| match resume {
+            Resume::Start | Resume::Continue => Effect::Receive,
+            Resume::Msg(m) => {
+                seen.push(m.payload.as_int().expect("int payload"));
+                Effect::External {
+                    payload: Value::Int(seen.iter().sum()),
+                }
+            }
+            r => panic!("sink: unexpected {r:?}"),
+        },
+    ))
+}
+
+fn seen(d: &Driver, tid: u32) -> &Vec<i64> {
+    d.threads[&tid].state.get::<Vec<i64>>()
+}
+
+fn forced(order: &[ProcessId]) -> DriverPolicy {
+    DriverPolicy {
+        forced_order: Some(Arc::new(DeliverySchedule::from([(P0, order.to_vec())]))),
+        ..DriverPolicy::default()
+    }
+}
+
+#[test]
+fn rollback_repools_cancels_reopens_and_rewinds() {
+    let mut d = driver(sink(), forced(&[P1, P2, P1]));
+    let mut fake = Fake::start(&mut d);
+    let g = remote_guess(P3);
+    fake.arrive(&mut d, msg(1, P1, Guard::single(g), 10));
+    // Delivered but not yet run: the resume is still queued.
+    d.on_data(&mut fake, msg(2, P2, Guard::empty(), 20));
+    assert_eq!(fake.ready.len(), 1);
+    assert_eq!(d.forced_pos, 2);
+    assert_eq!(d.threads[&0].checkpoints.len(), 2);
+
+    d.on_control(&mut fake, P3, Control::Abort(g));
+
+    assert_eq!(d.stats.rollbacks, 1);
+    assert_eq!(fake.cancelled, vec![thread(0)]);
+    assert!(fake.ready.is_empty(), "the queued resume was cancelled");
+    let th = &d.threads[&0];
+    assert_eq!(th.status, Status::BlockedRecv, "the receive is open again");
+    assert_eq!(th.checkpoints.len(), 1);
+    assert!(th.consumed.is_empty() && th.oblog.is_empty() && th.out_buf.is_empty());
+    assert!(seen(&d, 0).is_empty());
+    // Both consumed messages went back to the pool; the one guarded by the
+    // aborted guess was purged as an orphan, and the forced prefix —
+    // rewound to its start — holds the other for P1.
+    assert_eq!(d.stats.orphans, 1);
+    assert_eq!(d.forced_pos, 0);
+    assert_eq!(d.pool.iter().map(|m| m.id).collect::<Vec<_>>(), [MsgId(2)]);
+
+    fake.arrive(&mut d, msg(3, P1, Guard::empty(), 30));
+    assert_eq!(
+        d.log(),
+        [received(P1, 30), output(30), received(P2, 20), output(50)]
+    );
+    assert_eq!(fake.external, [Value::Int(30), Value::Int(50)]);
+}
+
+/// Forks at start. The left thread calls P1, joins when the return comes
+/// and, once its guess is gone, runs S2 itself; S2 is [`sink`]'s loop.
+fn forker() -> Arc<dyn Behavior> {
+    Arc::new(FnBehavior::new(
+        "forker",
+        (0u8, Vec::<i64>::new()),
+        |(pc, seen), resume| match (*pc, resume) {
+            (0, Resume::Start) => {
+                *pc = 1;
+                Effect::Fork {
+                    site: 1,
+                    guesses: vec![],
+                }
+            }
+            (1, Resume::ForkLeft) => {
+                *pc = 2;
+                Effect::call(P1, 0i64, "C")
+            }
+            (2, Resume::Msg(_)) => {
+                *pc = 3;
+                Effect::JoinLeft { actual: vec![] }
+            }
+            (1, Resume::ForkRight { .. }) | (3, Resume::JoinSequential) => {
+                *pc = 4;
+                Effect::Receive
+            }
+            (4, Resume::Msg(m)) => {
+                seen.push(m.payload.as_int().expect("int payload"));
+                Effect::Receive
+            }
+            (pc, r) => panic!("forker: pc {pc}, unexpected {r:?}"),
+        },
+    ))
+}
+
+#[test]
+fn discard_repools_cancels_rewinds_and_drops_the_thread() {
+    let mut d = driver(forker(), forced(&[P2]));
+    let mut fake = Fake::start(&mut d);
+    assert_eq!(d.thread_ids().collect::<Vec<_>>(), [0, 1]);
+    let x1 = fake.timers[0];
+    // The left thread is parked on its call, so the right thread (S2) is
+    // the earliest receiver.
+    d.on_data(&mut fake, msg(1, P2, Guard::empty(), 7));
+    assert_eq!(d.threads[&1].consumed.len(), 1);
+    assert_eq!(fake.ready.len(), 1);
+    assert_eq!(d.forced_pos, 1);
+
+    assert!(d.on_timer(&mut fake, x1));
+
+    assert_eq!(d.stats.discarded_threads, 1);
+    assert_eq!(d.thread_ids().collect::<Vec<_>>(), [0], "thread 1 is gone");
+    assert_eq!(d.live, [0]);
+    assert_eq!(fake.cancelled, vec![thread(1)]);
+    assert!(fake.ready.is_empty(), "the queued resume was cancelled");
+    assert_eq!(d.forced_pos, 0);
+    assert_eq!(d.pool.len(), 1, "the consumed message is pooled again");
+    assert!(
+        !d.on_timer(&mut fake, x1),
+        "a resolved guess ignores its timer"
+    );
+
+    // The return lets the surviving left thread finish S1, find its guess
+    // aborted, and receive the message itself.
+    let DataKind::Call(cid) = fake.data[0].kind else {
+        panic!("the left thread's call");
+    };
+    let mut ret = msg(2, P1, Guard::empty(), 0);
+    ret.kind = DataKind::Return(cid);
+    fake.arrive(&mut d, ret);
+    assert_eq!(seen(&d, 0).1, [7]);
+    assert!(d.pool.is_empty());
+
+    fn seen(d: &Driver, tid: u32) -> &(u8, Vec<i64>) {
+        d.threads[&tid].state.get::<(u8, Vec<i64>)>()
+    }
+}
+
+#[test]
+fn sparse_checkpoints_replay_to_the_dense_state() {
+    // Four messages, each guarded by a different process's guess, open
+    // four intervals; aborting the second guess rolls back to boundary 2.
+    let owners = [P1, P2, P3, ProcessId(4)];
+    let run = |every: u32| {
+        let mut d = driver(
+            sink(),
+            DriverPolicy {
+                checkpoint_every: every,
+                ..DriverPolicy::default()
+            },
+        );
+        let mut fake = Fake::start(&mut d);
+        for (i, owner) in owners.into_iter().enumerate() {
+            let m = msg(i as u64, owner, Guard::single(remote_guess(owner)), 1 << i);
+            fake.arrive(&mut d, m);
+        }
+        assert_eq!(d.threads[&0].checkpoints.len(), 5);
+        d.on_control(&mut fake, P2, Control::Abort(remote_guess(P2)));
+        fake.run(&mut d);
+        for owner in [P1, P3, ProcessId(4)] {
+            d.on_control(&mut fake, owner, Control::Commit(remote_guess(owner)));
+        }
+        (d, fake)
+    };
+    let (dense, dense_env) = run(1);
+    let (sparse, sparse_env) = run(3);
+    assert_eq!(seen(&dense, 0), &[1, 4, 8]);
+    assert_eq!(seen(&sparse, 0), seen(&dense, 0));
+    assert_eq!(sparse.log(), dense.log());
+    assert_eq!(sparse_env.external, dense_env.external);
+    assert_eq!(sparse_env.external.last(), Some(&Value::Int(13)));
+    // Boundary 2 has a snapshot only in the dense run; the sparse run
+    // replayed its way there from boundary 0 and kept fewer snapshots.
+    assert_eq!(dense.replayed_steps, 0);
+    assert!(dense.threads[&0].resume_log.is_empty());
+    assert!(sparse.replayed_steps > 0);
+    assert!(sparse.checkpoints_taken < dense.checkpoints_taken);
+}
+
+#[test]
+fn phantom_log_leaks_rolled_back_observables() {
+    let run = |fault: FaultInjection| {
+        let mut d = driver(
+            sink(),
+            DriverPolicy {
+                fault,
+                ..DriverPolicy::default()
+            },
+        );
+        let mut fake = Fake::start(&mut d);
+        let g = remote_guess(P3);
+        fake.arrive(&mut d, msg(1, P1, Guard::single(g), 10));
+        d.on_control(&mut fake, P3, Control::Abort(g));
+        assert_eq!(d.stats.rollbacks, 1);
+        d.log()
+    };
+    assert!(run(FaultInjection::None).is_empty());
+    assert_eq!(
+        run(FaultInjection::PhantomLog),
+        [received(P1, 10), output(10)]
+    );
+}
+
+#[test]
+fn lifo_delivery_picks_the_newest_candidate() {
+    let run = |fault: FaultInjection| {
+        let mut d = driver(
+            sink(),
+            DriverPolicy {
+                fault,
+                ..DriverPolicy::default()
+            },
+        );
+        // Both messages are pooled before the thread first blocks.
+        let mut fake = Fake::default();
+        d.on_data(&mut fake, msg(1, P1, Guard::empty(), 1));
+        d.on_data(&mut fake, msg(2, P2, Guard::empty(), 2));
+        fake.ready.push_back((thread(0), Resume::Start));
+        fake.run(&mut d);
+        seen(&d, 0).clone()
+    };
+    assert_eq!(run(FaultInjection::None), [1, 2]);
+    assert_eq!(run(FaultInjection::LifoDelivery), [2, 1]);
+}
+
+/// On each message: send to P2, send to P1, receive again.
+fn fan_out() -> Arc<dyn Behavior> {
+    Arc::new(FnBehavior::new("fan_out", 0u8, |pc, resume| {
+        match (*pc, resume) {
+            (0, Resume::Start) => Effect::Receive,
+            (0, Resume::Msg(_)) => {
+                *pc = 1;
+                Effect::send(P2, 0i64, "a")
+            }
+            (1, Resume::Continue) => {
+                *pc = 2;
+                Effect::send(P1, 0i64, "b")
+            }
+            (2, Resume::Continue) => {
+                *pc = 0;
+                Effect::Receive
+            }
+            (pc, r) => panic!("fan_out: pc {pc}, unexpected {r:?}"),
+        }
+    }))
+}
+
+#[test]
+fn relayed_control_never_returns_to_its_sender() {
+    let g = remote_guess(P3);
+    let controls = [
+        Control::Commit(g),
+        Control::Abort(g),
+        Control::Precedence(g, Guard::empty().into()),
+    ];
+    for ctrl in controls {
+        for (from, other) in [(P1, P2), (P2, P1)] {
+            let core = CoreConfig {
+                targeted_control: true,
+                ..CoreConfig::default()
+            };
+            let mut d = Driver::new(P0, fan_out(), core, DriverPolicy::default());
+            let mut fake = Fake::start(&mut d);
+            // P0 takes on a dependency on g, then tags messages to P1 and
+            // P2 with it: both are its recorded dependents.
+            fake.arrive(&mut d, msg(1, P1, Guard::single(g), 0));
+            assert_eq!(fake.data.len(), 2);
+
+            d.on_control(&mut fake, from, ctrl.clone());
+            assert_eq!(fake.ctrl, [(other, ctrl.clone())], "{ctrl} from {from}");
+            // Relayed once: the copy that comes round again goes nowhere.
+            d.on_control(&mut fake, other, ctrl.clone());
+            assert_eq!(fake.ctrl.len(), 1);
+            assert_eq!(d.stats.control_messages, 1);
+        }
+    }
+}
+
+/// Thread 0 forks x1; its right thread forks x2; every thread then
+/// receives.
+fn nested_forker() -> Arc<dyn Behavior> {
+    Arc::new(FnBehavior::new("nested", 0u8, |pc, resume| {
+        match (*pc, resume) {
+            (0, Resume::Start) => {
+                *pc = 1;
+                Effect::Fork {
+                    site: 1,
+                    guesses: vec![],
+                }
+            }
+            (1, Resume::ForkRight { .. }) => {
+                *pc = 2;
+                Effect::Fork {
+                    site: 2,
+                    guesses: vec![],
+                }
+            }
+            (1 | 2, Resume::ForkLeft) | (2, Resume::ForkRight { .. }) | (3, Resume::Msg(_)) => {
+                *pc = 3;
+                Effect::Receive
+            }
+            (pc, r) => panic!("nested: pc {pc}, unexpected {r:?}"),
+        }
+    }))
+}
+
+#[test]
+fn stale_incarnation_guess_is_still_withheld_from_the_earlier_thread() {
+    let mut d = driver(nested_forker(), DriverPolicy::default());
+    let mut fake = Fake::start(&mut d);
+    let (x1, x2) = (fake.timers[0], fake.timers[1]);
+    // x2 times out: thread 2 is discarded and the incarnation moves on,
+    // leaving x1 live under a stale incarnation number.
+    assert!(d.on_timer(&mut fake, x2));
+    assert_eq!(d.core.incarnation, Incarnation(1));
+    assert_eq!(d.thread_ids().collect::<Vec<_>>(), [0, 1]);
+    assert!(d.threads.values().all(|t| t.status == Status::BlockedRecv));
+
+    // A message that depends on x1 is thread 0's own future: it must go to
+    // x1's right thread, although thread 0 is the earlier receiver.
+    d.on_data(&mut fake, msg(1, P1, Guard::single(x1), 0));
+    assert!(d.threads[&0].consumed.is_empty());
+    assert_eq!(d.threads[&1].consumed.len(), 1);
+}

@@ -10,7 +10,8 @@
 //! pessimistic run executes everything on thread 0, giving the reference
 //! sequence.
 
-use crate::engine::{DeliverySchedule, ObsKind, Observable, SimResult};
+use crate::driver::{DeliverySchedule, ObsKind, Observable};
+use crate::engine::SimResult;
 use opcsp_core::{ProcessId, Value};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -250,7 +251,7 @@ pub fn check_conservation(result: &SimResult) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::ObsKind;
+    use crate::driver::ObsKind;
     use opcsp_core::Value;
     use std::collections::BTreeMap;
 

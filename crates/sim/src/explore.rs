@@ -44,7 +44,8 @@
 //! branching; `budget` bounds executed runs. `stats.complete` reports
 //! whether the bounded space was exhausted.
 
-use crate::engine::{DeliverySchedule, SimConfig, SimResult};
+use crate::driver::DeliverySchedule;
+use crate::engine::{SimConfig, SimResult};
 use crate::equiv::{check_theorem1, committed_schedule, EquivReport, Theorem1Verdict};
 use crate::forensics::{first_divergence, happens_before_chain, shrink_schedule, DivergenceReport};
 use crate::latency::{DrawKey, LatencyModel};
@@ -253,8 +254,8 @@ struct ViolationRun {
 /// `runner` must build a fresh world from the given config and run it to
 /// quiescence; `opt_cfg` is the optimistic configuration under test
 /// (including any injected fault), `pess_cfg` its pessimistic reference
-/// (same latency model and seed, `optimism: false`). The search stops at
-/// the first violation and returns it shrunk and explained.
+/// (same latency model and seed, `SpeculationPolicy::Pessimistic`). The
+/// search stops at the first violation and returns it shrunk and explained.
 pub fn explore(
     opt_cfg: &SimConfig,
     pess_cfg: &SimConfig,

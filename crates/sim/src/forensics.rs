@@ -20,7 +20,8 @@
 //!    [`LatencyModel::Scripted`](crate::latency::LatencyModel) overrides
 //!    addressed by [`DrawKey`].
 
-use crate::engine::{ObsMeta, SimResult};
+use crate::driver::ObsMeta;
+use crate::engine::SimResult;
 use crate::equiv::{EquivReport, Mismatch};
 use crate::latency::DrawKey;
 use crate::trace::{TraceEvent, VTime};

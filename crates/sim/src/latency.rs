@@ -16,17 +16,8 @@
 //! network*, a reproducer can be replayed, and the schedule shrinker can
 //! override individual draws ([`LatencyModel::Scripted`]) while leaving
 //! the rest of the schedule untouched.
-//!
-//! The pre-forensics behavior — a single RNG stream consumed in global
-//! event order, so two runs of the same seed sample *different* latencies
-//! for the same logical message — is preserved as
-//! [`LatencyModel::JitterUnordered`]. It is the root-cause ablation for
-//! the fan_in Theorem-1 divergence (see DESIGN.md §7) and is exempt from
-//! the engine's per-link FIFO clamp.
 
 use opcsp_core::ProcessId;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -57,11 +48,6 @@ pub enum LatencyModel {
         seed: u64,
         overrides: Arc<BTreeMap<DrawKey, u64>>,
     },
-    /// Legacy event-order jitter: draws come from one RNG stream shared by
-    /// every link, consumed in whatever order the event loop fires sends.
-    /// Two runs of the same seed do NOT see the same network. Kept as the
-    /// fan_in-divergence root-cause ablation; not FIFO-clamped.
-    JitterUnordered { base: u64, spread: u64, seed: u64 },
 }
 
 impl LatencyModel {
@@ -94,17 +80,6 @@ impl LatencyModel {
         }
     }
 
-    pub fn jitter_unordered(base: u64, spread: u64, seed: u64) -> LatencyModel {
-        LatencyModel::JitterUnordered { base, spread, seed }
-    }
-
-    /// Does this model describe an order-preserving (FIFO) link layer?
-    /// All deterministic models do; only the legacy unordered jitter keeps
-    /// the historical free-reordering network.
-    pub fn fifo_links(&self) -> bool {
-        !matches!(self, LatencyModel::JitterUnordered { .. })
-    }
-
     /// Build the sampler used by one simulation run.
     pub fn sampler(&self) -> LatencySampler {
         match self {
@@ -134,13 +109,6 @@ impl LatencyModel {
                 counters: BTreeMap::new(),
                 draws: Vec::new(),
             },
-            LatencyModel::JitterUnordered { base, spread, seed } => {
-                LatencySampler::JitterUnordered {
-                    base: *base,
-                    spread: *spread,
-                    rng: Box::new(StdRng::seed_from_u64(*seed)),
-                }
-            }
         }
     }
 }
@@ -191,9 +159,8 @@ pub fn jitter_draw(seed: u64, base: u64, spread: u64, key: DrawKey) -> u64 {
     base + h % (spread + 1)
 }
 
-/// Stateful sampler for one run. The jitter variants advance per-link
-/// transmission counters (and record every draw for forensics); the
-/// legacy variant advances a shared RNG.
+/// Stateful sampler for one run. The jitter variant advances per-link
+/// transmission counters (and records every draw for forensics).
 #[derive(Debug)]
 pub enum LatencySampler {
     Fixed(u64),
@@ -208,11 +175,6 @@ pub enum LatencySampler {
         overrides: Option<Arc<BTreeMap<DrawKey, u64>>>,
         counters: BTreeMap<(ProcessId, ProcessId), u32>,
         draws: Vec<(DrawKey, u64)>,
-    },
-    JitterUnordered {
-        base: u64,
-        spread: u64,
-        rng: Box<StdRng>,
     },
 }
 
@@ -240,13 +202,6 @@ impl LatencySampler {
                     .unwrap_or_else(|| jitter_draw(*seed, *base, *spread, key));
                 draws.push((key, d));
                 d
-            }
-            LatencySampler::JitterUnordered { base, spread, rng } => {
-                if *spread == 0 {
-                    *base
-                } else {
-                    *base + rng.gen_range(0..=*spread)
-                }
             }
         }
     }
@@ -349,24 +304,6 @@ mod tests {
         assert_eq!(s2.sample(c, d), cd0);
         assert_eq!(s2.sample(a, b), ab0);
         assert_eq!(s2.sample(a, b), ab1);
-    }
-
-    #[test]
-    fn unordered_jitter_is_a_shared_stream() {
-        // The legacy model draws from one stream: consuming a draw on one
-        // link shifts every other link's next draw (that is the bug it
-        // preserves for ablation).
-        let m = LatencyModel::jitter_unordered(5, 1000, 7);
-        let mut s1 = m.sampler();
-        let first = s1.sample(ProcessId(0), ProcessId(1));
-        let mut s2 = m.sampler();
-        let _burn = s2.sample(ProcessId(2), ProcessId(3));
-        let shifted = s2.sample(ProcessId(0), ProcessId(1));
-        // Not a hard guarantee for every seed, but for this one the second
-        // draw differs from the first — pinned to document the semantics.
-        assert_ne!(first, shifted);
-        assert!(!m.fifo_links());
-        assert!(LatencyModel::jitter(5, 10, 7).fifo_links());
     }
 
     #[test]

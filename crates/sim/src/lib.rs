@@ -8,6 +8,7 @@
 
 pub mod audit;
 pub mod behavior;
+pub mod driver;
 pub mod engine;
 pub mod equiv;
 pub mod explore;
@@ -17,10 +18,11 @@ pub mod trace;
 
 pub use audit::{assert_audit_clean, audit_trace, Violation};
 pub use behavior::{reply_label, Behavior, BehaviorState, Effect, FnBehavior, Resume};
-pub use engine::{
-    DeliverySchedule, FaultInjection, ObsKind, ObsMeta, Observable, SimBuilder, SimConfig,
-    SimResult, World,
+pub use driver::{
+    After, DeliverySchedule, Driver, DriverPolicy, Env, FaultInjection, ObsKind, ObsMeta,
+    Observable,
 };
+pub use engine::{SimBuilder, SimConfig, SimResult, World};
 pub use equiv::{
     check_conservation, check_equivalence, check_theorem1, committed_schedule, EquivReport,
     Mismatch, Theorem1Verdict,

@@ -9,7 +9,11 @@ use opcsp_sim::{Effect, FnBehavior, LatencyModel, Resume, SimBuilder, SimConfig,
 
 fn cfg(optimism: bool) -> SimConfig {
     SimConfig {
-        optimism,
+        core: if optimism {
+            CoreConfig::default()
+        } else {
+            CoreConfig::pessimistic()
+        },
         latency: LatencyModel::fixed(10),
         ..SimConfig::default()
     }

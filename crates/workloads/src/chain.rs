@@ -99,7 +99,6 @@ pub struct ChainOpts {
     pub latency: u64,
     /// Item values the terminal server rejects.
     pub fail_items: BTreeSet<u32>,
-    pub optimism: bool,
     pub core: CoreConfig,
 }
 
@@ -110,7 +109,6 @@ impl Default for ChainOpts {
             n: 4,
             latency: 20,
             fail_items: BTreeSet::new(),
-            optimism: true,
             core: CoreConfig::default(),
         }
     }
@@ -121,7 +119,6 @@ impl Default for ChainOpts {
 pub fn chain_config(opts: &ChainOpts) -> SimConfig {
     SimConfig {
         core: opts.core.clone(),
-        optimism: opts.optimism,
         latency: LatencyModel::fixed(opts.latency),
         ..SimConfig::default()
     }

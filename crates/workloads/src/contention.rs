@@ -25,7 +25,6 @@ pub struct ContentionOpts {
     pub latency: u64,
     /// Extra latency on client A's link to the server.
     pub skew: u64,
-    pub optimism: bool,
 }
 
 impl Default for ContentionOpts {
@@ -34,7 +33,6 @@ impl Default for ContentionOpts {
             n_per_client: 8,
             latency: 20,
             skew: 0,
-            optimism: true,
         }
     }
 }
@@ -46,7 +44,6 @@ pub fn run_contention(opts: ContentionOpts) -> SimResult {
         latency = latency.link(CLIENT_A, SERVER, opts.latency + opts.skew);
     }
     let cfg = SimConfig {
-        optimism: opts.optimism,
         latency: latency.build(),
         ..SimConfig::default()
     };

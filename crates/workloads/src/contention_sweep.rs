@@ -50,7 +50,6 @@ pub struct SweepOpts {
     pub latency: u64,
     /// Server compute per call — the contended resource.
     pub server_compute: u64,
-    pub optimism: bool,
     pub core: CoreConfig,
 }
 
@@ -73,7 +72,6 @@ impl Default for SweepOpts {
             ],
             latency: 10,
             server_compute: 30,
-            optimism: true,
             core: CoreConfig::default(),
         }
     }
@@ -275,7 +273,6 @@ impl SweepOutcome {
 pub fn run_contention_sweep(opts: SweepOpts) -> SweepOutcome {
     let cfg = SimConfig {
         core: opts.core.clone(),
-        optimism: opts.optimism,
         latency: LatencyModel::fixed(opts.latency),
         ..SimConfig::default()
     };

@@ -26,7 +26,6 @@ pub struct FanInOpts {
     /// Uniform jitter spread (0 = fixed latency).
     pub jitter: u64,
     pub seed: u64,
-    pub optimism: bool,
     pub server_compute: u64,
     pub core: CoreConfig,
     pub fork_timeout: VTime,
@@ -40,7 +39,6 @@ impl Default for FanInOpts {
             latency: 50,
             jitter: 0,
             seed: 1,
-            optimism: true,
             server_compute: 1,
             core: CoreConfig::default(),
             fork_timeout: 100_000,
@@ -64,7 +62,6 @@ pub fn fan_in_config(opts: &FanInOpts) -> SimConfig {
     };
     SimConfig {
         core: opts.core.clone(),
-        optimism: opts.optimism,
         latency,
         fork_timeout: opts.fork_timeout,
         ..SimConfig::default()
@@ -201,7 +198,6 @@ pub fn run_fan_in_burst(opts: FanInOpts, depth: u32) -> SimResult {
     };
     let cfg = SimConfig {
         core: opts.core.clone(),
-        optimism: opts.optimism,
         latency,
         fork_timeout: opts.fork_timeout,
         ..SimConfig::default()
@@ -238,7 +234,7 @@ pub fn run_fan_in_burst(opts: FanInOpts, depth: u32) -> SimResult {
 /// the number of producers mid-speculation — an O(width²) wire-byte cost
 /// that is a *protocol* property (the guard-interner experiments measure
 /// it), not an executor one. Full-width runs that only exercise executor
-/// scale should set `optimism: false` in the `RtConfig`.
+/// scale should run pessimistically (`CoreConfig::pessimistic()`).
 pub fn rt_fan_in_world(opts: &FanInOpts, cfg: opcsp_rt::RtConfig) -> opcsp_rt::RtWorld {
     use std::sync::Arc;
     assert!(

@@ -65,7 +65,6 @@ pub struct KvOpts {
     pub zipf_s: f64,
     /// Writes per 1000 commands; the rest are reads.
     pub write_per_mille: u32,
-    pub optimism: bool,
     pub core: CoreConfig,
     pub fork_timeout: VTime,
     /// Sequencer compute per command (position assignment cost).
@@ -87,7 +86,6 @@ impl Default for KvOpts {
             keys: 16,
             zipf_s: 0.99,
             write_per_mille: 500,
-            optimism: true,
             core: CoreConfig::default(),
             fork_timeout: 100_000,
             seq_compute: 1,
@@ -532,7 +530,6 @@ pub fn kv_config(opts: &KvOpts) -> SimConfig {
     };
     SimConfig {
         core: opts.core.clone(),
-        optimism: opts.optimism,
         latency,
         fork_timeout: opts.fork_timeout,
         ..SimConfig::default()

@@ -136,7 +136,6 @@ pub struct StreamingOpts {
     pub latency: u64,
     /// Line numbers the server rejects (value faults at the client).
     pub fail_lines: BTreeSet<u32>,
-    pub optimism: bool,
     pub server_compute: u64,
     pub core: CoreConfig,
     pub fork_timeout: VTime,
@@ -153,7 +152,6 @@ impl Default for StreamingOpts {
             n: 16,
             latency: 50,
             fail_lines: BTreeSet::new(),
-            optimism: true,
             server_compute: 1,
             core: CoreConfig::default(),
             fork_timeout: 100_000,
@@ -168,7 +166,6 @@ impl Default for StreamingOpts {
 pub fn streaming_config(opts: &StreamingOpts) -> SimConfig {
     SimConfig {
         core: opts.core.clone(),
-        optimism: opts.optimism,
         latency: LatencyModel::fixed(opts.latency),
         fork_timeout: opts.fork_timeout,
         checkpoint_every: opts.checkpoint_every,
@@ -398,7 +395,6 @@ pub struct TallyOpts {
     pub latency: u64,
     pub p_per_mille: u32,
     pub seed: u64,
-    pub optimism: bool,
     pub core: CoreConfig,
 }
 
@@ -409,7 +405,6 @@ impl Default for TallyOpts {
             latency: 50,
             p_per_mille: 0,
             seed: 1,
-            optimism: true,
             core: CoreConfig::default(),
         }
     }
@@ -419,7 +414,6 @@ impl Default for TallyOpts {
 pub fn run_tally(opts: TallyOpts) -> SimResult {
     let cfg = SimConfig {
         core: opts.core.clone(),
-        optimism: opts.optimism,
         latency: LatencyModel::fixed(opts.latency),
         ..SimConfig::default()
     };

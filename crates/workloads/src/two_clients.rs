@@ -14,7 +14,7 @@
 //! processes re-execute sequentially.
 
 use crate::servers::{DisplaySink, Server};
-use opcsp_core::{ProcessId, Value};
+use opcsp_core::{CoreConfig, ProcessId, Value};
 use opcsp_sim::{
     Behavior, BehaviorState, Effect, LatencyModel, Resume, SimBuilder, SimConfig, SimResult,
 };
@@ -156,9 +156,9 @@ impl Behavior for Fig6Z {
 /// Y's service time is slow (3d) so that z1's join happens while x1 is
 /// still unresolved — opening the PRECEDENCE window; Z's S2 computation
 /// (3d) keeps the speculative M2 behind the S1 call at W.
-pub fn run_fig6(optimism: bool, d: u64) -> SimResult {
+pub fn run_fig6(core: CoreConfig, d: u64) -> SimResult {
     let cfg = SimConfig {
-        optimism,
+        core,
         latency: LatencyModel::fixed(d),
         ..SimConfig::default()
     };
@@ -248,7 +248,7 @@ impl Behavior for Fig7Client {
 /// A server whose service time is long enough that a one-way send can slip
 /// in between receiving a call and replying — use compute cost ≫ latency
 /// asymmetry to force the Figure 7 contamination.
-pub fn run_fig7(optimism: bool, d: u64) -> SimResult {
+pub fn run_fig7(core: CoreConfig, d: u64) -> SimResult {
     // The speculative sends (Z's M1 → Y, X's M2 → W) travel on faster
     // links than the calls, so each server consumes the contaminating send
     // before servicing the call and its reply carries the foreign guess —
@@ -258,7 +258,7 @@ pub fn run_fig7(optimism: bool, d: u64) -> SimResult {
         .link(X, W, d / 2)
         .build();
     let cfg = SimConfig {
-        optimism,
+        core,
         latency,
         ..SimConfig::default()
     };

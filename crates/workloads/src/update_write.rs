@@ -126,7 +126,6 @@ pub struct UpdateWriteOpts {
     /// X→Z link (see [`fig3_latency`]).
     pub latency: LatencyModel,
     /// Run optimistically (Figures 3–5) or pessimistically (Figure 2).
-    pub optimism: bool,
     pub server_compute: u64,
     pub core: CoreConfig,
 }
@@ -136,7 +135,6 @@ impl Default for UpdateWriteOpts {
         UpdateWriteOpts {
             update_succeeds: true,
             latency: fig3_latency(10),
-            optimism: true,
             server_compute: 1,
             core: CoreConfig::default(),
         }
@@ -158,7 +156,6 @@ pub fn fig4_latency(d: u64) -> LatencyModel {
 pub fn run_update_write(opts: UpdateWriteOpts) -> SimResult {
     let cfg = SimConfig {
         core: opts.core.clone(),
-        optimism: opts.optimism,
         latency: opts.latency.clone(),
         ..SimConfig::default()
     };

@@ -7,7 +7,7 @@
 //! cargo run --example interpreter
 //! ```
 
-use opcsp_core::ProcessId;
+use opcsp_core::{CoreConfig, ProcessId};
 use opcsp_lang::{parse_program, program_to_string, System};
 use opcsp_sim::{check_equivalence, LatencyModel, SimConfig};
 
@@ -52,7 +52,11 @@ fn main() {
     }
 
     let cfg = |optimism| SimConfig {
-        optimism,
+        core: if optimism {
+            CoreConfig::default()
+        } else {
+            CoreConfig::pessimistic()
+        },
         latency: LatencyModel::fixed(80),
         ..SimConfig::default()
     };

@@ -9,6 +9,7 @@
 //! cargo run --example quickstart
 //! ```
 
+use opcsp_core::CoreConfig;
 use opcsp_sim::check_equivalence;
 use opcsp_workloads::streaming::{run_streaming, StreamingOpts, CLIENT, SERVER};
 
@@ -20,7 +21,7 @@ fn main() {
     };
 
     let sequential = run_streaming(StreamingOpts {
-        optimism: false,
+        core: CoreConfig::pessimistic(),
         ..base.clone()
     });
     let streaming = run_streaming(base);

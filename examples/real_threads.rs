@@ -5,7 +5,7 @@
 //! cargo run --release --example real_threads
 //! ```
 
-use opcsp_core::Value;
+use opcsp_core::{CoreConfig, Value};
 use opcsp_rt::{RtConfig, RtWorld};
 use opcsp_workloads::servers::Server;
 use opcsp_workloads::streaming::PutLineClient;
@@ -13,7 +13,11 @@ use std::time::Duration;
 
 fn run(n: u32, optimism: bool, latency: Duration) -> opcsp_rt::RtResult {
     let cfg = RtConfig {
-        optimism,
+        core: if optimism {
+            CoreConfig::default()
+        } else {
+            CoreConfig::pessimistic()
+        },
         latency,
         fork_timeout: Duration::from_secs(2),
         run_timeout: Duration::from_secs(30),

@@ -13,7 +13,7 @@
 //! cargo run --example remote_display
 //! ```
 
-use opcsp_core::{DataKind, ProcessId, Value};
+use opcsp_core::{CoreConfig, DataKind, ProcessId, Value};
 use opcsp_sim::{
     Behavior, BehaviorState, Effect, LatencyModel, Resume, SimBuilder, SimConfig, SimResult,
 };
@@ -161,7 +161,11 @@ impl Behavior for Display {
 
 fn run(optimism: bool, capacity: usize, d: u64) -> SimResult {
     let cfg = SimConfig {
-        optimism,
+        core: if optimism {
+            CoreConfig::default()
+        } else {
+            CoreConfig::pessimistic()
+        },
         latency: LatencyModel::fixed(d),
         ..SimConfig::default()
     };

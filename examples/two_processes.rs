@@ -15,13 +15,14 @@
 //! cargo run --example two_processes
 //! ```
 
+use opcsp_core::CoreConfig;
 use opcsp_sim::check_equivalence;
 use opcsp_workloads::two_clients::{run_fig6, run_fig7, W, X, Y, Z};
 
 fn main() {
     let d = 40;
 
-    let fig6 = run_fig6(true, d);
+    let fig6 = run_fig6(CoreConfig::default(), d);
     println!("== Figure 6 — PRECEDENCE chain commits ==\n");
     println!("{}", fig6.trace.render_timeline(&[X, Y, Z, W]));
     println!(
@@ -35,7 +36,7 @@ fn main() {
             .collect::<Vec<_>>(),
     );
 
-    let fig7 = run_fig7(true, d);
+    let fig7 = run_fig7(CoreConfig::default(), d);
     println!("== Figure 7 — cycle detection and mutual abort ==\n");
     println!("{}", fig7.trace.render_timeline(&[X, Y, Z, W]));
     println!(
@@ -46,7 +47,7 @@ fn main() {
         fig7.stats().orphans,
     );
 
-    let pess7 = run_fig7(false, d);
+    let pess7 = run_fig7(CoreConfig::pessimistic(), d);
     let rep = check_equivalence(&pess7, &fig7);
     println!(
         "after recovery, committed traces match the sequential run: {}",

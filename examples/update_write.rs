@@ -9,6 +9,7 @@
 //! cargo run --example update_write
 //! ```
 
+use opcsp_core::CoreConfig;
 use opcsp_workloads::update_write::{
     fig3_latency, fig4_latency, run_update_write, UpdateWriteOpts, X, Y, Z,
 };
@@ -34,7 +35,7 @@ fn main() {
 
     // Figure 2: the pessimistic baseline — six strictly serial hops.
     let fig2 = run_update_write(UpdateWriteOpts {
-        optimism: false,
+        core: CoreConfig::pessimistic(),
         latency: fig4_latency(d),
         ..UpdateWriteOpts::default()
     });

@@ -42,7 +42,7 @@ fn streaming_with_faults_correct_under_every_ablation_combo() {
         };
         let opt = run_streaming(o.clone());
         let pess = run_streaming(StreamingOpts {
-            optimism: false,
+            core: core.clone().with_speculation(SpeculationPolicy::Pessimistic),
             ..o
         });
         assert!(
@@ -70,7 +70,7 @@ fn time_fault_scenario_correct_under_every_ablation_combo() {
         };
         let opt = run_update_write(o.clone());
         let pess = run_update_write(UpdateWriteOpts {
-            optimism: false,
+            core: core.clone().with_speculation(SpeculationPolicy::Pessimistic),
             ..o
         });
         assert!(
@@ -131,7 +131,7 @@ fn heavy_faults_with_all_optimizations_off() {
         };
         let opt = run_tally(o.clone());
         let pess = run_tally(TallyOpts {
-            optimism: false,
+            core: core.clone().with_speculation(SpeculationPolicy::Pessimistic),
             ..o
         });
         assert!(opt.unresolved.is_empty(), "p={p}: {:?}", opt.unresolved);

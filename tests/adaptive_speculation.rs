@@ -34,7 +34,6 @@ fn small_sweep(policy: SpeculationPolicy) -> SweepOpts {
         ],
         latency: 10,
         server_compute: 5,
-        optimism: true,
         core: CoreConfig::default().with_speculation(policy),
     }
 }
@@ -45,10 +44,7 @@ fn small_sweep(policy: SpeculationPolicy) -> SweepOpts {
 #[test]
 fn adaptive_sweep_commits_the_pessimistic_behavior() {
     let adaptive = run_contention_sweep(small_sweep(SpeculationPolicy::adaptive()));
-    let pess = run_contention_sweep(SweepOpts {
-        optimism: false,
-        ..small_sweep(SpeculationPolicy::adaptive())
-    });
+    let pess = run_contention_sweep(small_sweep(SpeculationPolicy::Pessimistic));
     assert!(adaptive.result.unresolved.is_empty());
     let rep = check_equivalence(&pess.result, &adaptive.result);
     assert!(rep.equivalent, "{:#?}", rep.mismatches);

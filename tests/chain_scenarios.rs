@@ -3,7 +3,7 @@
 //! multi-process commit wave (PRECEDENCE chains) and cascading rollback
 //! when the terminal server rejects an item.
 
-use opcsp_core::ProcessId;
+use opcsp_core::{CoreConfig, ProcessId};
 use opcsp_sim::check_equivalence;
 use opcsp_workloads::chain::{run_chain, ChainOpts};
 use opcsp_workloads::streaming::delivered_lines;
@@ -25,7 +25,7 @@ fn chain_pipelines_through_hops() {
     };
     let opt = run_chain(o.clone());
     let pess = run_chain(ChainOpts {
-        optimism: false,
+        core: CoreConfig::pessimistic(),
         ..o
     });
     assert!(
@@ -78,7 +78,7 @@ fn terminal_failure_cascades_up_the_chain() {
     };
     let opt = run_chain(o.clone());
     let pess = run_chain(ChainOpts {
-        optimism: false,
+        core: CoreConfig::pessimistic(),
         ..o
     });
     assert!(
@@ -108,7 +108,7 @@ fn deep_chain_resolves_and_scales() {
         };
         let opt = run_chain(o.clone());
         let pess = run_chain(ChainOpts {
-            optimism: false,
+            core: CoreConfig::pessimistic(),
             ..o
         });
         assert!(
@@ -147,7 +147,7 @@ fn pessimistic_chain_is_clean() {
     let o = ChainOpts {
         depth: 2,
         n: 2,
-        optimism: false,
+        core: CoreConfig::pessimistic(),
         ..ChainOpts::default()
     };
     let r = run_chain(o);

@@ -4,6 +4,7 @@
 //! The particular technique used for rollback is a performance tuning
 //! decision and does not affect the correctness of the transformation."
 
+use opcsp_core::CoreConfig;
 use opcsp_sim::check_equivalence;
 use opcsp_workloads::streaming::{delivered_lines, run_streaming, StreamingOpts};
 use std::collections::BTreeSet;
@@ -60,7 +61,7 @@ fn sparse_checkpoints_trade_snapshots_for_replay() {
 fn replay_equivalence_against_pessimistic() {
     let opt = run_streaming(faulty(16, 8));
     let pess = run_streaming(StreamingOpts {
-        optimism: false,
+        core: CoreConfig::pessimistic(),
         ..faulty(16, 8)
     });
     let rep = check_equivalence(&pess, &opt);

@@ -15,6 +15,14 @@ fn externals(r: &SimResult) -> Vec<(ProcessId, opcsp_core::Value)> {
     r.external.iter().map(|(_, p, v)| (*p, v.clone())).collect()
 }
 
+fn core(optimism: bool) -> CoreConfig {
+    if optimism {
+        CoreConfig::default()
+    } else {
+        CoreConfig::pessimistic()
+    }
+}
+
 /// Both optimistic codecs against each other and the pessimistic baseline.
 fn assert_codec_equivalence(label: &str, run: impl Fn(bool, GuardCodec) -> SimResult) {
     let pess = run(false, GuardCodec::Full);
@@ -65,11 +73,10 @@ proptest! {
                 n,
                 latency,
                 fail_lines: fail_lines.clone(),
-                optimism,
                 core: CoreConfig {
                     codec,
                     targeted_control: targeted,
-                    ..CoreConfig::default()
+                    ..core(optimism)
                 },
                 ..StreamingOpts::default()
             })
@@ -91,10 +98,9 @@ proptest! {
                 latency,
                 p_per_mille,
                 seed,
-                optimism,
                 core: CoreConfig {
                     codec,
-                    ..CoreConfig::default()
+                    ..core(optimism)
                 },
             })
         });

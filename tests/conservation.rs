@@ -3,6 +3,7 @@
 //! thread discards — a global sanity invariant on the engine's log
 //! truncation.
 
+use opcsp_core::CoreConfig;
 use opcsp_sim::check_conservation;
 use opcsp_workloads::chain::{run_chain, ChainOpts};
 use opcsp_workloads::contention::{run_contention, ContentionOpts};
@@ -17,7 +18,7 @@ use std::collections::BTreeSet;
 fn conservation_on_clean_scenarios() {
     check_conservation(&run_update_write(UpdateWriteOpts::default())).unwrap();
     check_conservation(&run_streaming(StreamingOpts::default())).unwrap();
-    check_conservation(&run_fig6(true, 40)).unwrap();
+    check_conservation(&run_fig6(CoreConfig::default(), 40)).unwrap();
     check_conservation(&run_chain(ChainOpts::default())).unwrap();
     check_conservation(&run_contention(ContentionOpts::default())).unwrap();
 }
@@ -31,7 +32,7 @@ fn conservation_survives_time_faults() {
     assert!(r.stats().time_faults >= 1);
     check_conservation(&r).unwrap();
 
-    let f7 = run_fig7(true, 40);
+    let f7 = run_fig7(CoreConfig::default(), 40);
     assert!(f7.stats().time_faults >= 1);
     check_conservation(&f7).unwrap();
 }
@@ -120,8 +121,8 @@ mod audits {
             })
             .trace,
         );
-        assert_audit_clean(&run_fig6(true, 40).trace);
-        assert_audit_clean(&run_fig7(true, 40).trace);
+        assert_audit_clean(&run_fig6(CoreConfig::default(), 40).trace);
+        assert_audit_clean(&run_fig7(CoreConfig::default(), 40).trace);
         assert_audit_clean(&run_chain(ChainOpts::default()).trace);
         assert_audit_clean(
             &run_tally(TallyOpts {

@@ -7,7 +7,7 @@
 //! the partial-order-distinct delivery schedules reaches the order whose
 //! rollback lets a phantom-log engine fault leak into the committed log.
 
-use opcsp_core::ProcessId;
+use opcsp_core::{CoreConfig, ProcessId, SpeculationPolicy};
 use opcsp_lang::{parse_program, System};
 use opcsp_sim::{
     check_theorem1, explore, render_report, render_schedule, ExploreOpts, FaultInjection,
@@ -25,7 +25,11 @@ fn compile_fixture(name: &str) -> System {
 
 fn cfg(optimism: bool, fault: FaultInjection) -> SimConfig {
     SimConfig {
-        optimism,
+        core: if optimism {
+            CoreConfig::default()
+        } else {
+            CoreConfig::pessimistic()
+        },
         latency: LatencyModel::fixed(50),
         fork_timeout: 10_000,
         fault,
@@ -122,7 +126,7 @@ fn exploration_matches_brute_force_on_2x2_fan_in() {
     };
     let opt_cfg = fan_in_config(&w);
     let mut pess_cfg = opt_cfg.clone();
-    pess_cfg.optimism = false;
+    pess_cfg.core.speculation = SpeculationPolicy::Pessimistic;
     let out = explore(
         &opt_cfg,
         &pess_cfg,
@@ -157,7 +161,7 @@ fn exploration_is_deterministic() {
     };
     let opt_cfg = fan_in_config(&w);
     let mut pess_cfg = opt_cfg.clone();
-    pess_cfg.optimism = false;
+    pess_cfg.core.speculation = SpeculationPolicy::Pessimistic;
     let opts = ExploreOpts {
         depth: 8,
         budget: 256,
@@ -180,7 +184,7 @@ fn chain_collapses_to_one_schedule() {
     let w = ChainOpts::default();
     let opt_cfg = opcsp_workloads::chain::chain_config(&w);
     let mut pess_cfg = opt_cfg.clone();
-    pess_cfg.optimism = false;
+    pess_cfg.core.speculation = SpeculationPolicy::Pessimistic;
     let out = explore(
         &opt_cfg,
         &pess_cfg,

@@ -46,7 +46,11 @@ fn compile_fan_in() -> System {
 
 fn cfg(model: &LatencyModel, optimism: bool, fault: FaultInjection) -> SimConfig {
     SimConfig {
-        optimism,
+        core: if optimism {
+            CoreConfig::default()
+        } else {
+            CoreConfig::pessimistic()
+        },
         latency: model.clone(),
         fork_timeout: 10_000,
         fault,
@@ -270,8 +274,11 @@ fn shrinker_determinism_is_invariant_across_codec_and_speculation() {
 
     for (label, core) in cores {
         let mk = |model: &LatencyModel, optimism: bool, fault: FaultInjection| SimConfig {
-            core: core.clone(),
-            optimism,
+            core: if optimism {
+                core.clone()
+            } else {
+                core.clone().with_speculation(SpeculationPolicy::Pessimistic)
+            },
             latency: model.clone(),
             fork_timeout: 10_000,
             fault,

@@ -2,7 +2,7 @@
 //! guesses interact — PRECEDENCE resolution on success, cycle detection
 //! and mutual abort on a genuine happens-before violation.
 
-use opcsp_core::Control;
+use opcsp_core::{Control, CoreConfig};
 use opcsp_sim::{check_equivalence, TraceEvent};
 use opcsp_workloads::two_clients::{run_fig6, run_fig7, W, X, Y, Z};
 
@@ -11,7 +11,7 @@ use opcsp_workloads::two_clients::{run_fig6, run_fig7, W, X, Y, Z};
 /// releases W's buffered output. Nothing aborts.
 #[test]
 fn fig6_precedence_chain_commits() {
-    let r = run_fig6(true, 40);
+    let r = run_fig6(CoreConfig::default(), 40);
     let timeline = || r.trace.render_timeline(&[X, Y, Z, W]);
     assert!(
         r.unresolved.is_empty(),
@@ -68,8 +68,8 @@ fn fig6_precedence_chain_commits() {
 #[test]
 fn fig6_overlap_beats_pessimistic() {
     let d = 40;
-    let opt = run_fig6(true, d);
-    let pess = run_fig6(false, d);
+    let opt = run_fig6(CoreConfig::default(), d);
+    let pess = run_fig6(CoreConfig::pessimistic(), d);
     assert!(
         opt.completion < pess.completion,
         "optimistic {} vs pessimistic {}",
@@ -91,8 +91,8 @@ fn fig6_overlap_beats_pessimistic() {
 /// Figure 6 correctness: committed logs equal the pessimistic run's.
 #[test]
 fn fig6_traces_match_pessimistic() {
-    let opt = run_fig6(true, 40);
-    let pess = run_fig6(false, 40);
+    let opt = run_fig6(CoreConfig::default(), 40);
+    let pess = run_fig6(CoreConfig::pessimistic(), 40);
     let rep = check_equivalence(&pess, &opt);
     assert!(rep.equivalent, "{:#?}", rep.mismatches);
     assert_eq!(opt.external, {
@@ -119,7 +119,7 @@ fn fig6_traces_match_pessimistic() {
 #[test]
 fn fig7_cycle_detected_both_abort_and_recover() {
     let d = 40;
-    let r = run_fig7(true, d);
+    let r = run_fig7(CoreConfig::default(), d);
     let timeline = || r.trace.render_timeline(&[X, Y, Z, W]);
     assert!(
         r.unresolved.is_empty(),
@@ -167,7 +167,7 @@ fn fig7_cycle_detected_both_abort_and_recover() {
     );
 
     // Recovery: committed logs equal the pessimistic execution.
-    let pess = run_fig7(false, d);
+    let pess = run_fig7(CoreConfig::pessimistic(), d);
     let rep = check_equivalence(&pess, &r);
     assert!(rep.equivalent, "{:#?}\n{}", rep.mismatches, timeline());
 }
@@ -176,7 +176,7 @@ fn fig7_cycle_detected_both_abort_and_recover() {
 /// artifact of speculation, not of the program.
 #[test]
 fn fig7_pessimistic_baseline_is_clean() {
-    let r = run_fig7(false, 40);
+    let r = run_fig7(CoreConfig::pessimistic(), 40);
     assert_eq!(r.stats().forks, 0);
     assert_eq!(r.stats().aborts, 0);
     assert_eq!(r.stats().rollbacks, 0);

@@ -3,6 +3,7 @@
 //! behavior: who forks, who commits, who aborts, where rollbacks land and
 //! which messages are orphaned.
 
+use opcsp_core::CoreConfig;
 use opcsp_sim::{check_equivalence, TraceEvent};
 use opcsp_workloads::update_write::{
     fig3_latency, fig4_latency, run_update_write, UpdateWriteOpts, X, Y, Z,
@@ -14,7 +15,7 @@ use opcsp_workloads::update_write::{
 fn fig2_pessimistic_is_strictly_serial() {
     let d = 50;
     let r = run_update_write(UpdateWriteOpts {
-        optimism: false,
+        core: CoreConfig::pessimistic(),
         latency: fig4_latency(d),
         ..UpdateWriteOpts::default()
     });
@@ -50,7 +51,6 @@ fn fig2_pessimistic_is_strictly_serial() {
 fn fig3_successful_streaming_overlaps_and_commits() {
     let d = 50;
     let opts = UpdateWriteOpts {
-        optimism: true,
         latency: fig3_latency(d),
         ..UpdateWriteOpts::default()
     };
@@ -92,7 +92,7 @@ fn fig3_successful_streaming_overlaps_and_commits() {
 
     // And it beats the pessimistic run.
     let base = run_update_write(UpdateWriteOpts {
-        optimism: false,
+        core: CoreConfig::pessimistic(),
         ..opts
     });
     assert!(
@@ -110,7 +110,7 @@ fn fig3_traces_match_pessimistic() {
     let opts = UpdateWriteOpts::default();
     let opt = run_update_write(opts.clone());
     let pess = run_update_write(UpdateWriteOpts {
-        optimism: false,
+        core: CoreConfig::pessimistic(),
         ..opts
     });
     let rep = check_equivalence(&pess, &opt);
@@ -129,7 +129,6 @@ fn fig3_traces_match_pessimistic() {
 fn fig4_time_fault_detected_and_recovered() {
     let d = 50;
     let opts = UpdateWriteOpts {
-        optimism: true,
         latency: fig4_latency(d),
         ..UpdateWriteOpts::default()
     };
@@ -151,7 +150,7 @@ fn fig4_time_fault_detected_and_recovered() {
 
     // Despite the fault, the committed traces equal the pessimistic run.
     let pess = run_update_write(UpdateWriteOpts {
-        optimism: false,
+        core: CoreConfig::pessimistic(),
         ..opts
     });
     let rep = check_equivalence(&pess, &r);
@@ -172,7 +171,6 @@ fn fig5_value_fault_rolls_back_and_reexecutes() {
     let d = 50;
     let opts = UpdateWriteOpts {
         update_succeeds: false,
-        optimism: true,
         latency: fig3_latency(d),
         ..UpdateWriteOpts::default()
     };
@@ -196,7 +194,7 @@ fn fig5_value_fault_rolls_back_and_reexecutes() {
     );
     // The final trace matches the pessimistic run: no committed Write.
     let pess = run_update_write(UpdateWriteOpts {
-        optimism: false,
+        core: CoreConfig::pessimistic(),
         ..opts
     });
     let rep = check_equivalence(&pess, &r);

@@ -2,7 +2,7 @@
 //! pinned label by label and guard by guard. Any protocol change that
 //! alters these executions must be deliberate.
 
-use opcsp_core::{Guard, GuessId, ProcessId};
+use opcsp_core::{CoreConfig, Guard, GuessId, ProcessId};
 use opcsp_sim::TraceEvent;
 use opcsp_workloads::update_write::{
     fig3_latency, fig4_latency, run_update_write, UpdateWriteOpts, X,
@@ -122,7 +122,7 @@ fn fig5_orphan_golden() {
 #[test]
 fn fig2_has_no_speculative_traffic() {
     let r = run_update_write(UpdateWriteOpts {
-        optimism: false,
+        core: CoreConfig::pessimistic(),
         latency: fig4_latency(50),
         ..UpdateWriteOpts::default()
     });

@@ -3,7 +3,7 @@
 //! protocol — the complete "transparent program transformation" pipeline
 //! of §1/§2.
 
-use opcsp_core::ProcessId;
+use opcsp_core::{CoreConfig, ProcessId};
 use opcsp_lang::{parse_program, program_to_string, System};
 use opcsp_sim::{check_equivalence, LatencyModel, SimConfig};
 
@@ -36,7 +36,11 @@ const UPDATE_WRITE: &str = r#"
 
 fn cfg(optimism: bool, latency: LatencyModel) -> SimConfig {
     SimConfig {
-        optimism,
+        core: if optimism {
+            CoreConfig::default()
+        } else {
+            CoreConfig::pessimistic()
+        },
         latency,
         ..SimConfig::default()
     }

@@ -22,7 +22,7 @@ fn streaming_pipelines_n_calls() {
     let (n, d) = (16, 100);
     let opt = run_streaming(opts(n, d));
     let pess = run_streaming(StreamingOpts {
-        optimism: false,
+        core: CoreConfig::pessimistic(),
         ..opts(n, d)
     });
     assert!(opt.unresolved.is_empty());
@@ -50,7 +50,7 @@ fn speedup_grows_with_latency() {
     for d in [1u64, 16, 256] {
         let o = run_streaming(opts(n, d));
         let p = run_streaming(StreamingOpts {
-            optimism: false,
+            core: CoreConfig::pessimistic(),
             ..opts(n, d)
         });
         let speedup = p.completion as f64 / o.completion.max(1) as f64;
@@ -79,7 +79,7 @@ fn value_fault_truncates_stream_correctly() {
     };
     let opt = run_streaming(o.clone());
     let pess = run_streaming(StreamingOpts {
-        optimism: false,
+        core: CoreConfig::pessimistic(),
         ..o
     });
     assert!(opt.unresolved.is_empty());
@@ -103,7 +103,7 @@ fn first_failure_wins() {
     };
     let opt = run_streaming(o.clone());
     let pess = run_streaming(StreamingOpts {
-        optimism: false,
+        core: CoreConfig::pessimistic(),
         ..o
     });
     assert_eq!(delivered_lines(&opt), 3);
@@ -123,7 +123,7 @@ fn immediate_failure_rolls_back_everything() {
     assert_eq!(delivered_lines(&opt), 0);
     assert!(opt.unresolved.is_empty());
     let pess = run_streaming(StreamingOpts {
-        optimism: false,
+        core: CoreConfig::pessimistic(),
         ..o
     });
     let rep = check_equivalence(&pess, &opt);
@@ -173,7 +173,7 @@ fn fault_dooms_dependent_tail() {
 
 /// The retry limit L (§3.3) with L = 0: optimism is budget-exhausted from
 /// the start, every fork is refused, and the run is exactly the
-/// pessimistic execution even with `optimism: true`.
+/// pessimistic execution without the pessimistic policy.
 #[test]
 fn retry_limit_zero_degenerates_to_pessimistic() {
     let o = StreamingOpts {
@@ -182,7 +182,7 @@ fn retry_limit_zero_degenerates_to_pessimistic() {
     };
     let limited = run_streaming(o.clone());
     let pess = run_streaming(StreamingOpts {
-        optimism: false,
+        core: CoreConfig::pessimistic(),
         ..o
     });
     assert_eq!(limited.stats().forks, 0);
@@ -254,7 +254,7 @@ mod fork_after_send {
         assert!(fas.stats().value_faults >= 1);
         assert_eq!(delivered_lines(&fas), 4);
         let pess = run_streaming(StreamingOpts {
-            optimism: false,
+            core: CoreConfig::pessimistic(),
             ..o
         });
         let rep = check_equivalence(&pess, &fas);
@@ -265,7 +265,7 @@ mod fork_after_send {
     fn pessimistic_mode_degrades_to_plain_calls() {
         let o = StreamingOpts {
             fork_after_send: true,
-            optimism: false,
+            core: CoreConfig::pessimistic(),
             ..opts(6, 40)
         };
         let r = run_streaming(o);

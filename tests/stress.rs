@@ -1,7 +1,7 @@
 //! Stress tests: larger systems, jittered networks, deep speculation and
 //! high fault rates — the regions where bookkeeping bugs hide.
 
-use opcsp_core::CoreConfig;
+use opcsp_core::{CoreConfig, SpeculationPolicy};
 use opcsp_sim::{audit_trace, check_conservation, check_equivalence, LatencyModel, SimConfig};
 use opcsp_workloads::chain::{run_chain, ChainOpts};
 use opcsp_workloads::contention::{run_contention, ContentionOpts};
@@ -32,7 +32,7 @@ fn deep_chain_with_contention_and_faults() {
     };
     let opt = run_chain(o.clone());
     let pess = run_chain(ChainOpts {
-        optimism: false,
+        core: CoreConfig::pessimistic(),
         ..o
     });
     assert!(
@@ -137,7 +137,7 @@ fn targeted_control_at_scale() {
     let r = run_chain(o.clone());
     assert!(r.unresolved.is_empty());
     let pess = run_chain(ChainOpts {
-        optimism: false,
+        core: o.core.clone().with_speculation(SpeculationPolicy::Pessimistic),
         ..o
     });
     let rep = check_equivalence(&pess, &r);
@@ -151,7 +151,6 @@ fn contention_under_skew_sweep() {
             n_per_client: 10,
             latency: 15,
             skew,
-            ..ContentionOpts::default()
         });
         assert!(r.unresolved.is_empty(), "skew {skew}");
         assert_eq!(r.stats().rollbacks, 0, "skew {skew}");

@@ -2,7 +2,7 @@
 //! them to processes which are known to depend on the guard in question"
 //! instead of broadcasting. Correctness must be unchanged; traffic drops.
 
-use opcsp_core::CoreConfig;
+use opcsp_core::{CoreConfig, SpeculationPolicy};
 use opcsp_sim::check_equivalence;
 use opcsp_workloads::chain::{run_chain, ChainOpts};
 use opcsp_workloads::streaming::{delivered_lines, run_streaming, StreamingOpts};
@@ -30,7 +30,7 @@ fn streaming_works_with_targeted_control() {
     assert_eq!(r.stats().aborts, 0);
     assert_eq!(delivered_lines(&r) as u32, 16);
     let pess = run_streaming(StreamingOpts {
-        optimism: false,
+        core: o.core.clone().with_speculation(SpeculationPolicy::Pessimistic),
         ..o
     });
     let rep = check_equivalence(&pess, &r);
@@ -77,7 +77,7 @@ fn faults_recover_under_targeted_control() {
     assert!(r.stats().value_faults >= 1);
     assert_eq!(delivered_lines(&r), 4);
     let pess = run_streaming(StreamingOpts {
-        optimism: false,
+        core: o.core.clone().with_speculation(SpeculationPolicy::Pessimistic),
         ..o
     });
     let rep = check_equivalence(&pess, &r);
@@ -95,7 +95,7 @@ fn time_fault_recovers_under_targeted_control() {
     assert!(r.unresolved.is_empty(), "unresolved: {:?}", r.unresolved);
     assert!(r.stats().time_faults >= 1);
     let pess = run_update_write(UpdateWriteOpts {
-        optimism: false,
+        core: o.core.clone().with_speculation(SpeculationPolicy::Pessimistic),
         ..o
     });
     let rep = check_equivalence(&pess, &r);
@@ -106,7 +106,7 @@ fn time_fault_recovers_under_targeted_control() {
 fn figure7_cycle_detected_under_targeted_control() {
     // The crossing PRECEDENCE messages must still reach the guard
     // members' owners for the cycle to close.
-    let r = run_fig7(true, 40);
+    let r = run_fig7(CoreConfig::default(), 40);
     // run_fig7 uses default (broadcast); rebuild with targeted via the
     // chain of dependencies... fig7's helper does not expose core config,
     // so exercise the equivalent property through update-write + chain

@@ -162,7 +162,6 @@ pub fn debug_seed(seed: u64) {
     let latency = random_latency(&mut rng, 1 + n_servers);
     println!("latency: {latency:?}");
     let opt = sys.run(SimConfig {
-        optimism: true,
         latency,
         fork_timeout: 10_000,
         ..SimConfig::default()
@@ -190,13 +189,12 @@ pub fn check_seed(seed: u64) -> WireStats {
     let latency = random_latency(&mut rng, 1 + n_servers);
 
     let pess = sys.run(SimConfig {
-        optimism: false,
+        core: CoreConfig::pessimistic(),
         latency: latency.clone(),
         ..SimConfig::default()
     });
     let runs = [GuardCodec::Full, GuardCodec::Compact].map(|codec| {
         sys.run(SimConfig {
-            optimism: true,
             core: CoreConfig {
                 codec,
                 ..CoreConfig::default()

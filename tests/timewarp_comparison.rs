@@ -30,7 +30,6 @@ fn opcsp_has_zero_rollbacks_under_the_same_skew() {
         n_per_client: 8,
         latency: 20,
         skew: 300,
-        ..ContentionOpts::default()
     });
     assert!(r.unresolved.is_empty());
     assert_eq!(
@@ -88,7 +87,6 @@ fn wasted_work_comparison_grows_with_skew() {
             n_per_client: 8,
             latency: 20,
             skew,
-            ..ContentionOpts::default()
         });
         assert_eq!(ours.stats().rollbacks, 0, "skew {skew}");
     }
