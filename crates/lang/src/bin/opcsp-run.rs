@@ -423,7 +423,7 @@ fn summarize_rt(label: &str, names: &BTreeMap<ProcessId, String>, r: &opcsp_rt::
     let s = &r.stats;
     println!(
         "{label}: wall={:.1}ms forks={} commits={} aborts={} rollbacks={} orphans={} \
-         msgs={} ctrl={} | net: drops={} dups={} retx={} acks={} reorder-releases={}",
+         msgs={} ctrl={} | net: drops={} dups={} retx={} dup-frames={} acks={} reorder-releases={}",
         r.wall.as_secs_f64() * 1e3,
         s.forks,
         s.commits,
@@ -435,6 +435,7 @@ fn summarize_rt(label: &str, names: &BTreeMap<ProcessId, String>, r: &opcsp_rt::
         s.drops_injected,
         s.dups_injected,
         s.retransmits,
+        s.dup_frames,
         s.acks,
         s.reorder_releases,
     );

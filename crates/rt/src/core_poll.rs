@@ -264,7 +264,7 @@ impl ProcessActor {
                 self.driver.on_timer(&mut self.env, g);
             }
             Wire::Tick => {
-                self.env.transport.tick();
+                self.env.transport.tick(Instant::now());
                 if self.self_ticks {
                     self.schedule_tick();
                 }
@@ -272,7 +272,7 @@ impl ProcessActor {
             Wire::Probe(round) => {
                 // Retransmit anything overdue and flush owed acks so
                 // the drain converges quickly, then report.
-                self.env.transport.tick();
+                self.env.transport.tick(Instant::now());
                 let (sent, delivered, unacked) = self.env.transport.quiet_probe();
                 let _ = self.report.send(Report::Quiet {
                     pid: self.driver.pid(),
@@ -290,8 +290,8 @@ impl ProcessActor {
 
     /// Sharded-executor tick round: run transport maintenance directly
     /// (no delayer round trip). Call only when [`Self::wants_tick`].
-    pub fn tick_round(&mut self) {
-        self.env.transport.tick();
+    pub fn tick_round(&mut self, now: Instant) {
+        self.env.transport.tick(now);
     }
 
     pub fn wants_tick(&self) -> bool {

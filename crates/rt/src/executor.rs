@@ -425,8 +425,10 @@ fn shard_loop(s: ShardSpec) {
         }
 
         // Worker-driven transport maintenance: one sweep over the shard,
-        // skipping idle transports (O(1) `needs_tick` per actor).
-        if Instant::now() >= tick_deadline {
+        // skipping idle transports (O(1) `needs_tick` per actor, one clock
+        // read per sweep).
+        let now = Instant::now();
+        if now >= tick_deadline {
             for slot in 0..slots {
                 let Some(actor) = actors[slot].as_mut() else {
                     continue;
@@ -434,7 +436,7 @@ fn shard_loop(s: ShardSpec) {
                 if !actor.wants_tick() {
                     continue;
                 }
-                if let Err(payload) = catch_unwind(AssertUnwindSafe(|| actor.tick_round())) {
+                if let Err(payload) = catch_unwind(AssertUnwindSafe(|| actor.tick_round(now))) {
                     let _ = s.report.send(Report::Panicked {
                         pid: ProcessId(my_pids[slot]),
                         msg: panic_message(payload.as_ref()),
@@ -443,7 +445,7 @@ fn shard_loop(s: ShardSpec) {
                     finished += 1;
                 }
             }
-            tick_deadline = Instant::now() + tick_every;
+            tick_deadline = now + tick_every;
         }
     }
 }

@@ -13,11 +13,34 @@
 //! - a **reliable-delivery sublayer** ([`Transport`]) sits under the
 //!   protocol: per-link sequence numbers on every data/control frame,
 //!   cumulative acks piggybacked on reverse traffic (plus standalone acks
-//!   on idle), retransmission with exponential backoff and a cap, and
-//!   receiver-side dedup + in-order release.
+//!   on idle), retransmission, and receiver-side dedup + in-order release.
 //!
 //! The protocol core above therefore still sees the reliable FIFO network
 //! it assumes, whatever the chaos layer does underneath.
+//!
+//! **When a frame is sent again** (DESIGN.md §9.3). A frame and its ack
+//! routinely wait tens of milliseconds in a busy actor's queue, so a fixed
+//! timeout per frame retransmits most of a lossless run. Instead each
+//! directed link keeps one timer for its oldest unacked frame, set from
+//! the link's own measured round trips ([`RttEstimator`], RFC 6298 shape:
+//! `srtt + 4·rttvar`, Karn's rule, doubled per expiry until the next
+//! sample) — per link, not per endpoint, because a process's first sample
+//! is its own server's sub-millisecond reply and says nothing about the
+//! 255 peers its COMMIT broadcast goes to. The timer is the last resort:
+//!
+//! - a receiver that has to buffer a frame out of order acks at once, and
+//!   again every tick while the gap stays open; that ack repeats the one
+//!   before it, and the sender answers a repeated standalone ack by
+//!   resending the link's oldest frame, at most once per round trip;
+//! - an expiry therefore means that nothing later got through: it resends
+//!   the oldest frame alone, as a probe, and backs off. The frames that
+//!   were out with it are presumed lost with it, and once the probe is
+//!   acked each gets a round trip's grace instead of a full timeout —
+//!   unless acks keep arriving, which is what an early expiry looks like.
+//!
+//! Standalone acks otherwise leave on ticks only, and [`Transport::tick`]
+//! visits expired links only (a deadline-ordered index). There is one
+//! path: in-process, chaos and socket traffic all run it.
 //!
 //! The [`Delayer`] thread remains the "wire": it holds items for their
 //! transit time before handing them to the destination inbox. Items carry
@@ -30,7 +53,7 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use opcsp_core::{Control, Envelope, GuessId, ProcessId};
 use opcsp_sim::latency::splitmix64;
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -283,6 +306,11 @@ pub struct NetStats {
     pub frames_sent: u64,
     /// Frames released in order to the protocol core.
     pub frames_delivered: u64,
+    /// Sequenced frames the receiver discarded as already released or
+    /// already buffered. The sender cannot see these: `dup_frames −
+    /// dups_injected` is the number of retransmissions that were not
+    /// needed.
+    pub dup_frames: u64,
 }
 
 impl NetStats {
@@ -294,39 +322,129 @@ impl NetStats {
         self.reorder_releases += o.reorder_releases;
         self.frames_sent += o.frames_sent;
         self.frames_delivered += o.frames_delivered;
+        self.dup_frames += o.dup_frames;
     }
 }
 
+/// The lowest retransmission timeout at a given injected latency: two
+/// round trips of the wire, and never under two maintenance ticks.
+fn rto_floor(latency: Duration) -> Duration {
+    (latency * 4).max(Duration::from_millis(8))
+}
+
+/// The highest timeout a measured round trip may set.
+const RTO_CAP: Duration = Duration::from_secs(1);
+
+/// How high a timeout may go with no measurement behind it, in RTO floors:
+/// a link's timeout until its first round-trip sample, and the ceiling of
+/// the backoff. Twice what an idle world's round trip can take (the wire
+/// both ways plus a tick at each end is under two floors): under a lossy
+/// wire a quiet link's lost frame waits this long, and again for every
+/// copy that is lost as well. It is [`MIN_TICKS_TO_EXPIRY`] that keeps it
+/// safe in a busy world, where a link's first frame is as likely as not
+/// one of a broadcast's 255 and acked only after the receiver has worked
+/// through everybody else's.
+const BLIND_RTO_FLOORS: u32 = 4;
+
+/// Ticks of its own that an endpoint lets pass after restarting a link's
+/// timer before the timer may expire, whatever the clock says. A frame and
+/// its ack wait in the receiver's inbox, for the receiver's tick
+/// (standalone acks leave on ticks) and in the sender's inbox; an endpoint
+/// too busy to tick is too busy to have seen the ack, and on a shared
+/// worker its peers are as busy. Idle ticks are half an RTO floor apart,
+/// so this binds only under load, where it stretches every timeout with
+/// the scheduling round — without it any first-sample guess is right for
+/// one world size only (16 floors and no such rule: 0.03 % of `pairs_rt`'s
+/// frames retransmitted at 256 processes, 25 % at 512). Four ticks would
+/// do if workers ran in step; they do not (at 512 processes on two
+/// workers, four let two runs in five retransmit 4 % of their frames).
+const MIN_TICKS_TO_EXPIRY: u32 = 6;
+
 /// Transport maintenance cadence for a given injected latency: half the
-/// base RTO. Shared by both executors — the threaded executor schedules a
+/// RTO floor. Shared by both executors — the threaded executor schedules a
 /// per-actor delayer timer at this interval, the sharded executor runs a
 /// whole-shard tick sweep on the same cadence.
 pub fn tick_interval_for(latency: Duration) -> Duration {
-    let rto = (latency * 4).max(Duration::from_millis(8));
-    (rto / 2).max(Duration::from_millis(2))
+    (rto_floor(latency) / 2).max(Duration::from_millis(2))
+}
+
+/// Exponential retransmit backoff: `rto << attempts`, capped. The shift
+/// exponent is clamped *before* shifting — a link stuck behind a long
+/// partition can accumulate hundreds of expiries, and an unclamped
+/// `1 << attempts` overflows (a panic in debug builds) long before the cap
+/// would have kicked in. Clamping at 16 is safe: the cap is ≤ 1 s and the
+/// base RTO ≥ 8 ms, so every attempt past 7 doublings is already pinned at
+/// the cap.
+pub fn retransmit_backoff(rto: Duration, cap: Duration, attempts: u32) -> Duration {
+    const SHIFT_CLAMP: u32 = 16;
+    let factor = 1u32 << attempts.min(SHIFT_CLAMP);
+    rto.saturating_mul(factor).min(cap).max(rto)
+}
+
+/// Retransmission-timeout estimator of one directed link (RFC 6298
+/// shape). A value with no clock inside: the transport feeds it measured
+/// round trips and timer expiries. Microseconds in `u32` because a world
+/// has a link per ordered pair of processes.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RttEstimator {
+    /// Smoothed round trip and its mean deviation; unset until `sampled`.
+    srtt_us: u32,
+    rttvar_us: u32,
+    sampled: bool,
+    /// Timer expiries since the last sample; the RTO is doubled that often.
+    backoff: u8,
+}
+
+impl RttEstimator {
+    /// A frame that was transmitted exactly once was acked `rtt` after it
+    /// was sent. (Karn's rule is the caller's to keep: the ack of a
+    /// retransmitted frame says nothing about which copy it answers.) A
+    /// sample also ends the backoff.
+    pub fn sample(&mut self, rtt: Duration) {
+        let r = u32::try_from(rtt.as_micros()).unwrap_or(u32::MAX);
+        if self.sampled {
+            let dev = self.srtt_us.abs_diff(r) as u64;
+            self.rttvar_us = ((3 * self.rttvar_us as u64 + dev) / 4) as u32;
+            self.srtt_us = ((7 * self.srtt_us as u64 + r as u64) / 8) as u32;
+        } else {
+            self.srtt_us = r;
+            self.rttvar_us = r / 2;
+            self.sampled = true;
+        }
+        self.backoff = 0;
+    }
+
+    /// The link's timer expired: double the RTO until the next sample.
+    pub fn on_expiry(&mut self) {
+        self.backoff = self.backoff.saturating_add(1);
+    }
+
+    /// The smoothed round trip, once there is a sample.
+    pub fn srtt(&self) -> Option<Duration> {
+        self.sampled.then(|| Duration::from_micros(self.srtt_us as u64))
+    }
+
+    /// `srtt + 4·rttvar` clamped to `[floor, RTO_CAP]`, doubled per expiry
+    /// since the last sample for as long as that stays under
+    /// [`BLIND_RTO_FLOORS`] floors — which is also the timeout of a link
+    /// with no sample yet.
+    pub fn rto(&self, floor: Duration) -> Duration {
+        let blind = floor * BLIND_RTO_FLOORS;
+        let measured = self.srtt().map(|srtt| {
+            (srtt + Duration::from_micros(4 * self.rttvar_us as u64).max(floor))
+                .min(RTO_CAP.max(floor))
+        });
+        retransmit_backoff(measured.unwrap_or(blind), blind, self.backoff as u32)
+    }
 }
 
 struct Unacked {
     seq: u64,
     body: Payload,
-    /// Next retransmission due time.
-    due: Instant,
-    /// Retransmissions so far; the backoff delay is derived from this via
-    /// [`retransmit_backoff`], never accumulated in place.
-    attempts: u32,
-}
-
-/// Exponential retransmit backoff: `rto << attempts`, capped. The shift
-/// exponent is clamped *before* shifting — a frame stuck behind a long
-/// partition can accumulate hundreds of retransmit attempts, and an
-/// unclamped `1 << attempts` overflows (a panic in debug builds) long
-/// before the cap would have kicked in. Clamping at 16 is safe: the cap is
-/// ≤ 500 ms and the base RTO ≥ 8 ms, so every attempt past 6 doublings is
-/// already pinned at the cap.
-pub fn retransmit_backoff(rto: Duration, cap: Duration, attempts: u32) -> Duration {
-    const SHIFT_CLAMP: u32 = 16;
-    let factor = 1u32 << attempts.min(SHIFT_CLAMP);
-    rto.saturating_mul(factor).min(cap).max(rto)
+    /// When the latest copy went out.
+    sent_at: Instant,
+    /// Sent more than once: its ack is no round-trip sample (Karn).
+    retransmitted: bool,
 }
 
 #[derive(Default)]
@@ -336,6 +454,72 @@ struct LinkTx {
     /// Physical transmission counter — the chaos draw key, advanced by
     /// every copy put on the wire (originals, retransmits, acks).
     xmit: u64,
+    rtt: RttEstimator,
+    /// The link's one retransmission timer: set while anything is
+    /// unacked, restarted whenever an ack retires the oldest frame, and
+    /// mirrored in [`Timers::index`].
+    deadline: Option<Instant>,
+    /// [`Timers::ticks`] when the timer was last restarted.
+    armed_at_tick: u32,
+    /// Frames below this were unacked when the timer last expired
+    /// unanswered. An expiry means no later frame got through to reveal
+    /// the loss, so they are presumed lost with the frame it probed.
+    recover: u64,
+}
+
+impl LinkTx {
+    /// The measured round trip, or the least it can be.
+    fn round_trip(&self, floor: Duration) -> Duration {
+        self.rtt.srtt().unwrap_or(floor)
+    }
+
+    /// How long the oldest unacked frame has before it is sent again. The
+    /// RTO — except for a frame that was out at the last expiry and has
+    /// not been resent since: the probe's ack stopped at it, so either it
+    /// was lost with the probed frame (nothing more will come: resend
+    /// after a round trip) or the expiry was early and acks of the
+    /// originals are still arriving (each one restarts this).
+    fn timeout(&self, floor: Duration) -> Duration {
+        match self.unacked.front() {
+            Some(head) if head.seq < self.recover && !head.retransmitted => self.round_trip(floor),
+            _ => self.rtt.rto(floor),
+        }
+    }
+
+    /// A copy of the oldest unacked frame for the wire, noted as sent
+    /// again at `now`.
+    fn resend_head(&mut self, now: Instant) -> (u64, Payload) {
+        let head = self.unacked.front_mut().expect("only links with a frame out resend");
+        head.retransmitted = true;
+        head.sent_at = now;
+        (head.seq, head.body.clone())
+    }
+}
+
+/// An endpoint's link timers: every armed deadline, earliest first, so
+/// that [`Transport::tick`] visits expired links only, and the tick count
+/// the deadlines are gated on.
+struct Timers {
+    index: BTreeSet<(Instant, ProcessId)>,
+    /// How often [`Transport::tick`] has run: the endpoint's own measure
+    /// of how busy it is (see [`MIN_TICKS_TO_EXPIRY`]).
+    ticks: u32,
+    rto_floor: Duration,
+}
+
+impl Timers {
+    /// Restart `link`'s timer from `now` — stop it if nothing is unacked.
+    fn restart(&mut self, peer: ProcessId, link: &mut LinkTx, now: Instant) {
+        if let Some(old) = link.deadline.take() {
+            self.index.remove(&(old, peer));
+        }
+        if !link.unacked.is_empty() {
+            let deadline = now + link.timeout(self.rto_floor);
+            self.index.insert((deadline, peer));
+            link.deadline = Some(deadline);
+            link.armed_at_tick = self.ticks;
+        }
+    }
 }
 
 #[derive(Default)]
@@ -344,8 +528,6 @@ struct LinkRx {
     next_expected: u64,
     /// Out-of-order holding buffer.
     ooo: BTreeMap<u64, Payload>,
-    /// An ack is owed and has not been piggybacked yet.
-    ack_owed: bool,
 }
 
 /// Per-actor endpoint of the reliable-delivery sublayer. Owned by the
@@ -355,20 +537,17 @@ pub struct Transport {
     me: ProcessId,
     faults: NetFaults,
     latency: Duration,
-    rto: Duration,
-    rto_cap: Duration,
     start: Instant,
     delayer: Arc<Delayer<Wire>>,
     net: Arc<Vec<Mailbox>>,
     tx: BTreeMap<ProcessId, LinkTx>,
     rx: BTreeMap<ProcessId, LinkRx>,
-    /// Frames awaiting an ack, across all links (kept incrementally so
-    /// [`Transport::needs_tick`] is O(1) — the sharded executor polls it
-    /// for every actor every tick round).
+    timers: Timers,
+    /// Frames awaiting an ack, across all links (the quiescence probe).
     unacked_total: u64,
-    /// Links currently owing a standalone ack, kept incrementally for the
-    /// same reason.
-    acks_owed: usize,
+    /// Links that have released or discarded a frame since their last
+    /// transmission and so owe the peer an ack.
+    acks_owed: BTreeSet<ProcessId>,
     pub stats: NetStats,
 }
 
@@ -381,20 +560,22 @@ impl Transport {
         delayer: Arc<Delayer<Wire>>,
         net: Arc<Vec<Mailbox>>,
     ) -> Transport {
-        let rto = (latency * 4).max(Duration::from_millis(8));
         Transport {
             me,
             faults,
             latency,
-            rto,
-            rto_cap: (rto * 16).min(Duration::from_millis(500)).max(rto),
             start,
             delayer,
             net,
             tx: BTreeMap::new(),
             rx: BTreeMap::new(),
+            timers: Timers {
+                index: BTreeSet::new(),
+                ticks: 0,
+                rto_floor: rto_floor(latency),
+            },
             unacked_total: 0,
-            acks_owed: 0,
+            acks_owed: BTreeSet::new(),
             stats: NetStats::default(),
         }
     }
@@ -409,54 +590,56 @@ impl Transport {
         self.net.len()
     }
 
-    /// Would [`Transport::tick`] do anything right now? O(1); the sharded
+    /// Does this endpoint need [`Transport::tick`]s? O(1); the sharded
     /// executor uses this to skip idle actors in its per-round tick sweep
     /// (at 10k+ processes, unconditionally scanning every transport's
-    /// links each round would dominate the scheduler).
+    /// links each round would dominate the scheduler). True while any
+    /// frame is unacked, not only once a timer is due: the ticks in
+    /// between are counted.
     pub fn needs_tick(&self) -> bool {
-        self.unacked_total > 0 || self.acks_owed > 0
+        !self.acks_owed.is_empty() || !self.timers.index.is_empty()
     }
 
     /// Send a payload reliably: assign the next link sequence number,
     /// buffer for retransmission, and put one copy on the (chaotic) wire.
     pub fn send(&mut self, to: ProcessId, body: Payload) {
+        let now = Instant::now();
         let link = self.tx.entry(to).or_default();
         let seq = link.next_seq;
         link.next_seq += 1;
         link.unacked.push_back(Unacked {
             seq,
             body: body.clone(),
-            due: Instant::now() + self.rto,
-            attempts: 0,
+            sent_at: now,
+            retransmitted: false,
         });
+        if link.deadline.is_none() {
+            self.timers.restart(to, link, now);
+        }
         self.unacked_total += 1;
         self.stats.frames_sent += 1;
-        self.transmit(to, Some((seq, body)), false);
+        self.transmit(to, Some((seq, body)));
+    }
+
+    /// Another copy of a frame the peer has not acked.
+    fn retransmit(&mut self, to: ProcessId, frame: (u64, Payload)) {
+        self.stats.retransmits += 1;
+        self.transmit(to, Some(frame));
     }
 
     /// One physical transmission through the chaos layer.
-    fn transmit(&mut self, to: ProcessId, msg: Option<(u64, Payload)>, is_retx: bool) {
-        if is_retx {
-            self.stats.retransmits += 1;
-        }
+    fn transmit(&mut self, to: ProcessId, msg: Option<(u64, Payload)>) {
         // Piggyback the cumulative ack for the reverse link.
-        let ack = match self.rx.get_mut(&to) {
-            Some(r) => {
-                if r.ack_owed {
-                    self.acks_owed -= 1;
-                    r.ack_owed = false;
-                }
-                r.next_expected
-            }
-            None => 0,
-        };
+        self.acks_owed.remove(&to);
+        let ack = self.rx.get(&to).map_or(0, |r| r.next_expected);
         let xmit = {
             let l = self.tx.entry(to).or_default();
             let x = l.xmit;
             l.xmit += 1;
             x
         };
-        if self.faults.partitioned(self.me, to, self.start.elapsed())
+        if (!self.faults.partitions.is_empty()
+            && self.faults.partitioned(self.me, to, self.start.elapsed()))
             || self.faults.drops(self.me, to, xmit)
         {
             // Lost on the wire; retransmission recovers.
@@ -470,12 +653,13 @@ impl Transport {
             msg,
         };
         let step = self.latency.max(Duration::from_millis(1));
+        let copy = self.faults.duplicates(self.me, to, xmit).then(|| frame.clone());
         let extra = self.faults.reorder_steps(self.me, to, xmit, false);
-        self.put_on_wire(to, frame.clone(), self.latency + step * extra);
-        if self.faults.duplicates(self.me, to, xmit) {
+        self.put_on_wire(to, frame, self.latency + step * extra);
+        if let Some(copy) = copy {
             self.stats.dups_injected += 1;
             let extra = self.faults.reorder_steps(self.me, to, xmit, true);
-            self.put_on_wire(to, frame, self.latency + step * extra);
+            self.put_on_wire(to, copy, self.latency + step * extra);
         }
     }
 
@@ -499,88 +683,139 @@ impl Transport {
     /// suppressed, gaps are held back).
     pub fn on_frame(&mut self, f: Frame) -> Vec<Payload> {
         debug_assert_eq!(f.to, self.me, "misrouted frame");
-        // Cumulative ack: everything below f.ack is confirmed delivered.
-        if let Some(l) = self.tx.get_mut(&f.from) {
-            while l.unacked.front().map(|u| u.seq < f.ack).unwrap_or(false) {
-                l.unacked.pop_front();
-                self.unacked_total -= 1;
-            }
-        }
+        self.on_ack(f.from, f.ack, f.msg.is_none());
         let mut out = Vec::new();
-        let mut reordered = 0u64;
-        if let Some((seq, body)) = f.msg {
-            let r = self.rx.entry(f.from).or_default();
-            let was_owed = r.ack_owed;
-            if seq < r.next_expected || r.ooo.contains_key(&seq) {
-                // Duplicate (injected, or a retransmit racing its ack):
-                // owe a fresh ack so the sender stops retransmitting.
-                r.ack_owed = true;
-            } else {
-                r.ooo.insert(seq, body);
-                while let Some(b) = r.ooo.remove(&r.next_expected) {
-                    if r.next_expected != seq {
-                        reordered += 1; // waited in the buffer: a real reorder
-                    }
-                    r.next_expected += 1;
-                    r.ack_owed = true;
-                    out.push(b);
-                }
+        let Some((seq, body)) = f.msg else {
+            return out;
+        };
+        let r = self.rx.entry(f.from).or_default();
+        if seq < r.next_expected || r.ooo.contains_key(&seq) {
+            // Duplicate (injected, or a retransmit racing its ack): owe a
+            // fresh ack so the sender stops retransmitting.
+            self.stats.dup_frames += 1;
+            self.acks_owed.insert(f.from);
+        } else if seq > r.next_expected {
+            // A gap: an earlier frame is lost or late. Say so at once —
+            // this ack repeats the previous one, which is how the sender
+            // tells it from an ack that is merely slow, and repairs the
+            // gap without waiting for its timer.
+            r.ooo.insert(seq, body);
+            self.send_ack(f.from);
+            self.acks_owed.insert(f.from);
+        } else {
+            out.push(body);
+            r.next_expected += 1;
+            // Whatever waited in the buffer for this frame: a real reorder.
+            while let Some(b) = r.ooo.remove(&r.next_expected) {
+                r.next_expected += 1;
+                out.push(b);
             }
-            if r.ack_owed && !was_owed {
-                self.acks_owed += 1;
-            }
+            self.stats.reorder_releases += out.len() as u64 - 1;
+            self.stats.frames_delivered += out.len() as u64;
+            self.acks_owed.insert(f.from);
         }
-        self.stats.reorder_releases += reordered;
-        self.stats.frames_delivered += out.len() as u64;
         out
     }
 
-    /// Periodic maintenance: retransmit overdue unacked frames (with
-    /// exponential backoff up to the cap) and send standalone acks for
-    /// links with no reverse traffic.
-    pub fn tick(&mut self) {
-        if self.unacked_total == 0 {
-            self.flush_acks();
+    /// The cumulative ack of a frame from `from`: everything below `ack`
+    /// is confirmed released, and the link's timer follows.
+    fn on_ack(&mut self, from: ProcessId, ack: u64, standalone: bool) {
+        let Some(l) = self.tx.get_mut(&from) else {
+            return;
+        };
+        let Some(head) = l.unacked.front() else {
+            return;
+        };
+        if head.seq < ack {
+            let now = Instant::now();
+            // Karn: the oldest frame retired gives the round trip, unless
+            // it was sent twice — its ack does not say which copy it
+            // answers. (Frames retired behind it may have waited for it.)
+            if !head.retransmitted {
+                l.rtt.sample(now.saturating_duration_since(head.sent_at));
+            }
+            while l.unacked.front().is_some_and(|u| u.seq < ack) {
+                l.unacked.pop_front();
+                self.unacked_total -= 1;
+            }
+            self.timers.restart(from, l, now);
+        } else if standalone && head.seq == ack && l.unacked.len() > 1 {
+            // A standalone ack that repeats the previous one while later
+            // frames are out comes from a receiver buffering behind a gap
+            // (one that is merely slow acks nothing twice). Resend the
+            // head now — once per round trip, however many such acks the
+            // frames behind the gap set off.
+            let now = Instant::now();
+            let waited = now.saturating_duration_since(head.sent_at);
+            if !head.retransmitted || waited >= l.round_trip(self.timers.rto_floor) {
+                let repair = l.resend_head(now);
+                self.timers.restart(from, l, now);
+                self.retransmit(from, repair);
+            }
+        }
+    }
+
+    /// The deadline of the link to `peer` has passed at `now`.
+    fn on_expiry(&mut self, peer: ProcessId, now: Instant) {
+        let l = self.tx.get_mut(&peer).expect("an armed timer has a link");
+        if self.timers.ticks.wrapping_sub(l.armed_at_tick) < MIN_TICKS_TO_EXPIRY {
             return;
         }
-        let now = Instant::now();
-        let peers: Vec<ProcessId> = self.tx.keys().copied().collect();
-        for p in peers {
-            let due: Vec<(u64, Payload)> = {
-                let (rto, cap) = (self.rto, self.rto_cap);
-                let l = self.tx.get_mut(&p).unwrap();
-                l.unacked
-                    .iter_mut()
-                    .filter(|u| u.due <= now)
-                    .map(|u| {
-                        u.attempts = u.attempts.saturating_add(1);
-                        u.due = now + retransmit_backoff(rto, cap, u.attempts);
-                        (u.seq, u.body.clone())
-                    })
-                    .collect()
-            };
-            for (seq, body) in due {
-                self.transmit(p, Some((seq, body)), true);
-            }
+        let head = l.unacked.front().expect("an armed timer has a frame");
+        if head.retransmitted || head.seq >= l.recover {
+            // The latest copy of the oldest frame went a whole RTO
+            // unanswered, and nothing the peer received since revealed the
+            // loss: tail loss, a partition or a dead peer. Probe with that
+            // frame alone and back off.
+            l.rtt.on_expiry();
+            l.recover = l.next_seq;
+        }
+        let copy = l.resend_head(now);
+        self.timers.restart(peer, l, now);
+        self.retransmit(peer, copy);
+    }
+
+    /// Periodic maintenance: retransmit on the links whose timer has
+    /// expired by `now`, and send standalone acks for links with no
+    /// reverse traffic.
+    pub fn tick(&mut self, now: Instant) {
+        self.timers.ticks = self.timers.ticks.wrapping_add(1);
+        let due: Vec<ProcessId> = self
+            .timers
+            .index
+            .iter()
+            .take_while(|(deadline, _)| *deadline <= now)
+            .map(|(_, peer)| *peer)
+            .collect();
+        for peer in due {
+            self.on_expiry(peer, now);
         }
         self.flush_acks();
     }
 
     /// Send standalone acks for every link that owes one.
+    ///
+    /// Called from ticks and probes only, on purpose. Flushing at every
+    /// scheduling-round boundary as well was tried: it retired no
+    /// retransmission (the link timers already sit above the ack delay),
+    /// and it shortened the quiescence drain of few-millisecond
+    /// pessimistic runs by one 1 ms poll, which reads as a 23 % *loss* of
+    /// `speedup_vs_pessimistic` on the benchmark's `kv_rt` (DESIGN.md
+    /// §9.3).
     pub fn flush_acks(&mut self) {
-        if self.acks_owed == 0 {
-            return;
+        for p in std::mem::take(&mut self.acks_owed) {
+            self.send_ack(p);
+            // A gap that is still open is acked again next tick: the
+            // repair it asked for may have been lost too.
+            if self.rx.get(&p).is_some_and(|r| !r.ooo.is_empty()) {
+                self.acks_owed.insert(p);
+            }
         }
-        let owed: Vec<ProcessId> = self
-            .rx
-            .iter()
-            .filter(|(_, r)| r.ack_owed)
-            .map(|(p, _)| *p)
-            .collect();
-        for p in owed {
-            self.stats.acks += 1;
-            self.transmit(p, None, false);
-        }
+    }
+
+    fn send_ack(&mut self, to: ProcessId) {
+        self.stats.acks += 1;
+        self.transmit(to, None);
     }
 
     /// Quiescence probe triple: (messages originated, messages released,
@@ -872,16 +1107,88 @@ mod tests {
         assert!(NetFaults::parse("part=0-1").is_err());
     }
 
-    /// Transport pair on a lossy link: everything sent is released in
-    /// order exactly once, with retransmits and dedup doing the work.
-    #[test]
-    fn transport_survives_drop_dup_reorder() {
-        let (a, b) = (ProcessId(0), ProcessId(1));
+    const A: ProcessId = ProcessId(0);
+    const B: ProcessId = ProcessId(1);
+
+    /// Two endpoints on direct mailboxes. At zero latency with no faults
+    /// the test itself is the wire: what `a` sends sits in `rx_b` until
+    /// the test hands it to `b`, or loses it.
+    struct Pair {
+        a: Transport,
+        b: Transport,
+        rx_a: Receiver<Wire>,
+        rx_b: Receiver<Wire>,
+    }
+
+    fn pair(faults: NetFaults, latency: Duration) -> Pair {
         let delayer: Arc<Delayer<Wire>> = Arc::new(Delayer::spawn());
         let (tx_a, rx_a) = unbounded::<Wire>();
         let (tx_b, rx_b) = unbounded::<Wire>();
         let net: Arc<Vec<Mailbox>> =
             Arc::new(vec![Mailbox::Direct(tx_a), Mailbox::Direct(tx_b)]);
+        let start = Instant::now();
+        let end =
+            |me| Transport::new(me, faults.clone(), latency, start, delayer.clone(), net.clone());
+        Pair {
+            a: end(A),
+            b: end(B),
+            rx_a,
+            rx_b,
+        }
+    }
+
+    fn arrived(rx: &Receiver<Wire>) -> Vec<Frame> {
+        rx.try_iter()
+            .map(|w| match w {
+                Wire::Frame(f) => f,
+                other => panic!("only frames travel between transports, got {other:?}"),
+            })
+            .collect()
+    }
+
+    /// The `i`-th message `A` sends: a payload that carries its own index.
+    fn numbered(i: u32) -> Payload {
+        Payload::Ctrl(Control::Commit(GuessId {
+            process: A,
+            incarnation: opcsp_core::Incarnation(0),
+            index: i,
+        }))
+    }
+
+    fn number(p: &Payload) -> u32 {
+        match p {
+            Payload::Ctrl(Control::Commit(g)) => g.index,
+            other => panic!("unexpected payload {other:?}"),
+        }
+    }
+
+    impl Pair {
+        /// Deliver what has arrived at both ends, tick both, and give the
+        /// wire a millisecond, until `b` has released `n` messages and `a`
+        /// has everything acked. Returns what `b` released, in order.
+        fn drive_until_delivered(&mut self, n: u64) -> Vec<u32> {
+            let mut got = Vec::new();
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while self.b.stats.frames_delivered < n || self.a.quiet_probe().2 > 0 {
+                assert!(Instant::now() < deadline, "stuck: a {:?}, b {:?}", self.a.stats, self.b.stats);
+                for f in arrived(&self.rx_b) {
+                    got.extend(self.b.on_frame(f).iter().map(number));
+                }
+                for f in arrived(&self.rx_a) {
+                    assert!(self.a.on_frame(f).is_empty(), "B sends nothing to release");
+                }
+                self.a.tick(Instant::now());
+                self.b.tick(Instant::now());
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            got
+        }
+    }
+
+    /// Transport pair on a lossy link: everything sent is released in
+    /// order exactly once, with retransmits and dedup doing the work.
+    #[test]
+    fn transport_survives_drop_dup_reorder() {
         let faults = NetFaults {
             seed: 42,
             drop: 0.3,
@@ -889,71 +1196,177 @@ mod tests {
             reorder: 4,
             partitions: vec![],
         };
-        let start = Instant::now();
-        let lat = Duration::from_millis(1);
-        let mut ta = Transport::new(a, faults.clone(), lat, start, delayer.clone(), net.clone());
-        let mut tb = Transport::new(b, faults, lat, start, delayer.clone(), net);
-        let n = 40u64;
+        let mut p = pair(faults, Duration::from_millis(1));
+        let n = 40;
         for i in 0..n {
-            ta.send(
-                b,
-                Payload::Ctrl(Control::Commit(opcsp_core::GuessId {
-                    process: a,
-                    incarnation: opcsp_core::Incarnation(0),
-                    index: i as u32,
-                })),
-            );
+            p.a.send(B, numbered(i));
         }
-        let mut got = Vec::new();
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while got.len() < n as usize && Instant::now() < deadline {
-            // Drive both endpoints: B releases + acks, A retransmits.
-            while let Ok(w) = rx_b.try_recv() {
-                if let Wire::Frame(f) = w {
-                    for p in tb.on_frame(f) {
-                        if let Payload::Ctrl(Control::Commit(g)) = p {
-                            got.push(g.index as u64);
-                        } else {
-                            panic!("unexpected payload");
-                        }
-                    }
-                }
-            }
-            while let Ok(w) = rx_a.try_recv() {
-                if let Wire::Frame(f) = w {
-                    assert!(ta.on_frame(f).is_empty(), "A sent nothing to release");
-                }
-            }
-            ta.tick();
-            tb.tick();
-            std::thread::sleep(Duration::from_millis(1));
+        let got = p.drive_until_delivered(n as u64);
+        assert_eq!(got, (0..n).collect::<Vec<_>>(), "in-order exactly-once release");
+        assert!(p.a.stats.drops_injected > 0, "{:?}", p.a.stats);
+        assert!(p.a.stats.dups_injected > 0, "{:?}", p.a.stats);
+        assert!(p.a.stats.retransmits > 0, "{:?}", p.a.stats);
+        assert!(p.b.stats.reorder_releases > 0, "{:?}", p.b.stats);
+        assert!(p.b.stats.dup_frames > 0, "{:?}", p.b.stats);
+    }
+
+    /// Loss that later traffic reveals is repaired without the timer: the
+    /// wire loses exactly the head of a 10-frame burst, the receiver acks
+    /// every frame it has to buffer, the first such ack brings the head
+    /// again, and the burst is released in order — one ack round trip,
+    /// with no tick (so no timer) ever run.
+    #[test]
+    fn gap_is_repaired_by_the_acks_it_sets_off() {
+        let t0 = Instant::now();
+        let mut p = pair(NetFaults::none(), Duration::ZERO);
+        for i in 0..10 {
+            p.a.send(B, numbered(i));
         }
-        // Settle: keep driving until B's final acks land at A.
-        while ta.quiet_probe().2 > 0 && Instant::now() < deadline {
-            while let Ok(w) = rx_b.try_recv() {
-                if let Wire::Frame(f) = w {
-                    assert!(tb.on_frame(f).is_empty(), "no fresh payloads expected");
-                }
-            }
-            while let Ok(w) = rx_a.try_recv() {
-                if let Wire::Frame(f) = w {
-                    assert!(ta.on_frame(f).is_empty(), "A sent nothing to release");
-                }
-            }
-            ta.tick();
-            tb.tick();
-            std::thread::sleep(Duration::from_millis(1));
+        let mut burst = arrived(&p.rx_b);
+        assert_eq!(burst.len(), 10);
+        burst.remove(0);
+        for f in burst {
+            assert!(p.b.on_frame(f).is_empty(), "nothing is released past a gap");
         }
-        assert_eq!(
-            got,
-            (0..n).collect::<Vec<_>>(),
-            "in-order exactly-once release"
+        let gap_acks = arrived(&p.rx_a);
+        assert_eq!(gap_acks.len(), 9, "one ack at once per frame buffered");
+        for f in gap_acks {
+            assert_eq!((f.ack, &f.msg), (0, &None), "an ordinary standalone ack");
+            assert!(p.a.on_frame(f).is_empty());
+        }
+        let repair = arrived(&p.rx_b);
+        assert_eq!(repair.len(), 1, "one repair per round trip, however many acks");
+        assert_eq!(repair[0].msg.as_ref().map(|m| m.0), Some(0));
+        assert_eq!(p.a.stats.retransmits, 1);
+        let released: Vec<u32> = repair
+            .into_iter()
+            .flat_map(|f| p.b.on_frame(f))
+            .map(|m| number(&m))
+            .collect();
+        assert_eq!(released, (0..10).collect::<Vec<_>>());
+        assert_eq!(p.b.stats.reorder_releases, 9);
+        assert_eq!(p.b.stats.dup_frames, 0);
+        let link = &p.a.tx[&B];
+        assert!(
+            t0.elapsed() < link.rtt.rto(p.a.timers.rto_floor),
+            "well inside the link's RTO"
         );
-        assert!(ta.stats.drops_injected > 0, "{:?}", ta.stats);
-        assert!(ta.stats.dups_injected > 0, "{:?}", ta.stats);
-        assert!(ta.stats.retransmits > 0, "{:?}", ta.stats);
-        assert!(tb.stats.reorder_releases > 0, "{:?}", tb.stats);
-        assert_eq!(ta.quiet_probe().2, 0, "everything acked at the end");
+
+        // The ack that closes the gap retires a retransmitted head: no
+        // round-trip sample (Karn), though nine fresh frames go with it.
+        p.b.flush_acks();
+        for f in arrived(&p.rx_a) {
+            p.a.on_frame(f);
+        }
+        assert_eq!(p.a.quiet_probe(), (10, 0, 0));
+        assert_eq!(p.a.tx[&B].rtt.srtt(), None);
+        assert!(!p.a.needs_tick(), "timer stopped");
+    }
+
+    /// Loss that nothing reveals waits for the timer: a partition window
+    /// eats the link's last (and only) frame, the link's conservative
+    /// first RTO passes, the probe gets through. Its ack is no sample and
+    /// does not end the backoff; the next frame's does both.
+    #[test]
+    fn tail_loss_is_repaired_by_the_timer() {
+        let rto = rto_floor(Duration::ZERO) * BLIND_RTO_FLOORS;
+        let faults = NetFaults {
+            partitions: vec![Partition {
+                from: A,
+                to: B,
+                start_ms: 0,
+                duration_ms: rto.as_millis() as u64 / 2,
+            }],
+            ..NetFaults::default()
+        };
+        let t0 = Instant::now();
+        let mut p = pair(faults, Duration::ZERO);
+        p.a.send(B, numbered(0));
+        assert_eq!(p.a.stats.drops_injected, 1, "eaten by the partition");
+        assert_eq!(p.a.tx[&B].rtt.rto(p.a.timers.rto_floor), rto);
+
+        assert_eq!(p.drive_until_delivered(1), vec![0]);
+        assert!(t0.elapsed() >= rto, "only the timer could know");
+        assert_eq!(p.a.stats.retransmits, 1, "{:?}", p.a.stats);
+        assert_eq!(p.b.stats.acks, 1, "a tick-driven ack, no gap to report");
+        let est = p.a.tx[&B].rtt;
+        assert_eq!((est.srtt(), est.backoff), (None, 1));
+
+        p.a.send(B, numbered(1));
+        assert_eq!(p.drive_until_delivered(2), vec![1]);
+        let est = p.a.tx[&B].rtt;
+        assert!(est.srtt().is_some() && est.backoff == 0, "{est:?}");
+        assert_eq!(p.a.stats.retransmits, 1);
+    }
+
+    /// The estimator alone: no sample, first sample, smoothing, and the
+    /// granularity term that keeps a steady link's RTO a floor above its
+    /// round trip.
+    #[test]
+    fn estimator_smooths_round_trips() {
+        let ms = Duration::from_millis;
+        let us = Duration::from_micros;
+        let floor = ms(8);
+        let mut e = RttEstimator::default();
+        assert_eq!(e.srtt(), None);
+        assert_eq!(e.rto(floor), floor * BLIND_RTO_FLOORS, "conservative until measured");
+        e.sample(ms(20));
+        assert_eq!(e.srtt(), Some(ms(20)));
+        assert_eq!(e.rto(floor), ms(20) + 4 * ms(10), "srtt = R, rttvar = R/2");
+        e.sample(ms(28));
+        assert_eq!(e.srtt(), Some(ms(21)), "7/8 old + 1/8 new");
+        assert_eq!(e.rto(floor), ms(21) + 4 * us(9_500), "3/4 old + 1/4 |srtt - R|");
+        for _ in 0..100 {
+            e.sample(ms(20));
+        }
+        let steady = e.rto(floor);
+        assert!(steady >= ms(20) + floor && steady < ms(21) + floor, "{steady:?}");
+    }
+
+    /// Doubling per expiry, up to the blind ceiling; kept until a fresh
+    /// sample; never applied to a measured RTO already above the ceiling.
+    #[test]
+    fn estimator_backs_off_until_a_fresh_sample() {
+        let ms = Duration::from_millis;
+        let floor = ms(8);
+        let ceiling = floor * BLIND_RTO_FLOORS;
+        let mut e = RttEstimator::default();
+        e.sample(ms(1));
+        assert_eq!(e.rto(floor), ms(1) + floor);
+        for doubled in [ms(18), ms(36), ms(72)] {
+            e.on_expiry();
+            assert_eq!(e.rto(floor), doubled.min(ceiling));
+        }
+        for _ in 0..1000 {
+            e.on_expiry();
+            assert_eq!(e.rto(floor), ceiling);
+        }
+        e.sample(ms(1));
+        assert_eq!(e.rto(floor), ms(1) + floor, "a sample ends the backoff");
+
+        let mut slow = RttEstimator::default();
+        slow.sample(ms(100));
+        assert_eq!(slow.rto(floor), ms(300));
+        slow.on_expiry();
+        assert_eq!(slow.rto(floor), ms(300), "already above the ceiling");
+
+        let mut blind = RttEstimator::default();
+        blind.on_expiry();
+        assert_eq!(blind.rto(floor), ceiling);
+    }
+
+    #[test]
+    fn estimator_clamps_to_floor_and_cap() {
+        let floor = Duration::from_millis(8);
+        let mut e = RttEstimator::default();
+        e.sample(Duration::ZERO);
+        assert_eq!(e.rto(floor), floor);
+        e = RttEstimator::default();
+        e.sample(Duration::from_secs(3600 * 24 * 365));
+        assert_eq!(e.rto(floor), RTO_CAP);
+        // A wire slower than the cap: the floor wins.
+        let slow_floor = rto_floor(Duration::from_secs(1));
+        assert_eq!(e.rto(slow_floor), slow_floor);
     }
 
     /// A frame stranded behind a long partition keeps retransmitting far

@@ -111,6 +111,14 @@ pub struct RtStats {
     /// Frames released to the protocol after waiting in the out-of-order
     /// buffer — proof the reorder chaos actually scrambled a link.
     pub reorder_releases: u64,
+    /// Reliable frames originated (retransmissions and acks excluded).
+    pub frames_sent: u64,
+    /// Frames released in order to the protocol cores.
+    pub frames_delivered: u64,
+    /// Sequenced frames receivers discarded as already seen. `dup_frames −
+    /// dups_injected` retransmissions were not needed: on a lossless run
+    /// that is all of them.
+    pub dup_frames: u64,
 }
 
 impl std::ops::Deref for RtStats {
@@ -134,6 +142,9 @@ impl RtStats {
         self.retransmits += o.retransmits;
         self.acks += o.acks;
         self.reorder_releases += o.reorder_releases;
+        self.frames_sent += o.frames_sent;
+        self.frames_delivered += o.frames_delivered;
+        self.dup_frames += o.dup_frames;
     }
 
     pub(crate) fn absorb_net(&mut self, n: crate::net::NetStats) {
@@ -142,6 +153,9 @@ impl RtStats {
         self.retransmits += n.retransmits;
         self.acks += n.acks;
         self.reorder_releases += n.reorder_releases;
+        self.frames_sent += n.frames_sent;
+        self.frames_delivered += n.frames_delivered;
+        self.dup_frames += n.dup_frames;
     }
 }
 

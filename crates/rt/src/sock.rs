@@ -406,7 +406,7 @@ fn get_observable(r: &mut FrameReader<'_>) -> Result<Observable, FrameError> {
     }
 }
 
-/// The 24 counters of an [`RtStats`], as uvarints in a fixed order.
+/// The 27 counters of an [`RtStats`], as uvarints in a fixed order.
 fn put_stats(buf: &mut Vec<u8>, s: &RtStats) {
     let fields = [
         s.proto.forks,
@@ -433,6 +433,9 @@ fn put_stats(buf: &mut Vec<u8>, s: &RtStats) {
         s.retransmits,
         s.acks,
         s.reorder_releases,
+        s.frames_sent,
+        s.frames_delivered,
+        s.dup_frames,
     ];
     for f in fields {
         put_uvarint(buf, f);
@@ -466,6 +469,9 @@ fn get_stats(r: &mut FrameReader<'_>) -> Result<RtStats, FrameError> {
     s.retransmits = uv()?;
     s.acks = uv()?;
     s.reorder_releases = uv()?;
+    s.frames_sent = uv()?;
+    s.frames_delivered = uv()?;
+    s.dup_frames = uv()?;
     Ok(s)
 }
 
@@ -1436,6 +1442,7 @@ mod tests {
         stats.proto.wire.rows_sent = 11;
         stats.proto.interner.hits = 3;
         stats.retransmits = 2;
+        stats.dup_frames = 7;
         let fin = SockMsg::Report(Report::Final(Box::new(FinalReport {
             pid: ProcessId(4),
             stats,
