@@ -1,13 +1,14 @@
 //! Micro-benchmarks of the protocol core — the per-operation overheads
 //! the paper's §6 claims are "small": guard tagging, arrival processing,
 //! fork/join bookkeeping, abort cascades and CDG cycle detection — plus the
-//! resolution path at pipeline depth: a commit wave through n forks, a
-//! PRECEDENCE guard ingest, and the delivery choice over a pooled backlog.
+//! resolution path at pipeline depth: a commit wave through n forks, the
+//! client side of an n-call stream, a PRECEDENCE guard ingest, and the
+//! delivery choice over a pooled backlog.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use opcsp_core::{
-    measure, Cdg, CompactGuard, CoreConfig, DataKind, Envelope, Guard, GuessId, History, MsgId,
-    ProcessCore, ProcessId, Value,
+    measure, ArrivalVerdict, CallId, Cdg, CompactGuard, CoreConfig, DataKind, Envelope, Guard,
+    GuessId, History, MsgId, ProcessCore, ProcessId, Value,
 };
 use std::hint::black_box;
 
@@ -116,6 +117,43 @@ fn bench_commit_wave(c: &mut Criterion) {
     g.finish();
 }
 
+/// The client side of an `n`-call stream after its forks: the returns come
+/// back in fork order, return k tagged by a server that has heard of no
+/// commit yet — the full prefix x1..x(k-1) — and each goes through the
+/// orphan check, delivery to its left thread, and that thread's join (which
+/// commits, and removes the guess from every later thread's guard). What
+/// `core/commit_wave` leaves out is the per-return pass over the tag.
+fn bench_stream_client(c: &mut Criterion) {
+    let mut g = c.benchmark_group("core/stream_client");
+    for n in [128u32, 512] {
+        let guesses: Vec<GuessId> = (1..=n).map(|i| GuessId::first(ProcessId(0), i)).collect();
+        let returns: Vec<Envelope> = (0..n as usize)
+            .map(|k| {
+                let mut env = env_with(ProcessId(0), guesses[..k].iter().copied().collect());
+                env.kind = DataKind::Return(CallId(k as u64));
+                env
+            })
+            .collect();
+        g.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
+            b.iter(|| {
+                let mut core = ProcessCore::new(ProcessId(0), CoreConfig::default());
+                for t in 0..n {
+                    core.fork(t, 1);
+                }
+                for (left, ret) in (0..n).zip(&returns) {
+                    let mut ret = ret.clone();
+                    assert_eq!(core.classify_arrival(&mut ret), ArrivalVerdict::Ok);
+                    black_box(core.deliver(left, &ret));
+                    black_box(core.join_left_done(guesses[left as usize], true));
+                }
+                assert!(core.speculation_quiescent());
+                core
+            })
+        });
+    }
+    g.finish();
+}
+
 /// A server that consumed a message guarded by a 128-deep pipeline
 /// ingests the pipeline's PRECEDENCE messages: guess k is preceded by
 /// guesses 1..k, ~8k edges in all.
@@ -189,6 +227,7 @@ criterion_group!(
     bench_deliver,
     bench_abort_cascade,
     bench_commit_wave,
+    bench_stream_client,
     bench_precedence_ingest,
     bench_choose_delivery,
     bench_cdg

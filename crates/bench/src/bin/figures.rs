@@ -9,7 +9,7 @@
 //!                                     perf-tracking tables (e11/e12/e14)
 //!
 //! Items: fig1..fig7, e1, e2, e3, e4, e5, e6, e8, e9, e10, e12, e13,
-//! e14, chain, t1, interner, lifecycle (overall + per-site), scaling.
+//! e14, e15, chain, t1, interner, lifecycle (overall + per-site), scaling.
 
 use opcsp_bench::experiments as ex;
 
@@ -63,6 +63,9 @@ fn main() {
         ("interner", ex::interner_stats),
         ("lifecycle", ex::lifecycle_stats),
         ("lifecycle", ex::lifecycle_site_stats),
+        // Wall-clock on a 2-core box: ahead of the tables that leave a large
+        // heap behind (after E14 the same runs take 1.4x as long).
+        ("e15", ex::e15_stream_depth),
         ("e12", ex::e12_contention_sweep),
         ("e13", ex::e13_explore),
         ("e14", ex::e14_replicated_kv),

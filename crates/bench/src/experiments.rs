@@ -1446,7 +1446,65 @@ pub fn e14_replicated_kv() -> Table {
     t
 }
 
-/// Every experiment table, in DESIGN.md index order.
+/// E15: call-streaming depth on real threads. The same PutLine client and
+/// server as the benchmark's `stream_rt` (rt threaded, 1 ms injected
+/// latency, full guard tags), at 250 to 2000 calls: what one more call
+/// costs as the pipeline gets deeper.
+pub fn e15_stream_depth() -> Table {
+    use opcsp_workloads::servers::Server;
+    use opcsp_workloads::streaming::PutLineClient;
+    use std::time::{Duration, Instant};
+    let mut t = Table::new(
+        "E15 — stream depth (rt threaded, 1 ms latency, n PutLine calls)",
+        &["n", "wall ms", "µs per call", "vs previous row"],
+    );
+    let run = |n: u32| -> Duration {
+        let cfg = opcsp_rt::RtConfig {
+            latency: Duration::from_millis(1),
+            // The first guesses stay open for most of a deep run.
+            fork_timeout: Duration::from_secs(60),
+            run_timeout: Duration::from_secs(120),
+            ..opcsp_rt::RtConfig::default()
+        };
+        let mut w = opcsp_rt::RtWorld::new(cfg);
+        w.add_process(PutLineClient::new(n), true);
+        w.add_process(Server::new("WindowManager", 0), false);
+        let t0 = Instant::now();
+        let r = w.run();
+        let wall = t0.elapsed();
+        assert!(
+            !r.timed_out && r.panicked.is_empty() && r.stats.proto.aborts == 0,
+            "stream depth run failed: {:?}",
+            r.stats
+        );
+        assert_eq!(r.stats.proto.commits, u64::from(n));
+        wall
+    };
+    let mut previous: Option<f64> = None;
+    for n in [250u32, 500, 1000, 2000] {
+        let mut walls = [(); 5].map(|()| run(n));
+        walls.sort_unstable();
+        let wall = walls[2].as_secs_f64();
+        t.row(vec![
+            n.to_string(),
+            format!("{:.1}", wall * 1e3),
+            format!("{:.0}", wall * 1e6 / f64::from(n)),
+            previous.map_or("—".into(), |p| format!("{:.2}x", wall / p)),
+        ]);
+        previous = Some(wall);
+    }
+    t.note(
+        "Median wall of five runs per row; wall clock, so absolute numbers vary by \
+         machine. Each row doubles n: a ratio of 2x would be a constant cost per call. \
+         It is not — a COMMIT visits every thread that still holds the guess (about \
+         half the pipeline) and a return's tag names every call before it, so the \
+         client's work grows with the square of the depth (DESIGN.md §5b, \"What a \
+         COMMIT and a return cost on a pipeline\").",
+    );
+    t
+}
+
+/// Every experiment table, in the order `figures` prints them.
 pub fn all_tables() -> Vec<Table> {
     vec![
         e1_latency_sweep(),
@@ -1463,6 +1521,7 @@ pub fn all_tables() -> Vec<Table> {
         interner_stats(),
         lifecycle_stats(),
         lifecycle_site_stats(),
+        e15_stream_depth(),
         e12_contention_sweep(),
         e13_explore(),
         e14_replicated_kv(),

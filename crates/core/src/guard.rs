@@ -178,9 +178,15 @@ impl Guard {
     /// window without touching (or unsharing) the storage; a guard that
     /// does not hold `g` is left alone.
     pub fn remove(&mut self, g: GuessId) -> bool {
-        let pos = match self.as_slice().binary_search(&g) {
-            Ok(p) => p,
-            Err(_) => return false,
+        let slice = self.as_slice();
+        // A pipeline commits in fork order: the guess is the first one.
+        let pos = if slice.first() == Some(&g) {
+            0
+        } else {
+            match slice.binary_search(&g) {
+                Ok(p) => p,
+                Err(_) => return false,
+            }
         };
         match &mut self.repr {
             Repr::Inline { len, elems } => {

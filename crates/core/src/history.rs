@@ -138,6 +138,10 @@ impl IncarnationTable {
 pub struct History {
     fates: HashMap<ProcessId, Arc<FateMap>>,
     incarnations: HashMap<ProcessId, Arc<IncarnationTable>>,
+    /// Bumped by every write that can turn some guess's fate into
+    /// `Aborted`: an explicit abort entry, or an incarnation row that is
+    /// new or moved down. See [`History::aborts_learned`].
+    aborts_learned: u64,
 }
 
 /// Per-peer fate entries, keyed by (incarnation, fork index).
@@ -178,10 +182,18 @@ impl History {
         self.fate(g) != Fate::Unknown
     }
 
+    /// A monotone stamp of this history's abort knowledge: while it reads
+    /// the same, no guess that was not aborted has become aborted, so an
+    /// orphan check (§4.2.3) that passed need not be repeated.
+    pub fn aborts_learned(&self) -> u64 {
+        self.aborts_learned
+    }
+
     fn set_fate(&mut self, g: GuessId, f: Fate) {
         let m = self.fates.entry(g.process).or_default();
         if m.get(&(g.incarnation, g.index)) != Some(&f) {
             Arc::make_mut(m).insert((g.incarnation, g.index), f);
+            self.aborts_learned += (f == Fate::Aborted) as u64;
         }
     }
 
@@ -218,6 +230,7 @@ impl History {
         let t = self.incarnations.entry(p).or_default();
         if t.record_would_change(inc, start) {
             Arc::make_mut(t).record(inc, start);
+            self.aborts_learned += 1;
         }
     }
 

@@ -28,7 +28,6 @@
 
 pub mod cdg;
 pub mod compact;
-pub mod cow;
 pub mod guard;
 pub mod history;
 pub mod ids;
@@ -42,7 +41,6 @@ pub mod wire;
 
 pub use cdg::{Cdg, EdgeOutcome};
 pub use compact::{measure, CompactGuard, GuardSizes, Span};
-pub use cow::CowMap;
 pub use guard::{Guard, GuardInterner, InternerStats};
 pub use history::{Fate, History, IncarnationTable};
 pub use ids::{ForkIndex, GuessId, Incarnation, ProcessId, StateIndex, ThreadId};

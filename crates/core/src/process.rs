@@ -18,13 +18,14 @@
 //! [`ProcessCore::own`], because oracles, forensics and end-of-run reports
 //! read them. What the hot paths need is kept beside the records instead of
 //! being rediscovered by scanning them: the set of own guesses awaiting
-//! resolution (the commit cascade's only candidates) and the count of own
-//! guesses still pending (the completion check). The delivery choice
-//! ([`ProcessCore::choose_delivery`]) likewise stops counting a candidate's
-//! new dependencies as soon as it cannot beat the best one seen.
+//! resolution (the commit cascade's only candidates), the count of own
+//! guesses still pending (the completion check), and the threads whose
+//! guard is non-empty (the only ones a resolution can touch). The
+//! delivery choice ([`ProcessCore::choose_delivery`]) likewise stops
+//! counting a candidate's new dependencies as soon as it cannot beat the
+//! best one seen.
 
 use crate::cdg::Cdg;
-use crate::cow::CowMap;
 use crate::guard::{Guard, GuardInterner, InternerStats};
 use crate::history::History;
 use crate::ids::{ForkIndex, GuessId, Incarnation, ProcessId, StateIndex};
@@ -112,8 +113,8 @@ impl CoreConfig {
 /// reference-count bump), and the rollback map is represented by the keys
 /// the interval transition *added* — restoring past the snapshot removes
 /// exactly those keys. Entries removed from the live map since a boundary
-/// are always resolution-driven, and the restore path re-filters against
-/// the commit history, so added-keys are the complete delta.
+/// went with their guess's resolution, and the restore path re-filters
+/// against the commit history, so added-keys are the complete delta.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MetaSnapshot {
     pub guard: Guard,
@@ -143,9 +144,11 @@ pub struct ThreadMeta {
     pub interval: u32,
     /// Commit guard set of this thread.
     pub guard: Guard,
-    /// `Rollbacks[g]`: state index at which this thread first became
-    /// dependent upon `g` (§4.1.3).
-    pub rollbacks: CowMap<GuessId, StateIndex>,
+    /// `Rollbacks[g]` (§4.1.3) for the guesses this thread acquired by its
+    /// *own* deliveries: the state index at which it first became dependent
+    /// upon `g`. Guard members a right thread was forked with have no entry
+    /// — see [`ThreadMeta::rollback_point`]. Keys are always guard members.
+    pub rollbacks: BTreeMap<GuessId, StateIndex>,
     /// Snapshot of (guard, rollbacks) at entry to each interval;
     /// `snapshots[i]` is the state on entering interval `i`.
     pub snapshots: Vec<MetaSnapshot>,
@@ -153,7 +156,7 @@ pub struct ThreadMeta {
 }
 
 impl ThreadMeta {
-    fn new(index: ForkIndex, guard: Guard, rollbacks: CowMap<GuessId, StateIndex>) -> Self {
+    fn new(index: ForkIndex, guard: Guard) -> Self {
         let snap = MetaSnapshot {
             guard: guard.clone(),
             added: Vec::new(),
@@ -162,7 +165,7 @@ impl ThreadMeta {
             index,
             interval: 0,
             guard,
-            rollbacks,
+            rollbacks: BTreeMap::new(),
             snapshots: vec![snap],
             phase: ThreadPhase::Running,
         }
@@ -170,6 +173,20 @@ impl ThreadMeta {
 
     pub fn state_index(&self) -> StateIndex {
         StateIndex::new(self.index, self.interval)
+    }
+
+    /// Where this thread goes back to if guard member `g` aborts (`None`:
+    /// it does not depend on `g`). A member with no entry of the thread's
+    /// own was in the guard the thread was forked with — the fork's guess
+    /// (§4.2.1: "s[x_n] is assigned the value (n, 0)") or one inherited
+    /// from the left thread, whose recorded point names an earlier thread
+    /// — and either way the answer is the same: discard the whole thread,
+    /// spelled `(n, 0)`.
+    pub fn rollback_point(&self, g: GuessId) -> Option<StateIndex> {
+        self.guard.contains(g).then(|| {
+            let own = self.rollbacks.get(&g).copied();
+            own.unwrap_or(StateIndex::new(self.index, 0))
+        })
     }
 }
 
@@ -254,6 +271,11 @@ pub struct ProcessCore {
     /// paths wherever they change an [`OwnGuess::state`].
     pub(crate) awaiting: BTreeSet<GuessId>,
     pub(crate) pending_own: usize,
+    /// Indices (ascending) of the threads whose guard is non-empty: the
+    /// only ones a COMMIT or ABORT has anything to remove from. `fork`,
+    /// `deliver` and the commit removal keep it in step; an abort rebuilds
+    /// it once its rollbacks and discards are done.
+    pub(crate) holders: Vec<ForkIndex>,
     /// Per-fork-site speculation controllers (§3.3 policy state: retry
     /// counts, success/latency EWMAs, effective budgets, decision log).
     speculation: SpeculationState,
@@ -309,7 +331,7 @@ impl ProcessCore {
     pub fn new(id: ProcessId, config: CoreConfig) -> Self {
         let config_codec = config.codec;
         let mut threads = BTreeMap::new();
-        threads.insert(0, ThreadMeta::new(0, Guard::empty(), CowMap::new()));
+        threads.insert(0, ThreadMeta::new(0, Guard::empty()));
         ProcessCore {
             id,
             config,
@@ -321,6 +343,7 @@ impl ProcessCore {
             own: BTreeMap::new(),
             awaiting: BTreeSet::new(),
             pending_own: 0,
+            holders: Vec::new(),
             speculation: SpeculationState::default(),
             spec_clock: 0,
             dependents: BTreeMap::new(),
@@ -342,6 +365,39 @@ impl ProcessCore {
         self.threads
             .values()
             .filter(|t| t.phase != ThreadPhase::Done)
+    }
+
+    /// The threads whose guard is non-empty, in index order.
+    pub fn holders(&self) -> impl Iterator<Item = &ThreadMeta> {
+        self.debug_check_holders();
+        self.holders.iter().map(|t| &self.threads[t])
+    }
+
+    /// The holder index by full scan.
+    fn scan_holders(&self) -> impl Iterator<Item = ForkIndex> + '_ {
+        let holding = self.threads.values().filter(|t| !t.guard.is_empty());
+        holding.map(|t| t.index)
+    }
+
+    /// Recompute the holder index from the guards (the end of an abort,
+    /// which removes threads and restores guards wholesale).
+    pub(crate) fn rebuild_holders(&mut self) {
+        self.holders = self.scan_holders().collect();
+    }
+
+    /// Debug builds check the holder index against a full scan wherever it
+    /// is read.
+    pub(crate) fn debug_check_holders(&self) {
+        debug_assert!(
+            self.scan_holders().eq(self.holders.iter().copied()),
+            "holder index out of step with the thread guards"
+        );
+        debug_assert!(
+            self.threads
+                .values()
+                .all(|t| t.rollbacks.keys().all(|g| t.guard.contains(*g))),
+            "a rollback point outlived its guard member"
+        );
     }
 
     /// §3.3 fork gate: may this site run optimistically right now, under
@@ -408,16 +464,17 @@ impl ProcessCore {
         let left = self.threads.get(&creating).expect("creating thread exists");
         let mut right_guard = left.guard.clone();
         right_guard.insert(guess);
-        let mut right_rollbacks = left.rollbacks.clone();
-        // §4.2.1: "s[x_n] is assigned the value (n, 0)": aborting the guess
-        // discards the right thread entirely.
-        right_rollbacks.insert(guess, StateIndex::new(n, 0));
         let forked_at = left.state_index();
 
-        let meta = ThreadMeta::new(n, right_guard, right_rollbacks);
+        // No rollback points are recorded: aborting any member of the guard
+        // it starts with discards the right thread entirely
+        // (`ThreadMeta::rollback_point`).
+        let meta = ThreadMeta::new(n, right_guard);
         // Hand the same storage back to the caller instead of deep-copying.
         let right_guard = meta.guard.clone();
         self.threads.insert(n, meta);
+        // `n` exceeds every thread index in use.
+        self.holders.push(n);
         self.cdg.add_node(guess);
         // Record our own incarnation start the same way observers do: the
         // first fork of a new incarnation pins its start in our table, so
@@ -479,7 +536,8 @@ impl ProcessCore {
     /// dependency bookkeeping that targeted control dissemination needs
     /// (§4.2.5).
     pub fn note_send(&mut self, guard: &Guard, to: ProcessId) {
-        if to == self.id {
+        // Only targeted dissemination ever reads the map.
+        if !self.config.targeted_control || to == self.id {
             return;
         }
         for g in guard.iter() {
@@ -617,18 +675,26 @@ impl ProcessCore {
     /// applying the message whenever `new_interval` is returned.
     pub fn deliver(&mut self, thread: ForkIndex, env: &Envelope) -> DeliveryEffect {
         self.spec_clock += 1;
-        // Canonicalize the incoming tag first: fan-in servers see the same
-        // tag on message after message, so interning turns every repeat
-        // into an O(1) storage-sharing hit (small tags pass through free).
-        let tag = self.interner.intern(env.guard());
         let history = &self.history;
         let meta = self.threads.get_mut(&thread).expect("thread exists");
         // A guard tag names the guesses the *sender* depended on at send
         // time; any that have since committed are no longer dependencies
         // (§4.1.5 — the commit history makes them implicit commits), and
         // aborted ones were filtered by the orphan check.
-        let mut new_guards = meta.guard.new_guards(&tag);
+        let mut new_guards = meta.guard.new_guards(env.guard());
+        let unfiltered = new_guards.len();
         new_guards.retain(|g| !history.is_resolved(*g));
+        // Canonicalize the incoming tag: fan-in servers see the same tag on
+        // message after message, so interning turns every repeat into an
+        // O(1) storage-sharing hit (small tags pass through free). A tag
+        // naming a resolved guess is left out of the table — the purge
+        // that would have dropped it has already run, and no live guard
+        // will ever equal it.
+        let tag = if new_guards.len() == unfiltered {
+            self.interner.intern(env.guard())
+        } else {
+            env.guard().clone()
+        };
         if new_guards.is_empty() {
             return DeliveryEffect {
                 new_guards,
@@ -644,6 +710,11 @@ impl ProcessCore {
         });
         meta.interval += 1;
         let idx = StateIndex::new(thread, meta.interval);
+        if meta.guard.is_empty() {
+            if let Err(i) = self.holders.binary_search(&thread) {
+                self.holders.insert(i, thread);
+            }
+        }
         if new_guards.len() == tag.len() {
             // Every guess in the tag is a new live dependency: plain set
             // union, which adopts the (interned) tag's storage outright
@@ -762,8 +833,14 @@ mod tests {
         assert!(rec.right_guard.contains(g(0, 1)));
         // Left thread's guard unchanged.
         assert!(core.thread(0).guard.is_empty());
-        // Right thread's rollback point for its own guess is (n, 0).
-        assert_eq!(core.thread(1).rollbacks[&g(0, 1)], StateIndex::new(1, 0));
+        // Right thread's rollback point for its own guess is (n, 0), with
+        // nothing recorded to say so.
+        assert_eq!(
+            core.thread(1).rollback_point(g(0, 1)),
+            Some(StateIndex::new(1, 0))
+        );
+        assert!(core.thread(1).rollbacks.is_empty());
+        assert_eq!(core.thread(0).rollback_point(g(0, 1)), None);
     }
 
     #[test]
@@ -830,6 +907,27 @@ mod tests {
         assert!(eff.new_guards.is_empty());
         assert_eq!(eff.new_interval, None);
         assert_eq!(core.thread(0).interval, 1);
+    }
+
+    #[test]
+    fn tag_naming_a_resolved_guess_is_not_interned() {
+        // The stream client's returns: a large tag whose oldest member has
+        // committed here already. Registered, the entry could never be hit
+        // (no live guard holds a committed guess) nor purged (COMMIT(x1)'s
+        // purge has run) — one dead entry per message.
+        let mut core = ProcessCore::new(ProcessId(2), CoreConfig::default());
+        let tag: Guard = (1..=6).map(|n| g(0, n)).collect();
+        core.on_commit(g(0, 1));
+        let env = env_with_guard(ProcessId(2), tag.clone(), DataKind::Send);
+        assert_eq!(core.deliver(0, &env).new_guards.len(), 5);
+        assert_eq!(core.interner_full_stats(), InternerStats::default());
+        // A tag of live guesses is, and repeats of it hit.
+        let live: Guard = (2..=7).map(|n| g(0, n)).collect();
+        let env = env_with_guard(ProcessId(2), live, DataKind::Send);
+        assert_eq!(core.deliver(0, &env).new_guards, vec![g(0, 7)]);
+        core.deliver(0, &env);
+        let stats = core.interner_full_stats();
+        assert_eq!((stats.hits, stats.misses, stats.live), (1, 1, 1));
     }
 
     #[test]

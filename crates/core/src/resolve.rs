@@ -229,15 +229,22 @@ impl ProcessCore {
     /// Remove a committed guess from history/CDG/guards/rollbacks — once
     /// per guess: `on_commit` ignores repeats, and a CDG node is never a
     /// committed guess, so predecessor inference cannot reach one again.
+    /// Only the threads with a non-empty guard are visited; one whose guard
+    /// empties leaves the holder index.
     fn remove_committed_guess(&mut self, g: GuessId) {
         debug_assert!(!self.history.is_committed(g), "{g} committed twice");
         self.history.record_commit(g);
         self.cdg.remove(g);
         self.purge_interned(g);
-        for t in self.threads.values_mut() {
-            t.guard.remove(g);
-            t.rollbacks.remove(&g);
-        }
+        self.debug_check_holders();
+        let threads = &mut self.threads;
+        self.holders.retain(|tid| {
+            let t = threads.get_mut(tid).expect("holders exist");
+            if t.guard.remove(g) {
+                t.rollbacks.remove(&g);
+            }
+            !t.guard.is_empty()
+        });
     }
 
     /// Commit every own guess awaiting resolution whose guard has emptied;
@@ -276,7 +283,7 @@ impl ProcessCore {
         // Idempotence: if we already know it aborted and nothing local
         // depends on it, there is nothing to do.
         let root_known = self.history.is_aborted(root);
-        let root_relevant = self.threads.values().any(|t| t.guard.contains(root))
+        let root_relevant = self.holders().any(|t| t.guard.contains(root))
             || self.own.contains_key(&root)
             || self.cdg.contains_node(root);
         if root_known && !root_relevant {
@@ -308,7 +315,7 @@ impl ProcessCore {
             // Implicit aborts (same process, same incarnation, later index)
             // apply to any guess currently appearing in a guard.
             let mut implied: BTreeSet<GuessId> = BTreeSet::new();
-            for t in self.threads.values() {
+            for t in self.holders() {
                 for g in t.guard.iter() {
                     if !doomed.contains(&g) && self.history.is_aborted(g) {
                         implied.insert(g);
@@ -320,16 +327,8 @@ impl ProcessCore {
             // Compute per-thread rollback targets: the earliest rollback
             // point among doomed guesses in that thread's guard (§4.2.7).
             let mut new_targets: BTreeMap<ForkIndex, StateIndex> = BTreeMap::new();
-            for t in self.threads.values() {
-                let mut min_target: Option<StateIndex> = None;
-                for d in &doomed {
-                    if t.guard.contains(*d) {
-                        if let Some(&rb) = t.rollbacks.get(d) {
-                            min_target = Some(min_target.map_or(rb, |cur| cur.min(rb)));
-                        }
-                    }
-                }
-                if let Some(tgt) = min_target {
+            for t in self.holders() {
+                if let Some(tgt) = doomed.iter().filter_map(|d| t.rollback_point(*d)).min() {
                     new_targets.insert(t.index, tgt);
                 }
             }
@@ -445,9 +444,9 @@ impl ProcessCore {
                 // Never reset below a still-live thread index.
                 self.threads
                     .keys()
+                    .rev()
                     .copied()
-                    .filter(|t| !effects.discard_threads.contains(t))
-                    .max()
+                    .find(|t| !effects.discard_threads.contains(t))
                     .unwrap_or(0),
             );
         }
@@ -468,12 +467,14 @@ impl ProcessCore {
         // had the guess but whose rollback target was superseded by an even
         // earlier one are already restored; surviving threads should not
         // retain doomed entries).
-        for t in self.threads.values_mut() {
+        for t in self.threads.values_mut().filter(|t| !t.guard.is_empty()) {
             for d in &doomed {
-                t.guard.remove(*d);
-                t.rollbacks.remove(d);
+                if t.guard.remove(*d) {
+                    t.rollbacks.remove(d);
+                }
             }
         }
+        self.rebuild_holders();
 
         effects.discard_threads.sort_unstable();
         effects.discard_threads.dedup();
@@ -696,6 +697,33 @@ mod tests {
         s.on_commit(g(1, 1));
         assert!(s.history.is_committed(g(0, 1)));
         assert!(s.thread(0).guard.is_empty());
+    }
+
+    #[test]
+    fn emptied_guard_leaves_no_rollback_points_and_no_holder() {
+        // A server thread takes on x1 and x2 in two intervals, a client
+        // thread is forked under y1: three rollback points, two holders.
+        let (x1, x2) = (g(0, 1), g(0, 2));
+        let mut s = server(2);
+        s.deliver(0, &env(2, Guard::single(x1)));
+        s.deliver(0, &env(2, Guard::single(x2)));
+        let rec = s.fork(0, 1);
+        s.deliver(rec.right_thread, &env(2, Guard::single(g(1, 1))));
+        assert_eq!(s.holders, [0, rec.right_thread]);
+        assert_eq!(s.thread(0).rollbacks.len(), 2);
+        // The right thread records only what it acquired itself.
+        assert_eq!(s.thread(rec.right_thread).rollbacks.len(), 1);
+        // COMMIT(x1) takes x1's point with it; COMMIT(x2) empties thread
+        // 0's guard, its map, and its place among the holders.
+        s.on_commit(x1);
+        assert_eq!(s.thread(0).rollbacks.len(), 1);
+        assert_eq!(s.holders, [0, rec.right_thread]);
+        s.on_commit(x2);
+        assert!(s.thread(0).guard.is_empty() && s.thread(0).rollbacks.is_empty());
+        assert_eq!(s.holders, [rec.right_thread]);
+        // A later dependency makes it a holder again, in index order.
+        s.deliver(0, &env(2, Guard::single(g(1, 2))));
+        assert_eq!(s.holders, [0, rec.right_thread]);
     }
 
     #[test]

@@ -11,10 +11,15 @@
 //!   must be indistinguishable through `Eq`/`Ord`/`Hash` and the interner.
 //! - Bounded `choose_delivery` against an exhaustive
 //!   `min_by_key((count, index))`.
+//! - Implicit inherited rollback points against [`FullRollbacks`] — every
+//!   thread's `Rollbacks` map materialised the way `fork` used to hand it
+//!   on — over random fork / deliver / join / commit / abort scripts on a
+//!   fork tree: the same `AbortEffects`, the same surviving guards.
 
 use opcsp_core::{
-    Cdg, CoreConfig, DataKind, EdgeOutcome, Envelope, Guard, GuardInterner, GuessId, Incarnation,
-    MsgId, ProcessCore, ProcessId, Value,
+    AbortEffects, Cdg, CoreConfig, DataKind, EdgeOutcome, Envelope, ForkIndex, Guard,
+    GuardInterner, GuessId, Incarnation, JoinDecision, MsgId, OwnGuessState, ProcessCore,
+    ProcessId, StateIndex, ThreadPhase, Value,
 };
 use proptest::prelude::*;
 use std::collections::hash_map::DefaultHasher;
@@ -416,6 +421,166 @@ proptest! {
             for limit in 0..4 {
                 prop_assert_eq!(core.live_new_guard_count(0, e.guard(), limit), full.min(limit));
             }
+        }
+    }
+}
+
+// ----------------------------------------------------------------------
+// Rollback points
+// ----------------------------------------------------------------------
+
+/// The reference: `Rollbacks[g]` for *every* guard member of every thread,
+/// a right thread starting from a copy of its left thread's map plus
+/// `guess → (n, 0)` (§4.2.1) — what `ProcessCore::fork` used to build.
+#[derive(Debug, Clone, Default)]
+struct FullRollbacks {
+    maps: BTreeMap<ForkIndex, BTreeMap<GuessId, StateIndex>>,
+}
+
+fn discards(target: StateIndex, thread: ForkIndex) -> bool {
+    target.thread < thread || (target.thread == thread && target.interval == 0)
+}
+
+impl FullRollbacks {
+    fn fork(&mut self, left: ForkIndex, right: ForkIndex, guess: GuessId) {
+        let mut map = self.maps[&left].clone();
+        map.insert(guess, StateIndex::new(right, 0));
+        self.maps.insert(right, map);
+    }
+
+    /// The effects §4.2.7 prescribes for the guesses `core` has learned
+    /// are aborted, and the maps afterwards.
+    fn abort(&mut self, core: &ProcessCore) -> AbortEffects {
+        let mut effects = AbortEffects::default();
+        for (&thread, map) in &self.maps {
+            let doomed = map.iter().filter(|(g, _)| core.history.is_aborted(**g));
+            match doomed.map(|(_, at)| *at).min() {
+                Some(target) if discards(target, thread) => effects.discard_threads.push(thread),
+                Some(target) => effects.rollback_threads.push((thread, target.interval)),
+                None => {}
+            }
+        }
+        for thread in &effects.discard_threads {
+            self.maps.remove(thread);
+        }
+        for &(thread, slot) in &effects.rollback_threads {
+            let map = self.maps.get_mut(&thread).expect("rolled-back thread");
+            map.retain(|_, at| at.thread != thread || at.interval < slot);
+        }
+        self.forget_resolved(core);
+        effects
+    }
+
+    fn forget_resolved(&mut self, core: &ProcessCore) {
+        for map in self.maps.values_mut() {
+            map.retain(|g, _| !core.history.is_resolved(*g));
+        }
+    }
+}
+
+proptest! {
+    /// A core that records a thread's own rollback points only — and reads
+    /// a guard member without one as "discard me" — rolls back and discards
+    /// exactly what full per-thread maps prescribe, and leaves the same
+    /// guards behind, whatever the shape of the fork tree.
+    #[test]
+    fn implicit_rollback_points_match_materialised_maps(
+        ops in proptest::collection::vec(
+            (0u32..10, 0u32..64, any::<bool>(), proptest::collection::btree_set(arb_guess(), 0..5)),
+            1..60,
+        ),
+    ) {
+        const ME: ProcessId = ProcessId(7);
+        let mut core = ProcessCore::new(ME, CoreConfig::default());
+        let mut full = FullRollbacks::default();
+        full.maps.insert(0, BTreeMap::new());
+        for (op, pick, flag, foreign) in ops {
+            // Only a thread still running its program forks or receives.
+            let running: Vec<ForkIndex> = core
+                .threads
+                .values()
+                .filter(|t| t.phase == ThreadPhase::Running)
+                .map(|t| t.index)
+                .collect();
+            let Some(&thread) = running.get(pick as usize % running.len().max(1)) else {
+                break;
+            };
+            let own: Vec<GuessId> = core
+                .own
+                .values()
+                .filter(|o| o.state != OwnGuessState::Committed && o.state != OwnGuessState::Aborted)
+                .map(|o| o.id)
+                .collect();
+            let own_pick = own.get(pick as usize % own.len().max(1)).copied();
+            let aborted = match (op, own_pick) {
+                // Any thread may fork: left threads fork again.
+                (0..=2, _) => {
+                    let rec = core.fork(thread, 1);
+                    full.fork(thread, rec.right_thread, rec.guess);
+                    None
+                }
+                (3..=5, _) => {
+                    // Foreign guesses, and own ones that are not the
+                    // receiving thread's future (§4.2.3 withholds those).
+                    let past = own.iter().filter(|g| flag && g.index <= thread);
+                    let tag: Guard = foreign.iter().chain(past).copied().collect();
+                    let eff = core.deliver(thread, &envelope(tag.clone()));
+                    let map = full.maps.get_mut(&thread).expect("thread exists");
+                    let new: Vec<GuessId> = tag
+                        .iter()
+                        .filter(|g| !map.contains_key(g) && !core.history.is_resolved(*g))
+                        .collect();
+                    prop_assert_eq!(&eff.new_guards, &new);
+                    let at = core.thread(thread).state_index();
+                    map.extend(new.into_iter().map(|g| (g, at)));
+                    None
+                }
+                // A join that finds a value fault, or an empty guard. (One
+                // that would await is left out: the script's tags are not
+                // closed under dependency the way real senders' are, and
+                // the cascade through an awaiting guess's CDG edges relies
+                // on that.)
+                (6, Some(g))
+                    if core.own[&g].state == OwnGuessState::Pending
+                        && running.contains(&core.own[&g].left_thread)
+                        && (!flag || core.is_committed(core.own[&g].left_thread)) =>
+                {
+                    match core.join_left_done(g, flag) {
+                        JoinDecision::Abort { effects } => Some(effects),
+                        _ => None,
+                    }
+                }
+                (7, Some(g)) => Some(core.on_abort(g)),
+                (8, _) => foreign.first().map(|g| core.on_abort(*g)),
+                _ => {
+                    if let Some(g) = foreign.first() {
+                        core.on_commit(*g);
+                    }
+                    None
+                }
+            };
+            match aborted {
+                Some(effects) => {
+                    let expected = full.abort(&core);
+                    prop_assert_eq!(&effects.discard_threads, &expected.discard_threads);
+                    prop_assert_eq!(&effects.rollback_threads, &expected.rollback_threads);
+                }
+                None => full.forget_resolved(&core),
+            }
+            // Same threads, same guards, same answer for every member; the
+            // holder index is the threads with something in their guard.
+            prop_assert!(core.threads.keys().eq(full.maps.keys()));
+            for (t, map) in &full.maps {
+                let meta = core.thread(*t);
+                prop_assert!(meta.guard.iter().eq(map.keys().copied()), "thread {}", t);
+                for (g, at) in map {
+                    let point = meta.rollback_point(*g).expect("guard member");
+                    prop_assert_eq!(discards(point, *t), discards(*at, *t));
+                    prop_assert!(discards(point, *t) || point == *at);
+                }
+            }
+            let holding = full.maps.iter().filter(|(_, m)| !m.is_empty()).map(|(t, _)| *t);
+            prop_assert!(core.holders().map(|m| m.index).eq(holding));
         }
     }
 }

@@ -322,6 +322,18 @@ fn unresolved(state: OwnGuessState) -> bool {
     )
 }
 
+fn insert_sorted(list: &mut Vec<u32>, tid: u32) {
+    if let Err(i) = list.binary_search(&tid) {
+        list.insert(i, tid);
+    }
+}
+
+fn remove_sorted(list: &mut Vec<u32>, tid: u32) {
+    if let Ok(i) = list.binary_search(&tid) {
+        list.remove(i);
+    }
+}
+
 /// Record a lifecycle event, reading the clock only if the sink is on.
 fn tele<E: Env>(env: &mut E, ev: impl FnOnce(u64) -> TelemetryEvent) {
     if env.telemetry().enabled() {
@@ -345,8 +357,17 @@ pub struct Driver {
     /// in `threads` (the committed log is read from it) but are never
     /// scanned again.
     live: Vec<u32>,
+    /// Indices (ascending) of the threads with external output buffered:
+    /// the only ones a flush can release anything from.
+    buffered: Vec<u32>,
     /// Arrived, not yet consumed messages.
     pool: Vec<Envelope>,
+    /// `Some(n)`: every pooled message passed the orphan check when the
+    /// history's [`aborts_learned`](opcsp_core::History::aborts_learned)
+    /// read `n`, so while it still does, a delivery need not repeat the
+    /// check. `None`: some pooled message has not been checked since it
+    /// was (re)pooled.
+    pool_checked: Option<u64>,
     /// Control messages already relayed (targeted dissemination dedup).
     relayed: BTreeSet<(u8, GuessId)>,
     /// Guessed values per fork, for join verification.
@@ -379,7 +400,9 @@ impl Driver {
             policy,
             threads: BTreeMap::from([(0, thread0)]),
             live: vec![0],
+            buffered: Vec::new(),
             pool: Vec::new(),
+            pool_checked: Some(0),
             relayed: BTreeSet::new(),
             guesses: BTreeMap::new(),
             forced_pos: 0,
@@ -472,18 +495,14 @@ impl Driver {
 
     /// A thread was created, or a rollback re-opened it.
     fn mark_live(&mut self, tid: u32) {
-        if let Err(i) = self.live.binary_search(&tid) {
-            self.live.insert(i, tid);
-        }
+        insert_sorted(&mut self.live, tid);
     }
 
     /// Drop `tid` from the scans if it was discarded, or is `Done` with
     /// nothing buffered.
     fn retire_if_finished(&mut self, tid: u32) {
         if self.threads.get(&tid).is_none_or(|th| th.finished()) {
-            if let Ok(i) = self.live.binary_search(&tid) {
-                self.live.remove(i);
-            }
+            remove_sorted(&mut self.live, tid);
         }
     }
 
@@ -617,6 +636,7 @@ impl Driver {
                     self.release(env, payload, false);
                 } else {
                     self.th(tid).out_buf.push(payload);
+                    insert_sorted(&mut self.buffered, tid);
                 }
                 self.resume(env, tid, After::Step, Resume::Continue);
             }
@@ -937,6 +957,7 @@ impl Driver {
             self.orphaned(env, msg.id, msg.label, g);
             return;
         }
+        let checked = self.core.history.aborts_learned();
         // Early time-fault detection on returns (§4.2.3): the waiting
         // thread is the one blocked on this call id.
         if let DataKind::Return(cid) = msg.kind {
@@ -957,6 +978,11 @@ impl Driver {
                 }
             }
         }
+        // The early check may just have aborted a guess this very message
+        // names: the pool it joins is only as fresh as its own check.
+        if self.core.history.aborts_learned() != checked {
+            self.pool_checked = None;
+        }
         self.pool.push(msg);
         self.try_deliver(env);
     }
@@ -965,12 +991,23 @@ impl Driver {
     fn try_deliver<E: Env>(&mut self, env: &mut E) {
         while let Some((tid, pool_idx)) = self.pick_delivery() {
             let mut msg = self.pool.remove(pool_idx);
-            // Re-check orphan status: aborts may have arrived since pooling.
-            if let ArrivalVerdict::Orphan(g) = self.core.classify_arrival(&mut msg) {
-                self.orphaned(env, msg.id, msg.label, g);
-                continue;
+            // Re-check orphan status if an abort may have been learned
+            // since the message was pooled (explicitly, or through an
+            // incarnation row on some other message).
+            if self.pool_checked != Some(self.core.history.aborts_learned()) {
+                if let ArrivalVerdict::Orphan(g) = self.core.classify_arrival(&mut msg) {
+                    self.orphaned(env, msg.id, msg.label, g);
+                    continue;
+                }
             }
+            debug_assert!(
+                !msg.guard().iter().any(|g| self.core.history.is_aborted(g)),
+                "delivering an orphan"
+            );
             self.deliver_to(env, tid, msg);
+        }
+        if self.pool.is_empty() {
+            self.pool_checked = Some(self.core.history.aborts_learned());
         }
     }
 
@@ -1052,10 +1089,12 @@ impl Driver {
 
     fn deliver_to<E: Env>(&mut self, env: &mut E, tid: u32, msg: Envelope) {
         // Checkpoint *before* applying a dependency-introducing message
-        // (§3.1). The checkpoint keeps the *blocked* status, so a rollback
-        // re-opens the receive.
-        let new_deps = self.core.live_new_guard_count(tid, msg.guard(), usize::MAX);
-        if new_deps > 0 {
+        // (§3.1): the core has opened the interval, but nothing of the
+        // thread's own changes until the resume below runs. The checkpoint
+        // keeps the *blocked* status, so a rollback re-opens the receive.
+        let eff = self.core.deliver(tid, &msg);
+        let new_deps = eff.new_guards.len();
+        if eff.new_interval.is_some() {
             let every = self.policy.checkpoint_every.max(1);
             let th = self.th(tid);
             let snapshot = (th.checkpoints.len() as u32).is_multiple_of(every);
@@ -1072,8 +1111,6 @@ impl Driver {
             th.checkpoints.push(chk);
             self.checkpoints_taken += snapshot as u64;
         }
-        let eff = self.core.deliver(tid, &msg);
-        debug_assert_eq!(eff.new_interval.is_some(), new_deps > 0);
         debug_assert_eq!(
             self.threads[&tid].checkpoints.len() as u32,
             self.core.threads[&tid].interval + 1
@@ -1203,6 +1240,7 @@ impl Driver {
                 continue;
             };
             self.retire_if_finished(tid);
+            remove_sorted(&mut self.buffered, tid);
             self.stats.discarded_threads += 1;
             let intervals = (th.checkpoints.len() as u32).saturating_sub(1);
             let steps_lost = th.steps;
@@ -1250,6 +1288,10 @@ impl Driver {
     fn repool(&mut self, consumed: Vec<Envelope>) {
         let data = consumed.iter().filter(|m| !m.kind.is_return()).count();
         self.forced_pos = self.forced_pos.saturating_sub(data);
+        if !consumed.is_empty() {
+            // They were last checked before they were consumed.
+            self.pool_checked = None;
+        }
         self.pool.extend(consumed);
     }
 
@@ -1300,6 +1342,9 @@ impl Driver {
             th.obmeta.truncate(chk.oblog_len);
         }
         th.out_buf.truncate(chk.out_buf_len);
+        if th.out_buf.is_empty() {
+            remove_sorted(&mut self.buffered, tid);
+        }
         let consumed = th.consumed.split_off(chk.consumed_len);
         self.repool(consumed);
         self.mark_live(tid);
@@ -1326,6 +1371,7 @@ impl Driver {
     /// Drop pooled messages that have become orphans.
     fn purge_pool<E: Env>(&mut self, env: &mut E) {
         let mut orphans = Vec::new();
+        self.pool_checked = Some(self.core.history.aborts_learned());
         let core = &mut self.core;
         self.pool
             .retain_mut(|msg| match core.classify_arrival(msg) {
@@ -1348,15 +1394,20 @@ impl Driver {
         let Driver {
             threads,
             live,
+            buffered,
             core,
             ..
         } = self;
-        live.retain(|tid| {
-            let th = threads.get_mut(tid).expect("live threads exist");
-            if core.threads.get(tid).is_some_and(|m| m.guard.is_empty()) {
-                released.append(&mut th.out_buf);
+        buffered.retain(|tid| {
+            if !core.threads.get(tid).is_some_and(|m| m.guard.is_empty()) {
+                return true;
             }
-            !th.finished()
+            let th = threads.get_mut(tid).expect("buffering threads exist");
+            released.append(&mut th.out_buf);
+            if th.finished() {
+                remove_sorted(live, *tid);
+            }
+            false
         });
         debug_assert!(
             threads
@@ -1365,6 +1416,14 @@ impl Driver {
                 .map(|(tid, _)| tid)
                 .eq(live.iter()),
             "live list out of step with thread statuses"
+        );
+        debug_assert!(
+            threads
+                .iter()
+                .filter(|(_, th)| !th.out_buf.is_empty())
+                .map(|(tid, _)| tid)
+                .eq(buffered.iter()),
+            "buffered list out of step with the output buffers"
         );
         for payload in released {
             self.release(env, payload, true);

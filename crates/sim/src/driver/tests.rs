@@ -463,3 +463,163 @@ fn stale_incarnation_guess_is_still_withheld_from_the_earlier_thread() {
     assert!(d.threads[&0].consumed.is_empty());
     assert_eq!(d.threads[&1].consumed.len(), 1);
 }
+
+#[test]
+fn pooled_message_orphaned_by_an_explicit_abort_is_dropped() {
+    // Pooled before the thread first blocks; ABORT(g) arrives in between.
+    let mut d = driver(sink(), DriverPolicy::default());
+    let mut fake = Fake::default();
+    let g = remote_guess(P3);
+    d.on_data(&mut fake, msg(1, P1, Guard::single(g), 10));
+    d.on_data(&mut fake, msg(2, P2, Guard::empty(), 20));
+    d.on_control(&mut fake, P3, Control::Abort(g));
+    assert_eq!(d.stats.orphans, 1);
+    assert_eq!(d.pool_checked, Some(d.core.history.aborts_learned()));
+    fake.ready.push_back((thread(0), Resume::Start));
+    fake.run(&mut d);
+    assert_eq!(seen(&d, 0), &[20]);
+    assert_eq!(d.stats.orphans, 1);
+}
+
+#[test]
+fn pooled_message_orphaned_by_an_incarnation_row_on_another_is_dropped() {
+    let mut d = driver(sink(), DriverPolicy::default());
+    let mut fake = Fake::default();
+    let stale = remote_guess(P3);
+    d.on_data(&mut fake, msg(1, P1, Guard::single(stale), 10));
+    assert_eq!(d.pool_checked, Some(d.core.history.aborts_learned()));
+    // No ABORT is ever delivered: a second message merely names P3's next
+    // incarnation, starting at the stale guess's index.
+    let reforked = GuessId::new(P3, Incarnation(1), stale.index);
+    d.on_data(&mut fake, msg(2, P2, Guard::single(reforked), 20));
+    assert!(d.core.history.is_aborted(stale));
+    assert_ne!(d.pool_checked, Some(d.core.history.aborts_learned()));
+    assert_eq!((d.pool.len(), d.stats.orphans), (2, 0));
+
+    // The stale message is the cheaper delivery (no live dependency), so
+    // it is picked first — and dropped by the re-check.
+    fake.ready.push_back((thread(0), Resume::Start));
+    fake.run(&mut d);
+    assert_eq!(seen(&d, 0), &[20]);
+    assert_eq!(d.stats.orphans, 1);
+    // With the pool drained the next delivery has nothing to re-check.
+    assert_eq!(d.pool_checked, Some(d.core.history.aborts_learned()));
+}
+
+#[test]
+fn repooled_messages_are_checked_again() {
+    let mut d = driver(sink(), DriverPolicy::default());
+    let mut fake = Fake::default();
+    let g = remote_guess(P3);
+    d.on_control(&mut fake, P3, Control::Abort(g));
+    assert_eq!(d.pool_checked, Some(d.core.history.aborts_learned()));
+    // What a rollback hands back was checked before it was consumed, not
+    // since: the pool no longer vouches for its contents.
+    d.repool(vec![msg(1, P1, Guard::single(g), 10)]);
+    assert_eq!(d.pool_checked, None);
+    fake.ready.push_back((thread(0), Resume::Start));
+    fake.run(&mut d);
+    assert!(seen(&d, 0).is_empty());
+    assert_eq!(d.stats.orphans, 1);
+}
+
+/// Thread 0 forks x1 and joins on its first message. Thread 1 (x1's right)
+/// forks x2, computes, emits 10 and joins. Thread 2 (x2's right) emits 20,
+/// receives one message, emits 21 and ends.
+fn emitters() -> Arc<dyn Behavior> {
+    let fork = |site| Effect::Fork {
+        site,
+        guesses: vec![],
+    };
+    let emit = |v: i64| Effect::External {
+        payload: Value::Int(v),
+    };
+    Arc::new(FnBehavior::new("emitters", 0u8, move |pc, resume| {
+        let (next, effect) = match (*pc, resume) {
+            (0, Resume::Start) => (1, fork(1)),
+            (1, Resume::ForkLeft) => (10, Effect::Receive),
+            (10, Resume::Msg(_)) => (11, Effect::JoinLeft { actual: vec![] }),
+            (1, Resume::ForkRight { .. }) => (2, fork(2)),
+            (2, Resume::ForkLeft) => (20, Effect::Compute { cost: 1 }),
+            (20, Resume::Continue) => (21, emit(10)),
+            (21, Resume::Continue) => (22, Effect::JoinLeft { actual: vec![] }),
+            (2, Resume::ForkRight { .. }) => (30, emit(20)),
+            (30, Resume::Continue) => (31, Effect::Receive),
+            (31, Resume::Msg(_)) => (32, emit(21)),
+            (32, Resume::Continue) => (33, Effect::Done),
+            (pc, r) => panic!("emitters: pc {pc}, unexpected {r:?}"),
+        };
+        *pc = next;
+        effect
+    }))
+}
+
+#[test]
+fn buffered_output_is_released_in_thread_order_as_guards_empty() {
+    let ints = |vs: &[i64]| vs.iter().map(|v| Value::Int(*v)).collect::<Vec<_>>();
+    let g = remote_guess(P3);
+    // Up to the point where every thread has emitted and only thread 0's
+    // join is outstanding.
+    let run = || {
+        let mut d = driver(emitters(), DriverPolicy::default());
+        let mut fake = Fake::start(&mut d);
+        // Thread 2 emitted first; the list is by thread index all the same.
+        assert_eq!(d.threads[&1].status, Status::AwaitingJoin);
+        assert_eq!(d.buffered, [1, 2]);
+        // A message that depends on x1 is thread 0's future: thread 2
+        // takes it, with a foreign guess of its own, and ends.
+        let x1 = fake.timers[0];
+        fake.arrive(&mut d, msg(1, P1, Guard::from_iter([x1, g]), 0));
+        assert_eq!(d.threads[&2].status, Status::Done);
+        assert_eq!(d.threads[&2].out_buf, ints(&[20, 21]));
+        assert_eq!(d.live, [0, 1, 2]);
+        assert_eq!(d.buffered, [1, 2]);
+        assert!(fake.external.is_empty());
+        (d, fake)
+    };
+
+    // Thread 0 joins first: x1 commits, x2 after it, and thread 1's guard
+    // is empty — its output goes out and it retires. Thread 2, done long
+    // ago, still holds g: it keeps its output and its place in the scans
+    // until COMMIT(g).
+    let (mut d, mut fake) = run();
+    fake.arrive(&mut d, msg(2, P2, Guard::empty(), 0));
+    assert_eq!(d.stats.commits, 2);
+    assert_eq!(fake.external, ints(&[10]));
+    assert_eq!(d.live, [2]);
+    assert_eq!(d.buffered, [2]);
+    d.on_control(&mut fake, P3, Control::Commit(g));
+    assert_eq!(fake.external, ints(&[10, 20, 21]));
+    assert!(d.live.is_empty() && d.buffered.is_empty());
+
+    // COMMIT(g) first: nothing empties. Then the join empties both guards
+    // at once, and the one flush releases thread 1's output before
+    // thread 2's.
+    let (mut d, mut fake) = run();
+    d.on_control(&mut fake, P3, Control::Commit(g));
+    assert!(fake.external.is_empty());
+    assert_eq!(d.buffered, [1, 2]);
+    fake.arrive(&mut d, msg(2, P2, Guard::empty(), 0));
+    assert_eq!(fake.external, ints(&[10, 20, 21]));
+    assert!(d.live.is_empty() && d.buffered.is_empty());
+}
+
+#[test]
+fn return_that_dooms_its_own_guess_is_dropped_not_delivered() {
+    // The left thread's return comes back tagged with x1 itself: the early
+    // check aborts x1 (§4.2.3), which orphans the very message that was
+    // checked a moment ago and is about to be pooled.
+    let mut d = driver(forker(), DriverPolicy::default());
+    let mut fake = Fake::start(&mut d);
+    let x1 = fake.timers[0];
+    let DataKind::Call(cid) = fake.data[0].kind else {
+        panic!("the left thread's call");
+    };
+    let mut ret = msg(1, P1, Guard::single(x1), 0);
+    ret.kind = DataKind::Return(cid);
+    fake.arrive(&mut d, ret);
+    assert!(d.core.history.is_aborted(x1));
+    assert_eq!(d.stats.orphans, 1);
+    assert_eq!(d.threads[&0].status, Status::BlockedCall(cid));
+    assert!(d.threads[&0].consumed.is_empty() && d.pool.is_empty());
+}
