@@ -46,7 +46,9 @@
 //!   --workers <N>        (with --rt) host the processes on the sharded
 //!                        M:N executor with N worker threads instead of
 //!                        thread-per-process (DESIGN.md §11); with
-//!                        --compare both runs use the same executor
+//!                        --compare both runs use the same executor, and
+//!                        with --listen every worker process runs its
+//!                        own pool of N threads
 //!   --chaos <spec>       (with --rt) inject network faults under the
 //!                        reliable-delivery sublayer, e.g.
 //!                        drop=0.2,dup=0.1,reorder=3,seed=7,part=0-1@0+80
@@ -55,9 +57,11 @@
 //!                        --sock-workers copies of this binary as worker
 //!                        processes, and coordinate them over the socket
 //!                        (DESIGN.md §13). Each worker hosts a contiguous
-//!                        pid range; frames cross as binary Envelope
-//!                        frames. --compare diffs the socket run against
-//!                        an in-process fault-free baseline.
+//!                        pid range under the same executor an in-process
+//!                        run would use (--workers); frames cross as
+//!                        binary Envelope frames. --compare diffs the
+//!                        socket run against an in-process fault-free
+//!                        baseline.
 //!   --connect <addr>     (with --rt) worker mode: connect to a parent at
 //!                        <addr> and host this worker's pid share. Spawned
 //!                        internally by --listen; needs --sock-worker <i>.
@@ -267,13 +271,6 @@ fn parse_args() -> Result<Options, String> {
     }
     if (opts.listen.is_some() || opts.connect.is_some()) && !opts.rt {
         return Err("--listen/--connect require --rt (the simulator is single-process)".into());
-    }
-    if (opts.listen.is_some() || opts.connect.is_some()) && opts.workers.is_some() {
-        return Err(
-            "--workers (the sharded executor) is not supported with --listen/--connect: \
-             socket workers host their pid share thread-per-process"
-                .into(),
-        );
     }
     if opts.connect.is_some() && opts.sock_worker.is_none() {
         return Err(
@@ -581,48 +578,40 @@ fn rt_config(
     }
 }
 
-/// Run on the real-thread runtime; with `--compare`, check the chaos
-/// differential: the chaotic run's committed logs must equal a fault-free
-/// run's. With `--listen`/`--connect` the run crosses process boundaries
-/// over a real socket (DESIGN.md §13); the `--compare` baseline is then
-/// an in-process fault-free run of the same world.
-fn run_rt(sys: &System, opts: &Options) -> ExitCode {
-    let faults = match parse_faults(opts) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
+/// The one rt launch, for every world and transport. With `--connect`
+/// this process is a socket worker: it hosts its pid share, stays quiet
+/// (the parent owns the merged result and all reporting) and the `Err` is
+/// its exit code, by its own success only. Otherwise the world runs here
+/// — in-process, or with `--listen` as the hub of `--sock-workers` copies
+/// of this binary — and the result comes back with whether every worker
+/// process exited cleanly. The verdict on it is the caller's.
+fn launch_rt(
+    opts: &Options,
+    names: &BTreeMap<ProcessId, String>,
+    build: impl Fn(opcsp_rt::RtConfig) -> opcsp_rt::RtWorld,
+) -> Result<(opcsp_rt::RtResult, bool), ExitCode> {
+    use opcsp_rt::{RtTransport, SockAddr, SockRole};
+    let fail = |e: String| {
+        eprintln!("error: {e}");
+        ExitCode::FAILURE
     };
-    let cfg = |faults: opcsp_rt::NetFaults, transport: opcsp_rt::RtTransport| {
-        rt_config(opts, faults, transport)
+    let faults = parse_faults(opts).map_err(fail)?;
+    let socket = |flag: &str, spec: &str, role: SockRole| -> Result<RtTransport, ExitCode> {
+        let addr = SockAddr::parse(spec).map_err(|e| fail(format!("{flag} {spec}: {e}")))?;
+        Ok(RtTransport::Socket { addr, role })
     };
-    let names: BTreeMap<ProcessId, String> =
-        sys.bindings.iter().map(|(n, p)| (*p, n.clone())).collect();
 
-    // Worker mode: host our pid share, stay quiet (the parent owns the
-    // merged result and all reporting), exit by our own success only.
     if let Some(spec) = &opts.connect {
-        let addr = match opcsp_rt::SockAddr::parse(spec) {
-            Ok(a) => a,
-            Err(e) => {
-                eprintln!("error: --connect {spec}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let role = opcsp_rt::SockRole::Worker {
+        let role = SockRole::Worker {
             index: opts.sock_worker.expect("validated at parse"),
             workers: opts.sock_workers,
         };
-        let r = sys
-            .rt_world(cfg(faults, opcsp_rt::RtTransport::Socket { addr, role }))
-            .run();
-        return if r.timed_out {
-            eprintln!("error: socket worker timed out");
-            ExitCode::FAILURE
+        let r = build(rt_config(opts, faults, socket("--connect", spec, role)?)).run();
+        return Err(if r.timed_out {
+            fail("socket worker timed out".into())
         } else {
             ExitCode::SUCCESS
-        };
+        });
     }
 
     // Parent mode: spawn the worker processes first — they retry their
@@ -630,46 +619,50 @@ fn run_rt(sys: &System, opts: &Options) -> ExitCode {
     // the coordinator, which blocks in accept until all workers arrive.
     let (transport, children) = match &opts.listen {
         Some(spec) => {
-            let addr = match opcsp_rt::SockAddr::parse(spec) {
-                Ok(a) => a,
-                Err(e) => {
-                    eprintln!("error: --listen {spec}: {e}");
-                    return ExitCode::FAILURE;
-                }
+            let role = SockRole::Parent {
+                workers: opts.sock_workers,
             };
+            let transport = socket("--listen", spec, role)?;
             if opts.trace_out.is_some() {
                 eprintln!(
                     "warning: --trace-out is ignored with --listen \
                      (telemetry events are not shipped over the socket)"
                 );
             }
-            let children = match spawn_sock_workers(spec, opts.sock_workers) {
-                Ok(c) => c,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let role = opcsp_rt::SockRole::Parent {
-                workers: opts.sock_workers,
-            };
-            (opcsp_rt::RtTransport::Socket { addr, role }, children)
+            let children = spawn_sock_workers(spec, opts.sock_workers).map_err(fail)?;
+            (transport, children)
         }
-        None => (opcsp_rt::RtTransport::InProc, Vec::new()),
+        None => (RtTransport::InProc, Vec::new()),
     };
-    let multi_process = !children.is_empty();
-
-    let chaotic = sys.rt_world(cfg(faults.clone(), transport)).run();
+    let r = build(rt_config(opts, faults, transport)).run();
     let workers_ok = reap_sock_workers(children);
-    let failed = chaotic.timed_out || !chaotic.panicked.is_empty() || !workers_ok;
-    if let Some(path) = &opts.trace_out {
-        if !multi_process {
-            write_trace(path, &chaotic.telemetry.to_perfetto_json(&names));
-        }
+    if let (Some(path), None) = (&opts.trace_out, &opts.listen) {
+        write_trace(path, &r.telemetry.to_perfetto_json(names));
     }
+    Ok((r, workers_ok))
+}
+
+/// Run on the real-thread runtime; with `--compare`, check the chaos
+/// differential: the chaotic run's committed logs must equal a fault-free
+/// run's. With `--listen`/`--connect` the run crosses process boundaries
+/// over a real socket (DESIGN.md §13); the `--compare` baseline is then
+/// an in-process fault-free run of the same world.
+fn run_rt(sys: &System, opts: &Options) -> ExitCode {
+    let names: BTreeMap<ProcessId, String> =
+        sys.bindings.iter().map(|(n, p)| (*p, n.clone())).collect();
+    let (chaotic, workers_ok) = match launch_rt(opts, &names, |cfg| sys.rt_world(cfg)) {
+        Ok(ran) => ran,
+        Err(code) => return code,
+    };
+    let multi_process = opts.listen.is_some();
+    let failed = chaotic.timed_out || !chaotic.panicked.is_empty() || !workers_ok;
     if opts.compare {
         let baseline = sys
-            .rt_world(cfg(opcsp_rt::NetFaults::none(), opcsp_rt::RtTransport::InProc))
+            .rt_world(rt_config(
+                opts,
+                opcsp_rt::NetFaults::none(),
+                opcsp_rt::RtTransport::InProc,
+            ))
             .run();
         // In multi-process mode the baseline is both fault-free *and*
         // in-process, so the differential checks the socket transport and
@@ -836,79 +829,10 @@ fn kv_verdict(label: &str, kv: &KvOpts, verdict: Result<KvSummary, String>) -> E
 /// cross-process socket hub), but the pass/fail criterion is the SMR
 /// agreement oracle instead of a log differential.
 fn run_kv_rt(kv: &KvOpts, names: &BTreeMap<ProcessId, String>, opts: &Options) -> ExitCode {
-    let faults = match parse_faults(opts) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
+    let (r, workers_ok) = match launch_rt(opts, names, |cfg| rt_kv_world(kv, cfg)) {
+        Ok(ran) => ran,
+        Err(code) => return code,
     };
-
-    // Worker mode: host our pid share, stay quiet, exit by our own
-    // success only — the parent owns the merged result and the oracle.
-    if let Some(spec) = &opts.connect {
-        let addr = match opcsp_rt::SockAddr::parse(spec) {
-            Ok(a) => a,
-            Err(e) => {
-                eprintln!("error: --connect {spec}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let role = opcsp_rt::SockRole::Worker {
-            index: opts.sock_worker.expect("validated at parse"),
-            workers: opts.sock_workers,
-        };
-        let r = rt_kv_world(
-            kv,
-            rt_config(opts, faults, opcsp_rt::RtTransport::Socket { addr, role }),
-        )
-        .run();
-        return if r.timed_out {
-            eprintln!("error: socket worker timed out");
-            ExitCode::FAILURE
-        } else {
-            ExitCode::SUCCESS
-        };
-    }
-
-    let (transport, children) = match &opts.listen {
-        Some(spec) => {
-            let addr = match opcsp_rt::SockAddr::parse(spec) {
-                Ok(a) => a,
-                Err(e) => {
-                    eprintln!("error: --listen {spec}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            if opts.trace_out.is_some() {
-                eprintln!(
-                    "warning: --trace-out is ignored with --listen \
-                     (telemetry events are not shipped over the socket)"
-                );
-            }
-            let children = match spawn_sock_workers(spec, opts.sock_workers) {
-                Ok(c) => c,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let role = opcsp_rt::SockRole::Parent {
-                workers: opts.sock_workers,
-            };
-            (opcsp_rt::RtTransport::Socket { addr, role }, children)
-        }
-        None => (opcsp_rt::RtTransport::InProc, Vec::new()),
-    };
-    let multi_process = !children.is_empty();
-
-    let r = rt_kv_world(kv, rt_config(opts, faults, transport)).run();
-    let workers_ok = reap_sock_workers(children);
-    if let Some(path) = &opts.trace_out {
-        if !multi_process {
-            write_trace(path, &r.telemetry.to_perfetto_json(names));
-        }
-    }
     summarize_rt(
         if opts.pessimistic {
             "rt pessimistic"

@@ -48,9 +48,10 @@ pub(crate) enum Report {
         delivered: u64,
         unacked: u64,
     },
-    /// A sharded-executor actor panicked; the worker caught the unwind,
-    /// removed the actor, and carries on with the rest of its shard. (The
-    /// threaded executor reports panics through `JoinHandle::join`.)
+    /// An actor panicked: the thread running it caught the unwind
+    /// (`executor::contain`), dropped the actor, and — on a shard — carries
+    /// on with the rest. Also what the socket hub turns the unreported pids
+    /// of a lost worker into.
     Panicked {
         pid: ProcessId,
         msg: String,

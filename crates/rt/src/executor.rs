@@ -1,32 +1,43 @@
 //! Executors: how process actors get scheduled onto OS threads
 //! (DESIGN.md §11).
 //!
+//! [`spawn_world`] is the one way a world gets hosted. It takes an
+//! `n`-process world and the pid range this OS process runs ([`WorldSpec`]),
+//! builds the whole address book — a local inbox for every pid in the
+//! range, [`Mailbox::Remote`] for the rest — and runs the local actors under
+//! [`RtConfig::executor`]. The in-proc runtime passes `0..n`; a socket
+//! worker (`rt::sock`) passes its tile and the sender its frames leave by.
+//! Transport and executor compose: neither knows which the other is.
+//!
 //! [`Executor::Threaded`] is the original shape — one OS thread per CSP
 //! process, blocking on a dedicated inbox channel. Simple and honest about
 //! parallelism, but a world caps out at a few hundred processes before
 //! thread-spawn cost and scheduler pressure dominate.
 //!
 //! [`Executor::Sharded`] is an M:N pool: `workers` OS threads, each owning
-//! the shard of processes with `pid % workers == worker`. A worker drains
-//! its shard inbox in batches, demultiplexes the batch into per-slot run
-//! queues, and runs each actor's queued items back-to-back under one
-//! panic boundary. Transport maintenance (retransmits, idle acks) is
-//! driven by the worker's own tick round over actors whose transport
-//! reports [`Transport::needs_tick`] — per-actor delayer tick timers at
-//! 10k+ processes would be a message storm.
+//! the shard of local processes with `(pid - lo) % workers == worker`. A
+//! worker drains its shard inbox in batches, demultiplexes the batch into
+//! per-slot run queues, and runs each actor's queued items back-to-back
+//! under one panic boundary. Transport maintenance (retransmits, idle
+//! acks) is driven by the worker's own tick round over actors whose
+//! transport reports `Transport::needs_tick` — per-actor delayer tick
+//! timers at 10k+ processes would be a message storm.
 //!
-//! Both executors host the same [`ProcessActor`] and answer the same
-//! coordinator reports, so the committed-log differential between them is
+//! Both executors host the same [`ProcessActor`], answer the same
+//! coordinator reports and contain a panic the same way ([`contain`]: the
+//! unwind is caught on the thread that ran the actor and becomes
+//! `Report::Panicked`), so the committed-log differential between them is
 //! the correctness oracle for the sharded scheduler (see
 //! `tests/rt_executor.rs`).
 
 use crate::core_poll::{ActorSpec, ProcessActor, Report};
-use crate::net::{Delayer, Mailbox, Wire};
-use crate::runtime::RtConfig;
+use crate::net::{Delayer, Frame, Mailbox, Wire};
+use crate::runtime::{join_by, Hosts, RtConfig};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use opcsp_core::ProcessId;
 use opcsp_sim::Behavior;
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
@@ -87,95 +98,175 @@ fn default_workers() -> usize {
         .clamp(2, 8)
 }
 
-/// Everything `RtWorld::run` hands the executor.
+/// Everything a host hands the executor: an `n`-process world
+/// (`n = behaviors.len()`) of which this OS process runs the pids in
+/// `local`. The in-proc runtime hosts `0..n`; a socket worker hosts its
+/// tile (`rt::sock`).
 pub(crate) struct WorldSpec {
     pub behaviors: Vec<Arc<dyn Behavior>>,
     pub is_client: Vec<bool>,
     pub cfg: Arc<RtConfig>,
-    pub delayer: Arc<Delayer<Wire>>,
     pub report: Sender<Report>,
     pub start: Instant,
+    pub local: Range<usize>,
+    /// First message/call id minted here. Ids must be unique across the
+    /// world and hosts cannot share an atomic, so each mints from its own
+    /// range.
+    pub id_base: u64,
+    /// Where frames for pids outside `local` go ([`Mailbox::Remote`]);
+    /// `None` when `local` is the whole world.
+    pub remote: Option<Sender<Frame>>,
 }
 
-/// A spawned world: the address book plus the OS threads hosting it.
-pub(crate) struct Running {
-    pub net: Arc<Vec<Mailbox>>,
-    pub mode: Mode,
+/// One host's share of a world: the address book, and the parts every
+/// local actor's [`ActorSpec`] is cut from.
+struct Host {
+    behaviors: Vec<Arc<dyn Behavior>>,
+    is_client: Vec<bool>,
+    cfg: Arc<RtConfig>,
+    net: Arc<Vec<Mailbox>>,
+    local: Range<usize>,
+    delayer: Arc<Delayer<Wire>>,
+    report: Sender<Report>,
+    start: Instant,
+    msg_ids: Arc<AtomicU64>,
+    call_ids: Arc<AtomicU64>,
 }
 
-pub(crate) enum Mode {
-    Threaded(Vec<JoinHandle<()>>),
-    Sharded(Vec<JoinHandle<()>>),
-}
-
-impl Running {
-    /// Pids that can still answer a quiescence probe. The threaded
-    /// executor knows this from thread liveness; the sharded executor
-    /// from the coordinator's set of reported panics.
-    pub fn live_pids(&self, dead: &std::collections::BTreeSet<ProcessId>) -> Vec<usize> {
-        match &self.mode {
-            Mode::Threaded(handles) => handles
-                .iter()
-                .enumerate()
-                .filter(|(_, h)| !h.is_finished())
-                .map(|(i, _)| i)
-                .collect(),
-            Mode::Sharded(_) => (0..self.net.len())
-                .filter(|i| !dead.contains(&ProcessId(*i as u32)))
-                .collect(),
+impl WorldSpec {
+    /// Build the whole world's address book — `inbox(pid)` for a local
+    /// pid, the remote sender for the rest — and the host around it.
+    fn into_host(self, inbox: impl Fn(usize) -> Mailbox) -> Host {
+        let net = (0..self.behaviors.len())
+            .map(|pid| {
+                if self.local.contains(&pid) {
+                    inbox(pid)
+                } else {
+                    let remote = self.remote.as_ref();
+                    Mailbox::Remote(remote.expect("a non-local pid needs a remote").clone())
+                }
+            })
+            .collect();
+        Host {
+            behaviors: self.behaviors,
+            is_client: self.is_client,
+            cfg: self.cfg,
+            net: Arc::new(net),
+            local: self.local,
+            delayer: Arc::new(Delayer::spawn()),
+            report: self.report,
+            start: self.start,
+            msg_ids: Arc::new(AtomicU64::new(self.id_base)),
+            call_ids: Arc::new(AtomicU64::new(self.id_base)),
         }
     }
 }
 
-/// Extract a human-readable message from a panic payload.
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "<non-string panic payload>".to_string()
-    }
-}
-
-/// Spawn the world's actors under the configured executor.
-pub(crate) fn spawn_world(spec: WorldSpec) -> Running {
-    match spec.cfg.executor {
-        Executor::Threaded => spawn_threaded(spec),
-        Executor::Sharded { workers } => spawn_sharded(spec, workers.max(1)),
-    }
-}
-
-/// The world-global pieces every [`ActorSpec`] shares: the mailbox
-/// table and the run-wide message/call id counters.
-struct WorldShared<'a> {
-    spec: &'a WorldSpec,
-    net: &'a Arc<Vec<Mailbox>>,
-    msg_ids: &'a Arc<AtomicU64>,
-    call_ids: &'a Arc<AtomicU64>,
-}
-
-impl WorldShared<'_> {
-    fn actor_spec(
-        &self,
-        pid: ProcessId,
-        behavior: Arc<dyn Behavior>,
-        is_client: bool,
-        self_ticks: bool,
-    ) -> ActorSpec {
+impl Host {
+    /// `self_ticks`: whether the actor schedules its own transport ticks
+    /// through the delayer (threaded) or its executor drives them
+    /// (sharded).
+    fn actor_spec(&self, pid: usize, self_ticks: bool) -> ActorSpec {
         ActorSpec {
-            pid,
-            behavior,
-            is_client,
-            cfg: self.spec.cfg.clone(),
+            pid: ProcessId(pid as u32),
+            behavior: self.behaviors[pid].clone(),
+            is_client: self.is_client[pid],
+            cfg: self.cfg.clone(),
             net: self.net.clone(),
-            delayer: self.spec.delayer.clone(),
-            report: self.spec.report.clone(),
-            start: self.spec.start,
+            delayer: self.delayer.clone(),
+            report: self.report.clone(),
+            start: self.start,
             msg_ids: self.msg_ids.clone(),
             call_ids: self.call_ids.clone(),
             self_ticks,
         }
+    }
+
+    fn running(&self, handles: Vec<JoinHandle<()>>) -> Running {
+        Running {
+            net: self.net.clone(),
+            local: self.local.clone(),
+            delayer: self.delayer.clone(),
+            handles,
+        }
+    }
+}
+
+/// A spawned host: the world's address book plus the OS threads running
+/// the local actors.
+pub(crate) struct Running {
+    net: Arc<Vec<Mailbox>>,
+    local: Range<usize>,
+    delayer: Arc<Delayer<Wire>>,
+    handles: Vec<JoinHandle<()>>,
+}
+
+impl Running {
+    fn broadcast(&self, w: impl Fn() -> Wire) {
+        for pid in self.local.clone() {
+            // A dead actor's inbox is gone or discards; either is fine.
+            let _ = self.net[pid].send(w());
+        }
+    }
+
+    /// Hand a frame that arrived from another host to its addressee.
+    /// `to` is outside input: anything not hosted here is dropped.
+    pub fn deliver(&self, f: Frame) {
+        let to = f.to.0 as usize;
+        if self.local.contains(&to) {
+            let _ = self.net[to].send(Wire::Frame(f));
+        }
+    }
+}
+
+impl Hosts for Running {
+    fn probe(&self, round: u64) {
+        self.broadcast(|| Wire::Probe(round));
+    }
+
+    fn shutdown(&self) {
+        self.broadcast(|| Wire::Shutdown);
+    }
+
+    /// Teardown in dependency order: join the actors, let the delayer go
+    /// (its `Drop` flushes pending data frames into the mailboxes), then
+    /// the address book — which is what lets the receiver behind a
+    /// [`Mailbox::Remote`] see the end of the stream. A wedged actor is
+    /// detached and keeps its clones of both alive.
+    fn reap(self, deadline: Instant) {
+        for h in self.handles {
+            join_by(h, deadline);
+        }
+        drop(self.delayer);
+        drop(self.net);
+    }
+}
+
+/// The one panic boundary around actor code: a panic inside `f` becomes
+/// `Report::Panicked` for `pid` (and `None`), so the coordinator learns
+/// of a death the same way under either executor and from any host.
+fn contain<T>(report: &Sender<Report>, pid: ProcessId, f: impl FnOnce() -> T) -> Option<T> {
+    match catch_unwind(AssertUnwindSafe(f)) {
+        Ok(done) => Some(done),
+        Err(payload) => {
+            let msg = if let Some(s) = payload.downcast_ref::<&str>() {
+                (*s).to_string()
+            } else if let Some(s) = payload.downcast_ref::<String>() {
+                s.clone()
+            } else {
+                "<non-string panic payload>".to_string()
+            };
+            let _ = report.send(Report::Panicked { pid, msg });
+            None
+        }
+    }
+}
+
+/// Spawn the local actors of `spec`'s world under the configured executor.
+pub(crate) fn spawn_world(spec: WorldSpec) -> Running {
+    match spec.cfg.executor {
+        Executor::Threaded => spawn_threaded(spec),
+        Executor::Sharded { workers } => spawn_sharded(spec, workers.max(1)),
     }
 }
 
@@ -184,44 +275,29 @@ impl WorldShared<'_> {
 // ---------------------------------------------------------------------------
 
 fn spawn_threaded(spec: WorldSpec) -> Running {
-    let n = spec.behaviors.len();
-    let msg_ids = Arc::new(AtomicU64::new(0));
-    let call_ids = Arc::new(AtomicU64::new(0));
-    let mut mailboxes = Vec::with_capacity(n);
-    let mut receivers = Vec::with_capacity(n);
-    for _ in 0..n {
-        let (tx, rx) = unbounded::<Wire>();
-        mailboxes.push(Mailbox::Direct(tx));
-        receivers.push(rx);
-    }
-    let net = Arc::new(mailboxes);
-    let mut handles = Vec::with_capacity(n);
-    for (i, rx) in receivers.into_iter().enumerate() {
-        let pid = ProcessId(i as u32);
-        let shared = WorldShared {
-            spec: &spec,
-            net: &net,
-            msg_ids: &msg_ids,
-            call_ids: &call_ids,
-        };
-        let aspec = shared.actor_spec(pid, spec.behaviors[i].clone(), spec.is_client[i], true);
-        handles.push(
+    let lo = spec.local.start;
+    let (txs, rxs): (Vec<_>, Vec<_>) = spec.local.clone().map(|_| unbounded::<Wire>()).unzip();
+    let host = spec.into_host(|pid| Mailbox::Direct(txs[pid - lo].clone()));
+    let handles = rxs
+        .into_iter()
+        .zip(host.local.clone())
+        .map(|(rx, pid)| {
+            let aspec = host.actor_spec(pid, true);
+            let report = host.report.clone();
             std::thread::Builder::new()
-                .name(format!("opcsp-rt-{i}"))
-                .spawn(move || threaded_loop(aspec, rx))
-                .expect("spawn actor"),
-        );
-    }
-    Running {
-        net,
-        mode: Mode::Threaded(handles),
-    }
+                .name(format!("opcsp-rt-{pid}"))
+                .spawn(move || {
+                    contain(&report, aspec.pid, || threaded_loop(aspec, rx));
+                })
+                .expect("spawn actor")
+        })
+        .collect();
+    host.running(handles)
 }
 
 /// The thread-per-process actor loop: build the actor on the thread that
-/// will own it, run it until `Shutdown` (or a dropped inbox), report. Also
-/// the loop of every actor a socket worker hosts (`rt::sock`).
-pub(crate) fn threaded_loop(spec: ActorSpec, rx: Receiver<Wire>) {
+/// will own it, run it until `Shutdown` (or a dropped inbox), report.
+fn threaded_loop(spec: ActorSpec, rx: Receiver<Wire>) {
     let mut actor = ProcessActor::new(spec);
     actor.start();
     loop {
@@ -238,115 +314,51 @@ pub(crate) fn threaded_loop(spec: ActorSpec, rx: Receiver<Wire>) {
 // ---------------------------------------------------------------------------
 
 fn spawn_sharded(spec: WorldSpec, workers: usize) -> Running {
-    let n = spec.behaviors.len();
-    let workers = workers.min(n.max(1));
-    let mut shard_txs = Vec::with_capacity(workers);
-    let mut shard_rxs = Vec::with_capacity(workers);
-    for _ in 0..workers {
-        let (tx, rx) = unbounded::<(ProcessId, Wire)>();
-        shard_txs.push(tx);
-        shard_rxs.push(rx);
-    }
-    let net: Arc<Vec<Mailbox>> = Arc::new(
-        (0..n)
-            .map(|i| Mailbox::Shard {
-                pid: ProcessId(i as u32),
-                tx: shard_txs[i % workers].clone(),
-            })
-            .collect(),
-    );
-    // Shared, not per-worker: behaviors are cloned per-pid inside the
+    let lo = spec.local.start;
+    let workers = workers.min(spec.local.len().max(1));
+    let (txs, rxs): (Vec<_>, Vec<_>) = (0..workers)
+        .map(|_| unbounded::<(ProcessId, Wire)>())
+        .unzip();
+    // Shared, not per-worker: each actor is built from it inside the
     // owning worker (lazy construction — no O(N) coordinator-side spike).
-    let behaviors = Arc::new(spec.behaviors);
-    let is_client = Arc::new(spec.is_client);
-    let msg_ids = Arc::new(AtomicU64::new(0));
-    let call_ids = Arc::new(AtomicU64::new(0));
-    let mut handles = Vec::with_capacity(workers);
-    for (w, rx) in shard_rxs.into_iter().enumerate() {
-        let shard = ShardSpec {
-            worker: w,
-            workers,
-            n,
-            rx,
-            behaviors: behaviors.clone(),
-            is_client: is_client.clone(),
-            cfg: spec.cfg.clone(),
-            net: net.clone(),
-            delayer: spec.delayer.clone(),
-            report: spec.report.clone(),
-            start: spec.start,
-            msg_ids: msg_ids.clone(),
-            call_ids: call_ids.clone(),
-        };
-        handles.push(
+    let host = Arc::new(spec.into_host(|pid| Mailbox::Shard {
+        pid: ProcessId(pid as u32),
+        tx: txs[(pid - lo) % workers].clone(),
+    }));
+    let handles = rxs
+        .into_iter()
+        .enumerate()
+        .map(|(w, rx)| {
+            let host = host.clone();
             std::thread::Builder::new()
                 .name(format!("opcsp-shard-{w}"))
-                .spawn(move || shard_loop(shard))
-                .expect("spawn shard worker"),
-        );
-    }
-    Running {
-        net,
-        mode: Mode::Sharded(handles),
-    }
+                .spawn(move || shard_loop(&host, w, workers, rx))
+                .expect("spawn shard worker")
+        })
+        .collect();
+    host.running(handles)
 }
 
-struct ShardSpec {
-    worker: usize,
-    workers: usize,
-    n: usize,
-    rx: Receiver<(ProcessId, Wire)>,
-    behaviors: Arc<Vec<Arc<dyn Behavior>>>,
-    is_client: Arc<Vec<bool>>,
-    cfg: Arc<RtConfig>,
-    net: Arc<Vec<Mailbox>>,
-    delayer: Arc<Delayer<Wire>>,
-    report: Sender<Report>,
-    start: Instant,
-    msg_ids: Arc<AtomicU64>,
-    call_ids: Arc<AtomicU64>,
-}
-
-/// One worker: owns every actor with `pid % workers == worker`, mapped to
-/// slot `pid / workers`.
-fn shard_loop(s: ShardSpec) {
-    let my_pids: Vec<u32> = (s.worker..s.n).step_by(s.workers).map(|p| p as u32).collect();
+/// One worker: owns every local actor with `(pid - lo) % workers ==
+/// worker`, mapped to slot `(pid - lo) / workers`.
+fn shard_loop(host: &Host, worker: usize, workers: usize, rx: Receiver<(ProcessId, Wire)>) {
+    let lo = host.local.start;
+    let my_pids: Vec<usize> = (lo + worker..host.local.end).step_by(workers).collect();
     let slots = my_pids.len();
-    let mut actors: Vec<Option<ProcessActor>> = Vec::with_capacity(slots);
-    let mut finished = 0usize;
+    let pid_of = |slot: usize| ProcessId(my_pids[slot] as u32);
 
     // Construct + start each actor inside the worker, one panic boundary
     // each: a poisoned behavior takes out its actor, not the shard.
-    for &pid in &my_pids {
-        let aspec = ActorSpec {
-            pid: ProcessId(pid),
-            behavior: s.behaviors[pid as usize].clone(),
-            is_client: s.is_client[pid as usize],
-            cfg: s.cfg.clone(),
-            net: s.net.clone(),
-            delayer: s.delayer.clone(),
-            report: s.report.clone(),
-            start: s.start,
-            msg_ids: s.msg_ids.clone(),
-            call_ids: s.call_ids.clone(),
-            self_ticks: false,
-        };
-        match catch_unwind(AssertUnwindSafe(|| {
-            let mut a = ProcessActor::new(aspec);
-            a.start();
-            a
-        })) {
-            Ok(a) => actors.push(Some(a)),
-            Err(payload) => {
-                let _ = s.report.send(Report::Panicked {
-                    pid: ProcessId(pid),
-                    msg: panic_message(payload.as_ref()),
-                });
-                actors.push(None);
-                finished += 1;
-            }
-        }
-    }
+    let mut actors: Vec<Option<ProcessActor>> = (0..slots)
+        .map(|slot| {
+            contain(&host.report, pid_of(slot), || {
+                let mut a = ProcessActor::new(host.actor_spec(my_pids[slot], false));
+                a.start();
+                a
+            })
+        })
+        .collect();
+    let mut finished = actors.iter().filter(|a| a.is_none()).count();
 
     // Per-slot run queues: a batch drained from the shard inbox is
     // demultiplexed here, then each actor runs its whole queue
@@ -357,22 +369,22 @@ fn shard_loop(s: ShardSpec) {
     // other actor's traffic.
     let mut queues: Vec<VecDeque<Wire>> = (0..slots).map(|_| VecDeque::new()).collect();
     let mut run_queue: Vec<usize> = Vec::new();
-    let tick_every = crate::net::tick_interval_for(s.cfg.latency);
+    let tick_every = crate::net::tick_interval_for(host.cfg.latency);
     let mut tick_deadline = Instant::now() + tick_every;
 
     while finished < slots {
         let until_tick = tick_deadline.saturating_duration_since(Instant::now());
-        match s.rx.recv_timeout(until_tick) {
+        match rx.recv_timeout(until_tick) {
             Ok(item) => {
                 let mut enqueue = |(pid, w): (ProcessId, Wire)| {
-                    let slot = pid.0 as usize / s.workers;
+                    let slot = (pid.0 as usize - lo) / workers;
                     if queues[slot].is_empty() {
                         run_queue.push(slot);
                     }
                     queues[slot].push_back(w);
                 };
                 enqueue(item);
-                while let Ok(more) = s.rx.try_recv() {
+                while let Ok(more) = rx.try_recv() {
                     enqueue(more);
                 }
             }
@@ -381,13 +393,12 @@ fn shard_loop(s: ShardSpec) {
         }
 
         for slot in run_queue.drain(..) {
-            if actors[slot].is_none() {
-                queues[slot].clear();
-                continue;
-            }
             let queue = &mut queues[slot];
-            let actor = actors[slot].as_mut().unwrap();
-            let ran = catch_unwind(AssertUnwindSafe(|| {
+            let Some(actor) = actors[slot].as_mut() else {
+                queue.clear();
+                continue;
+            };
+            let shut_down = contain(&host.report, pid_of(slot), || {
                 while let Some(w) = queue.pop_front() {
                     match w {
                         Wire::Shutdown => return true,
@@ -395,33 +406,19 @@ fn shard_loop(s: ShardSpec) {
                     }
                 }
                 false
-            }));
-            match ran {
-                Ok(false) => {}
-                Ok(true) => {
-                    // Items queued behind Shutdown are discarded, exactly
-                    // as the threaded loop ignores its inbox after one.
-                    queues[slot].clear();
-                    let a = actors[slot].take().unwrap();
-                    let pid = ProcessId(my_pids[slot]);
-                    if let Err(payload) = catch_unwind(AssertUnwindSafe(|| a.finalize())) {
-                        let _ = s.report.send(Report::Panicked {
-                            pid,
-                            msg: panic_message(payload.as_ref()),
-                        });
-                    }
-                    finished += 1;
-                }
-                Err(payload) => {
-                    let _ = s.report.send(Report::Panicked {
-                        pid: ProcessId(my_pids[slot]),
-                        msg: panic_message(payload.as_ref()),
-                    });
-                    actors[slot] = None;
-                    queues[slot].clear();
-                    finished += 1;
-                }
+            });
+            if shut_down == Some(false) {
+                continue;
             }
+            // Shut down or dead. Items queued behind Shutdown are
+            // discarded, exactly as the threaded loop ignores its inbox
+            // after one.
+            queue.clear();
+            let actor = actors[slot].take().expect("checked above");
+            if shut_down == Some(true) {
+                contain(&host.report, pid_of(slot), || actor.finalize());
+            }
+            finished += 1;
         }
 
         // Worker-driven transport maintenance: one sweep over the shard,
@@ -429,19 +426,12 @@ fn shard_loop(s: ShardSpec) {
         // read per sweep).
         let now = Instant::now();
         if now >= tick_deadline {
-            for slot in 0..slots {
-                let Some(actor) = actors[slot].as_mut() else {
+            for (slot, cell) in actors.iter_mut().enumerate() {
+                let Some(actor) = cell.as_mut().filter(|a| a.wants_tick()) else {
                     continue;
                 };
-                if !actor.wants_tick() {
-                    continue;
-                }
-                if let Err(payload) = catch_unwind(AssertUnwindSafe(|| actor.tick_round(now))) {
-                    let _ = s.report.send(Report::Panicked {
-                        pid: ProcessId(my_pids[slot]),
-                        msg: panic_message(payload.as_ref()),
-                    });
-                    actors[slot] = None;
+                if contain(&host.report, pid_of(slot), || actor.tick_round(now)).is_none() {
+                    *cell = None;
                     finished += 1;
                 }
             }

@@ -10,6 +10,10 @@
 //! [`Executor::Threaded`] is thread-per-process, [`Executor::Sharded`] is
 //! an M:N worker pool that scales a world to 10k–100k processes. Their
 //! committed-log agreement is the correctness oracle for the scheduler.
+//! Executor and transport compose: `executor::spawn_world` hosts any pid
+//! range of a world, so a socket worker (DESIGN.md §13) runs its share
+//! under either executor, and one coordinator (`runtime::coordinate`)
+//! ends every run.
 //!
 //! The network is a two-layer transport (DESIGN.md §9): a seeded chaos
 //! layer ([`NetFaults`]: drops, duplicates, reordering, partitions)

@@ -30,15 +30,23 @@
 //! frame is unacked anywhere and no actor made progress between two
 //! consecutive rounds — before halting the actors, so in-flight commit
 //! waves (and their retransmissions) always land.
+//!
+//! That coordinator is one function, [`coordinate`] (DESIGN.md §9.2), for
+//! every transport and executor. `run_inproc` is `executor::spawn_world`
+//! on the whole pid range plus a call to it; the socket hub (`rt::sock`)
+//! is a handshake, a routing table and the same call. What the two hand
+//! it differs only in how a probe or a shutdown reaches the actors and in
+//! what there is to join afterwards ([`Hosts`]).
 
 use crate::core_poll::Report;
-use crate::executor::{self, Executor, Mode, Running, WorldSpec};
-use crate::net::{Delayer, NetFaults, Wire};
+use crate::executor::{self, Executor, WorldSpec};
+use crate::net::NetFaults;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError};
 use opcsp_core::{CoreConfig, DataKind, ProcessId, ProtoStats, Telemetry, Value};
 use opcsp_sim::{Behavior, ObsKind, Observable};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Runtime configuration.
@@ -231,211 +239,213 @@ impl RtWorld {
         }
     }
 
+    /// The pids whose completion ends the run.
+    pub(crate) fn clients(&self) -> BTreeSet<ProcessId> {
+        (0..self.behaviors.len())
+            .filter(|i| self.is_client[*i])
+            .map(|i| ProcessId(i as u32))
+            .collect()
+    }
+
     fn run_inproc(self) -> RtResult {
         let n = self.behaviors.len();
+        let clients = self.clients();
         let cfg = Arc::new(self.cfg);
-        let delayer: Arc<Delayer<Wire>> = Arc::new(Delayer::spawn());
-        let (report_tx, report_rx) = unbounded::<Report>();
-        let clients: Vec<ProcessId> = self
-            .is_client
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| **c)
-            .map(|(i, _)| ProcessId(i as u32))
-            .collect();
-
+        let (report, reports) = unbounded::<Report>();
         let start = Instant::now();
         let world = executor::spawn_world(WorldSpec {
             behaviors: self.behaviors,
             is_client: self.is_client,
             cfg: cfg.clone(),
-            delayer: delayer.clone(),
-            report: report_tx,
+            report,
             start,
+            local: 0..n,
+            id_base: 0,
+            remote: None,
         });
-        let mut coord = Coord {
-            rx: report_rx,
-            panics: BTreeMap::new(),
-            dead: BTreeSet::new(),
-        };
+        coordinate(world, reports, n, clients, &cfg, start)
+    }
+}
 
-        // Phase 1 — wait for every client to finish. `AllExited` means
-        // every executor thread exited (all report senders dropped): that
-        // is a panic wave, not a timeout, and is reported as such.
-        let deadline = start + cfg.run_timeout;
-        let mut waiting: BTreeSet<ProcessId> = clients.into_iter().collect();
-        let mut timed_out = false;
-        let mut all_dead = false;
-        while !waiting.is_empty() {
-            // A dead client will never report done — waiting for it would
-            // stall the whole run until `run_timeout`.
-            waiting.retain(|p| !coord.dead.contains(p));
-            if waiting.is_empty() {
+/// What [`coordinate`] drives: whatever is running the world's actors.
+/// The two implementations are all the in-proc runtime and the socket hub
+/// differ in — how a signal reaches every actor, and what is left to join
+/// when the run is over. Everything else (the phases, their deadlines,
+/// how a death is learnt, what the result says) is [`coordinate`].
+pub(crate) trait Hosts {
+    /// Ask every live actor for a `Report::Quiet` carrying `round`.
+    fn probe(&self, round: u64);
+    /// Tell every actor to send its `Report::Final` and stop.
+    fn shutdown(&self);
+    /// Join what ran the world, waiting no longer than `deadline`; what
+    /// is still running then is detached.
+    fn reap(self, deadline: Instant);
+}
+
+/// How long the end of a run (final reports, joins) may take: derived
+/// from `run_timeout`, so a stuck actor cannot hang the harness.
+pub(crate) fn join_budget(cfg: &RtConfig) -> Duration {
+    (cfg.run_timeout / 8)
+        .max(Duration::from_millis(100))
+        .min(Duration::from_secs(5))
+}
+
+/// Join `h` if it finishes by `deadline`; otherwise detach it (the thread
+/// leaks, the harness survives) and return false.
+pub(crate) fn join_by(h: JoinHandle<()>, deadline: Instant) -> bool {
+    while !h.is_finished() && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let finished = h.is_finished();
+    if finished {
+        // Actor panics are contained and reported where they happen; an
+        // `Err` here has nothing more to tell.
+        let _ = h.join();
+    }
+    finished
+}
+
+/// The coordinator, for every transport and executor: run an `n`-process
+/// world hosted by `hosts`, whose actors answer on `reports`, to
+/// completion or `cfg.run_timeout` (counted from `start`).
+pub(crate) fn coordinate(
+    hosts: impl Hosts,
+    reports: Receiver<Report>,
+    n: usize,
+    clients: BTreeSet<ProcessId>,
+    cfg: &RtConfig,
+    start: Instant,
+) -> RtResult {
+    let mut coord = Coord {
+        rx: reports,
+        panics: BTreeMap::new(),
+        dead: BTreeSet::new(),
+    };
+
+    // Phase 1 — wait for every client to finish. A death is a wake-up
+    // (`Step::Died`): a dead client will never report done, and waiting
+    // for it would stall the run until `run_timeout`. `AllExited` means
+    // every report sender is gone: that is a panic wave, not a timeout,
+    // and is reported as such.
+    let deadline = start + cfg.run_timeout;
+    let mut waiting = clients;
+    let mut timed_out = false;
+    let mut all_dead = false;
+    loop {
+        waiting.retain(|p| !coord.dead.contains(p));
+        if waiting.is_empty() {
+            break;
+        }
+        match coord.recv_deadline(deadline) {
+            Step::Got(Report::ClientDone(pid)) => {
+                waiting.remove(&pid);
+            }
+            Step::Got(_) | Step::Died => {}
+            Step::DeadlineHit => {
+                timed_out = true;
                 break;
             }
-            match coord.recv_deadline(deadline) {
-                Step::Got(Report::ClientDone(pid)) => {
-                    waiting.remove(&pid);
-                }
-                Step::Got(_) => {}
-                Step::DeadlineHit => {
-                    timed_out = true;
-                    break;
-                }
-                Step::AllExited => {
-                    all_dead = true;
-                    break;
-                }
+            Step::AllExited => {
+                all_dead = true;
+                break;
             }
         }
+    }
 
-        // Phase 2 — drain the network to quiescence before halting anyone:
-        // in-flight commit waves (and, under chaos, their retransmissions)
-        // must land, or server committed logs get truncated. A fixed grace
-        // sleep cannot bound that; probe rounds can.
-        if !timed_out && !all_dead && !drain_to_quiescence(&world, &mut coord, deadline) {
-            timed_out = true;
-        }
+    // Phase 2 — drain the network to quiescence before halting anyone:
+    // in-flight commit waves (and, under chaos, their retransmissions)
+    // must land, or server committed logs get truncated. A fixed grace
+    // sleep cannot bound that; probe rounds can.
+    if !timed_out && !all_dead && !drain_to_quiescence(&hosts, n, &mut coord, deadline) {
+        timed_out = true;
+    }
 
-        for mb in world.net.iter() {
-            let _ = mb.send(Wire::Shutdown);
-        }
+    hosts.shutdown();
 
-        // Phase 3 — collect final reports, bounded by a deadline derived
-        // from `run_timeout` (a stuck actor must not hang the harness).
-        // Dead (panicked) actors never report a final.
-        let join_budget = (cfg.run_timeout / 8)
-            .max(Duration::from_millis(100))
-            .min(Duration::from_secs(5));
-        let collect_deadline = Instant::now() + join_budget;
-        let mut stats = RtStats::default();
-        let mut logs = BTreeMap::new();
-        let mut external = Vec::new();
-        let mut telemetry = Telemetry::new(cfg.telemetry);
-        let mut finals = 0;
-        while finals < n - coord.dead.len() {
-            match coord.recv_deadline(collect_deadline) {
-                Step::Got(Report::Final(f)) => {
-                    stats.merge(&f.stats);
-                    logs.insert(f.pid, f.log);
-                    for v in f.external {
-                        external.push((f.pid, v));
-                    }
-                    telemetry.absorb(f.events);
-                    finals += 1;
+    // Phase 3 — collect final reports, on a budget. Dead (panicked)
+    // actors never report a final.
+    let collect_deadline = Instant::now() + join_budget(cfg);
+    let mut stats = RtStats::default();
+    let mut logs = BTreeMap::new();
+    let mut external = Vec::new();
+    let mut telemetry = Telemetry::new(cfg.telemetry);
+    while logs.len() < n - coord.dead.len() {
+        match coord.recv_deadline(collect_deadline) {
+            Step::Got(Report::Final(f)) => {
+                stats.merge(&f.stats);
+                logs.insert(f.pid, f.log);
+                for v in f.external {
+                    external.push((f.pid, v));
                 }
-                Step::Got(_) => {}
-                Step::DeadlineHit | Step::AllExited => break,
+                telemetry.absorb(f.events);
             }
+            Step::Got(_) | Step::Died => {}
+            Step::DeadlineHit | Step::AllExited => break,
         }
+    }
 
-        // Phase 4 — join executor threads with the same deadline; report
-        // stragglers instead of deadlocking, and attribute panics.
-        let mut stragglers = Vec::new();
-        match world.mode {
-            Mode::Threaded(handles) => {
-                // Thread-per-process: a panic is discovered at join (the
-                // thread died), a straggler is a thread still running.
-                for (i, h) in handles.into_iter().enumerate() {
-                    let pid = ProcessId(i as u32);
-                    while !h.is_finished() && Instant::now() < collect_deadline {
-                        std::thread::sleep(Duration::from_millis(1));
-                    }
-                    if h.is_finished() {
-                        if let Err(payload) = h.join() {
-                            coord.dead.insert(pid);
-                            coord
-                                .panics
-                                .insert(pid, executor::panic_message(payload.as_ref()));
-                        }
-                    } else {
-                        // Detach: the thread leaks, but the harness survives.
-                        stragglers.push(pid);
-                    }
-                }
-            }
-            Mode::Sharded(workers) => {
-                // Workers caught per-actor panics and reported them (all
-                // absorbed into `coord` by now). A wedged worker is
-                // detached; every actor it still owned — no final report,
-                // no reported panic — is a straggler.
-                for h in workers {
-                    while !h.is_finished() && Instant::now() < collect_deadline {
-                        std::thread::sleep(Duration::from_millis(1));
-                    }
-                    if h.is_finished() {
-                        let _ = h.join();
-                    }
-                }
-                for i in 0..n {
-                    let pid = ProcessId(i as u32);
-                    if !logs.contains_key(&pid) && !coord.dead.contains(&pid) {
-                        stragglers.push(pid);
-                    }
-                }
-            }
-        }
-        let wall = start.elapsed();
-        RtResult {
-            wall,
-            stats,
-            logs,
-            external,
-            timed_out,
-            panicked: coord.dead.into_iter().collect(),
-            panics: coord.panics,
-            stragglers,
-            telemetry,
-        }
+    // Phase 4 — reap on the same deadline. Every panic was caught where
+    // it happened and has been reported, so whoever neither sent a final
+    // nor died was still running: a straggler, not a deadlock.
+    hosts.reap(collect_deadline);
+    let stragglers = (0..n as u32)
+        .map(ProcessId)
+        .filter(|p| !logs.contains_key(p) && !coord.dead.contains(p))
+        .collect();
+    RtResult {
+        wall: start.elapsed(),
+        stats,
+        logs,
+        external,
+        timed_out,
+        panicked: coord.dead.into_iter().collect(),
+        panics: coord.panics,
+        stragglers,
+        telemetry,
     }
 }
 
 /// Coordinator-side receive state: one deadline-driven helper shared by
 /// every phase (client wait, drain rounds, final collection), so they all
-/// derive the remaining timeout identically and none can spin on a
-/// zero-duration `recv_timeout` near the deadline. `Panicked` reports are
-/// absorbed here — every phase learns about actor deaths the same way.
-pub(crate) struct Coord {
-    pub(crate) rx: Receiver<Report>,
+/// derive the remaining timeout identically, none can spin on a
+/// zero-duration `recv_timeout` near the deadline, and every phase learns
+/// about actor deaths the same way.
+struct Coord {
+    rx: Receiver<Report>,
     /// Panic payloads, attributed to pids.
-    pub(crate) panics: BTreeMap<ProcessId, String>,
-    /// Actors known dead (panicked): they answer no probe and send no
-    /// final report.
-    pub(crate) dead: BTreeSet<ProcessId>,
+    panics: BTreeMap<ProcessId, String>,
+    /// Actors known dead (panicked, or lost with their worker): they
+    /// answer no probe and send no final report.
+    dead: BTreeSet<ProcessId>,
 }
 
-pub(crate) enum Step {
-    /// A report other than `Panicked` (those are absorbed into `Coord`).
+enum Step {
+    /// A report other than `Panicked`.
     Got(Report),
+    /// A `Panicked` report, already recorded in `dead` / `panics`. Handed
+    /// back rather than swallowed because a death can be the very thing a
+    /// phase is (unknowingly) waiting for.
+    Died,
     DeadlineHit,
-    /// Every executor thread exited and dropped its report sender.
+    /// Every host exited and dropped its report sender.
     AllExited,
 }
 
 impl Coord {
-    pub(crate) fn new(rx: Receiver<Report>) -> Coord {
-        Coord {
-            rx,
-            panics: BTreeMap::new(),
-            dead: BTreeSet::new(),
+    fn recv_deadline(&mut self, deadline: Instant) -> Step {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Step::DeadlineHit;
         }
-    }
-
-    pub(crate) fn recv_deadline(&mut self, deadline: Instant) -> Step {
-        loop {
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                return Step::DeadlineHit;
+        match self.rx.recv_timeout(left) {
+            Ok(Report::Panicked { pid, msg }) => {
+                self.dead.insert(pid);
+                self.panics.insert(pid, msg);
+                Step::Died
             }
-            match self.rx.recv_timeout(left) {
-                Ok(Report::Panicked { pid, msg }) => {
-                    self.dead.insert(pid);
-                    self.panics.insert(pid, msg);
-                }
-                Ok(r) => return Step::Got(r),
-                Err(RecvTimeoutError::Timeout) => return Step::DeadlineHit,
-                Err(RecvTimeoutError::Disconnected) => return Step::AllExited,
-            }
+            Ok(r) => Step::Got(r),
+            Err(RecvTimeoutError::Timeout) => Step::DeadlineHit,
+            Err(RecvTimeoutError::Disconnected) => Step::AllExited,
         }
     }
 }
@@ -445,31 +455,14 @@ impl Coord {
 /// moved between two consecutive complete rounds — i.e. nothing is in
 /// flight and nothing happened, anywhere, between the two snapshots.
 /// Returns false if `deadline` expires first.
-fn drain_to_quiescence(world: &Running, coord: &mut Coord, deadline: Instant) -> bool {
-    drain_rounds(
-        coord,
-        deadline,
-        |dead| world.live_pids(dead),
-        |round, live| {
-            for i in live {
-                let _ = world.net[*i].send(Wire::Probe(round));
-            }
-        },
-    )
-}
-
-/// Transport-agnostic core of the quiescence drain: `live` reports the
-/// pids that can still answer a probe (given the coordinator's dead set),
-/// `probe` broadcasts round `r` to them. The in-proc runtime probes
-/// mailboxes directly; the socket parent (`rt::sock`) writes probe frames
-/// to worker connections and lets each worker fan out locally. The
-/// quiescence criterion is identical either way.
-pub(crate) fn drain_rounds(
-    coord: &mut Coord,
-    deadline: Instant,
-    mut live: impl FnMut(&BTreeSet<ProcessId>) -> Vec<usize>,
-    mut probe: impl FnMut(u64, &[usize]),
-) -> bool {
+fn drain_to_quiescence(hosts: &impl Hosts, n: usize, coord: &mut Coord, deadline: Instant) -> bool {
+    // Who can still answer a probe: everyone not known dead.
+    let live = |dead: &BTreeSet<ProcessId>| -> Vec<ProcessId> {
+        (0..n as u32)
+            .map(ProcessId)
+            .filter(|p| !dead.contains(p))
+            .collect()
+    };
     let mut prev: Option<Vec<(ProcessId, u64, u64, u64)>> = None;
     let mut stable_rounds: u32 = 0;
     let mut round: u64 = 0;
@@ -483,7 +476,7 @@ pub(crate) fn drain_rounds(
             // Everyone already exited (panic wave): nothing left to drain.
             return true;
         }
-        probe(round, &live_pids);
+        hosts.probe(round);
         let mut replies: BTreeMap<ProcessId, (u64, u64, u64)> = BTreeMap::new();
         let round_deadline = (Instant::now() + Duration::from_millis(200)).min(deadline);
         while replies.len() < live_pids.len() {
@@ -497,7 +490,7 @@ pub(crate) fn drain_rounds(
                 }) if r == round => {
                     replies.insert(pid, (sent, delivered, unacked));
                 }
-                Step::Got(_) => {}
+                Step::Got(_) | Step::Died => {}
                 Step::DeadlineHit => break,
                 Step::AllExited => return true,
             }
@@ -505,10 +498,7 @@ pub(crate) fn drain_rounds(
         // Re-derive liveness: an actor that died mid-round must not block
         // completeness forever.
         let live_now = live(&coord.dead);
-        let complete = !live_now.is_empty()
-            && live_now
-                .iter()
-                .all(|i| replies.contains_key(&ProcessId(*i as u32)));
+        let complete = !live_now.is_empty() && live_now.iter().all(|p| replies.contains_key(p));
         let unacked: u64 = replies.values().map(|v| v.2).sum();
         let counters: Vec<(ProcessId, u64, u64, u64)> =
             replies.iter().map(|(p, v)| (*p, v.0, v.1, v.2)).collect();

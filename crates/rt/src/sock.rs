@@ -1,15 +1,21 @@
 //! Multi-process socket transport (DESIGN.md §13).
 //!
 //! [`RtTransport::Socket`] splits a world's pid space across separate OS
-//! processes connected over TCP or a Unix-domain socket. One process is
-//! the **parent** (hub): it binds the listener, validates the worker
-//! handshake, routes frames between workers, and runs the same
-//! coordinator phases as the in-proc runtime (client wait → quiescence
-//! drain → shutdown → final collection). Each **worker** owns a
-//! contiguous pid range and hosts those actors on OS threads exactly like
-//! the threaded executor; envelopes leaving the range are serialized with
-//! the binary frame codec (`core::wire::encode_frame`) and shipped
-//! through the parent.
+//! processes connected over TCP or a Unix-domain socket. This module is
+//! the framing and the two roles' plumbing; it hosts no actor and
+//! coordinates nothing itself.
+//!
+//! One process is the **parent** (hub): it binds the listener, validates
+//! the worker handshake, builds the pid → connection routing table, starts
+//! one reader per connection, and hands the run to the same
+//! `runtime::coordinate` the in-proc runtime calls — as a `Hosts` whose
+//! probe and shutdown are `SockMsg`s on the worker connections and whose
+//! reap joins the readers. Each **worker** owns a contiguous pid range
+//! and is `executor::spawn_world` on that tile — under whichever
+//! [`RtConfig::executor`] says, exactly as in-proc — plus framing:
+//! envelopes leaving the range are serialized with the binary frame codec
+//! (`core::wire::encode_frame`) and shipped through the parent, the
+//! parent's stream is demultiplexed into the local world.
 //!
 //! The reliable sublayer ([`crate::net::Transport`]) and the chaos layer
 //! run *inside each actor*, unchanged: the socket only replaces the
@@ -23,35 +29,40 @@
 //! cap as envelope frames). Handshake: each worker connects and sends
 //! `Hello{index, workers, n, lo, hi}` claiming the pid range `lo..hi`;
 //! the parent verifies the ranges tile `0..n` exactly and broadcasts
-//! `Start`. Failure semantics: a connection that reaches EOF without a
-//! prior `Bye` is a crashed worker — every pid it owned that has not
-//! produced a final report is recorded as panicked ("worker connection
-//! lost"). Malformed messages are treated as connection loss, never a
-//! panic. Telemetry event streams are not shipped over the socket
+//! `Start`. Failure semantics: an actor that panics is reported by its
+//! worker like any other (`Report::Panicked`); a connection that reaches
+//! EOF without a prior `Bye` is a crashed worker — every pid it owned
+//! that has not produced a final report is recorded as panicked ("worker
+//! connection lost"). Malformed messages are treated as connection loss,
+//! never a panic. Telemetry event streams are not shipped over the socket
 //! (documented limitation): `RtResult::telemetry` is empty under this
 //! transport.
 
-use crate::core_poll::{ActorSpec, FinalReport, Report};
-use crate::net::{Delayer, Frame, Mailbox, Payload, Wire};
-use crate::runtime::{drain_rounds, Coord, RtResult, RtStats, RtWorld, Step};
+use crate::core_poll::{FinalReport, Report};
+use crate::executor::{spawn_world, WorldSpec};
+use crate::net::{Frame, Payload};
+use crate::runtime::{
+    coordinate, join_budget, join_by, Hosts, RtConfig, RtResult, RtStats, RtWorld,
+};
 use crossbeam::channel::{unbounded, Receiver, Sender};
+#[cfg(test)]
+use opcsp_core::Value;
 use opcsp_core::{
     decode_control_frame, decode_frame, encode_control_frame, encode_frame, get_value,
     parse_frame_len, put_uvarint, put_value, seal_frame_len, FrameError, FrameReader, ProcessId,
     Telemetry, FRAME_VERSION,
 };
-#[cfg(test)]
-use opcsp_core::Value;
 use opcsp_sim::{ObsKind, Observable};
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::ops::Range;
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::AtomicU64;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Where the world's processes physically live (DESIGN.md §13).
@@ -764,48 +775,85 @@ fn empty_result(start: Instant, timed_out: bool) -> RtResult {
 // ---------------------------------------------------------------------------
 
 /// Per-connection reader shared state the parent consults after the run.
+#[derive(Default)]
 struct ConnState {
     /// Pids whose `Final` or `Panicked` already crossed this connection —
     /// an EOF-without-`Bye` must not re-report those as crashed.
     reported: Mutex<BTreeSet<ProcessId>>,
-    saw_bye: std::sync::atomic::AtomicBool,
+    saw_bye: AtomicBool,
 }
 
-fn run_parent(world: RtWorld, addr: &SockAddr, workers: usize) -> RtResult {
-    let n = world.behaviors.len();
-    let cfg = world.cfg;
-    let start = Instant::now();
-    let deadline = start + cfg.run_timeout;
-    let workers = workers.max(1).min(n.max(1));
+type Writer = Arc<Mutex<SockStream>>;
 
-    let listener = match SockListener::bind(addr) {
-        Ok(l) => l,
-        Err(e) => {
-            eprintln!("rt::sock parent: bind {addr}: {e}");
-            return empty_result(start, true);
+/// The hub as the coordinator sees it ([`Hosts`]): signals fan out as
+/// messages on the worker connections (each worker fans them out to its
+/// local actors), and what is left to join at the end is the connection
+/// readers, which exit on `Bye` or EOF.
+struct Hub {
+    /// By worker index; `None` is a worker lost in the handshake.
+    writers: Vec<Option<Writer>>,
+    readers: Vec<(usize, JoinHandle<()>, Arc<ConnState>)>,
+}
+
+impl Hub {
+    fn broadcast(&self, m: &SockMsg) {
+        for wr in self.writers.iter().flatten() {
+            // A broken connection is the reader's to report: it sees the
+            // same EOF and attributes the pid range.
+            let _ = write_msg(wr, m);
         }
-    };
+    }
+}
 
-    // Handshake: accept every worker, read its Hello, and check that the
-    // claimed ranges tile 0..n exactly — a version-skewed or misnumbered
-    // worker is caught here, before any actor runs. A connection that dies
-    // mid-handshake (EOF, I/O error, or garbage before a well-formed
-    // Hello) is a crashed *worker*, not a lost world: its slot stays
-    // empty, the pid range it would have owned is attributed as panicked
-    // below, and the surviving workers still run and drain to quiescence.
+impl Hosts for Hub {
+    fn probe(&self, round: u64) {
+        self.broadcast(&SockMsg::Probe(round));
+    }
+
+    fn shutdown(&self) {
+        self.broadcast(&SockMsg::Shutdown);
+    }
+
+    fn reap(self, deadline: Instant) {
+        for (w, h, state) in self.readers {
+            if !join_by(h, deadline) {
+                // A wedged connection: its unreported pids are stragglers,
+                // not crashes. Closing the socket lets the detached reader
+                // exit.
+                state.saw_bye.store(true, Ordering::Relaxed);
+                if let Some(wr) = &self.writers[w] {
+                    wr.lock().unwrap_or_else(|p| p.into_inner()).shutdown();
+                }
+            }
+        }
+    }
+}
+
+/// Accept `workers` connections and read each one's `Hello`, checking
+/// that the claimed ranges tile `0..n` exactly — a version-skewed or
+/// misnumbered worker is caught here, before any actor runs. A connection
+/// that dies mid-handshake (EOF, I/O error, or garbage before a
+/// well-formed Hello) is a crashed *worker*, not a lost world: its slot
+/// stays `None`. A well-formed but *wrong* Hello is config/version skew:
+/// every worker was launched from the same spec, so the whole world is
+/// suspect and the result is `None`.
+fn handshake(
+    listener: &SockListener,
+    workers: usize,
+    n: usize,
+    deadline: Instant,
+) -> Option<Vec<Option<SockStream>>> {
     let mut conns: Vec<Option<SockStream>> = (0..workers).map(|_| None).collect();
-    let mut accepted = 0usize;
-    while accepted < workers {
+    for _ in 0..workers {
         let mut s = match listener.accept_deadline(deadline) {
             Ok(s) => s,
             Err(e) => {
-                // A worker died before it ever connected: stop waiting and
-                // attribute every still-unclaimed slot.
+                // A worker died before it ever connected: stop waiting;
+                // every still-unclaimed slot gets attributed.
                 eprintln!("rt::sock parent: accept: {e}");
                 break;
             }
         };
-        accepted += 1;
         let _ = s.set_read_timeout(Some(Duration::from_secs(5)));
         let hello = read_msg(&mut s);
         let _ = s.set_read_timeout(None);
@@ -826,15 +874,12 @@ fn run_parent(world: RtWorld, addr: &SockAddr, workers: usize) -> RtResult {
                     && hi as usize == want_hi
                     && conns[idx.min(workers - 1)].is_none();
                 if !ok {
-                    // A well-formed but *wrong* Hello is config/version
-                    // skew, not a crash: every worker was launched from
-                    // the same spec, so the whole world is suspect.
                     eprintln!(
                         "rt::sock parent: bad hello (index {index}, workers {w}, n {wn}, \
                          range {lo}..{hi}; expected workers {workers}, n {n}, \
                          range {want_lo}..{want_hi})"
                     );
-                    return empty_result(start, true);
+                    return None;
                 }
                 conns[idx] = Some(s);
             }
@@ -846,290 +891,163 @@ fn run_parent(world: RtWorld, addr: &SockAddr, workers: usize) -> RtResult {
             }
         }
     }
+    Some(conns)
+}
 
-    // pid → owning connection index, derived from the contiguous tiling.
+fn run_parent(world: RtWorld, addr: &SockAddr, workers: usize) -> RtResult {
+    let n = world.behaviors.len();
+    let clients = world.clients();
+    // Telemetry stops at the socket (module doc): finals arrive without
+    // their events, so the hub collects none.
+    let cfg = RtConfig {
+        telemetry: false,
+        ..world.cfg
+    };
+    let start = Instant::now();
+    let workers = workers.max(1).min(n.max(1));
+
+    let listener = match SockListener::bind(addr) {
+        Ok(l) => l,
+        Err(e) => {
+            eprintln!("rt::sock parent: bind {addr}: {e}");
+            return empty_result(start, true);
+        }
+    };
+    let Some(conns) = handshake(&listener, workers, n, start + cfg.run_timeout) else {
+        return empty_result(start, true);
+    };
+
+    // Split every live connection into a shared writer half and a reader
+    // half *before* spawning any reader: a reader routes frames to
+    // arbitrary sibling writers, so it must capture the complete table.
+    // Dead slots stay `None` — frames routed to them are dropped (their
+    // owners are dead).
+    let mut writers: Vec<Option<Writer>> = Vec::with_capacity(workers);
+    let mut reader_streams: Vec<Option<SockStream>> = Vec::with_capacity(workers);
+    for (w, conn) in conns.into_iter().enumerate() {
+        let halves = conn.and_then(|conn| match conn.try_clone() {
+            Ok(r) => Some((Arc::new(Mutex::new(conn)), r)),
+            Err(e) => {
+                eprintln!("rt::sock parent: clone conn {w}: {e} (treating worker as lost)");
+                None
+            }
+        });
+        let (writer, reader) = halves.unzip();
+        writers.push(writer);
+        reader_streams.push(reader);
+    }
+    // Routing table: pid → owning connection, from the contiguous tiling.
     let owner: Vec<usize> = (0..workers)
         .flat_map(|w| {
             let (lo, hi) = worker_range(w, workers, n);
             std::iter::repeat_n(w, hi - lo)
         })
         .collect();
-
-    // Split every live connection into a shared writer half and a reader
-    // half *before* spawning any reader: a reader routes frames to
-    // arbitrary sibling writers, so it must capture the complete table.
-    // Dead slots stay `None` — frames routed to them are dropped (their
-    // owners are dead), and their pid ranges are attributed right below.
-    let (report_tx, report_rx) = unbounded::<Report>();
-    let mut writers: Vec<Option<Arc<Mutex<SockStream>>>> = Vec::with_capacity(workers);
-    let mut reader_streams: Vec<Option<SockStream>> = Vec::with_capacity(workers);
-    for (w, conn) in conns.into_iter().enumerate() {
-        let Some(conn) = conn else {
-            writers.push(None);
-            reader_streams.push(None);
-            continue;
-        };
-        match conn.try_clone() {
-            Ok(r) => {
-                reader_streams.push(Some(r));
-                writers.push(Some(Arc::new(Mutex::new(conn))));
-            }
-            Err(e) => {
-                eprintln!("rt::sock parent: clone conn {w}: {e} (treating worker as lost)");
-                reader_streams.push(None);
-                writers.push(None);
-            }
-        }
-    }
-    for (w, wr) in writers.iter().enumerate() {
-        if wr.is_none() {
-            let (lo, hi) = worker_range(w, workers, n);
+    let (report_tx, reports) = unbounded::<Report>();
+    let mut readers = Vec::with_capacity(workers);
+    for (w, reader) in reader_streams.into_iter().enumerate() {
+        let (lo, hi) = worker_range(w, workers, n);
+        let Some(reader) = reader else {
             for pid in lo..hi {
                 let _ = report_tx.send(Report::Panicked {
                     pid: ProcessId(pid as u32),
                     msg: format!("worker connection {w} lost during handshake"),
                 });
             }
-        }
-    }
-    let mut states: Vec<Option<Arc<ConnState>>> = Vec::with_capacity(workers);
-    let mut readers: Vec<(usize, std::thread::JoinHandle<()>)> = Vec::with_capacity(workers);
-    for (w, reader) in reader_streams.into_iter().enumerate() {
-        let Some(reader) = reader else {
-            states.push(None);
             continue;
         };
-        let state = Arc::new(ConnState {
-            reported: Mutex::new(BTreeSet::new()),
-            saw_bye: std::sync::atomic::AtomicBool::new(false),
-        });
-        states.push(Some(state.clone()));
-        let owner = owner.clone();
-        let all_writers = writers.clone();
-        let tx = report_tx.clone();
-        let (lo, hi) = worker_range(w, workers, n);
-        readers.push((
-            w,
-            std::thread::Builder::new()
-                .name(format!("opcsp-sock-conn-{w}"))
-                .spawn(move || {
-                    parent_reader(reader, w, owner, all_writers, tx, state, lo, hi)
-                })
-                .expect("spawn parent reader"),
-        ));
+        let state = Arc::new(ConnState::default());
+        let conn = Conn {
+            index: w,
+            owner: owner.clone(),
+            writers: writers.clone(),
+            report: report_tx.clone(),
+            state: state.clone(),
+            pids: lo..hi,
+        };
+        let handle = std::thread::Builder::new()
+            .name(format!("opcsp-sock-conn-{w}"))
+            .spawn(move || parent_reader(reader, conn))
+            .expect("spawn parent reader");
+        readers.push((w, handle, state));
     }
     drop(report_tx);
 
-    for (w, wr) in writers.iter().enumerate() {
-        let Some(wr) = wr else { continue };
-        if let Err(e) = write_msg(wr, &SockMsg::Start) {
-            // The connection broke between the handshake and Start: the
-            // reader thread sees the same EOF and attributes the range.
-            eprintln!("rt::sock parent: start conn {w}: {e}");
-        }
-    }
-
-    // Phase 1 — wait for every client (same criterion as in-proc).
-    let clients: BTreeSet<ProcessId> = world
-        .is_client
-        .iter()
-        .enumerate()
-        .filter(|(_, c)| **c)
-        .map(|(i, _)| ProcessId(i as u32))
-        .collect();
-    let mut coord = Coord::new(report_rx);
-    let mut waiting = clients;
-    let mut timed_out = false;
-    let mut all_dead = false;
-    while !waiting.is_empty() {
-        // A dead client will never report done — waiting for it would
-        // stall the whole run until `run_timeout`.
-        waiting.retain(|p| !coord.dead.contains(p));
-        if waiting.is_empty() {
-            break;
-        }
-        // Wait in short slices: deaths are absorbed silently inside
-        // `recv_deadline`, so if every remaining client just died and no
-        // further report is coming, a full-deadline wait would stall here.
-        let slice = (Instant::now() + Duration::from_millis(50)).min(deadline);
-        match coord.recv_deadline(slice) {
-            Step::Got(Report::ClientDone(pid)) => {
-                waiting.remove(&pid);
-            }
-            Step::Got(_) => {}
-            Step::DeadlineHit => {
-                if Instant::now() >= deadline {
-                    timed_out = true;
-                    break;
-                }
-            }
-            Step::AllExited => {
-                all_dead = true;
-                break;
-            }
-        }
-    }
-
-    // Phase 2 — drain to quiescence: probe frames go to the worker
-    // connections; each worker fans the round out to its local actors.
-    if !timed_out && !all_dead {
-        let quiesced = drain_rounds(
-            &mut coord,
-            deadline,
-            |dead| (0..n).filter(|i| !dead.contains(&ProcessId(*i as u32))).collect(),
-            |round, _live| {
-                for wr in writers.iter().flatten() {
-                    let _ = write_msg(wr, &SockMsg::Probe(round));
-                }
-            },
-        );
-        if !quiesced {
-            timed_out = true;
-        }
-    }
-
-    for wr in writers.iter().flatten() {
-        let _ = write_msg(wr, &SockMsg::Shutdown);
-    }
-
-    // Phase 3 — collect finals, same budget derivation as in-proc.
-    let join_budget = (cfg.run_timeout / 8)
-        .max(Duration::from_millis(100))
-        .min(Duration::from_secs(5));
-    let collect_deadline = Instant::now() + join_budget;
-    let mut stats = RtStats::default();
-    let mut logs = BTreeMap::new();
-    let mut external = Vec::new();
-    let mut finals = 0;
-    while finals < n - coord.dead.len() {
-        match coord.recv_deadline(collect_deadline) {
-            Step::Got(Report::Final(f)) => {
-                stats.merge(&f.stats);
-                logs.insert(f.pid, f.log);
-                for v in f.external {
-                    external.push((f.pid, v));
-                }
-                finals += 1;
-            }
-            Step::Got(_) => {}
-            Step::DeadlineHit | Step::AllExited => break,
-        }
-    }
-
-    // Phase 4 — reap reader threads (they exit on Bye or EOF); a wedged
-    // connection is detached, and its unreported pids become stragglers.
-    for (w, h) in readers {
-        while !h.is_finished() && Instant::now() < collect_deadline {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        if h.is_finished() {
-            let _ = h.join();
-        } else {
-            if let Some(state) = &states[w] {
-                state.saw_bye.store(true, std::sync::atomic::Ordering::Relaxed);
-            }
-            if let Some(wr) = &writers[w] {
-                wr.lock().unwrap_or_else(|p| p.into_inner()).shutdown();
-            }
-        }
-    }
-    let mut stragglers = Vec::new();
-    for i in 0..n {
-        let pid = ProcessId(i as u32);
-        if !logs.contains_key(&pid) && !coord.dead.contains(&pid) {
-            stragglers.push(pid);
-        }
-    }
+    let hub = Hub { writers, readers };
+    hub.broadcast(&SockMsg::Start);
+    let result = coordinate(hub, reports, n, clients, &cfg, start);
     #[cfg(unix)]
     if let SockAddr::Uds(p) = addr {
         let _ = std::fs::remove_file(p);
     }
+    result
+}
 
-    RtResult {
-        wall: start.elapsed(),
-        stats,
-        logs,
-        external,
-        timed_out,
-        panicked: coord.dead.into_iter().collect(),
-        panics: coord.panics,
-        stragglers,
-        telemetry: Telemetry::new(false),
-    }
+/// What one parent-side connection reader works with.
+struct Conn {
+    index: usize,
+    owner: Vec<usize>,
+    writers: Vec<Option<Writer>>,
+    report: Sender<Report>,
+    state: Arc<ConnState>,
+    /// The pid range this connection's worker claimed.
+    pids: Range<usize>,
 }
 
 /// One parent-side connection reader: routes frames to owners, forwards
 /// reports, and converts an EOF-without-Bye into synthetic panics for the
 /// connection's unreported pids.
-#[allow(clippy::too_many_arguments)]
-fn parent_reader(
-    mut stream: SockStream,
-    conn_index: usize,
-    owner: Vec<usize>,
-    writers: Vec<Option<Arc<Mutex<SockStream>>>>,
-    report: Sender<Report>,
-    state: Arc<ConnState>,
-    lo: usize,
-    hi: usize,
-) {
+fn parent_reader(mut stream: SockStream, conn: Conn) {
+    let reported = || {
+        conn.state
+            .reported
+            .lock()
+            .unwrap_or_else(|p| p.into_inner())
+    };
     loop {
         match read_msg(&mut stream) {
             Ok(Some(SockMsg::Net(f))) => {
-                let Some(w) = owner.get(f.to.0 as usize) else {
-                    continue; // out-of-range target: drop, never panic
-                };
-                // A `None` writer is a worker lost during the handshake:
-                // frames routed to its pids are dropped, not a panic.
-                if let Some(wr) = writers.get(*w).and_then(|o| o.as_ref()) {
+                // An out-of-range target, or one whose worker was lost
+                // during the handshake (`None` writer): drop, never panic.
+                let writer = conn
+                    .owner
+                    .get(f.to.0 as usize)
+                    .and_then(|w| conn.writers[*w].as_ref());
+                if let Some(wr) = writer {
                     let _ = write_msg(wr, &SockMsg::Net(f));
                 }
             }
             Ok(Some(SockMsg::Report(r))) => {
                 match &r {
                     Report::Final(f) => {
-                        state
-                            .reported
-                            .lock()
-                            .unwrap_or_else(|p| p.into_inner())
-                            .insert(f.pid);
+                        reported().insert(f.pid);
                     }
                     Report::Panicked { pid, .. } => {
-                        state
-                            .reported
-                            .lock()
-                            .unwrap_or_else(|p| p.into_inner())
-                            .insert(*pid);
+                        reported().insert(*pid);
                     }
                     _ => {}
                 }
-                if report.send(r).is_err() {
+                if conn.report.send(r).is_err() {
                     break;
                 }
             }
             Ok(Some(SockMsg::Bye)) => {
-                state
-                    .saw_bye
-                    .store(true, std::sync::atomic::Ordering::Relaxed);
+                conn.state.saw_bye.store(true, Ordering::Relaxed);
                 break;
             }
             Ok(Some(_)) => {} // Hello/Start/Probe/Shutdown: not parent-bound
             Ok(None) | Err(_) => break,
         }
     }
-    if !state.saw_bye.load(std::sync::atomic::Ordering::Relaxed) {
+    if !conn.state.saw_bye.load(Ordering::Relaxed) {
         // Worker crashed (or the link did): every owned pid that never
         // reported is gone with it.
-        let reported = state
-            .reported
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .clone();
-        for pid in lo..hi {
-            let pid = ProcessId(pid as u32);
+        let reported = reported().clone();
+        for pid in conn.pids.clone().map(|p| ProcessId(p as u32)) {
             if !reported.contains(&pid) {
-                let _ = report.send(Report::Panicked {
+                let _ = conn.report.send(Report::Panicked {
                     pid,
-                    msg: format!("worker connection {conn_index} lost"),
+                    msg: format!("worker connection {} lost", conn.index),
                 });
             }
         }
@@ -1140,6 +1058,29 @@ fn parent_reader(
 // Worker
 // ---------------------------------------------------------------------------
 
+/// A worker's outbound half: everything `rx` yields goes to the hub as
+/// `wrap(item)`, until every sender is gone or the connection is.
+fn pump<T: Send + 'static>(
+    name: String,
+    rx: Receiver<T>,
+    writer: Writer,
+    wrap: fn(T) -> SockMsg,
+) -> JoinHandle<()> {
+    std::thread::Builder::new()
+        .name(name)
+        .spawn(move || {
+            while let Ok(item) = rx.recv() {
+                if write_msg(&writer, &wrap(item)).is_err() {
+                    break;
+                }
+            }
+        })
+        .expect("spawn socket pump")
+}
+
+/// A worker is [`spawn_world`] on its tile plus framing: handshake,
+/// demultiplex the hub's stream into the local world, pump frames and
+/// reports out, say `Bye`.
 fn run_worker(world: RtWorld, addr: &SockAddr, index: usize, workers: usize) -> RtResult {
     let n = world.behaviors.len();
     let cfg = Arc::new(world.cfg);
@@ -1159,7 +1100,7 @@ fn run_worker(world: RtWorld, addr: &SockAddr, index: usize, workers: usize) -> 
             return empty_result(start, true);
         }
     };
-    let writer = Arc::new(Mutex::new(match stream.try_clone() {
+    let writer: Writer = Arc::new(Mutex::new(match stream.try_clone() {
         Ok(s) => s,
         Err(e) => {
             eprintln!("rt::sock worker {index}: clone: {e}");
@@ -1180,38 +1121,14 @@ fn run_worker(world: RtWorld, addr: &SockAddr, index: usize, workers: usize) -> 
         return empty_result(start, true);
     }
 
-    // Mailbox table: local pids get direct channels, remote pids feed the
-    // socket-writer pump. Built before Start so frames arriving during
-    // the handshake race just queue in the local channels.
-    let (frames_tx, frames_rx) = unbounded::<Frame>();
-    let mut receivers: Vec<Option<Receiver<Wire>>> = Vec::with_capacity(n);
-    let net: Arc<Vec<Mailbox>> = Arc::new(
-        (0..n)
-            .map(|i| {
-                if i >= lo && i < hi {
-                    let (tx, rx) = unbounded::<Wire>();
-                    receivers.push(Some(rx));
-                    Mailbox::Direct(tx)
-                } else {
-                    receivers.push(None);
-                    Mailbox::Remote(frames_tx.clone())
-                }
-            })
-            .collect(),
-    );
-    drop(frames_tx);
-
-    // Handshake: deliver any early frames, wait for Start.
+    // Handshake: wait for Start. A sibling that got its Start first may
+    // already be sending; those frames wait until our actors exist.
+    let mut early: Vec<Frame> = Vec::new();
     let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
     loop {
         match read_msg(&mut stream) {
             Ok(Some(SockMsg::Start)) => break,
-            Ok(Some(SockMsg::Net(f))) => {
-                let to = f.to.0 as usize;
-                if to < n {
-                    let _ = net[to].send(Wire::Frame(f));
-                }
-            }
+            Ok(Some(SockMsg::Net(f))) => early.push(f),
             Ok(Some(SockMsg::Shutdown)) | Ok(None) => return empty_result(start, false),
             Ok(Some(_)) => {}
             Err(e) => {
@@ -1222,106 +1139,44 @@ fn run_worker(world: RtWorld, addr: &SockAddr, index: usize, workers: usize) -> 
     }
     let _ = stream.set_read_timeout(None);
 
-    // Run start for latency/timer purposes is *this* worker's Start
-    // receipt; absolute cross-worker timestamps are never compared.
-    let run_start = Instant::now();
-    let delayer: Arc<Delayer<Wire>> = Arc::new(Delayer::spawn());
+    let (frames_tx, frames_rx) = unbounded::<Frame>();
     let (report_tx, report_rx) = unbounded::<Report>();
+    let local = spawn_world(WorldSpec {
+        behaviors: world.behaviors,
+        is_client: world.is_client,
+        cfg: cfg.clone(),
+        report: report_tx,
+        // Run start for latency/timer purposes is *this* worker's Start
+        // receipt; absolute cross-worker timestamps are never compared.
+        start: Instant::now(),
+        local: lo..hi,
+        // 2^48 ids per worker is unreachable in any real run.
+        id_base: ((index + 1) as u64) << 48,
+        remote: Some(frames_tx),
+    });
+    let pumps = [
+        pump(
+            format!("opcsp-sock-frames-{index}"),
+            frames_rx,
+            writer.clone(),
+            SockMsg::Net,
+        ),
+        pump(
+            format!("opcsp-sock-reports-{index}"),
+            report_rx,
+            writer.clone(),
+            SockMsg::Report,
+        ),
+    ];
 
-    // Worker-disjoint id spaces: message/call ids must be unique across
-    // the whole world, and workers cannot share an atomic. 2^48 ids per
-    // worker is unreachable in any real run.
-    let msg_ids = Arc::new(AtomicU64::new(((index + 1) as u64) << 48));
-    let call_ids = Arc::new(AtomicU64::new(((index + 1) as u64) << 48));
-
-    let mut handles = Vec::with_capacity(hi - lo);
-    // `pid` indexes three parallel world tables at once; a zip would
-    // obscure that they share one index space.
-    #[allow(clippy::needless_range_loop)]
-    for pid in lo..hi {
-        let spec = ActorSpec {
-            pid: ProcessId(pid as u32),
-            behavior: world.behaviors[pid].clone(),
-            is_client: world.is_client[pid],
-            cfg: cfg.clone(),
-            net: net.clone(),
-            delayer: delayer.clone(),
-            report: report_tx.clone(),
-            start: run_start,
-            msg_ids: msg_ids.clone(),
-            call_ids: call_ids.clone(),
-            self_ticks: true,
-        };
-        let rx = receivers[pid].take().expect("local pid has a receiver");
-        let report = report_tx.clone();
-        handles.push(
-            std::thread::Builder::new()
-                .name(format!("opcsp-sock-{pid}"))
-                .spawn(move || {
-                    let p = ProcessId(pid as u32);
-                    let r = catch_unwind(AssertUnwindSafe(move || {
-                        crate::executor::threaded_loop(spec, rx)
-                    }));
-                    if let Err(payload) = r {
-                        let _ = report.send(Report::Panicked {
-                            pid: p,
-                            msg: crate::executor::panic_message(payload.as_ref()),
-                        });
-                    }
-                })
-                .expect("spawn socket actor"),
-        );
-    }
-    drop(report_tx);
-
-    // Frames pump: remote-bound frames → socket. Exits when every
-    // `Mailbox::Remote` sender clone is gone (actors joined, delayer
-    // flushed, net table dropped below).
-    let frames_pump = {
-        let writer = writer.clone();
-        std::thread::Builder::new()
-            .name(format!("opcsp-sock-frames-{index}"))
-            .spawn(move || {
-                while let Ok(f) = frames_rx.recv() {
-                    if write_msg(&writer, &SockMsg::Net(f)).is_err() {
-                        break;
-                    }
-                }
-            })
-            .expect("spawn frames pump")
-    };
-    // Report pump: local coordinator reports → socket.
-    let report_pump = {
-        let writer = writer.clone();
-        std::thread::Builder::new()
-            .name(format!("opcsp-sock-reports-{index}"))
-            .spawn(move || {
-                while let Ok(r) = report_rx.recv() {
-                    if write_msg(&writer, &SockMsg::Report(r)).is_err() {
-                        break;
-                    }
-                }
-            })
-            .expect("spawn report pump")
-    };
-
-    // Main loop: demultiplex parent traffic into local mailboxes.
+    // Main loop: demultiplex parent traffic into the local world.
+    early.into_iter().for_each(|f| local.deliver(f));
     loop {
         match read_msg(&mut stream) {
-            Ok(Some(SockMsg::Net(f))) => {
-                let to = f.to.0 as usize;
-                if to < n {
-                    let _ = net[to].send(Wire::Frame(f));
-                }
-            }
-            Ok(Some(SockMsg::Probe(round))) => {
-                for pid in lo..hi {
-                    let _ = net[pid].send(Wire::Probe(round));
-                }
-            }
-            Ok(Some(SockMsg::Shutdown)) => break,
+            Ok(Some(SockMsg::Net(f))) => local.deliver(f),
+            Ok(Some(SockMsg::Probe(round))) => local.probe(round),
+            Ok(Some(SockMsg::Shutdown)) | Ok(None) => break,
             Ok(Some(_)) => {}
-            Ok(None) => break,
             Err(e) => {
                 eprintln!("rt::sock worker {index}: read: {e}");
                 break;
@@ -1329,39 +1184,15 @@ fn run_worker(world: RtWorld, addr: &SockAddr, index: usize, workers: usize) -> 
         }
     }
 
-    // Teardown, in dependency order: halt actors, join them, let the
-    // delayer flush (its Drop delivers pending data frames into the
-    // mailboxes), drop the mailbox table so the frames pump drains and
-    // exits, then close the report pump and say goodbye.
-    for pid in lo..hi {
-        let _ = net[pid].send(Wire::Shutdown);
-    }
-    let join_budget = (cfg.run_timeout / 8)
-        .max(Duration::from_millis(100))
-        .min(Duration::from_secs(5));
-    let join_deadline = Instant::now() + join_budget;
-    for h in handles {
-        while !h.is_finished() && Instant::now() < join_deadline {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        if h.is_finished() {
-            let _ = h.join();
-        }
-        // A wedged actor is detached; the parent records the straggler.
-    }
-    drop(delayer);
-    drop(net);
-    while !frames_pump.is_finished() && Instant::now() < join_deadline {
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    if frames_pump.is_finished() {
-        let _ = frames_pump.join();
-    }
-    while !report_pump.is_finished() && Instant::now() < join_deadline {
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    if report_pump.is_finished() {
-        let _ = report_pump.join();
+    // Teardown: halt and reap the local world — which flushes what it
+    // still had to send into the pumps and hangs up on them — then say
+    // goodbye. A wedged actor is detached; the parent records the
+    // straggler.
+    local.shutdown();
+    let deadline = Instant::now() + join_budget(&cfg);
+    local.reap(deadline);
+    for p in pumps {
+        join_by(p, deadline);
     }
     let _ = write_msg(&writer, &SockMsg::Bye);
     writer.lock().unwrap_or_else(|p| p.into_inner()).shutdown();

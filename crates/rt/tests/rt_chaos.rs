@@ -10,7 +10,7 @@
 //! `net.rs` (`shutdown_flush_drops_timer_class_items`).
 
 use opcsp_core::ProcessId;
-use opcsp_rt::{NetFaults, Partition, RtConfig, RtResult, RtWorld};
+use opcsp_rt::{Executor, NetFaults, Partition, RtConfig, RtResult, RtWorld};
 use opcsp_sim::{Behavior, BehaviorState, Effect, Observable, Resume};
 use opcsp_workloads::chain::OptimisticForwarder;
 use opcsp_workloads::servers::Server;
@@ -192,6 +192,35 @@ fn actor_panic_is_reported_not_a_timeout() {
         "panic payload must propagate from join(): {:?}",
         r.panics
     );
+}
+
+/// A client that dies while another actor lives on: the coordinator was
+/// waiting for that client's `ClientDone`, so the death itself has to end
+/// the wait — not `run_timeout`, which would also mislabel the run.
+#[test]
+fn dead_client_ends_the_run_while_a_server_lives_on() {
+    for executor in [Executor::Threaded, Executor::Sharded { workers: 2 }] {
+        let mut w = RtWorld::new(RtConfig {
+            run_timeout: Duration::from_secs(6),
+            executor,
+            ..cfg(1, NetFaults::none())
+        });
+        let c = w.add_process(Boom, true);
+        let s = w.add_process(Server::new("S", 0), false);
+        let r = w.run();
+        assert!(
+            r.wall < Duration::from_secs(1),
+            "{executor:?}: waited {:?} for a client known dead",
+            r.wall
+        );
+        assert!(!r.timed_out, "{executor:?}: a death is not a timeout");
+        assert_eq!(r.panicked, vec![c], "{executor:?}");
+        assert!(r.stragglers.is_empty(), "{executor:?}: {:?}", r.stragglers);
+        assert!(
+            r.logs.contains_key(&s),
+            "{executor:?}: the healthy server still reports"
+        );
+    }
 }
 
 /// Panic in a *server* while the client is stuck waiting on it: the run

@@ -16,23 +16,35 @@
 
 use opcsp_core::ProcessId;
 use opcsp_rt::{
-    merge_equiv, NetFaults, RtConfig, RtResult, RtTransport, RtWorld, SockAddr, SockRole,
+    merge_equiv, Executor, NetFaults, RtConfig, RtResult, RtTransport, RtWorld, SockAddr, SockRole,
 };
+use opcsp_sim::{Behavior, BehaviorState, Effect, Observable, Resume};
 use opcsp_workloads::chain::OptimisticForwarder;
 use opcsp_workloads::servers::Server;
 use opcsp_workloads::streaming::PutLineClient;
 use std::time::Duration;
 
-fn base_cfg(faults: NetFaults, transport: RtTransport) -> RtConfig {
+fn base_cfg(faults: NetFaults, transport: RtTransport, executor: Executor) -> RtConfig {
     RtConfig {
         latency: Duration::from_millis(2),
         fork_timeout: Duration::from_secs(5),
         run_timeout: Duration::from_secs(30),
         faults,
         transport,
+        executor,
         ..RtConfig::default()
     }
 }
+
+/// What `RtConfig::default()` picks: threaded, or the `OPCSP_RT_EXECUTOR`
+/// override CI re-runs this suite under.
+fn default_executor() -> Executor {
+    RtConfig::default().executor
+}
+
+/// Both executors, by name: every socket worker hosts its tile under the
+/// one the config says.
+const EXECUTORS: [Executor; 2] = [Executor::Threaded, Executor::Sharded { workers: 2 }];
 
 fn chaos(seed: u64) -> NetFaults {
     NetFaults {
@@ -44,8 +56,21 @@ fn chaos(seed: u64) -> NetFaults {
     }
 }
 
+/// A behavior that panics on its first step.
+struct Boom;
+impl Behavior for Boom {
+    fn init(&self) -> BehaviorState {
+        BehaviorState::new(())
+    }
+    fn step(&self, _state: &mut BehaviorState, _resume: Resume) -> Effect {
+        panic!("boom: injected actor panic");
+    }
+}
+
 /// `streaming`: putline client → server. `chain`: client → 2 forwarding
 /// hops → terminal server. Both cross the worker boundary for any split.
+/// `boom`: a healthy client → server pair, a client that panics, and an
+/// idle server.
 fn build_world(workload: &str, cfg: RtConfig) -> RtWorld {
     let mut w = RtWorld::new(cfg);
     match workload {
@@ -67,6 +92,12 @@ fn build_world(workload: &str, cfg: RtConfig) -> RtWorld {
             }
             w.add_process(Server::new("Terminal", 0), false);
         }
+        "boom" => {
+            w.add_process(PutLineClient::to(3, ProcessId(1)), true);
+            w.add_process(Server::new("S", 0), false);
+            w.add_process(Boom, true);
+            w.add_process(Server::new("Idle", 0), false);
+        }
         other => panic!("unknown workload {other}"),
     }
     w
@@ -78,14 +109,15 @@ fn fresh_uds(tag: &str) -> SockAddr {
     SockAddr::parse(&format!("uds:{}", p.display())).expect("uds addr")
 }
 
-/// Run `workload` split across `workers` worker runtimes plus a parent,
-/// all threads of this process, over `addr`. Returns the parent's
-/// (authoritative) result.
+/// Run `workload` split across `workers` worker runtimes (each hosting
+/// its tile under `executor`) plus a parent, all threads of this process,
+/// over `addr`. Returns the parent's (authoritative) result.
 fn run_over_socket(
     workload: &str,
     faults: NetFaults,
     addr: SockAddr,
     workers: usize,
+    executor: Executor,
 ) -> RtResult {
     let mut handles = Vec::new();
     for index in 0..workers {
@@ -99,6 +131,7 @@ fn run_over_socket(
                     addr,
                     role: SockRole::Worker { index, workers },
                 },
+                executor,
             );
             build_world(&workload, cfg).run()
         }));
@@ -109,6 +142,7 @@ fn run_over_socket(
             addr,
             role: SockRole::Parent { workers },
         },
+        executor,
     );
     let result = build_world(workload, cfg).run();
     for h in handles {
@@ -119,7 +153,11 @@ fn run_over_socket(
 }
 
 fn run_inproc(workload: &str, faults: NetFaults) -> RtResult {
-    build_world(workload, base_cfg(faults, RtTransport::InProc)).run()
+    build_world(
+        workload,
+        base_cfg(faults, RtTransport::InProc, default_executor()),
+    )
+    .run()
 }
 
 fn assert_clean(r: &RtResult, label: &str) {
@@ -159,15 +197,18 @@ fn assert_socket_matches_inproc(base: &RtResult, sock: &RtResult, label: &str) {
 fn streaming_over_uds_with_chaos_matches_inproc() {
     let base = run_inproc("streaming", NetFaults::none());
     assert_clean(&base, "in-proc streaming");
-    for seed in [11u64, 12] {
-        let addr = fresh_uds(&format!("streaming-{seed}"));
-        let sock = run_over_socket("streaming", chaos(seed), addr, 2);
-        assert_clean(&sock, &format!("socket streaming seed {seed}"));
-        assert_socket_matches_inproc(&base, &sock, &format!("streaming seed {seed}"));
-        assert!(
-            sock.stats.retransmits > 0 || sock.stats.drops_injected == 0,
-            "seed {seed}: chaos dropped frames but nothing retransmitted"
-        );
+    for (e, executor) in EXECUTORS.into_iter().enumerate() {
+        for seed in [11u64, 12] {
+            let label = format!("streaming seed {seed} {executor:?}");
+            let addr = fresh_uds(&format!("streaming-{seed}-{e}"));
+            let sock = run_over_socket("streaming", chaos(seed), addr, 2, executor);
+            assert_clean(&sock, &format!("socket {label}"));
+            assert_socket_matches_inproc(&base, &sock, &label);
+            assert!(
+                sock.stats.retransmits > 0 || sock.stats.drops_injected == 0,
+                "{label}: chaos dropped frames but nothing retransmitted"
+            );
+        }
     }
 }
 
@@ -177,7 +218,7 @@ fn chain_over_uds_with_chaos_matches_inproc() {
     assert_clean(&base, "in-proc chain");
     for seed in [21u64, 22] {
         let addr = fresh_uds(&format!("chain-{seed}"));
-        let sock = run_over_socket("chain", chaos(seed), addr, 2);
+        let sock = run_over_socket("chain", chaos(seed), addr, 2, default_executor());
         assert_clean(&sock, &format!("socket chain seed {seed}"));
         assert_socket_matches_inproc(&base, &sock, &format!("chain seed {seed}"));
     }
@@ -188,10 +229,47 @@ fn chain_split_three_ways_fault_free_matches_inproc() {
     // 4 pids over 3 workers: ranges 0..1, 1..2, 2..4 — every hop of the
     // chain crosses a worker boundary at least once.
     let base = run_inproc("chain", NetFaults::none());
-    let addr = fresh_uds("chain-3w");
-    let sock = run_over_socket("chain", NetFaults::none(), addr, 3);
-    assert_clean(&sock, "socket chain 3 workers");
-    assert_socket_matches_inproc(&base, &sock, "chain 3 workers");
+    for (e, executor) in EXECUTORS.into_iter().enumerate() {
+        let label = format!("chain 3 workers {executor:?}");
+        let addr = fresh_uds(&format!("chain-3w-{e}"));
+        let sock = run_over_socket("chain", NetFaults::none(), addr, 3, executor);
+        assert_clean(&sock, &format!("socket {label}"));
+        assert_socket_matches_inproc(&base, &sock, &label);
+    }
+}
+
+#[test]
+fn actor_panic_on_a_pooled_worker_takes_out_only_that_pid() {
+    // One worker runtime hosts all four pids on a two-thread pool, so the
+    // panicking actor shares an OS thread with a healthy one (pids 0 and 2
+    // are one shard). The panic is that pid's alone: the worker's other
+    // actors finish and report, and the hub sees a `Panicked` report and a
+    // `Bye`, not a lost connection.
+    let sock = run_over_socket(
+        "boom",
+        NetFaults::none(),
+        fresh_uds("boom-pooled"),
+        1,
+        Executor::Sharded { workers: 2 },
+    );
+    assert!(!sock.timed_out, "a dead client must not stall the hub");
+    assert_eq!(sock.panicked, vec![ProcessId(2)], "{:?}", sock.panics);
+    assert!(
+        sock.panics[&ProcessId(2)].contains("boom"),
+        "the actor's own payload, not a lost connection: {:?}",
+        sock.panics
+    );
+    assert!(sock.stragglers.is_empty(), "{:?}", sock.stragglers);
+    assert_eq!(
+        sock.logs.keys().copied().collect::<Vec<_>>(),
+        vec![ProcessId(0), ProcessId(1), ProcessId(3)],
+        "every sibling reports its final"
+    );
+    let calls = sock.logs[&ProcessId(1)]
+        .iter()
+        .filter(|o| matches!(o, Observable::Received { .. }))
+        .count();
+    assert_eq!(calls, 3, "the healthy pair ran to the end: {:?}", sock.logs);
 }
 
 #[test]
@@ -204,7 +282,7 @@ fn streaming_over_tcp_matches_inproc() {
     };
     let addr = SockAddr::parse(&format!("tcp:127.0.0.1:{port}")).expect("tcp addr");
     let base = run_inproc("streaming", NetFaults::none());
-    let sock = run_over_socket("streaming", NetFaults::none(), addr, 2);
+    let sock = run_over_socket("streaming", NetFaults::none(), addr, 2, default_executor());
     assert_clean(&sock, "socket streaming tcp");
     assert_socket_matches_inproc(&base, &sock, "streaming tcp");
 }
@@ -235,6 +313,7 @@ fn worker_crash_reports_its_pids_as_panicked() {
                     addr,
                     role: SockRole::Worker { index: 0, workers },
                 },
+                default_executor(),
             );
             make_world(cfg).run()
         })
@@ -276,6 +355,7 @@ fn worker_crash_reports_its_pids_as_panicked() {
             addr,
             role: SockRole::Parent { workers },
         },
+        default_executor(),
     );
     let parent = make_world(cfg).run();
     worker0.join().expect("worker 0");
@@ -329,6 +409,7 @@ fn run_with_handshake_impostor(tag: &str, dying_bytes: Vec<u8>) -> RtResult {
                     addr,
                     role: SockRole::Worker { index: 0, workers },
                 },
+                default_executor(),
             );
             make_world(cfg).run()
         })
@@ -362,6 +443,7 @@ fn run_with_handshake_impostor(tag: &str, dying_bytes: Vec<u8>) -> RtResult {
             addr,
             role: SockRole::Parent { workers },
         },
+        default_executor(),
     );
     let parent = make_world(cfg).run();
     worker0.join().expect("worker 0");
