@@ -168,6 +168,34 @@ pub fn runs_forever(b: &Block) -> bool {
     })
 }
 
+/// The process names a block may `call` or `send` to, at any depth — the
+/// partners the program names, in Hoare's sense. `reply` names nobody: it
+/// answers whoever called. This is what `ProgramBehavior::peers` declares.
+pub fn comm_targets(b: &Block, out: &mut BTreeSet<String>) {
+    for s in b.iter() {
+        match s {
+            Stmt::Call { target, .. } | Stmt::Send { target, .. } => {
+                out.insert(target.clone());
+            }
+            Stmt::If { then_, else_, .. } => {
+                comm_targets(then_, out);
+                comm_targets(else_, out);
+            }
+            Stmt::While { body, .. } => comm_targets(body, out),
+            Stmt::ParallelizeHint { s1, s2, .. } | Stmt::ForkJoin { s1, s2, .. } => {
+                comm_targets(s1, out);
+                comm_targets(s2, out);
+            }
+            Stmt::Let(..)
+            | Stmt::Assign(..)
+            | Stmt::Receive { .. }
+            | Stmt::Reply { .. }
+            | Stmt::Output(_)
+            | Stmt::Compute(_) => {}
+        }
+    }
+}
+
 /// Does a block contain a `parallelize`/`fork` construct (at any depth)?
 /// The paper assumes S1 "does not itself contain a computation which is
 /// being parallelized" (§3.2); the transform rejects such programs.
@@ -264,6 +292,24 @@ mod tests {
         assert!(
             !runs_forever(&p.procs[2].body),
             "a data-dependent while is not an infinite loop"
+        );
+    }
+
+    #[test]
+    fn comm_targets_are_calls_and_sends_at_any_depth() {
+        let p = parse_program(
+            r#"process X {
+                if c { a = call A(1); } else { while d { send B(2); } }
+                parallelize { ok = call C(3); } then { if ok { send D(4); } }
+                receive q; reply q;
+            }"#,
+        )
+        .unwrap();
+        let mut names = BTreeSet::new();
+        comm_targets(&p.procs[0].body, &mut names);
+        assert_eq!(
+            names,
+            BTreeSet::from(["A", "B", "C", "D"].map(String::from))
         );
     }
 

@@ -8,10 +8,11 @@
 //! thread an independent copy (so antidependencies are handled by
 //! construction).
 
+use crate::analyze::comm_targets;
 use crate::ast::{BinOp, Block, Expr, ProcDef, Stmt, UnOp};
 use opcsp_core::{ProcessId, Value};
 use opcsp_sim::{Behavior, BehaviorState, Effect, Resume};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Pure statements executed per `step` before yielding a `Compute` effect,
 /// so tight loops cannot starve the event loop.
@@ -410,6 +411,20 @@ impl Behavior for ProgramBehavior {
 
     fn name(&self) -> &str {
         &self.proc.name
+    }
+
+    /// The targets of the program's own `call` and `send` statements. An
+    /// unbound name declares nothing; executing that statement fails in
+    /// [`ProgramBehavior::resolve`], as it always has.
+    fn peers(&self, _me: ProcessId) -> Option<Vec<ProcessId>> {
+        let mut names = BTreeSet::new();
+        comm_targets(&self.proc.body, &mut names);
+        Some(
+            names
+                .iter()
+                .filter_map(|name| self.bindings.get(name).copied())
+                .collect(),
+        )
     }
 }
 

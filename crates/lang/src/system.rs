@@ -38,13 +38,18 @@ impl System {
         self.bindings[name]
     }
 
-    /// Build a simulation world from the compiled system.
-    pub fn world(&self, cfg: SimConfig) -> opcsp_sim::World {
+    /// The compiled system's simulation world, not yet built.
+    pub fn builder(&self, cfg: SimConfig) -> SimBuilder {
         let mut b = SimBuilder::new(cfg);
         for proc in &self.transformed.program.procs {
             b.add_process(ProgramBehavior::new(proc.clone(), self.bindings.clone()));
         }
-        b.build()
+        b
+    }
+
+    /// Build a simulation world from the compiled system.
+    pub fn world(&self, cfg: SimConfig) -> opcsp_sim::World {
+        self.builder(cfg).build()
     }
 
     /// Compile-and-run convenience.

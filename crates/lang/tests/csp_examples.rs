@@ -86,3 +86,67 @@ fn every_example_survives_jitter() {
         }
     }
 }
+
+/// `two_pairs.csp` is two independent client→server pairs. The interpreter
+/// declares each process's `call`/`send` targets, so the world is two
+/// control domains and every control message has one recipient instead of
+/// three: the simulator's `ctrl=` (one trace event plus one count per
+/// recipient, for each dissemination) is exactly half of what the same
+/// program sends with its declarations stripped — and nothing else moves.
+#[test]
+fn two_pairs_sends_half_the_control_of_a_world_broadcast() {
+    let src = std::fs::read_to_string(examples_dir().join("two_pairs.csp")).unwrap();
+    let sys = System::compile(&parse_program(&src).unwrap()).unwrap();
+    let cfg = || SimConfig {
+        latency: LatencyModel::fixed(60),
+        ..SimConfig::default()
+    };
+    let scoped = sys.run(cfg());
+    let world = sys.builder(cfg()).undeclared().build().run();
+    assert!(scoped.stats().commits > 0 && scoped.stats().aborts > 0);
+    assert_eq!(
+        scoped.stats().control_messages * 2,
+        world.stats().control_messages
+    );
+    assert_eq!(scoped.logs, world.logs);
+    assert_eq!(scoped.external, world.external);
+    assert_eq!(scoped.completion, world.completion);
+}
+
+/// Every other shipped example is one component: declared or stripped, it
+/// is the same run.
+#[test]
+fn every_other_example_is_one_component() {
+    for (name, src) in all_examples() {
+        if name == "two_pairs.csp" {
+            continue;
+        }
+        let sys = System::compile(&parse_program(&src).unwrap()).unwrap();
+        let declared = sys.run(SimConfig::default());
+        let stripped = sys.builder(SimConfig::default()).undeclared().build().run();
+        assert_eq!(declared.stats(), stripped.stats(), "{name}");
+        assert_eq!(declared.completion, stripped.completion, "{name}");
+        assert_eq!(declared.logs, stripped.logs, "{name}");
+    }
+}
+
+/// `opcsp-run two_pairs.csp --compare` holds on the simulator and on the
+/// real-thread runtime.
+#[test]
+fn two_pairs_passes_compare_on_both_engines() {
+    let file = examples_dir().join("two_pairs.csp");
+    for engine in [&[][..], &["--rt"][..]] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_opcsp-run"))
+            .arg(&file)
+            .arg("--compare")
+            .args(engine)
+            .output()
+            .expect("spawn opcsp-run");
+        assert!(
+            out.status.success(),
+            "{engine:?}: {}\n{}",
+            String::from_utf8_lossy(&out.stdout),
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+}

@@ -132,10 +132,6 @@ impl Env for RtEnv {
         CallId(self.call_ids.fetch_add(1, Ordering::Relaxed))
     }
 
-    fn n_processes(&self) -> usize {
-        self.transport.n_processes()
-    }
-
     /// The runtime's links are FIFO by construction (reliable sublayer);
     /// link sequence numbers only matter to the simulator's forensics.
     fn send_data(&mut self, msg: Envelope) -> u32 {
@@ -183,6 +179,8 @@ impl Env for RtEnv {
 pub(crate) struct ActorSpec {
     pub pid: ProcessId,
     pub behavior: Arc<dyn Behavior>,
+    /// The process's control domain (`sim::control_domains`).
+    pub domain: Arc<[ProcessId]>,
     pub is_client: bool,
     pub cfg: Arc<RtConfig>,
     pub net: Arc<Vec<Mailbox>>,
@@ -199,6 +197,7 @@ impl ProcessActor {
         let ActorSpec {
             pid,
             behavior,
+            domain,
             is_client,
             cfg,
             net,
@@ -209,8 +208,9 @@ impl ProcessActor {
             call_ids,
             self_ticks,
         } = spec;
+        let policy = DriverPolicy::default();
         ProcessActor {
-            driver: Driver::new(pid, behavior, cfg.core.clone(), DriverPolicy::default()),
+            driver: Driver::new(pid, behavior, domain, cfg.core.clone(), policy),
             env: RtEnv {
                 transport: Transport::new(
                     pid,

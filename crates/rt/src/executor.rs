@@ -35,7 +35,7 @@ use crate::net::{Delayer, Frame, Mailbox, Wire};
 use crate::runtime::{join_by, Hosts, RtConfig};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use opcsp_core::ProcessId;
-use opcsp_sim::Behavior;
+use opcsp_sim::{control_domains, Behavior};
 use std::collections::VecDeque;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -122,6 +122,10 @@ pub(crate) struct WorldSpec {
 /// local actor's [`ActorSpec`] is cut from.
 struct Host {
     behaviors: Vec<Arc<dyn Behavior>>,
+    /// Per pid, the control domain its driver broadcasts to. Computed from
+    /// the whole world's behaviors, so every host of a socket world cuts
+    /// the same partition.
+    domains: Vec<Arc<[ProcessId]>>,
     is_client: Vec<bool>,
     cfg: Arc<RtConfig>,
     net: Arc<Vec<Mailbox>>,
@@ -148,6 +152,7 @@ impl WorldSpec {
             })
             .collect();
         Host {
+            domains: control_domains(&self.behaviors),
             behaviors: self.behaviors,
             is_client: self.is_client,
             cfg: self.cfg,
@@ -170,6 +175,7 @@ impl Host {
         ActorSpec {
             pid: ProcessId(pid as u32),
             behavior: self.behaviors[pid].clone(),
+            domain: self.domains[pid].clone(),
             is_client: self.is_client[pid],
             cfg: self.cfg.clone(),
             net: self.net.clone(),

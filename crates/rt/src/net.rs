@@ -585,11 +585,6 @@ impl Transport {
         tick_interval_for(self.latency)
     }
 
-    /// Number of processes on the network.
-    pub fn n_processes(&self) -> usize {
-        self.net.len()
-    }
-
     /// Does this endpoint need [`Transport::tick`]s? O(1); the sharded
     /// executor uses this to skip idle actors in its per-round tick sweep
     /// (at 10k+ processes, unconditionally scanning every transport's

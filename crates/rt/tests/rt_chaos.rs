@@ -194,6 +194,58 @@ fn actor_panic_is_reported_not_a_timeout() {
     );
 }
 
+/// Declares that it talks to nobody, then sends to `self.0` anyway.
+struct Liar(ProcessId);
+impl Behavior for Liar {
+    fn init(&self) -> BehaviorState {
+        BehaviorState::new(())
+    }
+    fn step(&self, _state: &mut BehaviorState, _resume: Resume) -> Effect {
+        Effect::send(self.0, 1i64, "M")
+    }
+    fn name(&self) -> &str {
+        "Liar"
+    }
+    fn peers(&self, _me: ProcessId) -> Option<Vec<ProcessId>> {
+        Some(Vec::new())
+    }
+}
+
+/// Control messages go to the component the behaviors declared, so a send
+/// that leaves it would carry guesses whose resolution never follows. The
+/// driver refuses it: the liar dies attributed, at once, under either
+/// executor — not a hang, not a timeout.
+#[test]
+fn send_outside_the_declared_peers_is_an_attributed_panic() {
+    for executor in [Executor::Threaded, Executor::Sharded { workers: 2 }] {
+        let mut w = RtWorld::new(RtConfig {
+            run_timeout: Duration::from_secs(6),
+            executor,
+            ..cfg(1, NetFaults::none())
+        });
+        let server = ProcessId(1);
+        let liar = w.add_process(Liar(server), true);
+        assert_eq!(w.add_process(Server::new("S", 0), false), server);
+        let r = w.run();
+        assert!(
+            r.wall < Duration::from_secs(1),
+            "{executor:?}: {:?}",
+            r.wall
+        );
+        assert!(
+            !r.timed_out,
+            "{executor:?}: a refused send is not a timeout"
+        );
+        assert_eq!(r.panicked, vec![liar], "{executor:?}");
+        let msg = &r.panics[&liar];
+        assert!(
+            msg.contains("Liar") && msg.contains(&format!("process {}", server.0)),
+            "{executor:?}: payload must name the sender and the target: {msg}"
+        );
+        assert!(r.stragglers.is_empty(), "{executor:?}: {:?}", r.stragglers);
+    }
+}
+
 /// A client that dies while another actor lives on: the coordinator was
 /// waiting for that client's `ClientDone`, so the death itself has to end
 /// the wait — not `run_timeout`, which would also mislabel the run.

@@ -14,12 +14,14 @@
 //! spawns a world that wide).
 
 use opcsp_core::{CoreConfig, ProcessId};
-use opcsp_rt::{merge_equiv, Executor, NetFaults, RtConfig, RtResult, RtWorld};
+use opcsp_rt::{
+    merge_equiv, Executor, NetFaults, RtConfig, RtResult, RtTransport, RtWorld, SockAddr, SockRole,
+};
 use opcsp_sim::Observable;
 use opcsp_workloads::chain::OptimisticForwarder;
 use opcsp_workloads::fan_in::{consumer, rt_fan_in_world, FanInOpts};
 use opcsp_workloads::servers::Server;
-use opcsp_workloads::streaming::PutLineClient;
+use opcsp_workloads::streaming::{rt_pairs_world, PutLineClient};
 use std::time::Duration;
 
 fn cfg(ex: Executor, faults: NetFaults) -> RtConfig {
@@ -200,6 +202,93 @@ fn executor_differential_fan_in_under_chaos() {
     assert_clean(&r, "sharded fan_in chaos");
     assert_logs_merge_equiv(&baseline, &r, "fan_in chaos");
     assert!(r.stats.drops_injected > 0, "{:?}", r.stats);
+}
+
+// ---------------------------------------------------------------------------
+// Scoped control: independent pairs hear only their own resolutions
+// ---------------------------------------------------------------------------
+
+const PAIRS: u32 = 64;
+const PAIR_CALLS: u32 = 4;
+
+fn pairs_cfg(ex: Executor, core: CoreConfig, transport: RtTransport) -> RtConfig {
+    RtConfig {
+        core,
+        latency: Duration::ZERO,
+        transport,
+        ..cfg(ex, NetFaults::none())
+    }
+}
+
+/// The pairs world split over `workers` worker runtimes and a hub on a
+/// Unix socket, all threads of this process; the hub's result.
+fn run_pairs_over_uds(ex: Executor, workers: usize) -> RtResult {
+    let tag = match ex {
+        Executor::Threaded => "threaded".to_string(),
+        Executor::Sharded { workers } => format!("sharded{workers}"),
+    };
+    let file = format!("opcsp-rt-exec-{}-{tag}.sock", std::process::id());
+    let path = std::env::temp_dir().join(file);
+    let _ = std::fs::remove_file(&path);
+    let addr = SockAddr::parse(&format!("uds:{}", path.display())).expect("uds addr");
+    let world = |role| {
+        let transport = RtTransport::Socket {
+            addr: addr.clone(),
+            role,
+        };
+        let cfg = pairs_cfg(ex, CoreConfig::default(), transport);
+        rt_pairs_world(PAIRS, PAIR_CALLS, cfg)
+    };
+    let handles: Vec<_> = (0..workers)
+        .map(|index| {
+            let w = world(SockRole::Worker { index, workers });
+            std::thread::spawn(move || w.run())
+        })
+        .collect();
+    let result = world(SockRole::Parent { workers }).run();
+    for h in handles {
+        let worker = h.join().expect("worker thread");
+        assert!(!worker.timed_out, "worker runtime timed out");
+    }
+    result
+}
+
+/// 64 independent client→server pairs: each pair is its own component of
+/// the declared graph, so a COMMIT is one frame to the pair's server and
+/// nothing else — whichever executor runs it and wherever the server is
+/// hosted. Over the socket the 128 pids tile 43/43/42, so a tile boundary
+/// cuts a pair and its COMMITs cross the hub.
+#[test]
+fn pairs_control_stays_inside_each_pair() {
+    let inproc = |ex, core| {
+        let cfg = pairs_cfg(ex, core, RtTransport::InProc);
+        rt_pairs_world(PAIRS, PAIR_CALLS, cfg).run()
+    };
+    let pess = inproc(Executor::Threaded, CoreConfig::pessimistic());
+    assert_clean(&pess, "pessimistic pairs");
+    let (threaded, sharded) = (Executor::Threaded, Executor::Sharded { workers: 2 });
+    let runs = [
+        ("threaded", inproc(threaded, CoreConfig::default())),
+        ("sharded:2", inproc(sharded, CoreConfig::default())),
+        ("uds x3 threaded", run_pairs_over_uds(threaded, 3)),
+        ("uds x3 sharded:2", run_pairs_over_uds(sharded, 3)),
+    ];
+    for (label, r) in &runs {
+        assert_clean(r, label);
+        assert_eq!(r.stats.commits, u64::from(PAIRS * PAIR_CALLS), "{label}");
+        assert_eq!(r.stats.aborts, 0, "{label}");
+        assert_eq!(
+            r.stats.control_messages, r.stats.commits,
+            "{label}: one recipient per COMMIT"
+        );
+        for k in 0..PAIRS {
+            let client = ProcessId(2 * k);
+            assert!(
+                merge_equiv(&pess.logs[&client], &r.logs[&client]),
+                "{label}: client {client} diverged from the pessimistic run"
+            );
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------

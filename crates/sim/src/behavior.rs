@@ -15,9 +15,19 @@
 //! engine can send at those points — including `ForkDenied`, which the
 //! engine uses for the pessimistic baseline and for fork sites that have
 //! exhausted the §3.3 retry limit `L`.
+//!
+//! A CSP process *names* its partners (`P!x`, `Q?y`), and a behavior can
+//! say so: [`Behavior::peers`] lists the processes it may initiate
+//! communication with. Those declarations are the edges of the world's
+//! static communication graph; [`control_domains`] cuts it into connected
+//! components, and a process's COMMIT/ABORT/PRECEDENCE go to its own
+//! component only (DESIGN.md §5a) — no guess of it can ever appear in a
+//! guard anywhere else. A world in which any behavior declares nothing is
+//! one component, which is the paper's broadcast to all processes.
 
 use opcsp_core::{Envelope, ProcessId, Value};
 use std::any::Any;
+use std::sync::Arc;
 
 /// Derive a reply label from a request label: `C1` → `R1`; anything else
 /// gets an `R:` prefix. Used by server behaviors and by the engine when a
@@ -212,6 +222,78 @@ pub trait Behavior: Send + Sync {
     fn name(&self) -> &str {
         "proc"
     }
+
+    /// The processes this behavior, running as process `me`, may *initiate*
+    /// communication with (`Send`, `Call`, `CallThenFork`). A `Reply`
+    /// travels back along the caller's edge and needs no declaration.
+    /// `None` — the default — means "anyone". The driver holds a behavior
+    /// to what it declared: a send to a process outside the declaring
+    /// process's [control domain](control_domains) is a panic naming both.
+    fn peers(&self, _me: ProcessId) -> Option<Vec<ProcessId>> {
+        None
+    }
+}
+
+/// The control domain of every process of a world (index = pid): the
+/// connected component, as ascending pids, of the graph whose edges are the
+/// declared [`Behavior::peers`]. Processes of one component share one
+/// allocation. If any behavior declares `None` the whole world is a single
+/// domain. Engines call this once per world build and hand each
+/// [`Driver`](crate::driver::Driver) its entry.
+pub fn control_domains(behaviors: &[Arc<dyn Behavior>]) -> Vec<Arc<[ProcessId]>> {
+    let n = behaviors.len();
+    let mut parent: Vec<usize> = (0..n).collect();
+    fn find(parent: &mut [usize], mut x: usize) -> usize {
+        while parent[x] != x {
+            parent[x] = parent[parent[x]];
+            x = parent[x];
+        }
+        x
+    }
+    for (me, behavior) in behaviors.iter().enumerate() {
+        let Some(peers) = behavior.peers(ProcessId(me as u32)) else {
+            let world: Arc<[ProcessId]> = (0..n as u32).map(ProcessId).collect();
+            return vec![world; n];
+        };
+        // A declared peer that is not in the world adds no edge: the send
+        // to it, should it happen, fails the driver's domain check.
+        for peer in peers.into_iter().map(|p| p.0 as usize).filter(|p| *p < n) {
+            let (a, b) = (find(&mut parent, me), find(&mut parent, peer));
+            parent[a] = b;
+        }
+    }
+    let roots: Vec<usize> = (0..n).map(|pid| find(&mut parent, pid)).collect();
+    let mut members: Vec<Vec<ProcessId>> = vec![Vec::new(); n];
+    for (pid, root) in roots.iter().enumerate() {
+        members[*root].push(ProcessId(pid as u32));
+    }
+    let mut shared: Vec<Option<Arc<[ProcessId]>>> = vec![None; n];
+    let domain_of = |root: usize| {
+        let domain = shared[root].get_or_insert_with(|| std::mem::take(&mut members[root]).into());
+        domain.clone()
+    };
+    roots.into_iter().map(domain_of).collect()
+}
+
+/// Forwards everything but the declaration: [`Behavior::peers`] is `None`,
+/// so a world of these is one control domain and every control message goes
+/// to every process — the paper's LAN broadcast, kept as the "world
+/// broadcast" row scoped dissemination is compared against
+/// ([`SimBuilder::undeclared`](crate::engine::SimBuilder::undeclared)).
+pub(crate) struct Undeclared(pub Arc<dyn Behavior>);
+
+impl Behavior for Undeclared {
+    fn init(&self) -> BehaviorState {
+        self.0.init()
+    }
+
+    fn step(&self, state: &mut BehaviorState, resume: Resume) -> Effect {
+        self.0.step(state, resume)
+    }
+
+    fn name(&self) -> &str {
+        self.0.name()
+    }
 }
 
 /// A behavior assembled from a closure — convenient for tests and small
@@ -303,6 +385,82 @@ mod tests {
         ));
         assert!(matches!(b.step(&mut st, Resume::Continue), Effect::Done));
         assert_eq!(b.name(), "counter");
+    }
+
+    /// Declares `peers`; never steps.
+    struct Names(Option<Vec<u32>>);
+
+    impl Behavior for Names {
+        fn init(&self) -> BehaviorState {
+            BehaviorState::new(())
+        }
+        fn step(&self, _: &mut BehaviorState, _: Resume) -> Effect {
+            Effect::Done
+        }
+        fn peers(&self, _me: ProcessId) -> Option<Vec<ProcessId>> {
+            self.0
+                .as_ref()
+                .map(|ps| ps.iter().copied().map(ProcessId).collect())
+        }
+    }
+
+    fn domains_of(world: Vec<Option<Vec<u32>>>) -> Vec<Vec<u32>> {
+        let behaviors: Vec<Arc<dyn Behavior>> = world
+            .into_iter()
+            .map(|peers| Arc::new(Names(peers)) as Arc<dyn Behavior>)
+            .collect();
+        control_domains(&behaviors)
+            .iter()
+            .map(|d| d.iter().map(|p| p.0).collect())
+            .collect()
+    }
+
+    #[test]
+    fn control_domains_are_the_components_of_the_declared_graph() {
+        // 0→1, 3→2 and 4→2 (edges are undirected), 5 alone; a peer outside
+        // the world (9) adds nothing.
+        let d = domains_of(vec![
+            Some(vec![1]),
+            Some(vec![]),
+            Some(vec![9]),
+            Some(vec![2]),
+            Some(vec![2]),
+            Some(vec![]),
+        ]);
+        assert_eq!(
+            d,
+            [
+                vec![0, 1],
+                vec![0, 1],
+                vec![2, 3, 4],
+                vec![2, 3, 4],
+                vec![2, 3, 4],
+                vec![5]
+            ]
+        );
+    }
+
+    #[test]
+    fn one_undeclared_behavior_makes_the_world_one_domain() {
+        let d = domains_of(vec![Some(vec![1]), Some(vec![]), None, Some(vec![])]);
+        assert!(d.iter().all(|dom| dom == &[0, 1, 2, 3]), "{d:?}");
+        // ...which is also what stripping a declaration gives.
+        let alone: Arc<dyn Behavior> = Arc::new(Names(Some(vec![])));
+        let stripped: Arc<dyn Behavior> = Arc::new(Undeclared(alone.clone()));
+        assert_eq!(control_domains(&[alone.clone(), alone.clone()])[0].len(), 1);
+        assert_eq!(control_domains(&[alone, stripped])[0].len(), 2);
+    }
+
+    #[test]
+    fn a_component_shares_one_allocation() {
+        let behaviors: Vec<Arc<dyn Behavior>> = vec![
+            Arc::new(Names(Some(vec![1]))),
+            Arc::new(Names(Some(vec![]))),
+            Arc::new(Names(Some(vec![]))),
+        ];
+        let d = control_domains(&behaviors);
+        assert!(Arc::ptr_eq(&d[0], &d[1]));
+        assert!(!Arc::ptr_eq(&d[0], &d[2]));
     }
 
     #[test]

@@ -17,6 +17,17 @@
 //! a scripted in-memory fake. Every driver entry point takes the
 //! environment as a generic parameter, so each engine gets its own
 //! monomorphised copy — no `dyn`, no per-step boxing.
+//!
+//! Who hears about a resolution is also decided here. Each driver is
+//! handed its process's *control domain* — its connected component of the
+//! communication graph the behaviors declared
+//! ([`control_domains`](crate::behavior::control_domains)) — and
+//! [`Driver::broadcast`] sends to that, not to the world: a guess's id
+//! travels only in the guards of data messages, data messages travel only
+//! along declared edges (or back along them as replies), so no process
+//! outside the component can ever hold it. The declaration is enforced at
+//! the one place it can be violated, [`Driver::send_data`]. A world with an
+//! undeclared behavior is one domain, i.e. the paper's broadcast to all.
 
 use crate::behavior::{reply_label, Behavior, BehaviorState, Effect, Resume};
 use crate::trace::TraceEvent;
@@ -196,8 +207,6 @@ pub trait Env {
     /// World-unique ids for the next data message / call.
     fn next_msg_id(&mut self) -> MsgId;
     fn next_call_id(&mut self) -> CallId;
-    /// Number of processes in the world (pids are `0..n`).
-    fn n_processes(&self) -> usize;
     /// Put a data message on the wire. Returns the link sequence number the
     /// network stamped on it (`0` where links carry none).
     fn send_data(&mut self, msg: Envelope) -> u32;
@@ -348,6 +357,10 @@ fn tele<E: Env>(env: &mut E, ev: impl FnOnce(u64) -> TelemetryEvent) {
 pub struct Driver {
     pid: ProcessId,
     behavior: Arc<dyn Behavior>,
+    /// The processes (ascending, this one included) that can come to hold
+    /// one of this process's guesses, and it one of theirs: where control
+    /// messages go, and the only pids data may be sent to.
+    domain: Arc<[ProcessId]>,
     pub core: ProcessCore,
     policy: DriverPolicy,
     threads: BTreeMap<u32, Thread>,
@@ -385,10 +398,12 @@ pub struct Driver {
 
 impl Driver {
     /// A process with its initial thread (index 0) created and not yet
-    /// started: the engine issues `Resume::Start` to it.
+    /// started: the engine issues `Resume::Start` to it. `domain` is the
+    /// process's entry of [`control_domains`](crate::behavior::control_domains).
     pub fn new(
         pid: ProcessId,
         behavior: Arc<dyn Behavior>,
+        domain: Arc<[ProcessId]>,
         core: CoreConfig,
         policy: DriverPolicy,
     ) -> Driver {
@@ -396,6 +411,7 @@ impl Driver {
         Driver {
             pid,
             behavior,
+            domain,
             core: ProcessCore::new(pid, core),
             policy,
             threads: BTreeMap::from([(0, thread0)]),
@@ -689,6 +705,15 @@ impl Driver {
         payload: Value,
         label: String,
     ) {
+        // Control about this send's guard will only ever go to the domain.
+        assert!(
+            self.domain.binary_search(&to).is_ok(),
+            "process {} ({}) sent to process {}, outside the communication component \
+             its world's behaviors declared (Behavior::peers)",
+            self.pid.0,
+            self.behavior.name(),
+            to.0,
+        );
         let tag = self.core.encode_for_send(tid, to);
         let msg = Envelope {
             id: env.next_msg_id(),
@@ -745,8 +770,9 @@ impl Driver {
     // Dissemination (§4.2.5)
     // ------------------------------------------------------------------
 
-    /// Disseminate a control message: broadcast (the paper's simple
-    /// scheme), or targeted at recorded dependents. Targeted recipients
+    /// Disseminate a control message: broadcast to the control domain
+    /// (the paper's simple scheme, scoped to where a dependency can
+    /// exist), or targeted at recorded dependents. Targeted recipients
     /// relay onward in [`Driver::on_control`].
     fn broadcast<E: Env>(&mut self, env: &mut E, ctrl: Control) {
         let from = self.pid;
@@ -764,10 +790,7 @@ impl Driver {
             }
             t.into_iter().collect()
         } else {
-            (0..env.n_processes() as u32)
-                .map(ProcessId)
-                .filter(|p| *p != from)
-                .collect()
+            self.domain.iter().copied().filter(|p| *p != from).collect()
         };
         self.relayed.insert((ctrl_kind(&ctrl), ctrl.subject()));
         self.send_control(env, targets, &ctrl);

@@ -37,9 +37,6 @@ impl Env for Fake {
         self.ids += 1;
         CallId(self.ids)
     }
-    fn n_processes(&self) -> usize {
-        4
-    }
     fn send_data(&mut self, msg: Envelope) -> u32 {
         self.data.push(msg);
         0
@@ -93,8 +90,13 @@ fn thread(index: u32) -> ThreadId {
     ThreadId { process: P0, index }
 }
 
+/// The four-process world every test here plays in, as one domain.
+fn world() -> Arc<[ProcessId]> {
+    Arc::new([P0, P1, P2, P3])
+}
+
 fn driver(behavior: Arc<dyn Behavior>, policy: DriverPolicy) -> Driver {
-    Driver::new(P0, behavior, CoreConfig::default(), policy)
+    Driver::new(P0, behavior, world(), CoreConfig::default(), policy)
 }
 
 /// A one-way message to P0 carrying `v`, tagged with `guard`.
@@ -278,6 +280,37 @@ fn discard_repools_cancels_rewinds_and_drops_the_thread() {
 }
 
 #[test]
+fn a_commit_is_broadcast_to_the_control_domain_not_the_world() {
+    for (domain, heard) in [
+        (vec![P0, P1, P2, P3], vec![P1, P2, P3]),
+        (vec![P0, P1], vec![P1]),
+    ] {
+        let policy = DriverPolicy::default();
+        let mut d = Driver::new(P0, forker(), domain.into(), CoreConfig::default(), policy);
+        let mut fake = Fake::start(&mut d);
+        let x1 = fake.timers[0];
+        let DataKind::Call(cid) = fake.data[0].kind else {
+            panic!("the left thread's call");
+        };
+        let mut ret = msg(1, P1, Guard::empty(), 0);
+        ret.kind = DataKind::Return(cid);
+        fake.arrive(&mut d, ret);
+        let told: Vec<ProcessId> = fake.ctrl.iter().map(|(to, _)| *to).collect();
+        assert_eq!(told, heard);
+        assert!(fake.ctrl.iter().all(|(_, c)| *c == Control::Commit(x1)));
+        assert_eq!(d.stats.control_messages, heard.len() as u64);
+    }
+}
+
+#[test]
+#[should_panic(expected = "process 0 (forker) sent to process 1, outside")]
+fn a_send_outside_the_control_domain_is_refused() {
+    let (domain, policy) = (vec![P0, P2].into(), DriverPolicy::default());
+    let mut d = Driver::new(P0, forker(), domain, CoreConfig::default(), policy);
+    Fake::start(&mut d);
+}
+
+#[test]
 fn sparse_checkpoints_replay_to_the_dense_state() {
     // Four messages, each guarded by a different process's guess, open
     // four intervals; aborting the second guess rolls back to boundary 2.
@@ -400,7 +433,7 @@ fn relayed_control_never_returns_to_its_sender() {
                 targeted_control: true,
                 ..CoreConfig::default()
             };
-            let mut d = Driver::new(P0, fan_out(), core, DriverPolicy::default());
+            let mut d = Driver::new(P0, fan_out(), world(), core, DriverPolicy::default());
             let mut fake = Fake::start(&mut d);
             // P0 takes on a dependency on g, then tags messages to P1 and
             // P2 with it: both are its recorded dependents.

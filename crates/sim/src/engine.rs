@@ -14,7 +14,7 @@
 //! execute exactly in their sequential order — that execution's trace is
 //! the reference for Theorem 1.
 
-use crate::behavior::{Behavior, Resume};
+use crate::behavior::{control_domains, Behavior, Resume, Undeclared};
 use crate::driver::{
     After, DeliverySchedule, Driver, DriverPolicy, Env, FaultInjection, ObsMeta, Observable,
 };
@@ -131,6 +131,17 @@ impl SimBuilder {
         id
     }
 
+    /// Forget what the behaviors declared ([`Behavior::peers`]): the world
+    /// becomes one control domain and every control message goes to every
+    /// process — the "world broadcast" row scoped dissemination is
+    /// compared against (DESIGN.md §5).
+    pub fn undeclared(mut self) -> Self {
+        for b in &mut self.behaviors {
+            *b = Arc::new(Undeclared(b.clone()));
+        }
+        self
+    }
+
     pub fn build(self) -> World {
         World::new(self.cfg, self.behaviors)
     }
@@ -222,7 +233,6 @@ pub struct World {
 /// Everything in the world except the processes — the simulator's [`Env`].
 struct Net {
     cfg: SimConfig,
-    n_processes: usize,
     now: VTime,
     seq: u64,
     queue: BinaryHeap<Reverse<(VTime, u64, u64)>>,
@@ -281,10 +291,6 @@ impl Env for Net {
     fn next_call_id(&mut self) -> CallId {
         self.next_call += 1;
         CallId(self.next_call - 1)
-    }
-
-    fn n_processes(&self) -> usize {
-        self.n_processes
     }
 
     fn send_data(&mut self, mut msg: Envelope) -> u32 {
@@ -364,7 +370,6 @@ impl World {
             provenance: true,
         };
         let mut net = Net {
-            n_processes: behaviors.len(),
             now: 0,
             seq: 0,
             queue: BinaryHeap::new(),
@@ -381,10 +386,14 @@ impl World {
             tele: Telemetry::new(true),
             cfg,
         };
-        let procs: Vec<Driver> = behaviors
+        let procs: Vec<Driver> = control_domains(&behaviors)
             .into_iter()
+            .zip(behaviors)
             .enumerate()
-            .map(|(i, b)| Driver::new(ProcessId(i as u32), b, net.cfg.core.clone(), policy.clone()))
+            .map(|(i, (domain, b))| {
+                let pid = ProcessId(i as u32);
+                Driver::new(pid, b, domain, net.cfg.core.clone(), policy.clone())
+            })
             .collect();
         for p in &procs {
             let thread0 = ThreadId {

@@ -17,7 +17,9 @@ pub mod latency;
 pub mod trace;
 
 pub use audit::{assert_audit_clean, audit_trace, Violation};
-pub use behavior::{reply_label, Behavior, BehaviorState, Effect, FnBehavior, Resume};
+pub use behavior::{
+    control_domains, reply_label, Behavior, BehaviorState, Effect, FnBehavior, Resume,
+};
 pub use driver::{
     After, DeliverySchedule, Driver, DriverPolicy, Env, FaultInjection, ObsKind, ObsMeta,
     Observable,

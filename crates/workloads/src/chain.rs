@@ -87,6 +87,10 @@ impl Behavior for OptimisticForwarder {
     fn name(&self) -> &str {
         &self.name
     }
+
+    fn peers(&self, _me: ProcessId) -> Option<Vec<ProcessId>> {
+        Some(vec![self.downstream])
+    }
 }
 
 /// Chain scenario parameters.
@@ -124,9 +128,8 @@ pub fn chain_config(opts: &ChainOpts) -> SimConfig {
     }
 }
 
-/// Build and run the chain world under an explicit engine config (the
-/// schedule explorer's runner).
-pub fn run_chain_cfg(opts: &ChainOpts, cfg: &SimConfig) -> SimResult {
+/// The chain world under an explicit engine config, not yet built.
+pub fn chain_builder(opts: &ChainOpts, cfg: &SimConfig) -> SimBuilder {
     let mut b = SimBuilder::new(cfg.clone());
     b.add_process(PutLineClient::to(opts.n, ProcessId(1)));
     for hop in 1..=opts.depth {
@@ -141,7 +144,13 @@ pub fn run_chain_cfg(opts: &ChainOpts, cfg: &SimConfig) -> SimResult {
         let i = v.as_int().unwrap_or(-1);
         Value::Bool(i >= 0 && !fails.contains(&(i as u32)))
     }));
-    b.build().run()
+    b
+}
+
+/// Build and run the chain world under an explicit engine config (the
+/// schedule explorer's runner).
+pub fn run_chain_cfg(opts: &ChainOpts, cfg: &SimConfig) -> SimResult {
+    chain_builder(opts, cfg).build().run()
 }
 
 /// Client is process 0; hops are 1..=depth; terminal server is depth+1.

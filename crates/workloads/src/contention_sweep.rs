@@ -225,6 +225,10 @@ impl Behavior for SweepClient {
     fn name(&self) -> &str {
         "SweepClient"
     }
+
+    fn peers(&self, _me: ProcessId) -> Option<Vec<ProcessId>> {
+        Some(vec![self.server])
+    }
 }
 
 fn sweep_server(opts: &SweepOpts) -> Server {

@@ -68,9 +68,8 @@ pub fn fan_in_config(opts: &FanInOpts) -> SimConfig {
     }
 }
 
-/// Build and run the fan-in world under an explicit engine config (the
-/// schedule explorer's runner).
-pub fn run_fan_in_cfg(opts: &FanInOpts, cfg: &SimConfig) -> SimResult {
+/// The fan-in world under an explicit engine config, not yet built.
+pub fn fan_in_builder(opts: &FanInOpts, cfg: &SimConfig) -> SimBuilder {
     let board = consumer(opts);
     let mut b = SimBuilder::new(cfg.clone());
     for _ in 0..opts.producers {
@@ -80,7 +79,13 @@ pub fn run_fan_in_cfg(opts: &FanInOpts, cfg: &SimConfig) -> SimResult {
         Server::new("Board", opts.server_compute).with_reply(|_| Value::Bool(true)),
     );
     debug_assert_eq!(s, board);
-    b.build().run()
+    b
+}
+
+/// Build and run the fan-in world under an explicit engine config (the
+/// schedule explorer's runner).
+pub fn run_fan_in_cfg(opts: &FanInOpts, cfg: &SimConfig) -> SimResult {
+    fan_in_builder(opts, cfg).build().run()
 }
 
 /// Build and run the fan-in scenario.
@@ -185,6 +190,10 @@ impl Behavior for BurstProducer {
 
     fn name(&self) -> &str {
         "BurstProducer"
+    }
+
+    fn peers(&self, _me: ProcessId) -> Option<Vec<ProcessId>> {
+        Some(vec![self.sink])
     }
 }
 

@@ -310,6 +310,10 @@ impl Behavior for KvClient {
     fn name(&self) -> &str {
         "KvClient"
     }
+
+    fn peers(&self, _me: ProcessId) -> Option<Vec<ProcessId>> {
+        Some(self.replicas.iter().copied().chain([self.seq]).collect())
+    }
 }
 
 /// The sequencer: assigns the next log position to each command call, in
@@ -375,6 +379,11 @@ impl Behavior for Sequencer {
 
     fn name(&self) -> &str {
         "Sequencer"
+    }
+
+    /// Only ever replies.
+    fn peers(&self, _me: ProcessId) -> Option<Vec<ProcessId>> {
+        Some(Vec::new())
     }
 }
 
@@ -513,6 +522,11 @@ impl Behavior for Replica {
     fn name(&self) -> &str {
         &self.name
     }
+
+    /// Only ever replies.
+    fn peers(&self, _me: ProcessId) -> Option<Vec<ProcessId>> {
+        Some(Vec::new())
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -550,9 +564,8 @@ fn client_behavior(opts: &KvOpts, cdf: &Arc<Vec<f64>>, j: u32) -> KvClient {
     }
 }
 
-/// Build and run the replicated-KV world under an explicit engine config
-/// (the schedule explorer's runner).
-pub fn run_replicated_kv_cfg(opts: &KvOpts, cfg: &SimConfig) -> SimResult {
+/// The replicated-KV world under an explicit engine config, not yet built.
+pub fn kv_builder(opts: &KvOpts, cfg: &SimConfig) -> SimBuilder {
     let cdf = zipf_cdf(opts.keys, opts.zipf_s);
     let mut b = SimBuilder::new(cfg.clone());
     for j in 0..opts.clients {
@@ -571,7 +584,13 @@ pub fn run_replicated_kv_cfg(opts: &KvOpts, cfg: &SimConfig) -> SimResult {
         ));
         debug_assert_eq!(p, replica(opts, r));
     }
-    b.build().run()
+    b
+}
+
+/// Build and run the replicated-KV world under an explicit engine config
+/// (the schedule explorer's runner).
+pub fn run_replicated_kv_cfg(opts: &KvOpts, cfg: &SimConfig) -> SimResult {
+    kv_builder(opts, cfg).build().run()
 }
 
 /// Build and run the replicated-KV scenario.

@@ -71,6 +71,11 @@ impl Behavior for Server {
     fn name(&self) -> &str {
         &self.name
     }
+
+    /// Only ever replies.
+    fn peers(&self, _me: ProcessId) -> Option<Vec<ProcessId>> {
+        Some(Vec::new())
+    }
 }
 
 /// A server that services each call by calling a downstream server first —
@@ -160,6 +165,10 @@ impl Behavior for ForwardServer {
     fn name(&self) -> &str {
         &self.name
     }
+
+    fn peers(&self, _me: ProcessId) -> Option<Vec<ProcessId>> {
+        Some(vec![self.downstream])
+    }
 }
 
 /// A sink that absorbs one-way sends and emits each payload as an external
@@ -212,6 +221,11 @@ impl Behavior for DisplaySink {
 
     fn name(&self) -> &str {
         &self.name
+    }
+
+    /// Only ever replies.
+    fn peers(&self, _me: ProcessId) -> Option<Vec<ProcessId>> {
+        Some(Vec::new())
     }
 }
 

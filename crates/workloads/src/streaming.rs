@@ -125,6 +125,10 @@ impl Behavior for PutLineClient {
     fn name(&self) -> &str {
         "PutLineClient"
     }
+
+    fn peers(&self, _me: ProcessId) -> Option<Vec<ProcessId>> {
+        Some(vec![self.server])
+    }
 }
 
 /// Scenario parameters for the streaming experiments.
@@ -173,9 +177,8 @@ pub fn streaming_config(opts: &StreamingOpts) -> SimConfig {
     }
 }
 
-/// Build and run the PutLine world under an explicit engine config (the
-/// schedule explorer's runner).
-pub fn run_streaming_cfg(opts: &StreamingOpts, cfg: &SimConfig) -> SimResult {
+/// The PutLine world under an explicit engine config, not yet built.
+pub fn streaming_builder(opts: &StreamingOpts, cfg: &SimConfig) -> SimBuilder {
     let mut b = SimBuilder::new(cfg.clone());
     let c = if opts.fork_after_send {
         b.add_process(PutLineClientFas {
@@ -193,7 +196,13 @@ pub fn run_streaming_cfg(opts: &StreamingOpts, cfg: &SimConfig) -> SimResult {
         }),
     );
     debug_assert_eq!((c, s), (CLIENT, SERVER));
-    b.build().run()
+    b
+}
+
+/// Build and run the PutLine world under an explicit engine config (the
+/// schedule explorer's runner).
+pub fn run_streaming_cfg(opts: &StreamingOpts, cfg: &SimConfig) -> SimResult {
+    streaming_builder(opts, cfg).build().run()
 }
 
 /// Build and run the PutLine scenario.
@@ -280,6 +289,10 @@ impl Behavior for PutLineClientFas {
 
     fn name(&self) -> &str {
         "PutLineClientFas"
+    }
+
+    fn peers(&self, _me: ProcessId) -> Option<Vec<ProcessId>> {
+        Some(vec![self.server])
     }
 }
 
@@ -373,6 +386,10 @@ impl Behavior for TallyClient {
     fn name(&self) -> &str {
         "TallyClient"
     }
+
+    fn peers(&self, _me: ProcessId) -> Option<Vec<ProcessId>> {
+        Some(vec![self.server])
+    }
 }
 
 /// Deterministic per-line failure decision with rate `p` (per mille) under
@@ -410,8 +427,8 @@ impl Default for TallyOpts {
     }
 }
 
-/// Run the tally (continue-on-failure) streaming scenario.
-pub fn run_tally(opts: TallyOpts) -> SimResult {
+/// The tally (continue-on-failure) streaming world, not yet built.
+pub fn tally_builder(opts: &TallyOpts) -> SimBuilder {
     let cfg = SimConfig {
         core: opts.core.clone(),
         latency: LatencyModel::fixed(opts.latency),
@@ -428,7 +445,12 @@ pub fn run_tally(opts: TallyOpts) -> SimResult {
         Value::Bool(!line_fails(seed, i, p))
     }));
     debug_assert_eq!((c, s), (CLIENT, SERVER));
-    b.build().run()
+    b
+}
+
+/// Run the tally scenario.
+pub fn run_tally(opts: TallyOpts) -> SimResult {
+    tally_builder(&opts).build().run()
 }
 
 /// Build `pairs` independent client→server pairs on the real-thread

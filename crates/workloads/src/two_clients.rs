@@ -243,6 +243,10 @@ impl Behavior for Fig7Client {
     fn name(&self) -> &str {
         &self.name
     }
+
+    fn peers(&self, _me: ProcessId) -> Option<Vec<ProcessId>> {
+        Some(vec![self.server, self.peer_server])
+    }
 }
 
 /// A server whose service time is long enough that a one-way send can slip
