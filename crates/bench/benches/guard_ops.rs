@@ -1,7 +1,9 @@
-//! Micro-benchmarks for the copy-on-write guard representation: clone,
-//! union, difference (`new_guards`), and interning across guard sizes
-//! 0–64. The clone numbers are the headline: a shared guard clones in
-//! O(1) regardless of size.
+//! Micro-benchmarks for the guard representation (runs of consecutive
+//! guesses): clone, union, difference (`new_guards`), and interning across
+//! guard sizes 0–64 spread over seven processes — a many-run guard — and,
+//! beside the 32-guess cases, a 512-deep single-process guard, which is
+//! one run: clone, union and front removal there cost what they cost for a
+//! single guess.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use opcsp_core::{Guard, GuardInterner, GuessId, ProcessId};
@@ -19,12 +21,35 @@ fn half_overlap(n: u32) -> Guard {
         .collect()
 }
 
+/// The guard of the 512th thread of a call stream: x1..x512.
+fn deep() -> Guard {
+    (1..=512).map(|i| GuessId::first(ProcessId(0), i)).collect()
+}
+
 fn bench_clone(c: &mut Criterion) {
     let mut g = c.benchmark_group("guard_ops/clone");
     for &n in SIZES {
         let guard = guard_of(n);
         g.bench_with_input(BenchmarkId::new("clone", n), &guard, |b, guard| {
             b.iter(|| black_box(guard.clone()))
+        });
+    }
+    let guard = deep();
+    g.bench_function("clone/deep512", |b| b.iter(|| black_box(guard.clone())));
+    g.finish();
+}
+
+/// Commit-order removal: the oldest guess leaves the guard.
+fn bench_remove_front(c: &mut Criterion) {
+    let mut g = c.benchmark_group("guard_ops/remove_front");
+    for (name, guard) in [("32", guard_of(32)), ("deep512", deep())] {
+        let first = guard.iter().next().expect("non-empty");
+        g.bench_function(name, |b| {
+            b.iter(|| {
+                let mut left = guard.clone();
+                assert!(left.remove(first));
+                black_box(left)
+            })
         });
     }
     g.finish();
@@ -52,6 +77,18 @@ fn bench_union(c: &mut Criterion) {
             })
         });
     }
+    // The next call's tag into the server's guard: x1..x512 ∪ x1..x513.
+    let (base, other) = (
+        deep(),
+        (1..=513).map(|i| GuessId::first(ProcessId(0), i)).collect(),
+    );
+    g.bench_function("union/deep512", |b| {
+        b.iter(|| {
+            let mut u = base.clone();
+            u.union_with(&other);
+            black_box(u)
+        })
+    });
     g.finish();
 }
 
@@ -89,8 +126,9 @@ fn bench_intern(c: &mut Criterion) {
     g.finish();
 }
 
-/// Structural proof for the acceptance criterion: cloning a shared ≥8-guess
-/// guard is O(1) — it shares storage, it does not copy.
+/// Structural proof for the acceptance criterion: cloning a guard of many
+/// runs (8 guesses of 7 processes) is O(1) — it shares storage, it does
+/// not copy.
 fn bench_clone_is_shared(c: &mut Criterion) {
     let guard = guard_of(8);
     let copy = guard.clone();
@@ -110,6 +148,7 @@ fn bench_clone_is_shared(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_clone,
+    bench_remove_front,
     bench_union,
     bench_diff,
     bench_intern,

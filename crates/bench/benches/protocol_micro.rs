@@ -2,8 +2,8 @@
 //! the paper's §6 claims are "small": guard tagging, arrival processing,
 //! fork/join bookkeeping, abort cascades and CDG cycle detection — plus the
 //! resolution path at pipeline depth: a commit wave through n forks, the
-//! client side of an n-call stream, a PRECEDENCE guard ingest, and the
-//! delivery choice over a pooled backlog.
+//! client and the server side of an n-call stream, a PRECEDENCE guard
+//! ingest, and the delivery choice over a pooled backlog.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use opcsp_core::{
@@ -154,6 +154,44 @@ fn bench_stream_client(c: &mut Criterion) {
     g.finish();
 }
 
+/// The server side of the same stream: call k arrives tagged with the full
+/// prefix x1..x(k-1) (the client has heard no return yet), is checked,
+/// counted against the pool and delivered to the one server thread, whose
+/// reply tag is read off it; then the `n` COMMITs land in fork order and
+/// the thread's guard is read once more.
+fn bench_stream_server(c: &mut Criterion) {
+    let mut g = c.benchmark_group("core/stream_server");
+    for n in [128u32, 512] {
+        let guesses: Vec<GuessId> = (1..=n).map(|i| GuessId::first(ProcessId(0), i)).collect();
+        let calls: Vec<Envelope> = (0..n as usize)
+            .map(|k| {
+                let mut env = env_with(ProcessId(1), guesses[..k].iter().copied().collect());
+                env.kind = DataKind::Call(CallId(k as u64));
+                env
+            })
+            .collect();
+        g.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
+            b.iter(|| {
+                let mut core = ProcessCore::new(ProcessId(1), CoreConfig::default());
+                for call in &calls {
+                    let mut call = call.clone();
+                    assert_eq!(core.classify_arrival(&mut call), ArrivalVerdict::Ok);
+                    black_box(core.choose_delivery(0, &[&call]));
+                    black_box(core.deliver(0, &call));
+                    black_box(core.encode_for_send(0, ProcessId(0)));
+                }
+                for guess in &guesses {
+                    black_box(core.on_commit(*guess));
+                }
+                assert!(core.is_committed(0));
+                black_box(core.encode_for_send(0, ProcessId(0)));
+                core
+            })
+        });
+    }
+    g.finish();
+}
+
 /// A server that consumed a message guarded by a 128-deep pipeline
 /// ingests the pipeline's PRECEDENCE messages: guess k is preceded by
 /// guesses 1..k, ~8k edges in all.
@@ -228,6 +266,7 @@ criterion_group!(
     bench_abort_cascade,
     bench_commit_wave,
     bench_stream_client,
+    bench_stream_server,
     bench_precedence_ingest,
     bench_choose_delivery,
     bench_cdg

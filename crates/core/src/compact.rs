@@ -8,14 +8,15 @@
 //!
 //! This is the data model behind the production wire format (`wire`): a
 //! [`Span`] per process — latest guess plus the lowest member index — and
-//! the expansion walk that reconstructs the implied set, plus size
-//! accounting for the E8 ablation. Engines still *hold* full guard sets in
-//! memory (ground truth for resolution); compaction happens at the wire
-//! boundary. Property tests (in `tests/` and below) check that
-//! `expand(compress(G))` reproduces exactly the live guesses of `G`.
+//! the expansion that reconstructs the implied set, plus size accounting
+//! for the E8 ablation. A span is a guard's per-process runs seen from the
+//! wire (`guard::Run`): compressing reads the first and last run of each
+//! process, expanding writes one run per incarnation. Property tests (in
+//! `tests/` and below) check that `expand(compress(G))` reproduces exactly
+//! the live guesses of `G`.
 
-use crate::guard::Guard;
-use crate::history::History;
+use crate::guard::{Guard, Run, RunBuf};
+use crate::history::{Fate, History};
 use crate::ids::{ForkIndex, GuessId, Incarnation, ProcessId};
 use std::collections::BTreeMap;
 
@@ -30,6 +31,10 @@ pub struct Span {
     pub latest: GuessId,
     pub floor: ForkIndex,
 }
+
+/// A membership filter for [`CompactGuard::expand_via`]: the fates, in that
+/// history, of the reconstructed members worth keeping.
+pub type Keep<'a> = (&'a History, fn(Fate) -> bool);
 
 /// A compacted guard: per process, the maximum (incarnation, index) pair —
 /// which implies all earlier guesses of that process down to the floor.
@@ -53,19 +58,15 @@ impl CompactGuard {
     /// member index per process.
     pub fn compress(full: &Guard) -> CompactGuard {
         let mut per_process: BTreeMap<ProcessId, Span> = BTreeMap::new();
-        for g in full.iter() {
-            per_process
-                .entry(g.process)
-                .and_modify(|s| {
-                    if (g.incarnation, g.index) > (s.latest.incarnation, s.latest.index) {
-                        s.latest = g;
-                    }
-                    s.floor = s.floor.min(g.index);
-                })
-                .or_insert(Span {
-                    latest: g,
-                    floor: g.index,
-                });
+        // A process's runs ascend by (incarnation, index): each one's last
+        // member is the latest so far.
+        for run in full.runs() {
+            let span = per_process.entry(run.process).or_insert(Span {
+                latest: run.last(),
+                floor: run.lo,
+            });
+            span.latest = run.last();
+            span.floor = span.floor.min(run.lo);
         }
         CompactGuard { per_process }
     }
@@ -80,8 +81,8 @@ impl CompactGuard {
         }
     }
 
-    /// Core expansion walk, parameterized over the incarnation-start source
-    /// and the membership filter. Shared by [`expand`](Self::expand) (local
+    /// Core expansion, parameterized over the incarnation-start source and
+    /// the membership filter. Shared by [`expand`](Self::expand) (local
     /// history: the sender's self-check and the E8 size accounting) and the
     /// wire decode path (`wire::decode`, which substitutes the sender-view
     /// table shipped on the message and keeps receiver-known-aborted
@@ -91,55 +92,47 @@ impl CompactGuard {
     /// `floor..n` (index 0 is the process's root thread, never a guess —
     /// forks pre-increment the index, so floors are ≥ 1) and assigns each to
     /// the highest incarnation `c ≤ i` whose effective start is ≤ the index.
-    /// The assignment is monotone in the index, so one cursor walks the
-    /// table downward in O(n + i) total instead of the old O(n·i) per-index
-    /// rescan.
+    /// Walking the incarnations downward, each takes the indexes from its
+    /// start up to where the one above it took over — one run apiece, so
+    /// the cost is the incarnations', not the indexes'.
     ///
     /// `start_of` returns the effective start of an incarnation `≥ 1` (use
     /// `ForkIndex::MAX` for "unknown": the slot is then never assigned).
+    /// `keep` drops the reconstructed members whose fate in that history it
+    /// rejects; the retained guess itself always stays.
     pub fn expand_via(
         &self,
         mut start_of: impl FnMut(ProcessId, Incarnation) -> ForkIndex,
-        mut keep: impl FnMut(GuessId) -> bool,
+        (history, keep): Keep<'_>,
     ) -> Guard {
-        // Accumulate into a Vec and build the guard in one shot: inserting
-        // into a shared guard rebuilds its storage, so element-wise inserts
-        // would cost O(n²) for long chains.
-        let mut out = Vec::new();
+        let mut out = RunBuf::new();
+        let mut implied: Vec<Run> = Vec::new();
         for (&p, &Span { latest, floor }) in &self.per_process {
-            out.push(latest);
-            if latest.index <= floor {
-                continue;
-            }
-            // Effective start of each incarnation 0..=i; incarnation 0
-            // always starts at index 0.
-            let eff: Vec<ForkIndex> = (0..=latest.incarnation.0)
-                .map(|i| {
-                    if i == 0 {
-                        0
-                    } else {
-                        start_of(p, Incarnation(i))
-                    }
-                })
-                .collect();
-            let mut c = eff.len() - 1;
-            for idx in (floor..latest.index).rev() {
-                // The candidate set {c : eff[c] ≤ idx} only shrinks as idx
-                // decreases, so the cursor never moves back up.
-                while c > 0 && eff[c] > idx {
-                    c -= 1;
+            // Indexes `floor..below` are still to be assigned.
+            let mut below = latest.index;
+            for c in (0..=latest.incarnation.0).rev() {
+                if below <= floor {
+                    break;
                 }
-                let g = GuessId {
-                    process: p,
-                    incarnation: Incarnation(c as u32),
-                    index: idx,
+                // Incarnation 0 always starts at index 0.
+                let start = if c == 0 {
+                    0
+                } else {
+                    start_of(p, Incarnation(c))
                 };
-                if keep(g) {
-                    out.push(g);
+                if start < below {
+                    let lo = start.max(floor);
+                    implied.push(Run::new(p, Incarnation(c), lo, below - 1));
+                    below = lo;
                 }
             }
+            for run in implied.drain(..).rev() {
+                let kept = history.fates_in(run).filter(|(_, f)| keep(*f));
+                kept.for_each(|(stretch, _)| out.push(stretch));
+            }
+            out.push(Run::single(latest));
         }
-        out.into_iter().collect()
+        out.finish()
     }
 
     /// Expand back to a full guard using a commit `History`.
@@ -153,13 +146,8 @@ impl CompactGuard {
     /// live guard, since resolution strips those members from live guards.
     pub fn expand(&self, history: &History) -> Guard {
         self.expand_via(
-            |p, i| {
-                history
-                    .incarnation_table(p)
-                    .and_then(|t| t.start_of(i))
-                    .unwrap_or(ForkIndex::MAX)
-            },
-            |g| !history.is_committed(g) && !history.is_aborted(g),
+            |p, i| history.start_of(p, i),
+            (history, |f| f == Fate::Unknown),
         )
     }
 

@@ -8,55 +8,118 @@
 //!
 //! ## Representation
 //!
-//! Guard sets are copied constantly: onto every outgoing message tag
-//! (§3.2), into every fork's right thread (§4.2.1), and into the interval
-//! snapshots that rollback restores (§4.1.1/§4.1.3). Most guards are tiny
-//! (the paper's figures never exceed three guesses), but deep pipelines
-//! and fan-in servers accumulate larger ones. [`Guard`] therefore stores
-//! its guesses as a sorted slice with two backings:
-//!
-//! - **inline** for up to [`Guard::INLINE_CAP`] guesses — no heap
-//!   allocation at all;
-//! - **shared** (a window over an `Arc<[GuessId]>`) beyond that — `clone`
-//!   is a reference count bump, removing the first or last guess narrows
-//!   the window in O(1) (§3.1's "p_i is removed from the set" when guesses
-//!   resolve in fork order, which is how a pipeline commits), and any other
-//!   mutation builds a new slice.
-//!
-//! Iteration order is sorted either way, so traces stay deterministic and
-//! the derived `Ord` matches the previous `BTreeSet`-backed ordering
-//! (lexicographic over sorted elements).
+//! §4.1.2: "A thread may depend upon many guesses by the same process,
+//! particularly if an optimization like call streaming is applied
+//! repeatedly" — and then on a *stretch* of them: commits strip a guard from
+//! the bottom, aborts from the top. A [`Guard`] stores [`Run`]s,
+//! `x_{i,lo} ..= x_{i,hi}`: sorted, disjoint, never adjacent (runs that
+//! touch are one run), so a set has one spelling and `Eq`/`Hash` are
+//! structural. Up to [`Guard::INLINE_CAP`] runs live inline — a 500-deep
+//! pipeline's guard is one, and forking under it or tagging a message with
+//! it allocates nothing — and beyond that behind an `Arc`, so a fan-in
+//! server's many-process tag clones by reference count. `iter()`,
+//! `Display`, `Ord` and `len()` speak of the sorted member sequence,
+//! whatever the run boundaries; `compact::Span` is the same shape on the
+//! wire.
 
-use crate::ids::GuessId;
+use crate::ids::{ForkIndex, GuessId, Incarnation, ProcessId};
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
+/// Consecutive guesses of one incarnation of one process:
+/// `x_{i,lo} ..= x_{i,hi}`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Run {
+    pub process: ProcessId,
+    pub incarnation: Incarnation,
+    pub lo: ForkIndex,
+    pub hi: ForkIndex,
+}
+
+impl Run {
+    pub fn new(process: ProcessId, incarnation: Incarnation, lo: ForkIndex, hi: ForkIndex) -> Run {
+        debug_assert!(lo <= hi, "a run has at least one member");
+        Run {
+            process,
+            incarnation,
+            lo,
+            hi,
+        }
+    }
+
+    pub fn single(g: GuessId) -> Run {
+        Run::new(g.process, g.incarnation, g.index, g.index)
+    }
+
+    /// The member with fork index `index`.
+    pub fn guess(&self, index: ForkIndex) -> GuessId {
+        GuessId::new(self.process, self.incarnation, index)
+    }
+
+    pub fn first(&self) -> GuessId {
+        self.guess(self.lo)
+    }
+
+    pub fn last(&self) -> GuessId {
+        self.guess(self.hi)
+    }
+
+    #[allow(clippy::len_without_is_empty)] // never empty
+    pub fn len(&self) -> usize {
+        (self.hi - self.lo) as usize + 1
+    }
+
+    pub fn contains(&self, g: GuessId) -> bool {
+        self.owner() == (g.process, g.incarnation) && self.lo <= g.index && g.index <= self.hi
+    }
+
+    /// The members, ascending.
+    pub fn iter(self) -> impl Iterator<Item = GuessId> {
+        (self.lo..=self.hi).map(move |n| self.guess(n))
+    }
+
+    fn owner(&self) -> (ProcessId, Incarnation) {
+        (self.process, self.incarnation)
+    }
+
+    /// Sort key: runs of a guard ascend by it, as their members do.
+    fn key(&self) -> (ProcessId, Incarnation, ForkIndex) {
+        (self.process, self.incarnation, self.lo)
+    }
+
+    /// Does `next` (not before `self` in key order) overlap or touch this
+    /// run, so that the two are one?
+    fn absorbs(&self, next: &Run) -> bool {
+        self.owner() == next.owner() && next.lo as u64 <= self.hi as u64 + 1
+    }
+}
+
 /// Placeholder for unused inline slots; never observable through the API.
-const FILL: GuessId = GuessId::first(crate::ids::ProcessId(0), 0);
+const FILL: Run = Run {
+    process: ProcessId(0),
+    incarnation: Incarnation(0),
+    lo: 0,
+    hi: 0,
+};
 
 #[derive(Clone)]
 enum Repr {
     Inline {
-        len: u8,
-        elems: [GuessId; Guard::INLINE_CAP],
+        n: u8,
+        runs: [Run; Guard::INLINE_CAP],
     },
-    /// The guesses are `elems[start..end]`. Every view of the storage is
-    /// sorted, so equality, ordering and hashing (all over
-    /// [`Guard::as_slice`]) do not see the window.
-    Shared {
-        elems: Arc<[GuessId]>,
-        start: u32,
-        end: u32,
-    },
+    Shared(Arc<[Run]>),
 }
 
 /// A commit guard set: the uncommitted guesses a computation depends upon.
 ///
-/// Backed by a sorted slice (inline below [`Guard::INLINE_CAP`] elements,
-/// `Arc`-shared above) so iteration order is deterministic, which the
-/// simulator relies on for reproducible traces, and so cloning a large
-/// guard — the per-message hot path — is O(1).
+/// Backed by sorted runs of consecutive guesses (inline up to
+/// [`Guard::INLINE_CAP`] runs, `Arc`-shared above), so iteration order is
+/// deterministic, which the simulator relies on for reproducible traces,
+/// and so copying a guard — the per-message hot path — never costs more
+/// than a few words however deep the pipeline behind it.
 ///
 /// ```
 /// use opcsp_core::{Guard, GuessId, ProcessId};
@@ -74,10 +137,66 @@ pub struct Guard {
     repr: Repr,
 }
 
+/// Accumulates runs pushed in ascending order into a canonical guard,
+/// merging the ones that touch; allocates only past the inline capacity.
+pub(crate) struct RunBuf {
+    n: usize,
+    inline: [Run; Guard::INLINE_CAP],
+    spill: Vec<Run>,
+}
+
+impl RunBuf {
+    pub(crate) fn new() -> RunBuf {
+        RunBuf {
+            n: 0,
+            inline: [FILL; Guard::INLINE_CAP],
+            spill: Vec::new(),
+        }
+    }
+
+    /// Append `run`, which starts no earlier than any run pushed before.
+    pub(crate) fn push(&mut self, run: Run) {
+        let last = match self.spill.last_mut() {
+            Some(last) => Some(last),
+            None => self.inline[..self.n].last_mut(),
+        };
+        if let Some(last) = last {
+            debug_assert!(last.key() <= run.key(), "runs pushed out of order");
+            if last.absorbs(&run) {
+                last.hi = last.hi.max(run.hi);
+                return;
+            }
+        }
+        if self.n < Guard::INLINE_CAP {
+            self.inline[self.n] = run;
+            self.n += 1;
+        } else {
+            if self.spill.is_empty() {
+                self.spill.extend_from_slice(&self.inline);
+            }
+            self.spill.push(run);
+        }
+    }
+
+    /// The guard pushed so far; shared storage exactly when its runs
+    /// exceed `INLINE_CAP`.
+    pub(crate) fn finish(self) -> Guard {
+        let repr = match self.spill.is_empty() {
+            true => Repr::Inline {
+                n: self.n as u8,
+                runs: self.inline,
+            },
+            false => Repr::Shared(self.spill.into()),
+        };
+        Guard { repr }
+    }
+}
+
 impl Guard {
-    /// Largest guard kept inline (allocation-free); larger guards move to
-    /// shared storage.
-    pub const INLINE_CAP: usize = 4;
+    /// Most runs kept inline (allocation-free); a guard of more runs moves
+    /// to shared storage. A guard of at most this many *guesses* is
+    /// therefore always inline.
+    pub const INLINE_CAP: usize = 3;
 
     /// The empty guard set: a committed computation.
     pub fn empty() -> Guard {
@@ -86,45 +205,38 @@ impl Guard {
 
     /// A guard set containing exactly one guess.
     pub fn single(g: GuessId) -> Guard {
-        let mut elems = [FILL; Guard::INLINE_CAP];
-        elems[0] = g;
-        Guard {
-            repr: Repr::Inline { len: 1, elems },
-        }
+        Guard::from_ascending([Run::single(g)])
     }
 
-    /// Build from a sorted, deduplicated vector (internal constructor; all
-    /// mutation paths funnel through here, maintaining the invariant that
-    /// shared storage is used exactly when the guard exceeds `INLINE_CAP`).
-    fn from_sorted_vec(v: Vec<GuessId>) -> Guard {
-        debug_assert!(v.windows(2).all(|w| w[0] < w[1]), "sorted + deduped");
-        if v.len() <= Guard::INLINE_CAP {
-            let mut elems = [FILL; Guard::INLINE_CAP];
-            elems[..v.len()].copy_from_slice(&v);
-            Guard {
-                repr: Repr::Inline {
-                    len: v.len() as u8,
-                    elems,
-                },
-            }
-        } else {
-            let end = u32::try_from(v.len()).expect("guard length fits u32");
-            Guard {
-                repr: Repr::Shared {
-                    elems: v.into(),
-                    start: 0,
-                    end,
-                },
-            }
-        }
+    /// The guard spelled by `runs`, which ascend (and may touch).
+    pub(crate) fn from_ascending(runs: impl IntoIterator<Item = Run>) -> Guard {
+        let mut buf = RunBuf::new();
+        runs.into_iter().for_each(|run| buf.push(run));
+        buf.finish()
     }
 
-    /// The guesses as a sorted slice — the canonical view every operation
-    /// reads through.
-    pub fn as_slice(&self) -> &[GuessId] {
+    /// The union of the two sets.
+    pub(crate) fn merged(&self, other: &Guard) -> Guard {
+        let (mut a, mut b) = (self.runs(), other.runs());
+        let mut out = RunBuf::new();
+        while let (Some(x), Some(y)) = (a.first(), b.first()) {
+            let next = match x.key() <= y.key() {
+                true => &mut a,
+                false => &mut b,
+            };
+            out.push(next[0]);
+            *next = &next[1..];
+        }
+        a.iter().chain(b).for_each(|run| out.push(*run));
+        out.finish()
+    }
+
+    /// The runs of consecutive guesses, ascending, disjoint and never
+    /// adjacent — the canonical view every operation reads through.
+    pub fn runs(&self) -> &[Run] {
         match &self.repr {
-            Repr::Inline { len, elems } => &elems[..*len as usize],
-            Repr::Shared { elems, start, end } => &elems[*start as usize..*end as usize],
+            Repr::Inline { n, runs } => &runs[..*n as usize],
+            Repr::Shared(runs) => runs,
         }
     }
 
@@ -132,84 +244,50 @@ impl Guard {
     /// "If the commit guard set of a computation is empty then the commit
     /// guard predicate is vacuously true").
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.runs().is_empty()
     }
 
+    /// Number of guesses in the set.
     pub fn len(&self) -> usize {
-        match &self.repr {
-            Repr::Inline { len, .. } => *len as usize,
-            Repr::Shared { start, end, .. } => (end - start) as usize,
-        }
+        self.runs().iter().map(Run::len).sum()
     }
 
     pub fn contains(&self, g: GuessId) -> bool {
-        self.as_slice().binary_search(&g).is_ok()
+        let runs = self.runs();
+        let after = runs.partition_point(|r| r.key() <= (g.process, g.incarnation, g.index));
+        after > 0 && runs[after - 1].contains(g)
     }
 
     /// Add a guess this computation now depends on. Returns true if it was
     /// not already present (i.e. a *new* dependency, which starts a new
-    /// interval per §4.1.1).
+    /// interval per §4.1.1). The next guess of a pipeline extends its run.
     pub fn insert(&mut self, g: GuessId) -> bool {
-        let pos = match self.as_slice().binary_search(&g) {
-            Ok(_) => return false,
-            Err(p) => p,
-        };
-        match &mut self.repr {
-            Repr::Inline { len, elems } if (*len as usize) < Guard::INLINE_CAP => {
-                elems[pos..=*len as usize].rotate_right(1);
-                elems[pos] = g;
-                *len += 1;
-            }
-            _ => {
-                let mut v = Vec::with_capacity(self.len() + 1);
-                v.extend_from_slice(self.as_slice());
-                v.insert(pos, g);
-                *self = Guard::from_sorted_vec(v);
-            }
+        let new = !self.contains(g);
+        if new {
+            *self = self.merged(&Guard::single(g));
         }
-        true
+        new
     }
 
     /// Remove a guess whose predicate committed (§3.1: "When a predicate
     /// p_i in a computation's commit guard set commits, pi is removed from
     /// the set"). Returns true if it was present.
     ///
-    /// Removing the smallest or largest guess of a shared guard narrows its
-    /// window without touching (or unsharing) the storage; a guard that
-    /// does not hold `g` is left alone.
+    /// Removing the end of a run moves its bound, removing from the middle
+    /// splits it; a guard that does not hold `g` is left alone.
     pub fn remove(&mut self, g: GuessId) -> bool {
-        let slice = self.as_slice();
-        // A pipeline commits in fork order: the guess is the first one.
-        let pos = if slice.first() == Some(&g) {
-            0
-        } else {
-            match slice.binary_search(&g) {
-                Ok(p) => p,
-                Err(_) => return false,
-            }
-        };
-        match &mut self.repr {
-            Repr::Inline { len, elems } => {
-                elems[pos..*len as usize].rotate_left(1);
-                *len -= 1;
-            }
-            Repr::Shared { start, end, .. } => {
-                let len = (*end - *start) as usize;
-                if len - 1 > Guard::INLINE_CAP && (pos == 0 || pos == len - 1) {
-                    if pos == 0 {
-                        *start += 1;
-                    } else {
-                        *end -= 1;
-                    }
-                    return true;
-                }
-                let mut v = Vec::with_capacity(len - 1);
-                v.extend_from_slice(&self.as_slice()[..pos]);
-                v.extend_from_slice(&self.as_slice()[pos + 1..]);
-                *self = Guard::from_sorted_vec(v);
-            }
+        let held = self.contains(g);
+        if held {
+            let cut = |r: &Run| match r.contains(g) {
+                false => [Some(*r), None],
+                true => [
+                    (r.lo < g.index).then(|| Run::new(r.process, r.incarnation, r.lo, g.index - 1)),
+                    (g.index < r.hi).then(|| Run::new(r.process, r.incarnation, g.index + 1, r.hi)),
+                ],
+            };
+            *self = Guard::from_ascending(self.runs().iter().flat_map(cut).flatten());
         }
-        true
+        held
     }
 
     /// Union another guard into this one (message receipt, fork: "the Guard
@@ -218,105 +296,49 @@ impl Guard {
     /// Unioning into an empty guard adopts the other's storage without
     /// copying; a union that adds nothing leaves storage untouched.
     pub fn union_with(&mut self, other: &Guard) {
-        if other.is_empty() || self.shares_storage_with(other) {
-            return;
-        }
         if self.is_empty() {
             self.repr = other.repr.clone();
-            return;
+        } else if self.new_runs(other).next().is_some() {
+            *self = self.merged(other);
         }
-        // Single-guess tags (every fork, most sends) skip the merge walk.
-        if let [g] = other.as_slice() {
-            self.insert(*g);
-            return;
+    }
+
+    /// The runs of `incoming` that `self` does not hold, ascending.
+    pub fn new_runs<'a>(&'a self, incoming: &'a Guard) -> impl Iterator<Item = Run> + 'a {
+        let theirs: &[Run] = match self.shares_storage_with(incoming) {
+            true => &[],
+            false => incoming.runs(),
+        };
+        NewRuns {
+            mine: self.runs(),
+            theirs: theirs.iter(),
+            rest: None,
         }
-        if self.new_guard_count(other) == 0 {
-            return;
-        }
-        let (a, b) = (self.as_slice(), other.as_slice());
-        let mut v = Vec::with_capacity(a.len() + b.len());
-        let (mut i, mut j) = (0, 0);
-        while i < a.len() && j < b.len() {
-            match a[i].cmp(&b[j]) {
-                std::cmp::Ordering::Less => {
-                    v.push(a[i]);
-                    i += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    v.push(b[j]);
-                    j += 1;
-                }
-                std::cmp::Ordering::Equal => {
-                    v.push(a[i]);
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        v.extend_from_slice(&a[i..]);
-        v.extend_from_slice(&b[j..]);
-        *self = Guard::from_sorted_vec(v);
     }
 
     /// The guesses present in `incoming` but not in `self` — the
     /// `Newguards` of §4.2.3's message-arrival processing.
     pub fn new_guards(&self, incoming: &Guard) -> Vec<GuessId> {
-        if self.shares_storage_with(incoming) {
-            return Vec::new();
-        }
-        let mine = self.as_slice();
-        let mut i = 0;
-        incoming
-            .as_slice()
-            .iter()
-            .filter(|g| {
-                while i < mine.len() && mine[i] < **g {
-                    i += 1;
-                }
-                !(i < mine.len() && mine[i] == **g)
-            })
-            .copied()
-            .collect()
+        self.new_runs(incoming).flat_map(Run::iter).collect()
     }
 
     /// Count of guesses `incoming` would add — used by the delivery
     /// optimization ("the one for which |Newguards| is smallest").
     pub fn new_guard_count(&self, incoming: &Guard) -> usize {
-        if self.shares_storage_with(incoming) {
-            return 0;
-        }
-        let mine = self.as_slice();
-        let mut i = 0;
-        incoming
-            .as_slice()
-            .iter()
-            .filter(|g| {
-                while i < mine.len() && mine[i] < **g {
-                    i += 1;
-                }
-                !(i < mine.len() && mine[i] == **g)
-            })
-            .count()
+        self.new_runs(incoming).map(|r| r.len()).sum()
     }
 
+    /// The guesses, ascending.
     pub fn iter(&self) -> impl Iterator<Item = GuessId> + '_ {
-        self.as_slice().iter().copied()
+        self.runs().iter().flat_map(|r| r.iter())
     }
 
     /// Retain only guesses satisfying the predicate; returns removed ones.
     /// Storage is untouched when nothing is removed.
     pub fn retain(&mut self, mut keep: impl FnMut(GuessId) -> bool) -> Vec<GuessId> {
-        let mut kept = Vec::with_capacity(self.len());
-        let mut removed = Vec::new();
-        for &g in self.as_slice() {
-            if keep(g) {
-                kept.push(g);
-            } else {
-                removed.push(g);
-            }
-        }
+        let (kept, removed): (Vec<_>, Vec<_>) = self.iter().partition(|g| keep(*g));
         if !removed.is_empty() {
-            *self = Guard::from_sorted_vec(kept);
+            *self = Guard::from_ascending(kept.into_iter().map(Run::single));
         }
         removed
     }
@@ -328,80 +350,99 @@ impl Guard {
         2 + self.len() * GuessId::WIRE_BYTES
     }
 
-    /// Are `self` and `other` the same window over one heap allocation?
-    /// Inline guards never are (they own no allocation). Test hook for the
-    /// O(1)-clone guarantee, and the fast path of the set operations.
+    /// Do `self` and `other` read the same heap allocation? Inline guards
+    /// never do (they own none). Test hook for the O(1)-clone guarantee,
+    /// and the fast path of the set operations.
     pub fn shares_storage_with(&self, other: &Guard) -> bool {
         match (&self.repr, &other.repr) {
-            (
-                Repr::Shared { elems, start, end },
-                Repr::Shared {
-                    elems: other_elems,
-                    start: other_start,
-                    end: other_end,
-                },
-            ) => Arc::ptr_eq(elems, other_elems) && start == other_start && end == other_end,
+            (Repr::Shared(mine), Repr::Shared(theirs)) => Arc::ptr_eq(mine, theirs),
             _ => false,
+        }
+    }
+}
+
+/// `theirs − mine`, run by run.
+struct NewRuns<'a> {
+    /// What of mine can still overlap what is left of theirs.
+    mine: &'a [Run],
+    theirs: std::slice::Iter<'a, Run>,
+    /// The uncut upper part of the run of theirs in hand.
+    rest: Option<Run>,
+}
+
+impl Iterator for NewRuns<'_> {
+    type Item = Run;
+
+    fn next(&mut self) -> Option<Run> {
+        loop {
+            let rest = match self.rest.take() {
+                Some(rest) => rest,
+                None => *self.theirs.next()?,
+            };
+            let below = |m: &Run| (m.owner(), m.hi) < (rest.owner(), rest.lo);
+            while self.mine.first().is_some_and(below) {
+                self.mine = &self.mine[1..];
+            }
+            match self.mine.first() {
+                // `m` reaches `rest.lo` or beyond: it overlaps iff it
+                // starts inside.
+                Some(m) if m.owner() == rest.owner() && m.lo <= rest.hi => {
+                    if m.hi < rest.hi {
+                        self.rest = Some(Run {
+                            lo: m.hi + 1,
+                            ..rest
+                        });
+                    }
+                    if m.lo > rest.lo {
+                        return Some(Run {
+                            hi: m.lo - 1,
+                            ..rest
+                        });
+                    }
+                }
+                _ => return Some(rest),
+            }
         }
     }
 }
 
 impl Default for Guard {
     fn default() -> Guard {
-        Guard {
-            repr: Repr::Inline {
-                len: 0,
-                elems: [FILL; Guard::INLINE_CAP],
-            },
-        }
+        RunBuf::new().finish()
     }
 }
 
 impl PartialEq for Guard {
     fn eq(&self, other: &Guard) -> bool {
-        self.shares_storage_with(other) || self.as_slice() == other.as_slice()
+        self.shares_storage_with(other) || self.runs() == other.runs()
     }
 }
 
 impl Eq for Guard {}
 
 impl PartialOrd for Guard {
-    fn partial_cmp(&self, other: &Guard) -> Option<std::cmp::Ordering> {
+    fn partial_cmp(&self, other: &Guard) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
+/// Lexicographic over the sorted member sequences (nothing orders guards on
+/// a hot path, so member by member).
 impl Ord for Guard {
-    fn cmp(&self, other: &Guard) -> std::cmp::Ordering {
-        self.as_slice().cmp(other.as_slice())
+    fn cmp(&self, other: &Guard) -> Ordering {
+        self.iter().cmp(other.iter())
     }
 }
 
 impl std::hash::Hash for Guard {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.as_slice().hash(state);
+        self.runs().hash(state);
     }
 }
 
 impl fmt::Debug for Guard {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_set().entries(self.as_slice()).finish()
-    }
-}
-
-impl IntoIterator for Guard {
-    type Item = GuessId;
-    type IntoIter = std::vec::IntoIter<GuessId>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.as_slice().to_vec().into_iter()
-    }
-}
-
-impl<'a> IntoIterator for &'a Guard {
-    type Item = &'a GuessId;
-    type IntoIter = std::slice::Iter<'a, GuessId>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.as_slice().iter()
+        f.debug_set().entries(self.iter()).finish()
     }
 }
 
@@ -409,8 +450,7 @@ impl FromIterator<GuessId> for Guard {
     fn from_iter<T: IntoIterator<Item = GuessId>>(iter: T) -> Self {
         let mut v: Vec<GuessId> = iter.into_iter().collect();
         v.sort_unstable();
-        v.dedup();
-        Guard::from_sorted_vec(v)
+        Guard::from_ascending(v.into_iter().map(Run::single))
     }
 }
 
@@ -432,9 +472,9 @@ impl fmt::Display for Guard {
 /// Fan-in servers see the same large guard tag on message after message;
 /// interning maps every structurally equal guard to one shared allocation,
 /// so storing them (consumed-message logs, checkpoints, call stacks) costs
-/// a reference count instead of a copy. Guards at or below
-/// [`Guard::INLINE_CAP`] pass through untouched — they are allocation-free
-/// already.
+/// a reference count instead of a copy. Guards of at most
+/// [`Guard::INLINE_CAP`] guesses pass through untouched — they are
+/// allocation-free whatever their shape.
 #[derive(Debug, Clone, Default)]
 pub struct GuardInterner {
     table: HashMap<Guard, Guard>,

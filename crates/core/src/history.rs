@@ -2,13 +2,22 @@
 //!
 //! Each process maintains commit information about each process it
 //! communicates with: for each guess, whether it has committed, aborted, or
-//! is unknown. The paper suggests a sparse representation because "most
-//! guesses are assumed to commit"; we store explicit entries and treat
-//! missing entries as `Unknown`, with the incarnation start table providing
-//! *implicit aborts* for guesses superseded by a later incarnation.
+//! is unknown. The paper asks for a sparse representation because "most
+//! guesses are assumed to commit" — and they commit in stretches: what is
+//! recorded about a process is kept as stretches of fork indexes with one
+//! fate each (a pipeline that has committed its first 10 000 guesses is
+//! one entry; the entries it absorbed are gone), the incarnation start
+//! table provides *implicit aborts* for guesses superseded by a later
+//! incarnation, and everything else is `Unknown`.
+//!
+//! Guards are runs of consecutive guesses, and the history answers for a
+//! whole run at once: [`History::fates_in`] cuts a run into stretches of
+//! one fate each, in time proportional to the records and incarnations
+//! involved — not to the members.
 
+use crate::guard::{Guard, Run};
 use crate::ids::{ForkIndex, GuessId, Incarnation, ProcessId};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{btree_map, BTreeMap, HashMap};
 use std::sync::Arc;
 
 /// The resolution state of a guess, from this process's point of view.
@@ -100,11 +109,14 @@ impl IncarnationTable {
     /// at or before its index? (§4.1.5: "Receipt of C_{2,3} can also be
     /// taken as an implicit abort of x_{1,3}".)
     pub fn implicitly_aborted(&self, inc: Incarnation, index: ForkIndex) -> bool {
-        self.starts
-            .iter()
-            .enumerate()
-            .skip(inc.0 as usize + 1)
-            .any(|(_, &s)| s <= index)
+        self.superseded_from(inc).is_some_and(|s| s <= index)
+    }
+
+    /// The lowest fork index at which some incarnation after `inc` starts:
+    /// guesses of `inc` from there up are implicitly aborted.
+    pub fn superseded_from(&self, inc: Incarnation) -> Option<ForkIndex> {
+        let later = self.starts.iter().skip((inc.0 as usize).saturating_add(1));
+        later.copied().min()
     }
 
     /// Does `a` logically precede `b` within this process's own fork order?
@@ -128,37 +140,147 @@ impl IncarnationTable {
     }
 }
 
+/// What is recorded about one process's guesses: disjoint stretches of
+/// fork indexes, `(incarnation, lo) → (hi, fate)`, with touching stretches
+/// of one fate merged — a pipeline's commits are one entry however many
+/// there were.
+#[derive(Debug, Clone, Default)]
+struct PeerFates(BTreeMap<(Incarnation, ForkIndex), (ForkIndex, Fate)>);
+
+impl PeerFates {
+    /// The recorded stretch `(lo, hi, fate)` holding `index`.
+    fn stretch_at(
+        &self,
+        inc: Incarnation,
+        index: ForkIndex,
+    ) -> Option<(ForkIndex, ForkIndex, Fate)> {
+        let (&(i, lo), &(hi, fate)) = self.0.range(..=(inc, index)).next_back()?;
+        (i == inc && index <= hi).then_some((lo, hi, fate))
+    }
+
+    fn get(&self, inc: Incarnation, index: ForkIndex) -> Option<Fate> {
+        self.stretch_at(inc, index).map(|(_, _, fate)| fate)
+    }
+
+    /// Record `fate` for one guess: cut it out of the stretch that held it
+    /// (the last word wins, as it always has), then join it to the
+    /// neighbours of the same fate.
+    fn set(&mut self, inc: Incarnation, index: ForkIndex, fate: Fate) {
+        if let Some((lo, hi, old)) = self.stretch_at(inc, index) {
+            self.0.remove(&(inc, lo));
+            if lo < index {
+                self.0.insert((inc, lo), (index - 1, old));
+            }
+            if index < hi {
+                self.0.insert((inc, index + 1), (hi, old));
+            }
+        }
+        let same = |at: Option<ForkIndex>| {
+            let near = at.and_then(|at| self.stretch_at(inc, at));
+            near.filter(|(_, _, f)| *f == fate)
+        };
+        let lo = same(index.checked_sub(1)).map_or(index, |(lo, _, _)| lo);
+        let hi = same(index.checked_add(1)).map_or(index, |(_, hi, _)| hi);
+        if hi > index {
+            self.0.remove(&(inc, index + 1));
+        }
+        self.0.insert((inc, lo), (hi, fate));
+    }
+}
+
 /// Commit history across all remote processes.
 ///
 /// Both maps are keyed per peer and `Arc`-shared: cloning a history (an
 /// interval checkpoint, or an engine snapshotting a core) bumps one
 /// reference count per peer instead of copying every entry, and a later
-/// write unshares only the single peer's map it touches.
+/// write unshares only the single peer's record it touches.
 #[derive(Debug, Clone, Default)]
 pub struct History {
-    fates: HashMap<ProcessId, Arc<FateMap>>,
+    fates: HashMap<ProcessId, Arc<PeerFates>>,
     incarnations: HashMap<ProcessId, Arc<IncarnationTable>>,
     /// Bumped by every write that can turn some guess's fate into
     /// `Aborted`: an explicit abort entry, or an incarnation row that is
     /// new or moved down. See [`History::aborts_learned`].
     aborts_learned: u64,
+    /// Bumped by every recorded commit. See [`History::commits`].
+    commits: u64,
 }
 
-/// Per-peer fate entries, keyed by (incarnation, fork index).
-type FateMap = BTreeMap<(Incarnation, ForkIndex), Fate>;
+/// A run cut into stretches of one fate each, ascending
+/// ([`History::fates_in`]).
+pub struct FateRuns<'a> {
+    run: Run,
+    /// Next index to classify; past `run.hi` when done.
+    from: u64,
+    /// The recorded stretches from the one holding `from` on.
+    recorded: Option<btree_map::Range<'a, (Incarnation, ForkIndex), (ForkIndex, Fate)>>,
+    next_recorded: Option<(ForkIndex, ForkIndex, Fate)>,
+    /// Indexes from here up are implicitly aborted unless recorded
+    /// otherwise.
+    superseded: Option<ForkIndex>,
+}
+
+impl FateRuns<'_> {
+    fn advance(&mut self) {
+        let next = self.recorded.as_mut().and_then(Iterator::next);
+        self.next_recorded = next.map(|(&(_, lo), &(hi, fate))| (lo, hi, fate));
+    }
+}
+
+impl Iterator for FateRuns<'_> {
+    type Item = (Run, Fate);
+
+    fn next(&mut self) -> Option<(Run, Fate)> {
+        let hi = self.run.hi;
+        if self.from > hi as u64 {
+            return None;
+        }
+        let from = self.from as ForkIndex;
+        let (upto, fate) = match self.next_recorded {
+            Some((lo, upto, fate)) if lo <= from => {
+                self.advance();
+                (upto.min(hi), fate)
+            }
+            recorded => {
+                // Nothing recorded from here to the next stretch or the
+                // incarnation boundary.
+                let standing = self.superseded.filter(|s| from < *s);
+                let stop = recorded
+                    .map(|(lo, _, _)| lo)
+                    .into_iter()
+                    .chain(standing)
+                    .min();
+                let fate = match standing.is_some() || self.superseded.is_none() {
+                    true => Fate::Unknown,
+                    false => Fate::Aborted,
+                };
+                (stop.map_or(hi, |s| (s - 1).min(hi)), fate)
+            }
+        };
+        self.from = upto as u64 + 1;
+        let stretch = Run {
+            lo: from,
+            hi: upto,
+            ..self.run
+        };
+        Some((stretch, fate))
+    }
+}
 
 impl History {
     pub fn new() -> Self {
         History::default()
     }
 
-    /// The fate of a guess: explicit entry, else implicit abort via the
+    /// The fate of a guess: explicit record, else implicit abort via the
     /// incarnation table, else `Unknown`.
     pub fn fate(&self, g: GuessId) -> Fate {
-        if let Some(m) = self.fates.get(&g.process) {
-            if let Some(f) = m.get(&(g.incarnation, g.index)) {
-                return *f;
-            }
+        if let Some(f) = self
+            .fates
+            .get(&g.process)
+            .and_then(|m| m.get(g.incarnation, g.index))
+        {
+            return f;
         }
         if let Some(t) = self.incarnations.get(&g.process) {
             if t.implicitly_aborted(g.incarnation, g.index) {
@@ -166,6 +288,61 @@ impl History {
             }
         }
         Fate::Unknown
+    }
+
+    /// The fates of a run's members, as maximal-or-shorter stretches of one
+    /// fate each, ascending: [`fate`](Self::fate) for every member at the
+    /// cost of the records that fall inside the run.
+    pub fn fates_in(&self, run: Run) -> FateRuns<'_> {
+        let table = self.incarnations.get(&run.process);
+        let recorded = self.fates.get(&run.process).map(|m| {
+            let held = m.stretch_at(run.incarnation, run.lo);
+            let first = held.map_or(run.lo, |(lo, _, _)| lo);
+            m.0.range((run.incarnation, first)..=(run.incarnation, run.hi))
+        });
+        let mut cut = FateRuns {
+            run,
+            from: run.lo as u64,
+            recorded,
+            next_recorded: None,
+            superseded: table.and_then(|t| t.superseded_from(run.incarnation)),
+        };
+        cut.advance();
+        cut
+    }
+
+    /// The stretches of `run` with no resolution recorded or implied.
+    pub fn unresolved(&self, run: Run) -> impl Iterator<Item = Run> + '_ {
+        let unknown = self.fates_in(run).filter(|(_, f)| *f == Fate::Unknown);
+        unknown.map(|(stretch, _)| stretch)
+    }
+
+    /// [`fates_in`](Self::fates_in) over every run of a guard.
+    pub fn fates_of<'a>(&'a self, guard: &'a Guard) -> impl Iterator<Item = (Run, Fate)> + 'a {
+        guard.runs().iter().flat_map(|r| self.fates_in(*r))
+    }
+
+    /// The first member of `guard` (in guard order) known to have aborted
+    /// — what makes a message an orphan (§4.2.3).
+    pub fn first_aborted(&self, guard: &Guard) -> Option<GuessId> {
+        let mut fates = self.fates_of(guard);
+        fates
+            .find(|(_, f)| *f == Fate::Aborted)
+            .map(|(r, _)| r.first())
+    }
+
+    /// Has every member of `guard` committed? (Vacuously so for the empty
+    /// guard.) A guard read through the commit history is empty exactly
+    /// then.
+    pub fn all_committed(&self, guard: &Guard) -> bool {
+        self.fates_of(guard).all(|(_, f)| f == Fate::Committed)
+    }
+
+    /// `guard` read through the commit history: its members that have not
+    /// committed.
+    pub fn uncommitted(&self, guard: &Guard) -> Guard {
+        let left = self.fates_of(guard).filter(|(_, f)| *f != Fate::Committed);
+        Guard::from_ascending(left.map(|(r, _)| r))
     }
 
     pub fn is_aborted(&self, g: GuessId) -> bool {
@@ -189,11 +366,18 @@ impl History {
         self.aborts_learned
     }
 
-    fn set_fate(&mut self, g: GuessId, f: Fate) {
+    /// A monotone stamp of this history's commit knowledge: a guard read
+    /// through the history while it read the same needs no second reading.
+    pub fn commits(&self) -> u64 {
+        self.commits
+    }
+
+    fn set_fate(&mut self, g: GuessId, fate: Fate) {
         let m = self.fates.entry(g.process).or_default();
-        if m.get(&(g.incarnation, g.index)) != Some(&f) {
-            Arc::make_mut(m).insert((g.incarnation, g.index), f);
-            self.aborts_learned += (f == Fate::Aborted) as u64;
+        if m.get(g.incarnation, g.index) != Some(fate) {
+            Arc::make_mut(m).set(g.incarnation, g.index, fate);
+            self.aborts_learned += (fate == Fate::Aborted) as u64;
+            self.commits += (fate == Fate::Committed) as u64;
         }
     }
 
@@ -206,14 +390,18 @@ impl History {
     /// the owning process restarts `g.index` under `g.incarnation + 1`.
     pub fn record_abort(&mut self, g: GuessId) {
         self.set_fate(g, Fate::Aborted);
-        self.record_incarnation(g.process, Incarnation(g.incarnation.0 + 1), g.index);
+        let next = Incarnation(g.incarnation.0.saturating_add(1));
+        self.record_incarnation(g.process, next, g.index);
     }
 
     /// Record a PRECEDENCE message (§4.2.8: "we set `History[z_n]` = unknown").
     pub fn record_unknown(&mut self, g: GuessId) {
-        let m = self.fates.entry(g.process).or_default();
-        if !m.contains_key(&(g.incarnation, g.index)) {
-            Arc::make_mut(m).insert((g.incarnation, g.index), Fate::Unknown);
+        let known = self
+            .fates
+            .get(&g.process)
+            .and_then(|m| m.get(g.incarnation, g.index));
+        if known.is_none() {
+            self.set_fate(g, Fate::Unknown);
         }
     }
 
@@ -223,6 +411,14 @@ impl History {
     pub fn observe_guess(&mut self, g: GuessId) {
         if g.incarnation.0 > 0 {
             self.record_incarnation(g.process, g.incarnation, g.index);
+        }
+    }
+
+    /// [`observe_guess`](Self::observe_guess) for every member of a guard:
+    /// only the lowest member of each run can move a start.
+    pub fn observe_guard(&mut self, guard: &Guard) {
+        for run in guard.runs() {
+            self.observe_guess(run.first());
         }
     }
 
@@ -248,29 +444,22 @@ impl History {
         self.incarnations.get(&p).map(|t| t.as_ref())
     }
 
-    /// Number of explicit entries (diagnostics / E8 ablation).
+    /// Where incarnation `inc` of `p` starts, as far as this history knows
+    /// (`ForkIndex::MAX`: it does not) — the start source for expanding a
+    /// compact guard against the local table.
+    pub fn start_of(&self, p: ProcessId, inc: Incarnation) -> ForkIndex {
+        let known = self.incarnation_table(p).and_then(|t| t.start_of(inc));
+        known.unwrap_or(ForkIndex::MAX)
+    }
+
+    /// Number of records held: one per *stretch* of guesses recorded with
+    /// one fate. What a run that does not end must keep bounded.
     pub fn explicit_entries(&self) -> usize {
-        self.fates.values().map(|m| m.len()).sum()
+        self.fates.values().map(|m| m.0.len()).sum()
     }
 
-    /// Drop explicit entries for committed guesses older than `keep_from`
-    /// per process — fossil collection for long simulations.
-    pub fn compact(&mut self, keep_from: &HashMap<ProcessId, ForkIndex>) {
-        for (p, m) in self.fates.iter_mut() {
-            let Some(&keep) = keep_from.get(p) else {
-                continue;
-            };
-            let drops = m
-                .iter()
-                .any(|(&(_, idx), &f)| f == Fate::Committed && idx < keep);
-            if drops {
-                Arc::make_mut(m).retain(|&(_, idx), f| *f != Fate::Committed || idx >= keep);
-            }
-        }
-    }
-
-    /// Does this history share a peer's fate map with `other`? (Test hook
-    /// for the checkpoint structural-sharing guarantee.)
+    /// Does this history share a peer's fate record with `other`? (Test
+    /// hook for the checkpoint structural-sharing guarantee.)
     pub fn shares_peer_storage_with(&self, other: &History, p: ProcessId) -> bool {
         match (self.fates.get(&p), other.fates.get(&p)) {
             (Some(a), Some(b)) => Arc::ptr_eq(a, b),
@@ -354,19 +543,6 @@ mod tests {
     }
 
     #[test]
-    fn compact_drops_only_old_commits() {
-        let mut h = History::new();
-        h.record_commit(gid(0, 0, 1));
-        h.record_commit(gid(0, 0, 5));
-        h.record_abort(gid(0, 0, 7));
-        let keep: HashMap<ProcessId, ForkIndex> = [(ProcessId(0), 5)].into();
-        h.compact(&keep);
-        assert_eq!(h.fate(gid(0, 0, 1)), Fate::Unknown); // forgotten
-        assert!(h.is_committed(gid(0, 0, 5)));
-        assert!(h.is_aborted(gid(0, 0, 7)));
-    }
-
-    #[test]
     fn clone_shares_per_peer_storage_until_write() {
         let mut h = History::new();
         h.record_commit(gid(0, 0, 1));
@@ -374,8 +550,8 @@ mod tests {
         let snap = h.clone();
         assert!(h.shares_peer_storage_with(&snap, ProcessId(0)));
         assert!(h.shares_peer_storage_with(&snap, ProcessId(1)));
-        // A write to peer 0 unshares only peer 0's map.
-        h.record_commit(gid(0, 0, 2));
+        // A write to peer 0 unshares only peer 0's record.
+        h.record_commit(gid(0, 0, 3));
         assert!(!h.shares_peer_storage_with(&snap, ProcessId(0)));
         assert!(h.shares_peer_storage_with(&snap, ProcessId(1)));
         // Re-recording known information keeps sharing intact.

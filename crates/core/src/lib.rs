@@ -41,7 +41,7 @@ pub mod wire;
 
 pub use cdg::{Cdg, EdgeOutcome};
 pub use compact::{measure, CompactGuard, GuardSizes, Span};
-pub use guard::{Guard, GuardInterner, InternerStats};
+pub use guard::{Guard, GuardInterner, InternerStats, Run};
 pub use history::{Fate, History, IncarnationTable};
 pub use ids::{ForkIndex, GuessId, Incarnation, ProcessId, StateIndex, ThreadId};
 pub use message::{CallId, Control, DataKind, Envelope, Label, MsgId};
@@ -59,5 +59,6 @@ pub use wire::{
     decode_control_frame, decode_frame, encode_control_frame, encode_frame, get_value,
     parse_frame_len, put_uvarint, put_value, seal_frame_len, FrameError, FrameReader, GuardCodec,
     SendTag, TableRow, WireGuard, WireState, WireStats, FRAME_VERSION, MAX_FRAME_BYTES,
+    MAX_GUARD_MEMBERS, MAX_INCARNATION,
 };
 pub use value::Value;

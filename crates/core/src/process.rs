@@ -20,14 +20,22 @@
 //! being rediscovered by scanning them: the set of own guesses awaiting
 //! resolution (the commit cascade's only candidates), the count of own
 //! guesses still pending (the completion check), and the threads whose
-//! guard is non-empty (the only ones a resolution can touch). The
+//! guard is non-empty (the only ones an abort can touch). The
 //! delivery choice ([`ProcessCore::choose_delivery`]) likewise stops
 //! counting a candidate's new dependencies as soon as it cannot beat the
 //! best one seen.
+//!
+//! A guard is read *through the commit history* (§4.1.2, §4.1.5): a COMMIT
+//! is a history write and visits no thread, so the guard a thread stores
+//! may still list guesses that have committed since. Whoever reads it — a
+//! send, a delivery, a fork, a join, an abort's scan — strips them first
+//! ([`ProcessCore::settle`]); `&self` readers look through the history
+//! without writing ([`History::uncommitted`], [`History::all_committed`]). Guards are runs of consecutive guesses
+//! (`guard::Run`) and every question here is answered run by run.
 
 use crate::cdg::Cdg;
-use crate::guard::{Guard, GuardInterner, InternerStats};
-use crate::history::History;
+use crate::guard::{Guard, GuardInterner, InternerStats, Run, RunBuf};
+use crate::history::{Fate, History};
 use crate::ids::{ForkIndex, GuessId, Incarnation, ProcessId, StateIndex};
 use crate::message::{DataKind, Envelope};
 use crate::speculation::{PolicyShift, SiteController, SpeculationPolicy, SpeculationState};
@@ -142,8 +150,12 @@ pub struct ThreadMeta {
     /// Interval number, incremented when a message introduces a new
     /// dependency (§4.1.1).
     pub interval: u32,
-    /// Commit guard set of this thread.
+    /// Commit guard set of this thread, as of its last read: guesses that
+    /// have committed since may still be listed (never one that aborted).
+    /// Read it through [`History::uncommitted`] / [`History::all_committed`].
     pub guard: Guard,
+    /// [`History::commits`] when `guard` was last read through the history.
+    read_at: u64,
     /// `Rollbacks[g]` (§4.1.3) for the guesses this thread acquired by its
     /// *own* deliveries: the state index at which it first became dependent
     /// upon `g`. Guard members a right thread was forked with have no entry
@@ -165,6 +177,7 @@ impl ThreadMeta {
             index,
             interval: 0,
             guard,
+            read_at: 0,
             rollbacks: BTreeMap::new(),
             snapshots: vec![snap],
             phase: ThreadPhase::Running,
@@ -271,11 +284,12 @@ pub struct ProcessCore {
     /// paths wherever they change an [`OwnGuess::state`].
     pub(crate) awaiting: BTreeSet<GuessId>,
     pub(crate) pending_own: usize,
-    /// Indices (ascending) of the threads whose guard is non-empty: the
-    /// only ones a COMMIT or ABORT has anything to remove from. `fork`,
-    /// `deliver` and the commit removal keep it in step; an abort rebuilds
-    /// it once its rollbacks and discards are done.
-    pub(crate) holders: Vec<ForkIndex>,
+    /// Indices of the threads whose *stored* guard is non-empty — a
+    /// superset of the threads with an uncommitted dependency, and the only
+    /// ones an ABORT has anything to remove from. `fork`, `deliver` and
+    /// `settle` keep it in step; an abort rebuilds it once its rollbacks
+    /// and discards are done.
+    pub(crate) holders: BTreeSet<ForkIndex>,
     /// Per-fork-site speculation controllers (§3.3 policy state: retry
     /// counts, success/latency EWMAs, effective budgets, decision log).
     speculation: SpeculationState,
@@ -343,7 +357,7 @@ impl ProcessCore {
             own: BTreeMap::new(),
             awaiting: BTreeSet::new(),
             pending_own: 0,
-            holders: Vec::new(),
+            holders: BTreeSet::new(),
             speculation: SpeculationState::default(),
             spec_clock: 0,
             dependents: BTreeMap::new(),
@@ -367,7 +381,9 @@ impl ProcessCore {
             .filter(|t| t.phase != ThreadPhase::Done)
     }
 
-    /// The threads whose guard is non-empty, in index order.
+    /// The threads whose stored guard is non-empty, in index order: every
+    /// thread with an uncommitted dependency, and possibly some whose last
+    /// dependencies committed since their guard was read.
     pub fn holders(&self) -> impl Iterator<Item = &ThreadMeta> {
         self.debug_check_holders();
         self.holders.iter().map(|t| &self.threads[t])
@@ -446,6 +462,37 @@ impl ProcessCore {
         self.speculation.shifts()
     }
 
+    /// Read `thread`'s guard through the commit history: the members that
+    /// have committed since it was last read leave the stored guard, and
+    /// their rollback points go with them.
+    pub(crate) fn settle(&mut self, thread: ForkIndex) {
+        let Some(meta) = self.threads.get_mut(&thread) else {
+            return;
+        };
+        // Nothing has committed since this guard was last read.
+        if std::mem::replace(&mut meta.read_at, self.history.commits()) == self.history.commits() {
+            return;
+        }
+        let mut live = RunBuf::new();
+        let mut stripped = false;
+        for (run, fate) in self.history.fates_of(&meta.guard) {
+            if fate != Fate::Committed {
+                live.push(run);
+                continue;
+            }
+            stripped = true;
+            while let Some((&g, _)) = meta.rollbacks.range(run.first()..=run.last()).next() {
+                meta.rollbacks.remove(&g);
+            }
+        }
+        if stripped {
+            meta.guard = live.finish();
+            if meta.guard.is_empty() {
+                self.holders.remove(&thread);
+            }
+        }
+    }
+
     /// Perform a fork (§4.2.1): thread `creating` splits; the new right
     /// thread is guarded by a fresh guess.
     pub fn fork(&mut self, creating: ForkIndex, site: u32) -> ForkRecord {
@@ -461,6 +508,7 @@ impl ProcessCore {
             index: n,
         };
 
+        self.settle(creating);
         let left = self.threads.get(&creating).expect("creating thread exists");
         let mut right_guard = left.guard.clone();
         right_guard.insert(guess);
@@ -469,12 +517,12 @@ impl ProcessCore {
         // No rollback points are recorded: aborting any member of the guard
         // it starts with discards the right thread entirely
         // (`ThreadMeta::rollback_point`).
-        let meta = ThreadMeta::new(n, right_guard);
+        let mut meta = ThreadMeta::new(n, right_guard);
+        meta.read_at = self.history.commits();
         // Hand the same storage back to the caller instead of deep-copying.
         let right_guard = meta.guard.clone();
         self.threads.insert(n, meta);
-        // `n` exceeds every thread index in use.
-        self.holders.push(n);
+        self.holders.insert(n);
         self.cdg.add_node(guess);
         // Record our own incarnation start the same way observers do: the
         // first fork of a new incarnation pins its start in our table, so
@@ -504,16 +552,10 @@ impl ProcessCore {
     }
 
     /// Guard tag for a message sent by `thread` (§4.2.2). Returns a borrow;
-    /// cloning it for an envelope is O(1) (shared storage).
-    pub fn guard_for_send(&self, thread: ForkIndex) -> &Guard {
+    /// cloning it for an envelope copies a few runs at most.
+    pub fn guard_for_send(&mut self, thread: ForkIndex) -> &Guard {
+        self.settle(thread);
         &self.threads[&thread].guard
-    }
-
-    /// Canonicalize a guard through this process's interning table so
-    /// structurally equal tags share one allocation. Engines call this
-    /// when they retain a copy of an incoming tag.
-    pub fn intern_guard(&mut self, g: &Guard) -> Guard {
-        self.interner.intern(g)
     }
 
     /// (hits, misses) of the guard interning table — diagnostics.
@@ -564,15 +606,11 @@ impl ProcessCore {
     pub fn classify_arrival(&mut self, env: &mut Envelope) -> ArrivalVerdict {
         self.wire
             .ingest_data(env.from, &mut env.guard, &mut env.table_acks, &mut self.history);
-        for g in env.guard().iter() {
-            self.history.observe_guess(g);
+        self.history.observe_guard(env.guard());
+        match self.history.first_aborted(env.guard()) {
+            Some(g) => ArrivalVerdict::Orphan(g),
+            None => ArrivalVerdict::Ok,
         }
-        for g in env.guard().iter() {
-            if self.history.is_aborted(g) {
-                return ArrivalVerdict::Orphan(g);
-            }
-        }
-        ArrivalVerdict::Ok
     }
 
     /// Encode the guard tag for a data message from `thread` to `to`
@@ -580,8 +618,9 @@ impl ProcessCore {
     /// acks waiting to piggyback. The returned tag also carries the
     /// ground-truth full guard for trace events and dependency bookkeeping.
     pub fn encode_for_send(&mut self, thread: ForkIndex, to: ProcessId) -> SendTag {
-        let full = self.threads[&thread].guard.clone();
-        self.wire.encode_data(&full, &self.history, to)
+        self.settle(thread);
+        let full = &self.threads[&thread].guard;
+        self.wire.encode_data(full, &self.history, to)
     }
 
     /// Encode a PRECEDENCE guard for broadcast (self-contained: no
@@ -633,12 +672,20 @@ impl ProcessCore {
     /// Counting stops at `limit`: callers that only compare against a
     /// threshold pass it, callers that want the number pass `usize::MAX`.
     pub fn live_new_guard_count(&self, thread: ForkIndex, incoming: &Guard, limit: usize) -> usize {
+        // Whatever of its stored guard has committed is resolved as well,
+        // so the stored guard serves unread.
         let mine = &self.threads[&thread].guard;
-        incoming
-            .iter()
-            .filter(|g| !mine.contains(*g) && !self.history.is_resolved(*g))
-            .take(limit)
-            .count()
+        let mut count = 0;
+        for run in mine
+            .new_runs(incoming)
+            .flat_map(|r| self.history.unresolved(r))
+        {
+            count += run.len();
+            if count >= limit {
+                return limit;
+            }
+        }
+        count
     }
 
     /// §4.2.3 early time-fault detection on call returns: if a return
@@ -663,9 +710,18 @@ impl ProcessCore {
     /// (the orphan rule then drops the message) or committed (delivery is
     /// then harmless).
     pub fn guard_depends_on_future(&self, thread: ForkIndex, guard: &Guard) -> Option<GuessId> {
-        guard
+        let own_later = guard
+            .runs()
             .iter()
-            .find(|g| g.process == self.id && g.index > thread && !self.history.is_resolved(*g))
+            .filter(|r| r.process == self.id && r.hi > thread);
+        let mut unresolved = own_later.flat_map(|r| {
+            let later = Run {
+                lo: r.lo.max(thread + 1),
+                ..*r
+            };
+            self.history.unresolved(later)
+        });
+        unresolved.next().map(|r| r.first())
     }
 
     /// Deliver a message to a thread (§4.2.3 tail): acquire new guards,
@@ -675,34 +731,36 @@ impl ProcessCore {
     /// applying the message whenever `new_interval` is returned.
     pub fn deliver(&mut self, thread: ForkIndex, env: &Envelope) -> DeliveryEffect {
         self.spec_clock += 1;
+        self.settle(thread);
         let history = &self.history;
         let meta = self.threads.get_mut(&thread).expect("thread exists");
         // A guard tag names the guesses the *sender* depended on at send
         // time; any that have since committed are no longer dependencies
         // (§4.1.5 — the commit history makes them implicit commits), and
         // aborted ones were filtered by the orphan check.
-        let mut new_guards = meta.guard.new_guards(env.guard());
-        let unfiltered = new_guards.len();
-        new_guards.retain(|g| !history.is_resolved(*g));
+        let mut live = RunBuf::new();
+        let mut unfiltered = 0;
+        for new in meta.guard.new_runs(env.guard()) {
+            unfiltered += new.len();
+            history.unresolved(new).for_each(|run| live.push(run));
+        }
+        let live = live.finish();
+        let new_guards: Vec<GuessId> = live.iter().collect();
         // Canonicalize the incoming tag: fan-in servers see the same tag on
         // message after message, so interning turns every repeat into an
         // O(1) storage-sharing hit (small tags pass through free). A tag
         // naming a resolved guess is left out of the table — the purge
         // that would have dropped it has already run, and no live guard
         // will ever equal it.
-        let tag = if new_guards.len() == unfiltered {
-            self.interner.intern(env.guard())
-        } else {
-            env.guard().clone()
-        };
+        let interned = (new_guards.len() == unfiltered).then(|| self.interner.intern(env.guard()));
         if new_guards.is_empty() {
             return DeliveryEffect {
                 new_guards,
                 new_interval: None,
             };
         }
-        // Delta checkpoint at the boundary (end of previous interval): an
-        // O(1) guard clone plus the keys this delivery adds to the rollback
+        // Delta checkpoint at the boundary (end of previous interval): a
+        // guard clone plus the keys this delivery adds to the rollback
         // map — no map copy on the delivery path.
         meta.snapshots.push(MetaSnapshot {
             guard: meta.guard.clone(),
@@ -711,18 +769,15 @@ impl ProcessCore {
         meta.interval += 1;
         let idx = StateIndex::new(thread, meta.interval);
         if meta.guard.is_empty() {
-            if let Err(i) = self.holders.binary_search(&thread) {
-                self.holders.insert(i, thread);
-            }
+            self.holders.insert(thread);
         }
-        if new_guards.len() == tag.len() {
-            // Every guess in the tag is a new live dependency: plain set
-            // union, which adopts the (interned) tag's storage outright
-            // when the thread's guard was empty.
-            meta.guard.union_with(&tag);
+        let tag = interned.as_ref().unwrap_or(env.guard());
+        if meta.guard.is_empty() && new_guards.len() == tag.len() {
+            // Every guess in the tag is a new live dependency of a thread
+            // that had none: adopt the (interned) tag's storage outright.
+            meta.guard = tag.clone();
         } else {
-            // Only some are: still one merge, not an O(guard) copy each.
-            meta.guard.union_with(&new_guards.iter().copied().collect());
+            meta.guard = meta.guard.merged(&live);
         }
         for &g in &new_guards {
             meta.rollbacks.insert(g, idx);
@@ -735,9 +790,10 @@ impl ProcessCore {
         }
     }
 
-    /// Is the computation of `thread` currently committed (empty guard)?
+    /// Is the computation of `thread` currently committed (no uncommitted
+    /// guess in its guard)?
     pub fn is_committed(&self, thread: ForkIndex) -> bool {
-        self.threads[&thread].guard.is_empty()
+        self.history.all_committed(&self.threads[&thread].guard)
     }
 
     /// Own guess record, if any.

@@ -4,9 +4,10 @@
 
 use crate::cdg::EdgeOutcome;
 use crate::guard::Guard;
+use crate::history::Fate;
 use crate::ids::{ForkIndex, GuessId, Incarnation, StateIndex};
 use crate::process::{
-    GuessResolution, OwnGuessState, ProcessCore, ResolutionCause, ThreadPhase,
+    GuessResolution, OwnGuessState, ProcessCore, ResolutionCause, ThreadMeta, ThreadPhase,
 };
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -82,6 +83,7 @@ impl ProcessCore {
         }
         debug_assert_eq!(own.state, OwnGuessState::Pending);
 
+        self.settle(own.left_thread);
         let left_guard = self.threads[&own.left_thread].guard.clone();
 
         if !value_ok {
@@ -122,9 +124,11 @@ impl ProcessCore {
     }
 
     /// §4.2.6: a COMMIT(g) control message arrived (or `g` committed
-    /// locally). Removes `g` — and its CDG predecessors, which "must also
-    /// have committed" — from histories, guards and the CDG, then commits
-    /// any own guesses whose guards emptied.
+    /// locally). Records `g` — and its CDG predecessors, which "must also
+    /// have committed" — as committed and drops them from the CDG, then
+    /// commits any own guesses whose guards, read through that history,
+    /// have emptied. No thread is visited: a guard loses its committed
+    /// members when it is next read ([`ProcessCore::settle`]).
     pub fn on_commit(&mut self, g: GuessId) -> CommitEffects {
         if self.history.is_committed(g) {
             // A repeat (relayed twice, or inferred earlier as a predecessor
@@ -170,14 +174,16 @@ impl ProcessCore {
             return AbortEffects::default();
         }
         let mut cycle_members: BTreeSet<GuessId> = BTreeSet::new();
-        let history = &self.history;
-        let preceding = guard.iter().filter(|&h| {
-            if h == g {
-                cycle_members.insert(g);
-                return false;
-            }
-            !history.is_committed(h)
-        });
+        if guard.contains(g) {
+            cycle_members.insert(g);
+        }
+        let uncommitted = self
+            .history
+            .fates_of(guard)
+            .filter(|(_, f)| *f != Fate::Committed);
+        let preceding = uncommitted
+            .flat_map(|(run, _)| run.iter())
+            .filter(|&h| h != g);
         if let EdgeOutcome::Cycle(c) = self.cdg.add_edges_into(g, preceding, true) {
             cycle_members.extend(c);
         }
@@ -203,8 +209,8 @@ impl ProcessCore {
     // Commit internals
     // ------------------------------------------------------------------
 
-    /// Commit one of our own guesses: update history, mark records, remove
-    /// from all guards, mark the left thread done. A commit at a fork site
+    /// Commit one of our own guesses: update history, mark records, mark
+    /// the left thread done. A commit at a fork site
     /// starts a fresh computation there, so its retry budget resets (§3.3's
     /// L bounds re-executions of *the same* computation).
     fn commit_own(&mut self, g: GuessId, cause: ResolutionCause) {
@@ -223,28 +229,22 @@ impl ProcessCore {
                 cause,
             });
         }
-        self.remove_committed_guess(g);
+        // A forged COMMIT may have named our own guess before its time.
+        if !self.history.is_committed(g) {
+            self.remove_committed_guess(g);
+        }
     }
 
-    /// Remove a committed guess from history/CDG/guards/rollbacks — once
-    /// per guess: `on_commit` ignores repeats, and a CDG node is never a
-    /// committed guess, so predecessor inference cannot reach one again.
-    /// Only the threads with a non-empty guard are visited; one whose guard
-    /// empties leaves the holder index.
+    /// Record a committed guess in the history and drop it from the CDG
+    /// and the interner — once per guess: `on_commit` ignores repeats, and
+    /// a CDG node is never a committed guess, so predecessor inference
+    /// cannot reach one again. The guards that list it are left alone;
+    /// they are read through the history.
     fn remove_committed_guess(&mut self, g: GuessId) {
         debug_assert!(!self.history.is_committed(g), "{g} committed twice");
         self.history.record_commit(g);
         self.cdg.remove(g);
         self.purge_interned(g);
-        self.debug_check_holders();
-        let threads = &mut self.threads;
-        self.holders.retain(|tid| {
-            let t = threads.get_mut(tid).expect("holders exist");
-            if t.guard.remove(g) {
-                t.rollbacks.remove(&g);
-            }
-            !t.guard.is_empty()
-        });
     }
 
     /// Commit every own guess awaiting resolution whose guard has emptied;
@@ -253,8 +253,8 @@ impl ProcessCore {
         let mut committed = Vec::new();
         loop {
             let next: Option<GuessId> = self.awaiting.iter().copied().find(|g| {
-                let left = self.own[g].left_thread;
-                self.threads[&left].guard.is_empty()
+                let left = self.threads.get(&self.own[g].left_thread);
+                left.is_some_and(|t| self.history.all_committed(&t.guard))
             });
             match next {
                 Some(g) => {
@@ -288,6 +288,10 @@ impl ProcessCore {
             || self.cdg.contains_node(root);
         if root_known && !root_relevant {
             return effects;
+        }
+        // The scans below read every holder's guard.
+        for tid in Vec::from_iter(self.holders.iter().copied()) {
+            self.settle(tid);
         }
 
         // 1. Doomed set: root + transitive CDG successors (guesses whose
@@ -425,9 +429,8 @@ impl ProcessCore {
                     // the engine learns of the abort at join time
                     // (JoinDecision::AlreadyAborted) or during S1 replay.
                     let left_untouched = !targets.contains_key(&o.left_thread);
-                    if left_untouched
-                        && self.threads[&o.left_thread].phase == ThreadPhase::AwaitingResolution
-                    {
+                    let awaiting = |t: &ThreadMeta| t.phase == ThreadPhase::AwaitingResolution;
+                    if left_untouched && self.threads.get(&o.left_thread).is_some_and(awaiting) {
                         effects.rerun_sequential.push(o.id);
                         self.thread_mut(o.left_thread).phase = ThreadPhase::Running;
                     }
@@ -508,10 +511,13 @@ impl ProcessCore {
         // resolved; they are no longer guard members. Aborted ones cannot
         // remain either (the abort that doomed them pointed at an even
         // earlier rollback, or this very restore).
-        let resolved = t.guard.retain(|g| !self.history.is_resolved(g));
-        for g in resolved {
-            t.rollbacks.remove(&g);
-        }
+        let unresolved = t
+            .guard
+            .runs()
+            .iter()
+            .flat_map(|r| self.history.unresolved(*r));
+        t.guard = Guard::from_ascending(unresolved);
+        t.rollbacks.retain(|g, _| t.guard.contains(*g));
         debug_assert_eq!(t.snapshots.len() as u32, t.interval + 1);
         self.threads.insert(tid, t);
     }
@@ -586,7 +592,7 @@ mod tests {
         }
         assert!(c.history.is_committed(rec.guess));
         // Right thread's guard no longer carries the guess.
-        assert!(c.thread(rec.right_thread).guard.is_empty());
+        assert!(c.is_committed(rec.right_thread));
         assert_eq!(c.thread(rec.left_thread).phase, ThreadPhase::Done);
     }
 
@@ -696,7 +702,7 @@ mod tests {
         s.cdg.add_edge(g(0, 1), g(1, 1));
         s.on_commit(g(1, 1));
         assert!(s.history.is_committed(g(0, 1)));
-        assert!(s.thread(0).guard.is_empty());
+        assert!(s.is_committed(0));
     }
 
     #[test]
@@ -709,21 +715,28 @@ mod tests {
         s.deliver(0, &env(2, Guard::single(x2)));
         let rec = s.fork(0, 1);
         s.deliver(rec.right_thread, &env(2, Guard::single(g(1, 1))));
-        assert_eq!(s.holders, [0, rec.right_thread]);
+        let holders = |s: &ProcessCore| Vec::from_iter(s.holders.iter().copied());
+        assert_eq!(holders(&s), [0, rec.right_thread]);
         assert_eq!(s.thread(0).rollbacks.len(), 2);
         // The right thread records only what it acquired itself.
         assert_eq!(s.thread(rec.right_thread).rollbacks.len(), 1);
-        // COMMIT(x1) takes x1's point with it; COMMIT(x2) empties thread
-        // 0's guard, its map, and its place among the holders.
+        // COMMIT(x1) is a history write; x1 and its point leave thread 0
+        // when its guard is next read. COMMIT(x2) commits the thread at
+        // once — and the read empties its guard, its map, and its place
+        // among the holders.
         s.on_commit(x1);
+        assert_eq!(s.history.uncommitted(&s.thread(0).guard), Guard::single(x2));
+        s.settle(0);
         assert_eq!(s.thread(0).rollbacks.len(), 1);
-        assert_eq!(s.holders, [0, rec.right_thread]);
+        assert_eq!(holders(&s), [0, rec.right_thread]);
         s.on_commit(x2);
+        assert!(s.is_committed(0));
+        s.settle(0);
         assert!(s.thread(0).guard.is_empty() && s.thread(0).rollbacks.is_empty());
-        assert_eq!(s.holders, [rec.right_thread]);
+        assert_eq!(holders(&s), [rec.right_thread]);
         // A later dependency makes it a holder again, in index order.
         s.deliver(0, &env(2, Guard::single(g(1, 2))));
-        assert_eq!(s.holders, [0, rec.right_thread]);
+        assert_eq!(holders(&s), [0, rec.right_thread]);
     }
 
     #[test]
@@ -752,7 +765,7 @@ mod tests {
         assert_eq!(s.on_commit(x2), CommitEffects::default());
         assert_eq!((s.cdg.node_count(), s.cdg.edge_count()), (0, 0));
         assert!(s.history.is_committed(x1) && s.history.is_committed(x2));
-        assert!(s.thread(0).guard.is_empty());
+        assert!(s.is_committed(0));
     }
 
     #[test]

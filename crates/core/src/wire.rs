@@ -52,7 +52,7 @@
 
 use crate::compact::CompactGuard;
 use crate::guard::Guard;
-use crate::history::History;
+use crate::history::{Fate, History};
 use crate::ids::{ForkIndex, GuessId, Incarnation, ProcessId};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fmt;
@@ -131,7 +131,7 @@ impl WireGuard {
     pub fn member_processes(&self) -> Vec<ProcessId> {
         match self {
             WireGuard::Full(g) => {
-                let mut ps: Vec<ProcessId> = g.iter().map(|m| m.process).collect();
+                let mut ps: Vec<ProcessId> = g.runs().iter().map(|r| r.process).collect();
                 ps.dedup();
                 ps
             }
@@ -284,15 +284,7 @@ impl WireState {
         // receiver may not know. (Committed stream prefixes sit below the
         // span floor and compact fine.)
         if let Some(rows) = self.collect_rows(&cg, history, peer) {
-            let receiver_view = cg.expand_via(
-                |p, i| {
-                    history
-                        .incarnation_table(p)
-                        .and_then(|t| t.start_of(i))
-                        .unwrap_or(ForkIndex::MAX)
-                },
-                |_| true,
-            );
+            let receiver_view = cg.expand_via(|p, i| history.start_of(p, i), (history, |_| true));
             if receiver_view == *full {
                 self.stats.compact_sends += 1;
                 self.stats.rows_sent += rows.len() as u64;
@@ -413,13 +405,12 @@ impl WireState {
                             .and_then(|l| l.get(&(p, i)))
                             .and_then(|s| s.iter().next_back().copied())
                     })
-                    .or_else(|| history.incarnation_table(p).and_then(|t| t.start_of(i)))
-                    .unwrap_or(ForkIndex::MAX)
+                    .unwrap_or_else(|| history.start_of(p, i))
             },
             // Keep receiver-known-aborted members: classification needs
             // them to detect orphans, exactly as a full tag would expose
             // them. Committed members are gone by definition.
-            |g: GuessId| !history.is_committed(g),
+            (history, |f| f != Fate::Committed),
         )
     }
 }
@@ -464,6 +455,19 @@ pub const FRAME_VERSION: u8 = 1;
 /// turn into a 4 GiB read.
 pub const MAX_FRAME_BYTES: usize = 1 << 24;
 
+/// Most guesses a decoded guard may name: what a full tag of
+/// [`MAX_FRAME_BYTES`] lists, by the tag accounting of `Guard::wire_size`.
+/// A compact span *implies* its members, so its few bytes could otherwise
+/// stand for four billion of them — and what the receiver does with a tag
+/// (new dependencies, rollback points, CDG nodes) is per member.
+pub const MAX_GUARD_MEMBERS: u64 = ((MAX_FRAME_BYTES - 2) / GuessId::WIRE_BYTES) as u64;
+
+/// Highest incarnation number a decoded guess or table row may carry: a
+/// compact guard under incarnation `i` needs rows `1..=i`, so one whose
+/// rows no frame could hold is not a guess anybody can ship — and tables,
+/// row collection and expansion all cost O(incarnation).
+pub const MAX_INCARNATION: u64 = (MAX_FRAME_BYTES / TableRow::WIRE_BYTES) as u64;
+
 /// Maximum `Value` nesting depth the decoder will follow (lists/records).
 const MAX_VALUE_DEPTH: u32 = 64;
 
@@ -489,6 +493,14 @@ pub enum FrameError {
     TooDeep,
     /// The body decoded cleanly but the declared length covers more bytes.
     TrailingBytes { extra: usize },
+    /// A well-formed number no honest sender can mean: a guard naming more
+    /// guesses than [`MAX_GUARD_MEMBERS`], an incarnation past
+    /// [`MAX_INCARNATION`].
+    TooLarge {
+        what: &'static str,
+        value: u64,
+        max: u64,
+    },
 }
 
 impl fmt::Display for FrameError {
@@ -506,6 +518,9 @@ impl fmt::Display for FrameError {
             FrameError::TooDeep => write!(f, "value nesting exceeds depth cap"),
             FrameError::TrailingBytes { extra } => {
                 write!(f, "{extra} trailing bytes inside declared frame length")
+            }
+            FrameError::TooLarge { what, value, max } => {
+                write!(f, "{what} {value} exceeds cap {max}")
             }
         }
     }
@@ -594,6 +609,18 @@ impl<'a> FrameReader<'a> {
     pub fn uv32(&mut self, field: &'static str) -> Result<u32, FrameError> {
         u32::try_from(self.uv()?).map_err(|_| FrameError::Overflow(field))
     }
+
+    fn incarnation(&mut self) -> Result<Incarnation, FrameError> {
+        let value = self.uv()?;
+        if value > MAX_INCARNATION {
+            return Err(FrameError::TooLarge {
+                what: "incarnation",
+                value,
+                max: MAX_INCARNATION,
+            });
+        }
+        Ok(Incarnation(value as u32))
+    }
 }
 
 fn put_guess(buf: &mut Vec<u8>, g: GuessId) {
@@ -605,7 +632,7 @@ fn put_guess(buf: &mut Vec<u8>, g: GuessId) {
 fn get_guess(r: &mut FrameReader<'_>) -> Result<GuessId, FrameError> {
     Ok(GuessId {
         process: ProcessId(r.uv32("process id")?),
-        incarnation: Incarnation(r.uv32("incarnation")?),
+        incarnation: r.incarnation()?,
         index: r.uv32("fork index")?,
     })
 }
@@ -619,7 +646,7 @@ fn put_row(buf: &mut Vec<u8>, row: &TableRow) {
 fn get_row(r: &mut FrameReader<'_>) -> Result<TableRow, FrameError> {
     Ok(TableRow {
         process: ProcessId(r.uv32("process id")?),
-        incarnation: Incarnation(r.uv32("incarnation")?),
+        incarnation: r.incarnation()?,
         start: r.uv32("row start")?,
     })
 }
@@ -661,10 +688,19 @@ fn get_wire_guard(r: &mut FrameReader<'_>) -> Result<WireGuard, FrameError> {
         1 => {
             let spans = r.uv()?;
             let mut out = Vec::new();
+            let mut members: u64 = 0;
             for _ in 0..spans {
                 let latest = get_guess(r)?;
                 let floor = r.uv32("span floor")?;
                 out.push(Span { latest, floor });
+                members += latest.index.saturating_sub(floor) as u64 + 1;
+                if members > MAX_GUARD_MEMBERS {
+                    return Err(FrameError::TooLarge {
+                        what: "guard members",
+                        value: members,
+                        max: MAX_GUARD_MEMBERS,
+                    });
+                }
             }
             let row_count = r.uv()?;
             let mut rows = Vec::new();

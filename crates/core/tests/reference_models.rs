@@ -7,8 +7,14 @@
 //!   kept here as the model: identical [`EdgeOutcome`]s (cycle member sets
 //!   included) and identical query results after every step, and a bulk
 //!   `add_edges_into` equal to the model's one-by-one insertion.
-//! - `Guard` end-removals against `BTreeSet`: a window over shared storage
-//!   must be indistinguishable through `Eq`/`Ord`/`Hash` and the interner.
+//! - `Guard` against `BTreeSet<GuessId>`: runs of consecutive guesses must
+//!   be indistinguishable from the member set they spell — through every
+//!   mutation (adjacent inserts merge, middle removals split), the set
+//!   operations, `Eq`/`Ord`/`Hash` and the interner.
+//! - `History` against [`FlatHistory`] — the one-entry-per-guess map that
+//!   used to live in `src/history.rs`: the same fate for every guess and
+//!   the same answer to every run query, whatever order the commits,
+//!   aborts, PRECEDENCE marks and incarnation rows arrive in.
 //! - Bounded `choose_delivery` against an exhaustive
 //!   `min_by_key((count, index))`.
 //! - Implicit inherited rollback points against [`FullRollbacks`] — every
@@ -17,9 +23,9 @@
 //!   fork tree: the same `AbortEffects`, the same surviving guards.
 
 use opcsp_core::{
-    AbortEffects, Cdg, CoreConfig, DataKind, EdgeOutcome, Envelope, ForkIndex, Guard,
-    GuardInterner, GuessId, Incarnation, JoinDecision, MsgId, OwnGuessState, ProcessCore,
-    ProcessId, StateIndex, ThreadPhase, Value,
+    AbortEffects, Cdg, CoreConfig, DataKind, EdgeOutcome, Envelope, Fate, ForkIndex, Guard,
+    GuardInterner, GuessId, History, Incarnation, JoinDecision, MsgId, OwnGuessState, ProcessCore,
+    ProcessId, Run, StateIndex, ThreadPhase, Value,
 };
 use proptest::prelude::*;
 use std::collections::hash_map::DefaultHasher;
@@ -286,71 +292,136 @@ proptest! {
 }
 
 // ----------------------------------------------------------------------
-// Guard windows
+// Guard runs
 // ----------------------------------------------------------------------
 
+/// The guard spells `model`, canonically: its runs ascend, are disjoint and
+/// never touch, and expand to exactly the model's members.
+fn assert_spells(guard: &Guard, model: &BTreeSet<GuessId>) {
+    prop_assert!(
+        guard.iter().eq(model.iter().copied()),
+        "{guard} vs {model:?}"
+    );
+    prop_assert_eq!(guard.len(), model.len());
+    prop_assert_eq!(guard.is_empty(), model.is_empty());
+    let runs = guard.runs();
+    prop_assert!(runs.iter().all(|r| r.lo <= r.hi));
+    for w in runs.windows(2) {
+        let (a, b) = (w[0], w[1]);
+        let same = (a.process, a.incarnation) == (b.process, b.incarnation);
+        prop_assert!((a.process, a.incarnation) <= (b.process, b.incarnation));
+        prop_assert!(
+            !same || a.hi + 1 < b.lo,
+            "runs {a:?} and {b:?} overlap or touch"
+        );
+    }
+    prop_assert!(runs.iter().flat_map(|r| r.iter()).eq(model.iter().copied()));
+}
+
 proptest! {
-    /// Removing guesses — mostly at the ends, where a shared guard only
-    /// narrows its window — keeps the guard indistinguishable from the
-    /// `BTreeSet` model through every canonical view: contents, `Eq`, `Ord`
-    /// and `Hash` against a freshly built guard, the "shared iff it
-    /// outgrew the inline capacity" invariant, aliases taken before the
-    /// removal, and an interner lookup.
+    /// Mutating a guard — at its ends, in the middle of a run, next to a
+    /// run — keeps it indistinguishable from the `BTreeSet` model through
+    /// every canonical view: contents and run structure, `Eq`, `Ord` and
+    /// `Hash` against a freshly built guard, the "shared iff it outgrew
+    /// the inline capacity" invariant, aliases taken before the mutation,
+    /// the set operations against another guard, and an interner lookup.
     #[test]
-    fn guard_end_removals_match_btreeset_model(
+    fn guard_runs_match_btreeset_model(
         initial in arb_set(24),
         other in arb_set(24),
-        ops in proptest::collection::vec((0u32..8, arb_guess()), 1..40),
+        ops in proptest::collection::vec((0u32..10, arb_guess()), 1..40),
     ) {
         let mut guard: Guard = initial.iter().copied().collect();
         let mut model = initial;
         let other_guard: Guard = other.iter().copied().collect();
-        let other_vec: Vec<GuessId> = other.into_iter().collect();
+        assert_spells(&other_guard, &other);
+        let other_vec: Vec<GuessId> = other.iter().copied().collect();
         for (op, g) in ops {
             let alias = guard.clone();
-            let alias_model: Vec<GuessId> = model.iter().copied().collect();
+            let alias_model = model.clone();
+            // A member strictly inside a run, if there is one: removing it
+            // splits the run.
+            let inner = guard.runs().iter().find(|r| r.hi - r.lo >= 2).map(|r| r.guess(r.lo + 1));
+            // A guess just past the first run: inserting it extends the
+            // run, or bridges it to the next.
+            let next = guard.runs().first().map(|r| r.guess(r.hi + 1));
             let victim = match op {
-                0..=2 => model.first().copied(),
-                3..=5 => model.last().copied(),
-                6 => Some(g),
+                0 | 1 => model.first().copied(),
+                2 | 3 => model.last().copied(),
+                4 => inner,
+                5 => Some(g),
                 _ => None,
             };
-            match victim {
-                Some(v) => prop_assert_eq!(guard.remove(v), model.remove(&v)),
-                None => prop_assert_eq!(guard.insert(g), model.insert(g)),
+            match (victim, op) {
+                (Some(v), _) => prop_assert_eq!(guard.remove(v), model.remove(&v)),
+                (None, 6) => {
+                    let g = next.unwrap_or(g);
+                    prop_assert_eq!(guard.insert(g), model.insert(g));
+                }
+                (None, 7) => {
+                    // Union with another multi-process, multi-incarnation
+                    // guard; a second union changes nothing and keeps the
+                    // storage.
+                    guard.union_with(&other_guard);
+                    model.extend(other.iter().copied());
+                    let before = guard.clone();
+                    guard.union_with(&other_guard);
+                    prop_assert_eq!(before.shares_storage_with(&guard), guard.runs().len() > Guard::INLINE_CAP);
+                }
+                (None, 8) => {
+                    let keep = |x: GuessId| !(x.index + g.index).is_multiple_of(3);
+                    let removed = guard.retain(keep);
+                    let gone: Vec<GuessId> = model.iter().copied().filter(|x| !keep(*x)).collect();
+                    prop_assert_eq!(removed, gone);
+                    model.retain(|x| keep(*x));
+                }
+                (None, _) => prop_assert_eq!(guard.insert(g), model.insert(g)),
             }
+            assert_spells(&guard, &model);
             let want: Vec<GuessId> = model.iter().copied().collect();
-            prop_assert_eq!(guard.as_slice(), &want[..]);
-            prop_assert_eq!(guard.len(), want.len());
-            // Canonical Eq / Ord / Hash: a window is not observable.
+            prop_assert_eq!(guard.contains(g), model.contains(&g));
+            // Canonical Eq / Ord / Hash: how the runs came about is not
+            // observable.
             let fresh: Guard = want.iter().copied().collect();
             prop_assert_eq!(&guard, &fresh);
             prop_assert_eq!(&fresh, &guard);
+            prop_assert_eq!(guard.runs(), fresh.runs());
             prop_assert_eq!(guard.cmp(&fresh), std::cmp::Ordering::Equal);
             prop_assert_eq!(hash_of(&guard), hash_of(&fresh));
             prop_assert_eq!(guard.cmp(&other_guard), want.cmp(&other_vec));
             prop_assert_eq!(other_guard.cmp(&guard), other_vec.cmp(&want));
-            // Shared storage exactly above the inline capacity; a clone is
-            // the same window, a differently-built equal guard is not.
-            let shared = want.len() > Guard::INLINE_CAP;
+            // Set difference, both ways, by members, by runs and by count.
+            let new: Vec<GuessId> = other.difference(&model).copied().collect();
+            prop_assert_eq!(&guard.new_guards(&other_guard), &new);
+            prop_assert_eq!(guard.new_guard_count(&other_guard), new.len());
+            let new_runs: Guard = guard.new_runs(&other_guard).flat_map(Run::iter).collect();
+            prop_assert!(new_runs.iter().eq(new.iter().copied()));
+            let missing: Vec<GuessId> = model.difference(&other).copied().collect();
+            prop_assert_eq!(other_guard.new_guards(&guard), missing);
+            prop_assert_eq!(guard.new_guard_count(&guard.clone()), 0);
+            // Shared storage exactly above the inline capacity; a clone
+            // reads the same storage, a differently-built equal guard does
+            // not.
+            let shared = guard.runs().len() > Guard::INLINE_CAP;
             prop_assert_eq!(guard.clone().shares_storage_with(&guard), shared);
             prop_assert!(!guard.shares_storage_with(&fresh));
             // The alias taken before the mutation still reads the old set,
-            // and is a different view whenever the mutation changed it.
-            prop_assert_eq!(alias.as_slice(), &alias_model[..]);
-            if alias_model != want {
+            // and no longer shares storage once the mutation changed it.
+            assert_spells(&alias, &alias_model);
+            if alias_model != model {
                 prop_assert!(!alias.shares_storage_with(&guard));
             }
             // Interner: the canonical entry registered for the fresh guard
-            // is hit by the (possibly windowed) one.
+            // is hit by the mutated one; guards of a few guesses bypass it.
             let mut interner = GuardInterner::new();
             let canon = interner.intern(&fresh);
             let hit = interner.intern(&guard);
             prop_assert_eq!(&hit, &guard);
-            if shared {
+            if want.len() > Guard::INLINE_CAP {
                 prop_assert_eq!(interner.stats(), (1, 1));
-                prop_assert!(hit.shares_storage_with(&canon));
+                prop_assert_eq!(hit.shares_storage_with(&canon), shared);
             } else {
+                prop_assert!(!shared);
                 prop_assert_eq!(interner.stats(), (0, 0));
             }
         }
@@ -358,27 +429,294 @@ proptest! {
 }
 
 #[test]
-fn end_removals_of_a_shared_guard_do_not_reallocate() {
-    let all: Vec<GuessId> = (0..64)
-        .map(|i| GuessId::first(ProcessId(i % 3), i))
-        .collect();
-    let mut guard: Guard = all.iter().copied().collect();
-    let mut sorted = guard.as_slice().to_vec();
-    let base = guard.as_slice().as_ptr();
-    // Commit in fork order from the front, abort-style from the back.
-    for round in 0..25 {
-        let front = sorted.remove(0);
-        assert!(guard.remove(front));
-        let back = sorted.pop().unwrap();
-        assert!(guard.remove(back));
-        assert_eq!(guard.as_slice(), &sorted[..]);
-        // Still a view of the original allocation, `round + 1` in.
-        assert_eq!(guard.as_slice().as_ptr(), unsafe { base.add(round + 1) });
+fn end_removals_of_a_run_move_its_bounds_in_place() {
+    // A 64-deep pipeline of process 0 next to three other processes' single
+    // guesses: four runs, so shared storage.
+    let x = |n: u32| GuessId::first(ProcessId(0), n);
+    let others = (1..4).map(|p| GuessId::first(ProcessId(p), 7));
+    let mut guard: Guard = (1..=64).map(x).chain(others).collect();
+    assert_eq!(guard.runs().len(), 4);
+    assert_eq!((guard.runs()[0].lo, guard.runs()[0].hi), (1, 64));
+    let original = guard.clone();
+    assert!(guard.shares_storage_with(&original));
+    // Commit in fork order from the front, abort-style from the back: the
+    // run's bounds move; no run appears or disappears, and the guard stays
+    // the one shared allocation its clones read.
+    for round in 1..=25 {
+        assert!(guard.remove(x(round)));
+        assert!(guard.remove(x(65 - round)));
+        assert_eq!(guard.runs().len(), 4);
+        assert_eq!(
+            (guard.runs()[0].lo, guard.runs()[0].hi),
+            (round + 1, 64 - round)
+        );
+        assert!(guard.clone().shares_storage_with(&guard));
     }
+    assert_eq!(guard.len(), 64 - 50 + 3);
+    // The clone taken before still reads all 67, in its own storage.
+    assert_eq!(original.len(), 67);
+    assert!(!original.shares_storage_with(&guard));
+    // A removal from the middle splits the run; re-inserting heals it.
+    assert!(guard.remove(x(30)));
+    assert_eq!(guard.runs().len(), 5);
+    assert!(guard.insert(x(30)));
+    assert_eq!(guard.runs().len(), 4);
     // A guard that does not hold the guess is left alone.
     let before = guard.clone();
-    assert!(!guard.remove(all[0]));
+    assert!(!guard.remove(x(1)));
     assert!(guard.shares_storage_with(&before));
+    // Dropping to three runs demotes to inline storage.
+    assert!(guard.remove(GuessId::first(ProcessId(3), 7)));
+    assert!(!guard.clone().shares_storage_with(&guard));
+}
+
+// ----------------------------------------------------------------------
+// The flat commit history (reference model)
+// ----------------------------------------------------------------------
+
+/// One explicit entry per guess plus a dense incarnation start table per
+/// process — `History` as it was before commits coalesced into ranges.
+#[derive(Debug, Clone, Default)]
+struct FlatHistory {
+    fates: BTreeMap<GuessId, Fate>,
+    /// `starts[p][i]` = (first fork index of incarnation `i`, lowered since
+    /// first recorded?).
+    starts: BTreeMap<ProcessId, Vec<(ForkIndex, bool)>>,
+    aborts_learned: u64,
+}
+
+impl FlatHistory {
+    fn fate(&self, g: GuessId) -> Fate {
+        if let Some(f) = self.fates.get(&g) {
+            return *f;
+        }
+        let later = self.starts.get(&g.process).into_iter().flatten();
+        let superseded = later
+            .skip(g.incarnation.0 as usize + 1)
+            .any(|(s, _)| *s <= g.index);
+        match superseded {
+            true => Fate::Aborted,
+            false => Fate::Unknown,
+        }
+    }
+
+    fn set_fate(&mut self, g: GuessId, f: Fate) {
+        if self.fates.insert(g, f) != Some(f) {
+            self.aborts_learned += (f == Fate::Aborted) as u64;
+        }
+    }
+
+    fn record_commit(&mut self, g: GuessId) {
+        self.set_fate(g, Fate::Committed);
+    }
+
+    fn record_abort(&mut self, g: GuessId) {
+        self.set_fate(g, Fate::Aborted);
+        self.record_incarnation(g.process, g.incarnation.0 + 1, g.index);
+    }
+
+    fn record_unknown(&mut self, g: GuessId) {
+        self.fates.entry(g).or_insert(Fate::Unknown);
+    }
+
+    fn observe_guess(&mut self, g: GuessId) {
+        self.observe_incarnation(g.process, g.incarnation.0, g.index);
+    }
+
+    fn observe_incarnation(&mut self, p: ProcessId, inc: u32, start: ForkIndex) {
+        if inc > 0 {
+            self.record_incarnation(p, inc, start);
+        }
+    }
+
+    fn record_incarnation(&mut self, p: ProcessId, inc: u32, start: ForkIndex) {
+        let table = self.starts.entry(p).or_insert_with(|| vec![(0, false)]);
+        if table.get(inc as usize).is_some_and(|(s, _)| *s <= start) {
+            return;
+        }
+        self.aborts_learned += 1;
+        while table.len() <= inc as usize {
+            table.push((start, false));
+        }
+        let slot = &mut table[inc as usize];
+        if slot.0 > start {
+            *slot = (start, true);
+        }
+    }
+}
+
+fn gid(p: u32, i: u32, n: u32) -> GuessId {
+    GuessId::new(ProcessId(p), Incarnation(i), n)
+}
+
+#[test]
+fn commits_coalesce_into_ranges_and_absorb_what_they_overwrite() {
+    let mut h = History::new();
+    // Out of fork order: 1, 3, then 2 bridges them.
+    h.record_commit(gid(0, 0, 1));
+    h.record_commit(gid(0, 0, 3));
+    assert_eq!(h.explicit_entries(), 2);
+    h.record_unknown(gid(0, 0, 2));
+    assert_eq!(h.explicit_entries(), 3);
+    h.record_commit(gid(0, 0, 2));
+    assert_eq!(
+        h.explicit_entries(),
+        1,
+        "one range, the PRECEDENCE mark absorbed"
+    );
+    assert!((1..=3).all(|n| h.is_committed(gid(0, 0, n))));
+    assert_eq!(h.fate(gid(0, 0, 4)), Fate::Unknown);
+    // Another incarnation's guesses are another range.
+    h.record_commit(gid(0, 1, 4));
+    assert_eq!(h.explicit_entries(), 2);
+    // An abort after the fact cuts its guess out of the range.
+    h.record_abort(gid(0, 0, 2));
+    assert!(h.is_committed(gid(0, 0, 1)) && h.is_committed(gid(0, 0, 3)));
+    assert!(h.is_aborted(gid(0, 0, 2)));
+    assert_eq!(h.explicit_entries(), 4);
+}
+
+#[test]
+fn a_run_is_cut_into_stretches_of_one_fate() {
+    let mut h = History::new();
+    for n in 1..=4 {
+        h.record_commit(gid(0, 0, n));
+    }
+    h.record_abort(gid(0, 0, 7)); // and incarnation 1 starts at 7
+    h.record_unknown(gid(0, 0, 9));
+    let run = Run::new(ProcessId(0), Incarnation(0), 2, 10);
+    let cut: Vec<_> = h.fates_in(run).map(|(r, f)| (r.lo, r.hi, f)).collect();
+    assert_eq!(
+        cut,
+        vec![
+            (2, 4, Fate::Committed),
+            (5, 6, Fate::Unknown),
+            (7, 7, Fate::Aborted),
+            (8, 8, Fate::Aborted), // implicitly: incarnation 1 took over
+            (9, 9, Fate::Unknown), // PRECEDENCE-only mark stands
+            (10, 10, Fate::Aborted),
+        ]
+    );
+    for (r, f) in h.fates_in(run) {
+        assert!(r.iter().all(|g| h.fate(g) == f));
+    }
+    let guard: Guard = run.iter().collect();
+    assert_eq!(h.first_aborted(&guard), Some(gid(0, 0, 7)));
+    assert_eq!(
+        h.uncommitted(&guard),
+        (5..=10).map(|n| gid(0, 0, n)).collect()
+    );
+    assert!(!h.all_committed(&guard));
+    assert!(h.all_committed(&(1..=4).map(|n| gid(0, 0, n)).collect()));
+    // A process nothing is known about: one stretch.
+    let other = Run::new(ProcessId(5), Incarnation(2), 0, u32::MAX);
+    assert_eq!(
+        h.fates_in(other).collect::<Vec<_>>(),
+        vec![(other, Fate::Unknown)]
+    );
+}
+
+proptest! {
+    /// The range-backed history agrees with the flat one on the fate of
+    /// every guess, on its abort stamp, on its incarnation tables and on
+    /// every run query, after every step of a random script — commits out
+    /// of fork order, aborts of committed guesses and commits of aborted
+    /// ones included — and never holds more records than the flat map.
+    #[test]
+    fn history_ranges_match_flat_model(
+        ops in proptest::collection::vec((0u32..9, 0u32..3, 0u32..3, 0u32..10), 1..80),
+        probes in proptest::collection::vec((0u32..3, 0u32..3, 0u32..10, 0u32..10), 4..5),
+    ) {
+        let gid = |p, i, n| GuessId::new(ProcessId(p), Incarnation(i), n);
+        let mut fast = History::new();
+        let mut flat = FlatHistory::default();
+        for (op, p, i, n) in ops {
+            let g = gid(p, i, n);
+            match op {
+                // Mostly commits, half of them in fork order behind the
+                // last one.
+                0..=3 => {
+                    fast.record_commit(g);
+                    flat.record_commit(g);
+                }
+                4 => {
+                    fast.record_abort(g);
+                    flat.record_abort(g);
+                }
+                5 => {
+                    fast.record_unknown(g);
+                    flat.record_unknown(g);
+                }
+                6 => {
+                    fast.observe_guess(g);
+                    flat.observe_guess(g);
+                }
+                7 => {
+                    fast.observe_incarnation(ProcessId(p), Incarnation(i), n);
+                    flat.observe_incarnation(ProcessId(p), i, n);
+                }
+                _ => {
+                    // A stretch of commits in fork order from `n` up.
+                    for m in n..n + 4 {
+                        fast.record_commit(gid(p, i, m));
+                        flat.record_commit(gid(p, i, m));
+                    }
+                }
+            }
+            prop_assert_eq!(fast.aborts_learned(), flat.aborts_learned);
+            prop_assert!(fast.explicit_entries() <= flat.fates.len());
+            for p in 0..3 {
+                let table = fast.incarnation_table(ProcessId(p));
+                prop_assert_eq!(table.is_some(), flat.starts.contains_key(&ProcessId(p)));
+                for (i, (start, changed)) in flat.starts.get(&ProcessId(p)).into_iter().flatten().enumerate() {
+                    let table = table.expect("just compared");
+                    prop_assert_eq!(table.start_of(Incarnation(i as u32)), Some(*start));
+                    prop_assert_eq!(table.start_changed(Incarnation(i as u32)), *changed);
+                }
+                for i in 0..4 {
+                    for n in 0..15 {
+                        let g = gid(p, i, n);
+                        prop_assert_eq!(fast.fate(g), flat.fate(g), "{} after op {}", g, op);
+                    }
+                }
+            }
+            // Run queries: a cut of a run is a partition of it into
+            // stretches of one fate each, in order.
+            let mut members = BTreeSet::new();
+            for &(p, i, a, b) in &probes {
+                let run = Run::new(ProcessId(p), Incarnation(i), a.min(b), a.max(b));
+                let mut next = run.lo;
+                for (stretch, fate) in fast.fates_in(run) {
+                    prop_assert_eq!((stretch.process, stretch.incarnation), (run.process, run.incarnation));
+                    prop_assert_eq!(stretch.lo, next);
+                    prop_assert!(stretch.hi >= stretch.lo && stretch.hi <= run.hi);
+                    for g in stretch.iter() {
+                        prop_assert_eq!(flat.fate(g), fate, "{} in {:?}", g, run);
+                    }
+                    next = stretch.hi + 1;
+                }
+                prop_assert_eq!(next, run.hi + 1);
+                members.extend(run.iter());
+            }
+            let guard: Guard = members.iter().copied().collect();
+            let aborted = members.iter().copied().find(|g| flat.fate(*g) == Fate::Aborted);
+            prop_assert_eq!(fast.first_aborted(&guard), aborted);
+            let uncommitted: Vec<GuessId> = members.iter().copied().filter(|g| flat.fate(*g) != Fate::Committed).collect();
+            prop_assert!(fast.uncommitted(&guard).iter().eq(uncommitted.iter().copied()));
+            prop_assert_eq!(fast.all_committed(&guard), uncommitted.is_empty());
+            let cut: Vec<(GuessId, Fate)> = fast.fates_of(&guard).flat_map(|(r, f)| r.iter().map(move |g| (g, f))).collect();
+            prop_assert!(cut.iter().map(|(g, _)| *g).eq(members.iter().copied()));
+            prop_assert!(cut.iter().all(|(g, f)| flat.fate(*g) == *f));
+            // Observing a guard is observing each member.
+            let (mut by_guard, mut by_member) = (fast.clone(), fast.clone());
+            by_guard.observe_guard(&guard);
+            members.iter().for_each(|g| by_member.observe_guess(*g));
+            prop_assert_eq!(by_guard.aborts_learned(), by_member.aborts_learned());
+            for p in 0..3 {
+                prop_assert_eq!(by_guard.incarnation_table(ProcessId(p)), by_member.incarnation_table(ProcessId(p)));
+            }
+        }
+    }
 }
 
 // ----------------------------------------------------------------------
@@ -567,20 +905,30 @@ proptest! {
                 }
                 None => full.forget_resolved(&core),
             }
-            // Same threads, same guards, same answer for every member; the
-            // holder index is the threads with something in their guard.
+            // Same threads, same guards, same answer for every member.
             prop_assert!(core.threads.keys().eq(full.maps.keys()));
             for (t, map) in &full.maps {
                 let meta = core.thread(*t);
-                prop_assert!(meta.guard.iter().eq(map.keys().copied()), "thread {}", t);
+                // The stored guard may still list committed guesses; the
+                // guard proper is what is left of it in the history.
+                let guard = core.history.uncommitted(&meta.guard);
+                prop_assert!(guard.iter().eq(map.keys().copied()), "thread {}", t);
                 for (g, at) in map {
                     let point = meta.rollback_point(*g).expect("guard member");
                     prop_assert_eq!(discards(point, *t), discards(*at, *t));
                     prop_assert!(discards(point, *t) || point == *at);
                 }
             }
-            let holding = full.maps.iter().filter(|(_, m)| !m.is_empty()).map(|(t, _)| *t);
-            prop_assert!(core.holders().map(|m| m.index).eq(holding));
+            // The holder index lists every thread with something in its
+            // guard, and beyond those only threads whose last dependencies
+            // committed since their guard was read.
+            let holders: BTreeSet<ForkIndex> = core.holders().map(|m| m.index).collect();
+            for (t, map) in &full.maps {
+                let stored_empty = core.thread(*t).guard.is_empty();
+                prop_assert_eq!(holders.contains(t), !stored_empty);
+                prop_assert!(!map.is_empty() || core.is_committed(*t));
+                prop_assert!(map.is_empty() || holders.contains(t));
+            }
         }
     }
 }

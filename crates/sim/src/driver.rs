@@ -34,7 +34,7 @@ use crate::trace::TraceEvent;
 use opcsp_core::{
     AbortEffects, ArrivalVerdict, CallId, Control, CoreConfig, DataKind, Envelope, Guard, GuessId,
     Incarnation, JoinDecision, Label, MsgId, OwnGuessState, ProcessCore, ProcessId, ProtoStats,
-    TableRow, Telemetry, TelemetryEvent, ThreadId, ThreadPhase, Value, WireGuard,
+    TableRow, Telemetry, TelemetryEvent, ThreadId, ThreadMeta, ThreadPhase, Value, WireGuard,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -556,7 +556,7 @@ impl Driver {
                 .core
                 .threads
                 .get(&tid)
-                .map_or_else(Guard::empty, |m| m.guard.clone()),
+                .map_or_else(Guard::empty, |m| self.core.history.uncommitted(&m.guard)),
             incarnation: self.core.incarnation,
         });
         let th = self.th(tid);
@@ -643,7 +643,7 @@ impl Driver {
                     .core
                     .threads
                     .get(&tid)
-                    .is_none_or(|m| m.guard.is_empty());
+                    .is_none_or(|m| self.core.history.all_committed(&m.guard));
                 let obs = Observable::Output {
                     payload: payload.clone(),
                 };
@@ -684,8 +684,9 @@ impl Driver {
             Effect::JoinLeft { actual } => self.handle_join(env, tid, actual),
             Effect::Done => {
                 self.th(tid).status = Status::Done;
-                if let Some(meta) = self.core.threads.get_mut(&tid) {
-                    if meta.guard.is_empty() {
+                let core = &mut self.core;
+                if let Some(meta) = core.threads.get_mut(&tid) {
+                    if core.history.all_committed(&meta.guard) {
                         meta.phase = ThreadPhase::Done;
                     }
                 }
@@ -1024,7 +1025,7 @@ impl Driver {
                 }
             }
             debug_assert!(
-                !msg.guard().iter().any(|g| self.core.history.is_aborted(g)),
+                self.core.history.first_aborted(msg.guard()).is_none(),
                 "delivering an orphan"
             );
             self.deliver_to(env, tid, msg);
@@ -1422,7 +1423,8 @@ impl Driver {
             ..
         } = self;
         buffered.retain(|tid| {
-            if !core.threads.get(tid).is_some_and(|m| m.guard.is_empty()) {
+            let committed = |m: &ThreadMeta| core.history.all_committed(&m.guard);
+            if !core.threads.get(tid).is_some_and(committed) {
                 return true;
             }
             let th = threads.get_mut(tid).expect("buffering threads exist");
