@@ -18,7 +18,7 @@ fn env_with(to: ProcessId, guard: Guard) -> Envelope {
         from: ProcessId(9),
         from_thread: 0,
         to,
-        guard: guard.into(),
+        guard,
         table_acks: vec![],
         kind: DataKind::Send,
         payload: Value::Int(1),
@@ -141,9 +141,8 @@ fn bench_stream_client(c: &mut Criterion) {
                     core.fork(t, 1);
                 }
                 for (left, ret) in (0..n).zip(&returns) {
-                    let mut ret = ret.clone();
-                    assert_eq!(core.classify_arrival(&mut ret), ArrivalVerdict::Ok);
-                    black_box(core.deliver(left, &ret));
+                    assert_eq!(core.classify_arrival(ret), ArrivalVerdict::Ok);
+                    black_box(core.deliver(left, ret));
                     black_box(core.join_left_done(guesses[left as usize], true));
                 }
                 assert!(core.speculation_quiescent());
@@ -174,17 +173,16 @@ fn bench_stream_server(c: &mut Criterion) {
             b.iter(|| {
                 let mut core = ProcessCore::new(ProcessId(1), CoreConfig::default());
                 for call in &calls {
-                    let mut call = call.clone();
-                    assert_eq!(core.classify_arrival(&mut call), ArrivalVerdict::Ok);
-                    black_box(core.choose_delivery(0, &[&call]));
-                    black_box(core.deliver(0, &call));
-                    black_box(core.encode_for_send(0, ProcessId(0)));
+                    assert_eq!(core.classify_arrival(call), ArrivalVerdict::Ok);
+                    black_box(core.choose_delivery(0, &[call]));
+                    black_box(core.deliver(0, call));
+                    black_box(core.guard_for_send(0).clone());
                 }
                 for guess in &guesses {
                     black_box(core.on_commit(*guess));
                 }
                 assert!(core.is_committed(0));
-                black_box(core.encode_for_send(0, ProcessId(0)));
+                black_box(core.guard_for_send(0).clone());
                 core
             })
         });

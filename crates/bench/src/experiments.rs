@@ -4,7 +4,7 @@
 //! records them; tests assert on their shapes.
 
 use crate::table::{ratio, Table};
-use opcsp_core::{CoreConfig, GuardCodec, ProcessId, SpeculationPolicy};
+use opcsp_core::{measure, CoreConfig, ProcessId, SpeculationPolicy};
 use opcsp_lang::{parse_program, program_to_string, System};
 use opcsp_sim::{check_equivalence, SimResult};
 use opcsp_timewarp::{run_two_clients, Cancellation, TwoClientOpts};
@@ -410,58 +410,77 @@ pub fn e6_timewarp() -> Table {
     t
 }
 
-/// E8: guard compaction on the wire (per-process latest guess, §4.1.2) —
-/// a measured ablation: the same streaming workload runs end-to-end under
-/// both codecs and we report the bytes each actually put on the wire,
-/// including the compact codec's piggybacked incarnation-table rows/acks.
+/// E8: what a guard tag costs on the wire, three ways (§4.1.2). Each row
+/// runs the protocol once and sizes every data message's tag with
+/// `compact::measure`: as a member-by-member list, as the runs a frame
+/// carries, and in §4.1.2's compact form plus the incarnation-table rows a
+/// receiver needs to expand it.
 pub fn e8_guard_compaction() -> Table {
     let mut t = Table::new(
-        "E8 — measured wire bytes: full-set codec vs compact codec (streaming)",
+        "E8 — guard bytes on the wire: member list vs runs vs §4.1.2 compact + rows",
         &[
-            "N",
+            "workload",
             "data msgs",
-            "full guard bytes",
-            "compact guard bytes",
-            "table bytes",
-            "fallbacks",
-            "reduction",
+            "member-list bytes",
+            "run bytes",
+            "compact+rows bytes",
+            "member-list / run",
         ],
     );
-    for n in [4u32, 16, 32, 64, 256] {
-        let run = |codec| {
-            run_streaming(StreamingOpts {
-                n,
-                latency: 50,
-                core: CoreConfig {
-                    codec,
-                    ..CoreConfig::default()
-                },
-                ..Default::default()
-            })
-        };
-        let full = run(GuardCodec::Full);
-        let compact = run(GuardCodec::Compact);
-        let rep = check_equivalence(&full, &compact);
-        assert!(
-            rep.equivalent,
-            "E8 n={n}: codec divergence {:?}",
-            rep.mismatches
+    let mut row = |label: String, r: SimResult, streaming: bool| {
+        let (mut listed, mut runs, mut compact, mut msgs) = (0, 0, 0, 0u64);
+        for ev in r.trace.iter() {
+            if let opcsp_sim::TraceEvent::Send { guard, .. } = ev {
+                let m = measure(guard);
+                listed += m.member_list_bytes;
+                runs += m.run_bytes;
+                compact += m.compact_with_rows();
+                msgs += 1;
+            }
+        }
+        let stats = r.stats();
+        assert_eq!(msgs, stats.data_messages, "E8 {label}: every send sized");
+        assert_eq!(
+            runs as u64, stats.guard_bytes,
+            "E8 {label}: the runs are what the wire carried"
         );
-        let fb = full.stats().guard_bytes;
-        let cs = compact.stats();
-        let cb = cs.guard_bytes + cs.table_bytes;
+        assert!(
+            runs <= listed,
+            "E8 {label}: runs cost more than the member list"
+        );
+        if streaming {
+            assert_eq!(
+                runs, compact,
+                "E8 {label}: a stream's tag is one run, one span, no rows"
+            );
+        }
         t.row(vec![
-            n.to_string(),
-            cs.data_messages.to_string(),
-            fb.to_string(),
-            cs.guard_bytes.to_string(),
-            cs.table_bytes.to_string(),
-            cs.wire.full_fallbacks.to_string(),
-            format!("{:.1}x", fb as f64 / cb.max(1) as f64),
+            label,
+            msgs.to_string(),
+            listed.to_string(),
+            runs.to_string(),
+            compact.to_string(),
+            format!("{:.1}x", listed as f64 / runs.max(1) as f64),
         ]);
+    };
+    for n in [4u32, 16, 32, 64, 256] {
+        let r = run_streaming(StreamingOpts {
+            n,
+            latency: 50,
+            ..Default::default()
+        });
+        row(format!("stream N={n}"), r, true);
     }
-    t.note("§4.1.2: 'only the most recent guess from each process needs to be maintained in the commit guard set' — full tags grow O(N²) total; compact tags stay O(N), and after the first send the ack protocol suppresses table rows, so table overhead stays near zero in fault-free streaming.");
-    t.note("Both runs are full protocol executions; the harness asserts their committed traces are equivalent before reporting sizes (full-set mode is the differential-testing oracle).");
+    let tally = run_tally(TallyOpts {
+        n: 64,
+        latency: 50,
+        p_per_mille: 100,
+        seed: 7,
+        core: CoreConfig::default(),
+    });
+    row("tally n=64 p=0.1".to_string(), tally, false);
+    t.note("§4.1.2: 'only the most recent guess from each process needs to be maintained in the commit guard set'. A member list grows O(N²) over a stream; a frame carries the guard's runs, and a stream's tag {x1..xk} is one run — the same bytes as §4.1.2's one span per process, without the incarnation-table rows, acknowledgements and fallback a receiver needs to expand a span. Run bytes are what the engines count as `guard_bytes` (asserted per row).");
+    t.note("The one shape where a span is smaller is a tag that spans k incarnations of one process: k runs against one span — but only for a receiver that already holds the process's table rows 1..=i (i the span's latest incarnation). Self-contained, as this column counts it, the span ships those rows, and on the tally row, whose rejected lines restart the client's incarnation, it costs more than twice the runs. No workload ships that shape compact: the compact codec was never a default and is gone (DESIGN.md §5c).");
     t
 }
 
@@ -705,68 +724,41 @@ pub fn interner_stats() -> Table {
         cells.extend(fmt(s));
         t.row(cells);
     };
-    for codec in [GuardCodec::Full, GuardCodec::Compact] {
-        let r = run_streaming(StreamingOpts {
-            n: 64,
-            latency: 50,
-            core: CoreConfig {
-                codec,
-                ..CoreConfig::default()
-            },
-            ..Default::default()
-        });
-        row(&format!("sim streaming n=64 [{codec:?}]"), r.stats().interner);
-    }
+    let r = run_streaming(StreamingOpts {
+        n: 64,
+        latency: 50,
+        ..Default::default()
+    });
+    row("sim streaming n=64 [Full]", r.stats().interner);
     let tally = run_tally(TallyOpts {
         n: 12,
         latency: 30,
         p_per_mille: 300,
         seed: 7,
-        core: CoreConfig {
-            codec: GuardCodec::Compact,
-            ..CoreConfig::default()
-        },
+        core: CoreConfig::default(),
     });
-    row("sim tally n=12 p=0.3 [Compact]", tally.stats().interner);
+    row("sim tally n=12 p=0.3 [Full]", tally.stats().interner);
     // Multi-writer fan-in: producers stream into one consumer; tags are
     // all distinct (guards grow per send), so this measures occupancy.
-    for codec in [GuardCodec::Full, GuardCodec::Compact] {
-        let r = run_fan_in(FanInOpts {
-            producers: 4,
-            n: 16,
-            jitter: 40,
-            core: CoreConfig {
-                codec,
-                ..CoreConfig::default()
-            },
-            ..Default::default()
-        });
-        row(
-            &format!("sim fan_in p=4 n=16 j=40 [{codec:?}]"),
-            r.stats().interner,
-        );
-    }
+    let r = run_fan_in(FanInOpts {
+        producers: 4,
+        n: 16,
+        jitter: 40,
+        ..Default::default()
+    });
+    row("sim fan_in p=4 n=16 j=40 [Full]", r.stats().interner);
     // Burst fan-in: each producer holds `depth` pending guesses and then
     // streams sends under that unchanged guard — every message re-interns
     // the same large tag, so this is the hit path under load.
-    for codec in [GuardCodec::Full, GuardCodec::Compact] {
-        let r = run_fan_in_burst(
-            FanInOpts {
-                producers: 2,
-                n: 24,
-                core: CoreConfig {
-                    codec,
-                    ..CoreConfig::default()
-                },
-                ..Default::default()
-            },
-            6,
-        );
-        row(
-            &format!("sim fan_in burst p=2 n=24 d=6 [{codec:?}]"),
-            r.stats().interner,
-        );
-    }
+    let r = run_fan_in_burst(
+        FanInOpts {
+            producers: 2,
+            n: 24,
+            ..Default::default()
+        },
+        6,
+    );
+    row("sim fan_in burst p=2 n=24 d=6 [Full]", r.stats().interner);
     let chain = run_chain(ChainOpts {
         depth: 4,
         n: 8,
@@ -779,10 +771,6 @@ pub fn interner_stats() -> Table {
         use opcsp_workloads::streaming::PutLineClient;
         use std::time::Duration;
         let mut w = opcsp_rt::RtWorld::new(opcsp_rt::RtConfig {
-            core: CoreConfig {
-                codec: GuardCodec::Compact,
-                ..CoreConfig::default()
-            },
             latency: Duration::from_millis(1),
             ..opcsp_rt::RtConfig::default()
         });
@@ -794,7 +782,7 @@ pub fn interner_stats() -> Table {
         w.run()
     };
     assert!(!rt.timed_out, "rt interner probe timed out");
-    row("rt streaming n=16 [Compact]", rt.stats.interner);
+    row("rt streaming n=16 [Full]", rt.stats.interner);
     t.note("Hits = guard lookups answered by an existing canonical entry (storage shared); purges = canonical entries dropped when a member guess resolved; live = entries still registered at shutdown. Tags of at most `Guard::INLINE_CAP` (3) guesses bypass the interner entirely; a deeper single-process tag is registered although it is one inline run (DESIGN.md §5b, follow-ups).");
     t.note("Zero hits is the honest number for the streaming workloads: every large tag is distinct (a sender's guard grows with each send), so their measured value is bounded occupancy — purges track misses and live entries stay flat instead of accumulating one table entry per message. The burst fan-in rows exercise the hit path: a stable multi-guess guard re-interned per message makes hits dominate misses.");
     t

@@ -70,26 +70,33 @@ fn e5_delivery_rule_prevents_the_fault() {
 #[test]
 fn e8_reduction_grows_with_stream_length() {
     let t = ex::e8_guard_compaction();
-    let full = col_f64(&t, "full guard bytes");
-    let compact = col_f64(&t, "compact guard bytes");
-    let table = col_f64(&t, "table bytes");
-    let fallbacks = col_f64(&t, "fallbacks");
-    assert!(
-        fallbacks.iter().all(|&f| f == 0.0),
-        "fault-free streaming must never fall back to full encoding: {fallbacks:?}"
-    );
-    let ratios: Vec<f64> = full
-        .iter()
-        .zip(compact.iter().zip(&table))
-        .map(|(f, (c, tb))| f / (c + tb))
+    let listed = col_f64(&t, "member-list bytes");
+    let runs = col_f64(&t, "run bytes");
+    let compact = col_f64(&t, "compact+rows bytes");
+    let streams: Vec<usize> = (0..t.rows.len())
+        .filter(|&r| {
+            t.cell(r, "workload")
+                .is_some_and(|w| w.starts_with("stream"))
+        })
         .collect();
+    assert_eq!(streams.len(), 5);
+    let ratios: Vec<f64> = streams.iter().map(|&r| listed[r] / runs[r]).collect();
     for w in ratios.windows(2) {
-        assert!(w[1] > w[0], "compaction ratio must grow: {ratios:?}");
+        assert!(
+            w[1] > w[0],
+            "the member list's excess must grow: {ratios:?}"
+        );
     }
-    // The headline claim: ≥5x measured byte reduction (table overhead
-    // included) at streaming depth 32.
-    assert_eq!(t.cell(2, "N"), Some("32"));
+    // The headline claim: ≥5x fewer guard bytes than a member list at
+    // streaming depth 32, and exactly §4.1.2's compact bytes on a stream.
+    assert_eq!(t.cell(streams[2], "workload"), Some("stream N=32"));
     assert!(ratios[2] >= 5.0, "{ratios:?}");
+    for &r in &streams {
+        assert_eq!(runs[r], compact[r], "row {r}");
+    }
+    for r in 0..t.rows.len() {
+        assert!(runs[r] <= listed[r], "row {r}: {} > {}", runs[r], listed[r]);
+    }
 }
 
 #[test]

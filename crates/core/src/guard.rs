@@ -19,8 +19,8 @@
 //! it allocates nothing — and beyond that behind an `Arc`, so a fan-in
 //! server's many-process tag clones by reference count. `iter()`,
 //! `Display`, `Ord` and `len()` speak of the sorted member sequence,
-//! whatever the run boundaries; `compact::Span` is the same shape on the
-//! wire.
+//! whatever the run boundaries; a frame carries the runs as they are
+//! (`wire`).
 
 use crate::ids::{ForkIndex, GuessId, Incarnation, ProcessId};
 use std::cmp::Ordering;
@@ -39,6 +39,13 @@ pub struct Run {
 }
 
 impl Run {
+    /// Bytes one run occupies in a guard tag's accounting — derived from
+    /// the field widths, as `GuessId::WIRE_BYTES` is (a frame writes
+    /// `hi − lo` in the last field's place).
+    pub const WIRE_BYTES: usize = std::mem::size_of::<ProcessId>()
+        + std::mem::size_of::<Incarnation>()
+        + 2 * std::mem::size_of::<ForkIndex>();
+
     pub fn new(process: ProcessId, incarnation: Incarnation, lo: ForkIndex, hi: ForkIndex) -> Run {
         debug_assert!(lo <= hi, "a run has at least one member");
         Run {
@@ -343,11 +350,11 @@ impl Guard {
         removed
     }
 
-    /// Approximate wire size of a guard tag in bytes (a 2-byte count plus
-    /// each guess's identifier fields), for the E8 message-overhead
-    /// ablation.
+    /// Approximate wire size of a guard tag in bytes — a 2-byte count plus
+    /// [`Run::WIRE_BYTES`] per run, which is what a frame carries — for the
+    /// `guard_bytes` counters and E8.
     pub fn wire_size(&self) -> usize {
-        2 + self.len() * GuessId::WIRE_BYTES
+        2 + self.runs().len() * Run::WIRE_BYTES
     }
 
     /// Do `self` and `other` read the same heap allocation? Inline guards

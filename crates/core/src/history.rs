@@ -43,12 +43,6 @@ pub struct IncarnationTable {
     /// `starts[i]` = first fork index of incarnation `i`. Incarnation 0
     /// implicitly starts at index 0 even before any entry is recorded.
     starts: Vec<ForkIndex>,
-    /// `changed[i]` = the start of incarnation `i` was lowered after it was
-    /// first recorded. The wire codec suppresses a table row for a peer only
-    /// while its value has never changed: then every copy the peer was ever
-    /// sent equals the current value, and the receiver's ack ledger
-    /// reconstructs it exactly (see `wire`).
-    changed: Vec<bool>,
 }
 
 impl Default for IncarnationTable {
@@ -59,10 +53,7 @@ impl Default for IncarnationTable {
 
 impl IncarnationTable {
     pub fn new() -> Self {
-        IncarnationTable {
-            starts: vec![0],
-            changed: vec![false],
-        }
+        IncarnationTable { starts: vec![0] }
     }
 
     /// Highest incarnation we have heard of.
@@ -79,17 +70,8 @@ impl IncarnationTable {
             // Unknown intermediate incarnations: assume they start no later
             // than the one we are recording.
             self.starts.push(start);
-            self.changed.push(false);
         }
-        if self.starts[i] > start {
-            self.starts[i] = start;
-            self.changed[i] = true;
-        }
-    }
-
-    /// Has `inc`'s start ever been lowered since it was first recorded?
-    pub fn start_changed(&self, inc: Incarnation) -> bool {
-        self.changed.get(inc.0 as usize).copied().unwrap_or(false)
+        self.starts[i] = self.starts[i].min(start);
     }
 
     pub fn start_of(&self, inc: Incarnation) -> Option<ForkIndex> {
@@ -430,26 +412,8 @@ impl History {
         }
     }
 
-    /// Merge one incarnation-table row received on the wire (§4.1.5: a
-    /// production format ships incarnation tables alongside compact guards).
-    /// Same monotonicity as [`record`](IncarnationTable::record): starts
-    /// only ever move down.
-    pub fn observe_incarnation(&mut self, p: ProcessId, inc: Incarnation, start: ForkIndex) {
-        if inc.0 > 0 {
-            self.record_incarnation(p, inc, start);
-        }
-    }
-
     pub fn incarnation_table(&self, p: ProcessId) -> Option<&IncarnationTable> {
         self.incarnations.get(&p).map(|t| t.as_ref())
-    }
-
-    /// Where incarnation `inc` of `p` starts, as far as this history knows
-    /// (`ForkIndex::MAX`: it does not) — the start source for expanding a
-    /// compact guard against the local table.
-    pub fn start_of(&self, p: ProcessId, inc: Incarnation) -> ForkIndex {
-        let known = self.incarnation_table(p).and_then(|t| t.start_of(inc));
-        known.unwrap_or(ForkIndex::MAX)
     }
 
     /// Number of records held: one per *stretch* of guesses recorded with
@@ -560,32 +524,6 @@ mod tests {
         assert!(h.shares_peer_storage_with(&snap, ProcessId(1)));
         assert_eq!(snap.explicit_entries(), 2);
         assert_eq!(h.explicit_entries(), 3);
-    }
-
-    #[test]
-    fn start_changed_tracks_lowered_starts() {
-        let mut t = IncarnationTable::new();
-        t.record(Incarnation(1), 5);
-        assert!(!t.start_changed(Incarnation(1)));
-        t.record(Incarnation(1), 7); // no-op: starts never move forward
-        assert!(!t.start_changed(Incarnation(1)));
-        t.record(Incarnation(1), 2);
-        assert!(t.start_changed(Incarnation(1)));
-        // Backfilled intermediates count as first recordings.
-        t.record(Incarnation(3), 9);
-        assert!(!t.start_changed(Incarnation(2)));
-        assert!(!t.start_changed(Incarnation(3)));
-    }
-
-    #[test]
-    fn observe_incarnation_merges_wire_rows() {
-        let mut h = History::new();
-        h.observe_incarnation(ProcessId(0), Incarnation(1), 3);
-        assert!(h.is_aborted(gid(0, 0, 3)));
-        assert_eq!(h.fate(gid(0, 0, 2)), Fate::Unknown);
-        // Incarnation 0 rows are meaningless and ignored.
-        h.observe_incarnation(ProcessId(1), Incarnation(0), 9);
-        assert!(h.incarnation_table(ProcessId(1)).is_none());
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! |---|---|
 //! | §3.1 commit guards, committed/optimistic computations | [`guard`] |
 //! | §4.1.1 state index, §4.1.3 rollback points | [`ids`], [`process`] |
-//! | §4.1.2 incarnation numbers, guard compaction | [`history`], [`compact`] |
+//! | §4.1.2 incarnation numbers, guard compaction | [`history`], [`wire`], [`compact`] |
 //! | §4.1.4 commit dependency graph | [`cdg`] |
 //! | §4.1.5 commit histories | [`history`] |
 //! | §4.2.1 fork, §4.2.2 send, §4.2.3 arrival/receive | [`process`] |
@@ -40,7 +40,7 @@ pub mod value;
 pub mod wire;
 
 pub use cdg::{Cdg, EdgeOutcome};
-pub use compact::{measure, CompactGuard, GuardSizes, Span};
+pub use compact::{measure, CompactGuard, GuardSizes};
 pub use guard::{Guard, GuardInterner, InternerStats, Run};
 pub use history::{Fate, History, IncarnationTable};
 pub use ids::{ForkIndex, GuessId, Incarnation, ProcessId, StateIndex, ThreadId};
@@ -52,13 +52,12 @@ pub use process::{
 pub use resolve::{AbortEffects, CommitEffects, JoinDecision};
 pub use speculation::{PolicyShift, ShiftReason, SiteController, SpeculationPolicy};
 pub use telemetry::{
-    GuessLifecycle, Histogram, LifecycleReport, ProtoStats, SiteSummary, Telemetry,
-    TelemetryEvent, Tick,
+    GuessLifecycle, Histogram, LifecycleReport, ProtoStats, SiteSummary, Telemetry, TelemetryEvent,
+    Tick, WireStats,
 };
 pub use wire::{
     decode_control_frame, decode_frame, encode_control_frame, encode_frame, get_value,
-    parse_frame_len, put_uvarint, put_value, seal_frame_len, FrameError, FrameReader, GuardCodec,
-    SendTag, TableRow, WireGuard, WireState, WireStats, FRAME_VERSION, MAX_FRAME_BYTES,
-    MAX_GUARD_MEMBERS, MAX_INCARNATION,
+    parse_frame_len, put_uvarint, put_value, seal_frame_len, FrameError, FrameReader,
+    FRAME_VERSION, MAX_FRAME_BYTES, MAX_GUARD_MEMBERS, MAX_INCARNATION,
 };
 pub use value::Value;

@@ -1,14 +1,15 @@
 //! Message envelopes and control messages (§3.2, §4.2).
 //!
 //! Every data message carries the commit guard set of the computation that
-//! sent it. Control messages — COMMIT, ABORT, PRECEDENCE — disseminate the
-//! resolution of guesses. The paper assumes control messages are broadcast
-//! (§4.2.5); engines may instead target them, which is an ablation knob.
+//! sent it — the guard itself, which `wire` writes as its runs. Control
+//! messages — COMMIT, ABORT, PRECEDENCE — disseminate the resolution of
+//! guesses. The paper assumes control messages are broadcast (§4.2.5);
+//! engines may instead target them, which is an ablation knob.
 
 use crate::guard::Guard;
 use crate::ids::{ForkIndex, GuessId, ProcessId};
 use crate::value::Value;
-use crate::wire::{TableRow, WireGuard};
+use std::convert::Infallible;
 use std::fmt;
 use std::sync::Arc;
 
@@ -56,14 +57,12 @@ pub struct Envelope {
     pub to: ProcessId,
     /// Commit guard set of the sending computation at send time (§3.2:
     /// "Each message carries with it a tag containing the commit guard set
-    /// of the computation which sent the message"), in whichever encoding
-    /// the engine's `GuardCodec` selected. Receivers decode compact tags in
-    /// place on arrival (the field becomes `WireGuard::Full`) before any
-    /// classification or delivery logic reads it.
-    pub guard: WireGuard,
-    /// Piggybacked acknowledgements of incarnation-table rows previously
-    /// received from `to` (see `wire`): lets `to` stop attaching them.
-    pub table_acks: Vec<TableRow>,
+    /// of the computation which sent the message").
+    pub guard: Guard,
+    /// Empty by construction and never on the wire: kept as a name only
+    /// because `benchmark/src/probes.rs` builds envelopes with it. Goes with
+    /// ROADMAP item 4.
+    pub table_acks: Vec<Infallible>,
     pub kind: DataKind,
     pub payload: Value,
     /// Human-readable label for trace rendering ("C1", "R2", ...).
@@ -77,20 +76,11 @@ pub struct Envelope {
 }
 
 impl Envelope {
-    /// The decoded guard tag. Panics if the tag is still compact — arrival
-    /// ingestion normalizes every envelope before engines read this.
-    pub fn guard(&self) -> &Guard {
-        self.guard.full()
-    }
-
-    /// Total approximate wire size including the guard tag and any
-    /// piggybacked table rows/acks — used for the E8 overhead ablation.
-    /// The 20 fixed bytes cover ids, route, kind, and the link sequence
-    /// number.
+    /// Total approximate wire size including the guard tag — used for the
+    /// E8 overhead accounting. The 20 fixed bytes cover ids, route, kind,
+    /// and the link sequence number.
     pub fn wire_size(&self) -> usize {
-        20 + self.guard.wire_size()
-            + self.payload.wire_size()
-            + self.table_acks.len() * TableRow::WIRE_BYTES
+        20 + self.guard.wire_size() + self.payload.wire_size()
     }
 }
 
@@ -112,11 +102,8 @@ pub enum Control {
     /// `ABORT(x_n)`: the guess aborted; roll back dependents.
     Abort(GuessId),
     /// `PRECEDENCE(x_n, Guard)`: `x_n`'s left thread terminated with a
-    /// non-empty guard — every guess in `Guard` precedes `x_n`. The guard
-    /// travels in wire encoding; since PRECEDENCE is broadcast (and may be
-    /// relayed), compact encodings are always self-contained — receivers
-    /// decode with `ProcessCore::decode_control_guard` before resolution.
-    Precedence(GuessId, WireGuard),
+    /// non-empty guard — every guess in `Guard` precedes `x_n`.
+    Precedence(GuessId, Guard),
 }
 
 impl Control {
@@ -159,7 +146,7 @@ mod tests {
             from: ProcessId(0),
             from_thread: 1,
             to: ProcessId(2),
-            guard: Guard::single(GuessId::first(ProcessId(0), 1)).into(),
+            guard: Guard::single(GuessId::first(ProcessId(0), 1)),
             table_acks: vec![],
             kind: DataKind::Call(CallId(7)),
             payload: Value::Int(5),
@@ -178,7 +165,7 @@ mod tests {
         let g = GuessId::first(ProcessId(2), 1);
         assert_eq!(Control::Commit(g).to_string(), "COMMIT(z1)");
         assert_eq!(Control::Abort(g).to_string(), "ABORT(z1)");
-        let p = Control::Precedence(g, Guard::single(GuessId::first(ProcessId(0), 1)).into());
+        let p = Control::Precedence(g, Guard::single(GuessId::first(ProcessId(0), 1)));
         assert_eq!(p.to_string(), "PRECEDENCE(z1,{x1})");
     }
 
@@ -186,17 +173,17 @@ mod tests {
     fn subject_extraction() {
         let g = GuessId::new(ProcessId(1), Incarnation(1), 3);
         assert_eq!(Control::Abort(g).subject(), g);
-        assert_eq!(Control::Precedence(g, Guard::empty().into()).subject(), g);
+        assert_eq!(Control::Precedence(g, Guard::empty()).subject(), g);
     }
 
     #[test]
     fn wire_size_includes_guard() {
         let e = env("C1");
-        assert_eq!(e.wire_size(), 20 + (2 + 12) + 8);
+        assert_eq!(e.wire_size(), 20 + (2 + 16) + 8);
         assert!(
             Control::Precedence(
                 GuessId::first(ProcessId(0), 1),
-                Guard::single(GuessId::first(ProcessId(1), 1)).into()
+                Guard::single(GuessId::first(ProcessId(1), 1))
             )
             .wire_size()
                 > Control::Commit(GuessId::first(ProcessId(0), 1)).wire_size()

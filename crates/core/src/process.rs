@@ -39,7 +39,6 @@ use crate::history::{Fate, History};
 use crate::ids::{ForkIndex, GuessId, Incarnation, ProcessId, StateIndex};
 use crate::message::{DataKind, Envelope};
 use crate::speculation::{PolicyShift, SiteController, SpeculationPolicy, SpeculationState};
-use crate::wire::{GuardCodec, SendTag, WireGuard, WireState, WireStats};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Tuning knobs for the protocol core (ablation switches live here).
@@ -64,10 +63,6 @@ pub struct CoreConfig {
     /// message send processing"). Targeted relays are cooperative: each
     /// process forwards a control message to the dependents *it* created.
     pub targeted_control: bool,
-    /// Guard encoding on the wire (§4.1.2 + §4.1.5): full sets (the
-    /// differential-testing oracle) or compact guards plus piggybacked
-    /// incarnation-table deltas. (E8.)
-    pub codec: GuardCodec,
 }
 
 impl Default for CoreConfig {
@@ -77,7 +72,6 @@ impl Default for CoreConfig {
             early_return_check: true,
             speculation: SpeculationPolicy::default(),
             targeted_control: false,
-            codec: GuardCodec::Full,
         }
     }
 }
@@ -303,8 +297,6 @@ pub struct ProcessCore {
     /// Canonicalization table for guard tags received by this process, so
     /// repeated identical tags share one allocation.
     interner: GuardInterner,
-    /// Wire-codec state: per-peer row acks and pending ack piggybacks.
-    wire: WireState,
     /// Resolution provenance for this process's own guesses, in resolution
     /// order: why each guess committed or aborted (§4.2.4–4.2.8 paths).
     /// Forensics reads this to name the guess (and fault class) behind a
@@ -343,7 +335,6 @@ pub struct GuessResolution {
 
 impl ProcessCore {
     pub fn new(id: ProcessId, config: CoreConfig) -> Self {
-        let config_codec = config.codec;
         let mut threads = BTreeMap::new();
         threads.insert(0, ThreadMeta::new(0, Guard::empty()));
         ProcessCore {
@@ -362,7 +353,6 @@ impl ProcessCore {
             spec_clock: 0,
             dependents: BTreeMap::new(),
             interner: GuardInterner::new(),
-            wire: WireState::new(config_codec),
             resolutions: Vec::new(),
         }
     }
@@ -524,10 +514,9 @@ impl ProcessCore {
         self.threads.insert(n, meta);
         self.holders.insert(n);
         self.cdg.add_node(guess);
-        // Record our own incarnation start the same way observers do: the
-        // first fork of a new incarnation pins its start in our table, so
-        // the wire codec can ship rows for our own later-incarnation
-        // guesses (the compact encoder needs rows 1..=i for x_{i,n}).
+        // Record our own incarnation start the way every receiver of this
+        // guess does (`History::observe_guard` on arrival): the first fork
+        // of a new incarnation pins its start in our table too.
         self.history.observe_guess(guess);
         let replaced = self.own.insert(
             guess,
@@ -598,46 +587,16 @@ impl ProcessCore {
     }
 
     /// §4.2.3 orphan check, performed when a message arrives at the process
-    /// and again before delivery of pooled messages. On first contact this
-    /// also ingests the wire tag: piggybacked acks are absorbed, attached
-    /// incarnation-table rows merge into the history, and a compact guard
-    /// is decoded in place (the envelope's tag becomes `WireGuard::Full`) —
-    /// re-classification of pooled envelopes finds the tag already decoded.
-    pub fn classify_arrival(&mut self, env: &mut Envelope) -> ArrivalVerdict {
-        self.wire
-            .ingest_data(env.from, &mut env.guard, &mut env.table_acks, &mut self.history);
-        self.history.observe_guard(env.guard());
-        match self.history.first_aborted(env.guard()) {
+    /// and again before delivery of pooled messages. The tag's runs name
+    /// their incarnations, so observing them is how this process learns of
+    /// an incarnation its sender started (§4.1.5's implicit aborts); doing
+    /// it again on re-classification learns nothing new.
+    pub fn classify_arrival(&mut self, env: &Envelope) -> ArrivalVerdict {
+        self.history.observe_guard(&env.guard);
+        match self.history.first_aborted(&env.guard) {
             Some(g) => ArrivalVerdict::Orphan(g),
             None => ArrivalVerdict::Ok,
         }
-    }
-
-    /// Encode the guard tag for a data message from `thread` to `to`
-    /// (§4.2.2 + §5c wire format): the configured encoding plus any table
-    /// acks waiting to piggyback. The returned tag also carries the
-    /// ground-truth full guard for trace events and dependency bookkeeping.
-    pub fn encode_for_send(&mut self, thread: ForkIndex, to: ProcessId) -> SendTag {
-        self.settle(thread);
-        let full = &self.threads[&thread].guard;
-        self.wire.encode_data(full, &self.history, to)
-    }
-
-    /// Encode a PRECEDENCE guard for broadcast (self-contained: no
-    /// per-receiver ack suppression).
-    pub fn encode_control_guard(&mut self, guard: &Guard) -> WireGuard {
-        self.wire.encode_control(guard, &self.history)
-    }
-
-    /// Decode a PRECEDENCE guard received (or relayed) by this process,
-    /// merging any attached incarnation rows into the history.
-    pub fn decode_control_guard(&mut self, wire: &WireGuard) -> Guard {
-        self.wire.decode_control(wire, &mut self.history)
-    }
-
-    /// Wire-codec counters (compact sends, fallbacks, rows, acks).
-    pub fn wire_stats(&self) -> WireStats {
-        self.wire.stats
     }
 
     /// §4.2.3 delivery choice: among `candidates` (messages available to a
@@ -656,7 +615,7 @@ impl ProcessCore {
         // past the best so far, and nothing beats zero.
         let mut best = (usize::MAX, 0);
         for (i, env) in candidates.iter().enumerate() {
-            let count = self.live_new_guard_count(thread, env.guard(), best.0);
+            let count = self.live_new_guard_count(thread, &env.guard, best.0);
             if count < best.0 {
                 best = (count, i);
                 if count == 0 {
@@ -697,7 +656,7 @@ impl ProcessCore {
         if !self.config.early_return_check || !matches!(env.kind, DataKind::Return(_)) {
             return None;
         }
-        self.guard_depends_on_future(thread, env.guard())
+        self.guard_depends_on_future(thread, &env.guard)
     }
 
     /// Does `guard` name one of this process's own *live* guesses with fork
@@ -740,7 +699,7 @@ impl ProcessCore {
         // aborted ones were filtered by the orphan check.
         let mut live = RunBuf::new();
         let mut unfiltered = 0;
-        for new in meta.guard.new_runs(env.guard()) {
+        for new in meta.guard.new_runs(&env.guard) {
             unfiltered += new.len();
             history.unresolved(new).for_each(|run| live.push(run));
         }
@@ -752,7 +711,7 @@ impl ProcessCore {
         // naming a resolved guess is left out of the table — the purge
         // that would have dropped it has already run, and no live guard
         // will ever equal it.
-        let interned = (new_guards.len() == unfiltered).then(|| self.interner.intern(env.guard()));
+        let interned = (new_guards.len() == unfiltered).then(|| self.interner.intern(&env.guard));
         if new_guards.is_empty() {
             return DeliveryEffect {
                 new_guards,
@@ -771,7 +730,7 @@ impl ProcessCore {
         if meta.guard.is_empty() {
             self.holders.insert(thread);
         }
-        let tag = interned.as_ref().unwrap_or(env.guard());
+        let tag = interned.as_ref().unwrap_or(&env.guard);
         if meta.guard.is_empty() && new_guards.len() == tag.len() {
             // Every guess in the tag is a new live dependency of a thread
             // that had none: adopt the (interned) tag's storage outright.
@@ -867,7 +826,7 @@ mod tests {
             from: ProcessId(9),
             from_thread: 0,
             to,
-            guard: guard.into(),
+            guard,
             table_acks: vec![],
             kind,
             payload: Value::Unit,
@@ -915,10 +874,10 @@ mod tests {
     fn orphan_detection_on_arrival() {
         let mut core = ProcessCore::new(ProcessId(2), CoreConfig::default());
         core.history.record_abort(g(0, 1));
-        let mut env = env_with_guard(ProcessId(2), Guard::single(g(0, 1)), DataKind::Send);
-        assert_eq!(core.classify_arrival(&mut env), ArrivalVerdict::Orphan(g(0, 1)));
-        let mut clean = env_with_guard(ProcessId(2), Guard::empty(), DataKind::Send);
-        assert_eq!(core.classify_arrival(&mut clean), ArrivalVerdict::Ok);
+        let env = env_with_guard(ProcessId(2), Guard::single(g(0, 1)), DataKind::Send);
+        assert_eq!(core.classify_arrival(&env), ArrivalVerdict::Orphan(g(0, 1)));
+        let clean = env_with_guard(ProcessId(2), Guard::empty(), DataKind::Send);
+        assert_eq!(core.classify_arrival(&clean), ArrivalVerdict::Ok);
     }
 
     #[test]
@@ -927,11 +886,11 @@ mod tests {
         // A message tagged with x (incarnation 1, index 3) implies x aborted
         // its incarnation-0 fork 3.
         let newer = GuessId::new(ProcessId(0), Incarnation(1), 3);
-        let mut env = env_with_guard(ProcessId(2), Guard::single(newer), DataKind::Send);
-        assert_eq!(core.classify_arrival(&mut env), ArrivalVerdict::Ok);
-        let mut stale = env_with_guard(ProcessId(2), Guard::single(g(0, 3)), DataKind::Send);
+        let env = env_with_guard(ProcessId(2), Guard::single(newer), DataKind::Send);
+        assert_eq!(core.classify_arrival(&env), ArrivalVerdict::Ok);
+        let stale = env_with_guard(ProcessId(2), Guard::single(g(0, 3)), DataKind::Send);
         assert_eq!(
-            core.classify_arrival(&mut stale),
+            core.classify_arrival(&stale),
             ArrivalVerdict::Orphan(g(0, 3))
         );
     }
@@ -1014,11 +973,11 @@ mod tests {
             DataKind::Send,
         );
         // Thread 2's guard is {x1,x2}: only y3 is new (1 new dep).
-        assert_eq!(core.thread(2).guard.new_guard_count(msg.guard()), 1);
+        assert_eq!(core.thread(2).guard.new_guard_count(&msg.guard), 1);
         // Thread 1's guard is {x1}: x2 and y3 are new (2 new deps) — and
         // delivering there would create the x2-self-dependency the paper
         // warns about.
-        assert_eq!(core.thread(1).guard.new_guard_count(msg.guard()), 2);
+        assert_eq!(core.thread(1).guard.new_guard_count(&msg.guard), 2);
     }
 
     #[test]
@@ -1046,44 +1005,29 @@ mod tests {
     fn double_classification_of_pooled_envelope_is_idempotent() {
         // Regression (rt arrival-path audit): the runtime classifies every
         // envelope on arrival AND again before delivering it from the pool.
-        // The second pass must be a pure re-check: piggybacked acks were
-        // drained and incarnation rows merged on first contact, the compact
-        // tag was decoded in place, and the verdict is stable.
-        let cfg = CoreConfig {
-            codec: crate::wire::GuardCodec::Compact,
-            ..CoreConfig::default()
-        };
-        let mut sender = ProcessCore::new(ProcessId(0), cfg.clone());
-        let mut receiver = ProcessCore::new(ProcessId(1), cfg);
+        // The second pass must be a pure re-check: the incarnation the tag
+        // names was learned on first contact, and the verdict is stable.
+        let mut sender = ProcessCore::new(ProcessId(0), CoreConfig::default());
+        let mut receiver = ProcessCore::new(ProcessId(1), CoreConfig::default());
         sender.fork(0, 1); // x1, stays pending
         sender.fork(1, 2); // x2
-        sender.on_abort(g(0, 2)); // incarnation row to ship
-        let tag = sender.encode_for_send(1, ProcessId(1));
-        let mut env = Envelope {
-            id: MsgId(7),
-            from: ProcessId(0),
-            from_thread: 1,
-            to: ProcessId(1),
-            guard: tag.wire,
-            table_acks: tag.acks,
-            kind: DataKind::Send,
-            payload: Value::Unit,
-            label: "M".into(),
-            link_seq: 0,
-        };
-        let first = receiver.classify_arrival(&mut env);
-        assert_eq!(first, ArrivalVerdict::Ok);
-        assert!(!env.guard.is_compact(), "tag decoded in place on arrival");
-        assert!(env.table_acks.is_empty(), "acks drained on arrival");
-        let wire_after_first = receiver.wire_stats();
-        let history_after_first = format!("{:?}", receiver.history);
-        let second = receiver.classify_arrival(&mut env);
-        assert_eq!(second, first);
-        assert_eq!(
-            receiver.wire_stats(),
-            wire_after_first,
-            "re-classification must not re-merge rows or re-absorb acks"
+        sender.on_abort(g(0, 2)); // incarnation 1 starts at 2
+        let right = sender.fork(1, 2).right_thread;
+        let env = env_with_guard(
+            ProcessId(1),
+            sender.guard_for_send(right).clone(),
+            DataKind::Send,
         );
+        let first = receiver.classify_arrival(&env);
+        assert_eq!(first, ArrivalVerdict::Ok);
+        assert!(
+            receiver.history.is_aborted(g(0, 3)),
+            "incarnation 1 learned"
+        );
+        let learned = receiver.history.aborts_learned();
+        let history_after_first = format!("{:?}", receiver.history);
+        assert_eq!(receiver.classify_arrival(&env), first);
+        assert_eq!(receiver.history.aborts_learned(), learned);
         assert_eq!(format!("{:?}", receiver.history), history_after_first);
     }
 

@@ -565,7 +565,7 @@ mod tests {
             from: ProcessId(9),
             from_thread: 0,
             to: ProcessId(to),
-            guard: guard.into(),
+            guard,
             table_acks: vec![],
             kind: DataKind::Send,
             payload: Value::Unit,

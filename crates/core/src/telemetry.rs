@@ -32,7 +32,6 @@ use crate::ids::{ForkIndex, GuessId, ProcessId};
 use crate::message::MsgId;
 use crate::process::{GuessResolution, ResolutionCause};
 use crate::speculation::PolicyShift;
-use crate::wire::WireStats;
 
 /// Engine-relative event time: virtual ticks in the simulator,
 /// microseconds since run start in the runtime.
@@ -676,17 +675,23 @@ pub struct ProtoStats {
     pub orphans: u64,
     pub data_messages: u64,
     pub control_messages: u64,
-    /// Bytes of guard tags as encoded on the wire (codec-dependent: full
-    /// sets or compact + rows — row bytes are included here too).
+    /// Bytes of data-message guard tags, by `Guard::wire_size`.
     pub guard_bytes: u64,
-    /// Bytes of incarnation-table traffic piggybacked on data messages:
-    /// attached rows plus row acks.
+    /// No writer, always 0: nothing ships incarnation-table rows. A name
+    /// `benchmark/src/run.rs` reads; goes with ROADMAP item 4.
     pub table_bytes: u64,
-    /// Wire-codec counters aggregated over all processes at the end of the
-    /// run (compact sends, full fallbacks, rows/acks shipped).
+    /// No writer, always 0 (see [`WireStats`]).
     pub wire: WireStats,
     /// Guard-interner counters aggregated over all processes.
     pub interner: InternerStats,
+}
+
+/// What is left of the wire-codec counters: one field with no writer,
+/// always 0 — nothing falls back, there is one encoding. A name
+/// `benchmark/src/run.rs` reads; goes with ROADMAP item 4.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WireStats {
+    pub full_fallbacks: u64,
 }
 
 impl ProtoStats {
@@ -700,8 +705,6 @@ impl ProtoStats {
         self.data_messages += other.data_messages;
         self.control_messages += other.control_messages;
         self.guard_bytes += other.guard_bytes;
-        self.table_bytes += other.table_bytes;
-        self.wire.merge(other.wire);
         self.interner.merge(other.interner);
     }
 }

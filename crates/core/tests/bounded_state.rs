@@ -6,8 +6,8 @@
 //! both cores driven through the public calls an engine makes.
 
 use opcsp_core::{
-    ArrivalVerdict, CallId, CoreConfig, DataKind, Envelope, ForkIndex, GuessId, JoinDecision,
-    MsgId, ProcessCore, ProcessId, Value,
+    ArrivalVerdict, CallId, CoreConfig, DataKind, Envelope, ForkIndex, Guard, GuessId,
+    JoinDecision, MsgId, ProcessCore, ProcessId, Value,
 };
 
 const CLIENT: ProcessId = ProcessId(0);
@@ -28,14 +28,14 @@ struct InFlight {
     ret: Envelope,
 }
 
-fn envelope(from: ProcessId, to: ProcessId, tag: opcsp_core::SendTag, kind: DataKind) -> Envelope {
+fn envelope(from: ProcessId, to: ProcessId, guard: Guard, kind: DataKind) -> Envelope {
     Envelope {
         id: MsgId(0),
         from,
         from_thread: 0,
         to,
-        guard: tag.wire,
-        table_acks: tag.acks,
+        guard,
+        table_acks: vec![],
         kind,
         payload: Value::Unit,
         label: "M".into(),
@@ -67,14 +67,14 @@ impl Stream {
             let mut flight = Vec::new();
             for k in 0..left_to_do.min(depth) {
                 let cid = CallId(u64::from(k));
-                let tag = self.client.encode_for_send(from, SERVER);
-                let mut call = envelope(CLIENT, SERVER, tag, DataKind::Call(cid));
+                let tag = self.client.guard_for_send(from).clone();
+                let call = envelope(CLIENT, SERVER, tag, DataKind::Call(cid));
                 let rec = self.client.fork(from, 1);
                 // The server: orphan check, delivery choice, delivery, reply.
-                assert_eq!(self.server.classify_arrival(&mut call), ArrivalVerdict::Ok);
+                assert_eq!(self.server.classify_arrival(&call), ArrivalVerdict::Ok);
                 assert_eq!(self.server.choose_delivery(0, &[&call]), Some(0));
                 self.server.deliver(0, &call);
-                let tag = self.server.encode_for_send(0, CLIENT);
+                let tag = self.server.guard_for_send(0).clone();
                 let ret = envelope(SERVER, CLIENT, tag, DataKind::Return(cid));
                 flight.push(InFlight {
                     guess: rec.guess,
@@ -83,13 +83,8 @@ impl Stream {
                 });
                 from = rec.right_thread;
             }
-            for InFlight {
-                guess,
-                left,
-                mut ret,
-            } in flight
-            {
-                assert_eq!(self.client.classify_arrival(&mut ret), ArrivalVerdict::Ok);
+            for InFlight { guess, left, ret } in flight {
+                assert_eq!(self.client.classify_arrival(&ret), ArrivalVerdict::Ok);
                 assert_eq!(self.client.return_depends_on_future(left, &ret), None);
                 self.client.deliver(left, &ret);
                 joined += 1;

@@ -213,7 +213,7 @@ fn envelope(guard: Guard) -> Envelope {
         from: ProcessId(9),
         from_thread: 0,
         to: ProcessId(7),
-        guard: guard.into(),
+        guard,
         table_acks: vec![],
         kind: DataKind::Send,
         payload: Value::Unit,
@@ -479,9 +479,8 @@ fn end_removals_of_a_run_move_its_bounds_in_place() {
 #[derive(Debug, Clone, Default)]
 struct FlatHistory {
     fates: BTreeMap<GuessId, Fate>,
-    /// `starts[p][i]` = (first fork index of incarnation `i`, lowered since
-    /// first recorded?).
-    starts: BTreeMap<ProcessId, Vec<(ForkIndex, bool)>>,
+    /// `starts[p][i]` = first fork index of incarnation `i`.
+    starts: BTreeMap<ProcessId, Vec<ForkIndex>>,
     aborts_learned: u64,
 }
 
@@ -493,7 +492,7 @@ impl FlatHistory {
         let later = self.starts.get(&g.process).into_iter().flatten();
         let superseded = later
             .skip(g.incarnation.0 as usize + 1)
-            .any(|(s, _)| *s <= g.index);
+            .any(|s| *s <= g.index);
         match superseded {
             true => Fate::Aborted,
             false => Fate::Unknown,
@@ -520,28 +519,22 @@ impl FlatHistory {
     }
 
     fn observe_guess(&mut self, g: GuessId) {
-        self.observe_incarnation(g.process, g.incarnation.0, g.index);
-    }
-
-    fn observe_incarnation(&mut self, p: ProcessId, inc: u32, start: ForkIndex) {
-        if inc > 0 {
-            self.record_incarnation(p, inc, start);
+        if g.incarnation.0 > 0 {
+            self.record_incarnation(g.process, g.incarnation.0, g.index);
         }
     }
 
     fn record_incarnation(&mut self, p: ProcessId, inc: u32, start: ForkIndex) {
-        let table = self.starts.entry(p).or_insert_with(|| vec![(0, false)]);
-        if table.get(inc as usize).is_some_and(|(s, _)| *s <= start) {
+        let table = self.starts.entry(p).or_insert_with(|| vec![0]);
+        if table.get(inc as usize).is_some_and(|s| *s <= start) {
             return;
         }
         self.aborts_learned += 1;
         while table.len() <= inc as usize {
-            table.push((start, false));
+            table.push(start);
         }
         let slot = &mut table[inc as usize];
-        if slot.0 > start {
-            *slot = (start, true);
-        }
+        *slot = (*slot).min(start);
     }
 }
 
@@ -647,13 +640,9 @@ proptest! {
                     fast.record_unknown(g);
                     flat.record_unknown(g);
                 }
-                6 => {
+                6 | 7 => {
                     fast.observe_guess(g);
                     flat.observe_guess(g);
-                }
-                7 => {
-                    fast.observe_incarnation(ProcessId(p), Incarnation(i), n);
-                    flat.observe_incarnation(ProcessId(p), i, n);
                 }
                 _ => {
                     // A stretch of commits in fork order from `n` up.
@@ -668,10 +657,9 @@ proptest! {
             for p in 0..3 {
                 let table = fast.incarnation_table(ProcessId(p));
                 prop_assert_eq!(table.is_some(), flat.starts.contains_key(&ProcessId(p)));
-                for (i, (start, changed)) in flat.starts.get(&ProcessId(p)).into_iter().flatten().enumerate() {
+                for (i, start) in flat.starts.get(&ProcessId(p)).into_iter().flatten().enumerate() {
                     let table = table.expect("just compared");
                     prop_assert_eq!(table.start_of(Incarnation(i as u32)), Some(*start));
-                    prop_assert_eq!(table.start_changed(Incarnation(i as u32)), *changed);
                 }
                 for i in 0..4 {
                     for n in 0..15 {
@@ -750,14 +738,14 @@ proptest! {
         let exhaustive = refs
             .iter()
             .enumerate()
-            .min_by_key(|(i, e)| (core.live_new_guard_count(0, e.guard(), usize::MAX), *i))
+            .min_by_key(|(i, e)| (core.live_new_guard_count(0, &e.guard, usize::MAX), *i))
             .map(|(i, _)| i);
         prop_assert_eq!(core.choose_delivery(0, &refs), exhaustive);
         // A bounded count is the full count, capped.
         for e in &refs {
-            let full = core.live_new_guard_count(0, e.guard(), usize::MAX);
+            let full = core.live_new_guard_count(0, &e.guard, usize::MAX);
             for limit in 0..4 {
-                prop_assert_eq!(core.live_new_guard_count(0, e.guard(), limit), full.min(limit));
+                prop_assert_eq!(core.live_new_guard_count(0, &e.guard, limit), full.min(limit));
             }
         }
     }

@@ -4,8 +4,8 @@
 //! processes, and bookkeeping after repeated abort/re-fork rounds.
 
 use opcsp_core::{
-    ArrivalVerdict, CompactGuard, CoreConfig, DataKind, Envelope, Guard, GuardCodec, GuessId,
-    Incarnation, JoinDecision, MsgId, ProcessCore, ProcessId, TableRow, Value, WireGuard,
+    ArrivalVerdict, CoreConfig, DataKind, Envelope, Guard, GuessId, Incarnation, JoinDecision,
+    MsgId, ProcessCore, ProcessId, Value,
 };
 
 fn env(to: u32, guard: Guard) -> Envelope {
@@ -14,7 +14,7 @@ fn env(to: u32, guard: Guard) -> Envelope {
         from: ProcessId(9),
         from_thread: 0,
         to: ProcessId(to),
-        guard: guard.into(),
+        guard,
         table_acks: vec![],
         kind: DataKind::Send,
         payload: Value::Unit,
@@ -56,64 +56,46 @@ fn stale_incarnation_messages_are_orphans_after_refork() {
     // Learn that x aborted fork 1 (incarnation 1 starts at 1).
     c.history.record_abort(g(0, 1));
     // A lingering message guarded by the old incarnation's later guess.
-    let mut stale = env(2, Guard::single(g(0, 2)));
+    let stale = env(2, Guard::single(g(0, 2)));
     assert!(matches!(
-        c.classify_arrival(&mut stale),
+        c.classify_arrival(&stale),
         ArrivalVerdict::Orphan(_)
     ));
     // The re-executed fork's guess (incarnation 1) is deliverable.
-    let mut fresh = env(
+    let fresh = env(
         2,
         Guard::single(GuessId::new(ProcessId(0), Incarnation(1), 1)),
     );
-    assert!(matches!(c.classify_arrival(&mut fresh), ArrivalVerdict::Ok));
+    assert!(matches!(c.classify_arrival(&fresh), ArrivalVerdict::Ok));
 }
 
 #[test]
-fn compact_tag_rows_reveal_stale_incarnation_orphans() {
-    // The wire codec's stale-incarnation path end-to-end at the process
-    // level: a compact tag's piggybacked table row teaches the receiver
-    // that x restarted, which (a) decodes the tag exactly and (b) orphans
-    // a lingering full-tagged message from x's dead incarnation.
-    let mut c = ProcessCore::new(
-        ProcessId(2),
-        CoreConfig {
-            codec: GuardCodec::Compact,
-            ..CoreConfig::default()
-        },
+fn run_tag_reveals_stale_incarnation_orphans() {
+    // A tag's runs name their incarnations, so the tag alone teaches the
+    // receiver that x restarted — what §4.1.5's table rows would have told
+    // it — and a lingering message from x's dead incarnation is an orphan.
+    let mut c = ProcessCore::new(ProcessId(2), CoreConfig::default());
+    let fresh = env(
+        2,
+        Guard::from_iter([
+            g(0, 1),
+            GuessId::new(ProcessId(0), Incarnation(1), 2),
+            GuessId::new(ProcessId(0), Incarnation(1), 3),
+        ]),
     );
-    // Fresh message tagged {x_{0,1}, x_{1,2}, x_{1,3}} compacted to its
-    // latest guess plus the row "incarnation 1 starts at 2".
-    let cg = CompactGuard::compress(&Guard::from_iter([
-        g(0, 1),
-        GuessId::new(ProcessId(0), Incarnation(1), 2),
-        GuessId::new(ProcessId(0), Incarnation(1), 3),
-    ]));
-    let mut fresh = env(2, Guard::empty());
-    fresh.guard = WireGuard::Compact {
-        guard: cg,
-        rows: vec![TableRow {
-            process: ProcessId(0),
-            incarnation: Incarnation(1),
-            start: 2,
-        }],
-    };
-    assert!(matches!(c.classify_arrival(&mut fresh), ArrivalVerdict::Ok));
-    // Ingestion normalized the tag in place to the exact full set.
-    assert_eq!(fresh.guard().len(), 3);
-    assert!(fresh.guard().contains(g(0, 1)));
-    assert!(!fresh.guard().contains(g(0, 2)), "x_{{0,2}} must not be fabricated");
-    // The merged row makes incarnation-0 guesses at index >= 2 orphans.
-    let mut stale = env(2, Guard::single(g(0, 2)));
+    assert!(matches!(c.classify_arrival(&fresh), ArrivalVerdict::Ok));
+    assert_eq!(fresh.guard.runs().len(), 2);
+    // Incarnation 1 starts at 2: incarnation-0 guesses from index 2 up are
+    // orphans, x_{0,1} is not.
+    let stale = env(2, Guard::single(g(0, 2)));
     assert!(matches!(
-        c.classify_arrival(&mut stale),
+        c.classify_arrival(&stale),
         ArrivalVerdict::Orphan(_)
     ));
-    // An ack for the merged row is queued for the next reply to the peer
-    // that shipped it (the `env` helper stamps `from: ProcessId(9)`).
-    let tag = c.encode_for_send(0, ProcessId(9));
-    assert_eq!(tag.acks.len(), 1);
-    assert_eq!(tag.acks[0].start, 2);
+    assert!(matches!(
+        c.classify_arrival(&env(2, Guard::single(g(0, 1)))),
+        ArrivalVerdict::Ok
+    ));
 }
 
 #[test]

@@ -417,7 +417,7 @@ fn get_observable(r: &mut FrameReader<'_>) -> Result<Observable, FrameError> {
     }
 }
 
-/// The 27 counters of an [`RtStats`], as uvarints in a fixed order.
+/// The 21 counters of an [`RtStats`], as uvarints in a fixed order.
 fn put_stats(buf: &mut Vec<u8>, s: &RtStats) {
     let fields = [
         s.proto.forks,
@@ -429,12 +429,6 @@ fn put_stats(buf: &mut Vec<u8>, s: &RtStats) {
         s.proto.data_messages,
         s.proto.control_messages,
         s.proto.guard_bytes,
-        s.proto.table_bytes,
-        s.proto.wire.compact_sends,
-        s.proto.wire.full_fallbacks,
-        s.proto.wire.rows_sent,
-        s.proto.wire.acks_sent,
-        s.proto.wire.rows_merged,
         s.proto.interner.hits,
         s.proto.interner.misses,
         s.proto.interner.purged,
@@ -465,12 +459,6 @@ fn get_stats(r: &mut FrameReader<'_>) -> Result<RtStats, FrameError> {
     s.proto.data_messages = uv()?;
     s.proto.control_messages = uv()?;
     s.proto.guard_bytes = uv()?;
-    s.proto.table_bytes = uv()?;
-    s.proto.wire.compact_sends = uv()?;
-    s.proto.wire.full_fallbacks = uv()?;
-    s.proto.wire.rows_sent = uv()?;
-    s.proto.wire.acks_sent = uv()?;
-    s.proto.wire.rows_merged = uv()?;
     s.proto.interner.hits = uv()?;
     s.proto.interner.misses = uv()?;
     s.proto.interner.purged = uv()?;
@@ -1205,7 +1193,7 @@ fn run_worker(world: RtWorld, addr: &SockAddr, index: usize, workers: usize) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use opcsp_core::{DataKind, Envelope, Guard, MsgId, WireGuard};
+    use opcsp_core::{DataKind, Envelope, Guard, MsgId};
 
     fn envelope() -> Envelope {
         Envelope {
@@ -1213,7 +1201,7 @@ mod tests {
             from: ProcessId(1),
             from_thread: 0,
             to: ProcessId(2),
-            guard: WireGuard::Full(Guard::empty()),
+            guard: Guard::empty(),
             table_acks: Vec::new(),
             kind: DataKind::Send,
             payload: Value::Str("hi".into()),
@@ -1270,7 +1258,7 @@ mod tests {
     fn reports_roundtrip() {
         let mut stats = RtStats::default();
         stats.proto.forks = 5;
-        stats.proto.wire.rows_sent = 11;
+        stats.proto.guard_bytes = 11;
         stats.proto.interner.hits = 3;
         stats.retransmits = 2;
         stats.dup_frames = 7;

@@ -34,7 +34,7 @@ use crate::trace::TraceEvent;
 use opcsp_core::{
     AbortEffects, ArrivalVerdict, CallId, Control, CoreConfig, DataKind, Envelope, Guard, GuessId,
     Incarnation, JoinDecision, Label, MsgId, OwnGuessState, ProcessCore, ProcessId, ProtoStats,
-    TableRow, Telemetry, TelemetryEvent, ThreadId, ThreadMeta, ThreadPhase, Value, WireGuard,
+    Telemetry, TelemetryEvent, ThreadId, ThreadMeta, ThreadPhase, Value,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -432,11 +432,10 @@ impl Driver {
         self.pid
     }
 
-    /// This process's protocol counters so far, the core's wire-codec and
-    /// interner counters included.
+    /// This process's protocol counters so far, the core's interner
+    /// counters included.
     pub fn stats(&self) -> ProtoStats {
         let mut stats = self.stats;
-        stats.wire.merge(self.core.wire_stats());
         stats.interner.merge(self.core.interner_full_stats());
         stats
     }
@@ -715,14 +714,13 @@ impl Driver {
             self.behavior.name(),
             to.0,
         );
-        let tag = self.core.encode_for_send(tid, to);
         let msg = Envelope {
             id: env.next_msg_id(),
             from: self.pid,
             from_thread: tid,
             to,
-            guard: tag.wire,
-            table_acks: tag.acks,
+            guard: self.core.guard_for_send(tid).clone(),
+            table_acks: vec![],
             kind,
             payload: payload.clone(),
             label: label.into(),
@@ -731,10 +729,6 @@ impl Driver {
         };
         self.stats.data_messages += 1;
         self.stats.guard_bytes += msg.guard.wire_size() as u64;
-        if let WireGuard::Compact { rows, .. } = &msg.guard {
-            self.stats.table_bytes += (rows.len() * TableRow::WIRE_BYTES) as u64;
-        }
-        self.stats.table_bytes += (msg.table_acks.len() * TableRow::WIRE_BYTES) as u64;
         let from = self.thread_id(tid);
         env.trace(|t| TraceEvent::Send {
             t,
@@ -742,9 +736,9 @@ impl Driver {
             from,
             to,
             label: msg.label.clone(),
-            guard: tag.full.clone(),
+            guard: msg.guard.clone(),
         });
-        self.core.note_send(&tag.full, to);
+        self.core.note_send(&msg.guard, to);
         let id = msg.id;
         let link_seq = env.send_data(msg);
         let obs = Observable::Sent {
@@ -787,7 +781,8 @@ impl Driver {
             // PRECEDENCE must also reach the owners of the guard members
             // (they hold the CDG edges that close cycles).
             if let Control::Precedence(_, guard) = &ctrl {
-                t.extend(guard.member_processes().into_iter().filter(|p| *p != from));
+                let owners = guard.runs().iter().map(|r| r.process);
+                t.extend(owners.filter(|p| *p != from));
             }
             t.into_iter().collect()
         } else {
@@ -928,8 +923,7 @@ impl Driver {
                     guard: precedence_guard.clone(),
                 });
                 self.th(tid).status = Status::AwaitingJoin;
-                let wire = self.core.encode_control_guard(&precedence_guard);
-                self.broadcast(env, Control::Precedence(guess, wire));
+                self.broadcast(env, Control::Precedence(guess, precedence_guard));
             }
             JoinDecision::AlreadyAborted { .. } => self.join_sequential(env, tid),
         }
@@ -969,15 +963,14 @@ impl Driver {
     // ------------------------------------------------------------------
 
     /// A data message arrived from the network.
-    pub fn on_data<E: Env>(&mut self, env: &mut E, mut msg: Envelope) {
-        // First classification ingests the wire tag (acks drained, rows
-        // merged, compact guard decoded in place); the pooled
-        // re-classification in `try_deliver`/`purge_pool` is a pure
+    pub fn on_data<E: Env>(&mut self, env: &mut E, msg: Envelope) {
+        // First classification learns the incarnations the tag names; the
+        // pooled re-classification in `try_deliver`/`purge_pool` is a pure
         // re-check (pinned by `double_classification_of_pooled_envelope_
         // is_idempotent` in opcsp-core). An orphaned envelope is dropped
         // at the site that counts it, so `stats.orphans` sees each
         // envelope at most once per pooling.
-        if let ArrivalVerdict::Orphan(g) = self.core.classify_arrival(&mut msg) {
+        if let ArrivalVerdict::Orphan(g) = self.core.classify_arrival(&msg) {
             self.orphaned(env, msg.id, msg.label, g);
             return;
         }
@@ -1014,18 +1007,18 @@ impl Driver {
     /// Match pooled messages to blocked threads until quiescent.
     fn try_deliver<E: Env>(&mut self, env: &mut E) {
         while let Some((tid, pool_idx)) = self.pick_delivery() {
-            let mut msg = self.pool.remove(pool_idx);
+            let msg = self.pool.remove(pool_idx);
             // Re-check orphan status if an abort may have been learned
-            // since the message was pooled (explicitly, or through an
-            // incarnation row on some other message).
+            // since the message was pooled (explicitly, or through a later
+            // incarnation named in some other message's tag).
             if self.pool_checked != Some(self.core.history.aborts_learned()) {
-                if let ArrivalVerdict::Orphan(g) = self.core.classify_arrival(&mut msg) {
+                if let ArrivalVerdict::Orphan(g) = self.core.classify_arrival(&msg) {
                     self.orphaned(env, msg.id, msg.label, g);
                     continue;
                 }
             }
             debug_assert!(
-                self.core.history.first_aborted(msg.guard()).is_none(),
+                self.core.history.first_aborted(&msg.guard).is_none(),
                 "delivering an orphan"
             );
             self.deliver_to(env, tid, msg);
@@ -1074,7 +1067,7 @@ impl Driver {
                 .enumerate()
                 .filter(|(_, m)| {
                     !m.kind.is_return()
-                        && self.core.guard_depends_on_future(tid, m.guard()).is_none()
+                        && self.core.guard_depends_on_future(tid, &m.guard).is_none()
                 })
                 .collect();
             if candidates.is_empty() {
@@ -1160,7 +1153,7 @@ impl Driver {
             to,
             from: msg.from,
             label: msg.label.clone(),
-            guard: msg.guard().clone(),
+            guard: msg.guard.clone(),
         });
         let (process, id) = (self.pid, msg.id);
         tele(env, |t| TelemetryEvent::Deliver {
@@ -1205,8 +1198,7 @@ impl Driver {
                 self.apply_abort_effects(env, eff, Some(guess));
             }
             Control::Precedence(guess, guard) => {
-                let decoded = self.core.decode_control_guard(&guard);
-                let eff = self.core.on_precedence(guess, &decoded);
+                let eff = self.core.on_precedence(guess, &guard);
                 if !eff.is_empty() {
                     env.trace(|t| TraceEvent::TimeFault {
                         t,
@@ -1397,14 +1389,13 @@ impl Driver {
         let mut orphans = Vec::new();
         self.pool_checked = Some(self.core.history.aborts_learned());
         let core = &mut self.core;
-        self.pool
-            .retain_mut(|msg| match core.classify_arrival(msg) {
-                ArrivalVerdict::Orphan(g) => {
-                    orphans.push((msg.id, msg.label.clone(), g));
-                    false
-                }
-                ArrivalVerdict::Ok => true,
-            });
+        self.pool.retain(|msg| match core.classify_arrival(msg) {
+            ArrivalVerdict::Orphan(g) => {
+                orphans.push((msg.id, msg.label.clone(), g));
+                false
+            }
+            ArrivalVerdict::Ok => true,
+        });
         for (msg, label, g) in orphans {
             self.orphaned(env, msg, label, g);
         }

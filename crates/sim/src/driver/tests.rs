@@ -106,7 +106,7 @@ fn msg(id: u64, from: ProcessId, guard: Guard, v: i64) -> Envelope {
         from,
         from_thread: 0,
         to: P0,
-        guard: guard.into(),
+        guard,
         table_acks: vec![],
         kind: DataKind::Send,
         payload: Value::Int(v),
@@ -425,7 +425,7 @@ fn relayed_control_never_returns_to_its_sender() {
     let controls = [
         Control::Commit(g),
         Control::Abort(g),
-        Control::Precedence(g, Guard::empty().into()),
+        Control::Precedence(g, Guard::empty()),
     ];
     for ctrl in controls {
         for (from, other) in [(P1, P2), (P2, P1)] {

@@ -480,8 +480,6 @@ impl World {
         stats.data_messages += counted.data_messages;
         stats.control_messages += counted.control_messages;
         stats.guard_bytes += counted.guard_bytes;
-        stats.table_bytes += counted.table_bytes;
-        stats.wire.merge(counted.wire);
         stats.interner.merge(counted.interner);
 
         let mut result = SimResult {

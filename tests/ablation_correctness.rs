@@ -1,10 +1,9 @@
 //! The §4.2.3 optimizations (min-new-deps delivery, early return check)
 //! are *performance* choices: turning them off must never break
 //! correctness, only cost more aborts/time. Ditto every other ablation
-//! switch — including the §4.1.2 compact wire codec — in every
-//! combination.
+//! switch, in every combination.
 
-use opcsp_core::{CoreConfig, GuardCodec, SpeculationPolicy};
+use opcsp_core::{CoreConfig, SpeculationPolicy};
 use opcsp_sim::{check_conservation, check_equivalence};
 use opcsp_workloads::streaming::{run_streaming, run_tally, StreamingOpts, TallyOpts};
 use opcsp_workloads::update_write::{fig4_latency, run_update_write, UpdateWriteOpts};
@@ -15,15 +14,12 @@ fn all_core_configs() -> Vec<CoreConfig> {
     for deliver in [true, false] {
         for early in [true, false] {
             for targeted in [true, false] {
-                for codec in [GuardCodec::Full, GuardCodec::Compact] {
-                    out.push(CoreConfig {
-                        deliver_min_deps: deliver,
-                        early_return_check: early,
-                        targeted_control: targeted,
-                        speculation: SpeculationPolicy::default(),
-                        codec,
-                    });
-                }
+                out.push(CoreConfig {
+                    deliver_min_deps: deliver,
+                    early_return_check: early,
+                    targeted_control: targeted,
+                    speculation: SpeculationPolicy::default(),
+                });
             }
         }
     }
@@ -119,7 +115,6 @@ fn heavy_faults_with_all_optimizations_off() {
         early_return_check: false,
         targeted_control: false,
         speculation: SpeculationPolicy::Static { limit: 2 },
-        codec: GuardCodec::Compact,
     };
     for p in [300u32, 700] {
         let o = TallyOpts {

@@ -23,7 +23,7 @@
 //! against a genuinely broken engine (`FaultInjection::PhantomLog`), and
 //! pins the forensics report and shrinker determinism.
 
-use opcsp_core::{CoreConfig, GuardCodec, SpeculationPolicy};
+use opcsp_core::{CoreConfig, SpeculationPolicy};
 use opcsp_lang::{parse_program, System};
 use opcsp_sim::{
     check_theorem1, first_divergence, happens_before_chain, render_report, shrink_schedule,
@@ -240,36 +240,25 @@ fn shrinker_is_deterministic_and_replay_reproduces_verdict() {
 }
 
 #[test]
-fn shrinker_determinism_is_invariant_across_codec_and_speculation() {
+fn shrinker_determinism_is_invariant_across_speculation() {
     // The ddmin shrinker must be a pure function of the world and seed —
-    // the wire codec (Full vs Compact guards) and the speculation policy
-    // (static limit vs the adaptive per-site controller) change *how* the
-    // protocol runs, so each configuration may shrink to a different
-    // minimal schedule, but re-running the same configuration must
-    // reproduce its schedule byte for byte. A codec- or policy-dependent
-    // source of nondeterminism (iteration order, interner state, adaptive
-    // controller history) would show up here as a flapping report.
+    // the speculation policy (static limit vs the adaptive per-site
+    // controller) changes *how* the protocol runs, so each configuration
+    // may shrink to a different minimal schedule, but re-running the same
+    // configuration must reproduce its schedule byte for byte. A
+    // policy-dependent source of nondeterminism (iteration order, interner
+    // state, adaptive controller history) would show up here as a flapping
+    // report.
     let sys = compile_fan_in();
     let seed = 1;
 
     let adaptive = || SpeculationPolicy::parse("adaptive").expect("adaptive parses");
     let cores = [
-        ("full/static", CoreConfig {
-            codec: GuardCodec::Full,
-            ..CoreConfig::default()
-        }),
-        ("compact/static", CoreConfig {
-            codec: GuardCodec::Compact,
-            ..CoreConfig::default()
-        }),
-        ("full/adaptive", CoreConfig {
-            codec: GuardCodec::Full,
-            ..CoreConfig::default().with_speculation(adaptive())
-        }),
-        ("compact/adaptive", CoreConfig {
-            codec: GuardCodec::Compact,
-            ..CoreConfig::default().with_speculation(adaptive())
-        }),
+        ("static", CoreConfig::default()),
+        (
+            "adaptive",
+            CoreConfig::default().with_speculation(adaptive()),
+        ),
     ];
 
     for (label, core) in cores {

@@ -137,17 +137,44 @@ fn immediate_failure_rolls_back_everything() {
     assert_eq!(calls, 1, "only line 0's call commits: {log:?}");
 }
 
-/// Guard sets grow linearly along the speculative chain (the E8
-/// motivation): the deepest message carries ~N guesses.
+/// Guard sets grow linearly along the speculative chain — the deepest
+/// message depends on ~N guesses — but a tag is written as its runs, and a
+/// stream's tag {x1..xk} is one run: the bytes a data message's guard
+/// costs on the wire do not grow with depth (E8).
 #[test]
-fn guard_bytes_grow_with_stream_depth() {
-    let small = run_streaming(opts(4, 50));
-    let large = run_streaming(opts(32, 50));
+fn guard_bytes_per_message_do_not_grow_with_stream_depth() {
+    // (deepest tag's members, largest tag's bytes) over every data message.
+    let tags = |n| {
+        let r = run_streaming(opts(n, 50));
+        let sends: Vec<&opcsp_core::Guard> = r
+            .trace
+            .iter()
+            .filter_map(|e| match e {
+                opcsp_sim::TraceEvent::Send { guard, .. } => Some(guard),
+                _ => None,
+            })
+            .collect();
+        let bytes: u64 = sends.iter().map(|g| g.wire_size() as u64).sum();
+        assert_eq!(
+            bytes,
+            r.stats().guard_bytes,
+            "N={n}: guard bytes are the tags'"
+        );
+        let deepest = sends.iter().map(|g| g.len()).max().unwrap_or(0);
+        let largest = sends.iter().map(|g| g.wire_size()).max().unwrap_or(0);
+        (deepest, largest)
+    };
+    let (small, large) = (tags(4), tags(32));
     assert!(
-        large.stats().guard_bytes > small.stats().guard_bytes * 8,
-        "guard bytes should grow superlinearly with N: {} vs {}",
-        large.stats().guard_bytes,
-        small.stats().guard_bytes
+        large.0 >= 8 * small.0,
+        "the deepest tag grows with N: {} vs {}",
+        large.0,
+        small.0
+    );
+    assert_eq!(
+        large.1, small.1,
+        "a data message's guard bytes grew with N: {} (N=32) vs {} (N=4)",
+        large.1, small.1
     );
 }
 

@@ -9,7 +9,7 @@
 //! faults). Every system is run both ways and the committed observable
 //! logs must be identical.
 
-use opcsp_core::{CoreConfig, GuardCodec, ProcessId, WireStats};
+use opcsp_core::{CoreConfig, ProcessId};
 use opcsp_lang::{block, BinOp, Expr, ProcDef, Program, Stmt, System};
 use opcsp_sim::{audit_trace, check_conservation, check_equivalence, LatencyModel, SimConfig};
 use rand::rngs::StdRng;
@@ -170,12 +170,10 @@ pub fn debug_seed(seed: u64) {
     println!("{}", opt.trace.render_timeline(&procs2));
 }
 
-/// Build and check one random system. Runs the pessimistic baseline plus
-/// *two* optimistic runs — full-set and compact wire codec — and checks
-/// Theorem-1 equivalence of each optimistic run against the baseline (and
-/// thereby against each other). Returns the compact run's wire counters so
-/// callers can assert the codec actually engaged across a seed range.
-pub fn check_seed(seed: u64) -> WireStats {
+/// Build and check one random system. Runs the pessimistic baseline and
+/// the optimistic run, and checks Theorem-1 equivalence of the optimistic
+/// run against the baseline.
+pub fn check_seed(seed: u64) {
     let mut rng = StdRng::seed_from_u64(seed);
     let n_servers = rng.gen_range(1..=3);
     let server_names: Vec<String> = (0..n_servers).map(|i| format!("S{i}")).collect();
@@ -193,16 +191,11 @@ pub fn check_seed(seed: u64) -> WireStats {
         latency: latency.clone(),
         ..SimConfig::default()
     });
-    let runs = [GuardCodec::Full, GuardCodec::Compact].map(|codec| {
-        sys.run(SimConfig {
-            core: CoreConfig {
-                codec,
-                ..CoreConfig::default()
-            },
-            latency: latency.clone(),
-            fork_timeout: 10_000,
-            ..SimConfig::default()
-        })
+    let opt = &sys.run(SimConfig {
+        core: CoreConfig::default(),
+        latency: latency.clone(),
+        fork_timeout: 10_000,
+        ..SimConfig::default()
     });
 
     assert!(!pess.truncated, "seed {seed}: truncated pessimistic run");
@@ -213,52 +206,39 @@ pub fn check_seed(seed: u64) -> WireStats {
         .iter()
         .map(|(_, p, v)| (*p, v.clone()))
         .collect();
-    for (opt, codec) in runs.iter().zip(["full", "compact"]) {
-        assert!(!opt.truncated, "seed {seed} [{codec}]: truncated run");
-        assert!(
-            opt.unresolved.is_empty(),
-            "seed {seed} [{codec}]: unresolved guesses {:?}",
-            opt.unresolved
-        );
-        let rep = check_equivalence(&pess, opt);
-        assert!(
-            rep.equivalent,
-            "seed {seed} [{codec}]: trace divergence\n{:#?}\noptimistic stats: {:?}",
-            rep.mismatches,
-            opt.stats()
-        );
-        check_conservation(opt)
-            .unwrap_or_else(|e| panic!("seed {seed} [{codec}]: conservation violated: {e}"));
-        let violations = audit_trace(&opt.trace);
-        assert!(
-            violations.is_empty(),
-            "seed {seed} [{codec}]: audit violations {violations:#?}"
-        );
-        // External outputs must match in value order too.
-        let ov: Vec<_> = opt
-            .external
-            .iter()
-            .map(|(_, p, v)| (*p, v.clone()))
-            .collect();
-        assert_eq!(pv, ov, "seed {seed} [{codec}]: external output divergence");
-    }
-    let [_, compact] = runs;
-    compact.stats().wire
+    assert!(!opt.truncated, "seed {seed}: truncated run");
+    assert!(
+        opt.unresolved.is_empty(),
+        "seed {seed}: unresolved guesses {:?}",
+        opt.unresolved
+    );
+    let rep = check_equivalence(&pess, opt);
+    assert!(
+        rep.equivalent,
+        "seed {seed}: trace divergence\n{:#?}\noptimistic stats: {:?}",
+        rep.mismatches,
+        opt.stats()
+    );
+    check_conservation(opt).unwrap_or_else(|e| panic!("seed {seed}: conservation violated: {e}"));
+    let violations = audit_trace(&opt.trace);
+    assert!(
+        violations.is_empty(),
+        "seed {seed}: audit violations {violations:#?}"
+    );
+    // External outputs must match in value order too.
+    let ov: Vec<_> = opt
+        .external
+        .iter()
+        .map(|(_, p, v)| (*p, v.clone()))
+        .collect();
+    assert_eq!(pv, ov, "seed {seed}: external output divergence");
 }
 
 #[test]
 fn theorem1_holds_across_random_systems() {
-    let mut wire = WireStats::default();
     for seed in 0..150 {
-        wire.merge(check_seed(seed));
+        check_seed(seed);
     }
-    // The compact codec must actually engage across the seed range — a
-    // codec that silently fell back to full sets everywhere would pass
-    // equivalence vacuously.
-    assert!(
-        wire.compact_sends > 0,
-        "compact codec never engaged: {wire:?}"
-    );
 }
 
 #[test]
