@@ -436,6 +436,15 @@ fn summarize_rt(label: &str, names: &BTreeMap<ProcessId, String>, r: &opcsp_rt::
         s.acks,
         s.reorder_releases,
     );
+    let (p, ms) = (&r.phases, |d: std::time::Duration| d.as_secs_f64() * 1e3);
+    println!(
+        "  phases: setup={:.1}ms clients={:.1}ms drain={:.1}ms collect={:.1}ms reap={:.1}ms",
+        ms(p.setup),
+        ms(p.clients),
+        ms(p.drain),
+        ms(p.collect),
+        ms(p.reap),
+    );
     if !r.external.is_empty() {
         println!("outputs:");
         for (p, v) in &r.external {

@@ -29,5 +29,5 @@ pub mod sock;
 
 pub use executor::Executor;
 pub use net::{Delayer, FlushClass, Mailbox, NetFaults, NetStats, Partition, Transport};
-pub use runtime::{merge_equiv, RtConfig, RtResult, RtStats, RtWorld};
+pub use runtime::{merge_equiv, RtConfig, RtPhases, RtResult, RtStats, RtWorld};
 pub use sock::{RtTransport, SockAddr, SockRole};

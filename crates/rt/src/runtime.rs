@@ -168,7 +168,7 @@ impl RtStats {
 }
 
 /// Result of a run.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct RtResult {
     pub wall: Duration,
     pub stats: RtStats,
@@ -190,6 +190,22 @@ pub struct RtResult {
     /// actors in timestamp order (µs since run start). Empty unless
     /// [`RtConfig::telemetry`] was set.
     pub telemetry: Telemetry,
+    /// Where `wall` went, phase by phase.
+    pub phases: RtPhases,
+}
+
+/// A run's phases (DESIGN.md §9.2): spawning the world (on the socket hub
+/// also bind and handshake), waiting for the clients, the drain to
+/// quiescence, shutdown plus the final reports, and the reap. They follow
+/// one another, so they sum to at most [`RtResult::wall`]; a run that never
+/// reached the coordinator (a socket worker, a failed handshake) has none.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RtPhases {
+    pub setup: Duration,
+    pub clients: Duration,
+    pub drain: Duration,
+    pub collect: Duration,
+    pub reap: Duration,
 }
 
 /// Builder/handle for a runtime world.
@@ -321,6 +337,13 @@ pub(crate) fn coordinate(
         panics: BTreeMap::new(),
         dead: BTreeSet::new(),
     };
+    // Each phase ends where the next begins; setup is what came before.
+    let mut last = start;
+    let mut lap = || {
+        let now = Instant::now();
+        now - std::mem::replace(&mut last, now)
+    };
+    let setup = lap();
 
     // Phase 1 — wait for every client to finish. A death is a wake-up
     // (`Step::Died`): a dead client will never report done, and waiting
@@ -351,6 +374,7 @@ pub(crate) fn coordinate(
             }
         }
     }
+    let clients = lap();
 
     // Phase 2 — drain the network to quiescence before halting anyone:
     // in-flight commit waves (and, under chaos, their retransmissions)
@@ -359,6 +383,7 @@ pub(crate) fn coordinate(
     if !timed_out && !all_dead && !drain_to_quiescence(&hosts, n, &mut coord, deadline) {
         timed_out = true;
     }
+    let drain = lap();
 
     hosts.shutdown();
 
@@ -383,11 +408,19 @@ pub(crate) fn coordinate(
             Step::DeadlineHit | Step::AllExited => break,
         }
     }
+    let collect = lap();
 
     // Phase 4 — reap on the same deadline. Every panic was caught where
     // it happened and has been reported, so whoever neither sent a final
     // nor died was still running: a straggler, not a deadlock.
     hosts.reap(collect_deadline);
+    let phases = RtPhases {
+        setup,
+        clients,
+        drain,
+        collect,
+        reap: lap(),
+    };
     let stragglers = (0..n as u32)
         .map(ProcessId)
         .filter(|p| !logs.contains_key(p) && !coord.dead.contains(p))
@@ -402,6 +435,7 @@ pub(crate) fn coordinate(
         panics: coord.panics,
         stragglers,
         telemetry,
+        phases,
     }
 }
 

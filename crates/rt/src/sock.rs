@@ -29,14 +29,19 @@
 //! cap as envelope frames). Handshake: each worker connects and sends
 //! `Hello{index, workers, n, lo, hi}` claiming the pid range `lo..hi`;
 //! the parent verifies the ranges tile `0..n` exactly and broadcasts
-//! `Start`. Failure semantics: an actor that panics is reported by its
-//! worker like any other (`Report::Panicked`); a connection that reaches
-//! EOF without a prior `Bye` is a crashed worker — every pid it owned
-//! that has not produced a final report is recorded as panicked ("worker
-//! connection lost"). Malformed messages are treated as connection loss,
-//! never a panic. Telemetry event streams are not shipped over the socket
-//! (documented limitation): `RtResult::telemetry` is empty under this
-//! transport.
+//! `Start`; either side waits for the other with one backoff (`wait_for`),
+//! never a fixed nap. The hop costs few syscalls (DESIGN.md §13.2): after
+//! the handshake every connection is read through a `BufReader`, a
+//! worker's pumps send all that is queued in one write, and the hub
+//! decodes each message only to validate and route it, relaying a `Net`
+//! message as the bytes it arrived as. Failure semantics: an actor that
+//! panics is reported by its worker like any other (`Report::Panicked`);
+//! a connection that reaches EOF without a prior `Bye` is a crashed worker
+//! — every pid it owned that has not produced a final report is recorded
+//! as panicked ("worker connection lost"). Malformed messages are treated
+//! as connection loss, never a panic. Telemetry event streams are not
+//! shipped over the socket (documented limitation): `RtResult::telemetry`
+//! is empty under this transport.
 
 use crate::core_poll::{FinalReport, Report};
 use crate::executor::{spawn_world, WorldSpec};
@@ -50,11 +55,11 @@ use opcsp_core::Value;
 use opcsp_core::{
     decode_control_frame, decode_frame, encode_control_frame, encode_frame, get_value,
     parse_frame_len, put_uvarint, put_value, seal_frame_len, FrameError, FrameReader, ProcessId,
-    Telemetry, FRAME_VERSION,
+    FRAME_VERSION,
 };
 use opcsp_sim::{ObsKind, Observable};
-use std::collections::{BTreeMap, BTreeSet};
-use std::io::{self, Read, Write};
+use std::collections::BTreeSet;
+use std::io::{self, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::ops::Range;
 #[cfg(unix)]
@@ -143,6 +148,18 @@ pub enum SockRole {
 // Streams and listeners (TCP | UDS unified)
 // ---------------------------------------------------------------------------
 
+/// `$body` with `$s` bound to the socket inside `$sock`, a `$Kind`
+/// ([`SockStream`] or [`SockListener`]: the same two variants).
+macro_rules! on_socket {
+    ($Kind:ident, $sock:expr, $s:ident => $body:expr) => {
+        match $sock {
+            $Kind::Tcp($s) => $body,
+            #[cfg(unix)]
+            $Kind::Uds($s) => $body,
+        }
+    };
+}
+
 enum SockStream {
     Tcp(TcpStream),
     #[cfg(unix)]
@@ -162,19 +179,6 @@ impl SockStream {
         }
     }
 
-    /// Connect with retry: the parent may not have bound yet when a
-    /// spawned worker starts.
-    fn connect_retry(addr: &SockAddr, budget: Duration) -> io::Result<SockStream> {
-        let deadline = Instant::now() + budget;
-        loop {
-            match SockStream::connect(addr) {
-                Ok(s) => return Ok(s),
-                Err(e) if Instant::now() >= deadline => return Err(e),
-                Err(_) => std::thread::sleep(Duration::from_millis(25)),
-            }
-        }
-    }
-
     fn try_clone(&self) -> io::Result<SockStream> {
         match self {
             SockStream::Tcp(s) => Ok(SockStream::Tcp(s.try_clone()?)),
@@ -184,50 +188,26 @@ impl SockStream {
     }
 
     fn set_read_timeout(&self, t: Option<Duration>) -> io::Result<()> {
-        match self {
-            SockStream::Tcp(s) => s.set_read_timeout(t),
-            #[cfg(unix)]
-            SockStream::Uds(s) => s.set_read_timeout(t),
-        }
+        on_socket!(SockStream, self, s => s.set_read_timeout(t))
     }
 
     fn shutdown(&self) {
-        match self {
-            SockStream::Tcp(s) => {
-                let _ = s.shutdown(std::net::Shutdown::Both);
-            }
-            #[cfg(unix)]
-            SockStream::Uds(s) => {
-                let _ = s.shutdown(std::net::Shutdown::Both);
-            }
-        }
+        let _ = on_socket!(SockStream, self, s => s.shutdown(std::net::Shutdown::Both));
     }
 }
 
 impl Read for SockStream {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
-            SockStream::Tcp(s) => s.read(buf),
-            #[cfg(unix)]
-            SockStream::Uds(s) => s.read(buf),
-        }
+        on_socket!(SockStream, self, s => s.read(buf))
     }
 }
 
 impl Write for SockStream {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match self {
-            SockStream::Tcp(s) => s.write(buf),
-            #[cfg(unix)]
-            SockStream::Uds(s) => s.write(buf),
-        }
+        on_socket!(SockStream, self, s => s.write(buf))
     }
     fn flush(&mut self) -> io::Result<()> {
-        match self {
-            SockStream::Tcp(s) => s.flush(),
-            #[cfg(unix)]
-            SockStream::Uds(s) => s.flush(),
-        }
+        on_socket!(SockStream, self, s => s.flush())
     }
 }
 
@@ -250,49 +230,60 @@ impl SockListener {
         }
     }
 
-    fn set_nonblocking(&self, nb: bool) -> io::Result<()> {
-        match self {
-            SockListener::Tcp(l) => l.set_nonblocking(nb),
-            #[cfg(unix)]
-            SockListener::Uds(l) => l.set_nonblocking(nb),
-        }
-    }
-
-    /// Accept one connection, polling until `deadline`.
+    /// Accept one connection, waiting for it until `deadline`.
     fn accept_deadline(&self, deadline: Instant) -> io::Result<SockStream> {
-        self.set_nonblocking(true)?;
-        loop {
-            let got = match self {
-                SockListener::Tcp(l) => l.accept().map(|(s, _)| {
-                    let _ = s.set_nodelay(true);
-                    SockStream::Tcp(s)
-                }),
-                #[cfg(unix)]
-                SockListener::Uds(l) => l.accept().map(|(s, _)| SockStream::Uds(s)),
-            };
-            match got {
-                Ok(s) => {
-                    self.set_nonblocking(false)?;
-                    // The stream inherits the listener's nonblocking flag
-                    // on some platforms; force it off.
-                    match &s {
-                        SockStream::Tcp(t) => t.set_nonblocking(false)?,
-                        #[cfg(unix)]
-                        SockStream::Uds(u) => u.set_nonblocking(false)?,
-                    }
-                    return Ok(s);
+        on_socket!(SockListener, self, l => l.set_nonblocking(true))?;
+        let would_block = |e: &io::Error| e.kind() == io::ErrorKind::WouldBlock;
+        let got = wait_for(deadline, would_block, || match self {
+            SockListener::Tcp(l) => l.accept().map(|(s, _)| {
+                let _ = s.set_nodelay(true);
+                SockStream::Tcp(s)
+            }),
+            #[cfg(unix)]
+            SockListener::Uds(l) => l.accept().map(|(s, _)| SockStream::Uds(s)),
+        });
+        on_socket!(SockListener, self, l => l.set_nonblocking(false))?;
+        let timed_out = "no worker connected before the deadline";
+        let s = got.map_err(|e| match would_block(&e) {
+            true => io::Error::new(io::ErrorKind::TimedOut, timed_out),
+            false => e,
+        })?;
+        // The stream inherits the listener's nonblocking flag on some
+        // platforms; force it off.
+        on_socket!(SockStream, &s, s => s.set_nonblocking(false))?;
+        Ok(s)
+    }
+}
+
+/// The `k`-th nap between two tries at reaching a peer, `left` before the
+/// deadline: 50 µs, doubling up to a 10 ms cap, never past the deadline.
+fn nap(k: u32, left: Duration) -> Duration {
+    Duration::from_micros(50 << k.min(8))
+        .min(Duration::from_millis(10))
+        .min(left)
+}
+
+/// The one way this module waits for a peer — a worker for the hub's
+/// listener, the hub for a worker's connection: try `attempt` until it
+/// succeeds or fails in a way `retry` does not accept, napping in between.
+/// Once `deadline` has passed, the last error is the answer.
+fn wait_for<T>(
+    deadline: Instant,
+    retry: impl Fn(&io::Error) -> bool,
+    mut attempt: impl FnMut() -> io::Result<T>,
+) -> io::Result<T> {
+    let mut k = 0;
+    loop {
+        match attempt() {
+            Err(e) if retry(&e) => {
+                let left = deadline.saturating_duration_since(Instant::now());
+                if left.is_zero() {
+                    return Err(e);
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    if Instant::now() >= deadline {
-                        return Err(io::Error::new(
-                            io::ErrorKind::TimedOut,
-                            "no worker connected before the deadline",
-                        ));
-                    }
-                    std::thread::sleep(Duration::from_millis(10));
-                }
-                Err(e) => return Err(e),
+                std::thread::sleep(nap(k, left));
+                k += 1;
             }
+            done => return done,
         }
     }
 }
@@ -417,65 +408,39 @@ fn get_observable(r: &mut FrameReader<'_>) -> Result<Observable, FrameError> {
     }
 }
 
-/// The 21 counters of an [`RtStats`], as uvarints in a fixed order.
-fn put_stats(buf: &mut Vec<u8>, s: &RtStats) {
-    let fields = [
-        s.proto.forks,
-        s.proto.commits,
-        s.proto.aborts,
-        s.proto.rollbacks,
-        s.proto.discarded_threads,
-        s.proto.orphans,
-        s.proto.data_messages,
-        s.proto.control_messages,
-        s.proto.guard_bytes,
-        s.proto.interner.hits,
-        s.proto.interner.misses,
-        s.proto.interner.purged,
-        s.proto.interner.live,
-        s.drops_injected,
-        s.dups_injected,
-        s.retransmits,
-        s.acks,
-        s.reorder_releases,
-        s.frames_sent,
-        s.frames_delivered,
-        s.dup_frames,
-    ];
-    for f in fields {
-        put_uvarint(buf, f);
-    }
+/// The 21 counters of an [`RtStats`] in their wire order, one uvarint
+/// each: the one list both directions of the codec read.
+fn stats_fields(s: &mut RtStats) -> [&mut u64; 21] {
+    let p = &mut s.proto;
+    [
+        &mut p.forks,
+        &mut p.commits,
+        &mut p.aborts,
+        &mut p.rollbacks,
+        &mut p.discarded_threads,
+        &mut p.orphans,
+        &mut p.data_messages,
+        &mut p.control_messages,
+        &mut p.guard_bytes,
+        &mut p.interner.hits,
+        &mut p.interner.misses,
+        &mut p.interner.purged,
+        &mut p.interner.live,
+        &mut s.drops_injected,
+        &mut s.dups_injected,
+        &mut s.retransmits,
+        &mut s.acks,
+        &mut s.reorder_releases,
+        &mut s.frames_sent,
+        &mut s.frames_delivered,
+        &mut s.dup_frames,
+    ]
 }
 
-fn get_stats(r: &mut FrameReader<'_>) -> Result<RtStats, FrameError> {
-    let mut s = RtStats::default();
-    let mut uv = || r.uv();
-    s.proto.forks = uv()?;
-    s.proto.commits = uv()?;
-    s.proto.aborts = uv()?;
-    s.proto.rollbacks = uv()?;
-    s.proto.discarded_threads = uv()?;
-    s.proto.orphans = uv()?;
-    s.proto.data_messages = uv()?;
-    s.proto.control_messages = uv()?;
-    s.proto.guard_bytes = uv()?;
-    s.proto.interner.hits = uv()?;
-    s.proto.interner.misses = uv()?;
-    s.proto.interner.purged = uv()?;
-    s.proto.interner.live = uv()?;
-    s.drops_injected = uv()?;
-    s.dups_injected = uv()?;
-    s.retransmits = uv()?;
-    s.acks = uv()?;
-    s.reorder_releases = uv()?;
-    s.frames_sent = uv()?;
-    s.frames_delivered = uv()?;
-    s.dup_frames = uv()?;
-    Ok(s)
-}
-
-fn encode_msg(m: &SockMsg) -> Vec<u8> {
-    let mut buf = vec![0, 0, 0, 0, FRAME_VERSION];
+/// Append one message, length prefix included, to `buf`.
+fn encode_msg(buf: &mut Vec<u8>, m: &SockMsg) {
+    let at = buf.len();
+    buf.extend_from_slice(&[0, 0, 0, 0, FRAME_VERSION]);
     match m {
         SockMsg::Hello {
             index,
@@ -486,20 +451,20 @@ fn encode_msg(m: &SockMsg) -> Vec<u8> {
         } => {
             buf.push(TAG_HELLO);
             for v in [*index, *workers, *n, *lo, *hi] {
-                put_uvarint(&mut buf, v);
+                put_uvarint(buf, v);
             }
         }
         SockMsg::Start => buf.push(TAG_START),
         SockMsg::Net(f) => {
             buf.push(TAG_NET);
-            put_pid(&mut buf, f.from);
-            put_pid(&mut buf, f.to);
-            put_uvarint(&mut buf, f.ack);
+            put_pid(buf, f.from);
+            put_pid(buf, f.to);
+            put_uvarint(buf, f.ack);
             match &f.msg {
                 None => buf.push(0),
                 Some((seq, payload)) => {
                     buf.push(1);
-                    put_uvarint(&mut buf, *seq);
+                    put_uvarint(buf, *seq);
                     // The payload rides as a complete nested envelope /
                     // control frame — the codec fuzzed in
                     // `core/tests/frame_codec.rs` is the codec on this
@@ -519,7 +484,7 @@ fn encode_msg(m: &SockMsg) -> Vec<u8> {
         }
         SockMsg::Probe(round) => {
             buf.push(TAG_PROBE);
-            put_uvarint(&mut buf, *round);
+            put_uvarint(buf, *round);
         }
         SockMsg::Shutdown => buf.push(TAG_SHUTDOWN),
         SockMsg::Report(r) => {
@@ -527,7 +492,7 @@ fn encode_msg(m: &SockMsg) -> Vec<u8> {
             match r {
                 Report::ClientDone(pid) => {
                     buf.push(0);
-                    put_pid(&mut buf, *pid);
+                    put_pid(buf, *pid);
                 }
                 Report::Quiet {
                     pid,
@@ -537,27 +502,29 @@ fn encode_msg(m: &SockMsg) -> Vec<u8> {
                     unacked,
                 } => {
                     buf.push(1);
-                    put_pid(&mut buf, *pid);
+                    put_pid(buf, *pid);
                     for v in [*round, *sent, *delivered, *unacked] {
-                        put_uvarint(&mut buf, v);
+                        put_uvarint(buf, v);
                     }
                 }
                 Report::Panicked { pid, msg } => {
                     buf.push(2);
-                    put_pid(&mut buf, *pid);
-                    put_str(&mut buf, msg);
+                    put_pid(buf, *pid);
+                    put_str(buf, msg);
                 }
                 Report::Final(f) => {
                     buf.push(3);
-                    put_pid(&mut buf, f.pid);
-                    put_stats(&mut buf, &f.stats);
-                    put_uvarint(&mut buf, f.log.len() as u64);
-                    for o in &f.log {
-                        put_observable(&mut buf, o);
+                    put_pid(buf, f.pid);
+                    for v in stats_fields(&mut f.stats.clone()) {
+                        put_uvarint(buf, *v);
                     }
-                    put_uvarint(&mut buf, f.external.len() as u64);
+                    put_uvarint(buf, f.log.len() as u64);
+                    for o in &f.log {
+                        put_observable(buf, o);
+                    }
+                    put_uvarint(buf, f.external.len() as u64);
                     for v in &f.external {
-                        put_value(&mut buf, v);
+                        put_value(buf, v);
                     }
                     // Telemetry events deliberately not shipped (module
                     // doc): `f.events` stays local to the worker.
@@ -566,8 +533,7 @@ fn encode_msg(m: &SockMsg) -> Vec<u8> {
         }
         SockMsg::Bye => buf.push(TAG_BYE),
     }
-    seal_frame_len(&mut buf);
-    buf
+    seal_frame_len(&mut buf[at..]);
 }
 
 /// Decode one length-stripped message body (`version | tag | body`).
@@ -645,7 +611,10 @@ fn decode_msg(body: &[u8]) -> Result<SockMsg, FrameError> {
                 },
                 3 => {
                     let pid = get_pid(&mut r)?;
-                    let stats = get_stats(&mut r)?;
+                    let mut stats = RtStats::default();
+                    for v in stats_fields(&mut stats) {
+                        *v = r.uv()?;
+                    }
                     let nlog = r.uv32("log length")? as usize;
                     let mut log = Vec::new();
                     for _ in 0..nlog {
@@ -689,9 +658,10 @@ fn decode_msg(body: &[u8]) -> Result<SockMsg, FrameError> {
     Ok(msg)
 }
 
-/// Read one message. `Ok(None)` is a clean EOF *between* messages; EOF
+/// Read one message, and nothing past it, leaving its bytes (length prefix
+/// included) in `raw`. `Ok(None)` is a clean EOF *between* messages; EOF
 /// mid-message and malformed bodies are errors (connection loss).
-fn read_msg(stream: &mut SockStream) -> io::Result<Option<SockMsg>> {
+fn read_msg(stream: &mut impl Read, raw: &mut Vec<u8>) -> io::Result<Option<SockMsg>> {
     let mut len_bytes = [0u8; 4];
     let mut got = 0;
     while got < 4 {
@@ -712,19 +682,36 @@ fn read_msg(stream: &mut SockStream) -> io::Result<Option<SockMsg>> {
     // header parser — one policy for every length prefix on any wire.
     let len = parse_frame_len(len_bytes)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-    let mut body = vec![0u8; len];
-    stream.read_exact(&mut body)?;
-    decode_msg(&body)
+    raw.clear();
+    raw.extend_from_slice(&len_bytes);
+    raw.resize(4 + len, 0);
+    stream.read_exact(&mut raw[4..])?;
+    decode_msg(&raw[4..])
         .map(Some)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
 }
 
-fn write_msg(stream: &Arc<Mutex<SockStream>>, m: &SockMsg) -> io::Result<()> {
-    let bytes = encode_msg(m);
+/// Whether `buf` begins with a whole message, so reading it cannot block.
+fn holds_whole_msg(buf: &[u8]) -> bool {
+    buf.len() >= 4 && buf.len() - 4 >= u32::from_le_bytes([buf[0], buf[1], buf[2], buf[3]]) as usize
+}
+
+fn write_msg(stream: &Writer, m: &SockMsg) -> io::Result<()> {
+    let mut bytes = Vec::new();
+    encode_msg(&mut bytes, m);
+    write_bytes(stream, &bytes)
+}
+
+/// Write whole messages in one go, under the writer's lock: two threads'
+/// batches to one connection never interleave.
+fn write_bytes(stream: &Writer, bytes: &[u8]) -> io::Result<()> {
     let mut s = stream.lock().unwrap_or_else(|p| p.into_inner());
-    s.write_all(&bytes)?;
+    s.write_all(bytes)?;
     s.flush()
 }
+
+/// Most bytes a worker pump gathers into one write, so memory stays bounded.
+const MAX_BATCH: usize = 64 << 10;
 
 /// Pid range owned by worker `index` of `workers`: contiguous tiles so
 /// the parent can validate coverage of `0..n` by simple concatenation.
@@ -747,14 +734,8 @@ pub(crate) fn run_socket(world: RtWorld, addr: SockAddr, role: SockRole) -> RtRe
 fn empty_result(start: Instant, timed_out: bool) -> RtResult {
     RtResult {
         wall: start.elapsed(),
-        stats: RtStats::default(),
-        logs: BTreeMap::new(),
-        external: Vec::new(),
         timed_out,
-        panicked: Vec::new(),
-        panics: BTreeMap::new(),
-        stragglers: Vec::new(),
-        telemetry: Telemetry::new(false),
+        ..RtResult::default()
     }
 }
 
@@ -842,8 +823,9 @@ fn handshake(
                 break;
             }
         };
+        // Unbuffered: what follows the Hello is the connection reader's.
         let _ = s.set_read_timeout(Some(Duration::from_secs(5)));
-        let hello = read_msg(&mut s);
+        let hello = read_msg(&mut s, &mut Vec::new());
         let _ = s.set_read_timeout(None);
         match hello {
             Ok(Some(SockMsg::Hello {
@@ -985,27 +967,46 @@ struct Conn {
 /// One parent-side connection reader: routes frames to owners, forwards
 /// reports, and converts an EOF-without-Bye into synthetic panics for the
 /// connection's unreported pids.
-fn parent_reader(mut stream: SockStream, conn: Conn) {
+///
+/// Every message is decoded, so a malformed one is this connection's loss
+/// and never reaches a sibling (DESIGN.md §13.3). A valid `Net` message is
+/// relayed as the bytes it arrived as, appended in stream order to its
+/// destination's buffer; the buffers go out before any read that could
+/// block and before a report is forwarded.
+fn parent_reader(stream: SockStream, conn: Conn) {
     let reported = || {
         conn.state
             .reported
             .lock()
             .unwrap_or_else(|p| p.into_inner())
     };
+    let mut pending: Vec<Vec<u8>> = vec![Vec::new(); conn.writers.len()];
+    let relay = |pending: &mut Vec<Vec<u8>>| {
+        for (bytes, wr) in pending.iter_mut().zip(&conn.writers) {
+            if let (false, Some(wr)) = (bytes.is_empty(), wr) {
+                // A broken destination is its own reader's to report.
+                let _ = write_bytes(wr, bytes);
+            }
+            bytes.clear();
+        }
+    };
+    let mut stream = BufReader::new(stream);
+    let mut raw = Vec::new();
     loop {
-        match read_msg(&mut stream) {
+        if !holds_whole_msg(stream.buffer()) {
+            relay(&mut pending);
+        }
+        match read_msg(&mut stream, &mut raw) {
             Ok(Some(SockMsg::Net(f))) => {
                 // An out-of-range target, or one whose worker was lost
-                // during the handshake (`None` writer): drop, never panic.
-                let writer = conn
-                    .owner
-                    .get(f.to.0 as usize)
-                    .and_then(|w| conn.writers[*w].as_ref());
-                if let Some(wr) = writer {
-                    let _ = write_msg(wr, &SockMsg::Net(f));
+                // during the handshake (`None` writer, which `relay`
+                // skips): drop, never panic.
+                if let Some(&w) = conn.owner.get(f.to.0 as usize) {
+                    pending[w].extend_from_slice(&raw);
                 }
             }
             Ok(Some(SockMsg::Report(r))) => {
+                relay(&mut pending);
                 match &r {
                     Report::Final(f) => {
                         reported().insert(f.pid);
@@ -1027,6 +1028,7 @@ fn parent_reader(mut stream: SockStream, conn: Conn) {
             Ok(None) | Err(_) => break,
         }
     }
+    relay(&mut pending);
     if !conn.state.saw_bye.load(Ordering::Relaxed) {
         // Worker crashed (or the link did): every owned pid that never
         // reported is gone with it.
@@ -1047,7 +1049,9 @@ fn parent_reader(mut stream: SockStream, conn: Conn) {
 // ---------------------------------------------------------------------------
 
 /// A worker's outbound half: everything `rx` yields goes to the hub as
-/// `wrap(item)`, until every sender is gone or the connection is.
+/// `wrap(item)`, until every sender is gone or the connection is. What is
+/// already queued when one item arrives rides in the same write, up to
+/// `MAX_BATCH` bytes.
 fn pump<T: Send + 'static>(
     name: String,
     rx: Receiver<T>,
@@ -1057,8 +1061,15 @@ fn pump<T: Send + 'static>(
     std::thread::Builder::new()
         .name(name)
         .spawn(move || {
+            let mut batch = Vec::new();
             while let Ok(item) = rx.recv() {
-                if write_msg(&writer, &wrap(item)).is_err() {
+                batch.clear();
+                encode_msg(&mut batch, &wrap(item));
+                while batch.len() < MAX_BATCH {
+                    let Ok(item) = rx.try_recv() else { break };
+                    encode_msg(&mut batch, &wrap(item));
+                }
+                if write_bytes(&writer, &batch).is_err() {
                     break;
                 }
             }
@@ -1081,7 +1092,9 @@ fn run_worker(world: RtWorld, addr: &SockAddr, index: usize, workers: usize) -> 
     }
     let (lo, hi) = worker_range(index, workers, n);
 
-    let mut stream = match SockStream::connect_retry(addr, Duration::from_secs(10)) {
+    // The hub may not have bound yet when a spawned worker starts.
+    let connect = || SockStream::connect(addr);
+    let stream = match wait_for(Instant::now() + Duration::from_secs(10), |_| true, connect) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("rt::sock worker {index}: connect {addr}: {e}");
@@ -1110,11 +1123,14 @@ fn run_worker(world: RtWorld, addr: &SockAddr, index: usize, workers: usize) -> 
     }
 
     // Handshake: wait for Start. A sibling that got its Start first may
-    // already be sending; those frames wait until our actors exist.
+    // already be sending; those frames wait until our actors exist. All
+    // the hub sends is read through one buffer.
     let mut early: Vec<Frame> = Vec::new();
     let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
+    let mut stream = BufReader::new(stream);
+    let mut raw = Vec::new();
     loop {
-        match read_msg(&mut stream) {
+        match read_msg(&mut stream, &mut raw) {
             Ok(Some(SockMsg::Start)) => break,
             Ok(Some(SockMsg::Net(f))) => early.push(f),
             Ok(Some(SockMsg::Shutdown)) | Ok(None) => return empty_result(start, false),
@@ -1125,7 +1141,7 @@ fn run_worker(world: RtWorld, addr: &SockAddr, index: usize, workers: usize) -> 
             }
         }
     }
-    let _ = stream.set_read_timeout(None);
+    let _ = stream.get_ref().set_read_timeout(None);
 
     let (frames_tx, frames_rx) = unbounded::<Frame>();
     let (report_tx, report_rx) = unbounded::<Report>();
@@ -1160,7 +1176,7 @@ fn run_worker(world: RtWorld, addr: &SockAddr, index: usize, workers: usize) -> 
     // Main loop: demultiplex parent traffic into the local world.
     early.into_iter().for_each(|f| local.deliver(f));
     loop {
-        match read_msg(&mut stream) {
+        match read_msg(&mut stream, &mut raw) {
             Ok(Some(SockMsg::Net(f))) => local.deliver(f),
             Ok(Some(SockMsg::Probe(round))) => local.probe(round),
             Ok(Some(SockMsg::Shutdown)) | Ok(None) => break,
@@ -1210,48 +1226,16 @@ mod tests {
         }
     }
 
+    fn encoded(m: &SockMsg) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        encode_msg(&mut bytes, m);
+        bytes
+    }
+
     fn roundtrip(m: &SockMsg) -> SockMsg {
-        let bytes = encode_msg(m);
-        let len = parse_frame_len(bytes[..4].try_into().unwrap()).expect("valid length prefix");
-        assert_eq!(len, bytes.len() - 4, "length prefix covers the body");
-        decode_msg(&bytes[4..]).expect("decode")
-    }
-
-    #[test]
-    fn control_messages_roundtrip() {
-        for m in [
-            SockMsg::Hello {
-                index: 1,
-                workers: 2,
-                n: 17,
-                lo: 8,
-                hi: 17,
-            },
-            SockMsg::Start,
-            SockMsg::Probe(41),
-            SockMsg::Shutdown,
-            SockMsg::Bye,
-        ] {
-            assert_eq!(roundtrip(&m), m);
-        }
-    }
-
-    #[test]
-    fn net_frames_roundtrip() {
-        let ack_only = SockMsg::Net(Frame {
-            from: ProcessId(3),
-            to: ProcessId(0),
-            ack: 12,
-            msg: None,
-        });
-        assert_eq!(roundtrip(&ack_only), ack_only);
-        let data = SockMsg::Net(Frame {
-            from: ProcessId(0),
-            to: ProcessId(3),
-            ack: 2,
-            msg: Some((9, Payload::Data(envelope()))),
-        });
-        assert_eq!(roundtrip(&data), data);
+        read_msg(&mut &encoded(m)[..], &mut Vec::new())
+            .expect("decode")
+            .expect("one whole message")
     }
 
     #[test]
@@ -1310,9 +1294,88 @@ mod tests {
         }
     }
 
+    /// A reader that hands out one byte per `read`.
+    struct OneByte<'a>(&'a [u8]);
+
+    impl Read for OneByte<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = self.0.len().min(buf.len()).min(1);
+            buf[..n].copy_from_slice(&self.0[..n]);
+            self.0 = &self.0[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn messages_roundtrip_alike_however_the_bytes_arrive() {
+        let msgs = [
+            SockMsg::Hello {
+                index: 1,
+                workers: 2,
+                n: 17,
+                lo: 8,
+                hi: 17,
+            },
+            SockMsg::Start,
+            SockMsg::Net(Frame {
+                from: ProcessId(3),
+                to: ProcessId(0),
+                ack: 12,
+                msg: None,
+            }),
+            SockMsg::Net(Frame {
+                from: ProcessId(0),
+                to: ProcessId(3),
+                ack: 2,
+                msg: Some((9, Payload::Data(envelope()))),
+            }),
+            SockMsg::Probe(41),
+            SockMsg::Shutdown,
+            SockMsg::Bye,
+        ];
+        let stream: Vec<u8> = msgs.iter().flat_map(encoded).collect();
+        fn read_all(mut r: impl Read) -> Vec<(SockMsg, Vec<u8>)> {
+            let mut raw = Vec::new();
+            let mut out = Vec::new();
+            while let Some(m) = read_msg(&mut r, &mut raw).expect("whole messages") {
+                out.push((m, raw.clone()));
+            }
+            out
+        }
+        for (label, got) in [
+            ("at once", read_all(&stream[..])),
+            ("a byte a read", read_all(OneByte(&stream))),
+            ("buffered", read_all(BufReader::new(OneByte(&stream)))),
+        ] {
+            assert_eq!(got.len(), msgs.len(), "{label}");
+            for ((m, raw), want) in got.iter().zip(&msgs) {
+                assert_eq!(m, want, "{label}");
+                assert_eq!(raw, &encoded(want), "{label}: the bytes a hub relays");
+            }
+        }
+        let first = encoded(&msgs[0]).len();
+        for cut in 0..first + 8 {
+            assert_eq!(holds_whole_msg(&stream[..cut]), cut >= first, "cut {cut}");
+        }
+    }
+
+    #[test]
+    fn naps_start_at_50us_never_shrink_cap_at_10ms_and_stop_at_the_deadline() {
+        let naps: Vec<Duration> = (0..40).map(|k| nap(k, Duration::MAX)).collect();
+        assert_eq!(naps[0], Duration::from_micros(50));
+        assert!(naps.windows(2).all(|w| w[0] <= w[1]), "{naps:?}");
+        assert_eq!(naps.iter().max(), Some(&Duration::from_millis(10)));
+        let lefts = [0, 1, 50, 99, 6_399, 10_000, 25_000].map(Duration::from_micros);
+        assert!((0..40).all(|k| lefts.iter().all(|&left| nap(k, left) <= left)));
+
+        let refused = || Err::<(), _>(io::Error::from(io::ErrorKind::ConnectionRefused));
+        let e = wait_for(Instant::now() + Duration::from_millis(5), |_| true, refused);
+        assert_eq!(e.unwrap_err().kind(), io::ErrorKind::ConnectionRefused);
+    }
+
     #[test]
     fn truncated_and_garbage_messages_are_clean_errors() {
-        let bytes = encode_msg(&SockMsg::Net(Frame {
+        let bytes = encoded(&SockMsg::Net(Frame {
             from: ProcessId(0),
             to: ProcessId(3),
             ack: 2,
@@ -1333,7 +1396,7 @@ mod tests {
             decode_msg(&[9, TAG_START]),
             Err(FrameError::UnknownVersion(9))
         ));
-        let mut trailing = encode_msg(&SockMsg::Start)[4..].to_vec();
+        let mut trailing = encoded(&SockMsg::Start)[4..].to_vec();
         trailing.push(0);
         assert!(matches!(
             decode_msg(&trailing),

@@ -14,7 +14,7 @@
 //! chaos layer lives inside each actor's transport, so the socket hop
 //! underneath it must not change what commits.
 
-use opcsp_core::ProcessId;
+use opcsp_core::{ProcessId, FRAME_VERSION};
 use opcsp_rt::{
     merge_equiv, Executor, NetFaults, RtConfig, RtResult, RtTransport, RtWorld, SockAddr, SockRole,
 };
@@ -22,7 +22,9 @@ use opcsp_sim::{Behavior, BehaviorState, Effect, Observable, Resume};
 use opcsp_workloads::chain::OptimisticForwarder;
 use opcsp_workloads::servers::Server;
 use opcsp_workloads::streaming::PutLineClient;
-use std::time::Duration;
+use std::io::{Read, Write};
+use std::os::unix::net::UnixStream;
+use std::time::{Duration, Instant};
 
 fn base_cfg(faults: NetFaults, transport: RtTransport, executor: Executor) -> RtConfig {
     RtConfig {
@@ -273,6 +275,28 @@ fn actor_panic_on_a_pooled_worker_takes_out_only_that_pid() {
 }
 
 #[test]
+fn phases_follow_one_another_within_the_wall() {
+    // `RtPhases` holds `Duration`s, so every phase is non-negative by type;
+    // what can go wrong is a phase counted twice or measured from the wrong
+    // mark, and then the five overrun the wall.
+    let inproc = run_inproc("streaming", NetFaults::none());
+    let uds = run_over_socket(
+        "streaming",
+        NetFaults::none(),
+        fresh_uds("phases"),
+        2,
+        default_executor(),
+    );
+    for (label, r) in [("in-proc", inproc), ("uds", uds)] {
+        assert_clean(&r, label);
+        let p = r.phases;
+        let sum = p.setup + p.clients + p.drain + p.collect + p.reap;
+        assert!(sum <= r.wall, "{label}: {p:?} add up to {sum:?} > wall {:?}", r.wall);
+        assert!(!p.clients.is_zero() && !p.drain.is_zero(), "{label}: {p:?}");
+    }
+}
+
+#[test]
 fn streaming_over_tcp_matches_inproc() {
     // Reserve a port by binding to :0, then release it for the parent.
     // (Small race, but loopback port reuse makes it practically safe.)
@@ -287,108 +311,14 @@ fn streaming_over_tcp_matches_inproc() {
     assert_socket_matches_inproc(&base, &sock, "streaming tcp");
 }
 
-#[test]
-fn worker_crash_reports_its_pids_as_panicked() {
-    // Two independent client→server pairs, split so each pair is local
-    // to one worker: pids 0,1 on worker 0 (real), pids 2,3 on worker 1 —
-    // which here is an impostor that completes the handshake and then
-    // drops the connection (EOF without Bye = crashed worker).
-    let addr = fresh_uds("crash");
-    let workers = 2usize;
-    let make_world = |cfg: RtConfig| {
-        let mut w = RtWorld::new(cfg);
-        w.add_process(PutLineClient::to(3, ProcessId(1)), true);
-        w.add_process(Server::new("S0", 0), false);
-        w.add_process(PutLineClient::to(3, ProcessId(3)), true);
-        w.add_process(Server::new("S1", 0), false);
-        w
-    };
-
-    let worker0 = {
-        let addr = addr.clone();
-        std::thread::spawn(move || {
-            let cfg = base_cfg(
-                NetFaults::none(),
-                RtTransport::Socket {
-                    addr,
-                    role: SockRole::Worker { index: 0, workers },
-                },
-                default_executor(),
-            );
-            make_world(cfg).run()
-        })
-    };
-    let impostor = {
-        let addr = addr.clone();
-        std::thread::spawn(move || {
-            use std::io::Write;
-            let SockAddr::Uds(path) = &addr else {
-                panic!("uds expected")
-            };
-            // Hand-rolled Hello{index:1, workers:2, n:4, lo:2, hi:4}:
-            // u32le len | version | tag | five single-byte uvarints.
-            let body = [1u8, 0, 1, 2, 4, 2, 4];
-            let mut msg = (body.len() as u32).to_le_bytes().to_vec();
-            msg.extend_from_slice(&body);
-            let deadline = std::time::Instant::now() + Duration::from_secs(10);
-            let mut s = loop {
-                match std::os::unix::net::UnixStream::connect(path) {
-                    Ok(s) => break s,
-                    Err(e) if std::time::Instant::now() >= deadline => {
-                        panic!("impostor connect: {e}")
-                    }
-                    Err(_) => std::thread::sleep(Duration::from_millis(25)),
-                }
-            };
-            s.write_all(&msg).expect("impostor hello");
-            // Wait for Start so worker 0 is definitely running, then crash.
-            use std::io::Read;
-            let mut buf = [0u8; 6];
-            let _ = s.read(&mut buf);
-            drop(s);
-        })
-    };
-
-    let cfg = base_cfg(
-        NetFaults::none(),
-        RtTransport::Socket {
-            addr,
-            role: SockRole::Parent { workers },
-        },
-        default_executor(),
-    );
-    let parent = make_world(cfg).run();
-    worker0.join().expect("worker 0");
-    impostor.join().expect("impostor");
-
-    assert!(
-        !parent.timed_out,
-        "a crashed worker must fail fast, not stall to run_timeout\n panicked: {:?}\n panics: {:?}\n logs: {:?}\n wall: {:?}",
-        parent.panicked, parent.panics, parent.logs.keys().collect::<Vec<_>>(), parent.wall
-    );
-    assert_eq!(
-        parent.panicked,
-        vec![ProcessId(2), ProcessId(3)],
-        "the impostor's pid range must be reported panicked: {:?}",
-        parent.panics
-    );
-    for pid in [ProcessId(2), ProcessId(3)] {
-        assert!(
-            parent.panics[&pid].contains("connection"),
-            "panic message should blame the connection: {:?}",
-            parent.panics[&pid]
-        );
-    }
-    // The healthy pair still committed.
-    assert!(parent.logs.contains_key(&ProcessId(0)));
-    assert!(parent.logs.contains_key(&ProcessId(1)));
-}
-
-/// Shared scenario for handshake-phase crashes: worker 0 is real and
-/// hosts a self-contained client→server pair (pids 0,1); worker 1 is an
-/// impostor that connects, writes `dying_bytes`, and drops the connection
-/// *without ever completing a Hello*. Returns the parent's result.
-fn run_with_handshake_impostor(tag: &str, dying_bytes: Vec<u8>) -> RtResult {
+/// Two independent client→server pairs, split so each pair is local to one
+/// worker: pids 0,1 on worker 0 (real), pids 2,3 on worker 1 — here an
+/// impostor that connects and runs `script` on its connection. Returns the
+/// parent's result and worker 0's.
+fn run_with_impostor(
+    tag: &str,
+    script: impl FnOnce(UnixStream) + Send + 'static,
+) -> (RtResult, RtResult) {
     let addr = fresh_uds(tag);
     let workers = 2usize;
     let make_world = |cfg: RtConfig| {
@@ -417,23 +347,18 @@ fn run_with_handshake_impostor(tag: &str, dying_bytes: Vec<u8>) -> RtResult {
     let impostor = {
         let addr = addr.clone();
         std::thread::spawn(move || {
-            use std::io::Write;
             let SockAddr::Uds(path) = &addr else {
                 panic!("uds expected")
             };
-            let deadline = std::time::Instant::now() + Duration::from_secs(10);
-            let mut s = loop {
-                match std::os::unix::net::UnixStream::connect(path) {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            let s = loop {
+                match UnixStream::connect(path) {
                     Ok(s) => break s,
-                    Err(e) if std::time::Instant::now() >= deadline => {
-                        panic!("impostor connect: {e}")
-                    }
+                    Err(e) if Instant::now() >= deadline => panic!("impostor connect: {e}"),
                     Err(_) => std::thread::sleep(Duration::from_millis(25)),
                 }
             };
-            let _ = s.write_all(&dying_bytes);
-            let _ = s.flush();
-            drop(s); // dies mid-handshake: no Hello ever completes
+            script(s);
         })
     };
 
@@ -446,8 +371,105 @@ fn run_with_handshake_impostor(tag: &str, dying_bytes: Vec<u8>) -> RtResult {
         default_executor(),
     );
     let parent = make_world(cfg).run();
-    worker0.join().expect("worker 0");
+    let worker0 = worker0.join().expect("worker 0");
     impostor.join().expect("impostor");
+    (parent, worker0)
+}
+
+/// `tag_and_body` framed as one socket message: u32le len | version | tag |
+/// body.
+fn sock_msg(tag_and_body: &[u8]) -> Vec<u8> {
+    let mut m = ((1 + tag_and_body.len()) as u32).to_le_bytes().to_vec();
+    m.push(FRAME_VERSION);
+    m.extend_from_slice(tag_and_body);
+    m
+}
+
+/// The impostor's side of a handshake the hub accepts: a hand-rolled
+/// `Hello{index: 1, workers: 2, n: 4, lo: 2, hi: 4}` (tag 0, five
+/// single-byte uvarints), then the hub's `Start` (tag 1), after which
+/// worker 0 is running.
+fn complete_handshake(s: &mut UnixStream) {
+    s.write_all(&sock_msg(&[0, 1, 2, 4, 2, 4]))
+        .expect("impostor hello");
+    let mut start = [0u8; 6];
+    s.read_exact(&mut start).expect("the hub's Start");
+    assert_eq!(start[..], sock_msg(&[1])[..], "the hub's Start");
+}
+
+/// The impostor's pids were lost with its connection after a completed
+/// handshake, fast, and worker 0's pair ran to the end.
+fn assert_impostor_lost(parent: &RtResult, label: &str) {
+    assert!(
+        !parent.timed_out,
+        "{label}: a lost worker must fail fast, not stall to run_timeout\n panics: {:?}\n wall: {:?}",
+        parent.panics, parent.wall
+    );
+    assert_eq!(
+        parent.panicked,
+        vec![ProcessId(2), ProcessId(3)],
+        "{label}: the impostor's pid range must be reported panicked: {:?}",
+        parent.panics
+    );
+    for pid in [ProcessId(2), ProcessId(3)] {
+        assert_eq!(parent.panics[&pid], "worker connection 1 lost", "{label}");
+    }
+    let returns = parent.logs.get(&ProcessId(0)).map(|log| {
+        log.iter()
+            .filter(|o| matches!(o, Observable::Received { .. }))
+            .count()
+    });
+    assert_eq!(returns, Some(3), "{label}: the healthy pair: {:?}", parent.logs);
+    assert!(parent.logs.contains_key(&ProcessId(1)), "{label}: pid 1's final");
+}
+
+#[test]
+fn worker_crash_reports_its_pids_as_panicked() {
+    // The impostor completes the handshake and drops the connection: EOF
+    // without Bye is a crashed worker.
+    let (parent, _) = run_with_impostor("crash", |mut s| complete_handshake(&mut s));
+    assert_impostor_lost(&parent, "crash after the handshake");
+}
+
+#[test]
+fn corrupt_nested_envelope_is_its_senders_loss_and_never_reaches_a_sibling() {
+    // A `Net` message with a valid length, addressed to worker 0's server,
+    // whose nested envelope frame is garbage. The hub decodes before it
+    // relays, so the impostor's connection is lost while it is still open,
+    // and worker 0 never reads the bytes (it would stop hosting on them).
+    let (parent, worker0) = run_with_impostor("corrupt", |mut s| {
+        complete_handshake(&mut s);
+        // Net | from 2 | to 1 | ack 0 | a message: seq 1, data | the frame
+        let mut net = vec![2, 2, 1, 0, 1, 1, 0];
+        net.extend_from_slice(&[5, 0, 0, 0, FRAME_VERSION, 0xff, 0xff, 0xff, 0xff]);
+        s.write_all(&sock_msg(&net)).expect("corrupt frame");
+        // Hold the connection until the hub lets go of it.
+        let _ = std::io::copy(&mut s, &mut std::io::sink());
+    });
+    assert_impostor_lost(&parent, "corrupt nested envelope");
+    assert!(!worker0.timed_out, "worker 0 wound down cleanly");
+}
+
+#[test]
+fn net_frame_to_a_pid_out_of_range_is_dropped_at_the_hub() {
+    // A well-formed ack-only frame for pid 200 of a 4-process world: the
+    // hub drops it and keeps reading; the impostor's later EOF is then
+    // attributed like any crash.
+    let (parent, _) = run_with_impostor("out-of-range", |mut s| {
+        complete_handshake(&mut s);
+        // Net | from 2 | to 200 (uvarint) | ack 0 | no message
+        let stray = sock_msg(&[2, 2, 0xc8, 0x01, 0, 0]);
+        s.write_all(&stray).expect("stray frame");
+    });
+    assert_impostor_lost(&parent, "out-of-range target");
+}
+
+/// Handshake-phase crashes: the impostor writes `dying_bytes` and drops
+/// the connection *without ever completing a Hello*.
+fn run_with_handshake_impostor(tag: &str, dying_bytes: Vec<u8>) -> RtResult {
+    let (parent, _) = run_with_impostor(tag, move |mut s| {
+        let _ = s.write_all(&dying_bytes);
+    });
     parent
 }
 
