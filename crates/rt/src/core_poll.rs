@@ -4,25 +4,31 @@
 //! around the protocol [`Driver`] (DESIGN.md §7). The driver owns the
 //! protocol core, the paper's logical left/right threads, checkpointing
 //! and rollback; the actor supplies its environment ([`RtEnv`]: the
-//! reliable transport endpoint, the delayer for fork timers, the ready
-//! queue of resumed threads, the telemetry sink) and the coordinator
-//! protocol (ticks, quiescence probes, `ClientDone`, the final report). It
-//! never blocks: every external stimulus arrives as one [`Wire`] item
-//! through [`ProcessActor::on_wire`], which runs the ready queue to
-//! quiescence and returns. That makes a process a coroutine in all but
+//! reliable transport endpoint, its own [`TimerQueue`], the ready queue of
+//! resumed threads, the telemetry sink) and the coordinator protocol
+//! (quiescence probes, `ClientDone`, the final report). It never blocks:
+//! every external stimulus arrives as one [`Wire`] item through
+//! [`ProcessActor::on_wire`], and what the actor waits for on its own —
+//! frames still in transit ([`Wire::At`]), fork timers, transport ticks —
+//! sits in its timer queue until the executor calls
+//! [`ProcessActor::fire_due`]; each runs the ready queue to quiescence and
+//! returns. [`ProcessActor::next_due`] and `fire_due` are an executor's
+//! whole interface to time. That makes a process a coroutine in all but
 //! name, so an executor can host it however it likes:
 //!
 //! - the **threaded** executor gives each actor an OS thread that blocks
-//!   on a dedicated inbox channel (the original runtime shape);
+//!   on a dedicated inbox channel until its next due instant (the original
+//!   runtime shape);
 //! - the **sharded** executor multiplexes many actors over a fixed worker
-//!   pool, feeding each one batches drained from a per-shard inbox
+//!   pool, feeding each one batches drained from a per-shard inbox and
+//!   waking for the earliest due instant in its shard
 //!   ([`crate::executor`]).
 //!
 //! Because an actor is owned by exactly one executor thread at a time and
-//! all of its state transitions happen inside `on_wire`, per-owner
-//! telemetry event order is identical under both executors.
+//! all of its state transitions happen inside `on_wire` and `fire_due`,
+//! per-owner telemetry event order is identical under both executors.
 
-use crate::net::{Delayer, FlushClass, Mailbox, Payload, Transport, Wire};
+use crate::net::{Frame, Mailbox, Payload, TimerQueue, Transport, Wire};
 use crate::runtime::{RtConfig, RtStats};
 use crossbeam::channel::Sender;
 use opcsp_core::{
@@ -77,24 +83,28 @@ pub(crate) struct ProcessActor {
     report: Sender<Report>,
     done_reported: bool,
     is_client: bool,
-    /// Whether this actor self-schedules its transport ticks through the
-    /// delayer (threaded executor). The sharded executor drives ticks from
-    /// the worker loop instead — 10k actors each bouncing a timer off the
-    /// delayer every few ms would melt it.
-    self_ticks: bool,
+    /// A [`Due::Tick`] is in the timer queue.
+    tick_armed: bool,
+}
+
+/// What an actor waits for on its own clock: a frame's transit time, a
+/// guess's fork timeout, transport maintenance (retransmits, idle acks).
+enum Due {
+    Frame(Frame),
+    Fork(GuessId),
+    Tick,
 }
 
 /// The runtime's side of the driver contract: real time, the reliable
-/// transport, and a FIFO of resumed threads that [`ProcessActor::pump`]
-/// drains.
+/// transport, and a FIFO of resumed threads the actor drains.
 struct RtEnv {
     cfg: Arc<RtConfig>,
     /// Reliable-delivery endpoint: all data/control traffic goes through
     /// it (and through the chaos layer underneath).
     transport: Transport,
-    /// Our own inbox address, for self-addressed timers and ticks.
-    self_mailbox: Mailbox,
-    delayer: Arc<Delayer<Wire>>,
+    /// Everything this actor waits for, earliest first. It dies with the
+    /// actor, so a pending fork timer can never fire during teardown.
+    timers: TimerQueue<Due>,
     /// (thread, resume) work items to run, in FIFO order (preserves the
     /// program's send order across fork chains).
     ready: VecDeque<(u32, Resume)>,
@@ -106,16 +116,6 @@ struct RtEnv {
     start: Instant,
     msg_ids: Arc<AtomicU64>,
     call_ids: Arc<AtomicU64>,
-}
-
-impl RtEnv {
-    /// Fork timers and transport ticks are self-addressed through the
-    /// delayer and tagged [`FlushClass::DropOnFlush`]: a teardown flush
-    /// must not fire a far-future fork timeout early (spurious aborts).
-    fn send_self_after(&self, delay: std::time::Duration, w: Wire) {
-        self.delayer
-            .send_after_class(delay, self.self_mailbox.clone(), w, FlushClass::DropOnFlush);
-    }
 }
 
 impl Env for RtEnv {
@@ -156,9 +156,10 @@ impl Env for RtEnv {
         self.ready.retain(|(t, _)| *t != thread.index);
     }
 
-    /// The timer comes back through our own inbox.
+    /// The timer waits in our own queue: no message crosses a thread.
     fn arm_fork_timer(&mut self, guess: GuessId) {
-        self.send_self_after(self.cfg.fork_timeout, Wire::Timer(guess));
+        let at = Instant::now() + self.cfg.fork_timeout;
+        self.timers.push(at, Due::Fork(guess));
     }
 
     fn release_external(&mut self, _from: ProcessId, payload: Value) {
@@ -184,12 +185,10 @@ pub(crate) struct ActorSpec {
     pub is_client: bool,
     pub cfg: Arc<RtConfig>,
     pub net: Arc<Vec<Mailbox>>,
-    pub delayer: Arc<Delayer<Wire>>,
     pub report: Sender<Report>,
     pub start: Instant,
     pub msg_ids: Arc<AtomicU64>,
     pub call_ids: Arc<AtomicU64>,
-    pub self_ticks: bool,
 }
 
 impl ProcessActor {
@@ -201,27 +200,17 @@ impl ProcessActor {
             is_client,
             cfg,
             net,
-            delayer,
             report,
             start,
             msg_ids,
             call_ids,
-            self_ticks,
         } = spec;
         let policy = DriverPolicy::default();
         ProcessActor {
             driver: Driver::new(pid, behavior, domain, cfg.core.clone(), policy),
             env: RtEnv {
-                transport: Transport::new(
-                    pid,
-                    cfg.faults.clone(),
-                    cfg.latency,
-                    start,
-                    delayer.clone(),
-                    net.clone(),
-                ),
-                self_mailbox: net[pid.0 as usize].clone(),
-                delayer,
+                transport: Transport::open(pid, cfg.faults.clone(), cfg.latency, start, net),
+                timers: TimerQueue::default(),
                 ready: VecDeque::new(),
                 external: Vec::new(),
                 tele: Telemetry::new(cfg.telemetry),
@@ -233,42 +222,26 @@ impl ProcessActor {
             report,
             done_reported: false,
             is_client,
-            self_ticks,
+            tick_armed: false,
         }
     }
 
     /// Kick off the program: run thread 0 from `Resume::Start` to its
-    /// first blocking point, and arm the transport tick (threaded mode).
+    /// first blocking point.
     pub fn start(&mut self) {
         self.env.ready.push_back((0, Resume::Start));
-        self.pump();
-        if self.self_ticks {
-            self.schedule_tick();
-        }
-        self.maybe_report_done();
+        self.settle();
     }
 
-    /// Handle one wire item and run to quiescence. `Wire::Shutdown` is the
-    /// executor's business and must not reach here.
+    /// Handle one wire item and run to quiescence. A frame still in
+    /// transit is only held, for [`Self::fire_due`] to release.
+    /// `Wire::Shutdown` is the executor's business and must not reach here.
     pub fn on_wire(&mut self, w: Wire) {
         match w {
-            Wire::Frame(f) => {
-                let from = f.from;
-                for p in self.env.transport.on_frame(f) {
-                    match p {
-                        Payload::Data(msg) => self.driver.on_data(&mut self.env, msg),
-                        Payload::Ctrl(ctrl) => self.driver.on_control(&mut self.env, from, ctrl),
-                    }
-                }
-            }
-            Wire::Timer(g) => {
-                self.driver.on_timer(&mut self.env, g);
-            }
-            Wire::Tick => {
-                self.env.transport.tick(Instant::now());
-                if self.self_ticks {
-                    self.schedule_tick();
-                }
+            Wire::Frame(f) => self.on_frame(f),
+            Wire::At(at, f) => {
+                self.env.timers.push(at, Due::Frame(f));
+                return;
             }
             Wire::Probe(round) => {
                 // Retransmit anything overdue and flush owed acks so
@@ -285,18 +258,31 @@ impl ProcessActor {
             }
             Wire::Shutdown => unreachable!("executors intercept Shutdown"),
         }
-        self.pump();
-        self.maybe_report_done();
+        self.settle();
     }
 
-    /// Sharded-executor tick round: run transport maintenance directly
-    /// (no delayer round trip). Call only when [`Self::wants_tick`].
-    pub fn tick_round(&mut self, now: Instant) {
-        self.env.transport.tick(now);
+    /// The earliest instant this actor has something to do without any
+    /// input: a held frame's arrival, a fork timeout or a transport tick.
+    pub fn next_due(&self) -> Option<Instant> {
+        self.env.timers.next_due()
     }
 
-    pub fn wants_tick(&self) -> bool {
-        self.env.transport.needs_tick()
+    /// Release every held frame and fire every timer due by `now`, in
+    /// `(due, arrival)` order, running to quiescence after each.
+    pub fn fire_due(&mut self, now: Instant) {
+        while let Some(due) = self.env.timers.pop_due(now) {
+            match due {
+                Due::Frame(f) => self.on_frame(f),
+                Due::Fork(g) => {
+                    self.driver.on_timer(&mut self.env, g);
+                }
+                Due::Tick => {
+                    self.tick_armed = false;
+                    self.env.transport.tick(now);
+                }
+            }
+            self.settle();
+        }
     }
 
     /// Emit the final report and consume the actor (on `Wire::Shutdown`).
@@ -323,22 +309,39 @@ impl ProcessActor {
         })));
     }
 
-    fn schedule_tick(&self) {
-        self.env
-            .send_self_after(self.env.transport.tick_interval(), Wire::Tick);
+    fn on_frame(&mut self, f: Frame) {
+        let from = f.from;
+        for p in self.env.transport.on_frame(f) {
+            match p {
+                Payload::Data(msg) => self.driver.on_data(&mut self.env, msg),
+                Payload::Ctrl(ctrl) => self.driver.on_control(&mut self.env, from, ctrl),
+            }
+        }
+    }
+
+    /// Run every ready (thread, resume) item to quiescence, arm the next
+    /// transport tick if the transport needs one and none is armed (an
+    /// idle actor arms none), and report a finished client. Ticks fall on
+    /// one grid, `tick_interval` apart from the run epoch, so a shard
+    /// worker wakes once for all of its actors' ticks.
+    fn settle(&mut self) {
+        while let Some((tid, resume)) = self.env.ready.pop_front() {
+            self.driver.step(&mut self.env, tid, resume);
+        }
+        if !self.tick_armed && self.env.transport.needs_tick() {
+            self.tick_armed = true;
+            let every = self.env.transport.tick_interval();
+            let ticks = self.env.start.elapsed().as_nanos() / every.as_nanos() + 1;
+            let at = self.env.start + every * ticks as u32;
+            self.env.timers.push(at, Due::Tick);
+        }
+        self.maybe_report_done();
     }
 
     fn maybe_report_done(&mut self) {
         if !self.done_reported && self.is_client && self.driver.program_done() {
             self.done_reported = true;
             let _ = self.report.send(Report::ClientDone(self.driver.pid()));
-        }
-    }
-
-    /// Run every ready (thread, resume) item until quiescence.
-    fn pump(&mut self) {
-        while let Some((tid, resume)) = self.env.ready.pop_front() {
-            self.driver.step(&mut self.env, tid, resume);
         }
     }
 }

@@ -18,10 +18,14 @@
 //! the shard of local processes with `(pid - lo) % workers == worker`. A
 //! worker drains its shard inbox in batches, demultiplexes the batch into
 //! per-slot run queues, and runs each actor's queued items back-to-back
-//! under one panic boundary. Transport maintenance (retransmits, idle
-//! acks) is driven by the worker's own tick round over actors whose
-//! transport reports `Transport::needs_tick` — per-actor delayer tick
-//! timers at 10k+ processes would be a message storm.
+//! under one panic boundary.
+//!
+//! Neither executor keeps a clock of its own. An actor holds what it waits
+//! for — frames in transit, fork timers, transport ticks — in its own
+//! timer queue; the executor sleeps on the inbox until the earliest
+//! `ProcessActor::next_due` it hosts, and lets an actor fire what is due
+//! (`ProcessActor::fire_due`) only once its inbox is drained: an endpoint
+//! too busy to read its inbox is too busy to tick.
 //!
 //! Both executors host the same [`ProcessActor`], answer the same
 //! coordinator reports and contain a panic the same way ([`contain`]: the
@@ -31,12 +35,12 @@
 //! `tests/rt_executor.rs`).
 
 use crate::core_poll::{ActorSpec, ProcessActor, Report};
-use crate::net::{Delayer, Frame, Mailbox, Wire};
+use crate::net::{recv_until, Frame, Mailbox, Wire};
 use crate::runtime::{join_by, Hosts, RtConfig};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use opcsp_core::ProcessId;
 use opcsp_sim::{control_domains, Behavior};
-use std::collections::VecDeque;
+use std::collections::{BTreeSet, VecDeque};
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::AtomicU64;
@@ -113,9 +117,9 @@ pub(crate) struct WorldSpec {
     /// world and hosts cannot share an atomic, so each mints from its own
     /// range.
     pub id_base: u64,
-    /// Where frames for pids outside `local` go ([`Mailbox::Remote`]);
-    /// `None` when `local` is the whole world.
-    pub remote: Option<Sender<Frame>>,
+    /// Where frames for pids outside `local` go, with the instant each is
+    /// due ([`Mailbox::Remote`]); `None` when `local` is the whole world.
+    pub remote: Option<Sender<(Instant, Frame)>>,
 }
 
 /// One host's share of a world: the address book, and the parts every
@@ -130,7 +134,6 @@ struct Host {
     cfg: Arc<RtConfig>,
     net: Arc<Vec<Mailbox>>,
     local: Range<usize>,
-    delayer: Arc<Delayer<Wire>>,
     report: Sender<Report>,
     start: Instant,
     msg_ids: Arc<AtomicU64>,
@@ -158,7 +161,6 @@ impl WorldSpec {
             cfg: self.cfg,
             net: Arc::new(net),
             local: self.local,
-            delayer: Arc::new(Delayer::spawn()),
             report: self.report,
             start: self.start,
             msg_ids: Arc::new(AtomicU64::new(self.id_base)),
@@ -168,10 +170,7 @@ impl WorldSpec {
 }
 
 impl Host {
-    /// `self_ticks`: whether the actor schedules its own transport ticks
-    /// through the delayer (threaded) or its executor drives them
-    /// (sharded).
-    fn actor_spec(&self, pid: usize, self_ticks: bool) -> ActorSpec {
+    fn actor_spec(&self, pid: usize) -> ActorSpec {
         ActorSpec {
             pid: ProcessId(pid as u32),
             behavior: self.behaviors[pid].clone(),
@@ -179,12 +178,10 @@ impl Host {
             is_client: self.is_client[pid],
             cfg: self.cfg.clone(),
             net: self.net.clone(),
-            delayer: self.delayer.clone(),
             report: self.report.clone(),
             start: self.start,
             msg_ids: self.msg_ids.clone(),
             call_ids: self.call_ids.clone(),
-            self_ticks,
         }
     }
 
@@ -192,7 +189,6 @@ impl Host {
         Running {
             net: self.net.clone(),
             local: self.local.clone(),
-            delayer: self.delayer.clone(),
             handles,
         }
     }
@@ -203,7 +199,6 @@ impl Host {
 pub(crate) struct Running {
     net: Arc<Vec<Mailbox>>,
     local: Range<usize>,
-    delayer: Arc<Delayer<Wire>>,
     handles: Vec<JoinHandle<()>>,
 }
 
@@ -234,16 +229,15 @@ impl Hosts for Running {
         self.broadcast(|| Wire::Shutdown);
     }
 
-    /// Teardown in dependency order: join the actors, let the delayer go
-    /// (its `Drop` flushes pending data frames into the mailboxes), then
-    /// the address book — which is what lets the receiver behind a
-    /// [`Mailbox::Remote`] see the end of the stream. A wedged actor is
-    /// detached and keeps its clones of both alive.
+    /// Teardown in dependency order: join the actors — their timers,
+    /// held frames included, die with them — then drop the address book,
+    /// which is what lets the pump behind a [`Mailbox::Remote`] see the end
+    /// of the stream and write what it still holds. A wedged actor is
+    /// detached and keeps its clone of the book alive.
     fn reap(self, deadline: Instant) {
         for h in self.handles {
             join_by(h, deadline);
         }
-        drop(self.delayer);
         drop(self.net);
     }
 }
@@ -288,7 +282,7 @@ fn spawn_threaded(spec: WorldSpec) -> Running {
         .into_iter()
         .zip(host.local.clone())
         .map(|(rx, pid)| {
-            let aspec = host.actor_spec(pid, true);
+            let aspec = host.actor_spec(pid);
             let report = host.report.clone();
             std::thread::Builder::new()
                 .name(format!("opcsp-rt-{pid}"))
@@ -302,15 +296,26 @@ fn spawn_threaded(spec: WorldSpec) -> Running {
 }
 
 /// The thread-per-process actor loop: build the actor on the thread that
-/// will own it, run it until `Shutdown` (or a dropped inbox), report.
+/// will own it, run it until `Shutdown` (or a dropped inbox), report. It
+/// sleeps on the inbox until the actor's next due instant, drains what
+/// came, then fires what is due.
 fn threaded_loop(spec: ActorSpec, rx: Receiver<Wire>) {
     let mut actor = ProcessActor::new(spec);
     actor.start();
-    loop {
-        match rx.recv() {
-            Ok(Wire::Shutdown) | Err(_) => break,
-            Ok(w) => actor.on_wire(w),
+    'run: loop {
+        match recv_until(&rx, actor.next_due()) {
+            Ok(w) => {
+                for w in std::iter::once(w).chain(rx.try_iter()) {
+                    match w {
+                        Wire::Shutdown => break 'run,
+                        w => actor.on_wire(w),
+                    }
+                }
+            }
+            Err(RecvTimeoutError::Timeout) => {}
+            Err(RecvTimeoutError::Disconnected) => break,
         }
+        actor.fire_due(Instant::now());
     }
     actor.finalize();
 }
@@ -345,6 +350,37 @@ fn spawn_sharded(spec: WorldSpec, workers: usize) -> Running {
     host.running(handles)
 }
 
+/// Each slot's next due instant, earliest first (cf. `Timers::index`).
+struct Wakeups {
+    index: BTreeSet<(Instant, usize)>,
+    at: Vec<Option<Instant>>,
+}
+
+impl Wakeups {
+    /// `slot` is next due at `next` (never, if `None`).
+    fn set(&mut self, slot: usize, next: Option<Instant>) {
+        let old = std::mem::replace(&mut self.at[slot], next);
+        if old != next {
+            if let Some(old) = old {
+                self.index.remove(&(old, slot));
+            }
+            if let Some(next) = next {
+                self.index.insert((next, slot));
+            }
+        }
+    }
+
+    /// Take a slot due by `now` out of the index.
+    fn pop_due(&mut self, now: Instant) -> Option<usize> {
+        let &(at, slot) = self.index.first()?;
+        if at > now {
+            return None;
+        }
+        self.set(slot, None);
+        Some(slot)
+    }
+}
+
 /// One worker: owns every local actor with `(pid - lo) % workers ==
 /// worker`, mapped to slot `(pid - lo) / workers`.
 fn shard_loop(host: &Host, worker: usize, workers: usize, rx: Receiver<(ProcessId, Wire)>) {
@@ -358,13 +394,20 @@ fn shard_loop(host: &Host, worker: usize, workers: usize, rx: Receiver<(ProcessI
     let mut actors: Vec<Option<ProcessActor>> = (0..slots)
         .map(|slot| {
             contain(&host.report, pid_of(slot), || {
-                let mut a = ProcessActor::new(host.actor_spec(my_pids[slot], false));
+                let mut a = ProcessActor::new(host.actor_spec(my_pids[slot]));
                 a.start();
                 a
             })
         })
         .collect();
     let mut finished = actors.iter().filter(|a| a.is_none()).count();
+    let mut wakeups = Wakeups {
+        index: BTreeSet::new(),
+        at: vec![None; slots],
+    };
+    for (slot, actor) in actors.iter().enumerate() {
+        wakeups.set(slot, actor.as_ref().and_then(ProcessActor::next_due));
+    }
 
     // Per-slot run queues: a batch drained from the shard inbox is
     // demultiplexed here, then each actor runs its whole queue
@@ -375,12 +418,9 @@ fn shard_loop(host: &Host, worker: usize, workers: usize, rx: Receiver<(ProcessI
     // other actor's traffic.
     let mut queues: Vec<VecDeque<Wire>> = (0..slots).map(|_| VecDeque::new()).collect();
     let mut run_queue: Vec<usize> = Vec::new();
-    let tick_every = crate::net::tick_interval_for(host.cfg.latency);
-    let mut tick_deadline = Instant::now() + tick_every;
 
     while finished < slots {
-        let until_tick = tick_deadline.saturating_duration_since(Instant::now());
-        match rx.recv_timeout(until_tick) {
+        match recv_until(&rx, wakeups.index.first().map(|(at, _)| *at)) {
             Ok(item) => {
                 let mut enqueue = |(pid, w): (ProcessId, Wire)| {
                     let slot = (pid.0 as usize - lo) / workers;
@@ -414,6 +454,7 @@ fn shard_loop(host: &Host, worker: usize, workers: usize, rx: Receiver<(ProcessI
                 false
             });
             if shut_down == Some(false) {
+                wakeups.set(slot, actor.next_due());
                 continue;
             }
             // Shut down or dead. Items queued behind Shutdown are
@@ -424,24 +465,22 @@ fn shard_loop(host: &Host, worker: usize, workers: usize, rx: Receiver<(ProcessI
             if shut_down == Some(true) {
                 contain(&host.report, pid_of(slot), || actor.finalize());
             }
+            wakeups.set(slot, None);
             finished += 1;
         }
 
-        // Worker-driven transport maintenance: one sweep over the shard,
-        // skipping idle transports (O(1) `needs_tick` per actor, one clock
-        // read per sweep).
+        // Then what is due, once every actor has read its inbox: the acks
+        // a tick sends queue behind the round's data, so they cannot
+        // reorder the next round (which keeps one worker deterministic).
         let now = Instant::now();
-        if now >= tick_deadline {
-            for (slot, cell) in actors.iter_mut().enumerate() {
-                let Some(actor) = cell.as_mut().filter(|a| a.wants_tick()) else {
-                    continue;
-                };
-                if contain(&host.report, pid_of(slot), || actor.tick_round(now)).is_none() {
-                    *cell = None;
-                    finished += 1;
-                }
+        while let Some(slot) = wakeups.pop_due(now) {
+            let actor = actors[slot].as_mut().expect("a finished slot is never due");
+            if contain(&host.report, pid_of(slot), || actor.fire_due(now)).is_some() {
+                wakeups.set(slot, actor.next_due());
+            } else {
+                actors[slot] = None;
+                finished += 1;
             }
-            tick_deadline = now + tick_every;
         }
     }
 }

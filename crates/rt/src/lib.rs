@@ -1,9 +1,9 @@
 //! # opcsp-rt — the protocol on real threads
 //!
-//! Process actors on OS threads, crossbeam channels as the network, a
-//! latency-injecting delayer thread as the WAN, and the identical
-//! protocol core (`opcsp_core::ProcessCore`) the simulator uses. Shows
-//! the transformation is not simulator-bound and provides the wall-clock
+//! Process actors on OS threads, crossbeam channels as the network, frames
+//! stamped with the instant they are due as the WAN, and the identical
+//! protocol core (`opcsp_core::ProcessCore`) the simulator uses. Shows the
+//! transformation is not simulator-bound and provides the wall-clock
 //! measurements of experiment E7.
 //!
 //! Two executors host the same poll-able process core (DESIGN.md §11):
@@ -28,6 +28,6 @@ pub mod runtime;
 pub mod sock;
 
 pub use executor::Executor;
-pub use net::{Delayer, FlushClass, Mailbox, NetFaults, NetStats, Partition, Transport};
+pub use net::{Delayer, Mailbox, NetFaults, NetStats, Partition, Transport};
 pub use runtime::{merge_equiv, RtConfig, RtPhases, RtResult, RtStats, RtWorld};
 pub use sock::{RtTransport, SockAddr, SockRole};

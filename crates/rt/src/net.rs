@@ -42,20 +42,21 @@
 //! visits expired links only (a deadline-ordered index). There is one
 //! path: in-process, chaos and socket traffic all run it.
 //!
-//! The [`Delayer`] thread remains the "wire": it holds items for their
-//! transit time before handing them to the destination inbox. Items carry
-//! a [`FlushClass`]: data and control frames are flushed on teardown so
-//! receivers can drain, but timers (fork timeouts, retransmit ticks) are
-//! *dropped* — flushing a far-future fork timer would fire it early and
-//! record spurious aborts during teardown.
+//! **The wire is a timestamp** (DESIGN.md §9.1). A frame with transit time
+//! ahead of it leaves as [`Wire::At`], stamped with the instant it is due,
+//! straight into the receiver's [`Mailbox`]. The actor that owns the
+//! receiver holds it in a [`TimerQueue`] until then — the queue that also
+//! holds the actor's fork timers and transport ticks — so no item crosses
+//! a thread to wait. A frame for another OS process waits in its worker's
+//! socket pump instead (`rt::sock`). Teardown needs no flush rule: a timer
+//! dies with its actor, so a far-future fork timer can never fire early.
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use opcsp_core::{Control, Envelope, GuessId, ProcessId};
+use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use opcsp_core::{Control, Envelope, ProcessId};
 use opcsp_sim::latency::splitmix64;
-use std::cmp::Reverse;
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------------------
@@ -65,12 +66,12 @@ use std::time::{Duration, Instant};
 /// What travels on the simulated network or arrives in an actor inbox.
 #[derive(Debug)]
 pub enum Wire {
-    /// A reliable-sublayer frame (data, control, or a standalone ack).
+    /// A reliable-sublayer frame (data, control, or a standalone ack),
+    /// deliverable at once.
     Frame(Frame),
-    /// Fork timeout for a guess (self-addressed; never framed or chaosed).
-    Timer(GuessId),
-    /// Periodic transport maintenance: retransmits + idle acks.
-    Tick,
+    /// A frame still in transit until the instant it carries: the
+    /// receiving actor holds it until then.
+    At(Instant, Frame),
     /// Coordinator quiescence probe; the actor answers with
     /// `Report::Quiet` carrying this round number.
     Probe(u64),
@@ -101,12 +102,11 @@ pub enum Mailbox {
         tx: Sender<(ProcessId, Wire)>,
     },
     /// The process lives in another OS process (`rt::sock`): frames go to
-    /// the local socket-writer pump, which serializes them
-    /// (`core::wire::encode_frame`) and ships them to the parent router.
-    /// Only reliable-sublayer frames cross the wire — timers, ticks,
-    /// probes, and shutdowns are always addressed to *local* actors by
-    /// construction, so anything else arriving here is silently dropped.
-    Remote(Sender<Frame>),
+    /// the local socket-writer pump with the instant they are due; it holds
+    /// each until then and ships it to the parent router. Only frames cross
+    /// the wire — probes and shutdowns are always addressed to *local*
+    /// actors by construction, so anything else is silently dropped.
+    Remote(Sender<(Instant, Frame)>),
 }
 
 impl Mailbox {
@@ -116,29 +116,11 @@ impl Mailbox {
             Mailbox::Direct(tx) => tx.send(w).is_ok(),
             Mailbox::Shard { pid, tx } => tx.send((*pid, w)).is_ok(),
             Mailbox::Remote(tx) => match w {
-                Wire::Frame(f) => tx.send(f).is_ok(),
+                Wire::Frame(f) => tx.send((Instant::now(), f)).is_ok(),
+                Wire::At(at, f) => tx.send((at, f)).is_ok(),
                 _ => true,
             },
         }
-    }
-}
-
-/// Destination of a [`Delayer`] item — anything that can absorb a `T`.
-/// Plain channel senders work as before; [`Mailbox`] routes to whichever
-/// executor owns the target process.
-pub trait DeliverTo<T>: Send {
-    fn deliver(&self, item: T);
-}
-
-impl<T: Send> DeliverTo<T> for Sender<T> {
-    fn deliver(&self, item: T) {
-        let _ = self.send(item);
-    }
-}
-
-impl DeliverTo<Wire> for Mailbox {
-    fn deliver(&self, item: Wire) {
-        self.send(item);
     }
 }
 
@@ -360,14 +342,6 @@ const BLIND_RTO_FLOORS: u32 = 4;
 /// workers, four let two runs in five retransmit 4 % of their frames).
 const MIN_TICKS_TO_EXPIRY: u32 = 6;
 
-/// Transport maintenance cadence for a given injected latency: half the
-/// RTO floor. Shared by both executors — the threaded executor schedules a
-/// per-actor delayer timer at this interval, the sharded executor runs a
-/// whole-shard tick sweep on the same cadence.
-pub fn tick_interval_for(latency: Duration) -> Duration {
-    (rto_floor(latency) / 2).max(Duration::from_millis(2))
-}
-
 /// Exponential retransmit backoff: `rto << attempts`, capped. The shift
 /// exponent is clamped *before* shifting — a link stuck behind a long
 /// partition can accumulate hundreds of expiries, and an unclamped
@@ -531,14 +505,14 @@ struct LinkRx {
 }
 
 /// Per-actor endpoint of the reliable-delivery sublayer. Owned by the
-/// actor thread; all sends go out through the [`Delayer`] (the wire) and
-/// all receives come back through the actor's inbox as [`Wire::Frame`]s.
+/// actor thread; every send goes straight into the peer's [`Mailbox`],
+/// stamped with its due instant ([`Wire::At`]) when it has transit time
+/// ahead of it, and every receive comes back through the actor's inbox.
 pub struct Transport {
     me: ProcessId,
     faults: NetFaults,
     latency: Duration,
     start: Instant,
-    delayer: Arc<Delayer<Wire>>,
     net: Arc<Vec<Mailbox>>,
     tx: BTreeMap<ProcessId, LinkTx>,
     rx: BTreeMap<ProcessId, LinkRx>,
@@ -552,12 +526,12 @@ pub struct Transport {
 }
 
 impl Transport {
-    pub fn new(
+    /// The endpoint of `me` in the world whose address book is `net`.
+    pub fn open(
         me: ProcessId,
         faults: NetFaults,
         latency: Duration,
         start: Instant,
-        delayer: Arc<Delayer<Wire>>,
         net: Arc<Vec<Mailbox>>,
     ) -> Transport {
         Transport {
@@ -565,7 +539,6 @@ impl Transport {
             faults,
             latency,
             start,
-            delayer,
             net,
             tx: BTreeMap::new(),
             rx: BTreeMap::new(),
@@ -580,17 +553,16 @@ impl Transport {
         }
     }
 
-    /// How often the owning actor should run [`Transport::tick`].
+    /// How often the owning actor runs [`Transport::tick`] while it
+    /// [needs one](Transport::needs_tick): half the RTO floor.
     pub fn tick_interval(&self) -> Duration {
-        tick_interval_for(self.latency)
+        (self.timers.rto_floor / 2).max(Duration::from_millis(2))
     }
 
-    /// Does this endpoint need [`Transport::tick`]s? O(1); the sharded
-    /// executor uses this to skip idle actors in its per-round tick sweep
-    /// (at 10k+ processes, unconditionally scanning every transport's
-    /// links each round would dominate the scheduler). True while any
-    /// frame is unacked, not only once a timer is due: the ticks in
-    /// between are counted.
+    /// Does this endpoint need [`Transport::tick`]s? O(1); the actor arms
+    /// its next tick only while this holds, so an idle actor among 10k
+    /// costs its executor nothing. True while any frame is unacked, not
+    /// only once a timer is due: the ticks in between are counted.
     pub fn needs_tick(&self) -> bool {
         !self.acks_owed.is_empty() || !self.timers.index.is_empty()
     }
@@ -658,19 +630,19 @@ impl Transport {
         }
     }
 
+    /// Hand `frame` to the peer's mailbox, due `delay` from now. Per-link
+    /// FIFO holds: a link's frames are all stamped by the one executor
+    /// thread that owns the sender, so without reorder chaos their due
+    /// instants never decrease and the receiver releases them in `(due,
+    /// arrival)` order; with it, the reliable sublayer restores order.
     fn put_on_wire(&self, to: ProcessId, frame: Frame, delay: Duration) {
-        let mb = &self.net[to.0 as usize];
-        if delay.is_zero() {
-            // Zero-latency fast path: skip the delayer thread entirely.
-            // Per-link FIFO is preserved — a link's frames are all put on
-            // the wire by the one executor thread that owns the sender,
-            // and either *every* frame on the link takes this path
-            // (latency 0, no reorder chaos) or the reliable sublayer
-            // restores order anyway.
-            mb.send(Wire::Frame(frame));
+        let w = if delay.is_zero() {
+            // Zero-latency fast path: nothing to hold.
+            Wire::Frame(frame)
         } else {
-            self.delayer.send_after(delay, mb.clone(), Wire::Frame(frame));
-        }
+            Wire::At(Instant::now() + delay, frame)
+        };
+        self.net[to.0 as usize].send(w);
     }
 
     /// Ingest a frame from the wire. Returns the payloads released *in
@@ -831,155 +803,162 @@ impl Transport {
 }
 
 // ---------------------------------------------------------------------------
-// Delayer (the wire)
+// Timer queue (a frame's transit time, fork timers, ticks)
 // ---------------------------------------------------------------------------
 
-/// Teardown-flush behavior of a delayed item.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FlushClass {
-    /// Deliver on teardown flush: data and control must drain.
-    Deliver,
-    /// Drop on teardown flush: far-future timers (fork timeouts, ticks)
-    /// must NOT fire early — an early fork timer records spurious aborts.
-    DropOnFlush,
+/// Items held until an instant: a min-heap on `(instant, seq)`, so items
+/// due at the same instant come out in the order they went in. The one
+/// way anything in `rt` waits for an instant (a frame in transit, a fork
+/// timer, a transport tick).
+pub struct TimerQueue<T> {
+    heap: BinaryHeap<Held<T>>,
+    seq: u64,
 }
 
-/// A deliverable item addressed to an actor inbox (or any other
-/// [`DeliverTo`] destination).
-pub struct Delayed<T> {
-    pub due: Instant,
-    pub seq: u64,
-    pub to: Box<dyn DeliverTo<T>>,
-    pub item: T,
-    pub class: FlushClass,
-}
-
-impl<T> PartialEq for Delayed<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.due == other.due && self.seq == other.seq
-    }
-}
-impl<T> Eq for Delayed<T> {}
-impl<T> PartialOrd for Delayed<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<T> Ord for Delayed<T> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.due, self.seq).cmp(&(other.due, other.seq))
+impl<T> Default for TimerQueue<T> {
+    fn default() -> Self {
+        TimerQueue {
+            heap: BinaryHeap::new(),
+            seq: 0,
+        }
     }
 }
 
-enum Cmd<T> {
-    Enqueue(Delayed<T>),
-    Shutdown,
+impl<T> TimerQueue<T> {
+    pub fn push(&mut self, at: Instant, item: T) {
+        self.heap.push(Held(at, self.seq, item));
+        self.seq += 1;
+    }
+
+    /// The earliest instant anything is held until.
+    pub fn next_due(&self) -> Option<Instant> {
+        self.heap.peek().map(|h| h.0)
+    }
+
+    /// The next item due by `now`, if any; never one due later.
+    pub fn pop_due(&mut self, now: Instant) -> Option<T> {
+        if self.next_due()? > now {
+            return None;
+        }
+        self.pop_any()
+    }
+
+    /// The next item, due or not (a flush).
+    pub fn pop_any(&mut self) -> Option<T> {
+        self.heap.pop().map(|h| h.2)
+    }
 }
 
-/// Handle to the delayer thread.
+/// A held item, ordered *reversed* on `(instant, seq)` so that the max-heap
+/// [`BinaryHeap`] pops the earliest first.
+struct Held<T>(Instant, u64, T);
+
+impl<T> PartialEq for Held<T> {
+    fn eq(&self, o: &Self) -> bool {
+        (self.0, self.1) == (o.0, o.1)
+    }
+}
+impl<T> Eq for Held<T> {}
+impl<T> PartialOrd for Held<T> {
+    fn partial_cmp(&self, o: &Self) -> Option<Ordering> {
+        Some(self.cmp(o))
+    }
+}
+impl<T> Ord for Held<T> {
+    fn cmp(&self, o: &Self) -> Ordering {
+        (o.0, o.1).cmp(&(self.0, self.1))
+    }
+}
+
+/// The next item on `rx`, waiting no later than `due` (forever if `None`):
+/// how a thread that owns a [`TimerQueue`] waits on its inbox.
+pub(crate) fn recv_until<T>(rx: &Receiver<T>, due: Option<Instant>) -> Result<T, RecvTimeoutError> {
+    match due {
+        Some(at) => rx.recv_timeout(at.saturating_duration_since(Instant::now())),
+        None => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Shims kept for benchmark/ (DESIGN.md §9): under crates/, only tests use them
+// ---------------------------------------------------------------------------
+
+/// A thread that hands each item to its channel once its delay is up; once
+/// the `Delayer` is dropped, it hands over at once everything it still
+/// holds and exits. The runtime's old wire, kept because
+/// `benchmark/src/probes.rs` times it and passes one to `new`.
 pub struct Delayer<T: Send + 'static> {
-    tx: Sender<Cmd<T>>,
-    handle: Option<JoinHandle<()>>,
-    seq: std::sync::atomic::AtomicU64,
+    tx: Sender<(Instant, Sender<T>, T)>,
 }
 
 impl<T: Send + 'static> Delayer<T> {
     pub fn spawn() -> Self {
-        let (tx, rx): (Sender<Cmd<T>>, Receiver<Cmd<T>>) = unbounded();
-        let handle = std::thread::Builder::new()
-            .name("opcsp-rt-delayer".into())
-            .spawn(move || delayer_loop(rx))
-            .expect("spawn delayer");
-        Delayer {
-            tx,
-            handle: Some(handle),
-            seq: std::sync::atomic::AtomicU64::new(0),
-        }
-    }
-
-    /// Deliver `item` to `to` after `delay` (flushed on teardown).
-    pub fn send_after(&self, delay: Duration, to: impl DeliverTo<T> + 'static, item: T) {
-        self.send_after_class(delay, to, item, FlushClass::Deliver);
-    }
-
-    /// Deliver `item` to `to` after `delay` with an explicit flush class.
-    pub fn send_after_class(
-        &self,
-        delay: Duration,
-        to: impl DeliverTo<T> + 'static,
-        item: T,
-        class: FlushClass,
-    ) {
-        let seq = self.seq.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let _ = self.tx.send(Cmd::Enqueue(Delayed {
-            due: Instant::now() + delay,
-            seq,
-            to: Box::new(to),
-            item,
-            class,
-        }));
-    }
-
-    pub fn shutdown(mut self) {
-        let _ = self.tx.send(Cmd::Shutdown);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-impl<T: Send + 'static> Drop for Delayer<T> {
-    fn drop(&mut self) {
-        let _ = self.tx.send(Cmd::Shutdown);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-/// Flush on teardown: deliver pending data/control immediately so
-/// receivers can drain, but drop timer-class items — a far-future fork
-/// timer delivered "now" would fire early and record spurious aborts.
-fn flush<T>(heap: &mut BinaryHeap<Reverse<Delayed<T>>>) {
-    while let Some(Reverse(d)) = heap.pop() {
-        if d.class == FlushClass::Deliver {
-            d.to.deliver(d.item);
-        }
-    }
-}
-
-fn delayer_loop<T>(rx: Receiver<Cmd<T>>) {
-    let mut heap: BinaryHeap<Reverse<Delayed<T>>> = BinaryHeap::new();
-    loop {
-        // Wait for the next due item or a new command.
-        let timeout = heap
-            .peek()
-            .map(|Reverse(d)| d.due.saturating_duration_since(Instant::now()))
-            .unwrap_or(Duration::from_millis(50));
-        match rx.recv_timeout(timeout) {
-            Ok(Cmd::Enqueue(d)) => heap.push(Reverse(d)),
-            Ok(Cmd::Shutdown) => {
-                flush(&mut heap);
-                return;
+        let (tx, rx) = unbounded::<(Instant, Sender<T>, T)>();
+        std::thread::spawn(move || {
+            let mut held = TimerQueue::default();
+            loop {
+                match recv_until(&rx, held.next_due()) {
+                    Ok((at, to, item)) => held.push(at, (to, item)),
+                    Err(RecvTimeoutError::Timeout) => {}
+                    Err(RecvTimeoutError::Disconnected) => break,
+                }
+                while let Some((to, item)) = held.pop_due(Instant::now()) {
+                    let _ = to.send(item);
+                }
             }
-            Err(crossbeam::channel::RecvTimeoutError::Timeout) => {}
-            Err(crossbeam::channel::RecvTimeoutError::Disconnected) => {
-                flush(&mut heap);
-                return;
+            while let Some((to, item)) = held.pop_any() {
+                let _ = to.send(item);
             }
-        }
-        // Deliver everything due.
-        let now = Instant::now();
-        while heap.peek().map(|Reverse(d)| d.due <= now).unwrap_or(false) {
-            let Reverse(d) = heap.pop().unwrap();
-            d.to.deliver(d.item);
-        }
+        });
+        Delayer { tx }
+    }
+
+    pub fn send_after(&self, delay: Duration, to: Sender<T>, item: T) {
+        let _ = self.tx.send((Instant::now() + delay, to, item));
+    }
+
+    /// Drop the delayer (what it holds is handed over at once).
+    pub fn shutdown(self) {}
+}
+
+impl Transport {
+    /// [`Transport::open`], ignoring the delayer that used to be the wire.
+    pub fn new(
+        me: ProcessId,
+        faults: NetFaults,
+        latency: Duration,
+        start: Instant,
+        _wire: Arc<Delayer<Wire>>,
+        net: Arc<Vec<Mailbox>>,
+    ) -> Transport {
+        Transport::open(me, faults, latency, start, net)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use opcsp_core::GuessId;
+
+    /// Items due at one instant leave in the order they came, and
+    /// `pop_due` never hands out an item before its instant.
+    #[test]
+    fn timer_queue_is_fifo_within_an_instant_and_never_early() {
+        let t0 = Instant::now();
+        let at = |ms| t0 + Duration::from_millis(ms);
+        let mut q = TimerQueue::default();
+        for (ms, item) in [(3, "c"), (1, "a"), (9, "e"), (3, "d"), (1, "b")] {
+            q.push(at(ms), item);
+        }
+        let due_by = |q: &mut TimerQueue<_>, t| std::iter::from_fn(|| q.pop_due(t)).collect::<Vec<_>>();
+        assert_eq!(due_by(&mut q, t0), Vec::<&str>::new());
+        assert_eq!(due_by(&mut q, at(1)), ["a", "b"]);
+        assert_eq!(due_by(&mut q, at(8)), ["c", "d"]);
+        assert_eq!(q.next_due(), Some(at(9)));
+        assert_eq!((q.pop_any(), q.pop_any()), (Some("e"), None));
+    }
+
+    // The `Delayer` shim, for as long as `benchmark/` keeps it.
 
     #[test]
     fn delivers_in_due_order_with_latency() {
@@ -1002,29 +981,6 @@ mod tests {
         delayer.send_after(Duration::from_secs(60), tx, 7);
         delayer.shutdown();
         assert_eq!(rx.recv_timeout(Duration::from_secs(1)).unwrap(), 7);
-    }
-
-    /// Regression pin (ISSUE 4): teardown flush used to deliver *all*
-    /// pending items, including far-future fork-timeout timers, which then
-    /// fired early and could record spurious aborts during teardown. Data
-    /// still flushes; timer-class items are dropped.
-    #[test]
-    fn shutdown_flush_drops_timer_class_items() {
-        let delayer: Delayer<&'static str> = Delayer::spawn();
-        let (tx, rx) = unbounded();
-        delayer.send_after_class(
-            Duration::from_secs(60),
-            tx.clone(),
-            "fork-timer",
-            FlushClass::DropOnFlush,
-        );
-        delayer.send_after(Duration::from_secs(60), tx, "commit");
-        delayer.shutdown();
-        assert_eq!(rx.recv_timeout(Duration::from_secs(1)).unwrap(), "commit");
-        assert!(
-            rx.try_recv().is_err(),
-            "the far-future timer must not fire early on flush"
-        );
     }
 
     #[test]
@@ -1105,40 +1061,27 @@ mod tests {
     const A: ProcessId = ProcessId(0);
     const B: ProcessId = ProcessId(1);
 
-    /// Two endpoints on direct mailboxes. At zero latency with no faults
-    /// the test itself is the wire: what `a` sends sits in `rx_b` until
-    /// the test hands it to `b`, or loses it.
+    /// Two endpoints on direct mailboxes, and the test is the wire: what
+    /// one sends sits in the other's inbox until the test hands it over
+    /// (frames stamped [`Wire::At`] only once they are due), or loses it.
     struct Pair {
         a: Transport,
         b: Transport,
-        rx_a: Receiver<Wire>,
-        rx_b: Receiver<Wire>,
+        inbox: [(Receiver<Wire>, TimerQueue<Frame>); 2],
     }
 
     fn pair(faults: NetFaults, latency: Duration) -> Pair {
-        let delayer: Arc<Delayer<Wire>> = Arc::new(Delayer::spawn());
         let (tx_a, rx_a) = unbounded::<Wire>();
         let (tx_b, rx_b) = unbounded::<Wire>();
         let net: Arc<Vec<Mailbox>> =
             Arc::new(vec![Mailbox::Direct(tx_a), Mailbox::Direct(tx_b)]);
         let start = Instant::now();
-        let end =
-            |me| Transport::new(me, faults.clone(), latency, start, delayer.clone(), net.clone());
+        let end = |me| Transport::open(me, faults.clone(), latency, start, net.clone());
         Pair {
             a: end(A),
             b: end(B),
-            rx_a,
-            rx_b,
+            inbox: [rx_a, rx_b].map(|rx| (rx, TimerQueue::default())),
         }
-    }
-
-    fn arrived(rx: &Receiver<Wire>) -> Vec<Frame> {
-        rx.try_iter()
-            .map(|w| match w {
-                Wire::Frame(f) => f,
-                other => panic!("only frames travel between transports, got {other:?}"),
-            })
-            .collect()
     }
 
     /// The `i`-th message `A` sends: a payload that carries its own index.
@@ -1158,6 +1101,21 @@ mod tests {
     }
 
     impl Pair {
+        /// The frames that have arrived at `at` by now, in the order its
+        /// actor would release them.
+        fn arrived(&mut self, at: ProcessId) -> Vec<Frame> {
+            let (rx, held) = &mut self.inbox[at.0 as usize];
+            let now = Instant::now();
+            for w in rx.try_iter() {
+                match w {
+                    Wire::Frame(f) => held.push(now, f),
+                    Wire::At(due, f) => held.push(due, f),
+                    other => panic!("only frames travel between transports, got {other:?}"),
+                }
+            }
+            std::iter::from_fn(|| held.pop_due(now)).collect()
+        }
+
         /// Deliver what has arrived at both ends, tick both, and give the
         /// wire a millisecond, until `b` has released `n` messages and `a`
         /// has everything acked. Returns what `b` released, in order.
@@ -1166,10 +1124,10 @@ mod tests {
             let deadline = Instant::now() + Duration::from_secs(10);
             while self.b.stats.frames_delivered < n || self.a.quiet_probe().2 > 0 {
                 assert!(Instant::now() < deadline, "stuck: a {:?}, b {:?}", self.a.stats, self.b.stats);
-                for f in arrived(&self.rx_b) {
+                for f in self.arrived(B) {
                     got.extend(self.b.on_frame(f).iter().map(number));
                 }
-                for f in arrived(&self.rx_a) {
+                for f in self.arrived(A) {
                     assert!(self.a.on_frame(f).is_empty(), "B sends nothing to release");
                 }
                 self.a.tick(Instant::now());
@@ -1217,19 +1175,19 @@ mod tests {
         for i in 0..10 {
             p.a.send(B, numbered(i));
         }
-        let mut burst = arrived(&p.rx_b);
+        let mut burst = p.arrived(B);
         assert_eq!(burst.len(), 10);
         burst.remove(0);
         for f in burst {
             assert!(p.b.on_frame(f).is_empty(), "nothing is released past a gap");
         }
-        let gap_acks = arrived(&p.rx_a);
+        let gap_acks = p.arrived(A);
         assert_eq!(gap_acks.len(), 9, "one ack at once per frame buffered");
         for f in gap_acks {
             assert_eq!((f.ack, &f.msg), (0, &None), "an ordinary standalone ack");
             assert!(p.a.on_frame(f).is_empty());
         }
-        let repair = arrived(&p.rx_b);
+        let repair = p.arrived(B);
         assert_eq!(repair.len(), 1, "one repair per round trip, however many acks");
         assert_eq!(repair[0].msg.as_ref().map(|m| m.0), Some(0));
         assert_eq!(p.a.stats.retransmits, 1);
@@ -1250,7 +1208,7 @@ mod tests {
         // The ack that closes the gap retires a retransmitted head: no
         // round-trip sample (Karn), though nine fresh frames go with it.
         p.b.flush_acks();
-        for f in arrived(&p.rx_a) {
+        for f in p.arrived(A) {
             p.a.on_frame(f);
         }
         assert_eq!(p.a.quiet_probe(), (10, 0, 0));

@@ -4,9 +4,11 @@
 //! Inter-process parallelism is real; the paper's intra-process
 //! left/right threads are logical threads multiplexed inside each actor
 //! ([`crate::core_poll::ProcessActor`]), exactly as a single-core Mach
-//! task would run them. Latency injection (the `net::Delayer`) recreates
-//! the distributed setting whose round trips call streaming hides — the
-//! E7 wall-clock benchmarks measure precisely that.
+//! task would run them. Injected latency recreates the distributed setting
+//! whose round trips call streaming hides — the E7 wall-clock benchmarks
+//! measure precisely that. It costs no thread: a frame carries the instant
+//! it is due and waits in the receiving actor's own timer queue
+//! (`net::TimerQueue`, DESIGN.md §9.1).
 //!
 //! How actors map onto OS threads is the executor's business
 //! ([`RtConfig::executor`], DESIGN.md §11): [`Executor::Threaded`] gives

@@ -45,11 +45,11 @@
 
 use crate::core_poll::{FinalReport, Report};
 use crate::executor::{spawn_world, WorldSpec};
-use crate::net::{Frame, Payload};
+use crate::net::{recv_until, Frame, Payload, TimerQueue};
 use crate::runtime::{
     coordinate, join_budget, join_by, Hosts, RtConfig, RtResult, RtStats, RtWorld,
 };
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 #[cfg(test)]
 use opcsp_core::Value;
 use opcsp_core::{
@@ -1048,29 +1048,53 @@ fn parent_reader(stream: SockStream, conn: Conn) {
 // Worker
 // ---------------------------------------------------------------------------
 
-/// A worker's outbound half: everything `rx` yields goes to the hub as
-/// `wrap(item)`, until every sender is gone or the connection is. What is
-/// already queued when one item arrives rides in the same write, up to
-/// `MAX_BATCH` bytes.
+/// A worker's outbound half: everything `rx` yields goes to the hub as the
+/// message `wrap` makes of it, once the instant `wrap` gives it has come.
+/// A frame's transit time ends here, not at the receiver, because an
+/// `Instant` means nothing in another OS process. What is due together
+/// rides in one write, up to `MAX_BATCH` bytes. When every sender is gone
+/// the pump writes all it still holds — the teardown flush — and exits; a
+/// broken connection ends it at once.
 fn pump<T: Send + 'static>(
     name: String,
     rx: Receiver<T>,
     writer: Writer,
-    wrap: fn(T) -> SockMsg,
+    wrap: fn(T) -> (Instant, SockMsg),
 ) -> JoinHandle<()> {
     std::thread::Builder::new()
         .name(name)
         .spawn(move || {
+            let mut held = TimerQueue::default();
             let mut batch = Vec::new();
-            while let Ok(item) = rx.recv() {
-                batch.clear();
-                encode_msg(&mut batch, &wrap(item));
-                while batch.len() < MAX_BATCH {
-                    let Ok(item) = rx.try_recv() else { break };
-                    encode_msg(&mut batch, &wrap(item));
+            let mut open = true;
+            while open {
+                match recv_until(&rx, held.next_due()) {
+                    Ok(item) => {
+                        for (at, m) in std::iter::once(item).chain(rx.try_iter()).map(wrap) {
+                            held.push(at, m);
+                        }
+                    }
+                    Err(RecvTimeoutError::Timeout) => {}
+                    Err(RecvTimeoutError::Disconnected) => open = false,
                 }
-                if write_bytes(&writer, &batch).is_err() {
-                    break;
+                let now = Instant::now();
+                loop {
+                    batch.clear();
+                    while batch.len() < MAX_BATCH {
+                        let next = if open {
+                            held.pop_due(now)
+                        } else {
+                            held.pop_any()
+                        };
+                        let Some(m) = next else { break };
+                        encode_msg(&mut batch, &m);
+                    }
+                    if batch.is_empty() {
+                        break;
+                    }
+                    if write_bytes(&writer, &batch).is_err() {
+                        return;
+                    }
                 }
             }
         })
@@ -1143,7 +1167,7 @@ fn run_worker(world: RtWorld, addr: &SockAddr, index: usize, workers: usize) -> 
     }
     let _ = stream.get_ref().set_read_timeout(None);
 
-    let (frames_tx, frames_rx) = unbounded::<Frame>();
+    let (frames_tx, frames_rx) = unbounded::<(Instant, Frame)>();
     let (report_tx, report_rx) = unbounded::<Report>();
     let local = spawn_world(WorldSpec {
         behaviors: world.behaviors,
@@ -1163,13 +1187,13 @@ fn run_worker(world: RtWorld, addr: &SockAddr, index: usize, workers: usize) -> 
             format!("opcsp-sock-frames-{index}"),
             frames_rx,
             writer.clone(),
-            SockMsg::Net,
+            |(at, f)| (at, SockMsg::Net(f)),
         ),
         pump(
             format!("opcsp-sock-reports-{index}"),
             report_rx,
             writer.clone(),
-            SockMsg::Report,
+            |r| (Instant::now(), SockMsg::Report(r)),
         ),
     ];
 
@@ -1371,6 +1395,32 @@ mod tests {
         let refused = || Err::<(), _>(io::Error::from(io::ErrorKind::ConnectionRefused));
         let e = wait_for(Instant::now() + Duration::from_millis(5), |_| true, refused);
         assert_eq!(e.unwrap_err().kind(), io::ErrorKind::ConnectionRefused);
+    }
+
+    /// A frame for another OS process spends its transit time in the
+    /// pump (the pump is generic in what it carries; probes stand in for
+    /// frames here): nothing is written before it is due, and when the
+    /// channel closes the pump writes everything it still holds.
+    #[cfg(unix)]
+    #[test]
+    fn the_frame_pump_holds_each_frame_until_due_and_flushes_at_close() {
+        let (ours, theirs) = UnixStream::pair().expect("socket pair");
+        let patience = Some(Duration::from_secs(5));
+        theirs.set_read_timeout(patience).unwrap();
+        let writer = Arc::new(Mutex::new(SockStream::Uds(ours)));
+        let (tx, rx) = unbounded();
+        let pumped = pump("pump".into(), rx, writer, |(at, n)| (at, SockMsg::Probe(n)));
+        let t0 = Instant::now();
+        let due = t0 + Duration::from_millis(30);
+        tx.send((t0 + Duration::from_secs(60), 2)).unwrap();
+        tx.send((due, 1)).unwrap();
+        let (mut theirs, mut raw) = (BufReader::new(theirs), Vec::new());
+        let mut next = || read_msg(&mut theirs, &mut raw).expect("written in time");
+        assert_eq!(next(), Some(SockMsg::Probe(1)));
+        assert!(Instant::now() >= due, "written before it was due");
+        drop(tx);
+        assert_eq!(next(), Some(SockMsg::Probe(2)), "held at close");
+        pumped.join().unwrap();
     }
 
     #[test]
