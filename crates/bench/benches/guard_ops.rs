@@ -1,12 +1,12 @@
 //! Micro-benchmarks for the guard representation (runs of consecutive
-//! guesses): clone, union, difference (`new_guards`), and interning across
-//! guard sizes 0–64 spread over seven processes — a many-run guard — and,
+//! guesses): clone, union and difference (`new_guards`) across guard sizes
+//! 0–64 spread over seven processes — a many-run guard — and,
 //! beside the 32-guess cases, a 512-deep single-process guard, which is
 //! one run: clone, union and front removal there cost what they cost for a
 //! single guess.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use opcsp_core::{Guard, GuardInterner, GuessId, ProcessId};
+use opcsp_core::{Guard, GuessId, ProcessId};
 
 const SIZES: &[u32] = &[0, 1, 2, 4, 8, 16, 32, 64];
 
@@ -113,19 +113,6 @@ fn bench_diff(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_intern(c: &mut Criterion) {
-    let mut g = c.benchmark_group("guard_ops/intern");
-    for &n in SIZES {
-        let guard = guard_of(n);
-        g.bench_with_input(BenchmarkId::new("intern_hit", n), &guard, |b, guard| {
-            let mut it = GuardInterner::new();
-            it.intern(guard);
-            b.iter(|| black_box(it.intern(guard)))
-        });
-    }
-    g.finish();
-}
-
 /// Structural proof for the acceptance criterion: cloning a guard of many
 /// runs (8 guesses of 7 processes) is O(1) — it shares storage, it does
 /// not copy.
@@ -151,7 +138,6 @@ criterion_group!(
     bench_remove_front,
     bench_union,
     bench_diff,
-    bench_intern,
     bench_clone_is_shared
 );
 criterion_main!(benches);

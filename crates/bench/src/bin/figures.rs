@@ -8,8 +8,8 @@
 //!                                     `BENCH_*.json` files for the
 //!                                     perf-tracking tables (e11/e12/e14)
 //!
-//! Items: fig1..fig7, e1, e2, e3, e4, e5, e6, e8, e9, e10, e12, e13,
-//! e14, e15, chain, t1, interner, lifecycle (overall + per-site), scaling.
+//! Items: fig1..fig7, e1, e2, e3, e4, e5, e6, e8, e9, e12, e13, e14, e15,
+//! chain, t1, lifecycle (overall + per-site), scaling.
 
 use opcsp_bench::experiments as ex;
 
@@ -57,10 +57,8 @@ fn main() {
         ("e6", ex::e6_timewarp),
         ("e8", ex::e8_guard_compaction),
         ("e9", ex::e9_control_dissemination),
-        ("e10", ex::e10_checkpoint_policy),
         ("chain", ex::chain_depth),
         ("t1", ex::t1_equivalence),
-        ("interner", ex::interner_stats),
         ("lifecycle", ex::lifecycle_stats),
         ("lifecycle", ex::lifecycle_site_stats),
         // Wall-clock on a 2-core box: ahead of the tables that leave a large

@@ -10,7 +10,7 @@ use opcsp_sim::{check_equivalence, SimResult};
 use opcsp_timewarp::{run_two_clients, Cancellation, TwoClientOpts};
 use opcsp_workloads::chain::{run_chain, ChainOpts};
 use opcsp_workloads::contention::{run_contention, ContentionOpts};
-use opcsp_workloads::fan_in::{run_fan_in, run_fan_in_burst, FanInOpts};
+use opcsp_workloads::fan_in::{run_fan_in, FanInOpts};
 use opcsp_workloads::streaming::{run_streaming, run_tally, StreamingOpts, TallyOpts};
 use opcsp_workloads::two_clients::{run_fig6, run_fig7};
 use opcsp_workloads::update_write::{
@@ -544,41 +544,6 @@ pub fn e9_control_dissemination() -> Table {
     t
 }
 
-/// E10: checkpoint policy (§3.1) — snapshot every interval (Time Warp
-/// style) vs sparse snapshots restored by deterministic replay
-/// (Optimistic Recovery style).
-pub fn e10_checkpoint_policy() -> Table {
-    let mut t = Table::new(
-        "E10 — checkpoint policy: snapshot frequency vs replay cost (faulty stream, N=24)",
-        &[
-            "snapshot every",
-            "snapshots",
-            "replayed steps",
-            "rollbacks",
-            "completion",
-        ],
-    );
-    for k in [1u32, 2, 4, 8, 16] {
-        let r = run_streaming(StreamingOpts {
-            n: 24,
-            latency: 50,
-            fail_lines: BTreeSet::from([12]),
-            checkpoint_every: k,
-            ..Default::default()
-        });
-        assert!(r.unresolved.is_empty());
-        t.row(vec![
-            k.to_string(),
-            r.stats().checkpoints_taken.to_string(),
-            r.stats().replayed_steps.to_string(),
-            r.stats().rollbacks.to_string(),
-            r.completion.to_string(),
-        ]);
-    }
-    t.note("§3.1: 'a process may take less frequent checkpoints, and log input messages, restoring the state by resuming from the checkpoint and replaying ... a performance tuning decision [that] does not affect the correctness' — completion and outcomes are identical at every K; only the snapshot/replay balance moves.");
-    t
-}
-
 /// Bonus: chain-depth sweep (optimistic forwarding pipelines).
 pub fn chain_depth() -> Table {
     let mut t = Table::new(
@@ -686,105 +651,6 @@ pub fn t1_equivalence() -> Table {
         ]);
     }
     t.note("Full randomized checking lives in tests/theorem1.rs (hundreds of seeded systems).");
-    t
-}
-
-/// Guard-interner diagnostics (hash-consing hits, purges, live entries),
-/// surfaced per engine: the discrete-event simulator and the real-thread
-/// runtime aggregate the same per-process counters, so a leak (live count
-/// growing with workload size) or a cold interner (no hits) shows up here.
-pub fn interner_stats() -> Table {
-    let mut t = Table::new(
-        "Guard interner — hits / misses / purges / live entries per engine",
-        &[
-            "engine / workload",
-            "hits",
-            "misses",
-            "purged",
-            "live",
-            "hit rate",
-        ],
-    );
-    let fmt = |s: opcsp_core::InternerStats| {
-        let total = s.hits + s.misses;
-        vec![
-            s.hits.to_string(),
-            s.misses.to_string(),
-            s.purged.to_string(),
-            s.live.to_string(),
-            if total == 0 {
-                "-".into()
-            } else {
-                format!("{:.0}%", 100.0 * s.hits as f64 / total as f64)
-            },
-        ]
-    };
-    let mut row = |label: &str, s: opcsp_core::InternerStats| {
-        let mut cells = vec![label.to_string()];
-        cells.extend(fmt(s));
-        t.row(cells);
-    };
-    let r = run_streaming(StreamingOpts {
-        n: 64,
-        latency: 50,
-        ..Default::default()
-    });
-    row("sim streaming n=64 [Full]", r.stats().interner);
-    let tally = run_tally(TallyOpts {
-        n: 12,
-        latency: 30,
-        p_per_mille: 300,
-        seed: 7,
-        core: CoreConfig::default(),
-    });
-    row("sim tally n=12 p=0.3 [Full]", tally.stats().interner);
-    // Multi-writer fan-in: producers stream into one consumer; tags are
-    // all distinct (guards grow per send), so this measures occupancy.
-    let r = run_fan_in(FanInOpts {
-        producers: 4,
-        n: 16,
-        jitter: 40,
-        ..Default::default()
-    });
-    row("sim fan_in p=4 n=16 j=40 [Full]", r.stats().interner);
-    // Burst fan-in: each producer holds `depth` pending guesses and then
-    // streams sends under that unchanged guard — every message re-interns
-    // the same large tag, so this is the hit path under load.
-    let r = run_fan_in_burst(
-        FanInOpts {
-            producers: 2,
-            n: 24,
-            ..Default::default()
-        },
-        6,
-    );
-    row("sim fan_in burst p=2 n=24 d=6 [Full]", r.stats().interner);
-    let chain = run_chain(ChainOpts {
-        depth: 4,
-        n: 8,
-        latency: 40,
-        ..Default::default()
-    });
-    row("sim chain d=4 n=8 [Full]", chain.stats().interner);
-    let rt = {
-        use opcsp_workloads::servers::Server;
-        use opcsp_workloads::streaming::PutLineClient;
-        use std::time::Duration;
-        let mut w = opcsp_rt::RtWorld::new(opcsp_rt::RtConfig {
-            latency: Duration::from_millis(1),
-            ..opcsp_rt::RtConfig::default()
-        });
-        w.add_process(PutLineClient::new(16), true);
-        w.add_process(
-            Server::new("WindowManager", 0).with_reply(|_| opcsp_core::Value::Bool(true)),
-            false,
-        );
-        w.run()
-    };
-    assert!(!rt.timed_out, "rt interner probe timed out");
-    row("rt streaming n=16 [Full]", rt.stats.interner);
-    t.note("Hits = guard lookups answered by an existing canonical entry (storage shared); purges = canonical entries dropped when a member guess resolved; live = entries still registered at shutdown. Tags of at most `Guard::INLINE_CAP` (3) guesses bypass the interner entirely; a deeper single-process tag is registered although it is one inline run (DESIGN.md §5b, follow-ups).");
-    t.note("Zero hits is the honest number for the streaming workloads: every large tag is distinct (a sender's guard grows with each send), so their measured value is bounded occupancy — purges track misses and live entries stay flat instead of accumulating one table entry per message. The burst fan-in rows exercise the hit path: a stable multi-guess guard re-interned per message makes hits dominate misses.");
     t
 }
 
@@ -1517,10 +1383,8 @@ pub fn all_tables() -> Vec<Table> {
         e6_timewarp(),
         e8_guard_compaction(),
         e9_control_dissemination(),
-        e10_checkpoint_policy(),
         chain_depth(),
         t1_equivalence(),
-        interner_stats(),
         lifecycle_stats(),
         lifecycle_site_stats(),
         e15_stream_depth(),

@@ -100,21 +100,6 @@ fn e8_reduction_grows_with_stream_length() {
 }
 
 #[test]
-fn e10_is_outcome_invariant() {
-    let t = ex::e10_checkpoint_policy();
-    let completions = col_f64(&t, "completion");
-    assert!(
-        completions.windows(2).all(|w| w[0] == w[1]),
-        "checkpoint policy must not change outcomes: {completions:?}"
-    );
-    let snapshots = col_f64(&t, "snapshots");
-    assert!(
-        snapshots.windows(2).all(|w| w[1] <= w[0]),
-        "snapshots fall with K: {snapshots:?}"
-    );
-}
-
-#[test]
 fn t1_reports_all_equivalent() {
     let t = ex::t1_equivalence();
     for r in 0..t.rows.len() {

@@ -474,43 +474,25 @@ impl fmt::Display for Guard {
     }
 }
 
-/// Canonicalization table for guard tags (one per process).
+/// A table mapping every structurally equal guard to one shared copy.
 ///
-/// Fan-in servers see the same large guard tag on message after message;
-/// interning maps every structurally equal guard to one shared allocation,
-/// so storing them (consumed-message logs, checkpoints, call stacks) costs
-/// a reference count instead of a copy. Guards of at most
-/// [`Guard::INLINE_CAP`] guesses pass through untouched — they are
-/// allocation-free whatever their shape.
+/// No caller under `crates/`: a process stores a tag as it arrived
+/// (DESIGN.md §5b). Kept as a name only because `benchmark/src/probes.rs`
+/// times a lookup (`core.guard.intern_hit32_ns`); goes with ROADMAP item 4.
 #[derive(Debug, Clone, Default)]
 pub struct GuardInterner {
     table: HashMap<Guard, Guard>,
-    hits: u64,
-    misses: u64,
-    purged: u64,
+    stats: InternerStats,
 }
 
-/// Lifetime counters for one process's interner, aggregated per engine for
-/// the figures output.
+/// A [`GuardInterner`]'s lookups. No writer in the engines, so
+/// `ProtoStats::interner` is always 0; a name `benchmark/src/run.rs` reads.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct InternerStats {
-    /// Lookups answered by an existing canonical guard (storage shared).
+    /// Lookups answered by an existing entry (storage shared).
     pub hits: u64,
-    /// Lookups that registered a new canonical guard.
+    /// Lookups that registered a new entry.
     pub misses: u64,
-    /// Canonical entries dropped because a member guess resolved.
-    pub purged: u64,
-    /// Canonical entries still registered.
-    pub live: u64,
-}
-
-impl InternerStats {
-    pub fn merge(&mut self, other: InternerStats) {
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.purged += other.purged;
-        self.live += other.live;
-    }
 }
 
 impl GuardInterner {
@@ -518,51 +500,24 @@ impl GuardInterner {
         GuardInterner::default()
     }
 
-    /// Return the canonical copy of `g`, registering it if unseen.
+    /// Return the shared copy of `g`, registering it if unseen. Guards of
+    /// at most [`Guard::INLINE_CAP`] guesses pass through.
     pub fn intern(&mut self, g: &Guard) -> Guard {
         if g.len() <= Guard::INLINE_CAP {
             return g.clone();
         }
         if let Some(c) = self.table.get(g) {
-            self.hits += 1;
+            self.stats.hits += 1;
             return c.clone();
         }
-        self.misses += 1;
+        self.stats.misses += 1;
         let c = g.clone();
         self.table.insert(c.clone(), c.clone());
         c
     }
 
-    /// Drop canonical entries that mention a now-resolved guess — they can
-    /// never be requested again (resolved guesses leave all guards).
-    pub fn purge_guess(&mut self, g: GuessId) {
-        let before = self.table.len();
-        self.table.retain(|k, _| !k.contains(g));
-        self.purged += (before - self.table.len()) as u64;
-    }
-
-    /// Number of canonical guards currently registered.
-    pub fn len(&self) -> usize {
-        self.table.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.table.is_empty()
-    }
-
-    /// (hits, misses) over the interner's lifetime — diagnostics.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
-    }
-
-    /// Full lifetime counters including purges and live entries.
     pub fn full_stats(&self) -> InternerStats {
-        InternerStats {
-            hits: self.hits,
-            misses: self.misses,
-            purged: self.purged,
-            live: self.table.len() as u64,
-        }
+        self.stats
     }
 }
 
@@ -712,7 +667,7 @@ mod tests {
     }
 
     #[test]
-    fn interner_shares_equal_guards() {
+    fn interner_shares_equal_guards_and_passes_small_ones_through() {
         let mut it = GuardInterner::new();
         let a = big(8);
         let b = big(8);
@@ -720,25 +675,9 @@ mod tests {
         let ca = it.intern(&a);
         let cb = it.intern(&b);
         assert!(ca.shares_storage_with(&cb));
-        assert_eq!(it.stats(), (1, 1));
-        assert_eq!(it.len(), 1);
-    }
-
-    #[test]
-    fn interner_passes_small_guards_through() {
-        let mut it = GuardInterner::new();
-        let a = Guard::single(g(0, 1));
-        let c = it.intern(&a);
-        assert_eq!(a, c);
-        assert!(it.is_empty());
-    }
-
-    #[test]
-    fn interner_purges_resolved_guesses() {
-        let mut it = GuardInterner::new();
-        it.intern(&big(8));
-        assert_eq!(it.len(), 1);
-        it.purge_guess(g(0, 0));
-        assert!(it.is_empty());
+        let small = Guard::single(g(0, 1));
+        assert_eq!(it.intern(&small), small);
+        let stats = it.full_stats();
+        assert_eq!((stats.hits, stats.misses), (1, 1));
     }
 }

@@ -34,7 +34,7 @@
 //! (`guard::Run`) and every question here is answered run by run.
 
 use crate::cdg::Cdg;
-use crate::guard::{Guard, GuardInterner, InternerStats, Run, RunBuf};
+use crate::guard::{Guard, Run, RunBuf};
 use crate::history::{Fate, History};
 use crate::ids::{ForkIndex, GuessId, Incarnation, ProcessId, StateIndex};
 use crate::message::{DataKind, Envelope};
@@ -47,10 +47,6 @@ pub struct CoreConfig {
     /// §4.2.3 delivery optimization: among deliverable messages choose the
     /// one introducing the fewest new dependencies. Off = FIFO. (E5.)
     pub deliver_min_deps: bool,
-    /// §4.2.3 early-abort optimization: a return that depends on a future
-    /// thread of this process dooms that thread immediately rather than
-    /// waiting for the timeout.
-    pub early_return_check: bool,
     /// §3.3 liveness policy: when may a fork site run optimistically?
     /// Replaces the old static `retry_limit: u32` — that constant survives
     /// as [`SpeculationPolicy::Static`]; see `core::speculation` for the
@@ -69,7 +65,6 @@ impl Default for CoreConfig {
     fn default() -> Self {
         CoreConfig {
             deliver_min_deps: true,
-            early_return_check: true,
             speculation: SpeculationPolicy::default(),
             targeted_control: false,
         }
@@ -294,9 +289,6 @@ pub struct ProcessCore {
     /// For targeted control dissemination (§4.2.5): the processes we sent
     /// each guess to in a data-message guard tag.
     dependents: BTreeMap<GuessId, BTreeSet<ProcessId>>,
-    /// Canonicalization table for guard tags received by this process, so
-    /// repeated identical tags share one allocation.
-    interner: GuardInterner,
     /// Resolution provenance for this process's own guesses, in resolution
     /// order: why each guess committed or aborted (§4.2.4–4.2.8 paths).
     /// Forensics reads this to name the guess (and fault class) behind a
@@ -352,7 +344,6 @@ impl ProcessCore {
             speculation: SpeculationState::default(),
             spec_clock: 0,
             dependents: BTreeMap::new(),
-            interner: GuardInterner::new(),
             resolutions: Vec::new(),
         }
     }
@@ -547,22 +538,6 @@ impl ProcessCore {
         &self.threads[&thread].guard
     }
 
-    /// (hits, misses) of the guard interning table — diagnostics.
-    pub fn interner_stats(&self) -> (u64, u64) {
-        self.interner.stats()
-    }
-
-    /// Full interner counters (hits, misses, purges, live entries).
-    pub fn interner_full_stats(&self) -> InternerStats {
-        self.interner.full_stats()
-    }
-
-    /// Forget interned guards mentioning a resolved guess (called from the
-    /// commit/abort paths; such guards can never recur).
-    pub(crate) fn purge_interned(&mut self, g: GuessId) {
-        self.interner.purge_guess(g);
-    }
-
     /// Record that a `guard`-tagged data message went to `to` — the
     /// dependency bookkeeping that targeted control dissemination needs
     /// (§4.2.5).
@@ -653,7 +628,7 @@ impl ProcessCore {
     /// interacted with something that must logically precede it — it is
     /// doomed. Returns the guess to abort early.
     pub fn return_depends_on_future(&self, thread: ForkIndex, env: &Envelope) -> Option<GuessId> {
-        if !self.config.early_return_check || !matches!(env.kind, DataKind::Return(_)) {
+        if !matches!(env.kind, DataKind::Return(_)) {
             return None;
         }
         self.guard_depends_on_future(thread, &env.guard)
@@ -698,20 +673,11 @@ impl ProcessCore {
         // (§4.1.5 — the commit history makes them implicit commits), and
         // aborted ones were filtered by the orphan check.
         let mut live = RunBuf::new();
-        let mut unfiltered = 0;
         for new in meta.guard.new_runs(&env.guard) {
-            unfiltered += new.len();
             history.unresolved(new).for_each(|run| live.push(run));
         }
         let live = live.finish();
         let new_guards: Vec<GuessId> = live.iter().collect();
-        // Canonicalize the incoming tag: fan-in servers see the same tag on
-        // message after message, so interning turns every repeat into an
-        // O(1) storage-sharing hit (small tags pass through free). A tag
-        // naming a resolved guess is left out of the table — the purge
-        // that would have dropped it has already run, and no live guard
-        // will ever equal it.
-        let interned = (new_guards.len() == unfiltered).then(|| self.interner.intern(&env.guard));
         if new_guards.is_empty() {
             return DeliveryEffect {
                 new_guards,
@@ -730,11 +696,10 @@ impl ProcessCore {
         if meta.guard.is_empty() {
             self.holders.insert(thread);
         }
-        let tag = interned.as_ref().unwrap_or(&env.guard);
-        if meta.guard.is_empty() && new_guards.len() == tag.len() {
+        if meta.guard.is_empty() && new_guards.len() == env.guard.len() {
             // Every guess in the tag is a new live dependency of a thread
-            // that had none: adopt the (interned) tag's storage outright.
-            meta.guard = tag.clone();
+            // that had none: adopt the tag's storage outright.
+            meta.guard = env.guard.clone();
         } else {
             meta.guard = meta.guard.merged(&live);
         }
@@ -925,24 +890,23 @@ mod tests {
     }
 
     #[test]
-    fn tag_naming_a_resolved_guess_is_not_interned() {
-        // The stream client's returns: a large tag whose oldest member has
-        // committed here already. Registered, the entry could never be hit
-        // (no live guard holds a committed guess) nor purged (COMMIT(x1)'s
-        // purge has run) — one dead entry per message.
-        let mut core = ProcessCore::new(ProcessId(2), CoreConfig::default());
-        let tag: Guard = (1..=6).map(|n| g(0, n)).collect();
-        core.on_commit(g(0, 1));
+    fn guardless_thread_adopts_the_tag_as_it_arrived() {
+        // A fan-in server's tag: one run per producer, four of them, so it
+        // lives behind an `Arc`. A thread with no dependency stores it as
+        // it arrived — a reference-count bump, no copy.
+        let tag: Guard = [0, 1, 3, 4].into_iter().map(|p| g(p, 1)).collect();
+        assert!(tag.runs().len() > Guard::INLINE_CAP);
         let env = env_with_guard(ProcessId(2), tag.clone(), DataKind::Send);
-        assert_eq!(core.deliver(0, &env).new_guards.len(), 5);
-        assert_eq!(core.interner_full_stats(), InternerStats::default());
-        // A tag of live guesses is, and repeats of it hit.
-        let live: Guard = (2..=7).map(|n| g(0, n)).collect();
-        let env = env_with_guard(ProcessId(2), live, DataKind::Send);
-        assert_eq!(core.deliver(0, &env).new_guards, vec![g(0, 7)]);
-        core.deliver(0, &env);
-        let stats = core.interner_full_stats();
-        assert_eq!((stats.hits, stats.misses, stats.live), (1, 1, 1));
+        let mut core = ProcessCore::new(ProcessId(2), CoreConfig::default());
+        assert_eq!(core.deliver(0, &env).new_guards.len(), 4);
+        assert!(core.thread(0).guard.shares_storage_with(&tag));
+        // A member committed here already is filtered out, so the stored
+        // guard is built from what is left.
+        let mut core = ProcessCore::new(ProcessId(2), CoreConfig::default());
+        core.on_commit(g(0, 1));
+        assert_eq!(core.deliver(0, &env).new_guards.len(), 3);
+        let stored = &core.thread(0).guard;
+        assert!(!stored.shares_storage_with(&tag) && !stored.contains(g(0, 1)));
     }
 
     #[test]
@@ -996,9 +960,6 @@ mod tests {
         // Plain sends are not checked.
         let snd = env_with_guard(ProcessId(0), Guard::single(g(0, 1)), DataKind::Send);
         assert_eq!(core.return_depends_on_future(0, &snd), None);
-        // Optimization off.
-        core.config.early_return_check = false;
-        assert_eq!(core.return_depends_on_future(0, &ret), None);
     }
 
     #[test]

@@ -235,16 +235,15 @@ impl ProcessCore {
         }
     }
 
-    /// Record a committed guess in the history and drop it from the CDG
-    /// and the interner — once per guess: `on_commit` ignores repeats, and
-    /// a CDG node is never a committed guess, so predecessor inference
-    /// cannot reach one again. The guards that list it are left alone;
-    /// they are read through the history.
+    /// Record a committed guess in the history and drop it from the CDG —
+    /// once per guess: `on_commit` ignores repeats, and a CDG node is never
+    /// a committed guess, so predecessor inference cannot reach one again.
+    /// The guards that list it are left alone; they are read through the
+    /// history.
     fn remove_committed_guess(&mut self, g: GuessId) {
         debug_assert!(!self.history.is_committed(g), "{g} committed twice");
         self.history.record_commit(g);
         self.cdg.remove(g);
-        self.purge_interned(g);
     }
 
     /// Commit every own guess awaiting resolution whose guard has emptied;
@@ -457,7 +456,6 @@ impl ProcessCore {
         // 6. Clean up doomed guesses from CDG and thread metadata.
         for d in &doomed {
             self.cdg.remove(*d);
-            self.purge_interned(*d);
         }
         for tid in &effects.discard_threads {
             self.threads.remove(tid);

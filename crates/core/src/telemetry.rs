@@ -682,7 +682,7 @@ pub struct ProtoStats {
     pub table_bytes: u64,
     /// No writer, always 0 (see [`WireStats`]).
     pub wire: WireStats,
-    /// Guard-interner counters aggregated over all processes.
+    /// No writer, always 0 (see [`InternerStats`]).
     pub interner: InternerStats,
 }
 
@@ -705,7 +705,6 @@ impl ProtoStats {
         self.data_messages += other.data_messages;
         self.control_messages += other.control_messages;
         self.guard_bytes += other.guard_bytes;
-        self.interner.merge(other.interner);
     }
 }
 

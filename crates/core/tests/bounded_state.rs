@@ -1,7 +1,7 @@
 //! What a long call stream leaves behind in the protocol core: the commit
-//! history, the guard interner and the guards themselves must end a run
-//! with state proportional to what is still *unresolved or went wrong*,
-//! not to the number of calls made. The shape is `core/stream_client/512`
+//! history and the guards themselves must end a run with state
+//! proportional to what is still *unresolved or went wrong*, not to the
+//! number of calls made. The shape is `core/stream_client/512`
 //! and `core/stream_server/512` (`protocol_micro`), 2 000 calls deep, with
 //! both cores driven through the public calls an engine makes.
 
@@ -125,11 +125,6 @@ impl Stream {
     fn assert_drained(&self) {
         for core in [&self.client, &self.server] {
             assert!(core.speculation_quiescent());
-            assert_eq!(
-                core.interner_full_stats().live,
-                0,
-                "interner entries outlive the run"
-            );
             for t in core.threads.values() {
                 assert!(
                     t.guard.is_empty(),

@@ -10,7 +10,7 @@
 //! - `Guard` against `BTreeSet<GuessId>`: runs of consecutive guesses must
 //!   be indistinguishable from the member set they spell — through every
 //!   mutation (adjacent inserts merge, middle removals split), the set
-//!   operations, `Eq`/`Ord`/`Hash` and the interner.
+//!   operations and `Eq`/`Ord`/`Hash`.
 //! - `History` against [`FlatHistory`] — the one-entry-per-guess map that
 //!   used to live in `src/history.rs`: the same fate for every guess and
 //!   the same answer to every run query, whatever order the commits,
@@ -24,8 +24,8 @@
 
 use opcsp_core::{
     AbortEffects, Cdg, CoreConfig, DataKind, EdgeOutcome, Envelope, Fate, ForkIndex, Guard,
-    GuardInterner, GuessId, History, Incarnation, JoinDecision, MsgId, OwnGuessState, ProcessCore,
-    ProcessId, Run, StateIndex, ThreadPhase, Value,
+    GuessId, History, Incarnation, JoinDecision, MsgId, OwnGuessState, ProcessCore, ProcessId, Run,
+    StateIndex, ThreadPhase, Value,
 };
 use proptest::prelude::*;
 use std::collections::hash_map::DefaultHasher;
@@ -324,7 +324,7 @@ proptest! {
     /// every canonical view: contents and run structure, `Eq`, `Ord` and
     /// `Hash` against a freshly built guard, the "shared iff it outgrew
     /// the inline capacity" invariant, aliases taken before the mutation,
-    /// the set operations against another guard, and an interner lookup.
+    /// and the set operations against another guard.
     #[test]
     fn guard_runs_match_btreeset_model(
         initial in arb_set(24),
@@ -410,19 +410,6 @@ proptest! {
             assert_spells(&alias, &alias_model);
             if alias_model != model {
                 prop_assert!(!alias.shares_storage_with(&guard));
-            }
-            // Interner: the canonical entry registered for the fresh guard
-            // is hit by the mutated one; guards of a few guesses bypass it.
-            let mut interner = GuardInterner::new();
-            let canon = interner.intern(&fresh);
-            let hit = interner.intern(&guard);
-            prop_assert_eq!(&hit, &guard);
-            if want.len() > Guard::INLINE_CAP {
-                prop_assert_eq!(interner.stats(), (1, 1));
-                prop_assert_eq!(hit.shares_storage_with(&canon), shared);
-            } else {
-                prop_assert!(!shared);
-                prop_assert_eq!(interner.stats(), (0, 0));
             }
         }
     }

@@ -13,12 +13,11 @@
 //!   --timeline           print the execution time-line
 //!   --show-transform     print the transformed program and fork sites
 //!   --timeout <t>        fork timeout in ticks              [default 100000]
-//!   --retry-limit <L>    §3.3 liveness limit — sugar for
-//!                        --speculation static:<L>           [default 3]
-//!   --speculation <p>    speculation policy: pessimistic | static:N |
-//!                        adaptive[:target=0.7,min=0,max=16,alpha=0.5,
-//!                        cooloff=4] — the adaptive form runs the
-//!                        per-fork-site controller (core::speculation)
+//!   --speculation <p>    speculation policy: pessimistic | static:N (the
+//!                        §3.3 retry limit L) | adaptive[:target=0.7,min=0,
+//!                        max=16,alpha=0.5,cooloff=4] — the adaptive form
+//!                        runs the per-fork-site controller
+//!                        (core::speculation)               [default static:3]
 //!   --explore            bounded systematic schedule exploration: drive
 //!                        the optimistic engine through every partial-
 //!                        order-distinct delivery schedule (within the
@@ -191,8 +190,6 @@ fn parse_args() -> Result<Options, String> {
         sock_worker: None,
         sock_workers: 2,
     };
-    let mut retry_limit: Option<u32> = None;
-    let mut spec_flag: Option<(String, SpeculationPolicy)> = None;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         let mut num = |name: &str| -> Result<u64, String> {
@@ -250,13 +247,10 @@ fn parse_args() -> Result<Options, String> {
             "--jitter" => opts.jitter = num("--jitter")?,
             "--seed" => opts.seed = num("--seed")?,
             "--timeout" => opts.timeout = num("--timeout")?,
-            // Sugar for `--speculation static:<L>` (the historical knob).
-            "--retry-limit" => retry_limit = Some(num("--retry-limit")? as u32),
             "--speculation" => {
                 let spec = args.next().ok_or("--speculation needs a policy")?;
-                let policy = SpeculationPolicy::parse(&spec)
+                opts.speculation = SpeculationPolicy::parse(&spec)
                     .map_err(|e| format!("--speculation: {e}"))?;
-                spec_flag = Some((spec, policy));
             }
             "--help" | "-h" => return Err("help".into()),
             f if !f.starts_with('-') && opts.file.is_empty() => opts.file = f.to_string(),
@@ -349,25 +343,6 @@ fn parse_args() -> Result<Options, String> {
                 .into(),
         );
     }
-    // `--retry-limit L` is sugar for `--speculation static:L`. Both flags
-    // at once used to let whichever came last win silently; now the
-    // combination is an error unless they agree.
-    match (retry_limit, spec_flag) {
-        (Some(l), Some((spec, policy))) => {
-            if policy != (SpeculationPolicy::Static { limit: l }) {
-                return Err(format!(
-                    "--retry-limit {l} conflicts with --speculation {spec}: \
-                     --retry-limit is sugar for --speculation static:{l}; \
-                     pass one of the two (they may only be combined when \
-                     they agree)"
-                ));
-            }
-            opts.speculation = policy;
-        }
-        (Some(l), None) => opts.speculation = SpeculationPolicy::Static { limit: l },
-        (None, Some((_, policy))) => opts.speculation = policy,
-        (None, None) => {}
-    }
     Ok(opts)
 }
 
@@ -376,7 +351,7 @@ fn usage() {
         "usage: opcsp-run <file.csp | kv:[replicas=R,clients=C,ops=N,gap=G,keys=K,\
          writes=W,zipf=S]> [--pessimistic] [--compare] [--latency d] \
          [--jitter s] [--seed n] [--timeline] [--show-transform] [--timeout t] \
-         [--retry-limit L] [--speculation pessimistic|static:N|adaptive[:k=v,..]] \
+         [--speculation pessimistic|static:N|adaptive[:k=v,..]] \
          [--explore [--depth k] [--budget n]] \
          [--forensics] [--inject-lifo] [--inject-phantom] \
          [--rt] [--workers N] [--chaos spec] [--trace-out path] \

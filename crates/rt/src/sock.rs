@@ -408,9 +408,9 @@ fn get_observable(r: &mut FrameReader<'_>) -> Result<Observable, FrameError> {
     }
 }
 
-/// The 21 counters of an [`RtStats`] in their wire order, one uvarint
+/// The 17 counters of an [`RtStats`] in their wire order, one uvarint
 /// each: the one list both directions of the codec read.
-fn stats_fields(s: &mut RtStats) -> [&mut u64; 21] {
+fn stats_fields(s: &mut RtStats) -> [&mut u64; 17] {
     let p = &mut s.proto;
     [
         &mut p.forks,
@@ -422,10 +422,6 @@ fn stats_fields(s: &mut RtStats) -> [&mut u64; 21] {
         &mut p.data_messages,
         &mut p.control_messages,
         &mut p.guard_bytes,
-        &mut p.interner.hits,
-        &mut p.interner.misses,
-        &mut p.interner.purged,
-        &mut p.interner.live,
         &mut s.drops_injected,
         &mut s.dups_injected,
         &mut s.retransmits,
@@ -1267,7 +1263,6 @@ mod tests {
         let mut stats = RtStats::default();
         stats.proto.forks = 5;
         stats.proto.guard_bytes = 11;
-        stats.proto.interner.hits = 3;
         stats.retransmits = 2;
         stats.dup_frames = 7;
         let fin = SockMsg::Report(Report::Final(Box::new(FinalReport {

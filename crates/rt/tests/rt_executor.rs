@@ -297,8 +297,8 @@ fn pairs_control_stays_inside_each_pair() {
 
 /// Run a wide fan-in (one call per producer) under the sharded executor.
 /// Optimism is off: reply guards grow O(width) per message when every
-/// producer speculates concurrently — a protocol cost the guard-interner
-/// experiments measure, not an executor one (see `rt_fan_in_world`).
+/// producer speculates concurrently — a protocol cost, not an executor one
+/// (see `rt_fan_in_world`).
 fn run_wide(producers: u32, workers: usize) -> RtResult {
     let opts = FanInOpts {
         producers,

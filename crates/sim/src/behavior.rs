@@ -209,8 +209,9 @@ impl Effect {
 /// A process behavior: a pure transition function over cloneable state.
 ///
 /// Implementations must be deterministic — given the same state and resume
-/// value they must produce the same effect — or rollback/replay would
-/// diverge (and Theorem 1 equivalence checking would be meaningless).
+/// value they must produce the same effect — or re-execution after a
+/// rollback would diverge (and Theorem 1 equivalence checking would be
+/// meaningless).
 pub trait Behavior: Send + Sync {
     /// Fresh state for the process's initial thread.
     fn init(&self) -> BehaviorState;

@@ -13,8 +13,8 @@
 //! it is, how a message travels, when a resumed thread actually runs. That
 //! is the [`Env`] trait. The simulator implements it with an event heap and
 //! a virtual network (`sim::engine`); the runtime with a transport, a
-//! delayer and a ready queue (`rt::core_poll`); the driver's own tests with
-//! a scripted in-memory fake. Every driver entry point takes the
+//! timer queue and a ready queue (`rt::core_poll`); the driver's own tests
+//! with a scripted in-memory fake. Every driver entry point takes the
 //! environment as a generic parameter, so each engine gets its own
 //! monomorphised copy — no `dyn`, no per-step boxing.
 //!
@@ -150,17 +150,11 @@ impl std::fmt::Display for Observable {
 }
 
 /// The policies a driver can run under that are not protocol (`CoreConfig`)
-/// and not environment: how often to snapshot, whether a delivery order is
-/// forced, which deliberate fault to commit, whether to keep provenance.
-/// The simulator fills this from `SimConfig`; the runtime uses the default.
-#[derive(Debug, Clone)]
+/// and not environment: whether a delivery order is forced, which
+/// deliberate fault to commit, whether to keep provenance. The simulator
+/// fills this from `SimConfig`; the runtime uses the default.
+#[derive(Debug, Clone, Default)]
 pub struct DriverPolicy {
-    /// Checkpoint policy (§3.1): a full behavior-state snapshot is taken at
-    /// every K-th interval boundary; a rollback to an unsnapshotted boundary
-    /// restores the nearest earlier snapshot and deterministically replays
-    /// the logged resumes up to the target. `1` = snapshot every boundary
-    /// (and keep no resume log).
-    pub checkpoint_every: u32,
     /// Forced receive order: the first `forced_order[p].len()` non-return
     /// deliveries at process `p` come from the named peers, other
     /// candidates held until the wanted sender's oldest message is pooled.
@@ -171,17 +165,6 @@ pub struct DriverPolicy {
     pub fault: FaultInjection,
     /// Record an [`ObsMeta`] for every observable-log entry.
     pub provenance: bool,
-}
-
-impl Default for DriverPolicy {
-    fn default() -> Self {
-        DriverPolicy {
-            checkpoint_every: 1,
-            forced_order: None,
-            fault: FaultInjection::None,
-            provenance: false,
-        }
-    }
 }
 
 /// When a resumed thread should run, relative to now. The simulator turns
@@ -243,12 +226,10 @@ enum Status {
 
 type CallStack = Vec<(ProcessId, CallId, Label)>;
 
-/// Per-interval boundary record. The cheap metadata is dense (one entry
-/// per interval); the behavior-state snapshot is present only every
-/// `checkpoint_every`-th boundary — rollback to a boundary without one
-/// replays the resume log from the nearest earlier snapshot.
+/// Per-interval boundary record (§3.1): the behavior state as the interval
+/// was entered, and where the thread's logs stood.
 struct Checkpoint {
-    state: Option<BehaviorState>,
+    state: BehaviorState,
     status: Status,
     steps: u64,
     consumed_len: usize,
@@ -265,9 +246,6 @@ struct Thread {
     checkpoints: Vec<Checkpoint>,
     /// Behavior steps executed (monotone except for rollback truncation).
     steps: u64,
-    /// Every `Resume` processed, in order — the replay log for sparse
-    /// checkpointing. Empty when every boundary is snapshotted.
-    resume_log: Vec<Resume>,
     /// Messages consumed, in delivery order.
     consumed: Vec<Envelope>,
     /// Observable log (sends, receives, external outputs) in local order.
@@ -285,7 +263,7 @@ struct Thread {
 impl Thread {
     fn new(state: BehaviorState, call_stack: CallStack) -> Self {
         let chk = Checkpoint {
-            state: Some(state.clone()),
+            state: state.clone(),
             status: Status::Ready,
             steps: 0,
             consumed_len: 0,
@@ -299,7 +277,6 @@ impl Thread {
             status: Status::Ready,
             checkpoints: vec![chk],
             steps: 0,
-            resume_log: Vec::new(),
             consumed: Vec::new(),
             oblog: Vec::new(),
             obmeta: Vec::new(),
@@ -388,12 +365,10 @@ pub struct Driver {
     /// Position in `policy.forced_order` (non-return receives currently
     /// consumed).
     forced_pos: usize,
-    /// Protocol counters, minus the core's own (see [`Driver::stats`]).
+    /// Protocol counters.
     stats: ProtoStats,
     /// Full state snapshots taken, fork copies included.
     pub checkpoints_taken: u64,
-    /// Behavior steps re-executed by replay-based restores.
-    pub replayed_steps: u64,
 }
 
 impl Driver {
@@ -424,7 +399,6 @@ impl Driver {
             forced_pos: 0,
             stats: ProtoStats::default(),
             checkpoints_taken: 0,
-            replayed_steps: 0,
         }
     }
 
@@ -432,12 +406,9 @@ impl Driver {
         self.pid
     }
 
-    /// This process's protocol counters so far, the core's interner
-    /// counters included.
+    /// This process's protocol counters so far.
     pub fn stats(&self) -> ProtoStats {
-        let mut stats = self.stats;
-        stats.interner.merge(self.core.interner_full_stats());
-        stats
+        self.stats
     }
 
     /// Indices of the threads that exist (discarded ones are gone).
@@ -596,9 +567,6 @@ impl Driver {
         }
         th.status = Status::Ready;
         th.steps += 1;
-        if self.policy.checkpoint_every > 1 {
-            th.resume_log.push(resume.clone());
-        }
         let effect = self.behavior.step(&mut th.state, resume);
         self.handle_effect(env, tid, effect);
         true
@@ -1112,11 +1080,9 @@ impl Driver {
         let eff = self.core.deliver(tid, &msg);
         let new_deps = eff.new_guards.len();
         if eff.new_interval.is_some() {
-            let every = self.policy.checkpoint_every.max(1);
             let th = self.th(tid);
-            let snapshot = (th.checkpoints.len() as u32).is_multiple_of(every);
             let chk = Checkpoint {
-                state: snapshot.then(|| th.state.clone()),
+                state: th.state.clone(),
                 status: th.status,
                 steps: th.steps,
                 consumed_len: th.consumed.len(),
@@ -1126,7 +1092,7 @@ impl Driver {
                 fork_guess: th.fork_guess,
             };
             th.checkpoints.push(chk);
-            self.checkpoints_taken += snapshot as u64;
+            self.checkpoints_taken += 1;
         }
         debug_assert_eq!(
             self.threads[&tid].checkpoints.len() as u32,
@@ -1323,36 +1289,11 @@ impl Driver {
         th.checkpoints.truncate(slot + 1);
         let chk = th.checkpoints.pop().expect("rollback slot exists");
         let steps_lost = th.steps - chk.steps;
-        // Restore the behavior state: directly from the boundary's
-        // snapshot, or from the nearest earlier snapshot plus a
-        // deterministic replay of the logged resumes (§3.1: "restoring the
-        // state by resuming from the checkpoint and replaying").
-        th.state = match chk.state {
-            Some(state) => state,
-            None => {
-                let base = th
-                    .checkpoints
-                    .iter()
-                    .rev()
-                    .find(|c| c.state.is_some())
-                    .expect("boundary 0 always has a snapshot");
-                let mut state = base.state.clone().expect("just checked");
-                let replays = &th.resume_log[base.steps as usize..chk.steps as usize];
-                for r in replays {
-                    // Side effects were already performed (and survive —
-                    // they precede the rollback point), so the emitted
-                    // effects are discarded.
-                    let _ = self.behavior.step(&mut state, r.clone());
-                }
-                self.replayed_steps += replays.len() as u64;
-                state
-            }
-        };
+        th.state = chk.state;
         th.status = chk.status;
         th.call_stack = chk.call_stack;
         th.fork_guess = chk.fork_guess;
         th.steps = chk.steps;
-        th.resume_log.truncate(chk.steps as usize);
         if self.policy.fault != FaultInjection::PhantomLog {
             th.oblog.truncate(chk.oblog_len);
             th.obmeta.truncate(chk.oblog_len);

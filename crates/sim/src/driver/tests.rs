@@ -311,44 +311,38 @@ fn a_send_outside_the_control_domain_is_refused() {
 }
 
 #[test]
-fn sparse_checkpoints_replay_to_the_dense_state() {
+fn a_rollback_to_boundary_2_restores_its_snapshot() {
     // Four messages, each guarded by a different process's guess, open
-    // four intervals; aborting the second guess rolls back to boundary 2.
+    // four intervals, each entered with a snapshot; aborting the second
+    // guess rolls back to boundary 2, where only the first was received.
     let owners = [P1, P2, P3, ProcessId(4)];
-    let run = |every: u32| {
-        let mut d = driver(
-            sink(),
-            DriverPolicy {
-                checkpoint_every: every,
-                ..DriverPolicy::default()
-            },
-        );
-        let mut fake = Fake::start(&mut d);
-        for (i, owner) in owners.into_iter().enumerate() {
-            let m = msg(i as u64, owner, Guard::single(remote_guess(owner)), 1 << i);
-            fake.arrive(&mut d, m);
-        }
-        assert_eq!(d.threads[&0].checkpoints.len(), 5);
-        d.on_control(&mut fake, P2, Control::Abort(remote_guess(P2)));
-        fake.run(&mut d);
-        for owner in [P1, P3, ProcessId(4)] {
-            d.on_control(&mut fake, owner, Control::Commit(remote_guess(owner)));
-        }
-        (d, fake)
-    };
-    let (dense, dense_env) = run(1);
-    let (sparse, sparse_env) = run(3);
-    assert_eq!(seen(&dense, 0), &[1, 4, 8]);
-    assert_eq!(seen(&sparse, 0), seen(&dense, 0));
-    assert_eq!(sparse.log(), dense.log());
-    assert_eq!(sparse_env.external, dense_env.external);
-    assert_eq!(sparse_env.external.last(), Some(&Value::Int(13)));
-    // Boundary 2 has a snapshot only in the dense run; the sparse run
-    // replayed its way there from boundary 0 and kept fewer snapshots.
-    assert_eq!(dense.replayed_steps, 0);
-    assert!(dense.threads[&0].resume_log.is_empty());
-    assert!(sparse.replayed_steps > 0);
-    assert!(sparse.checkpoints_taken < dense.checkpoints_taken);
+    let mut d = driver(sink(), DriverPolicy::default());
+    let mut fake = Fake::start(&mut d);
+    for (i, owner) in owners.into_iter().enumerate() {
+        let m = msg(i as u64, owner, Guard::single(remote_guess(owner)), 1 << i);
+        fake.arrive(&mut d, m);
+    }
+    assert_eq!(d.threads[&0].checkpoints.len(), 5);
+    assert_eq!(d.checkpoints_taken, 4);
+    d.on_control(&mut fake, P2, Control::Abort(remote_guess(P2)));
+    assert_eq!(seen(&d, 0), &[1]);
+    fake.run(&mut d);
+    for owner in [P1, P3, ProcessId(4)] {
+        d.on_control(&mut fake, owner, Control::Commit(remote_guess(owner)));
+    }
+    assert_eq!(seen(&d, 0), &[1, 4, 8]);
+    assert_eq!(
+        d.log(),
+        [
+            received(P1, 1),
+            output(1),
+            received(P3, 4),
+            output(5),
+            received(ProcessId(4), 8),
+            output(13)
+        ]
+    );
+    assert_eq!(fake.external.last(), Some(&Value::Int(13)));
 }
 
 #[test]

@@ -2,8 +2,8 @@
 //! the per-process protocol [`Driver`](crate::driver::Driver).
 //!
 //! Every protocol decision — forks, guard propagation, checkpoints, join
-//! verification, COMMIT/ABORT/PRECEDENCE dissemination, rollback and
-//! replay, orphan filtering, external-output buffering — is the driver's
+//! verification, COMMIT/ABORT/PRECEDENCE dissemination, rollback, orphan
+//! filtering, external-output buffering — is the driver's
 //! (DESIGN.md §7). This module supplies the world it runs in, as the
 //! driver's [`Env`]: an event heap ordered by virtual time, per-link
 //! latency draws with a FIFO arrival clamp, a clock and a cancellation
@@ -41,13 +41,6 @@ pub struct SimConfig {
     /// Extra cost of a fork (state copy).
     pub fork_cost: VTime,
     pub latency: LatencyModel,
-    /// Checkpoint policy (§3.1): a full behavior-state snapshot is taken
-    /// at every K-th interval boundary; rollbacks to an unsnapshotted
-    /// boundary restore the nearest earlier snapshot and deterministically
-    /// *replay* the logged resumes up to the target — the paper's
-    /// Optimistic-Recovery-style alternative to Time-Warp-style
-    /// per-interval snapshots. `1` = snapshot every boundary.
-    pub checkpoint_every: u32,
     /// Safety valve against runaway simulations.
     pub max_events: u64,
     /// Replay a committed receive order: at each receive point, hold
@@ -79,7 +72,6 @@ impl Default for SimConfig {
             step_cost: 1,
             fork_cost: 1,
             latency: LatencyModel::fixed(10),
-            checkpoint_every: 1,
             max_events: 5_000_000,
             delivery_schedule: None,
             explore_prefix: None,
@@ -361,7 +353,6 @@ impl Env for Net {
 impl World {
     fn new(cfg: SimConfig, behaviors: Vec<Arc<dyn Behavior>>) -> Self {
         let policy = DriverPolicy {
-            checkpoint_every: cfg.checkpoint_every,
             forced_order: cfg
                 .explore_prefix
                 .clone()
@@ -460,7 +451,6 @@ impl World {
         for p in &procs {
             counted.merge(&p.stats());
             stats.checkpoints_taken += p.checkpoints_taken;
-            stats.replayed_steps += p.replayed_steps;
         }
         let lifecycle = |s: &ProtoStats| {
             (
@@ -480,7 +470,6 @@ impl World {
         stats.data_messages += counted.data_messages;
         stats.control_messages += counted.control_messages;
         stats.guard_bytes += counted.guard_bytes;
-        stats.interner.merge(counted.interner);
 
         let mut result = SimResult {
             completion: net.last_activity,

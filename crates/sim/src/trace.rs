@@ -143,11 +143,9 @@ pub struct SimStats {
     pub timeouts: u64,
     /// Payload bytes of data messages.
     pub data_bytes: u64,
-    /// Full state snapshots taken (checkpointing-cost ablation).
+    /// Full state snapshots taken: one per interval boundary (§3.1) and
+    /// one per fork.
     pub checkpoints_taken: u64,
-    /// Behavior steps re-executed during replay-based restores (sparse
-    /// checkpointing, §3.1).
-    pub replayed_steps: u64,
 }
 
 impl std::ops::Deref for SimStats {

@@ -2,17 +2,14 @@
 //! consumer (the `examples/csp/fan_in.csp` shape, scaled).
 //!
 //! Every reply the consumer sends while speculation is in flight carries
-//! the union of all producers' pending guesses, so the same large guard
-//! tag is constructed over and over — the guard-interner's hit path under
-//! a multi-writer workload, where the streaming and chain workloads only
-//! exercise single-writer tag reuse. Reported by `figures interner`.
+//! the union of all producers' pending guesses: a multi-writer guard tag,
+//! one run per producer, where the streaming and chain workloads only
+//! build single-writer tags.
 
-use crate::servers::{DisplaySink, Server};
+use crate::servers::Server;
 use crate::streaming::PutLineClient;
 use opcsp_core::{CoreConfig, ProcessId, Value};
-use opcsp_sim::{
-    Behavior, BehaviorState, Effect, LatencyModel, Resume, SimBuilder, SimConfig, SimResult, VTime,
-};
+use opcsp_sim::{Behavior, LatencyModel, SimBuilder, SimConfig, SimResult, VTime};
 
 /// Scenario parameters for the fan-in experiments.
 #[derive(Debug, Clone)]
@@ -95,137 +92,6 @@ pub fn run_fan_in(opts: FanInOpts) -> SimResult {
 }
 
 // ---------------------------------------------------------------------
-// Burst variant: repeated large tags
-// ---------------------------------------------------------------------
-
-/// A producer that accumulates `depth` nested pending guesses (one fork
-/// per outstanding call) and then streams `burst` one-way sends to the
-/// sink under that *unchanged* guard. With `depth > Guard::INLINE_CAP`
-/// every message in the burst (and every arrival-classification at the
-/// sink) re-interns the same large tag — the guard-interner hit path the
-/// streaming workloads cannot reach, since their guards grow monotonically
-/// and each tag is constructed exactly once.
-pub struct BurstProducer {
-    pub depth: u32,
-    pub burst: u32,
-    pub sink: ProcessId,
-}
-
-#[derive(Clone)]
-struct BpState {
-    forked: u32,
-    sent: u32,
-    pc: BpPc,
-}
-
-#[derive(Clone)]
-enum BpPc {
-    Top,
-    Forked,
-    AwaitReturn,
-    Joining,
-    Bursting,
-    Finished,
-}
-
-impl BurstProducer {
-    fn advance(&self, st: &mut BpState) -> Effect {
-        if st.forked < self.depth {
-            st.pc = BpPc::Forked;
-            Effect::Fork {
-                site: 1,
-                guesses: vec![("ok".into(), Value::Bool(true))],
-            }
-        } else if st.sent < self.burst {
-            st.pc = BpPc::Bursting;
-            st.sent += 1;
-            Effect::Send {
-                to: self.sink,
-                payload: Value::Int(st.sent as i64),
-                label: "B".into(),
-            }
-        } else {
-            st.pc = BpPc::Finished;
-            Effect::Done
-        }
-    }
-}
-
-impl Behavior for BurstProducer {
-    fn init(&self) -> BehaviorState {
-        BehaviorState::new(BpState {
-            forked: 0,
-            sent: 0,
-            pc: BpPc::Top,
-        })
-    }
-
-    fn step(&self, state: &mut BehaviorState, resume: Resume) -> Effect {
-        let st = state.get_mut::<BpState>();
-        match (&st.pc, resume) {
-            (BpPc::Top, Resume::Start) => self.advance(st),
-            (BpPc::Forked, Resume::ForkLeft | Resume::ForkDenied) => {
-                st.pc = BpPc::AwaitReturn;
-                Effect::call(self.sink, Value::Int(st.forked as i64), "C")
-            }
-            (BpPc::Forked, Resume::ForkRight { .. }) => {
-                st.forked += 1;
-                self.advance(st)
-            }
-            (BpPc::AwaitReturn, Resume::Msg(env)) => {
-                st.pc = BpPc::Joining;
-                Effect::JoinLeft {
-                    actual: vec![("ok".into(), Value::Bool(env.payload.is_true()))],
-                }
-            }
-            // Pessimistic (or post-abort) sequential continuation.
-            (BpPc::Joining, Resume::JoinSequential) => {
-                st.forked += 1;
-                self.advance(st)
-            }
-            (BpPc::Bursting, Resume::Continue) => self.advance(st),
-            (_, r) => panic!("BurstProducer: unexpected resume {r:?}"),
-        }
-    }
-
-    fn name(&self) -> &str {
-        "BurstProducer"
-    }
-
-    fn peers(&self, _me: ProcessId) -> Option<Vec<ProcessId>> {
-        Some(vec![self.sink])
-    }
-}
-
-/// Run the burst fan-in: `producers` burst producers (each `depth` pending
-/// guesses, `burst` sends) into one [`DisplaySink`].
-pub fn run_fan_in_burst(opts: FanInOpts, depth: u32) -> SimResult {
-    let latency = if opts.jitter > 0 {
-        LatencyModel::jitter(opts.latency, opts.jitter, opts.seed)
-    } else {
-        LatencyModel::fixed(opts.latency)
-    };
-    let cfg = SimConfig {
-        core: opts.core.clone(),
-        latency,
-        fork_timeout: opts.fork_timeout,
-        ..SimConfig::default()
-    };
-    let sink = consumer(&opts);
-    let mut b = SimBuilder::new(cfg);
-    for _ in 0..opts.producers {
-        b.add_process(BurstProducer {
-            depth,
-            burst: opts.n,
-            sink,
-        });
-    }
-    let s = b.add_process(DisplaySink::new("Board"));
-    debug_assert_eq!(s, sink);
-    b.build().run()
-}
-
-// ---------------------------------------------------------------------
 // Wide variant on the real-thread runtime
 // ---------------------------------------------------------------------
 
@@ -241,8 +107,7 @@ pub fn run_fan_in_burst(opts: FanInOpts, depth: u32) -> SimResult {
 /// Width note: with optimism on, every concurrently-unresolved producer
 /// guess lands in the consumer's thread guard, so reply guards grow with
 /// the number of producers mid-speculation — an O(width²) wire-byte cost
-/// that is a *protocol* property (the guard-interner experiments measure
-/// it), not an executor one. Full-width runs that only exercise executor
+/// that is a *protocol* property (E8 sizes the tags), not an executor one. Full-width runs that only exercise executor
 /// scale should run pessimistically (`CoreConfig::pessimistic()`).
 pub fn rt_fan_in_world(opts: &FanInOpts, cfg: opcsp_rt::RtConfig) -> opcsp_rt::RtWorld {
     use std::sync::Arc;
@@ -280,30 +145,5 @@ mod tests {
             .filter(|o| matches!(o, opcsp_sim::Observable::Received { .. }))
             .count();
         assert_eq!(recvd as u32, opts.producers * opts.n);
-    }
-
-    #[test]
-    fn burst_fan_in_completes() {
-        let r = run_fan_in_burst(FanInOpts::default(), 6);
-        assert!(!r.truncated);
-        assert!(r.unresolved.is_empty(), "unresolved: {:?}", r.unresolved);
-    }
-
-    #[test]
-    fn burst_fan_in_exercises_the_interner_hit_path() {
-        let r = run_fan_in_burst(
-            FanInOpts {
-                producers: 2,
-                n: 24,
-                ..FanInOpts::default()
-            },
-            6,
-        );
-        let s = r.stats().interner;
-        assert!(s.hits > 0, "no interner hits: {s:?}");
-        assert!(
-            s.hits > s.misses,
-            "repeated large tags should be hit-dominated: {s:?}"
-        );
     }
 }

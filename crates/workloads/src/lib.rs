@@ -13,7 +13,7 @@
 //! - [`contention`] — two independent clients sharing one server (the §5
 //!   Time Warp comparison workload, E6).
 //! - [`fan_in`] — P producers streaming into one consumer (multi-writer
-//!   guard-tag reuse; the interner-hit workload).
+//!   guard tags).
 //! - [`contention_sweep`] — phased conflict-rate ramp on a hot server
 //!   (E12: where every static retry limit loses and adaptive tracks the
 //!   per-phase oracle).

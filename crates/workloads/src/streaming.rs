@@ -143,9 +143,6 @@ pub struct StreamingOpts {
     pub server_compute: u64,
     pub core: CoreConfig,
     pub fork_timeout: VTime,
-    /// Snapshot every K-th interval boundary (1 = every boundary; larger
-    /// = sparse checkpoints restored by replay, §3.1).
-    pub checkpoint_every: u32,
     /// Use §4.2.1's fork-after-send client.
     pub fork_after_send: bool,
 }
@@ -159,7 +156,6 @@ impl Default for StreamingOpts {
             server_compute: 1,
             core: CoreConfig::default(),
             fork_timeout: 100_000,
-            checkpoint_every: 1,
             fork_after_send: false,
         }
     }
@@ -172,7 +168,6 @@ pub fn streaming_config(opts: &StreamingOpts) -> SimConfig {
         core: opts.core.clone(),
         latency: LatencyModel::fixed(opts.latency),
         fork_timeout: opts.fork_timeout,
-        checkpoint_every: opts.checkpoint_every,
         ..SimConfig::default()
     }
 }

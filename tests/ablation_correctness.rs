@@ -1,7 +1,6 @@
-//! The §4.2.3 optimizations (min-new-deps delivery, early return check)
+//! The §4.2.3 min-new-deps delivery choice and §4.2.5's targeted control
 //! are *performance* choices: turning them off must never break
-//! correctness, only cost more aborts/time. Ditto every other ablation
-//! switch, in every combination.
+//! correctness, only cost more aborts/time — in every combination.
 
 use opcsp_core::{CoreConfig, SpeculationPolicy};
 use opcsp_sim::{check_conservation, check_equivalence};
@@ -12,15 +11,12 @@ use std::collections::BTreeSet;
 fn all_core_configs() -> Vec<CoreConfig> {
     let mut out = Vec::new();
     for deliver in [true, false] {
-        for early in [true, false] {
-            for targeted in [true, false] {
-                out.push(CoreConfig {
-                    deliver_min_deps: deliver,
-                    early_return_check: early,
-                    targeted_control: targeted,
-                    speculation: SpeculationPolicy::default(),
-                });
-            }
+        for targeted in [true, false] {
+            out.push(CoreConfig {
+                deliver_min_deps: deliver,
+                targeted_control: targeted,
+                speculation: SpeculationPolicy::default(),
+            });
         }
     }
     out
@@ -84,35 +80,9 @@ fn time_fault_scenario_correct_under_every_ablation_combo() {
 }
 
 #[test]
-fn early_return_check_off_still_detects_fault_at_join() {
-    // Without the early check, the same time fault is caught at the join
-    // (the own guess sits in the left thread's final guard); it just takes
-    // longer — more speculative traffic gets orphaned.
-    let with_check = run_update_write(UpdateWriteOpts {
-        latency: fig4_latency(50),
-        ..UpdateWriteOpts::default()
-    });
-    let without = run_update_write(UpdateWriteOpts {
-        latency: fig4_latency(50),
-        core: CoreConfig {
-            early_return_check: false,
-            ..CoreConfig::default()
-        },
-        ..UpdateWriteOpts::default()
-    });
-    assert!(with_check.stats().time_faults >= 1);
-    assert!(without.stats().time_faults >= 1);
-    assert!(without.unresolved.is_empty());
-    // Both converge to the same committed logs.
-    let rep = check_equivalence(&with_check, &without);
-    assert!(rep.equivalent, "{:#?}", rep.mismatches);
-}
-
-#[test]
 fn heavy_faults_with_all_optimizations_off() {
     let core = CoreConfig {
         deliver_min_deps: false,
-        early_return_check: false,
         targeted_control: false,
         speculation: SpeculationPolicy::Static { limit: 2 },
     };

@@ -76,12 +76,13 @@ fn conservation_under_heavy_abort_rates() {
     }
 }
 
+/// A fault halfway down a 20-call stream rolls the pipeline behind it back
+/// to its boundary snapshots.
 #[test]
 fn conservation_with_sparse_checkpoints() {
     let r = run_streaming(StreamingOpts {
         n: 20,
         fail_lines: BTreeSet::from([10]),
-        checkpoint_every: 8,
         ..StreamingOpts::default()
     });
     check_conservation(&r).unwrap();

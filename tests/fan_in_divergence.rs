@@ -246,9 +246,8 @@ fn shrinker_determinism_is_invariant_across_speculation() {
     // controller) changes *how* the protocol runs, so each configuration
     // may shrink to a different minimal schedule, but re-running the same
     // configuration must reproduce its schedule byte for byte. A
-    // policy-dependent source of nondeterminism (iteration order, interner
-    // state, adaptive controller history) would show up here as a flapping
-    // report.
+    // policy-dependent source of nondeterminism (iteration order, adaptive
+    // controller history) would show up here as a flapping report.
     let sys = compile_fan_in();
     let seed = 1;
 
