@@ -8,7 +8,7 @@
 //!                                     `BENCH_*.json` files for the
 //!                                     perf-tracking tables (e11/e12/e14)
 //!
-//! Items: fig1..fig7, e1, e2, e3, e4, e5, e6, e8, e9, e12, e13, e14, e15,
+//! Items: fig1..fig7, e1, e2, e3, e4, e5, e6, e8, e12, e13, e14, e15,
 //! chain, t1, lifecycle (overall + per-site), scaling.
 
 use opcsp_bench::experiments as ex;
@@ -56,7 +56,6 @@ fn main() {
         ("e5", ex::e5_delivery_ablation),
         ("e6", ex::e6_timewarp),
         ("e8", ex::e8_guard_compaction),
-        ("e9", ex::e9_control_dissemination),
         ("chain", ex::chain_depth),
         ("t1", ex::t1_equivalence),
         ("lifecycle", ex::lifecycle_stats),

@@ -484,66 +484,6 @@ pub fn e8_guard_compaction() -> Table {
     t
 }
 
-/// E9: control-message dissemination — broadcast vs targeted (§4.2.5).
-pub fn e9_control_dissemination() -> Table {
-    let mut t = Table::new(
-        "E9 — control dissemination: broadcast vs targeted (§4.2.5)",
-        &[
-            "workload",
-            "mode",
-            "ctrl msgs",
-            "data msgs",
-            "aborts",
-            "completion",
-        ],
-    );
-    let chain_base = ChainOpts {
-        depth: 4,
-        n: 6,
-        ..ChainOpts::default()
-    };
-    let stream_base = StreamingOpts {
-        n: 32,
-        latency: 50,
-        ..Default::default()
-    };
-    for targeted in [false, true] {
-        let mode = if targeted { "targeted" } else { "broadcast" };
-        let core = CoreConfig {
-            targeted_control: targeted,
-            ..CoreConfig::default()
-        };
-        let c = run_chain(ChainOpts {
-            core: core.clone(),
-            ..chain_base.clone()
-        });
-        assert!(c.unresolved.is_empty());
-        t.row(vec![
-            "chain d=4 n=6".into(),
-            mode.into(),
-            c.stats().control_messages.to_string(),
-            c.stats().data_messages.to_string(),
-            c.stats().aborts.to_string(),
-            c.completion.to_string(),
-        ]);
-        let s = run_streaming(StreamingOpts {
-            core: core.clone(),
-            ..stream_base.clone()
-        });
-        assert!(s.unresolved.is_empty());
-        t.row(vec![
-            "stream n=32".into(),
-            mode.into(),
-            s.stats().control_messages.to_string(),
-            s.stats().data_messages.to_string(),
-            s.stats().aborts.to_string(),
-            s.completion.to_string(),
-        ]);
-    }
-    t.note("§4.2.5: broadcast 'should work well in a local-area network where the threads are created relatively infrequently. The latter [targeted] would be more appropriate ... when the number of threads created is large.' Targeted relays reach exactly the dependency tree.");
-    t
-}
-
 /// Bonus: chain-depth sweep (optimistic forwarding pipelines).
 pub fn chain_depth() -> Table {
     let mut t = Table::new(
@@ -853,7 +793,7 @@ pub fn e12_contention_sweep() -> Table {
         ("static:1", SpeculationPolicy::Static { limit: 1 }),
         ("static:3", SpeculationPolicy::Static { limit: 3 }),
         ("static:8", SpeculationPolicy::Static { limit: 8 }),
-        ("adaptive", SpeculationPolicy::adaptive()),
+        ("adaptive", SpeculationPolicy::Adaptive),
     ];
 
     // Oracle: the best static choice per phase, each phase run in
@@ -1382,7 +1322,6 @@ pub fn all_tables() -> Vec<Table> {
         e5_delivery_ablation(),
         e6_timewarp(),
         e8_guard_compaction(),
-        e9_control_dissemination(),
         chain_depth(),
         t1_equivalence(),
         lifecycle_stats(),

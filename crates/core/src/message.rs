@@ -107,13 +107,6 @@ pub enum Control {
 }
 
 impl Control {
-    /// The guess this control message resolves or describes.
-    pub fn subject(&self) -> GuessId {
-        match self {
-            Control::Commit(g) | Control::Abort(g) | Control::Precedence(g, _) => *g,
-        }
-    }
-
     pub fn wire_size(&self) -> usize {
         // One opcode byte plus the subject guess id, sized from its actual
         // field widths.
@@ -138,7 +131,6 @@ impl fmt::Display for Control {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::Incarnation;
 
     fn env(label: &str) -> Envelope {
         Envelope {
@@ -167,13 +159,6 @@ mod tests {
         assert_eq!(Control::Abort(g).to_string(), "ABORT(z1)");
         let p = Control::Precedence(g, Guard::single(GuessId::first(ProcessId(0), 1)));
         assert_eq!(p.to_string(), "PRECEDENCE(z1,{x1})");
-    }
-
-    #[test]
-    fn subject_extraction() {
-        let g = GuessId::new(ProcessId(1), Incarnation(1), 3);
-        assert_eq!(Control::Abort(g).subject(), g);
-        assert_eq!(Control::Precedence(g, Guard::empty()).subject(), g);
     }
 
     #[test]

@@ -52,13 +52,6 @@ pub struct CoreConfig {
     /// as [`SpeculationPolicy::Static`]; see `core::speculation` for the
     /// adaptive per-site controller.
     pub speculation: SpeculationPolicy,
-    /// §4.2.5 dissemination: broadcast control messages to every process
-    /// (the paper's simple scheme), or target them at recorded dependents
-    /// ("explicitly sending them to processes which are known to depend on
-    /// the guard in question — this information could be recorded during
-    /// message send processing"). Targeted relays are cooperative: each
-    /// process forwards a control message to the dependents *it* created.
-    pub targeted_control: bool,
 }
 
 impl Default for CoreConfig {
@@ -66,7 +59,6 @@ impl Default for CoreConfig {
         CoreConfig {
             deliver_min_deps: true,
             speculation: SpeculationPolicy::default(),
-            targeted_control: false,
         }
     }
 }
@@ -91,7 +83,7 @@ impl CoreConfig {
     /// Per-fork-site adaptive control with default tuning.
     pub fn adaptive() -> Self {
         CoreConfig {
-            speculation: SpeculationPolicy::adaptive(),
+            speculation: SpeculationPolicy::Adaptive,
             ..CoreConfig::default()
         }
     }
@@ -286,9 +278,6 @@ pub struct ProcessCore {
     /// the clock the controller's fork→resolve latency EWMA is measured
     /// in. Engine-agnostic — no wall or virtual time reaches the core.
     spec_clock: u64,
-    /// For targeted control dissemination (§4.2.5): the processes we sent
-    /// each guess to in a data-message guard tag.
-    dependents: BTreeMap<GuessId, BTreeSet<ProcessId>>,
     /// Resolution provenance for this process's own guesses, in resolution
     /// order: why each guess committed or aborted (§4.2.4–4.2.8 paths).
     /// Forensics reads this to name the guess (and fault class) behind a
@@ -343,7 +332,6 @@ impl ProcessCore {
             holders: BTreeSet::new(),
             speculation: SpeculationState::default(),
             spec_clock: 0,
-            dependents: BTreeMap::new(),
             resolutions: Vec::new(),
         }
     }
@@ -536,29 +524,6 @@ impl ProcessCore {
     pub fn guard_for_send(&mut self, thread: ForkIndex) -> &Guard {
         self.settle(thread);
         &self.threads[&thread].guard
-    }
-
-    /// Record that a `guard`-tagged data message went to `to` — the
-    /// dependency bookkeeping that targeted control dissemination needs
-    /// (§4.2.5).
-    pub fn note_send(&mut self, guard: &Guard, to: ProcessId) {
-        // Only targeted dissemination ever reads the map.
-        if !self.config.targeted_control || to == self.id {
-            return;
-        }
-        for g in guard.iter() {
-            self.dependents.entry(g).or_default().insert(to);
-        }
-    }
-
-    /// Processes known (to us) to depend on `g`: receivers of our
-    /// `g`-tagged messages. (The owner is excluded — control messages for
-    /// `g` originate there or are known to it already.)
-    pub fn dependents_of(&self, g: GuessId) -> BTreeSet<ProcessId> {
-        let mut out = self.dependents.get(&g).cloned().unwrap_or_default();
-        out.remove(&g.process);
-        out.remove(&self.id);
-        out
     }
 
     /// §4.2.3 orphan check, performed when a message arrives at the process

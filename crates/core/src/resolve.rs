@@ -131,7 +131,7 @@ impl ProcessCore {
     /// members when it is next read ([`ProcessCore::settle`]).
     pub fn on_commit(&mut self, g: GuessId) -> CommitEffects {
         if self.history.is_committed(g) {
-            // A repeat (relayed twice, or inferred earlier as a predecessor
+            // A repeat (a duplicate, or inferred earlier as a predecessor
             // of another COMMIT): everything below already happened.
             return CommitEffects::default();
         }

@@ -17,16 +17,29 @@
 //!   guess-resolution stream the core already produces (no telemetry sink
 //!   required). Each site tracks a success EWMA and a fork→resolve latency
 //!   EWMA; commits at a healthy site *deepen* the pipeline (raise the
-//!   effective in-flight budget, up to `max_limit`), root aborts at an
+//!   effective in-flight budget, up to [`MAX_LIMIT`]), root aborts at an
 //!   unhealthy site halve it, and a site driven to zero enters a *cooloff*:
-//!   fully pessimistic for `cooloff` denied fork attempts, then a single
-//!   probe fork whose outcome decides whether the site ramps back up.
+//!   fully pessimistic for [`COOLOFF`] denied fork attempts, then a single
+//!   probe fork whose outcome decides whether the site ramps back up. Its
+//!   tuning is the constants below.
 //!
 //! Every controller decision is recorded as a [`PolicyShift`] (surfaced as
 //! `TelemetryEvent::PolicyShift` by the engines) so traces can show *why* a
 //! site was throttled.
 
 use std::collections::HashMap;
+
+/// Success-EWMA threshold separating "deepen" from "back off".
+pub const TARGET_SUCCESS: f64 = 0.7;
+/// Ceiling for an adaptive site's in-flight budget. (Its floor is 0: a
+/// site may collapse to fully pessimistic, and recovers by cooloff and
+/// probe.)
+pub const MAX_LIMIT: u32 = 16;
+/// EWMA smoothing factor in `(0, 1]`; larger reacts faster. The latency
+/// and success EWMAs run at this rate under every policy.
+pub const EWMA_ALPHA: f64 = 0.5;
+/// Denied fork attempts a collapsed site sits out before probing.
+pub const COOLOFF: u32 = 4;
 
 /// How a process decides whether a fork site may run optimistically.
 ///
@@ -42,19 +55,7 @@ pub enum SpeculationPolicy {
     /// optimistic re-executions since its last commit.
     Static { limit: u32 },
     /// Per-site feedback control (see module docs).
-    Adaptive {
-        /// Success-EWMA threshold separating "deepen" from "back off".
-        target_success: f64,
-        /// Floor for the effective limit; `0` allows full pessimistic
-        /// collapse (with cooloff/probe recovery).
-        min_limit: u32,
-        /// Ceiling for the effective in-flight budget.
-        max_limit: u32,
-        /// EWMA smoothing factor in `(0, 1]`; larger reacts faster.
-        ewma_alpha: f64,
-        /// Denied fork attempts a collapsed site sits out before probing.
-        cooloff: u32,
-    },
+    Adaptive,
 }
 
 impl SpeculationPolicy {
@@ -62,92 +63,29 @@ impl SpeculationPolicy {
     /// adaptive controller's initial per-site budget.
     pub const DEFAULT_STATIC_LIMIT: u32 = 3;
 
-    /// Adaptive policy with default tuning.
-    pub fn adaptive() -> Self {
-        SpeculationPolicy::Adaptive {
-            target_success: 0.7,
-            min_limit: 0,
-            max_limit: 16,
-            ewma_alpha: 0.5,
-            cooloff: 4,
-        }
-    }
-
     /// Parse a CLI policy spec.
     ///
-    /// Grammar: `pessimistic` | `static:N` | `adaptive` |
-    /// `adaptive:key=val,...` with keys `target` (f64), `min` (u32),
-    /// `max` (u32), `alpha` (f64), `cooloff` (u32).
+    /// Grammar: `pessimistic` | `static:N` | `adaptive`.
     pub fn parse(spec: &str) -> Result<Self, String> {
         let (head, rest) = match spec.split_once(':') {
             Some((h, r)) => (h, Some(r)),
             None => (spec, None),
         };
-        match head {
-            "pessimistic" => match rest {
-                None => Ok(SpeculationPolicy::Pessimistic),
-                Some(r) => Err(format!("pessimistic takes no arguments, got `{r}`")),
-            },
-            "static" => {
+        match (head, rest) {
+            ("pessimistic", None) => Ok(SpeculationPolicy::Pessimistic),
+            ("adaptive", None) => Ok(SpeculationPolicy::Adaptive),
+            ("pessimistic" | "adaptive", Some(r)) => {
+                Err(format!("{head} takes no arguments, got `{r}`"))
+            }
+            ("static", rest) => {
                 let r = rest.ok_or("static needs a limit, e.g. `static:3`")?;
                 let limit = r
                     .parse::<u32>()
                     .map_err(|e| format!("bad static limit `{r}`: {e}"))?;
                 Ok(SpeculationPolicy::Static { limit })
             }
-            "adaptive" => {
-                let mut p = SpeculationPolicy::adaptive();
-                let SpeculationPolicy::Adaptive {
-                    target_success,
-                    min_limit,
-                    max_limit,
-                    ewma_alpha,
-                    cooloff,
-                } = &mut p
-                else {
-                    unreachable!()
-                };
-                if let Some(r) = rest {
-                    for kv in r.split(',').filter(|s| !s.is_empty()) {
-                        let (k, v) = kv
-                            .split_once('=')
-                            .ok_or_else(|| format!("expected key=value, got `{kv}`"))?;
-                        fn parsed<T: std::str::FromStr>(k: &str, v: &str) -> Result<T, String>
-                        where
-                            T::Err: std::fmt::Display,
-                        {
-                            v.parse()
-                                .map_err(|e| format!("bad value for `{k}`: `{v}` ({e})"))
-                        }
-                        match k {
-                            "target" => *target_success = parsed(k, v)?,
-                            "min" => *min_limit = parsed(k, v)?,
-                            "max" => *max_limit = parsed(k, v)?,
-                            "alpha" => *ewma_alpha = parsed(k, v)?,
-                            "cooloff" => *cooloff = parsed(k, v)?,
-                            _ => {
-                                return Err(format!(
-                                    "unknown adaptive key `{k}` (expected target/min/max/alpha/cooloff)"
-                                ))
-                            }
-                        }
-                    }
-                }
-                if !(*ewma_alpha > 0.0 && *ewma_alpha <= 1.0) {
-                    return Err(format!("alpha must be in (0, 1], got {ewma_alpha}"));
-                }
-                if !(*target_success > 0.0 && *target_success <= 1.0) {
-                    return Err(format!("target must be in (0, 1], got {target_success}"));
-                }
-                if *max_limit == 0 || *min_limit > *max_limit {
-                    return Err(format!(
-                        "need 0 < max and min <= max, got min={min_limit} max={max_limit}"
-                    ));
-                }
-                Ok(p)
-            }
-            other => Err(format!(
-                "unknown speculation policy `{other}` (expected pessimistic | static:N | adaptive[:k=v,...])"
+            (other, _) => Err(format!(
+                "unknown speculation policy `{other}` (expected pessimistic | static:N | adaptive)"
             )),
         }
     }
@@ -166,16 +104,7 @@ impl std::fmt::Display for SpeculationPolicy {
         match self {
             SpeculationPolicy::Pessimistic => write!(f, "pessimistic"),
             SpeculationPolicy::Static { limit } => write!(f, "static:{limit}"),
-            SpeculationPolicy::Adaptive {
-                target_success,
-                min_limit,
-                max_limit,
-                ewma_alpha,
-                cooloff,
-            } => write!(
-                f,
-                "adaptive:target={target_success},min={min_limit},max={max_limit},alpha={ewma_alpha},cooloff={cooloff}"
-            ),
+            SpeculationPolicy::Adaptive => write!(f, "adaptive"),
         }
     }
 }
@@ -187,7 +116,7 @@ pub enum ShiftReason {
     Deepen,
     /// A root abort at an unhealthy site halved the budget.
     BackOff,
-    /// The budget hit zero: the site goes pessimistic for `cooloff`
+    /// The budget hit zero: the site goes pessimistic for [`COOLOFF`]
     /// denied fork attempts.
     Cooloff,
     /// Cooloff expired (or a late commit lifted the EWMA): the site gets a
@@ -244,11 +173,7 @@ impl SiteController {
         let limit = match policy {
             SpeculationPolicy::Pessimistic => 0,
             SpeculationPolicy::Static { limit } => *limit,
-            SpeculationPolicy::Adaptive {
-                min_limit,
-                max_limit,
-                ..
-            } => SpeculationPolicy::DEFAULT_STATIC_LIMIT.clamp((*min_limit).max(1), *max_limit),
+            SpeculationPolicy::Adaptive => SpeculationPolicy::DEFAULT_STATIC_LIMIT,
         };
         SiteController {
             retries: 0,
@@ -292,12 +217,7 @@ impl SpeculationState {
         match policy {
             SpeculationPolicy::Pessimistic => false,
             SpeculationPolicy::Static { limit } => self.retries_at(site) < *limit,
-            SpeculationPolicy::Adaptive {
-                min_limit,
-                max_limit,
-                ..
-            } => {
-                let (min_limit, max_limit) = (*min_limit, *max_limit);
+            SpeculationPolicy::Adaptive => {
                 let c = self.site_mut(policy, site);
                 if c.cooloff > 0 {
                     c.cooloff -= 1;
@@ -306,9 +226,8 @@ impl SpeculationState {
                     }
                     // Cooloff served: grant a single-guess probe budget.
                     let (from, ewma) = (c.limit, c.success_ewma);
-                    c.limit = min_limit.max(1).min(max_limit);
-                    let to = c.limit;
-                    self.shift(site, from, to, ewma, ShiftReason::Probe);
+                    c.limit = 1;
+                    self.shift(site, from, 1, ewma, ShiftReason::Probe);
                 }
                 let c = self.site_mut(policy, site);
                 c.in_flight < c.limit
@@ -334,30 +253,19 @@ impl SpeculationState {
         latency: u64,
         is_root: bool,
     ) {
-        let adaptive = match policy {
-            SpeculationPolicy::Adaptive {
-                target_success,
-                min_limit,
-                max_limit,
-                ewma_alpha,
-                cooloff,
-            } => Some((*target_success, *min_limit, *max_limit, *ewma_alpha, *cooloff)),
-            _ => None,
-        };
         // Observability EWMAs run under every policy (Static sites show up
         // in telemetry too); only Adaptive acts on them.
-        let alpha = adaptive.map(|(_, _, _, a, _)| a).unwrap_or(0.5);
         let c = self.site_mut(policy, site);
         c.in_flight = c.in_flight.saturating_sub(1);
         c.latency_ewma = if c.resolved_samples == 0 {
             latency as f64
         } else {
-            alpha * latency as f64 + (1.0 - alpha) * c.latency_ewma
+            EWMA_ALPHA * latency as f64 + (1.0 - EWMA_ALPHA) * c.latency_ewma
         };
         c.resolved_samples += 1;
         if committed || is_root {
             let sample = if committed { 1.0 } else { 0.0 };
-            c.success_ewma = alpha * sample + (1.0 - alpha) * c.success_ewma;
+            c.success_ewma = EWMA_ALPHA * sample + (1.0 - EWMA_ALPHA) * c.success_ewma;
         }
         if committed {
             c.retries = 0;
@@ -365,40 +273,38 @@ impl SpeculationState {
             c.retries += 1;
         }
 
-        let Some((target, min_limit, max_limit, _, cooloff_len)) = adaptive else {
+        if !matches!(policy, SpeculationPolicy::Adaptive) {
             return;
-        };
-        let c = self.site_mut(policy, site);
+        }
         let (from, ewma) = (c.limit, c.success_ewma);
         if committed {
             if c.cooloff > 0 {
-                if ewma >= target {
+                if ewma >= TARGET_SUCCESS {
                     // A late commit proved the site healthy again: cut the
                     // cooloff short with a probe budget.
                     c.cooloff = 0;
-                    c.limit = min_limit.max(1).min(max_limit);
-                    let to = c.limit;
-                    self.shift(site, from, to, ewma, ShiftReason::Probe);
+                    c.limit = 1;
+                    self.shift(site, from, 1, ewma, ShiftReason::Probe);
                 }
-            } else if ewma >= target && c.limit < max_limit {
+            } else if ewma >= TARGET_SUCCESS && c.limit < MAX_LIMIT {
                 c.limit += 1;
                 let to = c.limit;
                 self.shift(site, from, to, ewma, ShiftReason::Deepen);
             }
-        } else if is_root && ewma < target {
-            if c.limit > min_limit {
-                let to = (c.limit / 2).max(min_limit);
+        } else if is_root && ewma < TARGET_SUCCESS {
+            if c.limit > 0 {
+                let to = c.limit / 2;
                 c.limit = to;
                 if to == 0 {
-                    c.cooloff = cooloff_len;
+                    c.cooloff = COOLOFF;
                     self.shift(site, from, to, ewma, ShiftReason::Cooloff);
                 } else {
                     self.shift(site, from, to, ewma, ShiftReason::BackOff);
                 }
-            } else if c.limit == 0 && c.cooloff == 0 {
+            } else if c.cooloff == 0 {
                 // A probe (or stray in-flight guess) failed at an already
                 // collapsed site: sit out another cooloff.
-                c.cooloff = cooloff_len;
+                c.cooloff = COOLOFF;
                 self.shift(site, from, 0, ewma, ShiftReason::Cooloff);
             }
         }
@@ -427,10 +333,6 @@ impl SpeculationState {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn adaptive() -> SpeculationPolicy {
-        SpeculationPolicy::adaptive()
-    }
 
     /// Drive one root abort through fork+resolve.
     fn abort_once(s: &mut SpeculationState, p: &SpeculationPolicy, site: u32) {
@@ -471,7 +373,7 @@ mod tests {
 
     #[test]
     fn adaptive_denies_after_thrash() {
-        let p = adaptive();
+        let p = SpeculationPolicy::Adaptive;
         let mut s = SpeculationState::default();
         // Fresh site forks (initial budget = DEFAULT_STATIC_LIMIT).
         assert!(s.can_fork(&p, 1));
@@ -493,7 +395,7 @@ mod tests {
 
     #[test]
     fn adaptive_recovers_after_cooloff() {
-        let p = adaptive();
+        let p = SpeculationPolicy::Adaptive;
         let mut s = SpeculationState::default();
         for _ in 0..8 {
             abort_once(&mut s, &p, 1);
@@ -524,7 +426,7 @@ mod tests {
 
     #[test]
     fn adaptive_failed_probe_recools() {
-        let p = adaptive();
+        let p = SpeculationPolicy::Adaptive;
         let mut s = SpeculationState::default();
         for _ in 0..8 {
             abort_once(&mut s, &p, 1);
@@ -547,21 +449,19 @@ mod tests {
 
     #[test]
     fn adaptive_never_exceeds_max_limit() {
-        let p = SpeculationPolicy::Adaptive {
-            target_success: 0.7,
-            min_limit: 0,
-            max_limit: 5,
-            ewma_alpha: 0.5,
-            cooloff: 4,
-        };
+        let p = SpeculationPolicy::Adaptive;
         let mut s = SpeculationState::default();
         for _ in 0..50 {
             commit_once(&mut s, &p, 1);
-            assert!(s.site(1).unwrap().limit <= 5);
+            assert!(s.site(1).unwrap().limit <= MAX_LIMIT);
         }
-        assert_eq!(s.site(1).unwrap().limit, 5, "budget saturates at max");
+        assert_eq!(
+            s.site(1).unwrap().limit,
+            MAX_LIMIT,
+            "budget saturates at max"
+        );
         // In-flight at max: gate closes exactly at the budget.
-        for _ in 0..5 {
+        for _ in 0..MAX_LIMIT {
             assert!(s.can_fork(&p, 1));
             s.note_fork(&p, 1);
         }
@@ -569,27 +469,8 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_min_limit_floor_holds() {
-        let p = SpeculationPolicy::Adaptive {
-            target_success: 0.7,
-            min_limit: 2,
-            max_limit: 8,
-            ewma_alpha: 0.5,
-            cooloff: 4,
-        };
-        let mut s = SpeculationState::default();
-        for _ in 0..20 {
-            abort_once(&mut s, &p, 1);
-        }
-        let c = s.site(1).unwrap();
-        assert_eq!(c.limit, 2, "backoff floors at min_limit");
-        assert_eq!(c.cooloff, 0, "a floored site never cools off");
-        assert!(s.can_fork(&p, 1));
-    }
-
-    #[test]
     fn dependency_aborts_are_not_success_samples() {
-        let p = adaptive();
+        let p = SpeculationPolicy::Adaptive;
         let mut s = SpeculationState::default();
         s.note_fork(&p, 1);
         s.note_fork(&p, 1);
@@ -614,22 +495,8 @@ mod tests {
         );
         assert_eq!(
             SpeculationPolicy::parse("adaptive").unwrap(),
-            SpeculationPolicy::adaptive()
+            SpeculationPolicy::Adaptive
         );
-        let p = SpeculationPolicy::parse("adaptive:target=0.9,max=32,cooloff=2").unwrap();
-        match p {
-            SpeculationPolicy::Adaptive {
-                target_success,
-                max_limit,
-                cooloff,
-                ..
-            } => {
-                assert_eq!(target_success, 0.9);
-                assert_eq!(max_limit, 32);
-                assert_eq!(cooloff, 2);
-            }
-            other => panic!("{other:?}"),
-        }
     }
 
     #[test]
@@ -639,13 +506,11 @@ mod tests {
             "static",
             "static:x",
             "static:-1",
+            "adaptive:",
             "adaptive:target",
+            "adaptive:target=0.9",
+            "adaptive:max=8",
             "adaptive:frobnicate=3",
-            "adaptive:alpha=0",
-            "adaptive:alpha=2",
-            "adaptive:target=0",
-            "adaptive:max=0",
-            "adaptive:min=9,max=4",
             "pessimistic:3",
         ] {
             assert!(
@@ -660,7 +525,7 @@ mod tests {
         for p in [
             SpeculationPolicy::Pessimistic,
             SpeculationPolicy::Static { limit: 4 },
-            SpeculationPolicy::adaptive(),
+            SpeculationPolicy::Adaptive,
         ] {
             assert_eq!(SpeculationPolicy::parse(&p.to_string()).unwrap(), p);
         }

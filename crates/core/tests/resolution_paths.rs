@@ -195,36 +195,6 @@ fn delivery_to_forked_threads_tracks_intervals_independently() {
 }
 
 #[test]
-fn note_send_builds_dependency_tree_for_targeted_control() {
-    let targeted = CoreConfig {
-        targeted_control: true,
-        ..CoreConfig::default()
-    };
-    let mut c = ProcessCore::new(ProcessId(0), targeted);
-    let r = c.fork(0, 1);
-    let guard = c.guard_for_send(r.right_thread).clone();
-    c.note_send(&guard, ProcessId(5));
-    c.note_send(&guard, ProcessId(6));
-    c.note_send(&guard, ProcessId(0)); // self: ignored
-    let deps = c.dependents_of(r.guess);
-    assert!(deps.contains(&ProcessId(5)));
-    assert!(deps.contains(&ProcessId(6)));
-    assert!(!deps.contains(&ProcessId(0)));
-    assert_eq!(deps.len(), 2);
-}
-
-#[test]
-fn note_send_records_nothing_under_broadcast_dissemination() {
-    // Only targeted dissemination reads the dependents map; the default
-    // (broadcast) configuration does not fill it.
-    let mut c = ProcessCore::new(ProcessId(0), CoreConfig::default());
-    let r = c.fork(0, 1);
-    let guard = c.guard_for_send(r.right_thread).clone();
-    c.note_send(&guard, ProcessId(5));
-    assert!(c.dependents_of(r.guess).is_empty());
-}
-
-#[test]
 fn own_guess_registry_reflects_lifecycle() {
     let mut c = ProcessCore::new(ProcessId(0), CoreConfig::default());
     assert_eq!(c.pending_own_guesses(), 0);

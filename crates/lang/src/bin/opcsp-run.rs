@@ -14,10 +14,8 @@
 //!   --show-transform     print the transformed program and fork sites
 //!   --timeout <t>        fork timeout in ticks              [default 100000]
 //!   --speculation <p>    speculation policy: pessimistic | static:N (the
-//!                        §3.3 retry limit L) | adaptive[:target=0.7,min=0,
-//!                        max=16,alpha=0.5,cooloff=4] — the adaptive form
-//!                        runs the per-fork-site controller
-//!                        (core::speculation)               [default static:3]
+//!                        §3.3 retry limit L) | adaptive (the per-fork-site
+//!                        controller, core::speculation)    [default static:3]
 //!   --explore            bounded systematic schedule exploration: drive
 //!                        the optimistic engine through every partial-
 //!                        order-distinct delivery schedule (within the
@@ -351,7 +349,7 @@ fn usage() {
         "usage: opcsp-run <file.csp | kv:[replicas=R,clients=C,ops=N,gap=G,keys=K,\
          writes=W,zipf=S]> [--pessimistic] [--compare] [--latency d] \
          [--jitter s] [--seed n] [--timeline] [--show-transform] [--timeout t] \
-         [--speculation pessimistic|static:N|adaptive[:k=v,..]] \
+         [--speculation pessimistic|static:N|adaptive] \
          [--explore [--depth k] [--budget n]] \
          [--forensics] [--inject-lifo] [--inject-phantom] \
          [--rt] [--workers N] [--chaos spec] [--trace-out path] \
@@ -558,7 +556,6 @@ fn rt_config(
             Some(workers) => opcsp_rt::Executor::Sharded { workers },
             None => opcsp_rt::RtConfig::default().executor,
         },
-        ..opcsp_rt::RtConfig::default()
     }
 }
 
@@ -1078,7 +1075,7 @@ fn main() -> ExitCode {
         );
         let verdict = check_theorem1(&pess, &opt, |sched| {
             let mut c = cfg(false);
-            c.delivery_schedule = Some(sched);
+            c.forced_order = Some(sched);
             sys.run(c)
         });
         match verdict {
@@ -1120,7 +1117,7 @@ fn main() -> ExitCode {
                             let o2 = sys.run(make_cfg(&scripted, true));
                             !check_theorem1(&p2, &o2, |sched| {
                                 let mut c = make_cfg(&scripted, false);
-                                c.delivery_schedule = Some(sched);
+                                c.forced_order = Some(sched);
                                 sys.run(c)
                             })
                             .holds()

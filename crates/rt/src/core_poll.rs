@@ -143,12 +143,9 @@ impl Env for RtEnv {
         self.transport.send(to, Payload::Ctrl(ctrl));
     }
 
-    fn resume(&mut self, thread: ThreadId, after: After, resume: Resume) {
-        if let After::Compute(cost) = after {
-            if !self.cfg.compute_unit.is_zero() && cost > 0 {
-                std::thread::sleep(self.cfg.compute_unit * cost as u32);
-            }
-        }
+    /// Every resume runs as soon as the ready queue reaches it: a
+    /// `Compute` cost is virtual time, which only the simulator keeps.
+    fn resume(&mut self, thread: ThreadId, _after: After, resume: Resume) {
         self.ready.push_back((thread.index, resume));
     }
 
@@ -310,11 +307,10 @@ impl ProcessActor {
     }
 
     fn on_frame(&mut self, f: Frame) {
-        let from = f.from;
         for p in self.env.transport.on_frame(f) {
             match p {
                 Payload::Data(msg) => self.driver.on_data(&mut self.env, msg),
-                Payload::Ctrl(ctrl) => self.driver.on_control(&mut self.env, from, ctrl),
+                Payload::Ctrl(ctrl) => self.driver.on_control(&mut self.env, ctrl),
             }
         }
     }

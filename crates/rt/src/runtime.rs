@@ -59,8 +59,6 @@ pub struct RtConfig {
     pub latency: Duration,
     /// Wall-clock budget for a left thread before its guess aborts.
     pub fork_timeout: Duration,
-    /// Wall time one `Compute` cost unit takes (zero = free).
-    pub compute_unit: Duration,
     /// Hard cap on the whole run.
     pub run_timeout: Duration,
     /// Network fault injection (the chaos layer). Fault-free by default;
@@ -92,7 +90,6 @@ impl Default for RtConfig {
             core: CoreConfig::default(),
             latency: Duration::from_millis(2),
             fork_timeout: Duration::from_secs(5),
-            compute_unit: Duration::ZERO,
             run_timeout: Duration::from_secs(30),
             faults: NetFaults::none(),
             telemetry: false,

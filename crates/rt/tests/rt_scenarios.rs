@@ -127,39 +127,3 @@ fn two_contending_clients_on_real_threads() {
         .count();
     assert_eq!(served, 10);
 }
-
-#[test]
-fn targeted_control_on_real_threads() {
-    use opcsp_core::CoreConfig;
-    let cfg = RtConfig {
-        core: CoreConfig {
-            targeted_control: true,
-            ..CoreConfig::default()
-        },
-        latency: Duration::from_millis(2),
-        fork_timeout: Duration::from_secs(2),
-        run_timeout: Duration::from_secs(20),
-        ..RtConfig::default()
-    };
-    let mut w = RtWorld::new(cfg);
-    let c = w.add_process(PutLineClient::new(8), true);
-    let _s = w.add_process(Server::new("S", 0), false);
-    // A bystander that never participates: with targeted control it
-    // receives no control traffic at all.
-    let _idle = w.add_process(Server::new("Idle", 0), false);
-    let r = w.run();
-    assert!(!r.timed_out, "{:?}", r.stats);
-    assert_eq!(r.stats.aborts, 0);
-    let got = r.logs[&c]
-        .iter()
-        .filter(|o| matches!(o, Observable::Received { payload, .. } if payload.is_true()))
-        .count();
-    assert_eq!(got, 8);
-    // Broadcast would send 2 ctrl msgs per commit (2 other processes);
-    // targeted sends only to the server: strictly fewer.
-    assert!(
-        r.stats.control_messages <= 8,
-        "targeted must not spam the bystander: {}",
-        r.stats.control_messages
-    );
-}

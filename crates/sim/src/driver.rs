@@ -36,7 +36,7 @@ use opcsp_core::{
     Incarnation, JoinDecision, Label, MsgId, OwnGuessState, ProcessCore, ProcessId, ProtoStats,
     Telemetry, TelemetryEvent, ThreadId, ThreadMeta, ThreadPhase, Value,
 };
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 #[cfg(test)]
@@ -45,7 +45,7 @@ mod tests;
 /// Per-process committed receive order: for each process, the peers whose
 /// data messages (calls and sends, not returns) it consumed, in consumption
 /// order. Extracted from a committed run by `equiv::committed_schedule` and
-/// replayed through a pessimistic run via `SimConfig::delivery_schedule`.
+/// replayed through a pessimistic run via `SimConfig::forced_order`.
 pub type DeliverySchedule = BTreeMap<ProcessId, Vec<ProcessId>>;
 
 /// Deliberate engine misbehavior, used to prove the Theorem-1 oracle (and
@@ -168,14 +168,11 @@ pub struct DriverPolicy {
 }
 
 /// When a resumed thread should run, relative to now. The simulator turns
-/// these into virtual-time costs; the runtime queues the thread at once
-/// (and sleeps through a `Compute`).
+/// these into virtual-time costs; the runtime queues the thread at once.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum After {
-    /// One ordinary behavior step.
+    /// One ordinary behavior step, a fork's state copy included.
     Step,
-    /// A fork's state copy.
-    Fork,
     /// `Effect::Compute { cost }`.
     Compute(u64),
     /// No cost: a delivery hands the message over immediately.
@@ -293,14 +290,6 @@ impl Thread {
     }
 }
 
-fn ctrl_kind(ctrl: &Control) -> u8 {
-    match ctrl {
-        Control::Commit(_) => 0,
-        Control::Abort(_) => 1,
-        Control::Precedence(..) => 2,
-    }
-}
-
 fn unresolved(state: OwnGuessState) -> bool {
     matches!(
         state,
@@ -358,8 +347,6 @@ pub struct Driver {
     /// check. `None`: some pooled message has not been checked since it
     /// was (re)pooled.
     pool_checked: Option<u64>,
-    /// Control messages already relayed (targeted dissemination dedup).
-    relayed: BTreeSet<(u8, GuessId)>,
     /// Guessed values per fork, for join verification.
     guesses: BTreeMap<GuessId, Vec<(String, Value)>>,
     /// Position in `policy.forced_order` (non-return receives currently
@@ -394,7 +381,6 @@ impl Driver {
             buffered: Vec::new(),
             pool: Vec::new(),
             pool_checked: Some(0),
-            relayed: BTreeSet::new(),
             guesses: BTreeMap::new(),
             forced_pos: 0,
             stats: ProtoStats::default(),
@@ -706,7 +692,6 @@ impl Driver {
             label: msg.label.clone(),
             guard: msg.guard.clone(),
         });
-        self.core.note_send(&msg.guard, to);
         let id = msg.id;
         let link_seq = env.send_data(msg);
         let obs = Observable::Sent {
@@ -735,8 +720,7 @@ impl Driver {
 
     /// Disseminate a control message: broadcast to the control domain
     /// (the paper's simple scheme, scoped to where a dependency can
-    /// exist), or targeted at recorded dependents. Targeted recipients
-    /// relay onward in [`Driver::on_control`].
+    /// exist). A received control message is never forwarded.
     fn broadcast<E: Env>(&mut self, env: &mut E, ctrl: Control) {
         let from = self.pid;
         env.trace(|t| TraceEvent::ControlSent {
@@ -744,45 +728,9 @@ impl Driver {
             from,
             ctrl: ctrl.clone(),
         });
-        let targets: Vec<ProcessId> = if self.core.config.targeted_control {
-            let mut t = self.core.dependents_of(ctrl.subject());
-            // PRECEDENCE must also reach the owners of the guard members
-            // (they hold the CDG edges that close cycles).
-            if let Control::Precedence(_, guard) = &ctrl {
-                let owners = guard.runs().iter().map(|r| r.process);
-                t.extend(owners.filter(|p| *p != from));
-            }
-            t.into_iter().collect()
-        } else {
-            self.domain.iter().copied().filter(|p| *p != from).collect()
-        };
-        self.relayed.insert((ctrl_kind(&ctrl), ctrl.subject()));
-        self.send_control(env, targets, &ctrl);
-    }
-
-    /// Cooperative relay for targeted dissemination: forward a control
-    /// message (once) to the dependents this process itself created,
-    /// excluding whoever just told us (they know).
-    fn relay_control<E: Env>(&mut self, env: &mut E, from: ProcessId, ctrl: &Control) {
-        if !self.core.config.targeted_control
-            || !self.relayed.insert((ctrl_kind(ctrl), ctrl.subject()))
-        {
-            return;
-        }
-        let mut targets = self.core.dependents_of(ctrl.subject());
-        targets.remove(&from);
-        self.send_control(env, targets, ctrl);
-    }
-
-    fn send_control<E: Env>(
-        &mut self,
-        env: &mut E,
-        targets: impl IntoIterator<Item = ProcessId>,
-        ctrl: &Control,
-    ) {
-        for to in targets {
+        for &to in self.domain.iter().filter(|p| **p != from) {
             self.stats.control_messages += 1;
-            env.send_control(self.pid, to, ctrl.clone());
+            env.send_control(from, to, ctrl.clone());
         }
     }
 
@@ -830,9 +778,9 @@ impl Driver {
             right,
         });
         if let Some(resume) = left_resume {
-            self.resume(env, tid, After::Fork, resume);
+            self.resume(env, tid, After::Step, resume);
         }
-        self.resume(env, right, After::Fork, Resume::ForkRight { guesses });
+        self.resume(env, right, After::Step, Resume::ForkRight { guesses });
         env.arm_fork_timer(guess);
     }
 
@@ -1138,9 +1086,8 @@ impl Driver {
     // Control messages & resolution
     // ------------------------------------------------------------------
 
-    /// A control message arrived from process `from`.
-    pub fn on_control<E: Env>(&mut self, env: &mut E, from: ProcessId, ctrl: Control) {
-        self.relay_control(env, from, &ctrl);
+    /// A control message arrived.
+    pub fn on_control<E: Env>(&mut self, env: &mut E, ctrl: Control) {
         let at = self.pid;
         match ctrl {
             Control::Commit(guess) => {

@@ -176,7 +176,7 @@ fn rollback_repools_cancels_reopens_and_rewinds() {
     assert_eq!(d.forced_pos, 2);
     assert_eq!(d.threads[&0].checkpoints.len(), 2);
 
-    d.on_control(&mut fake, P3, Control::Abort(g));
+    d.on_control(&mut fake, Control::Abort(g));
 
     assert_eq!(d.stats.rollbacks, 1);
     assert_eq!(fake.cancelled, vec![thread(0)]);
@@ -324,11 +324,11 @@ fn a_rollback_to_boundary_2_restores_its_snapshot() {
     }
     assert_eq!(d.threads[&0].checkpoints.len(), 5);
     assert_eq!(d.checkpoints_taken, 4);
-    d.on_control(&mut fake, P2, Control::Abort(remote_guess(P2)));
+    d.on_control(&mut fake, Control::Abort(remote_guess(P2)));
     assert_eq!(seen(&d, 0), &[1]);
     fake.run(&mut d);
     for owner in [P1, P3, ProcessId(4)] {
-        d.on_control(&mut fake, owner, Control::Commit(remote_guess(owner)));
+        d.on_control(&mut fake, Control::Commit(remote_guess(owner)));
     }
     assert_eq!(seen(&d, 0), &[1, 4, 8]);
     assert_eq!(
@@ -358,7 +358,7 @@ fn phantom_log_leaks_rolled_back_observables() {
         let mut fake = Fake::start(&mut d);
         let g = remote_guess(P3);
         fake.arrive(&mut d, msg(1, P1, Guard::single(g), 10));
-        d.on_control(&mut fake, P3, Control::Abort(g));
+        d.on_control(&mut fake, Control::Abort(g));
         assert_eq!(d.stats.rollbacks, 1);
         d.log()
     };
@@ -414,7 +414,7 @@ fn fan_out() -> Arc<dyn Behavior> {
 }
 
 #[test]
-fn relayed_control_never_returns_to_its_sender() {
+fn received_control_is_never_forwarded() {
     let g = remote_guess(P3);
     let controls = [
         Control::Commit(g),
@@ -422,25 +422,18 @@ fn relayed_control_never_returns_to_its_sender() {
         Control::Precedence(g, Guard::empty()),
     ];
     for ctrl in controls {
-        for (from, other) in [(P1, P2), (P2, P1)] {
-            let core = CoreConfig {
-                targeted_control: true,
-                ..CoreConfig::default()
-            };
-            let mut d = Driver::new(P0, fan_out(), world(), core, DriverPolicy::default());
-            let mut fake = Fake::start(&mut d);
-            // P0 takes on a dependency on g, then tags messages to P1 and
-            // P2 with it: both are its recorded dependents.
-            fake.arrive(&mut d, msg(1, P1, Guard::single(g), 0));
-            assert_eq!(fake.data.len(), 2);
+        let mut d = driver(fan_out(), DriverPolicy::default());
+        let mut fake = Fake::start(&mut d);
+        // P0 takes on a dependency on g, then tags messages to P1 and P2
+        // with it.
+        fake.arrive(&mut d, msg(1, P1, Guard::single(g), 0));
+        assert_eq!(fake.data.len(), 2);
 
-            d.on_control(&mut fake, from, ctrl.clone());
-            assert_eq!(fake.ctrl, [(other, ctrl.clone())], "{ctrl} from {from}");
-            // Relayed once: the copy that comes round again goes nowhere.
-            d.on_control(&mut fake, other, ctrl.clone());
-            assert_eq!(fake.ctrl.len(), 1);
-            assert_eq!(d.stats.control_messages, 1);
-        }
+        // Its owner broadcast the resolution to the whole domain: P0 has
+        // nobody left to tell.
+        d.on_control(&mut fake, ctrl.clone());
+        assert!(fake.ctrl.is_empty(), "{ctrl} forwarded: {:?}", fake.ctrl);
+        assert_eq!(d.stats.control_messages, 0);
     }
 }
 
@@ -499,7 +492,7 @@ fn pooled_message_orphaned_by_an_explicit_abort_is_dropped() {
     let g = remote_guess(P3);
     d.on_data(&mut fake, msg(1, P1, Guard::single(g), 10));
     d.on_data(&mut fake, msg(2, P2, Guard::empty(), 20));
-    d.on_control(&mut fake, P3, Control::Abort(g));
+    d.on_control(&mut fake, Control::Abort(g));
     assert_eq!(d.stats.orphans, 1);
     assert_eq!(d.pool_checked, Some(d.core.history.aborts_learned()));
     fake.ready.push_back((thread(0), Resume::Start));
@@ -538,7 +531,7 @@ fn repooled_messages_are_checked_again() {
     let mut d = driver(sink(), DriverPolicy::default());
     let mut fake = Fake::default();
     let g = remote_guess(P3);
-    d.on_control(&mut fake, P3, Control::Abort(g));
+    d.on_control(&mut fake, Control::Abort(g));
     assert_eq!(d.pool_checked, Some(d.core.history.aborts_learned()));
     // What a rollback hands back was checked before it was consumed, not
     // since: the pool no longer vouches for its contents.
@@ -615,7 +608,7 @@ fn buffered_output_is_released_in_thread_order_as_guards_empty() {
     assert_eq!(fake.external, ints(&[10]));
     assert_eq!(d.live, [2]);
     assert_eq!(d.buffered, [2]);
-    d.on_control(&mut fake, P3, Control::Commit(g));
+    d.on_control(&mut fake, Control::Commit(g));
     assert_eq!(fake.external, ints(&[10, 20, 21]));
     assert!(d.live.is_empty() && d.buffered.is_empty());
 
@@ -623,7 +616,7 @@ fn buffered_output_is_released_in_thread_order_as_guards_empty() {
     // at once, and the one flush releases thread 1's output before
     // thread 2's.
     let (mut d, mut fake) = run();
-    d.on_control(&mut fake, P3, Control::Commit(g));
+    d.on_control(&mut fake, Control::Commit(g));
     assert!(fake.external.is_empty());
     assert_eq!(d.buffered, [1, 2]);
     fake.arrive(&mut d, msg(2, P2, Guard::empty(), 0));

@@ -36,30 +36,21 @@ pub struct SimConfig {
     /// aborts (§3.2: "the timeout is set at fork ... guarantees that
     /// predicate x1 aborts in case S1 diverges").
     pub fork_timeout: VTime,
-    /// Cost of one behavior step (local computation between effects).
-    pub step_cost: VTime,
-    /// Extra cost of a fork (state copy).
-    pub fork_cost: VTime,
     pub latency: LatencyModel,
     /// Safety valve against runaway simulations.
     pub max_events: u64,
-    /// Replay a committed receive order: at each receive point, hold
-    /// delivery until the scheduled peer's oldest message is available.
-    /// Meant for a pessimistic run (`core.speculation`), where no rollback
-    /// re-consumes a message. This is the Theorem-1 oracle's vehicle: a
-    /// divergent-looking optimistic run is legal iff its committed
-    /// schedule replays to the same logs on the sequential engine.
-    pub delivery_schedule: Option<Arc<DeliverySchedule>>,
-    /// Force the *first* `explore_prefix[p]` non-return deliveries at each
-    /// process `p` to come from the named peers, holding other candidates
-    /// until the wanted sender's oldest message is available; past the
-    /// prefix the normal delivery policy applies. Same hold semantics as
-    /// [`SimConfig::delivery_schedule`] (which it shadows when both are
-    /// set), but rollback-aware: when a rollback or discard returns
-    /// consumed messages to the pool, the per-process position rewinds, so
-    /// the forced choices re-apply on re-delivery. That makes it valid
-    /// in an optimistic run — it is `sim::explore`'s steering wheel.
-    pub explore_prefix: Option<Arc<DeliverySchedule>>,
+    /// Force the *first* `forced_order[p].len()` non-return deliveries at
+    /// each process `p` to come from the named peers, holding other
+    /// candidates until the wanted sender's oldest message is available;
+    /// past the prefix the normal delivery policy applies. Rollback-aware:
+    /// when a rollback or discard returns consumed messages to the pool,
+    /// the per-process position rewinds, so the forced choices re-apply on
+    /// re-delivery. A whole committed receive order replayed through a
+    /// pessimistic run is the Theorem-1 oracle's vehicle (a divergent-
+    /// looking optimistic run is legal iff its committed schedule replays
+    /// to the same logs on the sequential engine); a prefix forced on an
+    /// optimistic run is `sim::explore`'s steering wheel.
+    pub forced_order: Option<Arc<DeliverySchedule>>,
     /// Deliberate misbehavior for oracle-teeth tests.
     pub fault: FaultInjection,
 }
@@ -69,12 +60,9 @@ impl Default for SimConfig {
         SimConfig {
             core: CoreConfig::default(),
             fork_timeout: 100_000,
-            step_cost: 1,
-            fork_cost: 1,
             latency: LatencyModel::fixed(10),
             max_events: 5_000_000,
-            delivery_schedule: None,
-            explore_prefix: None,
+            forced_order: None,
             fault: FaultInjection::None,
         }
     }
@@ -166,9 +154,8 @@ pub struct SimResult {
     pub resolutions: BTreeMap<ProcessId, Vec<GuessResolution>>,
     /// Senders of data (non-return) messages still pooled undelivered at
     /// quiescence, in arrival-id order. Normally empty; non-empty when a
-    /// forced order ([`SimConfig::explore_prefix`] /
-    /// [`SimConfig::delivery_schedule`]) held candidates for a sender that
-    /// never obliged — the explorer's infeasible-branch signal.
+    /// [`SimConfig::forced_order`] held candidates for a sender that never
+    /// obliged — the explorer's infeasible-branch signal.
     pub undelivered: BTreeMap<ProcessId, Vec<ProcessId>>,
     /// Scripted latency overrides ([`LatencyModel::Scripted`]) whose
     /// [`DrawKey`] was never drawn this run: the script drifted from the
@@ -197,7 +184,6 @@ enum Event {
     },
     Deliver(Envelope),
     Ctrl {
-        from: ProcessId,
         to: ProcessId,
         ctrl: Control,
     },
@@ -304,13 +290,12 @@ impl Env for Net {
 
     fn send_control(&mut self, from: ProcessId, to: ProcessId, ctrl: Control) {
         let (d, _) = self.link_delay(from, to);
-        self.schedule(self.now + d, Event::Ctrl { from, to, ctrl });
+        self.schedule(self.now + d, Event::Ctrl { to, ctrl });
     }
 
     fn resume(&mut self, thread: ThreadId, after: After, resume: Resume) {
         let cost = match after {
-            After::Step => self.cfg.step_cost,
-            After::Fork => self.cfg.fork_cost,
+            After::Step => 1,
             After::Compute(cost) => cost,
             After::Now => 0,
         };
@@ -353,10 +338,7 @@ impl Env for Net {
 impl World {
     fn new(cfg: SimConfig, behaviors: Vec<Arc<dyn Behavior>>) -> Self {
         let policy = DriverPolicy {
-            forced_order: cfg
-                .explore_prefix
-                .clone()
-                .or_else(|| cfg.delivery_schedule.clone()),
+            forced_order: cfg.forced_order.clone(),
             fault: cfg.fault,
             provenance: true,
         };
@@ -423,8 +405,8 @@ impl World {
                     self.procs[msg.to.0 as usize].on_data(net, msg);
                     true
                 }
-                Event::Ctrl { from, to, ctrl } => {
-                    self.procs[to.0 as usize].on_control(net, from, ctrl);
+                Event::Ctrl { to, ctrl } => {
+                    self.procs[to.0 as usize].on_control(net, ctrl);
                     true
                 }
                 Event::Timer { guess } => self.procs[guess.process.0 as usize].on_timer(net, guess),

@@ -187,7 +187,7 @@ impl Theorem1Verdict {
 /// Check Theorem 1: strict comparison first, then the committed-schedule
 /// replay oracle. `rerun` must execute the same system pessimistically
 /// under the given delivery schedule (same latency model and seed) — see
-/// `SimConfig::delivery_schedule`.
+/// `SimConfig::forced_order`.
 pub fn check_theorem1(
     pessimistic: &SimResult,
     optimistic: &SimResult,

@@ -19,7 +19,7 @@
 //! # The search
 //!
 //! Stateless depth-first search over *forcing scripts*
-//! ([`SimConfig::explore_prefix`]): a script pins, per receiver, a prefix
+//! ([`SimConfig::forced_order`]): a script pins, per receiver, a prefix
 //! of the sender order; the engine holds other candidates until the wanted
 //! sender's oldest message is available and falls back to the default
 //! policy past the prefix. Each run realises a complete committed schedule
@@ -271,14 +271,14 @@ pub fn explore(
 
     let run_forced = |script: &DeliverySchedule| -> SimResult {
         let mut cfg = opt_cfg.clone();
-        cfg.explore_prefix = Some(Arc::new(script.clone()));
+        cfg.forced_order = Some(Arc::new(script.clone()));
         runner(&cfg)
     };
     let oracle = |r: &SimResult, oracle_runs: &mut usize| -> Theorem1Verdict {
         check_theorem1(&pess_ref, r, |sched| {
             *oracle_runs += 1;
             let mut c = pess_cfg.clone();
-            c.delivery_schedule = Some(sched);
+            c.forced_order = Some(sched);
             runner(&c)
         })
     };
@@ -367,7 +367,7 @@ fn try_violation(
     script: &DeliverySchedule,
 ) -> Option<ViolationRun> {
     let mut cfg = opt_cfg.clone();
-    cfg.explore_prefix = Some(Arc::new(script.clone()));
+    cfg.forced_order = Some(Arc::new(script.clone()));
     let opt = runner(&cfg);
     let realized = committed_schedule(&opt);
     if !feasible(script, &realized, &opt) {
@@ -375,7 +375,7 @@ fn try_violation(
     }
     let verdict = check_theorem1(pess_ref, &opt, |sched| {
         let mut c = pess_cfg.clone();
-        c.delivery_schedule = Some(sched);
+        c.forced_order = Some(sched);
         runner(&c)
     });
     match verdict {

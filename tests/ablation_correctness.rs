@@ -1,6 +1,6 @@
-//! The §4.2.3 min-new-deps delivery choice and §4.2.5's targeted control
-//! are *performance* choices: turning them off must never break
-//! correctness, only cost more aborts/time — in every combination.
+//! The §4.2.3 min-new-deps delivery choice is a *performance* choice:
+//! turning it off must never break correctness, only cost more
+//! aborts/time — with it on and off.
 
 use opcsp_core::{CoreConfig, SpeculationPolicy};
 use opcsp_sim::{check_conservation, check_equivalence};
@@ -9,17 +9,13 @@ use opcsp_workloads::update_write::{fig4_latency, run_update_write, UpdateWriteO
 use std::collections::BTreeSet;
 
 fn all_core_configs() -> Vec<CoreConfig> {
-    let mut out = Vec::new();
-    for deliver in [true, false] {
-        for targeted in [true, false] {
-            out.push(CoreConfig {
-                deliver_min_deps: deliver,
-                targeted_control: targeted,
-                speculation: SpeculationPolicy::default(),
-            });
-        }
-    }
-    out
+    [true, false]
+        .into_iter()
+        .map(|deliver| CoreConfig {
+            deliver_min_deps: deliver,
+            speculation: SpeculationPolicy::default(),
+        })
+        .collect()
 }
 
 #[test]
@@ -83,7 +79,6 @@ fn time_fault_scenario_correct_under_every_ablation_combo() {
 fn heavy_faults_with_all_optimizations_off() {
     let core = CoreConfig {
         deliver_min_deps: false,
-        targeted_control: false,
         speculation: SpeculationPolicy::Static { limit: 2 },
     };
     for p in [300u32, 700] {

@@ -183,7 +183,6 @@ proptest! {
         n in 4u32..20,
         latency in 5u64..80,
         fails in proptest::collection::btree_set(1u32..16, 0..3),
-        targeted in any::<bool>(),
     ) {
         let fail_lines: BTreeSet<u32> = fails.into_iter().filter(|f| *f < n).collect();
         assert_matches_pessimistic("streaming", |optimism| {
@@ -191,10 +190,7 @@ proptest! {
                 n,
                 latency,
                 fail_lines: fail_lines.clone(),
-                core: CoreConfig {
-                    targeted_control: targeted,
-                    ..core(optimism)
-                },
+                core: core(optimism),
                 ..StreamingOpts::default()
             })
         });

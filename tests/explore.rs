@@ -49,7 +49,7 @@ fn explorer_finds_order_dependent_phantom_by_exhaustion() {
     let opt = sys.run(opt_cfg.clone());
     let default_verdict = check_theorem1(&pess, &opt, |sched| {
         let mut c = pess_cfg.clone();
-        c.delivery_schedule = Some(sched);
+        c.forced_order = Some(sched);
         sys.run(c)
     });
     assert!(

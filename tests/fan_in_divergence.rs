@@ -69,7 +69,7 @@ fn verdict(
     let opt = sys.run(cfg(model, true, fault));
     let v = check_theorem1(&pess, &opt, |sched| {
         let mut c = cfg(model, false, FaultInjection::None);
-        c.delivery_schedule = Some(sched);
+        c.forced_order = Some(sched);
         sys.run(c)
     });
     (v, opt)
@@ -277,7 +277,7 @@ fn shrinker_determinism_is_invariant_across_speculation() {
             let opt = sys.run(mk(model, true, FaultInjection::PhantomLog));
             let v = check_theorem1(&pess, &opt, |sched| {
                 let mut c = mk(model, false, FaultInjection::None);
-                c.delivery_schedule = Some(sched);
+                c.forced_order = Some(sched);
                 sys.run(c)
             });
             (v, opt)
