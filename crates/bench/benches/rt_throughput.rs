@@ -10,10 +10,10 @@
 //! `figures scaling` table (EXPERIMENTS.md E11).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use opcsp_core::{CoreConfig, Value};
+use opcsp_core::CoreConfig;
 use opcsp_rt::{Executor, RtConfig, RtWorld};
-use opcsp_workloads::servers::Server;
-use opcsp_workloads::streaming::{rt_pairs_world, PutLineClient};
+use opcsp_workloads::catalog::Spec;
+use opcsp_workloads::streaming::{PairsOpts, StreamingOpts};
 use std::time::Duration;
 
 fn run_once(n: u32, optimism: bool, latency_ms: u64) -> opcsp_rt::RtResult {
@@ -28,10 +28,11 @@ fn run_once(n: u32, optimism: bool, latency_ms: u64) -> opcsp_rt::RtResult {
         run_timeout: Duration::from_secs(20),
         ..RtConfig::default()
     };
-    let mut w = RtWorld::new(cfg);
-    w.add_process(PutLineClient::new(n), true);
-    w.add_process(Server::new("S", 0).with_reply(|_| Value::Bool(true)), false);
-    let r = w.run();
+    let stream = StreamingOpts {
+        n,
+        ..StreamingOpts::default()
+    };
+    let r = Spec::Stream(stream).on(RtWorld::new(cfg)).run();
     assert!(!r.timed_out);
     r
 }
@@ -59,7 +60,11 @@ fn run_pairs(procs: u32, executor: Executor) -> opcsp_rt::RtResult {
         executor,
         ..RtConfig::default()
     };
-    let r = rt_pairs_world(procs / 2, 4, cfg).run();
+    let pairs = PairsOpts {
+        pairs: procs / 2,
+        ..PairsOpts::default()
+    };
+    let r = Spec::Pairs(pairs).on(RtWorld::new(cfg)).run();
     assert!(!r.timed_out && r.panicked.is_empty() && r.stragglers.is_empty());
     r
 }

@@ -4,29 +4,32 @@
 
 use opcsp_core::CoreConfig;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use opcsp_workloads::chain::{run_chain, ChainOpts};
-use opcsp_workloads::streaming::{run_streaming, run_tally, StreamingOpts, TallyOpts};
+use opcsp_workloads::catalog::Spec;
+use opcsp_workloads::chain::ChainOpts;
+use opcsp_workloads::streaming::{StreamingOpts, TallyOpts};
 
 fn bench_streaming(c: &mut Criterion) {
     let mut g = c.benchmark_group("sim_streaming");
     for n in [16u32, 64, 256] {
         g.bench_with_input(BenchmarkId::new("optimistic", n), &n, |b, &n| {
             b.iter(|| {
-                run_streaming(StreamingOpts {
+                Spec::Stream(StreamingOpts {
                     n,
                     latency: 50,
                     ..Default::default()
                 })
+                .simulate()
             })
         });
         g.bench_with_input(BenchmarkId::new("pessimistic", n), &n, |b, &n| {
             b.iter(|| {
-                run_streaming(StreamingOpts {
+                Spec::Stream(StreamingOpts {
                     n,
                     latency: 50,
                     core: CoreConfig::pessimistic(),
                     ..Default::default()
                 })
+                .simulate()
             })
         });
     }
@@ -38,12 +41,13 @@ fn bench_faulty_streaming(c: &mut Criterion) {
     for p in [0u32, 100, 400] {
         g.bench_with_input(BenchmarkId::new("p_per_mille", p), &p, |b, &p| {
             b.iter(|| {
-                run_tally(TallyOpts {
+                Spec::Tally(TallyOpts {
                     n: 32,
                     latency: 50,
                     p_per_mille: p,
                     ..Default::default()
                 })
+                .simulate()
             })
         });
     }
@@ -55,12 +59,13 @@ fn bench_chain(c: &mut Criterion) {
     for depth in [2u32, 6] {
         g.bench_with_input(BenchmarkId::new("depth", depth), &depth, |b, &depth| {
             b.iter(|| {
-                run_chain(ChainOpts {
+                Spec::Chain(ChainOpts {
                     depth,
                     n: 8,
                     latency: 40,
                     ..Default::default()
                 })
+                .simulate()
             })
         });
     }

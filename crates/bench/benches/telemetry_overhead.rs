@@ -11,10 +11,10 @@
 //! branch per hook.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use opcsp_core::{Telemetry, TelemetryEvent, Value};
+use opcsp_core::{Telemetry, TelemetryEvent};
 use opcsp_rt::{RtConfig, RtWorld};
-use opcsp_workloads::servers::Server;
-use opcsp_workloads::streaming::PutLineClient;
+use opcsp_workloads::catalog::Spec;
+use opcsp_workloads::streaming::StreamingOpts;
 use std::time::Duration;
 
 fn run_once(n: u32, telemetry: bool) -> opcsp_rt::RtResult {
@@ -25,10 +25,11 @@ fn run_once(n: u32, telemetry: bool) -> opcsp_rt::RtResult {
         telemetry,
         ..RtConfig::default()
     };
-    let mut w = RtWorld::new(cfg);
-    w.add_process(PutLineClient::new(n), true);
-    w.add_process(Server::new("S", 0).with_reply(|_| Value::Bool(true)), false);
-    let r = w.run();
+    let stream = StreamingOpts {
+        n,
+        ..StreamingOpts::default()
+    };
+    let r = Spec::Stream(stream).on(RtWorld::new(cfg)).run();
     assert!(!r.timed_out);
     r
 }

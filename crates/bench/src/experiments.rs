@@ -8,15 +8,21 @@ use opcsp_core::{measure, CoreConfig, ProcessId, SpeculationPolicy};
 use opcsp_lang::{parse_program, program_to_string, System};
 use opcsp_sim::{check_equivalence, SimResult};
 use opcsp_timewarp::{run_two_clients, Cancellation, TwoClientOpts};
-use opcsp_workloads::chain::{run_chain, ChainOpts};
+use opcsp_workloads::catalog::{self, Spec};
+use opcsp_workloads::chain::ChainOpts;
 use opcsp_workloads::contention::{run_contention, ContentionOpts};
-use opcsp_workloads::fan_in::{run_fan_in, FanInOpts};
-use opcsp_workloads::streaming::{run_streaming, run_tally, StreamingOpts, TallyOpts};
+use opcsp_workloads::fan_in::FanInOpts;
+use opcsp_workloads::streaming::{PairsOpts, StreamingOpts, TallyOpts};
 use opcsp_workloads::two_clients::{run_fig6, run_fig7};
 use opcsp_workloads::update_write::{
     fig3_latency, fig4_latency, run_update_write, UpdateWriteOpts, X, Y, Z,
 };
 use std::collections::BTreeSet;
+
+/// A world's optimistic run and its pessimistic twin's, on the simulator.
+fn optimistic_and_twin(world: Spec) -> (SimResult, SimResult) {
+    (world.simulate(), world.twin().simulate())
+}
 
 /// Figure 1: the source program and the transformation's output.
 pub fn fig1() -> String {
@@ -156,23 +162,17 @@ pub fn e1_latency_sweep() -> Table {
         ],
     );
     for d in [1u64, 4, 16, 64, 256, 1024] {
-        let o = run_streaming(StreamingOpts {
+        let s = StreamingOpts {
             n: 32,
             latency: d,
             ..Default::default()
-        });
-        let fas = run_streaming(StreamingOpts {
-            n: 32,
-            latency: d,
+        };
+        let (o, p) = optimistic_and_twin(Spec::Stream(s.clone()));
+        let fas = Spec::Stream(StreamingOpts {
             fork_after_send: true,
-            ..Default::default()
-        });
-        let p = run_streaming(StreamingOpts {
-            n: 32,
-            latency: d,
-            core: CoreConfig::pessimistic(),
-            ..Default::default()
-        });
+            ..s
+        })
+        .simulate();
         assert!(o.unresolved.is_empty() && fas.unresolved.is_empty());
         t.row(vec![
             d.to_string(),
@@ -200,17 +200,11 @@ pub fn e2_n_sweep() -> Table {
         ],
     );
     for n in [1u32, 2, 4, 8, 16, 32, 64, 128, 256] {
-        let o = run_streaming(StreamingOpts {
+        let (o, p) = optimistic_and_twin(Spec::Stream(StreamingOpts {
             n,
             latency: 100,
             ..Default::default()
-        });
-        let p = run_streaming(StreamingOpts {
-            n,
-            latency: 100,
-            core: CoreConfig::pessimistic(),
-            ..Default::default()
-        });
+        }));
         assert!(o.unresolved.is_empty());
         t.row(vec![
             n.to_string(),
@@ -239,19 +233,12 @@ pub fn e3_abort_sweep() -> Table {
         ],
     );
     for p_mille in [0u32, 50, 100, 200, 400, 600, 800, 1000] {
-        let o = run_tally(TallyOpts {
+        let (o, p) = optimistic_and_twin(Spec::Tally(TallyOpts {
             n: 32,
             latency: 50,
             p_per_mille: p_mille,
             ..Default::default()
-        });
-        let p = run_tally(TallyOpts {
-            n: 32,
-            latency: 50,
-            p_per_mille: p_mille,
-            core: CoreConfig::pessimistic(),
-            ..Default::default()
-        });
+        }));
         assert!(o.unresolved.is_empty(), "p={p_mille}: {:?}", o.unresolved);
         t.row(vec![
             format!("{:.2}", p_mille as f64 / 1000.0),
@@ -273,13 +260,14 @@ pub fn e4_retry_limit() -> Table {
         &["L", "completion", "wasted forks", "aborts", "data msgs"],
     );
     for l in [0u32, 1, 2, 4, 8] {
-        let o = run_tally(TallyOpts {
+        let o = Spec::Tally(TallyOpts {
             n: 16,
             latency: 50,
             p_per_mille: 1000, // every line fails: every guess is wrong
             core: CoreConfig::static_limit(l),
             ..Default::default()
-        });
+        })
+        .simulate();
         assert!(o.unresolved.is_empty());
         t.row(vec![
             l.to_string(),
@@ -464,20 +452,22 @@ pub fn e8_guard_compaction() -> Table {
         ]);
     };
     for n in [4u32, 16, 32, 64, 256] {
-        let r = run_streaming(StreamingOpts {
+        let r = Spec::Stream(StreamingOpts {
             n,
             latency: 50,
             ..Default::default()
-        });
+        })
+        .simulate();
         row(format!("stream N={n}"), r, true);
     }
-    let tally = run_tally(TallyOpts {
+    let tally = Spec::Tally(TallyOpts {
         n: 64,
         latency: 50,
         p_per_mille: 100,
         seed: 7,
         core: CoreConfig::default(),
-    });
+    })
+    .simulate();
     row("tally n=64 p=0.1".to_string(), tally, false);
     t.note("§4.1.2: 'only the most recent guess from each process needs to be maintained in the commit guard set'. A member list grows O(N²) over a stream; a frame carries the guard's runs, and a stream's tag {x1..xk} is one run — the same bytes as §4.1.2's one span per process, without the incarnation-table rows, acknowledgements and fallback a receiver needs to expand a span. Run bytes are what the engines count as `guard_bytes` (asserted per row).");
     t.note("The one shape where a span is smaller is a tag that spans k incarnations of one process: k runs against one span — but only for a receiver that already holds the process's table rows 1..=i (i the span's latest incarnation). Self-contained, as this column counts it, the span ships those rows, and on the tally row, whose rejected lines restart the client's incarnation, it costs more than twice the runs. No workload ships that shape compact: the compact codec was never a default and is gone (DESIGN.md §5c).");
@@ -498,19 +488,12 @@ pub fn chain_depth() -> Table {
         ],
     );
     for depth in [1u32, 2, 4, 6, 8] {
-        let o = run_chain(ChainOpts {
+        let (o, p) = optimistic_and_twin(Spec::Chain(ChainOpts {
             depth,
             n: 8,
             latency: 40,
             ..Default::default()
-        });
-        let p = run_chain(ChainOpts {
-            depth,
-            n: 8,
-            latency: 40,
-            core: CoreConfig::pessimistic(),
-            ..Default::default()
-        });
+        }));
         assert!(o.unresolved.is_empty());
         t.row(vec![
             depth.to_string(),
@@ -531,53 +514,47 @@ pub fn t1_equivalence() -> Table {
         "T1 — Theorem 1 spot checks (committed traces vs pessimistic)",
         &["scenario", "faults injected", "equivalent"],
     );
-    let cases: Vec<(&str, SimResult, SimResult)> = vec![
+    let cases: Vec<(&str, (SimResult, SimResult))> = vec![
         (
             "fig3 streaming ok",
-            run_update_write(UpdateWriteOpts::default()),
-            run_update_write(UpdateWriteOpts {
-                core: CoreConfig::pessimistic(),
-                ..Default::default()
-            }),
+            (
+                run_update_write(UpdateWriteOpts::default()),
+                run_update_write(UpdateWriteOpts {
+                    core: CoreConfig::pessimistic(),
+                    ..Default::default()
+                }),
+            ),
         ),
         (
             "fig4 time fault",
-            run_update_write(UpdateWriteOpts {
-                latency: fig4_latency(50),
-                ..Default::default()
-            }),
-            run_update_write(UpdateWriteOpts {
-                latency: fig4_latency(50),
-                core: CoreConfig::pessimistic(),
-                ..Default::default()
-            }),
+            (
+                run_update_write(UpdateWriteOpts {
+                    latency: fig4_latency(50),
+                    ..Default::default()
+                }),
+                run_update_write(UpdateWriteOpts {
+                    latency: fig4_latency(50),
+                    core: CoreConfig::pessimistic(),
+                    ..Default::default()
+                }),
+            ),
         ),
         (
             "streaming value faults",
-            run_streaming(StreamingOpts {
+            optimistic_and_twin(Spec::Stream(StreamingOpts {
                 fail_lines: BTreeSet::from([3, 7]),
                 ..Default::default()
-            }),
-            run_streaming(StreamingOpts {
-                fail_lines: BTreeSet::from([3, 7]),
-                core: CoreConfig::pessimistic(),
-                ..Default::default()
-            }),
+            })),
         ),
         (
             "chain terminal failure",
-            run_chain(ChainOpts {
+            optimistic_and_twin(Spec::Chain(ChainOpts {
                 fail_items: BTreeSet::from([1]),
                 ..Default::default()
-            }),
-            run_chain(ChainOpts {
-                fail_items: BTreeSet::from([1]),
-                core: CoreConfig::pessimistic(),
-                ..Default::default()
-            }),
+            })),
         ),
     ];
-    for (name, opt, pess) in &cases {
+    for (name, (opt, pess)) in &cases {
         let rep = check_equivalence(pess, opt);
         let faults = opt.stats().value_faults + opt.stats().time_faults;
         t.row(vec![
@@ -626,57 +603,54 @@ pub fn lifecycle_stats() -> Table {
             rep.rollback_depth.render(),
         ]);
     };
-    let clean = run_streaming(StreamingOpts {
+    let clean = Spec::Stream(StreamingOpts {
         n: 16,
         latency: 50,
         ..Default::default()
-    });
+    })
+    .simulate();
     row("sim streaming n=16 clean", clean.telemetry.lifecycle());
-    let faulty = run_streaming(StreamingOpts {
+    let faulty = Spec::Stream(StreamingOpts {
         n: 16,
         latency: 50,
         fail_lines: BTreeSet::from([5]),
         ..Default::default()
-    });
+    })
+    .simulate();
     row("sim streaming n=16 fault@5", faulty.telemetry.lifecycle());
-    let tally = run_tally(TallyOpts {
+    let tally = Spec::Tally(TallyOpts {
         n: 12,
         latency: 30,
         p_per_mille: 300,
         seed: 7,
         core: CoreConfig::default(),
-    });
+    })
+    .simulate();
     row("sim tally n=12 p=0.3", tally.telemetry.lifecycle());
-    let fan = run_fan_in(FanInOpts {
+    let fan = Spec::FanIn(FanInOpts {
         producers: 4,
         n: 16,
         jitter: 40,
         ..Default::default()
-    });
+    })
+    .simulate();
     row("sim fan_in p=4 n=16 j=40", fan.telemetry.lifecycle());
-    let chain = run_chain(ChainOpts {
+    let chain = Spec::Chain(ChainOpts {
         depth: 4,
         n: 8,
         latency: 40,
         ..Default::default()
-    });
+    })
+    .simulate();
     row("sim chain d=4 n=8", chain.telemetry.lifecycle());
-    let rt = {
-        use opcsp_workloads::servers::Server;
-        use opcsp_workloads::streaming::PutLineClient;
-        use std::time::Duration;
-        let mut w = opcsp_rt::RtWorld::new(opcsp_rt::RtConfig {
-            latency: Duration::from_millis(1),
-            telemetry: true,
-            ..opcsp_rt::RtConfig::default()
-        });
-        w.add_process(PutLineClient::new(16), true);
-        w.add_process(
-            Server::new("WindowManager", 0).with_reply(|_| opcsp_core::Value::Bool(true)),
-            false,
-        );
-        w.run()
+    let rt_cfg = opcsp_rt::RtConfig {
+        latency: std::time::Duration::from_millis(1),
+        telemetry: true,
+        ..opcsp_rt::RtConfig::default()
     };
+    let rt = Spec::Stream(StreamingOpts::default())
+        .on(opcsp_rt::RtWorld::new(rt_cfg))
+        .run();
     assert!(!rt.timed_out, "rt lifecycle probe timed out");
     row("rt streaming n=16 clean (µs)", rt.telemetry.lifecycle());
     t.note(
@@ -741,27 +715,30 @@ pub fn lifecycle_site_stats() -> Table {
             ]);
         }
     };
-    let clean = run_streaming(StreamingOpts {
+    let clean = Spec::Stream(StreamingOpts {
         n: 16,
         latency: 50,
         ..Default::default()
-    });
+    })
+    .simulate();
     rows("sim streaming clean", clean.telemetry.lifecycle());
-    let tally = run_tally(TallyOpts {
+    let tally = Spec::Tally(TallyOpts {
         n: 12,
         latency: 30,
         p_per_mille: 300,
         seed: 7,
         core: CoreConfig::default(),
-    });
+    })
+    .simulate();
     rows("sim tally p=0.3 static:3", tally.telemetry.lifecycle());
-    let adaptive = run_tally(TallyOpts {
+    let adaptive = Spec::Tally(TallyOpts {
         n: 12,
         latency: 30,
         p_per_mille: 300,
         seed: 7,
         core: CoreConfig::adaptive(),
-    });
+    })
+    .simulate();
     rows("sim tally p=0.3 adaptive", adaptive.telemetry.lifecycle());
     t.note(
         "Success = committed / resolved at that site. Retries = aborted guesses (each forces \
@@ -910,10 +887,7 @@ pub fn e12_contention_sweep() -> Table {
 /// Exhaustiveness is cross-checked on the 2×2 fan-in, whose 6 distinct
 /// orders are countable by hand.
 pub fn e13_explore() -> Table {
-    use opcsp_sim::{explore, ExploreOpts, SimConfig};
-    use opcsp_workloads::chain::{chain_config, run_chain_cfg};
-    use opcsp_workloads::fan_in::{fan_in_config, run_fan_in_cfg};
-    use opcsp_workloads::streaming::{run_streaming_cfg, streaming_config};
+    use opcsp_sim::{explore, ExploreOpts};
 
     let mut t = Table::new(
         "E13 — bounded schedule exploration (depth 8): naive interleavings \
@@ -930,17 +904,14 @@ pub fn e13_explore() -> Table {
         ],
     );
 
-    let run_one = |name: &str,
-                   opt_cfg: SimConfig,
-                   runner: &dyn Fn(&SimConfig) -> opcsp_sim::SimResult,
-                   t: &mut Table|
-     -> opcsp_sim::ExploreOutcome {
+    let run_one = |name: &str, world: Spec, t: &mut Table| -> opcsp_sim::ExploreOutcome {
+        let opt_cfg = world.sim_config();
         let mut pess_cfg = opt_cfg.clone();
         pess_cfg.core.speculation = SpeculationPolicy::Pessimistic;
         let out = explore(
             &opt_cfg,
             &pess_cfg,
-            runner,
+            &|c| catalog::run(&world, c),
             &ExploreOpts {
                 depth: 8,
                 budget: 4096,
@@ -969,14 +940,10 @@ pub fn e13_explore() -> Table {
         n: 4,
         ..StreamingOpts::default()
     };
-    run_one("streaming n=4", streaming_config(&s), &|c| {
-        run_streaming_cfg(&s, c)
-    }, &mut t);
+    run_one("streaming n=4", Spec::Stream(s), &mut t);
 
-    let c = ChainOpts::default(); // depth 3, n 4
-    let chain_out = run_one("chain d=3 n=4", chain_config(&c), &|cfg| {
-        run_chain_cfg(&c, cfg)
-    }, &mut t);
+    // depth 3, n 4
+    let chain_out = run_one("chain d=3 n=4", Spec::Chain(ChainOpts::default()), &mut t);
     // The headline reduction: every receiver has one upstream sender, so
     // the per-receiver factorisation collapses 16!/(4!)^4 links
     // interleavings to a single schedule.
@@ -991,9 +958,7 @@ pub fn e13_explore() -> Table {
         n: 2,
         ..FanInOpts::default()
     };
-    let out22 = run_one("fan_in 2×2", fan_in_config(&f22), &|cfg| {
-        run_fan_in_cfg(&f22, cfg)
-    }, &mut t);
+    let out22 = run_one("fan_in 2×2", Spec::FanIn(f22), &mut t);
     // Exhaustiveness cross-check: the consumer's order is a multiset
     // permutation of [A, A, B, B] — exactly 4!/(2!·2!) = 6.
     assert_eq!(
@@ -1006,9 +971,7 @@ pub fn e13_explore() -> Table {
         n: 3,
         ..FanInOpts::default()
     };
-    let out23 = run_one("fan_in 2×3", fan_in_config(&f23), &|cfg| {
-        run_fan_in_cfg(&f23, cfg)
-    }, &mut t);
+    let out23 = run_one("fan_in 2×3", Spec::FanIn(f23), &mut t);
     assert_eq!(out23.stats.distinct_schedules, 20, "6!/(3!·3!) = 20");
 
     t.note(
@@ -1046,7 +1009,11 @@ pub fn scaling() -> Table {
             executor: ex,
             ..opcsp_rt::RtConfig::default()
         };
-        let w = opcsp_workloads::streaming::rt_pairs_world(procs / 2, 4, cfg);
+        let pairs = PairsOpts {
+            pairs: procs / 2,
+            ..PairsOpts::default()
+        };
+        let w = Spec::Pairs(pairs).on(opcsp_rt::RtWorld::new(cfg));
         let t0 = Instant::now();
         let r = w.run();
         let wall = t0.elapsed();
@@ -1122,9 +1089,7 @@ pub fn scaling() -> Table {
 /// is asserted on every row — a run only makes the table if all replicas
 /// committed identical stores and identical read streams.
 pub fn e14_replicated_kv() -> Table {
-    use opcsp_workloads::replicated_kv::{
-        check_rt_agreement, check_sim_agreement, rt_kv_world, run_replicated_kv, KvOpts,
-    };
+    use opcsp_workloads::replicated_kv::{check_rt_agreement, check_sim_agreement, KvOpts};
 
     let base = KvOpts {
         clients: 4,
@@ -1159,7 +1124,7 @@ pub fn e14_replicated_kv() -> Table {
                     core: CoreConfig::default().with_speculation(*policy),
                     ..base.clone()
                 };
-                let r = run_replicated_kv(opts.clone());
+                let r = Spec::Kv(opts.clone()).simulate();
                 let s = check_sim_agreement(&opts, &r)
                     .unwrap_or_else(|e| panic!("SMR oracle ({name} R={replicas} j={jitter}): {e}"));
                 assert_eq!(s.applied, opts.total_ops() as i64);
@@ -1215,8 +1180,9 @@ pub fn e14_replicated_kv() -> Table {
             executor,
             ..opcsp_rt::RtConfig::default()
         };
+        let world = Spec::Kv(opts.clone()).on(opcsp_rt::RtWorld::new(cfg));
         let t0 = std::time::Instant::now();
-        let r = rt_kv_world(&opts, cfg).run();
+        let r = world.run();
         let wall = t0.elapsed();
         let s = check_rt_agreement(&opts, &r)
             .unwrap_or_else(|e| panic!("SMR oracle ({engine}): {e}"));
@@ -1252,8 +1218,6 @@ pub fn e14_replicated_kv() -> Table {
 /// costs as the pipeline gets deeper. Panics if a doubling of the depth
 /// costs more than 2.5× (CI runs it for that).
 pub fn e15_stream_depth() -> Table {
-    use opcsp_workloads::servers::Server;
-    use opcsp_workloads::streaming::PutLineClient;
     use std::time::{Duration, Instant};
     let mut t = Table::new(
         "E15 — stream depth (rt threaded, 1 ms latency, n PutLine calls)",
@@ -1267,9 +1231,11 @@ pub fn e15_stream_depth() -> Table {
             run_timeout: Duration::from_secs(120),
             ..opcsp_rt::RtConfig::default()
         };
-        let mut w = opcsp_rt::RtWorld::new(cfg);
-        w.add_process(PutLineClient::new(n), true);
-        w.add_process(Server::new("WindowManager", 0), false);
+        let stream = StreamingOpts {
+            n,
+            ..StreamingOpts::default()
+        };
+        let w = Spec::Stream(stream).on(opcsp_rt::RtWorld::new(cfg));
         let t0 = Instant::now();
         let r = w.run();
         let wall = t0.elapsed();

@@ -42,7 +42,7 @@ use crate::speculation::{PolicyShift, SiteController, SpeculationPolicy, Specula
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Tuning knobs for the protocol core (ablation switches live here).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CoreConfig {
     /// §4.2.3 delivery optimization: among deliverable messages choose the
     /// one introducing the fewest new dependencies. Off = FIFO. (E5.)

@@ -1,9 +1,9 @@
-//! `opcsp-run` — execute a mini-CSP source file under the optimistic
-//! protocol.
+//! `opcsp-run` — execute a mini-CSP source file, or a catalogue world,
+//! under the optimistic protocol.
 //!
 //! ```text
 //! opcsp-run program.csp [options]
-//! opcsp-run kv:[key=value,...] [options]
+//! opcsp-run <world>[:key=value,...] [options]
 //!
 //!   --pessimistic        run sequentially (the baseline semantics)
 //!   --compare            run both modes, check Theorem-1 equivalence
@@ -71,23 +71,28 @@
 //!                        optimistic run is traced.
 //! ```
 //!
-//! Instead of a `.csp` file, the spec `kv:[key=value,...]` runs the
-//! built-in replicated-KV world (`opcsp_workloads::replicated_kv`,
-//! DESIGN.md §15): C clients stream Zipf-keyed commands through a
-//! sequencer to R replicas, guessing their log positions optimistically.
-//! Spec keys: `replicas`, `clients`, `ops` (per client), `gap`
-//! (open-loop inter-arrival), `keys` (key-space size), `writes` (per
-//! mille), `zipf` (skew exponent); an empty spec (`kv:`) takes the E14
-//! defaults. Engine knobs come from the ordinary flags, and the run is
-//! always checked against the cross-replica agreement oracle (identical
-//! stores and read streams on every replica), so `--compare`/`--explore`
-//! do not apply. Examples:
+//! Instead of a `.csp` file, a catalogue spec (`opcsp_workloads::catalog`,
+//! DESIGN.md §3a) runs a built-in world. The grammar is
+//! `name[:key=value,...]`; a key left out keeps its default:
 //!
 //! ```text
-//! opcsp-run kv: --jitter 40                  misguesses under jitter
-//! opcsp-run kv:replicas=5,clients=8 --rt     real threads
-//! opcsp-run kv: --rt --listen uds:/tmp/kv.sock   across OS processes
+//! stream:n=N                      one PutLine client, N calls
+//! chain:depth=D,n=N               client → D optimistic forwarders → terminal
+//! pairs:pairs=P,n=N               P independent client→server pairs
+//! fan_in:producers=P,n=N          P producers into one consumer
+//! tally:n=N,faults=F              N calls, F per mille rejected
+//! kv:replicas=R,clients=C,ops=N,gap=G,keys=K,writes=W,zipf=S
+//!                                 the replicated-KV flagship (DESIGN.md §15)
 //! ```
+//!
+//! A spec is bounded (counts ≥ 1, at most 100 000 processes, calls within
+//! a `u32`); engine knobs come from the flags (`--seed` also seeds `kv`'s
+//! commands and `tally`'s faults); `--rt`, `--workers`, `--chaos` and
+//! `--listen` apply; and every run is held to the spec's own oracle against
+//! its pessimistic twin, so `--compare`, `--explore`, `--show-transform`
+//! and `--inject-*` do not. E.g. `opcsp-run kv: --jitter 40`, `opcsp-run
+//! pairs:pairs=64 --rt --workers 2`, `opcsp-run kv: --rt --listen
+//! uds:/tmp/kv.sock`.
 //!
 //! `--compare` checks Theorem 1 with the replay oracle: the strict
 //! same-seed comparison first, and on a positional difference it replays
@@ -101,20 +106,18 @@
 //! must absorb every drop/duplicate/reorder before the protocol sees it.
 //!
 //! Exit code 1 on parse/transform errors (or an `--rt` run that times
-//! out or panics), 2 if `--compare` finds a Theorem-1 divergence (which
-//! would be an engine bug worth reporting).
+//! out or panics), 2 if `--compare` finds a Theorem-1 divergence or a
+//! spec fails its oracle (either would be an engine bug worth reporting).
 
 use opcsp_core::{CoreConfig, ProcessId, SpeculationPolicy};
 use opcsp_lang::{parse_program, program_to_string, System};
+use opcsp_rt::{compare_logs, LogDiff, NetFaults, RtConfig, RtTransport, RtWorld};
 use opcsp_sim::{
     check_theorem1, explore, first_divergence, happens_before_chain, render_report,
     render_schedule, shrink_schedule, DivergenceReport, ExploreOpts, FaultInjection, LatencyModel,
     SimConfig, SimResult, Theorem1Verdict,
 };
-use opcsp_workloads::replicated_kv::{
-    self, check_rt_agreement, check_sim_agreement, rt_kv_world, run_replicated_kv, KvOpts,
-    KvSummary,
-};
+use opcsp_workloads::catalog::{self, place, Roster, Spec, WORLDS};
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -264,6 +267,12 @@ fn parse_args() -> Result<Options, String> {
     if (opts.listen.is_some() || opts.connect.is_some()) && !opts.rt {
         return Err("--listen/--connect require --rt (the simulator is single-process)".into());
     }
+    if opts.chaos.is_some() && !opts.rt {
+        return Err("--chaos requires --rt (the simulator injects faults via --jitter)".into());
+    }
+    if opts.workers.is_some() && !opts.rt {
+        return Err("--workers requires --rt (the simulator has no executor pool)".into());
+    }
     if opts.connect.is_some() && opts.sock_worker.is_none() {
         return Err(
             "--connect needs --sock-worker <i> (worker processes are normally \
@@ -346,15 +355,17 @@ fn parse_args() -> Result<Options, String> {
 
 fn usage() {
     eprintln!(
-        "usage: opcsp-run <file.csp | kv:[replicas=R,clients=C,ops=N,gap=G,keys=K,\
-         writes=W,zipf=S]> [--pessimistic] [--compare] [--latency d] \
+        "usage: opcsp-run <file.csp | world[:key=value,...]> [--pessimistic] [--compare] [--latency d] \
          [--jitter s] [--seed n] [--timeline] [--show-transform] [--timeout t] \
          [--speculation pessimistic|static:N|adaptive] \
          [--explore [--depth k] [--budget n]] \
          [--forensics] [--inject-lifo] [--inject-phantom] \
          [--rt] [--workers N] [--chaos spec] [--trace-out path] \
          [--listen tcp:host:port|uds:/path] [--sock-workers N] \
-         [--connect addr --sock-worker i]"
+         [--connect addr --sock-worker i]\n\
+         worlds: stream:n=N | chain:depth=D,n=N | pairs:pairs=P,n=N | \
+         fan_in:producers=P,n=N | tally:n=N,faults=F | \
+         kv:replicas=R,clients=C,ops=N,gap=G,keys=K,writes=W,zipf=S"
     );
 }
 
@@ -450,9 +461,6 @@ fn write_trace(path: &str, json: &str) {
     }
 }
 
-// Merge-order log equivalence lives in `opcsp_rt::merge_equiv`, shared
-// with the executor differential tests.
-
 /// Re-spawn this binary `workers` times in `--connect` worker mode,
 /// forwarding the original argv minus the parent-only flags (`--listen`,
 /// `--sock-workers`, `--compare`, `--trace-out`) so every worker builds
@@ -521,29 +529,31 @@ fn reap_sock_workers(children: Vec<std::process::Child>) -> bool {
 
 /// Parse `--chaos`, defaulting the fault seed to `--seed` when the spec
 /// does not pin one.
-fn parse_faults(opts: &Options) -> Result<opcsp_rt::NetFaults, String> {
+fn parse_faults(opts: &Options) -> Result<NetFaults, String> {
     match &opts.chaos {
         Some(spec) => {
-            let mut f = opcsp_rt::NetFaults::parse(spec)?;
+            let mut f = NetFaults::parse(spec)?;
             if !spec.contains("seed=") {
                 f.seed = opts.seed;
             }
             Ok(f)
         }
-        None => Ok(opcsp_rt::NetFaults::none()),
+        None => Ok(NetFaults::none()),
     }
 }
 
 /// The one rt-config assembly point shared by the `.csp` path and the
-/// `kv:` builtin — both must derive the runtime from the same flags.
+/// catalogue worlds — both must derive the runtime from the same flags.
+/// `pessimistic` as in [`Options::core_config`].
 fn rt_config(
     opts: &Options,
-    faults: opcsp_rt::NetFaults,
-    transport: opcsp_rt::RtTransport,
-) -> opcsp_rt::RtConfig {
+    pessimistic: bool,
+    faults: NetFaults,
+    transport: RtTransport,
+) -> RtConfig {
     use std::time::Duration;
-    opcsp_rt::RtConfig {
-        core: opts.core_config(opts.pessimistic),
+    RtConfig {
+        core: opts.core_config(pessimistic),
         // Simulator ticks become milliseconds on real threads; a fork
         // timeout in simulated ticks would dwarf any real run, so cap it.
         latency: Duration::from_millis(opts.latency),
@@ -569,9 +579,9 @@ fn rt_config(
 fn launch_rt(
     opts: &Options,
     names: &BTreeMap<ProcessId, String>,
-    build: impl Fn(opcsp_rt::RtConfig) -> opcsp_rt::RtWorld,
+    roster: &Roster,
 ) -> Result<(opcsp_rt::RtResult, bool), ExitCode> {
-    use opcsp_rt::{RtTransport, SockAddr, SockRole};
+    use opcsp_rt::{SockAddr, SockRole};
     let fail = |e: String| {
         eprintln!("error: {e}");
         ExitCode::FAILURE
@@ -581,13 +591,17 @@ fn launch_rt(
         let addr = SockAddr::parse(spec).map_err(|e| fail(format!("{flag} {spec}: {e}")))?;
         Ok(RtTransport::Socket { addr, role })
     };
+    let run = |transport| {
+        let cfg = rt_config(opts, opts.pessimistic, faults.clone(), transport);
+        place(roster, RtWorld::new(cfg)).run()
+    };
 
     if let Some(spec) = &opts.connect {
         let role = SockRole::Worker {
             index: opts.sock_worker.expect("validated at parse"),
             workers: opts.sock_workers,
         };
-        let r = build(rt_config(opts, faults, socket("--connect", spec, role)?)).run();
+        let r = run(socket("--connect", spec, role)?);
         return Err(if r.timed_out {
             fail("socket worker timed out".into())
         } else {
@@ -615,12 +629,28 @@ fn launch_rt(
         }
         None => (RtTransport::InProc, Vec::new()),
     };
-    let r = build(rt_config(opts, faults, transport)).run();
+    let r = run(transport);
     let workers_ok = reap_sock_workers(children);
     if let (Some(path), None) = (&opts.trace_out, &opts.listen) {
         write_trace(path, &r.telemetry.to_perfetto_json(names));
     }
     Ok((r, workers_ok))
+}
+
+/// An in-process, fault-free rt run of `roster` under the same executor:
+/// the baseline of `--rt --compare` and a catalogue world's pessimistic
+/// twin.
+fn rt_baseline(opts: &Options, roster: &Roster, pessimistic: bool) -> opcsp_rt::RtResult {
+    let cfg = rt_config(opts, pessimistic, NetFaults::none(), RtTransport::InProc);
+    place(roster, RtWorld::new(cfg)).run()
+}
+
+fn rt_label(opts: &Options) -> &'static str {
+    if opts.pessimistic {
+        "rt pessimistic"
+    } else {
+        "rt optimistic "
+    }
 }
 
 /// Run on the real-thread runtime; with `--compare`, check the chaos
@@ -631,274 +661,162 @@ fn launch_rt(
 fn run_rt(sys: &System, opts: &Options) -> ExitCode {
     let names: BTreeMap<ProcessId, String> =
         sys.bindings.iter().map(|(n, p)| (*p, n.clone())).collect();
-    let (chaotic, workers_ok) = match launch_rt(opts, &names, |cfg| sys.rt_world(cfg)) {
+    let roster = sys.roster();
+    let (chaotic, workers_ok) = match launch_rt(opts, &names, &roster) {
         Ok(ran) => ran,
         Err(code) => return code,
     };
-    let multi_process = opts.listen.is_some();
     let failed = chaotic.timed_out || !chaotic.panicked.is_empty() || !workers_ok;
-    if opts.compare {
-        let baseline = sys
-            .rt_world(rt_config(
-                opts,
-                opcsp_rt::NetFaults::none(),
-                opcsp_rt::RtTransport::InProc,
-            ))
-            .run();
-        // In multi-process mode the baseline is both fault-free *and*
-        // in-process, so the differential checks the socket transport and
-        // the chaos absorption in one diff.
-        let (base_label, subject_label, diff_label) = if multi_process {
-            ("in-process", "socket    ", "socket differential")
-        } else {
-            ("fault-free", "chaotic   ", "chaos differential")
-        };
-        summarize_rt(base_label, &names, &baseline);
-        summarize_rt(subject_label, &names, &chaotic);
-        let mut diverged = false;
-        let mut merge_only = false;
-        for (p, base_log) in &baseline.logs {
-            let chaos_log = chaotic.logs.get(p);
-            if chaos_log == Some(base_log) {
-                continue;
-            }
-            if chaos_log.is_some_and(|l| opcsp_rt::merge_equiv(base_log, l)) {
-                merge_only = true;
-                continue;
-            }
-            let name = names.get(p).cloned().unwrap_or_else(|| p.to_string());
-            eprintln!(
-                "DIVERGENCE at {name}: committed log differs under chaos\n  \
-                 fault-free: {base_log:?}\n  chaotic:    {chaos_log:?}"
-            );
-            diverged = true;
-        }
-        if baseline.external != chaotic.external {
-            let multiset = |e: &[(ProcessId, opcsp_core::Value)]| -> Vec<String> {
-                let mut v: Vec<String> = e.iter().map(|x| format!("{x:?}")).collect();
-                v.sort();
-                v
-            };
-            if multiset(&baseline.external) == multiset(&chaotic.external) {
-                merge_only = true;
-            } else {
-                eprintln!(
-                    "DIVERGENCE: released external outputs differ under chaos\n  \
-                     fault-free: {:?}\n  chaotic:    {:?}",
-                    baseline.external, chaotic.external
-                );
-                diverged = true;
-            }
-        }
-        if diverged {
+    let code = if failed {
+        ExitCode::FAILURE
+    } else {
+        ExitCode::SUCCESS
+    };
+    if !opts.compare {
+        summarize_rt(rt_label(opts), &names, &chaotic);
+        return code;
+    }
+    let baseline = rt_baseline(opts, &roster, opts.pessimistic);
+    // In multi-process mode the baseline is both fault-free *and*
+    // in-process, so the differential checks the socket transport and the
+    // chaos absorption in one diff.
+    let (base_label, subject_label, diff_label) = if opts.listen.is_some() {
+        ("in-process", "socket    ", "socket differential")
+    } else {
+        ("fault-free", "chaotic   ", "chaos differential")
+    };
+    summarize_rt(base_label, &names, &baseline);
+    summarize_rt(subject_label, &names, &chaotic);
+    match compare_logs(
+        &baseline.logs,
+        &baseline.external,
+        &chaotic.logs,
+        &chaotic.external,
+    ) {
+        LogDiff::Identical => println!("{diff_label}: committed logs identical ✓"),
+        LogDiff::MergeOnly => println!(
+            "{diff_label}: holds modulo legal fan-in merge order ✓ \
+             (per-link FIFO projections identical; cross-sender \
+             interleaving differs, which is legal CSP nondeterminism)"
+        ),
+        LogDiff::Diverged(what) => {
+            eprintln!("DIVERGENCE under chaos: {what}");
             eprintln!(
                 "the reliable-delivery sublayer failed to absorb the injected faults \
                  (engine bug!)"
             );
             return ExitCode::from(2);
         }
-        if merge_only {
-            println!(
-                "{diff_label}: holds modulo legal fan-in merge order ✓ \
-                 (per-link FIFO projections identical; cross-sender \
-                 interleaving differs, which is legal CSP nondeterminism)"
-            );
-        } else {
-            println!("{diff_label}: committed logs identical ✓");
-        }
-        if failed {
-            ExitCode::FAILURE
-        } else {
-            ExitCode::SUCCESS
-        }
-    } else {
-        summarize_rt(
-            if opts.pessimistic {
-                "rt pessimistic"
-            } else {
-                "rt optimistic "
-            },
-            &names,
-            &chaotic,
-        );
-        if failed {
-            ExitCode::FAILURE
-        } else {
-            ExitCode::SUCCESS
-        }
     }
+    code
 }
 
-/// Parse the `kv:[key=value,...]` builtin-world spec. World-shape keys
-/// live in the spec; engine knobs (latency, jitter, seed, timeout,
-/// speculation, `--pessimistic`) come from the ordinary flags so a `kv:` run
-/// composes with the rest of the CLI.
-fn parse_kv_spec(spec: &str, opts: &Options) -> Result<KvOpts, String> {
-    let mut kv = KvOpts {
-        latency: opts.latency,
-        jitter: opts.jitter,
-        seed: opts.seed,
-        fork_timeout: opts.timeout,
-        core: opts.core_config(opts.pessimistic),
-        ..KvOpts::default()
-    };
-    let body = spec.strip_prefix("kv:").expect("caller checked the prefix");
-    for pair in body.split(',').filter(|p| !p.is_empty()) {
-        let (k, v) = pair
-            .split_once('=')
-            .ok_or_else(|| format!("kv spec: `{pair}` is not key=value"))?;
-        let int = |field: &mut u32| -> Result<(), String> {
-            *field = v.parse().map_err(|e| format!("kv spec {k}={v}: {e}"))?;
-            Ok(())
-        };
-        match k {
-            "replicas" => int(&mut kv.replicas)?,
-            "clients" => int(&mut kv.clients)?,
-            "ops" => int(&mut kv.ops_per_client)?,
-            "keys" => int(&mut kv.keys)?,
-            "writes" => int(&mut kv.write_per_mille)?,
-            "gap" => kv.gap = v.parse().map_err(|e| format!("kv spec gap={v}: {e}"))?,
-            "zipf" => kv.zipf_s = v.parse().map_err(|e| format!("kv spec zipf={v}: {e}"))?,
-            other => {
-                return Err(format!(
-                    "kv spec: unknown key `{other}` (known: replicas, clients, ops, \
-                     gap, keys, writes, zipf)"
-                ))
-            }
-        }
-    }
-    if kv.replicas == 0 || kv.clients == 0 || kv.ops_per_client == 0 || kv.keys == 0 {
-        return Err("kv spec: replicas, clients, ops and keys must all be >= 1".into());
-    }
-    if kv.write_per_mille > 1000 {
-        return Err("kv spec: writes is per mille (0..=1000)".into());
-    }
-    Ok(kv)
-}
-
-fn kv_names(kv: &KvOpts) -> BTreeMap<ProcessId, String> {
-    let mut names = BTreeMap::new();
-    for j in 0..kv.clients {
-        names.insert(ProcessId(j), format!("client{j}"));
-    }
-    names.insert(replicated_kv::sequencer(kv), "sequencer".to_string());
-    for r in 0..kv.replicas {
-        names.insert(replicated_kv::replica(kv, r), format!("R{r}"));
-    }
-    names
-}
-
-fn kv_verdict(label: &str, kv: &KvOpts, verdict: Result<KvSummary, String>) -> ExitCode {
-    match verdict {
-        Ok(s) => {
-            println!(
-                "SMR agreement: {} replicas each applied {} commands \
-                 ({} committed reads), stores identical ✓ {label}",
-                kv.replicas, s.applied, s.gets
-            );
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("SMR DIVERGENCE (engine bug!): {e}");
-            ExitCode::from(2)
-        }
-    }
-}
-
-/// The `kv:` builtin on the real-thread runtime — same transport
-/// plumbing as the `.csp` path (in-proc, chaos, sharded executor, or the
-/// cross-process socket hub), but the pass/fail criterion is the SMR
-/// agreement oracle instead of a log differential.
-fn run_kv_rt(kv: &KvOpts, names: &BTreeMap<ProcessId, String>, opts: &Options) -> ExitCode {
-    let (r, workers_ok) = match launch_rt(opts, names, |cfg| rt_kv_world(kv, cfg)) {
-        Ok(ran) => ran,
-        Err(code) => return code,
-    };
-    summarize_rt(
-        if opts.pessimistic {
-            "rt pessimistic"
-        } else {
-            "rt optimistic "
+/// The simulator config from the flags: `optimism` off is the sequential
+/// baseline, and only the optimistic run carries an injected fault.
+fn sim_config(opts: &Options, optimism: bool) -> SimConfig {
+    let core = opts.core_config(!optimism);
+    SimConfig {
+        fault: match (optimism, opts.inject_phantom, opts.inject_lifo) {
+            (true, true, _) => FaultInjection::PhantomLog,
+            (true, false, true) => FaultInjection::LifoDelivery,
+            _ => FaultInjection::None,
         },
-        names,
-        &r,
-    );
-    if r.timed_out || !r.panicked.is_empty() || !workers_ok {
-        return ExitCode::FAILURE;
+        ..catalog::sim_config(
+            &core,
+            opts.latency,
+            opts.jitter,
+            opts.seed,
+            Some(opts.timeout),
+        )
     }
-    let rate = kv.total_ops() as f64 / r.wall.as_secs_f64().max(1e-9);
-    kv_verdict(
-        &format!("[{rate:.0} committed ops/s wall]"),
-        kv,
-        check_rt_agreement(kv, &r),
-    )
 }
 
-/// Entry point for the `kv:` builtin world (both engines).
-fn run_kv(opts: &Options) -> ExitCode {
-    // The kv world checks its replication safety property on every run,
-    // and its multi-client committed order is legal nondeterminism — the
-    // `.csp` differential flags would check the wrong thing.
-    if opts.compare || opts.explore {
+/// A catalogue world on either engine, held to the spec's own oracle
+/// (`catalog::Spec::check`) against its pessimistic twin on the same
+/// engine — with `--listen`, an in-process one.
+fn run_spec(opts: &Options) -> ExitCode {
+    if opts.compare
+        || opts.explore
+        || opts.show_transform
+        || opts.inject_lifo
+        || opts.inject_phantom
+    {
         eprintln!(
-            "error: the kv: builtin carries its own cross-replica agreement oracle, \
-             checked on every run; --compare/--explore drive the .csp Theorem-1 \
-             pipeline and its committed-log differential, which is not \
-             schedule-independent for a multi-client kv world. Drop the flag \
-             (the engine differentials live in tests/replicated_kv.rs)"
+            "error: --compare/--explore/--show-transform/--inject-* drive the .csp \
+             pipeline; a builtin world is held to its own oracle against its \
+             pessimistic twin on every run (the engine differentials live in the \
+             test suites)"
         );
         return ExitCode::FAILURE;
     }
-    if opts.show_transform || opts.inject_lifo || opts.inject_phantom {
-        eprintln!(
-            "error: --show-transform/--inject-lifo/--inject-phantom apply to .csp \
-             programs, not the kv: builtin world"
-        );
-        return ExitCode::FAILURE;
-    }
-    let kv = match parse_kv_spec(&opts.file, opts) {
-        Ok(k) => k,
+    let mut spec = match Spec::parse(&opts.file) {
+        Ok(s) => s,
         Err(e) => {
             eprintln!("error: {e}");
             usage();
             return ExitCode::FAILURE;
         }
     };
-    let names = kv_names(&kv);
-    if opts.rt {
-        return run_kv_rt(&kv, &names, opts);
+    // `--seed` also seeds what the world itself draws.
+    match &mut spec {
+        Spec::Kv(o) => o.seed = opts.seed,
+        Spec::Tally(o) => o.seed = opts.seed,
+        _ => {}
     }
-    if opts.chaos.is_some() {
-        eprintln!("error: --chaos requires --rt (the simulator injects faults via --jitter)");
-        return ExitCode::FAILURE;
+    let roster = spec.roster();
+    let names: BTreeMap<ProcessId, String> = (0..)
+        .zip(&roster)
+        .map(|(i, (b, _))| (ProcessId(i), format!("{}#{i}", b.name())))
+        .collect();
+    let (checked, rate) = if opts.rt {
+        let (r, workers_ok) = match launch_rt(opts, &names, &roster) {
+            Ok(ran) => ran,
+            Err(code) => return code,
+        };
+        summarize_rt(rt_label(opts), &names, &r);
+        if r.timed_out || !r.panicked.is_empty() || !workers_ok {
+            return ExitCode::FAILURE;
+        }
+        let twin = rt_baseline(opts, &roster, true);
+        let rate = spec.ops() as f64 / r.wall.as_secs_f64().max(1e-9);
+        (
+            spec.check(&r, &twin),
+            format!("[{rate:.0} committed ops/s wall]"),
+        )
+    } else {
+        let r = catalog::run(&spec, &sim_config(opts, !opts.pessimistic));
+        if opts.timeline {
+            let procs: Vec<ProcessId> = (0..roster.len() as u32).map(ProcessId).collect();
+            println!("{}", r.trace.render_timeline(&procs));
+        }
+        summarize(
+            if opts.pessimistic {
+                "pessimistic"
+            } else {
+                "optimistic"
+            },
+            &r,
+        );
+        if let Some(path) = &opts.trace_out {
+            write_trace(path, &r.telemetry.to_perfetto_json(&names));
+        }
+        let twin = catalog::run(&spec, &sim_config(opts, false));
+        let rate = spec.ops() as f64 / (r.completion.max(1) as f64 / 1000.0);
+        (
+            spec.check(&r, &twin),
+            format!("[{rate:.1} committed ops per kilotick]"),
+        )
+    };
+    match checked {
+        Ok(summary) => {
+            println!("{summary} ✓ ({spec}) {rate}");
+            ExitCode::SUCCESS
+        }
+        Err(e) => {
+            eprintln!("ORACLE FAILURE on {spec} (engine bug!): {e}");
+            ExitCode::from(2)
+        }
     }
-    if opts.workers.is_some() {
-        eprintln!("error: --workers requires --rt (the simulator has no executor pool)");
-        return ExitCode::FAILURE;
-    }
-
-    let r = run_replicated_kv(kv.clone());
-    if opts.timeline {
-        let procs: Vec<ProcessId> = (0..kv.clients + 1 + kv.replicas).map(ProcessId).collect();
-        println!("{}", r.trace.render_timeline(&procs));
-    }
-    summarize(
-        if opts.pessimistic {
-            "pessimistic"
-        } else {
-            "optimistic"
-        },
-        &r,
-    );
-    if let Some(path) = &opts.trace_out {
-        write_trace(path, &r.telemetry.to_perfetto_json(&names));
-    }
-    let rate = kv.total_ops() as f64 / (r.completion.max(1) as f64 / 1000.0);
-    kv_verdict(
-        &format!("[{rate:.1} committed ops per kilotick]"),
-        &kv,
-        check_sim_agreement(&kv, &r),
-    )
 }
 
 fn main() -> ExitCode {
@@ -912,8 +830,10 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    if opts.file.starts_with("kv:") {
-        return run_kv(&opts);
+    // A catalogue spec names a world; anything else is a `.csp` path.
+    let world = opts.file.split(':').next().unwrap_or_default();
+    if WORLDS.contains(&world) && !std::path::Path::new(&opts.file).exists() {
+        return run_spec(&opts);
     }
     let src = match std::fs::read_to_string(&opts.file) {
         Ok(s) => s,
@@ -950,32 +870,8 @@ fn main() -> ExitCode {
     if opts.rt {
         return run_rt(&sys, &opts);
     }
-    if opts.chaos.is_some() {
-        eprintln!("error: --chaos requires --rt (the simulator injects faults via --jitter)");
-        return ExitCode::FAILURE;
-    }
-    if opts.workers.is_some() {
-        eprintln!("error: --workers requires --rt (the simulator has no executor pool)");
-        return ExitCode::FAILURE;
-    }
 
-    let latency = if opts.jitter > 0 {
-        LatencyModel::jitter(opts.latency, opts.jitter, opts.seed)
-    } else {
-        LatencyModel::fixed(opts.latency)
-    };
-    let make_cfg = |model: &LatencyModel, optimism: bool| SimConfig {
-        core: opts.core_config(!optimism),
-        latency: model.clone(),
-        fork_timeout: opts.timeout,
-        fault: match (optimism, opts.inject_phantom, opts.inject_lifo) {
-            (true, true, _) => FaultInjection::PhantomLog,
-            (true, false, true) => FaultInjection::LifoDelivery,
-            _ => FaultInjection::None,
-        },
-        ..SimConfig::default()
-    };
-    let cfg = |optimism: bool| make_cfg(&latency, optimism);
+    let cfg = |optimism: bool| sim_config(&opts, optimism);
 
     let procs: Vec<ProcessId> = (0..sys.transformed.program.procs.len() as u32)
         .map(ProcessId)
@@ -1113,10 +1009,14 @@ fn main() -> ExitCode {
                                 opts.seed,
                                 Arc::new(ov.clone()),
                             );
-                            let p2 = sys.run(make_cfg(&scripted, false));
-                            let o2 = sys.run(make_cfg(&scripted, true));
+                            let make_cfg = |optimism| SimConfig {
+                                latency: scripted.clone(),
+                                ..cfg(optimism)
+                            };
+                            let p2 = sys.run(make_cfg(false));
+                            let o2 = sys.run(make_cfg(true));
                             !check_theorem1(&p2, &o2, |sched| {
-                                let mut c = make_cfg(&scripted, false);
+                                let mut c = make_cfg(false);
                                 c.forced_order = Some(sched);
                                 sys.run(c)
                             })

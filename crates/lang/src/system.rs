@@ -1,12 +1,15 @@
 //! System assembly: turn a parsed (and transformed) [`Program`] into a
 //! ready-to-run simulation world.
 
+use crate::analyze::runs_forever;
 use crate::ast::Program;
 use crate::interp::ProgramBehavior;
 use crate::transform::{transform_program, TransformError, Transformed};
 use opcsp_core::ProcessId;
-use opcsp_sim::{SimBuilder, SimConfig, SimResult};
+use opcsp_sim::{Behavior, SimBuilder, SimConfig, SimResult};
+use opcsp_workloads::catalog::{place, Roster};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// A compiled system: one behavior per process, name→id bindings, and the
 /// fork-site reports from the transformation.
@@ -38,42 +41,29 @@ impl System {
         self.bindings[name]
     }
 
-    /// The compiled system's simulation world, not yet built.
-    pub fn builder(&self, cfg: SimConfig) -> SimBuilder {
-        let mut b = SimBuilder::new(cfg);
-        for proc in &self.transformed.program.procs {
-            b.add_process(ProgramBehavior::new(proc.clone(), self.bindings.clone()));
-        }
-        b
+    /// The program's processes in definition order, each one a client
+    /// unless its body loops forever ([`crate::analyze::runs_forever`]):
+    /// the runtime ends a run when every client has finished and the
+    /// network has drained; ever-looping servers are halted by shutdown.
+    pub fn roster(&self) -> Roster {
+        let procs = &self.transformed.program.procs;
+        procs
+            .iter()
+            .map(|proc| {
+                let b = ProgramBehavior::new(proc.clone(), self.bindings.clone());
+                (Arc::new(b) as Arc<dyn Behavior>, !runs_forever(&proc.body))
+            })
+            .collect()
     }
 
-    /// Build a simulation world from the compiled system.
-    pub fn world(&self, cfg: SimConfig) -> opcsp_sim::World {
-        self.builder(cfg).build()
+    /// The compiled system's simulation world, not yet built.
+    pub fn builder(&self, cfg: SimConfig) -> SimBuilder {
+        place(&self.roster(), SimBuilder::new(cfg))
     }
 
     /// Compile-and-run convenience.
     pub fn run(&self, cfg: SimConfig) -> SimResult {
-        self.world(cfg).run()
-    }
-
-    /// Build a real-thread runtime world from the compiled system.
-    ///
-    /// Processes whose program terminates (no infinite `while true` loop,
-    /// [`crate::analyze::runs_forever`]) are registered as *clients*: the
-    /// runtime ends the run when every client has finished and the
-    /// network has drained to quiescence. Ever-looping servers are halted
-    /// by the coordinator's shutdown.
-    pub fn rt_world(&self, cfg: opcsp_rt::RtConfig) -> opcsp_rt::RtWorld {
-        let mut w = opcsp_rt::RtWorld::new(cfg);
-        for proc in &self.transformed.program.procs {
-            let is_client = !crate::analyze::runs_forever(&proc.body);
-            w.add_process(
-                ProgramBehavior::new(proc.clone(), self.bindings.clone()),
-                is_client,
-            );
-        }
-        w
+        self.builder(cfg).build().run()
     }
 }
 

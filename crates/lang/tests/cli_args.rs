@@ -117,6 +117,25 @@ fn ineffective_flag_combos_are_parse_errors_naming_the_supported_path() {
 }
 
 #[test]
+fn oversized_builtin_specs_are_parse_errors_naming_the_keys() {
+    // The op total and the first gap used to overflow (a panic, exit 101),
+    // and a 4-billion-replica world used to start building.
+    for (spec, keys) in [
+        ("kv:clients=65536,ops=65536", "clients and ops"),
+        ("kv:replicas=4294967295", "clients and replicas"),
+        ("kv:gap=18446744073709551615", "ops and gap"),
+    ] {
+        let out = run(&[spec]);
+        assert_eq!(out.status.code(), Some(1), "{spec}: {:?}", out.status);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains(keys),
+            "{spec}: stderr should name {keys:?}: {err}"
+        );
+    }
+}
+
+#[test]
 fn explore_is_green_on_a_clean_world_and_exits_2_on_a_phantom() {
     let ok = run(&[&putline(), "--explore", "--latency", "5"]);
     assert!(

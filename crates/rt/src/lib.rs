@@ -29,5 +29,7 @@ pub mod sock;
 
 pub use executor::Executor;
 pub use net::{Delayer, Mailbox, NetFaults, NetStats, Partition, Transport};
-pub use runtime::{merge_equiv, RtConfig, RtPhases, RtResult, RtStats, RtWorld};
+pub use runtime::{
+    compare_logs, merge_equiv, LogDiff, RtConfig, RtPhases, RtResult, RtStats, RtWorld,
+};
 pub use sock::{RtTransport, SockAddr, SockRole};

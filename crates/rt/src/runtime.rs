@@ -44,8 +44,8 @@ use crate::core_poll::Report;
 use crate::executor::{self, Executor, WorldSpec};
 use crate::net::NetFaults;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError};
-use opcsp_core::{CoreConfig, DataKind, ProcessId, ProtoStats, Telemetry, Value};
-use opcsp_sim::{Behavior, ObsKind, Observable};
+use opcsp_core::{CoreConfig, ProcessId, ProtoStats, Telemetry, Value};
+use opcsp_sim::{Behavior, Observable};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -558,60 +558,77 @@ fn drain_to_quiescence(hosts: &impl Hosts, n: usize, coord: &mut Coord, deadline
     }
 }
 
-/// Theorem-1 merge-order equivalence for two committed rt logs: the
-/// reliable sublayer guarantees FIFO *per link*, so the projection of
-/// receives onto each sender (and of sends onto each target) must match
-/// positionally, but cross-sender interleaving at a fan-in is legal CSP
-/// nondeterminism — chaos (or a different executor's scheduling) may
-/// reorder it. Outputs are compared as multisets (they follow the merge).
-/// Shared by the `opcsp-run --rt --compare` oracle and the executor
-/// differential tests.
+/// Theorem-1 merge-order equivalence for two committed logs: the reliable
+/// sublayer guarantees FIFO *per link*, so the projection of receives onto
+/// each sender (and of sends onto each target) must match positionally,
+/// but cross-sender interleaving at a fan-in is legal CSP nondeterminism —
+/// chaos (or a different executor's scheduling) may reorder it. Outputs are
+/// compared as multisets (they follow the merge).
 pub fn merge_equiv(base: &[Observable], other: &[Observable]) -> bool {
     use Observable as O;
-    if base.len() != other.len() {
-        return false;
-    }
-    let peers: BTreeSet<ProcessId> = base
-        .iter()
-        .chain(other)
-        .filter_map(|o| match o {
-            O::Received { from, .. } => Some(*from),
-            O::Sent { to, .. } => Some(*to),
-            _ => None,
-        })
-        .collect();
-    for peer in peers {
-        let recv = |log: &[Observable]| -> Vec<Observable> {
-            log.iter()
-                .filter(|o| matches!(o, O::Received { from, .. } if *from == peer))
-                .cloned()
-                .collect()
-        };
-        let sent = |log: &[Observable]| -> Vec<Observable> {
-            log.iter()
-                .filter(|o| matches!(o, O::Sent { to, .. } if *to == peer))
-                .cloned()
-                .collect()
-        };
-        if recv(base) != recv(other) || sent(base) != sent(other) {
-            return false;
+    let project = |log: &[Observable]| {
+        let mut links: BTreeMap<(bool, ProcessId), Vec<Observable>> = BTreeMap::new();
+        let mut outputs = Vec::new();
+        for o in log {
+            match o {
+                O::Received { from, .. } => links.entry((true, *from)).or_default().push(o.clone()),
+                O::Sent { to, .. } => links.entry((false, *to)).or_default().push(o.clone()),
+                O::Output { payload } => outputs.push(format!("{payload:?}")),
+            }
         }
+        outputs.sort();
+        (links, outputs)
+    };
+    base.len() == other.len() && project(base) == project(other)
+}
+
+/// How one run's committed record compares with a baseline's.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum LogDiff {
+    /// Every log and the released externals are positionally equal.
+    Identical,
+    /// Equal up to legal fan-in merge order ([`merge_equiv`] per process,
+    /// externals as a multiset).
+    MergeOnly,
+    /// What differs.
+    Diverged(String),
+}
+
+/// The one log differential: `opcsp-run --rt --compare`, the chaos,
+/// executor and socket differentials, and the catalogue's twin check.
+pub fn compare_logs(
+    base: &BTreeMap<ProcessId, Vec<Observable>>,
+    base_external: &[(ProcessId, Value)],
+    other: &BTreeMap<ProcessId, Vec<Observable>>,
+    other_external: &[(ProcessId, Value)],
+) -> LogDiff {
+    if base == other && base_external == other_external {
+        return LogDiff::Identical;
     }
-    let outputs = |log: &[Observable]| -> Vec<String> {
-        let mut v: Vec<String> = log
-            .iter()
-            .filter_map(|o| match o {
-                O::Output { payload } => Some(format!("{payload:?}")),
-                _ => None,
-            })
-            .collect();
+    let multiset = |e: &[(ProcessId, Value)]| {
+        let mut v: Vec<String> = e.iter().map(|x| format!("{x:?}")).collect();
         v.sort();
         v
     };
-    outputs(base) == outputs(other)
-}
-
-/// Convenience: the observable kind of a sent message in logs.
-pub fn obs_kind(k: DataKind) -> ObsKind {
-    k.into()
+    let pids =
+        |logs: &BTreeMap<ProcessId, Vec<Observable>>| logs.keys().copied().collect::<Vec<_>>();
+    if pids(base) != pids(other) {
+        return LogDiff::Diverged(format!(
+            "process sets differ: {:?} vs {:?}",
+            pids(base),
+            pids(other)
+        ));
+    }
+    for (p, log) in base {
+        if !merge_equiv(log, &other[p]) {
+            let theirs = &other[p];
+            return LogDiff::Diverged(format!("log of {p}\n  base:  {log:?}\n  other: {theirs:?}"));
+        }
+    }
+    if multiset(base_external) != multiset(other_external) {
+        return LogDiff::Diverged(format!(
+            "released externals\n  base:  {base_external:?}\n  other: {other_external:?}"
+        ));
+    }
+    LogDiff::MergeOnly
 }

@@ -10,11 +10,12 @@
 //! `net.rs` (`shutdown_flush_drops_timer_class_items`).
 
 use opcsp_core::ProcessId;
-use opcsp_rt::{Executor, NetFaults, Partition, RtConfig, RtResult, RtWorld};
+use opcsp_rt::{compare_logs, Executor, LogDiff, NetFaults, Partition, RtConfig, RtResult, RtWorld};
 use opcsp_sim::{Behavior, BehaviorState, Effect, Observable, Resume};
-use opcsp_workloads::chain::OptimisticForwarder;
+use opcsp_workloads::catalog::{clean, Spec};
+use opcsp_workloads::chain::ChainOpts;
 use opcsp_workloads::servers::Server;
-use opcsp_workloads::streaming::PutLineClient;
+use opcsp_workloads::streaming::{PutLineClient, StreamingOpts};
 use std::time::Duration;
 
 fn cfg(latency_ms: u64, faults: NetFaults) -> RtConfig {
@@ -39,67 +40,44 @@ fn chaos(seed: u64) -> NetFaults {
 
 /// Workload 1: call streaming — client puts `n` lines to a server.
 fn run_streaming(faults: NetFaults) -> RtResult {
-    let mut w = RtWorld::new(cfg(2, faults));
-    w.add_process(PutLineClient::new(8), true);
-    w.add_process(Server::new("S", 0), false);
-    w.run()
+    let world = Spec::Stream(StreamingOpts {
+        n: 8,
+        ..StreamingOpts::default()
+    });
+    world.on(RtWorld::new(cfg(2, faults))).run()
 }
 
 /// Workload 2: a pipeline of optimistic forwarders — commits keep flowing
 /// downstream after the client is already done.
 fn run_chain(faults: NetFaults) -> RtResult {
-    let depth = 2u32;
-    let mut w = RtWorld::new(cfg(2, faults));
-    w.add_process(PutLineClient::to(4, ProcessId(1)), true);
-    for hop in 1..=depth {
-        w.add_process(
-            OptimisticForwarder {
-                name: format!("Hop{hop}"),
-                downstream: ProcessId(hop + 1),
-                compute: 0,
-            },
-            false,
-        );
-    }
-    w.add_process(Server::new("Terminal", 0), false);
-    w.run()
+    let world = Spec::Chain(ChainOpts {
+        depth: 2,
+        ..ChainOpts::default()
+    });
+    world.on(RtWorld::new(cfg(2, faults))).run()
 }
 
 /// Committed observable logs must be identical per process — the
 /// `check_theorem1`-style positional comparison, applied to `RtResult`.
 fn assert_logs_equivalent(baseline: &RtResult, chaotic: &RtResult, label: &str) {
-    assert_eq!(
-        baseline.logs.keys().collect::<Vec<_>>(),
-        chaotic.logs.keys().collect::<Vec<_>>(),
-        "{label}: process sets differ"
+    let diff = compare_logs(
+        &baseline.logs,
+        &baseline.external,
+        &chaotic.logs,
+        &chaotic.external,
     );
-    for (p, base_log) in &baseline.logs {
-        assert_eq!(
-            base_log, &chaotic.logs[p],
-            "{label}: committed log of {p} diverged under chaos"
-        );
-    }
-    assert_eq!(
-        baseline.external, chaotic.external,
-        "{label}: released external outputs diverged under chaos"
-    );
-}
-
-fn assert_clean(r: &RtResult, label: &str) {
-    assert!(!r.timed_out, "{label}: timed out ({:?})", r.stats);
-    assert!(r.panicked.is_empty(), "{label}: panics {:?}", r.panics);
-    assert!(r.stragglers.is_empty(), "{label}: stragglers {:?}", r.stragglers);
+    assert_eq!(diff, LogDiff::Identical, "{label}: diverged under chaos");
 }
 
 #[test]
 fn chaos_differential_streaming() {
     let baseline = run_streaming(NetFaults::none());
-    assert_clean(&baseline, "baseline");
+    clean(&baseline).expect("baseline");
     assert_eq!(baseline.stats.drops_injected, 0);
     for seed in [1u64, 7, 42] {
         let chaotic = run_streaming(chaos(seed));
         let label = format!("streaming seed={seed}");
-        assert_clean(&chaotic, &label);
+        clean(&chaotic).expect(&label);
         assert_logs_equivalent(&baseline, &chaotic, &label);
         // The chaos layer provably fired and the sublayer absorbed it.
         assert!(chaotic.stats.drops_injected > 0, "{label}: {:?}", chaotic.stats);
@@ -117,12 +95,12 @@ fn chaos_differential_streaming() {
 #[test]
 fn chaos_differential_chain() {
     let baseline = run_chain(NetFaults::none());
-    assert_clean(&baseline, "baseline");
+    clean(&baseline).expect("baseline");
     assert_eq!(baseline.stats.aborts, 0, "{:?}", baseline.stats);
     for seed in [1u64, 7, 42] {
         let chaotic = run_chain(chaos(seed));
         let label = format!("chain seed={seed}");
-        assert_clean(&chaotic, &label);
+        clean(&chaotic).expect(&label);
         assert_logs_equivalent(&baseline, &chaotic, &label);
         assert!(chaotic.stats.drops_injected > 0, "{label}: {:?}", chaotic.stats);
         assert!(chaotic.stats.dups_injected > 0, "{label}: {:?}", chaotic.stats);
@@ -153,7 +131,7 @@ fn partition_window_heals_and_run_completes() {
         }],
     };
     let r = run_streaming(faults);
-    assert_clean(&r, "partition");
+    clean(&r).expect("partition");
     assert!(r.stats.drops_injected > 0, "{:?}", r.stats);
     assert!(r.stats.retransmits > 0, "{:?}", r.stats);
     assert_logs_equivalent(&baseline, &r, "partition");
@@ -301,7 +279,7 @@ fn server_panic_is_attributed_even_on_timeout() {
 fn shutdown_drains_inflight_commit_waves() {
     for _ in 0..5 {
         let r = run_chain(NetFaults::none());
-        assert_clean(&r, "chain drain");
+        clean(&r).expect("chain drain");
         let terminal = ProcessId(3);
         let received = r.logs[&terminal]
             .iter()

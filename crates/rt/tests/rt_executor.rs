@@ -15,13 +15,13 @@
 
 use opcsp_core::{CoreConfig, ProcessId};
 use opcsp_rt::{
-    merge_equiv, Executor, NetFaults, RtConfig, RtResult, RtTransport, RtWorld, SockAddr, SockRole,
+    compare_logs, merge_equiv, Executor, LogDiff, NetFaults, RtConfig, RtResult, RtWorld, SockAddr,
 };
 use opcsp_sim::Observable;
-use opcsp_workloads::chain::OptimisticForwarder;
-use opcsp_workloads::fan_in::{consumer, rt_fan_in_world, FanInOpts};
-use opcsp_workloads::servers::Server;
-use opcsp_workloads::streaming::{rt_pairs_world, PutLineClient};
+use opcsp_workloads::catalog::{clean, Spec, Split};
+use opcsp_workloads::chain::ChainOpts;
+use opcsp_workloads::fan_in::FanInOpts;
+use opcsp_workloads::streaming::{PairsOpts, StreamingOpts};
 use std::time::Duration;
 
 fn cfg(ex: Executor, faults: NetFaults) -> RtConfig {
@@ -45,28 +45,32 @@ fn chaos(seed: u64) -> NetFaults {
     }
 }
 
+fn run(world: Spec, ex: Executor, faults: NetFaults) -> RtResult {
+    world.on(RtWorld::new(cfg(ex, faults))).run()
+}
+
 fn run_streaming(ex: Executor, faults: NetFaults) -> RtResult {
-    let mut w = RtWorld::new(cfg(ex, faults));
-    w.add_process(PutLineClient::new(8), true);
-    w.add_process(Server::new("S", 0), false);
-    w.run()
+    let n = 8;
+    run(
+        Spec::Stream(StreamingOpts {
+            n,
+            ..StreamingOpts::default()
+        }),
+        ex,
+        faults,
+    )
 }
 
 fn run_chain(ex: Executor, faults: NetFaults) -> RtResult {
-    let mut w = RtWorld::new(cfg(ex, faults));
-    w.add_process(PutLineClient::to(4, ProcessId(1)), true);
-    for hop in 1..=2u32 {
-        w.add_process(
-            OptimisticForwarder {
-                name: format!("Hop{hop}"),
-                downstream: ProcessId(hop + 1),
-                compute: 0,
-            },
-            false,
-        );
-    }
-    w.add_process(Server::new("Terminal", 0), false);
-    w.run()
+    let depth = 2;
+    run(
+        Spec::Chain(ChainOpts {
+            depth,
+            ..ChainOpts::default()
+        }),
+        ex,
+        faults,
+    )
 }
 
 fn run_fan_in(ex: Executor, faults: NetFaults, producers: u32, n: u32) -> RtResult {
@@ -75,43 +79,23 @@ fn run_fan_in(ex: Executor, faults: NetFaults, producers: u32, n: u32) -> RtResu
         n,
         ..FanInOpts::default()
     };
-    rt_fan_in_world(&opts, cfg(ex, faults)).run()
+    run(Spec::FanIn(opts), ex, faults)
 }
 
-fn assert_clean(r: &RtResult, label: &str) {
-    assert!(!r.timed_out, "{label}: timed out ({:?})", r.stats);
-    assert!(r.panicked.is_empty(), "{label}: panics {:?}", r.panics);
-    assert!(r.stragglers.is_empty(), "{label}: stragglers {:?}", r.stragglers);
+fn diff(base: &RtResult, other: &RtResult) -> LogDiff {
+    compare_logs(&base.logs, &base.external, &other.logs, &other.external)
 }
 
 /// Exact equality: per-process committed logs and released externals.
 fn assert_logs_exact(base: &RtResult, other: &RtResult, label: &str) {
-    assert_eq!(
-        base.logs.keys().collect::<Vec<_>>(),
-        other.logs.keys().collect::<Vec<_>>(),
-        "{label}: process sets differ"
-    );
-    for (p, log) in &base.logs {
-        assert_eq!(log, &other.logs[p], "{label}: committed log of {p} diverged");
-    }
-    assert_eq!(base.external, other.external, "{label}: externals diverged");
+    assert_eq!(diff(base, other), LogDiff::Identical, "{label}");
 }
 
 /// Merge-order-tolerant equality, per process: per-link FIFO projections
 /// positionally equal and output multisets equal.
 fn assert_logs_merge_equiv(base: &RtResult, other: &RtResult, label: &str) {
-    assert_eq!(
-        base.logs.keys().collect::<Vec<_>>(),
-        other.logs.keys().collect::<Vec<_>>(),
-        "{label}: process sets differ"
-    );
-    for (p, log) in &base.logs {
-        assert!(
-            merge_equiv(log, &other.logs[p]),
-            "{label}: log of {p} not merge-equivalent\n base: {log:?}\nother: {:?}",
-            other.logs[p]
-        );
-    }
+    let d = diff(base, other);
+    assert!(!matches!(d, LogDiff::Diverged(_)), "{label}: {d:?}");
 }
 
 /// The executor must not change what the protocol *does* — only when the
@@ -132,11 +116,11 @@ fn assert_stats_deterministic_subset(base: &RtResult, other: &RtResult, label: &
 #[test]
 fn executor_differential_streaming_exact() {
     let threaded = run_streaming(Executor::Threaded, NetFaults::none());
-    assert_clean(&threaded, "threaded streaming");
+    clean(&threaded).expect("threaded streaming");
     for workers in [1usize, 2, 4] {
         let sharded = run_streaming(Executor::Sharded { workers }, NetFaults::none());
         let label = format!("sharded:{workers} streaming");
-        assert_clean(&sharded, &label);
+        clean(&sharded).expect(&label);
         assert_logs_exact(&threaded, &sharded, &label);
         assert_stats_deterministic_subset(&threaded, &sharded, &label);
     }
@@ -145,10 +129,10 @@ fn executor_differential_streaming_exact() {
 #[test]
 fn executor_differential_chain_exact() {
     let threaded = run_chain(Executor::Threaded, NetFaults::none());
-    assert_clean(&threaded, "threaded chain");
+    clean(&threaded).expect("threaded chain");
     // 2 workers for a 4-process pipeline: every link crosses a shard.
     let sharded = run_chain(Executor::Sharded { workers: 2 }, NetFaults::none());
-    assert_clean(&sharded, "sharded chain");
+    clean(&sharded).expect("sharded chain");
     assert_logs_exact(&threaded, &sharded, "chain");
     assert_stats_deterministic_subset(&threaded, &sharded, "chain");
 }
@@ -156,22 +140,17 @@ fn executor_differential_chain_exact() {
 #[test]
 fn executor_differential_fan_in_merge_tolerant() {
     let threaded = run_fan_in(Executor::Threaded, NetFaults::none(), 4, 4);
-    assert_clean(&threaded, "threaded fan_in");
+    clean(&threaded).expect("threaded fan_in");
     let sharded = run_fan_in(Executor::Sharded { workers: 3 }, NetFaults::none(), 4, 4);
-    assert_clean(&sharded, "sharded fan_in");
+    clean(&sharded).expect("sharded fan_in");
     assert_logs_merge_equiv(&threaded, &sharded, "fan_in");
     // Whatever the arrival order, every producer's full stream landed.
-    let opts = FanInOpts {
-        producers: 4,
-        n: 4,
-        ..FanInOpts::default()
-    };
     for r in [&threaded, &sharded] {
-        let recvd = r.logs[&consumer(&opts)]
+        let recvd = r.logs[&ProcessId(4)]
             .iter()
             .filter(|o| matches!(o, Observable::Received { .. }))
             .count();
-        assert_eq!(recvd as u32, opts.producers * opts.n);
+        assert_eq!(recvd, 4 * 4);
     }
 }
 
@@ -182,11 +161,11 @@ fn executor_differential_fan_in_merge_tolerant() {
 #[test]
 fn executor_differential_under_chaos() {
     let baseline = run_streaming(Executor::Threaded, NetFaults::none());
-    assert_clean(&baseline, "baseline");
+    clean(&baseline).expect("baseline");
     for seed in [1u64, 7, 42] {
         let r = run_streaming(Executor::Sharded { workers: 2 }, chaos(seed));
         let label = format!("sharded chaos seed={seed}");
-        assert_clean(&r, &label);
+        clean(&r).expect(&label);
         assert_logs_exact(&baseline, &r, &label);
         assert!(r.stats.drops_injected > 0, "{label}: {:?}", r.stats);
         assert!(r.stats.retransmits > 0, "{label}: {:?}", r.stats);
@@ -197,9 +176,9 @@ fn executor_differential_under_chaos() {
 #[test]
 fn executor_differential_fan_in_under_chaos() {
     let baseline = run_fan_in(Executor::Threaded, NetFaults::none(), 3, 3);
-    assert_clean(&baseline, "baseline");
+    clean(&baseline).expect("baseline");
     let r = run_fan_in(Executor::Sharded { workers: 2 }, chaos(7), 3, 3);
-    assert_clean(&r, "sharded fan_in chaos");
+    clean(&r).expect("sharded fan_in chaos");
     assert_logs_merge_equiv(&baseline, &r, "fan_in chaos");
     assert!(r.stats.drops_injected > 0, "{:?}", r.stats);
 }
@@ -211,11 +190,18 @@ fn executor_differential_fan_in_under_chaos() {
 const PAIRS: u32 = 64;
 const PAIR_CALLS: u32 = 4;
 
-fn pairs_cfg(ex: Executor, core: CoreConfig, transport: RtTransport) -> RtConfig {
+fn pairs(core: CoreConfig) -> Spec {
+    Spec::Pairs(PairsOpts {
+        pairs: PAIRS,
+        n: PAIR_CALLS,
+        core,
+    })
+}
+
+fn pairs_cfg(ex: Executor, core: CoreConfig) -> RtConfig {
     RtConfig {
         core,
         latency: Duration::ZERO,
-        transport,
         ..cfg(ex, NetFaults::none())
     }
 }
@@ -229,27 +215,12 @@ fn run_pairs_over_uds(ex: Executor, workers: usize) -> RtResult {
     };
     let file = format!("opcsp-rt-exec-{}-{tag}.sock", std::process::id());
     let path = std::env::temp_dir().join(file);
-    let _ = std::fs::remove_file(&path);
     let addr = SockAddr::parse(&format!("uds:{}", path.display())).expect("uds addr");
-    let world = |role| {
-        let transport = RtTransport::Socket {
-            addr: addr.clone(),
-            role,
-        };
-        let cfg = pairs_cfg(ex, CoreConfig::default(), transport);
-        rt_pairs_world(PAIRS, PAIR_CALLS, cfg)
-    };
-    let handles: Vec<_> = (0..workers)
-        .map(|index| {
-            let w = world(SockRole::Worker { index, workers });
-            std::thread::spawn(move || w.run())
-        })
-        .collect();
-    let result = world(SockRole::Parent { workers }).run();
-    for h in handles {
-        let worker = h.join().expect("worker thread");
-        assert!(!worker.timed_out, "worker runtime timed out");
-    }
+    let cfg = pairs_cfg(ex, CoreConfig::default());
+    let (result, worker_failure) = pairs(CoreConfig::default())
+        .on(Split::new(&cfg, addr, workers))
+        .run();
+    assert_eq!(worker_failure, None);
     result
 }
 
@@ -260,12 +231,13 @@ fn run_pairs_over_uds(ex: Executor, workers: usize) -> RtResult {
 /// cuts a pair and its COMMITs cross the hub.
 #[test]
 fn pairs_control_stays_inside_each_pair() {
-    let inproc = |ex, core| {
-        let cfg = pairs_cfg(ex, core, RtTransport::InProc);
-        rt_pairs_world(PAIRS, PAIR_CALLS, cfg).run()
+    let inproc = |ex, core: CoreConfig| {
+        pairs(core.clone())
+            .on(RtWorld::new(pairs_cfg(ex, core)))
+            .run()
     };
     let pess = inproc(Executor::Threaded, CoreConfig::pessimistic());
-    assert_clean(&pess, "pessimistic pairs");
+    clean(&pess).expect("pessimistic pairs");
     let (threaded, sharded) = (Executor::Threaded, Executor::Sharded { workers: 2 });
     let runs = [
         ("threaded", inproc(threaded, CoreConfig::default())),
@@ -274,7 +246,7 @@ fn pairs_control_stays_inside_each_pair() {
         ("uds x3 sharded:2", run_pairs_over_uds(sharded, 3)),
     ];
     for (label, r) in &runs {
-        assert_clean(r, label);
+        clean(r).expect(label);
         assert_eq!(r.stats.commits, u64::from(PAIRS * PAIR_CALLS), "{label}");
         assert_eq!(r.stats.aborts, 0, "{label}");
         assert_eq!(
@@ -298,7 +270,7 @@ fn pairs_control_stays_inside_each_pair() {
 /// Run a wide fan-in (one call per producer) under the sharded executor.
 /// Optimism is off: reply guards grow O(width) per message when every
 /// producer speculates concurrently — a protocol cost, not an executor one
-/// (see `rt_fan_in_world`).
+/// (see `workloads::fan_in`).
 fn run_wide(producers: u32, workers: usize) -> RtResult {
     let opts = FanInOpts {
         producers,
@@ -312,11 +284,11 @@ fn run_wide(producers: u32, workers: usize) -> RtResult {
         executor: Executor::Sharded { workers },
         ..RtConfig::default()
     };
-    rt_fan_in_world(&opts, cfg).run()
+    Spec::FanIn(opts).on(RtWorld::new(cfg)).run()
 }
 
 fn assert_wide_clean(r: &RtResult, producers: u32, budget: Duration, label: &str) {
-    assert_clean(r, label);
+    clean(r).expect(label);
     assert!(
         r.wall < budget,
         "{label}: took {:?}, budget {budget:?}",

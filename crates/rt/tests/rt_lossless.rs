@@ -20,15 +20,13 @@
 //! accounted for.
 
 use opcsp_rt::{Executor, RtConfig, RtResult, RtWorld};
-use opcsp_workloads::servers::Server;
-use opcsp_workloads::streaming::{rt_pairs_world, PutLineClient};
+use opcsp_workloads::catalog::{clean, Spec};
+use opcsp_workloads::streaming::{PairsOpts, StreamingOpts};
 use std::time::Duration;
 
 fn assert_lossless_and_quiet(r: &RtResult, label: &str) {
     let s = &r.stats;
-    assert!(!r.timed_out, "{label}: timed out ({s:?})");
-    assert!(r.panicked.is_empty(), "{label}: panics {:?}", r.panics);
-    assert!(r.stragglers.is_empty(), "{label}: stragglers {:?}", r.stragglers);
+    clean(r).expect(label);
     assert_eq!(s.commits, s.forks, "{label}: unresolved guesses ({s:?})");
     assert_eq!(s.drops_injected + s.dups_injected, 0, "{label}: {s:?}");
     assert!(s.frames_sent > 0 && s.frames_delivered == s.frames_sent, "{label}: {s:?}");
@@ -65,7 +63,12 @@ fn optimistic_pairs_retransmit_nothing() {
         executor: Executor::Sharded { workers: 2 },
         ..RtConfig::default()
     };
-    let r = rt_pairs_world(64, 4, cfg).run();
+    let pairs = PairsOpts {
+        pairs: 64,
+        n: 4,
+        ..PairsOpts::default()
+    };
+    let r = Spec::Pairs(pairs).on(RtWorld::new(cfg)).run();
     assert_eq!(r.stats.forks, 64 * 4, "{:?}", r.stats);
     assert_lossless_and_quiet(&r, "64 pairs x 4 calls");
 }
@@ -74,13 +77,16 @@ fn optimistic_pairs_retransmit_nothing() {
 /// queue behind the client's own sends.
 #[test]
 fn call_stream_retransmits_nothing() {
-    let mut w = RtWorld::new(RtConfig {
-        latency: Duration::from_millis(1),
-        ..RtConfig::default()
-    });
-    w.add_process(PutLineClient::new(500), true);
-    w.add_process(Server::new("S", 0), false);
-    let r = w.run();
+    let stream = StreamingOpts {
+        n: 500,
+        ..StreamingOpts::default()
+    };
+    let r = Spec::Stream(stream)
+        .on(RtWorld::new(RtConfig {
+            latency: Duration::from_millis(1),
+            ..RtConfig::default()
+        }))
+        .run();
     assert_eq!(r.stats.forks, 500, "{:?}", r.stats);
     assert_lossless_and_quiet(&r, "500-call stream");
 }

@@ -5,9 +5,10 @@
 use opcsp_core::{CoreConfig, ProcessId, Value};
 use opcsp_rt::{RtConfig, RtWorld};
 use opcsp_sim::Observable;
-use opcsp_workloads::chain::OptimisticForwarder;
+use opcsp_workloads::catalog::Spec;
+use opcsp_workloads::chain::ChainOpts;
+use opcsp_workloads::fan_in::{consumer, FanInOpts};
 use opcsp_workloads::servers::{ForwardServer, Server};
-use opcsp_workloads::streaming::PutLineClient;
 use opcsp_workloads::update_write::UpdateWriteClient;
 use std::time::Duration;
 
@@ -77,20 +78,11 @@ fn update_write_value_fault_on_real_threads() {
 #[test]
 fn chain_of_forwarders_on_real_threads() {
     let depth = 3u32;
-    let mut w = RtWorld::new(rt_cfg(true, 2));
-    w.add_process(PutLineClient::to(4, ProcessId(1)), true);
-    for hop in 1..=depth {
-        w.add_process(
-            OptimisticForwarder {
-                name: format!("Hop{hop}"),
-                downstream: ProcessId(hop + 1),
-                compute: 0,
-            },
-            false,
-        );
-    }
-    w.add_process(Server::new("Terminal", 0), false);
-    let r = w.run();
+    let world = Spec::Chain(ChainOpts {
+        depth,
+        ..ChainOpts::default()
+    });
+    let r = world.on(RtWorld::new(rt_cfg(true, 2))).run();
     assert!(!r.timed_out, "{:?}", r.stats);
     // Client fork per item + hop forks.
     assert!(r.stats.forks >= 4, "{:?}", r.stats);
@@ -106,11 +98,13 @@ fn chain_of_forwarders_on_real_threads() {
 
 #[test]
 fn two_contending_clients_on_real_threads() {
-    let mut w = RtWorld::new(rt_cfg(true, 2));
-    let a = w.add_process(PutLineClient::to(5, ProcessId(2)), true);
-    let b = w.add_process(PutLineClient::to(5, ProcessId(2)), true);
-    let s = w.add_process(Server::new("Shared", 0), false);
-    let r = w.run();
+    let opts = FanInOpts {
+        producers: 2,
+        n: 5,
+        ..FanInOpts::default()
+    };
+    let (a, b, s) = (ProcessId(0), ProcessId(1), consumer(&opts));
+    let r = Spec::FanIn(opts).on(RtWorld::new(rt_cfg(true, 2))).run();
     assert!(!r.timed_out, "{:?}", r.stats);
     assert_eq!(r.stats.rollbacks, 0, "independent clients never conflict");
     // Both clients delivered all their lines.

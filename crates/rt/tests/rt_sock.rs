@@ -2,37 +2,40 @@
 //! across a parent and worker *runtimes* connected over a real socket
 //! must commit logs merge-equivalent to the same world run in-process.
 //!
-//! Parent and workers run as threads of this test process, each calling
-//! `RtWorld::run()` with its own `RtTransport::Socket` role — the full
-//! handshake, frame codec, routing, quiescence drain, and final
-//! collection paths are exercised over a real Unix-domain (and, in one
-//! smoke test, TCP) socket; only `fork(2)` is skipped. The CLI test in
-//! `crates/lang/tests/cli_sock.rs` covers true multi-process runs.
+//! Parent and workers run as threads of this test process
+//! (`catalog::Split`), each calling `RtWorld::run()` with its own
+//! `RtTransport::Socket` role — the full handshake, frame codec, routing,
+//! quiescence drain, and final collection paths are exercised over a real
+//! Unix-domain (and, in one smoke test, TCP) socket; only `fork(2)` is
+//! skipped. The CLI test in `crates/lang/tests/cli_sock.rs` covers true
+//! multi-process runs.
 //!
 //! Chaos runs on the socket path reuse the fault-free in-proc run as the
-//! oracle, under merge-order tolerance ([`opcsp_rt::merge_equiv`]): the
+//! oracle, under merge-order tolerance ([`opcsp_rt::compare_logs`]): the
 //! chaos layer lives inside each actor's transport, so the socket hop
 //! underneath it must not change what commits.
 
 use opcsp_core::{ProcessId, FRAME_VERSION};
 use opcsp_rt::{
-    merge_equiv, Executor, NetFaults, RtConfig, RtResult, RtTransport, RtWorld, SockAddr, SockRole,
+    compare_logs, Executor, LogDiff, NetFaults, RtConfig, RtResult, RtTransport, RtWorld, SockAddr,
+    SockRole,
 };
 use opcsp_sim::{Behavior, BehaviorState, Effect, Observable, Resume};
-use opcsp_workloads::chain::OptimisticForwarder;
+use opcsp_workloads::catalog::{clean, place, Roster, Spec, Split};
+use opcsp_workloads::chain::ChainOpts;
 use opcsp_workloads::servers::Server;
-use opcsp_workloads::streaming::PutLineClient;
+use opcsp_workloads::streaming::{PairsOpts, PutLineClient, StreamingOpts};
 use std::io::{Read, Write};
 use std::os::unix::net::UnixStream;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-fn base_cfg(faults: NetFaults, transport: RtTransport, executor: Executor) -> RtConfig {
+fn base_cfg(faults: NetFaults, executor: Executor) -> RtConfig {
     RtConfig {
         latency: Duration::from_millis(2),
         fork_timeout: Duration::from_secs(5),
         run_timeout: Duration::from_secs(30),
         faults,
-        transport,
         executor,
         ..RtConfig::default()
     }
@@ -71,38 +74,30 @@ impl Behavior for Boom {
 
 /// `streaming`: putline client → server. `chain`: client → 2 forwarding
 /// hops → terminal server. Both cross the worker boundary for any split.
-/// `boom`: a healthy client → server pair, a client that panics, and an
-/// idle server.
-fn build_world(workload: &str, cfg: RtConfig) -> RtWorld {
-    let mut w = RtWorld::new(cfg);
+fn world(workload: &str) -> Roster {
     match workload {
-        "streaming" => {
-            w.add_process(PutLineClient::new(8), true);
-            w.add_process(Server::new("S", 0), false);
-        }
-        "chain" => {
-            w.add_process(PutLineClient::to(4, ProcessId(1)), true);
-            for hop in 1..=2u32 {
-                w.add_process(
-                    OptimisticForwarder {
-                        name: format!("Hop{hop}"),
-                        downstream: ProcessId(hop + 1),
-                        compute: 0,
-                    },
-                    false,
-                );
-            }
-            w.add_process(Server::new("Terminal", 0), false);
-        }
-        "boom" => {
-            w.add_process(PutLineClient::to(3, ProcessId(1)), true);
-            w.add_process(Server::new("S", 0), false);
-            w.add_process(Boom, true);
-            w.add_process(Server::new("Idle", 0), false);
-        }
+        "streaming" => Spec::Stream(StreamingOpts {
+            n: 8,
+            ..StreamingOpts::default()
+        }),
+        "chain" => Spec::Chain(ChainOpts {
+            depth: 2,
+            ..ChainOpts::default()
+        }),
         other => panic!("unknown workload {other}"),
     }
-    w
+    .roster()
+}
+
+/// A healthy client → server pair, a client that panics, and an idle
+/// server.
+fn boom() -> Roster {
+    vec![
+        (Arc::new(PutLineClient::to(3, ProcessId(1))), true),
+        (Arc::new(Server::new("S", 0)), false),
+        (Arc::new(Boom), true),
+        (Arc::new(Server::new("Idle", 0)), false),
+    ]
 }
 
 fn fresh_uds(tag: &str) -> SockAddr {
@@ -111,100 +106,44 @@ fn fresh_uds(tag: &str) -> SockAddr {
     SockAddr::parse(&format!("uds:{}", p.display())).expect("uds addr")
 }
 
-/// Run `workload` split across `workers` worker runtimes (each hosting
-/// its tile under `executor`) plus a parent, all threads of this process,
+/// Run `roster` split across `workers` worker runtimes (each hosting its
+/// tile under `executor`) plus a parent, all threads of this process,
 /// over `addr`. Returns the parent's (authoritative) result.
 fn run_over_socket(
-    workload: &str,
+    roster: &Roster,
     faults: NetFaults,
     addr: SockAddr,
     workers: usize,
     executor: Executor,
 ) -> RtResult {
-    let mut handles = Vec::new();
-    for index in 0..workers {
-        let addr = addr.clone();
-        let faults = faults.clone();
-        let workload = workload.to_string();
-        handles.push(std::thread::spawn(move || {
-            let cfg = base_cfg(
-                faults,
-                RtTransport::Socket {
-                    addr,
-                    role: SockRole::Worker { index, workers },
-                },
-                executor,
-            );
-            build_world(&workload, cfg).run()
-        }));
-    }
-    let cfg = base_cfg(
-        NetFaults::none(),
-        RtTransport::Socket {
-            addr,
-            role: SockRole::Parent { workers },
-        },
-        executor,
-    );
-    let result = build_world(workload, cfg).run();
-    for h in handles {
-        let w = h.join().expect("worker thread");
-        assert!(!w.timed_out, "worker runtime timed out");
-    }
+    let split = Split::new(&base_cfg(faults, executor), addr, workers);
+    let (result, worker_failure) = place(roster, split).run();
+    assert_eq!(worker_failure, None);
     result
 }
 
 fn run_inproc(workload: &str, faults: NetFaults) -> RtResult {
-    build_world(
-        workload,
-        base_cfg(faults, RtTransport::InProc, default_executor()),
-    )
-    .run()
-}
-
-fn assert_clean(r: &RtResult, label: &str) {
-    assert!(!r.timed_out, "{label}: timed out ({:?})", r.stats);
-    assert!(r.panicked.is_empty(), "{label}: panics {:?}", r.panics);
-    assert!(
-        r.stragglers.is_empty(),
-        "{label}: stragglers {:?}",
-        r.stragglers
-    );
+    let cfg = base_cfg(faults, default_executor());
+    place(&world(workload), RtWorld::new(cfg)).run()
 }
 
 /// In-proc (fault-free) vs socket (chaos): per-process merge-equivalent
 /// committed logs, equal external output multisets.
 fn assert_socket_matches_inproc(base: &RtResult, sock: &RtResult, label: &str) {
-    assert_eq!(
-        base.logs.keys().collect::<Vec<_>>(),
-        sock.logs.keys().collect::<Vec<_>>(),
-        "{label}: process sets differ"
-    );
-    for (p, log) in &base.logs {
-        assert!(
-            merge_equiv(log, &sock.logs[p]),
-            "{label}: log of {p} not merge-equivalent\n base: {log:?}\n sock: {:?}",
-            sock.logs[p]
-        );
-    }
-    let multiset = |r: &RtResult| {
-        let mut v: Vec<String> = r.external.iter().map(|(p, x)| format!("{p:?}:{x:?}")).collect();
-        v.sort();
-        v
-    };
-    assert_eq!(multiset(base), multiset(sock), "{label}: externals diverged");
+    let diff = compare_logs(&base.logs, &base.external, &sock.logs, &sock.external);
+    assert!(!matches!(diff, LogDiff::Diverged(_)), "{label}: {diff:?}");
 }
 
 #[test]
 fn streaming_over_uds_with_chaos_matches_inproc() {
     let base = run_inproc("streaming", NetFaults::none());
-    assert_clean(&base, "in-proc streaming");
+    clean(&base).expect("in-proc streaming");
     for (e, executor) in EXECUTORS.into_iter().enumerate() {
         for seed in [11u64, 12] {
             let label = format!("streaming seed {seed} {executor:?}");
             let addr = fresh_uds(&format!("streaming-{seed}-{e}"));
-            let sock = run_over_socket("streaming", chaos(seed), addr, 2, executor);
-            assert_clean(&sock, &format!("socket {label}"));
+            let sock = run_over_socket(&world("streaming"), chaos(seed), addr, 2, executor);
+            clean(&sock).unwrap_or_else(|e| panic!("socket {label}: {e}"));
             assert_socket_matches_inproc(&base, &sock, &label);
             assert!(
                 sock.stats.retransmits > 0 || sock.stats.drops_injected == 0,
@@ -217,11 +156,11 @@ fn streaming_over_uds_with_chaos_matches_inproc() {
 #[test]
 fn chain_over_uds_with_chaos_matches_inproc() {
     let base = run_inproc("chain", NetFaults::none());
-    assert_clean(&base, "in-proc chain");
+    clean(&base).expect("in-proc chain");
     for seed in [21u64, 22] {
         let addr = fresh_uds(&format!("chain-{seed}"));
-        let sock = run_over_socket("chain", chaos(seed), addr, 2, default_executor());
-        assert_clean(&sock, &format!("socket chain seed {seed}"));
+        let sock = run_over_socket(&world("chain"), chaos(seed), addr, 2, default_executor());
+        clean(&sock).unwrap_or_else(|e| panic!("socket chain seed {seed}: {e}"));
         assert_socket_matches_inproc(&base, &sock, &format!("chain seed {seed}"));
     }
 }
@@ -234,8 +173,8 @@ fn chain_split_three_ways_fault_free_matches_inproc() {
     for (e, executor) in EXECUTORS.into_iter().enumerate() {
         let label = format!("chain 3 workers {executor:?}");
         let addr = fresh_uds(&format!("chain-3w-{e}"));
-        let sock = run_over_socket("chain", NetFaults::none(), addr, 3, executor);
-        assert_clean(&sock, &format!("socket {label}"));
+        let sock = run_over_socket(&world("chain"), NetFaults::none(), addr, 3, executor);
+        clean(&sock).unwrap_or_else(|e| panic!("socket {label}: {e}"));
         assert_socket_matches_inproc(&base, &sock, &label);
     }
 }
@@ -248,7 +187,7 @@ fn actor_panic_on_a_pooled_worker_takes_out_only_that_pid() {
     // actors finish and report, and the hub sees a `Panicked` report and a
     // `Bye`, not a lost connection.
     let sock = run_over_socket(
-        "boom",
+        &boom(),
         NetFaults::none(),
         fresh_uds("boom-pooled"),
         1,
@@ -281,14 +220,14 @@ fn phases_follow_one_another_within_the_wall() {
     // mark, and then the five overrun the wall.
     let inproc = run_inproc("streaming", NetFaults::none());
     let uds = run_over_socket(
-        "streaming",
+        &world("streaming"),
         NetFaults::none(),
         fresh_uds("phases"),
         2,
         default_executor(),
     );
     for (label, r) in [("in-proc", inproc), ("uds", uds)] {
-        assert_clean(&r, label);
+        clean(&r).expect(label);
         let p = r.phases;
         let sum = p.setup + p.clients + p.drain + p.collect + p.reap;
         assert!(sum <= r.wall, "{label}: {p:?} add up to {sum:?} > wall {:?}", r.wall);
@@ -306,8 +245,14 @@ fn streaming_over_tcp_matches_inproc() {
     };
     let addr = SockAddr::parse(&format!("tcp:127.0.0.1:{port}")).expect("tcp addr");
     let base = run_inproc("streaming", NetFaults::none());
-    let sock = run_over_socket("streaming", NetFaults::none(), addr, 2, default_executor());
-    assert_clean(&sock, "socket streaming tcp");
+    let sock = run_over_socket(
+        &world("streaming"),
+        NetFaults::none(),
+        addr,
+        2,
+        default_executor(),
+    );
+    clean(&sock).expect("socket streaming tcp");
     assert_socket_matches_inproc(&base, &sock, "streaming tcp");
 }
 
@@ -321,29 +266,21 @@ fn run_with_impostor(
 ) -> (RtResult, RtResult) {
     let addr = fresh_uds(tag);
     let workers = 2usize;
-    let make_world = |cfg: RtConfig| {
-        let mut w = RtWorld::new(cfg);
-        w.add_process(PutLineClient::to(3, ProcessId(1)), true);
-        w.add_process(Server::new("S0", 0), false);
-        w.add_process(PutLineClient::to(3, ProcessId(3)), true);
-        w.add_process(Server::new("S1", 0), false);
-        w
+    let socket = |role| RtConfig {
+        transport: RtTransport::Socket {
+            addr: addr.clone(),
+            role,
+        },
+        ..base_cfg(NetFaults::none(), default_executor())
     };
+    let pairs = Spec::Pairs(PairsOpts {
+        pairs: 2,
+        n: 3,
+        ..PairsOpts::default()
+    });
 
-    let worker0 = {
-        let addr = addr.clone();
-        std::thread::spawn(move || {
-            let cfg = base_cfg(
-                NetFaults::none(),
-                RtTransport::Socket {
-                    addr,
-                    role: SockRole::Worker { index: 0, workers },
-                },
-                default_executor(),
-            );
-            make_world(cfg).run()
-        })
-    };
+    let worker0 = pairs.on(RtWorld::new(socket(SockRole::Worker { index: 0, workers })));
+    let worker0 = std::thread::spawn(move || worker0.run());
     let impostor = {
         let addr = addr.clone();
         std::thread::spawn(move || {
@@ -362,15 +299,9 @@ fn run_with_impostor(
         })
     };
 
-    let cfg = base_cfg(
-        NetFaults::none(),
-        RtTransport::Socket {
-            addr,
-            role: SockRole::Parent { workers },
-        },
-        default_executor(),
-    );
-    let parent = make_world(cfg).run();
+    let parent = pairs
+        .on(RtWorld::new(socket(SockRole::Parent { workers })))
+        .run();
     let worker0 = worker0.join().expect("worker 0");
     impostor.join().expect("impostor");
     (parent, worker0)

@@ -1,15 +1,12 @@
 //! Real-thread runtime tests: call streaming with genuine wall-clock
 //! latency, value faults, and equivalence against the pessimistic run.
 
-use opcsp_core::{CoreConfig, ProcessId, Value};
+use opcsp_core::CoreConfig;
 use opcsp_rt::{RtConfig, RtWorld};
 use opcsp_sim::Observable;
-use opcsp_workloads::servers::Server;
-use opcsp_workloads::streaming::PutLineClient;
+use opcsp_workloads::catalog::Spec;
+use opcsp_workloads::streaming::{StreamingOpts, CLIENT, SERVER};
 use std::time::Duration;
-
-const CLIENT: ProcessId = ProcessId(0);
-const SERVER: ProcessId = ProcessId(1);
 
 fn run_rt(n: u32, optimism: bool, latency_ms: u64, fail_at: Option<u32>) -> opcsp_rt::RtResult {
     let cfg = RtConfig {
@@ -23,17 +20,12 @@ fn run_rt(n: u32, optimism: bool, latency_ms: u64, fail_at: Option<u32>) -> opcs
         run_timeout: Duration::from_secs(20),
         ..RtConfig::default()
     };
-    let mut w = RtWorld::new(cfg);
-    let c = w.add_process(PutLineClient::new(n), true);
-    let s = w.add_process(
-        Server::new("WindowManager", 0).with_reply(move |line| {
-            let i = line.as_int().unwrap_or(-1) as u32;
-            Value::Bool(fail_at.map(|f| i != f).unwrap_or(true))
-        }),
-        false,
-    );
-    assert_eq!((c, s), (CLIENT, SERVER));
-    w.run()
+    let world = Spec::Stream(StreamingOpts {
+        n,
+        fail_lines: fail_at.into_iter().collect(),
+        ..StreamingOpts::default()
+    });
+    world.on(RtWorld::new(cfg)).run()
 }
 
 fn successful_receives(r: &opcsp_rt::RtResult) -> usize {
@@ -113,27 +105,18 @@ fn rt_logs_match_across_modes() {
 
 #[test]
 fn rt_fork_after_send_streams_too() {
-    use opcsp_workloads::streaming::PutLineClientFas;
     let cfg = RtConfig {
         latency: Duration::from_millis(3),
         fork_timeout: Duration::from_secs(2),
         run_timeout: Duration::from_secs(20),
         ..RtConfig::default()
     };
-    let mut w = RtWorld::new(cfg);
-    let c = w.add_process(
-        PutLineClientFas {
-            n: 8,
-            server: SERVER,
-        },
-        true,
-    );
-    let s = w.add_process(
-        Server::new("WindowManager", 0).with_reply(|_| Value::Bool(true)),
-        false,
-    );
-    assert_eq!((c, s), (CLIENT, SERVER));
-    let r = w.run();
+    let world = Spec::Stream(StreamingOpts {
+        n: 8,
+        fork_after_send: true,
+        ..StreamingOpts::default()
+    });
+    let r = world.on(RtWorld::new(cfg)).run();
     assert!(!r.timed_out, "{:?}", r.stats);
     assert_eq!(r.stats.forks, 8);
     assert_eq!(r.stats.aborts, 0);

@@ -11,8 +11,8 @@
 
 use opcsp_rt::{Executor, RtConfig, RtResult, RtWorld};
 use opcsp_sim::{Effect, FnBehavior, Observable};
-use opcsp_workloads::servers::Server;
-use opcsp_workloads::streaming::PutLineClient;
+use opcsp_workloads::catalog::{clean, Spec};
+use opcsp_workloads::streaming::{PutLineClient, StreamingOpts};
 use std::time::{Duration, Instant};
 
 const EXECUTORS: [Executor; 2] = [Executor::Threaded, Executor::Sharded { workers: 2 }];
@@ -27,25 +27,18 @@ fn cfg(executor: Executor, latency: Duration) -> RtConfig {
 
 /// A PutLine client streaming `n` calls to an echoing server.
 fn stream(cfg: RtConfig, n: u32) -> RtResult {
-    let mut w = RtWorld::new(cfg);
-    w.add_process(PutLineClient::new(n), true);
-    w.add_process(Server::new("S", 0), false);
-    w.run()
-}
-
-fn assert_clean(r: &RtResult, label: &str) {
-    assert!(!r.timed_out, "{label}: timed out ({:?})", r.stats);
-    assert!(
-        r.panicked.is_empty() && r.stragglers.is_empty(),
-        "{label}: {r:?}"
-    );
+    let world = Spec::Stream(StreamingOpts {
+        n,
+        ..StreamingOpts::default()
+    });
+    world.on(RtWorld::new(cfg)).run()
 }
 
 #[test]
 fn the_hold_keeps_link_order() {
     for ex in EXECUTORS {
         let r = stream(cfg(ex, Duration::from_millis(1)), 500);
-        assert_clean(&r, &format!("{ex:?}"));
+        clean(&r).unwrap_or_else(|e| panic!("{ex:?}: {e}"));
         let s = &r.stats;
         assert_eq!(
             (s.forks, s.commits, s.aborts),
@@ -69,7 +62,7 @@ fn one_call_takes_a_round_trip() {
     let latency = Duration::from_millis(25);
     for ex in EXECUTORS {
         let r = stream(cfg(ex, latency), 1);
-        assert_clean(&r, &format!("{ex:?}"));
+        clean(&r).unwrap_or_else(|e| panic!("{ex:?}: {e}"));
         assert_eq!(r.stats.commits, 1, "{ex:?}: {:?}", r.stats);
         let replied = r.logs[&opcsp_core::ProcessId(0)]
             .iter()

@@ -10,14 +10,10 @@
 //! rollback-depth experiment, and a stress test of the PRECEDENCE
 //! machinery (each hop's guess awaits the downstream hop's guesses).
 
-use crate::servers::{reply_label, Server};
-use crate::streaming::PutLineClient;
+use crate::servers::reply_label;
 use opcsp_core::{CoreConfig, DataKind, ProcessId, Value};
-use opcsp_sim::{
-    Behavior, BehaviorState, Effect, LatencyModel, Resume, SimBuilder, SimConfig, SimResult,
-};
+use opcsp_sim::{Behavior, BehaviorState, Effect, Resume};
 use std::collections::BTreeSet;
-use std::sync::Arc;
 
 /// A server that speculatively acknowledges upstream before its downstream
 /// call completes.
@@ -93,8 +89,9 @@ impl Behavior for OptimisticForwarder {
     }
 }
 
-/// Chain scenario parameters.
-#[derive(Debug, Clone)]
+/// Chain scenario parameters: the client is process 0, the hops are
+/// 1..=depth and the terminal server is depth+1.
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChainOpts {
     /// Number of forwarding hops between client and terminal server.
     pub depth: u32,
@@ -116,50 +113,4 @@ impl Default for ChainOpts {
             core: CoreConfig::default(),
         }
     }
-}
-
-/// The engine config [`run_chain`] derives from the scenario options —
-/// exposed so schedule exploration can vary it while keeping the world.
-pub fn chain_config(opts: &ChainOpts) -> SimConfig {
-    SimConfig {
-        core: opts.core.clone(),
-        latency: LatencyModel::fixed(opts.latency),
-        ..SimConfig::default()
-    }
-}
-
-/// The chain world under an explicit engine config, not yet built.
-pub fn chain_builder(opts: &ChainOpts, cfg: &SimConfig) -> SimBuilder {
-    let mut b = SimBuilder::new(cfg.clone());
-    b.add_process(PutLineClient::to(opts.n, ProcessId(1)));
-    for hop in 1..=opts.depth {
-        b.add_process(OptimisticForwarder {
-            name: format!("Hop{hop}"),
-            downstream: ProcessId(hop + 1),
-            compute: 1,
-        });
-    }
-    let fails = Arc::new(opts.fail_items.clone());
-    b.add_process(Server::new("Terminal", 1).with_reply(move |v| {
-        let i = v.as_int().unwrap_or(-1);
-        Value::Bool(i >= 0 && !fails.contains(&(i as u32)))
-    }));
-    b
-}
-
-/// Build and run the chain world under an explicit engine config (the
-/// schedule explorer's runner).
-pub fn run_chain_cfg(opts: &ChainOpts, cfg: &SimConfig) -> SimResult {
-    chain_builder(opts, cfg).build().run()
-}
-
-/// Client is process 0; hops are 1..=depth; terminal server is depth+1.
-pub fn run_chain(opts: ChainOpts) -> SimResult {
-    let cfg = chain_config(&opts);
-    run_chain_cfg(&opts, &cfg)
-}
-
-/// The terminal server's process id for a given depth.
-pub fn terminal(depth: u32) -> ProcessId {
-    ProcessId(depth + 1)
 }

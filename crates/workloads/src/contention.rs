@@ -50,7 +50,7 @@ pub fn run_contention(opts: ContentionOpts) -> SimResult {
     let mut b = SimBuilder::new(cfg);
     let a = b.add_process(PutLineClient::to(opts.n_per_client, SERVER));
     let bb = b.add_process(PutLineClient::to(opts.n_per_client, SERVER));
-    let s = b.add_process(Server::new("Shared", 1).with_reply(|_| Value::Bool(true)));
+    let s = b.add_process(Server::new("Shared", 1));
     debug_assert_eq!((a, bb, s), (CLIENT_A, CLIENT_B, SERVER));
     b.build().run()
 }

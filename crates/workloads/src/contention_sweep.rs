@@ -23,12 +23,11 @@
 //! outputs only release when their guards empty — so per-phase durations
 //! measure committed progress, speculative or not.
 
+use crate::catalog::{self, place, Roster};
 use crate::servers::Server;
 use crate::streaming::{CLIENT, SERVER};
 use opcsp_core::{CoreConfig, ProcessId, Value};
-use opcsp_sim::{
-    Behavior, BehaviorState, Effect, LatencyModel, Resume, SimBuilder, SimConfig, SimResult, VTime,
-};
+use opcsp_sim::{Behavior, BehaviorState, Effect, Resume, SimBuilder, SimResult, VTime};
 use std::sync::Arc;
 
 /// One segment of the sweep.
@@ -231,12 +230,22 @@ impl Behavior for SweepClient {
     }
 }
 
-fn sweep_server(opts: &SweepOpts) -> Server {
-    let table = opts.clone();
-    Server::new("HotServer", opts.server_compute).with_reply(move |line| {
-        let i = line.as_int().unwrap_or(-1);
-        Value::Bool(i >= 0 && !table.call_fails(i as u32))
-    })
+impl SweepOpts {
+    /// The sweep's world: the client, then the hot server. The same roster
+    /// runs on the simulator (E12) and on rt (the sim-vs-rt differential:
+    /// policy changes scheduling, never semantics).
+    pub fn roster(&self) -> Roster {
+        let table = self.clone();
+        let server = Server::new("HotServer", self.server_compute).with_reply(move |line| {
+            let i = line.as_int().unwrap_or(-1);
+            Value::Bool(i >= 0 && !table.call_fails(i as u32))
+        });
+        let client = SweepClient {
+            boundaries: Arc::new(self.boundaries()),
+            server: SERVER,
+        };
+        vec![(Arc::new(client), true), (Arc::new(server), false)]
+    }
 }
 
 /// A completed sweep with its committed phase timeline.
@@ -275,19 +284,8 @@ impl SweepOutcome {
 
 /// Build and run the sweep on the simulator.
 pub fn run_contention_sweep(opts: SweepOpts) -> SweepOutcome {
-    let cfg = SimConfig {
-        core: opts.core.clone(),
-        latency: LatencyModel::fixed(opts.latency),
-        ..SimConfig::default()
-    };
-    let mut b = SimBuilder::new(cfg);
-    let c = b.add_process(SweepClient {
-        boundaries: Arc::new(opts.boundaries()),
-        server: SERVER,
-    });
-    let s = b.add_process(sweep_server(&opts));
-    debug_assert_eq!((c, s), (CLIENT, SERVER));
-    let result = b.build().run();
+    let cfg = catalog::sim_config(&opts.core, opts.latency, 0, 0, None);
+    let result = place(&opts.roster(), SimBuilder::new(cfg)).build().run();
     let marker_times: Vec<VTime> = result
         .external
         .iter()
@@ -301,23 +299,6 @@ pub fn run_contention_sweep(opts: SweepOpts) -> SweepOutcome {
         phases: opts.phases,
         marker_times,
     }
-}
-
-/// The same world on the real-thread runtime (for the sim-vs-rt
-/// differential: policy changes scheduling, never semantics, so committed
-/// logs must stay merge-equivalent whatever the controller decides).
-pub fn rt_sweep_world(opts: &SweepOpts, cfg: opcsp_rt::RtConfig) -> opcsp_rt::RtWorld {
-    let mut w = opcsp_rt::RtWorld::new(cfg);
-    let c = w.add_process(
-        SweepClient {
-            boundaries: Arc::new(opts.boundaries()),
-            server: SERVER,
-        },
-        true,
-    );
-    let s = w.add_process(sweep_server(opts), false);
-    debug_assert_eq!((c, s), (CLIENT, SERVER));
-    w
 }
 
 #[cfg(test)]

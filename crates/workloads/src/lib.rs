@@ -1,11 +1,16 @@
-//! # opcsp-workloads — scenario builders shared by tests, benches, examples
+//! # opcsp-workloads — the worlds tests, benches, examples and the CLI run
 //!
-//! Each module reconstructs a scenario from the paper or a parameterized
-//! workload for the benchmark harness:
+//! [`catalog`] is where a world is described: each catalogue world is one
+//! roster (its behaviours in pid order), placed by one function on the
+//! simulator, on rt under either executor, or split over a socket, and
+//! named by a [`catalog::Spec`] in the grammar `name[:key=value,…]` that
+//! `opcsp-run` and `figures` share. A spec carries its own oracle. The
+//! other modules hold the behaviours and the scenario options:
 //!
 //! - [`update_write`] — Figures 1–5: the Update/Write client with database
 //!   and filesystem servers.
-//! - [`streaming`] — §1's PutLine call-streaming client (E1/E2/E3/E8).
+//! - [`streaming`] — §1's PutLine call-streaming client (E1/E2/E3/E8), its
+//!   tally and fork-after-send variants, and the independent pairs (E11).
 //! - [`two_clients`] — Figures 6–7: two optimistically parallelized
 //!   processes with PRECEDENCE resolution and cycle detection.
 //! - [`chain`] — depth-k optimistic forwarding pipelines (rollback-depth
@@ -23,6 +28,7 @@
 //!   order (E14).
 //! - [`servers`] — reusable server behaviors.
 
+pub mod catalog;
 pub mod chain;
 pub mod contention;
 pub mod contention_sweep;

@@ -33,16 +33,16 @@
 //! — see [`check_replica_agreement`]. Used by experiment E14 and the
 //! `tests/replicated_kv.rs` sim-vs-rt differentials.
 
+use crate::catalog::{self, Outcome};
 use opcsp_core::{CoreConfig, DataKind, ProcessId, Value};
 use opcsp_sim::{
-    reply_label, Behavior, BehaviorState, Effect, LatencyModel, Resume, SimBuilder, SimConfig,
-    SimResult, VTime,
+    reply_label, Behavior, BehaviorState, Effect, Resume, SimConfig, SimResult, VTime,
 };
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Scenario parameters for the replicated-KV experiments.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KvOpts {
     /// Number of replicas (`R`).
     pub replicas: u32,
@@ -107,12 +107,10 @@ pub fn sequencer(opts: &KvOpts) -> ProcessId {
     ProcessId(opts.clients)
 }
 
-pub fn replica(opts: &KvOpts, r: u32) -> ProcessId {
-    ProcessId(opts.clients + 1 + r)
-}
-
 pub fn replica_pids(opts: &KvOpts) -> Vec<ProcessId> {
-    (0..opts.replicas).map(|r| replica(opts, r)).collect()
+    (0..opts.replicas)
+        .map(|r| ProcessId(opts.clients + 1 + r))
+        .collect()
 }
 
 // ---------------------------------------------------------------------
@@ -530,100 +528,19 @@ impl Behavior for Replica {
 }
 
 // ---------------------------------------------------------------------
-// World builders
+// Engine config (the world itself is `catalog::Spec::Kv`'s roster)
 // ---------------------------------------------------------------------
 
-/// The engine config [`run_replicated_kv`] derives from the scenario
-/// options — exposed so schedule exploration can vary it while keeping
-/// the same world.
+/// The engine config the scenario options describe (`Spec::Kv`'s
+/// simulator config).
 pub fn kv_config(opts: &KvOpts) -> SimConfig {
-    let latency = if opts.jitter > 0 {
-        LatencyModel::jitter(opts.latency, opts.jitter, opts.seed)
-    } else {
-        LatencyModel::fixed(opts.latency)
-    };
-    SimConfig {
-        core: opts.core.clone(),
-        latency,
-        fork_timeout: opts.fork_timeout,
-        ..SimConfig::default()
-    }
-}
-
-fn client_behavior(opts: &KvOpts, cdf: &Arc<Vec<f64>>, j: u32) -> KvClient {
-    KvClient {
-        index: j,
-        clients: opts.clients,
-        n: opts.ops_per_client,
-        gap: opts.gap,
-        seq: sequencer(opts),
-        replicas: replica_pids(opts),
-        seed: opts.seed,
-        write_per_mille: opts.write_per_mille,
-        cdf: cdf.clone(),
-    }
-}
-
-/// The replicated-KV world under an explicit engine config, not yet built.
-pub fn kv_builder(opts: &KvOpts, cfg: &SimConfig) -> SimBuilder {
-    let cdf = zipf_cdf(opts.keys, opts.zipf_s);
-    let mut b = SimBuilder::new(cfg.clone());
-    for j in 0..opts.clients {
-        b.add_process(client_behavior(opts, &cdf, j));
-    }
-    let s = b.add_process(Sequencer {
-        total: opts.total_ops(),
-        compute: opts.seq_compute,
-    });
-    debug_assert_eq!(s, sequencer(opts));
-    for r in 0..opts.replicas {
-        let p = b.add_process(Replica::new(
-            format!("R{r}"),
-            opts.total_ops(),
-            opts.replica_compute,
-        ));
-        debug_assert_eq!(p, replica(opts, r));
-    }
-    b
-}
-
-/// Build and run the replicated-KV world under an explicit engine config
-/// (the schedule explorer's runner).
-pub fn run_replicated_kv_cfg(opts: &KvOpts, cfg: &SimConfig) -> SimResult {
-    kv_builder(opts, cfg).build().run()
-}
-
-/// Build and run the replicated-KV scenario.
-pub fn run_replicated_kv(opts: KvOpts) -> SimResult {
-    let cfg = kv_config(&opts);
-    run_replicated_kv_cfg(&opts, &cfg)
-}
-
-/// Build the same world on the real-thread runtime (threaded or sharded
-/// executor, in-proc or socket transport — all via `cfg`). Clients are
-/// the processes whose completion ends the run.
-pub fn rt_kv_world(opts: &KvOpts, cfg: opcsp_rt::RtConfig) -> opcsp_rt::RtWorld {
-    let cdf = zipf_cdf(opts.keys, opts.zipf_s);
-    let mut w = opcsp_rt::RtWorld::new(cfg);
-    for j in 0..opts.clients {
-        w.add_process(client_behavior(opts, &cdf, j), true);
-    }
-    let s = w.add_process(
-        Sequencer {
-            total: opts.total_ops(),
-            compute: opts.seq_compute,
-        },
-        false,
-    );
-    debug_assert_eq!(s, sequencer(opts));
-    for r in 0..opts.replicas {
-        let p = w.add_process(
-            Replica::new(format!("R{r}"), opts.total_ops(), opts.replica_compute),
-            false,
-        );
-        debug_assert_eq!(p, replica(opts, r));
-    }
-    w
+    catalog::sim_config(
+        &opts.core,
+        opts.latency,
+        opts.jitter,
+        opts.seed,
+        Some(opts.fork_timeout),
+    )
 }
 
 // ---------------------------------------------------------------------
@@ -726,17 +643,8 @@ pub fn check_replica_agreement(opts: &KvOpts, streams: &[Vec<Value>]) -> Result<
 
 /// Run the oracle over a simulator result.
 pub fn check_sim_agreement(opts: &KvOpts, result: &SimResult) -> Result<KvSummary, String> {
-    if !result.unresolved.is_empty() {
-        return Err(format!("unresolved guesses: {:?}", result.unresolved));
-    }
-    if result.truncated {
-        return Err("run truncated (max_events)".into());
-    }
-    let streams = replica_streams(
-        opts,
-        result.external.iter().map(|(_, p, v)| (*p, v.clone())),
-    );
-    check_replica_agreement(opts, &streams)
+    result.ended()?;
+    check_replica_agreement(opts, &replica_streams(opts, result.external()))
 }
 
 /// Run the oracle over a real-thread runtime result.
@@ -757,7 +665,6 @@ pub fn check_rt_agreement(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use opcsp_core::SpeculationPolicy;
 
     #[test]
     fn zipf_cdf_is_monotone_and_commands_deterministic() {
@@ -774,82 +681,5 @@ mod tests {
             .filter(|&op| kv_command(7, &cdf, 0, 0, op).key == 0)
             .count();
         assert!(hits > 1000 / 16, "rank-0 hits {hits} not skewed");
-    }
-
-    #[test]
-    fn optimistic_run_commits_and_replicas_agree() {
-        let opts = KvOpts::default();
-        let r = run_replicated_kv(opts.clone());
-        let s = check_sim_agreement(&opts, &r).expect("SMR oracle");
-        assert_eq!(s.applied, opts.total_ops() as i64);
-        assert!(s.gets > 0, "mix should include reads");
-        assert!(!s.store.is_empty(), "mix should include writes");
-    }
-
-    #[test]
-    fn pessimistic_baseline_never_rolls_back_and_agrees() {
-        let opts = KvOpts {
-            core: CoreConfig {
-                speculation: SpeculationPolicy::Pessimistic,
-                ..CoreConfig::default()
-            },
-            ..KvOpts::default()
-        };
-        let r = run_replicated_kv(opts.clone());
-        check_sim_agreement(&opts, &r).expect("SMR oracle");
-        assert_eq!(r.stats().forks, 0, "pessimistic must not fork");
-        assert_eq!(r.stats().rollbacks, 0);
-    }
-
-    #[test]
-    fn spontaneous_order_makes_guesses_right_under_fixed_latency() {
-        let opts = KvOpts::default();
-        let r = run_replicated_kv(opts.clone());
-        let st = r.stats();
-        assert!(
-            st.aborts * 10 <= st.forks,
-            "fixed latency should make the round-robin guess mostly right: {st:?}"
-        );
-    }
-
-    #[test]
-    fn jitter_breaks_spontaneous_order_but_agreement_holds() {
-        let opts = KvOpts {
-            jitter: 40,
-            seed: 3,
-            ..KvOpts::default()
-        };
-        let r = run_replicated_kv(opts.clone());
-        check_sim_agreement(&opts, &r).expect("SMR oracle under jitter");
-        assert!(
-            r.stats().aborts > 0,
-            "jitter should misorder some arrivals: {:?}",
-            r.stats()
-        );
-    }
-
-    #[test]
-    fn optimism_beats_pessimism_at_fixed_latency() {
-        let opts = KvOpts::default();
-        let opt = run_replicated_kv(opts.clone());
-        let pess = run_replicated_kv(KvOpts {
-            core: CoreConfig {
-                speculation: SpeculationPolicy::Pessimistic,
-                ..CoreConfig::default()
-            },
-            ..opts.clone()
-        });
-        let so = check_sim_agreement(&opts, &opt).expect("optimistic oracle");
-        let sp = check_sim_agreement(&opts, &pess).expect("pessimistic oracle");
-        // Same committed history…
-        assert_eq!(so.store, sp.store);
-        // …reached faster: streaming the broadcasts hides the sequencer
-        // round trip.
-        assert!(
-            opt.completion < pess.completion,
-            "optimistic {} vs pessimistic {}",
-            opt.completion,
-            pess.completion
-        );
     }
 }

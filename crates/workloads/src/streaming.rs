@@ -10,13 +10,9 @@
 //! tail of the stream rolls back. Used by experiments E1 (latency sweep),
 //! E2 (N sweep), E3 (abort-probability sweep) and E8 (guard growth).
 
-use crate::servers::Server;
 use opcsp_core::{CoreConfig, ProcessId, Value};
-use opcsp_sim::{
-    Behavior, BehaviorState, Effect, LatencyModel, Resume, SimBuilder, SimConfig, SimResult, VTime,
-};
+use opcsp_sim::{Behavior, BehaviorState, Effect, Resume, SimResult, VTime};
 use std::collections::BTreeSet;
-use std::sync::Arc;
 
 pub const CLIENT: ProcessId = ProcessId(0);
 pub const SERVER: ProcessId = ProcessId(1);
@@ -132,7 +128,7 @@ impl Behavior for PutLineClient {
 }
 
 /// Scenario parameters for the streaming experiments.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StreamingOpts {
     /// Number of PutLine calls.
     pub n: u32,
@@ -159,51 +155,6 @@ impl Default for StreamingOpts {
             fork_after_send: false,
         }
     }
-}
-
-/// The engine config [`run_streaming`] derives from the scenario options —
-/// exposed so schedule exploration can vary it while keeping the world.
-pub fn streaming_config(opts: &StreamingOpts) -> SimConfig {
-    SimConfig {
-        core: opts.core.clone(),
-        latency: LatencyModel::fixed(opts.latency),
-        fork_timeout: opts.fork_timeout,
-        ..SimConfig::default()
-    }
-}
-
-/// The PutLine world under an explicit engine config, not yet built.
-pub fn streaming_builder(opts: &StreamingOpts, cfg: &SimConfig) -> SimBuilder {
-    let mut b = SimBuilder::new(cfg.clone());
-    let c = if opts.fork_after_send {
-        b.add_process(PutLineClientFas {
-            n: opts.n,
-            server: SERVER,
-        })
-    } else {
-        b.add_process(PutLineClient::new(opts.n))
-    };
-    let fails = Arc::new(opts.fail_lines.clone());
-    let s = b.add_process(
-        Server::new("WindowManager", opts.server_compute).with_reply(move |line| {
-            let i = line.as_int().unwrap_or(-1);
-            Value::Bool(i >= 0 && !fails.contains(&(i as u32)))
-        }),
-    );
-    debug_assert_eq!((c, s), (CLIENT, SERVER));
-    b
-}
-
-/// Build and run the PutLine world under an explicit engine config (the
-/// schedule explorer's runner).
-pub fn run_streaming_cfg(opts: &StreamingOpts, cfg: &SimConfig) -> SimResult {
-    streaming_builder(opts, cfg).build().run()
-}
-
-/// Build and run the PutLine scenario.
-pub fn run_streaming(opts: StreamingOpts) -> SimResult {
-    let cfg = streaming_config(&opts);
-    run_streaming_cfg(&opts, &cfg)
 }
 
 /// The streaming client using §4.2.1's fork-after-send optimization: the
@@ -401,7 +352,7 @@ pub fn line_fails(seed: u64, line: u32, p_per_mille: u32) -> bool {
 
 /// E3 scenario: all `n` lines pushed; each independently fails with
 /// probability `p_per_mille`/1000.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TallyOpts {
     pub n: u32,
     pub latency: u64,
@@ -422,50 +373,27 @@ impl Default for TallyOpts {
     }
 }
 
-/// The tally (continue-on-failure) streaming world, not yet built.
-pub fn tally_builder(opts: &TallyOpts) -> SimBuilder {
-    let cfg = SimConfig {
-        core: opts.core.clone(),
-        latency: LatencyModel::fixed(opts.latency),
-        ..SimConfig::default()
-    };
-    let mut b = SimBuilder::new(cfg);
-    let c = b.add_process(TallyClient {
-        n: opts.n,
-        server: SERVER,
-    });
-    let (p, seed) = (opts.p_per_mille, opts.seed);
-    let s = b.add_process(Server::new("WindowManager", 1).with_reply(move |line| {
-        let i = line.as_int().unwrap_or(-1) as u32;
-        Value::Bool(!line_fails(seed, i, p))
-    }));
-    debug_assert_eq!((c, s), (CLIENT, SERVER));
-    b
+/// `pairs` independent client→server pairs: client `2k` streams `n` calls
+/// to server `2k+1` and no link ever crosses a pair. The executor-scaling
+/// workload — with a shared consumer (fan-in) one actor serializes the
+/// run, whereas independent pairs let committed-calls/sec grow with the
+/// worker count until the pool, not the protocol, is the bottleneck.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PairsOpts {
+    pub pairs: u32,
+    /// Calls per client.
+    pub n: u32,
+    pub core: CoreConfig,
 }
 
-/// Run the tally scenario.
-pub fn run_tally(opts: TallyOpts) -> SimResult {
-    tally_builder(&opts).build().run()
-}
-
-/// Build `pairs` independent client→server pairs on the real-thread
-/// runtime: client `2k` streams `n` calls to server `2k+1` and no link
-/// ever crosses a pair. The executor-scaling workload — with a shared
-/// consumer (fan-in) one actor serializes the run, whereas independent
-/// pairs let committed-calls/sec grow with the worker count until the
-/// pool, not the protocol, is the bottleneck. Behaviors are shared
-/// `Arc` templates per role, so a 4096-process world registers without
-/// an O(N) construction spike (see `fan_in::rt_fan_in_world`).
-pub fn rt_pairs_world(pairs: u32, n: u32, cfg: opcsp_rt::RtConfig) -> opcsp_rt::RtWorld {
-    let mut w = opcsp_rt::RtWorld::new(cfg);
-    let server: Arc<dyn Behavior> =
-        Arc::new(Server::new("S", 0).with_reply(|_| Value::Bool(true)));
-    for k in 0..pairs {
-        let c = w.add_process(PutLineClient::to(n, ProcessId(2 * k + 1)), true);
-        let s = w.add_process_arc(server.clone(), false);
-        debug_assert_eq!((c, s), (ProcessId(2 * k), ProcessId(2 * k + 1)));
+impl Default for PairsOpts {
+    fn default() -> Self {
+        PairsOpts {
+            pairs: 8,
+            n: 4,
+            core: CoreConfig::default(),
+        }
     }
-    w
 }
 
 /// Number of lines the client successfully delivered, per the committed
@@ -487,6 +415,7 @@ pub fn delivered_lines(result: &SimResult) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::catalog::Spec;
 
     #[test]
     fn line_fails_is_deterministic_and_rate_bounded() {
@@ -514,28 +443,31 @@ mod tests {
 
     #[test]
     fn delivered_lines_counts_only_successes() {
-        let r = run_streaming(StreamingOpts {
+        let r = Spec::Stream(StreamingOpts {
             n: 6,
             fail_lines: std::collections::BTreeSet::from([2]),
             ..StreamingOpts::default()
-        });
+        })
+        .simulate();
         assert_eq!(delivered_lines(&r), 2);
     }
 
     #[test]
     fn tally_counts_good_and_bad() {
-        let r = run_tally(TallyOpts {
+        let r = Spec::Tally(TallyOpts {
             n: 10,
             p_per_mille: 0,
             ..TallyOpts::default()
-        });
+        })
+        .simulate();
         assert!(r.unresolved.is_empty());
         assert_eq!(r.stats().aborts, 0);
-        let all_fail = run_tally(TallyOpts {
+        let all_fail = Spec::Tally(TallyOpts {
             n: 10,
             p_per_mille: 1000,
             ..TallyOpts::default()
-        });
+        })
+        .simulate();
         assert!(all_fail.unresolved.is_empty());
         assert!(all_fail.stats().value_faults >= 1);
     }

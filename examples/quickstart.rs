@@ -11,7 +11,8 @@
 
 use opcsp_core::CoreConfig;
 use opcsp_sim::check_equivalence;
-use opcsp_workloads::streaming::{run_streaming, StreamingOpts, CLIENT, SERVER};
+use opcsp_workloads::catalog::Spec;
+use opcsp_workloads::streaming::{StreamingOpts, CLIENT, SERVER};
 
 fn main() {
     let base = StreamingOpts {
@@ -20,11 +21,12 @@ fn main() {
         ..StreamingOpts::default()
     };
 
-    let sequential = run_streaming(StreamingOpts {
+    let sequential = Spec::Stream(StreamingOpts {
         core: CoreConfig::pessimistic(),
         ..base.clone()
-    });
-    let streaming = run_streaming(base);
+    })
+    .simulate();
+    let streaming = Spec::Stream(base).simulate();
 
     println!("== Optimistic execution timeline ==\n");
     println!("{}", streaming.trace.render_timeline(&[CLIENT, SERVER]));

@@ -5,10 +5,10 @@
 //! cargo run --release --example real_threads
 //! ```
 
-use opcsp_core::{CoreConfig, Value};
+use opcsp_core::CoreConfig;
 use opcsp_rt::{RtConfig, RtWorld};
-use opcsp_workloads::servers::Server;
-use opcsp_workloads::streaming::PutLineClient;
+use opcsp_workloads::catalog::Spec;
+use opcsp_workloads::streaming::StreamingOpts;
 use std::time::Duration;
 
 fn run(n: u32, optimism: bool, latency: Duration) -> opcsp_rt::RtResult {
@@ -23,13 +23,11 @@ fn run(n: u32, optimism: bool, latency: Duration) -> opcsp_rt::RtResult {
         run_timeout: Duration::from_secs(30),
         ..RtConfig::default()
     };
-    let mut w = RtWorld::new(cfg);
-    w.add_process(PutLineClient::new(n), true);
-    w.add_process(
-        Server::new("WindowManager", 0).with_reply(|_| Value::Bool(true)),
-        false,
-    );
-    w.run()
+    let world = Spec::Stream(StreamingOpts {
+        n,
+        ..StreamingOpts::default()
+    });
+    world.on(RtWorld::new(cfg)).run()
 }
 
 fn main() {

@@ -4,7 +4,8 @@
 
 use opcsp_core::{CoreConfig, SpeculationPolicy};
 use opcsp_sim::{check_conservation, check_equivalence};
-use opcsp_workloads::streaming::{run_streaming, run_tally, StreamingOpts, TallyOpts};
+use opcsp_workloads::catalog::Spec;
+use opcsp_workloads::streaming::{StreamingOpts, TallyOpts};
 use opcsp_workloads::update_write::{fig4_latency, run_update_write, UpdateWriteOpts};
 use std::collections::BTreeSet;
 
@@ -28,11 +29,11 @@ fn streaming_with_faults_correct_under_every_ablation_combo() {
             core: core.clone(),
             ..Default::default()
         };
-        let opt = run_streaming(o.clone());
-        let pess = run_streaming(StreamingOpts {
+        let opt = Spec::Stream(o.clone()).simulate();
+        let pess = Spec::Stream(StreamingOpts {
             core: core.clone().with_speculation(SpeculationPolicy::Pessimistic),
             ..o
-        });
+        }).simulate();
         assert!(
             opt.unresolved.is_empty(),
             "combo {i} ({core:?}): unresolved {:?}",
@@ -89,11 +90,11 @@ fn heavy_faults_with_all_optimizations_off() {
             core: core.clone(),
             ..TallyOpts::default()
         };
-        let opt = run_tally(o.clone());
-        let pess = run_tally(TallyOpts {
+        let opt = Spec::Tally(o.clone()).simulate();
+        let pess = Spec::Tally(TallyOpts {
             core: core.clone().with_speculation(SpeculationPolicy::Pessimistic),
             ..o
-        });
+        }).simulate();
         assert!(opt.unresolved.is_empty(), "p={p}: {:?}", opt.unresolved);
         let rep = check_equivalence(&pess, &opt);
         assert!(rep.equivalent, "p={p}: {:#?}", rep.mismatches);

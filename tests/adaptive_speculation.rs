@@ -9,9 +9,9 @@
 use opcsp_core::speculation::MAX_LIMIT;
 use opcsp_core::{CoreConfig, ShiftReason, SpeculationPolicy, TelemetryEvent, Value};
 use opcsp_sim::check_equivalence;
-use opcsp_workloads::contention_sweep::{
-    rt_sweep_world, run_contention_sweep, Phase, SweepOpts,
-};
+use opcsp_rt::RtWorld;
+use opcsp_workloads::catalog::place;
+use opcsp_workloads::contention_sweep::{run_contention_sweep, Phase, SweepOpts};
 use opcsp_workloads::streaming::CLIENT;
 use std::time::Duration;
 
@@ -72,16 +72,13 @@ fn sim_and_rt_agree_on_committed_behavior_under_adaptive() {
     let sim = run_contention_sweep(opts.clone());
     assert!(sim.result.unresolved.is_empty());
 
-    let rt = rt_sweep_world(
-        &opts,
-        opcsp_rt::RtConfig {
-            core: opts.core.clone(),
-            latency: Duration::from_millis(1),
-            telemetry: true,
-            ..opcsp_rt::RtConfig::default()
-        },
-    )
-    .run();
+    let cfg = opcsp_rt::RtConfig {
+        core: opts.core.clone(),
+        latency: Duration::from_millis(1),
+        telemetry: true,
+        ..opcsp_rt::RtConfig::default()
+    };
+    let rt = place(&opts.roster(), RtWorld::new(cfg)).run();
     assert!(!rt.timed_out, "rt sweep timed out");
     assert!(rt.panicked.is_empty(), "rt panics: {:?}", rt.panics);
 
@@ -121,15 +118,12 @@ fn sim_and_rt_agree_on_committed_behavior_under_adaptive() {
 fn sim_and_rt_agree_under_static_policy() {
     let opts = small_sweep(SpeculationPolicy::Static { limit: 2 });
     let sim = run_contention_sweep(opts.clone());
-    let rt = rt_sweep_world(
-        &opts,
-        opcsp_rt::RtConfig {
-            core: opts.core.clone(),
-            latency: Duration::from_millis(1),
-            ..opcsp_rt::RtConfig::default()
-        },
-    )
-    .run();
+    let cfg = opcsp_rt::RtConfig {
+        core: opts.core.clone(),
+        latency: Duration::from_millis(1),
+        ..opcsp_rt::RtConfig::default()
+    };
+    let rt = place(&opts.roster(), RtWorld::new(cfg)).run();
     assert!(!rt.timed_out && rt.panicked.is_empty());
     for (pid, sim_log) in &sim.result.logs {
         assert!(

@@ -5,7 +5,8 @@
 
 use opcsp_core::{CoreConfig, ProcessId};
 use opcsp_sim::check_equivalence;
-use opcsp_workloads::chain::{run_chain, ChainOpts};
+use opcsp_workloads::catalog::Spec;
+use opcsp_workloads::chain::ChainOpts;
 use opcsp_workloads::streaming::delivered_lines;
 use std::collections::BTreeSet;
 
@@ -23,11 +24,8 @@ fn chain_pipelines_through_hops() {
         latency: d,
         ..ChainOpts::default()
     };
-    let opt = run_chain(o.clone());
-    let pess = run_chain(ChainOpts {
-        core: CoreConfig::pessimistic(),
-        ..o
-    });
+    let opt = Spec::Chain(o.clone()).simulate();
+    let pess = Spec::Chain(o).twin().simulate();
     assert!(
         opt.unresolved.is_empty(),
         "unresolved: {:?}",
@@ -56,7 +54,7 @@ fn chain_commit_wave_resolves_all_guesses() {
         n: 2,
         ..ChainOpts::default()
     };
-    let r = run_chain(o);
+    let r = Spec::Chain(o).simulate();
     assert!(r.unresolved.is_empty());
     assert_eq!(r.stats().aborts, 0);
     // Forks: client forks once per item; each hop forks once per item.
@@ -76,11 +74,8 @@ fn terminal_failure_cascades_up_the_chain() {
         fail_items: BTreeSet::from([1]),
         ..ChainOpts::default()
     };
-    let opt = run_chain(o.clone());
-    let pess = run_chain(ChainOpts {
-        core: CoreConfig::pessimistic(),
-        ..o
-    });
+    let opt = Spec::Chain(o.clone()).simulate();
+    let pess = Spec::Chain(o).twin().simulate();
     assert!(
         opt.unresolved.is_empty(),
         "unresolved: {:?}",
@@ -106,11 +101,8 @@ fn deep_chain_resolves_and_scales() {
             latency: 40,
             ..ChainOpts::default()
         };
-        let opt = run_chain(o.clone());
-        let pess = run_chain(ChainOpts {
-            core: CoreConfig::pessimistic(),
-            ..o
-        });
+        let opt = Spec::Chain(o.clone()).simulate();
+        let pess = Spec::Chain(o).twin().simulate();
         assert!(
             opt.unresolved.is_empty(),
             "depth {depth} left unresolved guesses: {:?}",
@@ -134,8 +126,8 @@ fn chain_is_deterministic() {
         fail_items: BTreeSet::from([2]),
         ..ChainOpts::default()
     };
-    let a = run_chain(o.clone());
-    let b = run_chain(o);
+    let a = Spec::Chain(o.clone()).simulate();
+    let b = Spec::Chain(o).simulate();
     assert_eq!(a.completion, b.completion);
     assert_eq!(a.stats(), b.stats());
 }
@@ -150,7 +142,7 @@ fn pessimistic_chain_is_clean() {
         core: CoreConfig::pessimistic(),
         ..ChainOpts::default()
     };
-    let r = run_chain(o);
+    let r = Spec::Chain(o).simulate();
     assert_eq!(r.stats().forks, 0);
     assert_eq!(r.stats().rollbacks, 0);
     assert!(r.logs[&ProcessId(0)].len() >= 4, "client made its calls");

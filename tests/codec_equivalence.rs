@@ -8,11 +8,11 @@
 
 use opcsp_core::{
     decode_control_frame, decode_frame, encode_control_frame, encode_frame, put_uvarint, CallId,
-    Control, CoreConfig, DataKind, Envelope, FrameReader, Guard, GuessId, Incarnation, MsgId,
-    ProcessId, Value,
+    Control, DataKind, Envelope, FrameReader, Guard, GuessId, Incarnation, MsgId, ProcessId, Value,
 };
 use opcsp_sim::{check_conservation, check_equivalence, SimResult, TraceEvent};
-use opcsp_workloads::streaming::{run_streaming, run_tally, StreamingOpts, TallyOpts};
+use opcsp_workloads::catalog::Spec;
+use opcsp_workloads::streaming::{StreamingOpts, TallyOpts};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -148,18 +148,10 @@ fn externals(r: &SimResult) -> Vec<(ProcessId, opcsp_core::Value)> {
     r.external.iter().map(|(_, p, v)| (*p, v.clone())).collect()
 }
 
-fn core(optimism: bool) -> CoreConfig {
-    if optimism {
-        CoreConfig::default()
-    } else {
-        CoreConfig::pessimistic()
-    }
-}
-
-/// The optimistic run against the pessimistic baseline.
-fn assert_matches_pessimistic(label: &str, run: impl Fn(bool) -> SimResult) {
-    let pess = run(false);
-    let opt = run(true);
+/// The optimistic run against its pessimistic twin.
+fn assert_matches_pessimistic(label: &str, world: Spec) {
+    let pess = world.twin().simulate();
+    let opt = world.simulate();
     assert!(
         opt.unresolved.is_empty(),
         "{label}: unresolved {:?}",
@@ -185,15 +177,13 @@ proptest! {
         fails in proptest::collection::btree_set(1u32..16, 0..3),
     ) {
         let fail_lines: BTreeSet<u32> = fails.into_iter().filter(|f| *f < n).collect();
-        assert_matches_pessimistic("streaming", |optimism| {
-            run_streaming(StreamingOpts {
-                n,
-                latency,
-                fail_lines: fail_lines.clone(),
-                core: core(optimism),
-                ..StreamingOpts::default()
-            })
-        });
+        let world = StreamingOpts {
+            n,
+            latency,
+            fail_lines,
+            ..StreamingOpts::default()
+        };
+        assert_matches_pessimistic("streaming", Spec::Stream(world));
     }
 
     /// Fan-in tally workload with a random fault rate — multi-incarnation
@@ -205,15 +195,14 @@ proptest! {
         p_per_mille in 0u32..600,
         seed in 0u64..64,
     ) {
-        assert_matches_pessimistic("tally", |optimism| {
-            run_tally(TallyOpts {
-                n,
-                latency,
-                p_per_mille,
-                seed,
-                core: core(optimism),
-            })
-        });
+        let world = TallyOpts {
+            n,
+            latency,
+            p_per_mille,
+            seed,
+            ..TallyOpts::default()
+        };
+        assert_matches_pessimistic("tally", Spec::Tally(world));
     }
 }
 
@@ -223,11 +212,12 @@ proptest! {
 /// fails fast rather than only skewing the figures).
 #[test]
 fn streaming_run_tags_shrink_guard_bytes() {
-    let r = run_streaming(StreamingOpts {
+    let r = Spec::Stream(StreamingOpts {
         n: 32,
         latency: 40,
         ..StreamingOpts::default()
-    });
+    })
+    .simulate();
     let listed: u64 = r
         .trace
         .iter()

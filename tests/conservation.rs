@@ -5,9 +5,10 @@
 
 use opcsp_core::CoreConfig;
 use opcsp_sim::check_conservation;
-use opcsp_workloads::chain::{run_chain, ChainOpts};
+use opcsp_workloads::catalog::Spec;
+use opcsp_workloads::chain::ChainOpts;
 use opcsp_workloads::contention::{run_contention, ContentionOpts};
-use opcsp_workloads::streaming::{run_streaming, run_tally, StreamingOpts, TallyOpts};
+use opcsp_workloads::streaming::{StreamingOpts, TallyOpts};
 use opcsp_workloads::two_clients::{run_fig6, run_fig7};
 use opcsp_workloads::update_write::{
     fig3_latency, fig4_latency, run_update_write, UpdateWriteOpts,
@@ -17,9 +18,9 @@ use std::collections::BTreeSet;
 #[test]
 fn conservation_on_clean_scenarios() {
     check_conservation(&run_update_write(UpdateWriteOpts::default())).unwrap();
-    check_conservation(&run_streaming(StreamingOpts::default())).unwrap();
+    check_conservation(&Spec::Stream(StreamingOpts::default()).simulate()).unwrap();
     check_conservation(&run_fig6(CoreConfig::default(), 40)).unwrap();
-    check_conservation(&run_chain(ChainOpts::default())).unwrap();
+    check_conservation(&Spec::Chain(ChainOpts::default()).simulate()).unwrap();
     check_conservation(&run_contention(ContentionOpts::default())).unwrap();
 }
 
@@ -47,30 +48,33 @@ fn conservation_survives_value_faults_and_cascades() {
     assert!(r.stats().value_faults >= 1);
     check_conservation(&r).unwrap();
 
-    let s = run_streaming(StreamingOpts {
+    let s = Spec::Stream(StreamingOpts {
         fail_lines: BTreeSet::from([2, 9]),
         n: 12,
         ..StreamingOpts::default()
-    });
+    })
+    .simulate();
     check_conservation(&s).unwrap();
 
-    let c = run_chain(ChainOpts {
+    let c = Spec::Chain(ChainOpts {
         fail_items: BTreeSet::from([1]),
         depth: 3,
         n: 3,
         ..ChainOpts::default()
-    });
+    })
+    .simulate();
     check_conservation(&c).unwrap();
 }
 
 #[test]
 fn conservation_under_heavy_abort_rates() {
     for p in [200u32, 600, 1000] {
-        let r = run_tally(TallyOpts {
+        let r = Spec::Tally(TallyOpts {
             n: 24,
             p_per_mille: p,
             ..TallyOpts::default()
-        });
+        })
+        .simulate();
         assert!(r.unresolved.is_empty());
         check_conservation(&r).unwrap_or_else(|e| panic!("imbalance at p={p}: {e}"));
     }
@@ -80,11 +84,12 @@ fn conservation_under_heavy_abort_rates() {
 /// to its boundary snapshots.
 #[test]
 fn conservation_with_sparse_checkpoints() {
-    let r = run_streaming(StreamingOpts {
+    let r = Spec::Stream(StreamingOpts {
         n: 20,
         fail_lines: BTreeSet::from([10]),
         ..StreamingOpts::default()
-    });
+    })
+    .simulate();
     check_conservation(&r).unwrap();
 }
 
@@ -114,23 +119,25 @@ mod audits {
             })
             .trace,
         );
-        assert_audit_clean(&run_streaming(StreamingOpts::default()).trace);
+        assert_audit_clean(&Spec::Stream(StreamingOpts::default()).simulate().trace);
         assert_audit_clean(
-            &run_streaming(StreamingOpts {
+            &Spec::Stream(StreamingOpts {
                 fail_lines: BTreeSet::from([3]),
                 ..StreamingOpts::default()
             })
+            .simulate()
             .trace,
         );
         assert_audit_clean(&run_fig6(CoreConfig::default(), 40).trace);
         assert_audit_clean(&run_fig7(CoreConfig::default(), 40).trace);
-        assert_audit_clean(&run_chain(ChainOpts::default()).trace);
+        assert_audit_clean(&Spec::Chain(ChainOpts::default()).simulate().trace);
         assert_audit_clean(
-            &run_tally(TallyOpts {
+            &Spec::Tally(TallyOpts {
                 n: 24,
                 p_per_mille: 400,
                 ..TallyOpts::default()
             })
+            .simulate()
             .trace,
         );
     }

@@ -11,18 +11,16 @@
 //! declarations stripped, executes the same schedule). The runtime halves
 //! are in `crates/rt/tests/{rt_chaos,rt_executor}.rs`.
 
-use opcsp_core::{CoreConfig, ProcessId, Value};
+use opcsp_core::{CoreConfig, ProcessId};
 use opcsp_sim::{
-    Behavior, BehaviorState, Effect, FnBehavior, LatencyModel, Resume, SimBuilder, SimConfig,
-    SimResult,
+    Behavior, BehaviorState, Effect, FnBehavior, Resume, SimBuilder, SimConfig, SimResult,
 };
-use opcsp_workloads::chain::{chain_builder, chain_config, ChainOpts};
-use opcsp_workloads::fan_in::{fan_in_builder, fan_in_config, FanInOpts};
-use opcsp_workloads::replicated_kv::{kv_builder, kv_config, KvOpts};
+use opcsp_workloads::catalog::Spec;
+use opcsp_workloads::chain::ChainOpts;
+use opcsp_workloads::fan_in::FanInOpts;
+use opcsp_workloads::replicated_kv::KvOpts;
 use opcsp_workloads::servers::Server;
-use opcsp_workloads::streaming::{
-    streaming_builder, streaming_config, tally_builder, PutLineClient, StreamingOpts, TallyOpts,
-};
+use opcsp_workloads::streaming::{PairsOpts, PutLineClient, StreamingOpts, TallyOpts};
 use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -97,7 +95,8 @@ fn an_undeclared_behavior_keeps_the_world_one_domain() {
 
 /// Run a world as declared and with every declaration stripped: the graph
 /// is connected, so both must be the same execution.
-fn assert_scoping_invisible(label: &str, world: impl Fn() -> SimBuilder) {
+fn assert_scoping_invisible(label: &str, spec: Spec) {
+    let world = || spec.on(SimBuilder::new(spec.sim_config()));
     let declared = world().build().run();
     let stripped = world().undeclared().build().run();
     assert!(
@@ -122,24 +121,22 @@ fn scoping_is_invisible_on_every_connected_workload() {
         ops_per_client: 20,
         ..KvOpts::default()
     };
-    assert_scoping_invisible("kv", || kv_builder(&kv, &kv_config(&kv)));
+    assert_scoping_invisible("kv", Spec::Kv(kv));
 
     let streaming = StreamingOpts {
         n: 24,
         fail_lines: BTreeSet::from([9]),
         ..StreamingOpts::default()
     };
-    assert_scoping_invisible("streaming", || {
-        streaming_builder(&streaming, &streaming_config(&streaming))
-    });
+    assert_scoping_invisible("streaming", Spec::Stream(streaming));
 
-    let tally = TallyOpts {
+    let tally = Spec::Tally(TallyOpts {
         n: 60,
         p_per_mille: 50,
         ..TallyOpts::default()
-    };
-    assert!(tally_builder(&tally).build().run().stats().aborts > 0);
-    assert_scoping_invisible("tally with faults", || tally_builder(&tally));
+    });
+    assert!(tally.simulate().stats().aborts > 0);
+    assert_scoping_invisible("tally with faults", tally);
 
     let chain = ChainOpts {
         depth: 4,
@@ -147,31 +144,21 @@ fn scoping_is_invisible_on_every_connected_workload() {
         fail_items: BTreeSet::from([3]),
         ..ChainOpts::default()
     };
-    assert_scoping_invisible("chain", || chain_builder(&chain, &chain_config(&chain)));
+    assert_scoping_invisible("chain", Spec::Chain(chain));
 
     let fan_in = FanInOpts {
         jitter: 40,
         ..FanInOpts::default()
     };
-    assert_scoping_invisible("fan_in", || {
-        fan_in_builder(&fan_in, &fan_in_config(&fan_in))
-    });
+    assert_scoping_invisible("fan_in", Spec::FanIn(fan_in));
 }
 
 #[test]
 fn independent_pairs_hear_only_their_own_resolutions() {
     let pairs = 8u32;
     let build = |core: CoreConfig| {
-        let mut b = SimBuilder::new(SimConfig {
-            core,
-            latency: LatencyModel::fixed(20),
-            ..SimConfig::default()
-        });
-        for k in 0..pairs {
-            b.add_process(PutLineClient::to(4, ProcessId(2 * k + 1)));
-            b.add_process(Server::new("S", 0).with_reply(|_| Value::Bool(true)));
-        }
-        b
+        let world = Spec::Pairs(PairsOpts { pairs, n: 4, core });
+        world.on(SimBuilder::new(world.sim_config()))
     };
     let scoped = build(CoreConfig::default()).build().run();
     let world = build(CoreConfig::default()).undeclared().build().run();

@@ -13,8 +13,9 @@ use opcsp_sim::{
     check_theorem1, explore, render_report, render_schedule, ExploreOpts, FaultInjection,
     LatencyModel, SimConfig,
 };
-use opcsp_workloads::chain::{run_chain_cfg, ChainOpts};
-use opcsp_workloads::fan_in::{consumer, fan_in_config, run_fan_in_cfg, FanInOpts};
+use opcsp_workloads::catalog::{self, Spec};
+use opcsp_workloads::chain::ChainOpts;
+use opcsp_workloads::fan_in::{consumer, FanInOpts};
 use std::collections::{BTreeMap, BTreeSet};
 
 fn compile_fixture(name: &str) -> System {
@@ -124,13 +125,14 @@ fn exploration_matches_brute_force_on_2x2_fan_in() {
         n: 2,
         ..FanInOpts::default()
     };
-    let opt_cfg = fan_in_config(&w);
+    let world = Spec::FanIn(w.clone());
+    let opt_cfg = world.sim_config();
     let mut pess_cfg = opt_cfg.clone();
     pess_cfg.core.speculation = SpeculationPolicy::Pessimistic;
     let out = explore(
         &opt_cfg,
         &pess_cfg,
-        &|c| run_fan_in_cfg(&w, c),
+        &|c| catalog::run(&world, c),
         &ExploreOpts {
             depth: 8,
             budget: 256,
@@ -159,15 +161,16 @@ fn exploration_is_deterministic() {
         n: 2,
         ..FanInOpts::default()
     };
-    let opt_cfg = fan_in_config(&w);
+    let world = Spec::FanIn(w);
+    let opt_cfg = world.sim_config();
     let mut pess_cfg = opt_cfg.clone();
     pess_cfg.core.speculation = SpeculationPolicy::Pessimistic;
     let opts = ExploreOpts {
         depth: 8,
         budget: 256,
     };
-    let a = explore(&opt_cfg, &pess_cfg, &|c| run_fan_in_cfg(&w, c), &opts);
-    let b = explore(&opt_cfg, &pess_cfg, &|c| run_fan_in_cfg(&w, c), &opts);
+    let a = explore(&opt_cfg, &pess_cfg, &|c| catalog::run(&world, c), &opts);
+    let b = explore(&opt_cfg, &pess_cfg, &|c| catalog::run(&world, c), &opts);
     assert_eq!(
         a.schedules, b.schedules,
         "same world + bounds must discover the same schedules in the same order"
@@ -181,14 +184,14 @@ fn chain_collapses_to_one_schedule() {
     // per-receiver factorisation collapses the naive link-interleaving
     // space (16!/(4!)^4 = 63,063,000 at depth 3 × 4 items) to exactly one
     // schedule — the reduction E13 reports.
-    let w = ChainOpts::default();
-    let opt_cfg = opcsp_workloads::chain::chain_config(&w);
+    let world = Spec::Chain(ChainOpts::default());
+    let opt_cfg = world.sim_config();
     let mut pess_cfg = opt_cfg.clone();
     pess_cfg.core.speculation = SpeculationPolicy::Pessimistic;
     let out = explore(
         &opt_cfg,
         &pess_cfg,
-        &|c| run_chain_cfg(&w, c),
+        &|c| catalog::run(&world, c),
         &ExploreOpts {
             depth: 8,
             budget: 64,

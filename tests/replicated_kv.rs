@@ -11,14 +11,14 @@
 //!   whatever the sequencer's arrival order was, so engines legitimately
 //!   commit different histories; the invariant is the replication safety
 //!   property itself — identical stores and read streams across
-//!   replicas, asserted under chaos faults, the sharded executor, and
-//!   the socket transport.
+//!   replicas, asserted under chaos faults and the sharded executor (the
+//!   socket transport's run is `tests/catalog.rs`'s matrix).
 
 use opcsp_core::Value;
-use opcsp_rt::{merge_equiv, Executor, NetFaults, RtConfig, SockAddr, SockRole};
+use opcsp_rt::{merge_equiv, Executor, NetFaults, RtConfig, RtResult, RtWorld};
+use opcsp_workloads::catalog::Spec;
 use opcsp_workloads::replicated_kv::{
-    check_rt_agreement, check_sim_agreement, replica_streams, rt_kv_world, run_replicated_kv,
-    KvOpts,
+    check_rt_agreement, check_sim_agreement, replica_streams, KvOpts,
 };
 use std::time::Duration;
 
@@ -41,11 +41,17 @@ fn rt_cfg(executor: Executor, faults: NetFaults) -> RtConfig {
     }
 }
 
+fn run_rt(opts: &KvOpts, executor: Executor, faults: NetFaults) -> RtResult {
+    Spec::Kv(opts.clone())
+        .on(RtWorld::new(rt_cfg(executor, faults)))
+        .run()
+}
+
 fn assert_rt_matches_sim(opts: &KvOpts, label: &str, executor: Executor) {
-    let sim = run_replicated_kv(opts.clone());
+    let sim = Spec::Kv(opts.clone()).simulate();
     check_sim_agreement(opts, &sim).expect("sim SMR oracle");
 
-    let rt = rt_kv_world(opts, rt_cfg(executor, NetFaults::none())).run();
+    let rt = run_rt(opts, executor, NetFaults::none());
     assert!(!rt.timed_out, "{label}: rt timed out");
     assert!(rt.panicked.is_empty(), "{label}: rt panics {:?}", rt.panics);
     check_rt_agreement(opts, &rt).expect("rt SMR oracle");
@@ -107,63 +113,13 @@ fn chaos_preserves_smr_agreement_on_both_executors() {
         ("threaded", Executor::Threaded),
         ("sharded:2", Executor::Sharded { workers: 2 }),
     ] {
-        let rt = rt_kv_world(&opts, rt_cfg(executor, chaos.clone())).run();
+        let rt = run_rt(&opts, executor, chaos.clone());
         assert!(!rt.timed_out, "{label}: chaos run timed out");
         assert!(rt.panicked.is_empty(), "{label}: panics {:?}", rt.panics);
         let s = check_rt_agreement(&opts, &rt)
             .unwrap_or_else(|e| panic!("{label}: SMR oracle under chaos: {e}"));
         assert_eq!(s.applied, opts.total_ops() as i64, "{label}");
     }
-}
-
-/// The flagship over the socket transport: the world split across a
-/// parent and two worker runtimes (threads of this process) over a real
-/// Unix-domain socket, replicas on a different runtime than half the
-/// clients — agreement must survive the wire.
-#[test]
-fn kv_over_socket_preserves_smr_agreement() {
-    let opts = KvOpts {
-        clients: 4,
-        ops_per_client: 6,
-        replicas: 3,
-        ..KvOpts::default()
-    };
-    let path = std::env::temp_dir().join(format!("opcsp-kv-{}.sock", std::process::id()));
-    let _ = std::fs::remove_file(&path);
-    let addr = SockAddr::parse(&format!("uds:{}", path.display())).expect("uds addr");
-    let workers = 2usize;
-
-    let mut handles = Vec::new();
-    for index in 0..workers {
-        let addr = addr.clone();
-        let opts = opts.clone();
-        handles.push(std::thread::spawn(move || {
-            let cfg = RtConfig {
-                transport: opcsp_rt::RtTransport::Socket {
-                    addr,
-                    role: SockRole::Worker { index, workers },
-                },
-                ..rt_cfg(Executor::Threaded, NetFaults::none())
-            };
-            rt_kv_world(&opts, cfg).run()
-        }));
-    }
-    let cfg = RtConfig {
-        transport: opcsp_rt::RtTransport::Socket {
-            addr,
-            role: SockRole::Parent { workers },
-        },
-        ..rt_cfg(Executor::Threaded, NetFaults::none())
-    };
-    let parent = rt_kv_world(&opts, cfg).run();
-    for h in handles {
-        let w = h.join().expect("worker thread");
-        assert!(!w.timed_out, "worker runtime timed out");
-    }
-    assert!(!parent.timed_out, "socket kv run timed out");
-    assert!(parent.panicked.is_empty(), "panics: {:?}", parent.panics);
-    let s = check_rt_agreement(&opts, &parent).expect("SMR oracle over socket");
-    assert_eq!(s.applied, opts.total_ops() as i64);
 }
 
 /// The guess machinery is doing real work in the committed result: a
@@ -180,7 +136,7 @@ fn misguesses_never_leak_into_committed_state() {
         seed: 3,
         ..KvOpts::default()
     };
-    let r = run_replicated_kv(opts.clone());
+    let r = Spec::Kv(opts.clone()).simulate();
     let s = check_sim_agreement(&opts, &r).expect("SMR oracle under jitter");
     assert!(r.stats().aborts > 0, "jitter should force misguesses");
     // Every committed read carries a position inside the committed range.
@@ -195,4 +151,70 @@ fn misguesses_never_leak_into_committed_state() {
         }
     }
     assert_eq!(s.applied, opts.total_ops() as i64);
+}
+
+// The flagship world on the simulator, through the catalogue.
+
+#[test]
+fn optimistic_run_commits_and_replicas_agree() {
+    let opts = KvOpts::default();
+    let s = check_sim_agreement(&opts, &Spec::Kv(opts.clone()).simulate()).expect("SMR oracle");
+    assert_eq!(s.applied, opts.total_ops() as i64);
+    assert!(s.gets > 0, "mix should include reads");
+    assert!(!s.store.is_empty(), "mix should include writes");
+}
+
+#[test]
+fn pessimistic_baseline_never_rolls_back_and_agrees() {
+    let opts = KvOpts::default();
+    let r = Spec::Kv(opts.clone()).twin().simulate();
+    check_sim_agreement(&opts, &r).expect("SMR oracle");
+    assert_eq!(r.stats().forks, 0, "pessimistic must not fork");
+    assert_eq!(r.stats().rollbacks, 0);
+}
+
+#[test]
+fn spontaneous_order_makes_guesses_right_under_fixed_latency() {
+    let st = Spec::Kv(KvOpts::default()).simulate().stats().clone();
+    assert!(
+        st.aborts * 10 <= st.forks,
+        "fixed latency should make the round-robin guess mostly right: {st:?}"
+    );
+}
+
+#[test]
+fn jitter_breaks_spontaneous_order_but_agreement_holds() {
+    let opts = KvOpts {
+        jitter: 40,
+        seed: 3,
+        ..KvOpts::default()
+    };
+    let r = Spec::Kv(opts.clone()).simulate();
+    check_sim_agreement(&opts, &r).expect("SMR oracle under jitter");
+    let st = r.stats();
+    assert!(
+        st.aborts > 0,
+        "jitter should misorder some arrivals: {st:?}"
+    );
+}
+
+#[test]
+fn optimism_beats_pessimism_at_fixed_latency() {
+    let opts = KvOpts::default();
+    let (opt, pess) = (
+        Spec::Kv(opts.clone()).simulate(),
+        Spec::Kv(opts.clone()).twin().simulate(),
+    );
+    let so = check_sim_agreement(&opts, &opt).expect("optimistic oracle");
+    let sp = check_sim_agreement(&opts, &pess).expect("pessimistic oracle");
+    // Same committed history…
+    assert_eq!(so.store, sp.store);
+    // …reached faster: streaming the broadcasts hides the sequencer round
+    // trip.
+    assert!(
+        opt.completion < pess.completion,
+        "optimistic {} vs pessimistic {}",
+        opt.completion,
+        pess.completion
+    );
 }

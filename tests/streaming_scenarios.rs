@@ -4,7 +4,8 @@
 
 use opcsp_core::CoreConfig;
 use opcsp_sim::check_equivalence;
-use opcsp_workloads::streaming::{delivered_lines, run_streaming, StreamingOpts, CLIENT};
+use opcsp_workloads::catalog::Spec;
+use opcsp_workloads::streaming::{delivered_lines, StreamingOpts, CLIENT};
 use std::collections::BTreeSet;
 
 fn opts(n: u32, latency: u64) -> StreamingOpts {
@@ -20,11 +21,8 @@ fn opts(n: u32, latency: u64) -> StreamingOpts {
 #[test]
 fn streaming_pipelines_n_calls() {
     let (n, d) = (16, 100);
-    let opt = run_streaming(opts(n, d));
-    let pess = run_streaming(StreamingOpts {
-        core: CoreConfig::pessimistic(),
-        ..opts(n, d)
-    });
+    let opt = Spec::Stream(opts(n, d)).simulate();
+    let pess = Spec::Stream(opts(n, d)).twin().simulate();
     assert!(opt.unresolved.is_empty());
     assert_eq!(opt.stats().aborts, 0);
     assert_eq!(opt.stats().forks as u32, n);
@@ -48,11 +46,8 @@ fn speedup_grows_with_latency() {
     let n = 8;
     let mut prev_speedup = 0.0;
     for d in [1u64, 16, 256] {
-        let o = run_streaming(opts(n, d));
-        let p = run_streaming(StreamingOpts {
-            core: CoreConfig::pessimistic(),
-            ..opts(n, d)
-        });
+        let o = Spec::Stream(opts(n, d)).simulate();
+        let p = Spec::Stream(opts(n, d)).twin().simulate();
         let speedup = p.completion as f64 / o.completion.max(1) as f64;
         assert!(
             speedup >= prev_speedup * 0.9,
@@ -77,11 +72,8 @@ fn value_fault_truncates_stream_correctly() {
         fail_lines: BTreeSet::from([fail_at]),
         ..opts(n, 60)
     };
-    let opt = run_streaming(o.clone());
-    let pess = run_streaming(StreamingOpts {
-        core: CoreConfig::pessimistic(),
-        ..o
-    });
+    let opt = Spec::Stream(o.clone()).simulate();
+    let pess = Spec::Stream(o).twin().simulate();
     assert!(opt.unresolved.is_empty());
     assert!(opt.stats().value_faults >= 1, "line {fail_at} must fault");
     assert!(opt.stats().aborts >= 1);
@@ -101,11 +93,8 @@ fn first_failure_wins() {
         fail_lines: BTreeSet::from([3, 7, 9]),
         ..opts(12, 40)
     };
-    let opt = run_streaming(o.clone());
-    let pess = run_streaming(StreamingOpts {
-        core: CoreConfig::pessimistic(),
-        ..o
-    });
+    let opt = Spec::Stream(o.clone()).simulate();
+    let pess = Spec::Stream(o).twin().simulate();
     assert_eq!(delivered_lines(&opt), 3);
     let rep = check_equivalence(&pess, &opt);
     assert!(rep.equivalent, "{:#?}", rep.mismatches);
@@ -119,13 +108,10 @@ fn immediate_failure_rolls_back_everything() {
         fail_lines: BTreeSet::from([0]),
         ..opts(8, 40)
     };
-    let opt = run_streaming(o.clone());
+    let opt = Spec::Stream(o.clone()).simulate();
     assert_eq!(delivered_lines(&opt), 0);
     assert!(opt.unresolved.is_empty());
-    let pess = run_streaming(StreamingOpts {
-        core: CoreConfig::pessimistic(),
-        ..o
-    });
+    let pess = Spec::Stream(o).twin().simulate();
     let rep = check_equivalence(&pess, &opt);
     assert!(rep.equivalent, "{:#?}", rep.mismatches);
     // The client's committed log ends after the first (failed) call.
@@ -145,7 +131,7 @@ fn immediate_failure_rolls_back_everything() {
 fn guard_bytes_per_message_do_not_grow_with_stream_depth() {
     // (deepest tag's members, largest tag's bytes) over every data message.
     let tags = |n| {
-        let r = run_streaming(opts(n, 50));
+        let r = Spec::Stream(opts(n, 50)).simulate();
         let sends: Vec<&opcsp_core::Guard> = r
             .trace
             .iter()
@@ -187,7 +173,7 @@ fn fault_dooms_dependent_tail() {
         fail_lines: BTreeSet::from([0]),
         ..opts(8, 40)
     };
-    let r = run_streaming(o);
+    let r = Spec::Stream(o).simulate();
     assert!(r.unresolved.is_empty());
     assert_eq!(r.stats().value_faults, 1);
     let aborted = r.trace.aborted_guesses();
@@ -207,11 +193,8 @@ fn retry_limit_zero_degenerates_to_pessimistic() {
         core: CoreConfig::static_limit(0),
         ..opts(8, 40)
     };
-    let limited = run_streaming(o.clone());
-    let pess = run_streaming(StreamingOpts {
-        core: CoreConfig::pessimistic(),
-        ..o
-    });
+    let limited = Spec::Stream(o.clone()).simulate();
+    let pess = Spec::Stream(o).twin().simulate();
     assert_eq!(limited.stats().forks, 0);
     assert_eq!(limited.stats().aborts, 0);
     assert_eq!(limited.completion, pess.completion);
@@ -226,8 +209,8 @@ fn streaming_is_deterministic() {
         fail_lines: BTreeSet::from([2]),
         ..opts(10, 30)
     };
-    let a = run_streaming(o.clone());
-    let b = run_streaming(o);
+    let a = Spec::Stream(o.clone()).simulate();
+    let b = Spec::Stream(o).simulate();
     assert_eq!(a.completion, b.completion);
     assert_eq!(a.stats(), b.stats());
     assert_eq!(a.logs, b.logs);
@@ -238,7 +221,7 @@ fn streaming_is_deterministic() {
 #[test]
 fn large_stream_resolves() {
     let n = 128;
-    let r = run_streaming(opts(n, 20));
+    let r = Spec::Stream(opts(n, 20)).simulate();
     assert!(r.unresolved.is_empty());
     assert!(!r.truncated);
     assert_eq!(r.stats().aborts, 0);
@@ -258,11 +241,12 @@ mod fork_after_send {
     #[test]
     fn produces_same_results_as_fork_before_send() {
         let base = opts(12, 60);
-        let regular = run_streaming(base.clone());
-        let fas = run_streaming(StreamingOpts {
+        let regular = Spec::Stream(base.clone()).simulate();
+        let fas = Spec::Stream(StreamingOpts {
             fork_after_send: true,
             ..base
-        });
+        })
+        .simulate();
         assert!(fas.unresolved.is_empty());
         assert_eq!(fas.stats().aborts, 0);
         assert_eq!(delivered_lines(&fas), delivered_lines(&regular));
@@ -276,14 +260,11 @@ mod fork_after_send {
             fail_lines: BTreeSet::from([4]),
             ..opts(10, 50)
         };
-        let fas = run_streaming(o.clone());
+        let fas = Spec::Stream(o.clone()).simulate();
         assert!(fas.unresolved.is_empty());
         assert!(fas.stats().value_faults >= 1);
         assert_eq!(delivered_lines(&fas), 4);
-        let pess = run_streaming(StreamingOpts {
-            core: CoreConfig::pessimistic(),
-            ..o
-        });
+        let pess = Spec::Stream(o).twin().simulate();
         let rep = check_equivalence(&pess, &fas);
         assert!(rep.equivalent, "{:#?}", rep.mismatches);
     }
@@ -295,7 +276,7 @@ mod fork_after_send {
             core: CoreConfig::pessimistic(),
             ..opts(6, 40)
         };
-        let r = run_streaming(o);
+        let r = Spec::Stream(o).simulate();
         assert_eq!(r.stats().forks, 0);
         assert_eq!(delivered_lines(&r), 6);
     }
@@ -304,11 +285,12 @@ mod fork_after_send {
     fn saves_a_step_per_call() {
         // The calls leave one engine-step earlier: first call's send time.
         let base = opts(8, 100);
-        let regular = run_streaming(base.clone());
-        let fas = run_streaming(StreamingOpts {
+        let regular = Spec::Stream(base.clone()).simulate();
+        let fas = Spec::Stream(StreamingOpts {
             fork_after_send: true,
             ..base
-        });
+        })
+        .simulate();
         let first_send = |r: &opcsp_sim::SimResult| {
             r.trace
                 .iter()

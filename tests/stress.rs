@@ -2,18 +2,21 @@
 //! high fault rates — the regions where bookkeeping bugs hide.
 
 use opcsp_core::CoreConfig;
-use opcsp_sim::{audit_trace, check_conservation, check_equivalence, LatencyModel, SimConfig};
-use opcsp_workloads::chain::{run_chain, ChainOpts};
+use opcsp_sim::{audit_trace, check_conservation, check_equivalence};
+use opcsp_workloads::catalog::Spec;
+use opcsp_workloads::chain::ChainOpts;
 use opcsp_workloads::contention::{run_contention, ContentionOpts};
-use opcsp_workloads::streaming::{run_streaming, run_tally, StreamingOpts, TallyOpts};
+use opcsp_workloads::fan_in::FanInOpts;
+use opcsp_workloads::streaming::{StreamingOpts, TallyOpts};
 
 #[test]
 fn deep_speculation_512_lines() {
-    let r = run_streaming(StreamingOpts {
+    let r = Spec::Stream(StreamingOpts {
         n: 512,
         latency: 10,
         ..Default::default()
-    });
+    })
+    .simulate();
     assert!(r.unresolved.is_empty());
     assert!(!r.truncated);
     assert_eq!(r.stats().aborts, 0);
@@ -30,11 +33,8 @@ fn deep_chain_with_contention_and_faults() {
         fail_items: [5u32].into(),
         ..ChainOpts::default()
     };
-    let opt = run_chain(o.clone());
-    let pess = run_chain(ChainOpts {
-        core: CoreConfig::pessimistic(),
-        ..o
-    });
+    let opt = Spec::Chain(o.clone()).simulate();
+    let pess = Spec::Chain(o).twin().simulate();
     assert!(
         opt.unresolved.is_empty(),
         "unresolved: {:?}",
@@ -50,12 +50,13 @@ fn deep_chain_with_contention_and_faults() {
 fn tally_under_every_fault_rate_with_small_timeout() {
     // A short fork timeout adds timeout-aborts on top of value faults.
     for p in [100u32, 500, 900] {
-        let r = run_tally(TallyOpts {
+        let r = Spec::Tally(TallyOpts {
             n: 48,
             latency: 60,
             p_per_mille: p,
             ..TallyOpts::default()
-        });
+        })
+        .simulate();
         assert!(r.unresolved.is_empty(), "p={p}");
         assert!(!r.truncated, "p={p}");
         check_conservation(&r).unwrap_or_else(|e| panic!("p={p}: {e}"));
@@ -67,33 +68,16 @@ fn contention_with_heavy_jitter_resolves() {
     // Jitter reorders arrivals aggressively; the protocol must still
     // resolve every guess and keep per-client orders.
     for seed in 0..10u64 {
-        let mut opts = ContentionOpts {
-            n_per_client: 12,
-            latency: 10,
-            ..Default::default()
-        };
-        opts.skew = 0;
-        let r = {
-            // run_contention uses per-link; build a jittered variant inline.
-            use opcsp_sim::SimBuilder;
-            use opcsp_workloads::servers::Server;
-            use opcsp_workloads::streaming::PutLineClient;
-            let cfg = SimConfig {
-                latency: LatencyModel::jitter(5, 60, seed),
-                ..SimConfig::default()
-            };
-            let mut b = SimBuilder::new(cfg);
-            b.add_process(PutLineClient::to(
-                opts.n_per_client,
-                opcsp_core::ProcessId(2),
-            ));
-            b.add_process(PutLineClient::to(
-                opts.n_per_client,
-                opcsp_core::ProcessId(2),
-            ));
-            b.add_process(Server::new("S", 1));
-            b.build().run()
-        };
+        // Two producers into one server, every link jittered.
+        let r = Spec::FanIn(FanInOpts {
+            producers: 2,
+            n: 12,
+            latency: 5,
+            jitter: 60,
+            seed,
+            ..FanInOpts::default()
+        })
+        .simulate();
         assert!(r.unresolved.is_empty(), "seed {seed}: {:?}", r.unresolved);
         assert!(!r.truncated, "seed {seed}");
         check_conservation(&r).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
@@ -113,11 +97,8 @@ fn sparse_checkpoints_under_faults_at_scale() {
         core: CoreConfig::static_limit(8),
         ..Default::default()
     };
-    let opt = run_streaming(o.clone());
-    let pess = run_streaming(StreamingOpts {
-        core: CoreConfig::pessimistic(),
-        ..o
-    });
+    let opt = Spec::Stream(o.clone()).simulate();
+    let pess = Spec::Stream(o).twin().simulate();
     assert!(opt.unresolved.is_empty());
     assert!(opt.stats().rollbacks > 0, "the faults roll the stream back");
     let rep = check_equivalence(&pess, &opt);

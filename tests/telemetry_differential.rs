@@ -7,15 +7,16 @@
 //! other doesn't — precisely the class of bug the shared
 //! `core::telemetry` layer exists to catch.
 
-use opcsp_core::{CoreConfig, Value};
-use opcsp_workloads::servers::Server;
-use opcsp_workloads::streaming::{run_streaming, PutLineClient, StreamingOpts};
+use opcsp_core::CoreConfig;
+use opcsp_workloads::catalog::{clean, Spec};
+use opcsp_workloads::streaming::StreamingOpts;
 use std::time::Duration;
 
 const N: u32 = 8;
 
-fn run_sim() -> opcsp_sim::SimResult {
-    run_streaming(StreamingOpts {
+/// One world for both engines.
+fn world() -> Spec {
+    Spec::Stream(StreamingOpts {
         n: N,
         latency: 20,
         core: CoreConfig::default(),
@@ -23,21 +24,20 @@ fn run_sim() -> opcsp_sim::SimResult {
     })
 }
 
+fn run_sim() -> opcsp_sim::SimResult {
+    world().simulate()
+}
+
 fn run_rt() -> opcsp_rt::RtResult {
-    let mut w = opcsp_rt::RtWorld::new(opcsp_rt::RtConfig {
-        core: CoreConfig::default(),
-        latency: Duration::from_millis(1),
-        telemetry: true,
-        ..opcsp_rt::RtConfig::default()
-    });
-    w.add_process(PutLineClient::new(N), true);
-    w.add_process(
-        Server::new("WindowManager", 0).with_reply(|_| Value::Bool(true)),
-        false,
-    );
-    let r = w.run();
-    assert!(!r.timed_out, "rt differential run timed out");
-    assert!(r.panicked.is_empty(), "rt panics: {:?}", r.panics);
+    let r = world()
+        .on(opcsp_rt::RtWorld::new(opcsp_rt::RtConfig {
+            core: CoreConfig::default(),
+            latency: Duration::from_millis(1),
+            telemetry: true,
+            ..opcsp_rt::RtConfig::default()
+        }))
+        .run();
+    clean(&r).expect("rt differential run");
     r
 }
 
