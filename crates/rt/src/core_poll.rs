@@ -11,10 +11,16 @@
 //! [`ProcessActor::on_wire`], and what the actor waits for on its own —
 //! frames still in transit ([`Wire::At`]), fork timers, transport ticks —
 //! sits in its timer queue until the executor calls
-//! [`ProcessActor::fire_due`]; each runs the ready queue to quiescence and
-//! returns. [`ProcessActor::next_due`] and `fire_due` are an executor's
-//! whole interface to time. That makes a process a coroutine in all but
-//! name, so an executor can host it however it likes:
+//! [`ProcessActor::fire_due`]. Each runs the ready queue to quiescence and
+//! returns — except a fork's right thread, which waits for the actor's
+//! **next instant** ([`ProcessActor::next_instant`]): the executor calls it
+//! once the actor has read what is already in its inbox and every other
+//! actor on the same OS thread has run the current round. Speculation so
+//! cannot run ahead of the messages that would prove it wrong (DESIGN.md
+//! §11.2). [`ProcessActor::next_due`] and `fire_due` are an executor's
+//! whole interface to time, [`ProcessActor::deferred`] and `next_instant`
+//! its interface to the instant. That makes a process a coroutine in all
+//! but name, so an executor can host it however it likes:
 //!
 //! - the **threaded** executor gives each actor an OS thread that blocks
 //!   on a dedicated inbox channel until its next due instant (the original
@@ -25,7 +31,8 @@
 //!   ([`crate::executor`]).
 //!
 //! Because an actor is owned by exactly one executor thread at a time and
-//! all of its state transitions happen inside `on_wire` and `fire_due`,
+//! all of its state transitions happen inside `start`, `on_wire`,
+//! `fire_due` and `next_instant`,
 //! per-owner telemetry event order is identical under both executors.
 
 use crate::net::{Frame, Mailbox, Payload, TimerQueue, Transport, Wire};
@@ -46,7 +53,8 @@ use std::time::Instant;
 pub(crate) enum Report {
     ClientDone(ProcessId),
     /// Answer to a `Wire::Probe`: the actor's transport counters at probe
-    /// time — (messages originated, messages released, frames unacked).
+    /// time — (messages originated, messages released, frames unacked plus
+    /// right threads waiting for their instant).
     Quiet {
         pid: ProcessId,
         round: u64,
@@ -75,8 +83,9 @@ pub(crate) struct FinalReport {
 }
 
 /// One CSP process as a poll-able core: feed it [`Wire`] items, it runs
-/// its logical threads to quiescence and sends protocol traffic through
-/// its transport. Owned by exactly one executor thread at any time.
+/// its logical threads to quiescence — right threads it forks wait for its
+/// next instant — and sends protocol traffic through its transport. Owned
+/// by exactly one executor thread at any time.
 pub(crate) struct ProcessActor {
     driver: Driver,
     env: RtEnv,
@@ -105,9 +114,14 @@ struct RtEnv {
     /// Everything this actor waits for, earliest first. It dies with the
     /// actor, so a pending fork timer can never fire during teardown.
     timers: TimerQueue<Due>,
-    /// (thread, resume) work items to run, in FIFO order (preserves the
-    /// program's send order across fork chains).
+    /// (thread, resume) work items to run in this activation, in FIFO
+    /// order (preserves the program's send order across fork chains).
     ready: VecDeque<(u32, Resume)>,
+    /// Right threads forked in this activation: they start in the actor's
+    /// next instant ([`ProcessActor::next_instant`]), once the executor has
+    /// fed it what is already in its inbox and stepped the actors that
+    /// share its thread.
+    next: VecDeque<(u32, Resume)>,
     external: Vec<Value>,
     /// Lifecycle event sink (`core::telemetry`); disabled unless
     /// [`RtConfig::telemetry`] is set.
@@ -143,14 +157,20 @@ impl Env for RtEnv {
         self.transport.send(to, Payload::Ctrl(ctrl));
     }
 
-    /// Every resume runs as soon as the ready queue reaches it: a
-    /// `Compute` cost is virtual time, which only the simulator keeps.
+    /// A fork's right thread waits for the next instant; every other
+    /// resume runs as soon as the ready queue reaches it (a `Compute` cost
+    /// is virtual time, which only the simulator keeps).
     fn resume(&mut self, thread: ThreadId, _after: After, resume: Resume) {
-        self.ready.push_back((thread.index, resume));
+        let queue = match resume {
+            Resume::ForkRight { .. } => &mut self.next,
+            _ => &mut self.ready,
+        };
+        queue.push_back((thread.index, resume));
     }
 
     fn cancel_resumes(&mut self, thread: ThreadId) {
         self.ready.retain(|(t, _)| *t != thread.index);
+        self.next.retain(|(t, _)| *t != thread.index);
     }
 
     /// The timer waits in our own queue: no message crosses a thread.
@@ -209,6 +229,7 @@ impl ProcessActor {
                 transport: Transport::open(pid, cfg.faults.clone(), cfg.latency, start, net),
                 timers: TimerQueue::default(),
                 ready: VecDeque::new(),
+                next: VecDeque::new(),
                 external: Vec::new(),
                 tele: Telemetry::new(cfg.telemetry),
                 start,
@@ -244,13 +265,16 @@ impl ProcessActor {
                 // Retransmit anything overdue and flush owed acks so
                 // the drain converges quickly, then report.
                 self.env.transport.tick(Instant::now());
+                // A right thread still waiting for its instant is work in
+                // hand: count it with the frames in flight, so the drain
+                // cannot end before it has run.
                 let (sent, delivered, unacked) = self.env.transport.quiet_probe();
                 let _ = self.report.send(Report::Quiet {
                     pid: self.driver.pid(),
                     round,
                     sent,
                     delivered,
-                    unacked,
+                    unacked: unacked + self.env.next.len() as u64,
                 });
             }
             Wire::Shutdown => unreachable!("executors intercept Shutdown"),
@@ -280,6 +304,18 @@ impl ProcessActor {
             }
             self.settle();
         }
+    }
+
+    /// A right thread forked earlier is waiting for [`Self::next_instant`].
+    pub fn deferred(&self) -> bool {
+        !self.env.next.is_empty()
+    }
+
+    /// The actor's next instant: run the right threads forked before it to
+    /// quiescence. One they fork in turn waits for the instant after.
+    pub fn next_instant(&mut self) {
+        self.env.ready.append(&mut self.env.next);
+        self.settle();
     }
 
     /// Emit the final report and consume the actor (on `Wire::Shutdown`).
@@ -315,7 +351,8 @@ impl ProcessActor {
         }
     }
 
-    /// Run every ready (thread, resume) item to quiescence, arm the next
+    /// Run every ready (thread, resume) item to quiescence (a right thread
+    /// forked meanwhile waits in `next`), arm the next
     /// transport tick if the transport needs one and none is armed (an
     /// idle actor arms none), and report a finished client. Ticks fall on
     /// one grid, `tick_interval` apart from the run epoch, so a shard

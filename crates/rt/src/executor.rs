@@ -27,6 +27,15 @@
 //! (`ProcessActor::fire_due`) only once its inbox is drained: an endpoint
 //! too busy to read its inbox is too busy to tick.
 //!
+//! Both keep one round: the inbox, then what is due, then the **next
+//! instant** of every actor with a right thread waiting
+//! (`ProcessActor::next_instant`), in slot order. A right thread forked in
+//! that pass waits for the next round, and while one waits the executor
+//! polls its inbox instead of sleeping on it. So a fork's continuation
+//! never starts before the frames already queued for its actor, nor before
+//! the other actors on its thread have stepped: the current/next-instant
+//! swap of a synchronous-reactive scheduler (DESIGN.md §11.2).
+//!
 //! Both executors host the same [`ProcessActor`], answer the same
 //! coordinator reports and contain a panic the same way ([`contain`]: the
 //! unwind is caught on the thread that ran the actor and becomes
@@ -37,7 +46,7 @@
 use crate::core_poll::{ActorSpec, ProcessActor, Report};
 use crate::net::{recv_until, Frame, Mailbox, Wire};
 use crate::runtime::{join_by, Hosts, RtConfig};
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use opcsp_core::ProcessId;
 use opcsp_sim::{control_domains, Behavior};
 use std::collections::{BTreeSet, VecDeque};
@@ -295,15 +304,27 @@ fn spawn_threaded(spec: WorldSpec) -> Running {
     host.running(handles)
 }
 
+/// Wait on `rx` until `due` — or not at all while right threads are
+/// `deferred`: their instant comes as soon as the inbox has been read.
+fn wait<T>(rx: &Receiver<T>, deferred: bool, due: Option<Instant>) -> Result<T, RecvTimeoutError> {
+    if !deferred {
+        return recv_until(rx, due);
+    }
+    rx.try_recv().map_err(|e| match e {
+        TryRecvError::Empty => RecvTimeoutError::Timeout,
+        TryRecvError::Disconnected => RecvTimeoutError::Disconnected,
+    })
+}
+
 /// The thread-per-process actor loop: build the actor on the thread that
 /// will own it, run it until `Shutdown` (or a dropped inbox), report. It
 /// sleeps on the inbox until the actor's next due instant, drains what
-/// came, then fires what is due.
+/// came, fires what is due, then runs the actor's next instant.
 fn threaded_loop(spec: ActorSpec, rx: Receiver<Wire>) {
     let mut actor = ProcessActor::new(spec);
     actor.start();
     'run: loop {
-        match recv_until(&rx, actor.next_due()) {
+        match wait(&rx, actor.deferred(), actor.next_due()) {
             Ok(w) => {
                 for w in std::iter::once(w).chain(rx.try_iter()) {
                     match w {
@@ -316,6 +337,7 @@ fn threaded_loop(spec: ActorSpec, rx: Receiver<Wire>) {
             Err(RecvTimeoutError::Disconnected) => break,
         }
         actor.fire_due(Instant::now());
+        actor.next_instant();
     }
     actor.finalize();
 }
@@ -350,13 +372,30 @@ fn spawn_sharded(spec: WorldSpec, workers: usize) -> Running {
     host.running(handles)
 }
 
-/// Each slot's next due instant, earliest first (cf. `Timers::index`).
+/// What each slot waits for: its next due instant, earliest first (cf.
+/// `Timers::index`), and whether a right thread waits for its next instant.
 struct Wakeups {
     index: BTreeSet<(Instant, usize)>,
     at: Vec<Option<Instant>>,
+    /// The slots whose next instant this round's pass runs, in slot order.
+    deferred: BTreeSet<usize>,
 }
 
 impl Wakeups {
+    /// Note what `slot`'s actor waits for after an activation.
+    fn track(&mut self, slot: usize, actor: &ProcessActor) {
+        self.set(slot, actor.next_due());
+        if actor.deferred() {
+            self.deferred.insert(slot);
+        }
+    }
+
+    /// `slot`'s actor is gone: it waits for nothing.
+    fn forget(&mut self, slot: usize) {
+        self.set(slot, None);
+        self.deferred.remove(&slot);
+    }
+
     /// `slot` is next due at `next` (never, if `None`).
     fn set(&mut self, slot: usize, next: Option<Instant>) {
         let old = std::mem::replace(&mut self.at[slot], next);
@@ -404,9 +443,12 @@ fn shard_loop(host: &Host, worker: usize, workers: usize, rx: Receiver<(ProcessI
     let mut wakeups = Wakeups {
         index: BTreeSet::new(),
         at: vec![None; slots],
+        deferred: BTreeSet::new(),
     };
     for (slot, actor) in actors.iter().enumerate() {
-        wakeups.set(slot, actor.as_ref().and_then(ProcessActor::next_due));
+        if let Some(actor) = actor {
+            wakeups.track(slot, actor);
+        }
     }
 
     // Per-slot run queues: a batch drained from the shard inbox is
@@ -420,7 +462,8 @@ fn shard_loop(host: &Host, worker: usize, workers: usize, rx: Receiver<(ProcessI
     let mut run_queue: Vec<usize> = Vec::new();
 
     while finished < slots {
-        match recv_until(&rx, wakeups.index.first().map(|(at, _)| *at)) {
+        let due = wakeups.index.first().map(|(at, _)| *at);
+        match wait(&rx, !wakeups.deferred.is_empty(), due) {
             Ok(item) => {
                 let mut enqueue = |(pid, w): (ProcessId, Wire)| {
                     let slot = (pid.0 as usize - lo) / workers;
@@ -454,7 +497,7 @@ fn shard_loop(host: &Host, worker: usize, workers: usize, rx: Receiver<(ProcessI
                 false
             });
             if shut_down == Some(false) {
-                wakeups.set(slot, actor.next_due());
+                wakeups.track(slot, actor);
                 continue;
             }
             // Shut down or dead. Items queued behind Shutdown are
@@ -465,7 +508,7 @@ fn shard_loop(host: &Host, worker: usize, workers: usize, rx: Receiver<(ProcessI
             if shut_down == Some(true) {
                 contain(&host.report, pid_of(slot), || actor.finalize());
             }
-            wakeups.set(slot, None);
+            wakeups.forget(slot);
             finished += 1;
         }
 
@@ -476,9 +519,25 @@ fn shard_loop(host: &Host, worker: usize, workers: usize, rx: Receiver<(ProcessI
         while let Some(slot) = wakeups.pop_due(now) {
             let actor = actors[slot].as_mut().expect("a finished slot is never due");
             if contain(&host.report, pid_of(slot), || actor.fire_due(now)).is_some() {
-                wakeups.set(slot, actor.next_due());
+                wakeups.track(slot, actor);
             } else {
                 actors[slot] = None;
+                wakeups.forget(slot);
+                finished += 1;
+            }
+        }
+
+        // Last, the next instant of every slot with a right thread waiting;
+        // one forked in this pass waits for the next round.
+        for slot in std::mem::take(&mut wakeups.deferred) {
+            let actor = actors[slot]
+                .as_mut()
+                .expect("a finished slot has no instant");
+            if contain(&host.report, pid_of(slot), || actor.next_instant()).is_some() {
+                wakeups.track(slot, actor);
+            } else {
+                actors[slot] = None;
+                wakeups.forget(slot);
                 finished += 1;
             }
         }

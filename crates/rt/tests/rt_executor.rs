@@ -329,3 +329,105 @@ fn wide_fan_in_5k_smoke() {
     };
     assert_wide_clean(&r, producers, budget, "5k smoke");
 }
+
+/// A fork's right thread runs in its actor's next instant (DESIGN.md
+/// §11.2): after the frames already queued for the actor, and — on a
+/// shard — after the other actors the round fed. `A` forks on `m1` while
+/// `m2` is already in its inbox; `C` shares `A`'s worker and is fed `m3`
+/// in the same round. Under the threaded executor `A`'s start waits for
+/// `B` to finish, so all three frames are queued before `A` reads any (on
+/// one worker the slot order already makes it so).
+#[test]
+fn a_right_thread_waits_for_its_inbox_and_its_shard() {
+    use opcsp_core::Value;
+    use opcsp_sim::{Effect, FnBehavior, Resume};
+    use std::sync::{Arc, Mutex};
+
+    #[derive(Clone, Copy)]
+    enum Pc {
+        Idle,
+        Forked,
+        Left,
+        Joined,
+    }
+    let guess = || vec![("x".to_string(), Value::Int(1))];
+    for ex in [Executor::Threaded, Executor::Sharded { workers: 1 }] {
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let log = |what: &'static str| {
+            let seen = seen.clone();
+            move || seen.lock().unwrap().push(what)
+        };
+        let (left_got_m2, right_ran, c_got_m3) =
+            (log("A left got m2"), log("A right ran"), log("C got m3"));
+        let (b_done, b_finished) = std::sync::mpsc::channel::<()>();
+        let b_finished = Mutex::new(b_finished);
+        let threaded = ex == Executor::Threaded;
+        let a = FnBehavior::new("A", Pc::Idle, move |pc, r| match (*pc, r) {
+            (Pc::Idle, Resume::Start) => {
+                if threaded {
+                    b_finished.lock().unwrap().recv().expect("B finishes");
+                }
+                Effect::Receive
+            }
+            (Pc::Idle, Resume::Msg(_)) => {
+                *pc = Pc::Forked;
+                Effect::Fork {
+                    site: 1,
+                    guesses: guess(),
+                }
+            }
+            (Pc::Forked, Resume::ForkLeft) => {
+                *pc = Pc::Left;
+                Effect::Receive
+            }
+            (Pc::Left, Resume::Msg(_)) => {
+                left_got_m2();
+                *pc = Pc::Joined;
+                Effect::JoinLeft { actual: guess() }
+            }
+            (Pc::Forked, Resume::ForkRight { .. }) => {
+                right_ran();
+                Effect::Done
+            }
+            (Pc::Joined, Resume::JoinCommitted) => Effect::Done,
+            (_, r) => panic!("A: unexpected {r:?}"),
+        });
+        let sends = [(0, "m1"), (0, "m2"), (2, "m3")];
+        let b = FnBehavior::new("B", 0usize, move |next, _| {
+            let Some(&(to, label)) = sends.get(*next) else {
+                b_done.send(()).expect("A waits");
+                return Effect::Done;
+            };
+            *next += 1;
+            Effect::Send {
+                to: ProcessId(to),
+                payload: Value::Int(0),
+                label: label.into(),
+            }
+        });
+        let c = FnBehavior::new("C", (), move |_, r| match r {
+            Resume::Start => Effect::Receive,
+            Resume::Msg(_) => {
+                c_got_m3();
+                Effect::Done
+            }
+            r => panic!("C: unexpected {r:?}"),
+        });
+        let mut world = RtWorld::new(RtConfig {
+            latency: Duration::ZERO,
+            ..cfg(ex, NetFaults::none())
+        });
+        world.add_process(a, true);
+        world.add_process(b, true);
+        world.add_process(c, true);
+        let r = world.run();
+        clean(&r).unwrap_or_else(|e| panic!("{ex:?}: {e}"));
+        assert_eq!((r.stats.forks, r.stats.commits), (1, 1), "{ex:?}");
+        let seen = seen.lock().unwrap().clone();
+        let at = |what| seen.iter().position(|s| *s == what).expect(what);
+        assert!(at("A left got m2") < at("A right ran"), "{ex:?}: {seen:?}");
+        if !threaded {
+            assert!(at("C got m3") < at("A right ran"), "{ex:?}: {seen:?}");
+        }
+    }
+}

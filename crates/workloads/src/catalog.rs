@@ -17,8 +17,8 @@
 use crate::chain::{ChainOpts, OptimisticForwarder};
 use crate::fan_in::{consumer, FanInOpts};
 use crate::replicated_kv::{
-    check_replica_agreement, kv_config, replica_pids, replica_streams, sequencer, zipf_cdf,
-    KvClient, KvOpts, Replica, Sequencer,
+    check_replay, check_replica_agreement, kv_config, replica_pids, replica_streams, sequencer,
+    zipf_cdf, KvClient, KvOpts, Replica, Sequencer,
 };
 use crate::servers::Server;
 use crate::streaming::{
@@ -559,8 +559,9 @@ impl Spec {
 
     /// The spec's oracle on `run`, against `twin`, the pessimistic run of
     /// the same world; both must have ended on their own ([`Outcome::ended`]).
-    /// For `kv`: replica agreement on both, and the same
-    /// command, read and written-key counts. For the others: every client
+    /// For `kv`: replica agreement and the sequencer-order replay
+    /// (`replicated_kv::check_replay`) on both, and the same command, read
+    /// and written-key counts. For the others: every client
     /// committed the calls its script makes, and the committed record is
     /// merge-equivalent to the twin's (Theorem 1). A one-line summary, or
     /// what failed.
@@ -568,7 +569,12 @@ impl Spec {
         run.ended()?;
         twin.ended().map_err(|e| format!("pessimistic twin: {e}"))?;
         if let Spec::Kv(o) = self {
-            let agree = |r: &R| check_replica_agreement(o, &replica_streams(o, r.external()));
+            let agree = |r: &R| {
+                let streams = replica_streams(o, r.external());
+                let summary = check_replica_agreement(o, &streams)?;
+                check_replay(o, r.logs(), &streams)?;
+                Ok::<_, String>(summary)
+            };
             let s = agree(run)?;
             let t = agree(twin).map_err(|e| format!("pessimistic twin: {e}"))?;
             if (s.applied, s.gets) != (t.applied, t.gets) || !s.store.keys().eq(t.store.keys()) {
@@ -576,7 +582,7 @@ impl Spec {
             }
             return Ok(format!(
                 "SMR agreement: {} replicas each applied {} commands ({} committed reads), \
-                 stores identical",
+                 stores identical and equal to the sequencer-order replay",
                 o.replicas, s.applied, s.gets
             ));
         }

@@ -30,13 +30,17 @@
 //! Safety oracle (the SMR property): committed replica stores are
 //! identical, committed read results are identical sequences across
 //! replicas, and every replica applied the full contiguous position range
-//! — see [`check_replica_agreement`]. Used by experiment E14 and the
-//! `tests/replicated_kv.rs` sim-vs-rt differentials.
+//! — see [`check_replica_agreement`]. Replay oracle: the positions the
+//! clients' committed logs say the sequencer assigned form a legal
+//! sequencer order, and replaying the commands in it reproduces every
+//! replica — see [`check_replay`]. Used by experiment E14, `Spec::check`
+//! and the `tests/replicated_kv.rs` sim-vs-rt differentials.
 
 use crate::catalog::{self, Outcome};
 use opcsp_core::{CoreConfig, DataKind, ProcessId, Value};
 use opcsp_sim::{
-    reply_label, Behavior, BehaviorState, Effect, Resume, SimConfig, SimResult, VTime,
+    reply_label, Behavior, BehaviorState, Effect, ObsKind, Observable, Resume, SimConfig,
+    SimResult, VTime,
 };
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -436,33 +440,14 @@ impl Replica {
                 .unwrap_or("")
                 .to_string();
             let is_put = cmd.field("op").and_then(|v| v.as_str()) == Some("put");
-            if is_put {
-                let val = cmd.field("val").and_then(|v| v.as_int()).unwrap_or(0);
-                st.store.insert(key, val);
-            } else {
-                let val = st.store.get(&key).copied().unwrap_or(0);
-                st.emit.push(Value::record([
-                    ("pos".to_string(), Value::Int(st.next_pos)),
-                    ("key".to_string(), Value::str(key)),
-                    ("val".to_string(), Value::Int(val)),
-                ]));
+            let put = is_put.then(|| cmd.field("val").and_then(|v| v.as_int()).unwrap_or(0));
+            if let Some(read) = apply(&mut st.store, st.next_pos, key, put) {
+                st.emit.push(read);
             }
             st.next_pos += 1;
         }
         if st.next_pos == self.total as i64 {
-            // Final digest: the committed store plus the applied count.
-            st.emit.push(Value::record([
-                (
-                    "store".to_string(),
-                    Value::record(
-                        st.store
-                            .iter()
-                            .map(|(k, v)| (k.clone(), Value::Int(*v)))
-                            .collect::<Vec<_>>(),
-                    ),
-                ),
-                ("applied".to_string(), Value::Int(st.next_pos)),
-            ]));
+            st.emit.push(digest(&st.store, st.next_pos));
             st.next_pos += 1; // emit the digest exactly once
         }
     }
@@ -525,6 +510,38 @@ impl Behavior for Replica {
     fn peers(&self, _me: ProcessId) -> Option<Vec<ProcessId>> {
         Some(Vec::new())
     }
+}
+
+/// Apply the command at `pos` to `store`: a write of `put` to `key`, or a
+/// read of it, whose committed external (`{pos, key, val}`) this returns.
+fn apply(
+    store: &mut BTreeMap<String, i64>,
+    pos: i64,
+    key: String,
+    put: Option<i64>,
+) -> Option<Value> {
+    if let Some(val) = put {
+        store.insert(key, val);
+        return None;
+    }
+    let val = store.get(&key).copied().unwrap_or(0);
+    Some(Value::record([
+        ("pos".to_string(), Value::Int(pos)),
+        ("key".to_string(), Value::str(key)),
+        ("val".to_string(), Value::Int(val)),
+    ]))
+}
+
+/// A replica's final external: the committed store plus the applied count.
+fn digest(store: &BTreeMap<String, i64>, applied: i64) -> Value {
+    let store = store.iter().map(|(k, v)| (k.clone(), Value::Int(*v)));
+    Value::record([
+        (
+            "store".to_string(),
+            Value::record(store.collect::<Vec<_>>()),
+        ),
+        ("applied".to_string(), Value::Int(applied)),
+    ])
 }
 
 // ---------------------------------------------------------------------
@@ -639,6 +656,82 @@ pub fn check_replica_agreement(opts: &KvOpts, streams: &[Vec<Value>]) -> Result<
         }
     }
     summary.ok_or_else(|| "no replicas".to_string())
+}
+
+/// The replay oracle: the committed run is a legal sequencer order. Each
+/// client's committed log yields the positions the sequencer assigned to
+/// its calls, in op order; they must strictly increase, and together cover
+/// `0..C·ops` exactly once. Replaying `kv_command(seed, client, op)` in
+/// position order through a sequential map must then reproduce every
+/// replica's committed reads and its final store. `Err` names the first
+/// difference.
+pub fn check_replay(
+    opts: &KvOpts,
+    logs: &BTreeMap<ProcessId, Vec<Observable>>,
+    streams: &[Vec<Value>],
+) -> Result<(), String> {
+    let seq = sequencer(opts);
+    let mut owner: Vec<Option<(u32, u32)>> = vec![None; opts.total_ops() as usize];
+    for client in 0..opts.clients {
+        let log = logs.get(&ProcessId(client)).map_or(&[][..], Vec::as_slice);
+        let positions: Vec<i64> = log
+            .iter()
+            .filter_map(|o| match o {
+                Observable::Received {
+                    from,
+                    kind: ObsKind::Return,
+                    payload,
+                } if *from == seq => Some(payload.as_int().unwrap_or(-1)),
+                _ => None,
+            })
+            .collect();
+        if positions.len() != opts.ops_per_client as usize {
+            return Err(format!(
+                "client {client} committed {} of {} positions",
+                positions.len(),
+                opts.ops_per_client
+            ));
+        }
+        if positions.windows(2).any(|w| w[0] >= w[1]) {
+            return Err(format!(
+                "client {client}: positions not increasing: {positions:?}"
+            ));
+        }
+        for (op, &pos) in positions.iter().enumerate() {
+            let Some(slot) = usize::try_from(pos).ok().and_then(|p| owner.get_mut(p)) else {
+                return Err(format!(
+                    "client {client} op {op}: position {pos} out of range"
+                ));
+            };
+            if let Some((c, o)) = slot.replace((client, op as u32)) {
+                return Err(format!(
+                    "position {pos} assigned twice: client {c} op {o} and client {client} op {op}"
+                ));
+            }
+        }
+    }
+    // C·ops positions, none out of range, none twice: `owner` is full.
+    let cdf = zipf_cdf(opts.keys, opts.zipf_s);
+    let mut store = BTreeMap::new();
+    let mut want = Vec::new();
+    for (pos, who) in owner.iter().enumerate() {
+        let (client, op) = who.expect("every position is owned");
+        let cmd = kv_command(opts.seed, &cdf, opts.write_per_mille, client, op);
+        let key = format!("k{}", cmd.key);
+        want.extend(apply(&mut store, pos as i64, key, cmd.put));
+    }
+    want.push(digest(&store, owner.len() as i64));
+    for (r, stream) in streams.iter().enumerate() {
+        if let Some(i) = (0..want.len().max(stream.len())).find(|&i| want.get(i) != stream.get(i)) {
+            return Err(format!(
+                "replica {r} differs from the sequencer-order replay at external {i}: \
+                 committed {:?}, replay {:?}",
+                stream.get(i),
+                want.get(i)
+            ));
+        }
+    }
+    Ok(())
 }
 
 /// Run the oracle over a simulator result.

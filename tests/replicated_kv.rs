@@ -13,12 +13,16 @@
 //!   property itself — identical stores and read streams across
 //!   replicas, asserted under chaos faults and the sharded executor (the
 //!   socket transport's run is `tests/catalog.rs`'s matrix).
+//! - **Replay:** whatever order the sequencer saw, the positions the
+//!   clients committed are a legal sequencer order, and replaying the
+//!   commands in it reproduces every replica (`check_replay`) — on the
+//!   simulator, rt threaded, `sharded:1`, `sharded:2` and a UDS split.
 
 use opcsp_core::Value;
-use opcsp_rt::{merge_equiv, Executor, NetFaults, RtConfig, RtResult, RtWorld};
-use opcsp_workloads::catalog::Spec;
+use opcsp_rt::{merge_equiv, Executor, NetFaults, RtConfig, RtResult, RtWorld, SockAddr};
+use opcsp_workloads::catalog::{Outcome, Spec, Split};
 use opcsp_workloads::replicated_kv::{
-    check_rt_agreement, check_sim_agreement, replica_streams, KvOpts,
+    check_replay, check_rt_agreement, check_sim_agreement, replica_streams, KvOpts,
 };
 use std::time::Duration;
 
@@ -119,6 +123,7 @@ fn chaos_preserves_smr_agreement_on_both_executors() {
         let s = check_rt_agreement(&opts, &rt)
             .unwrap_or_else(|e| panic!("{label}: SMR oracle under chaos: {e}"));
         assert_eq!(s.applied, opts.total_ops() as i64, "{label}");
+        assert_replays(&opts, label, &rt);
     }
 }
 
@@ -217,4 +222,77 @@ fn optimism_beats_pessimism_at_fixed_latency() {
         opt.completion,
         pess.completion
     );
+}
+
+// The replay oracle, on every engine.
+
+fn assert_replays(opts: &KvOpts, host: &str, run: &impl Outcome) {
+    run.ended().unwrap_or_else(|e| panic!("{host}: {e}"));
+    let streams = replica_streams(opts, run.external());
+    check_replay(opts, run.logs(), &streams).unwrap_or_else(|e| panic!("{host}: {e}"));
+}
+
+/// Four clients contend for the sequencer: the committed order is whatever
+/// it saw, on each engine a different one, and each must be a legal
+/// sequencer order that every replica followed.
+#[test]
+fn committed_positions_replay_to_every_replica_on_every_engine() {
+    let opts = KvOpts {
+        clients: 4,
+        ops_per_client: 10,
+        keys: 64,
+        ..KvOpts::default()
+    };
+    assert_replays(&opts, "sim", &Spec::Kv(opts.clone()).simulate());
+    let jittered = KvOpts {
+        jitter: 40,
+        seed: 3,
+        ..opts.clone()
+    };
+    let r = Spec::Kv(jittered.clone()).simulate();
+    assert!(r.stats().aborts > 0, "jitter should force misguesses");
+    assert_replays(&jittered, "sim, jitter 40", &r);
+
+    for (host, executor) in [
+        ("rt threaded", Executor::Threaded),
+        ("rt sharded:1", Executor::Sharded { workers: 1 }),
+        ("rt sharded:2", Executor::Sharded { workers: 2 }),
+    ] {
+        assert_replays(&opts, host, &run_rt(&opts, executor, NetFaults::none()));
+    }
+
+    let path = std::env::temp_dir().join(format!("opcsp-kv-replay-{}.sock", std::process::id()));
+    let addr = SockAddr::parse(&format!("uds:{}", path.display())).unwrap();
+    let cfg = rt_cfg(Executor::Threaded, NetFaults::none());
+    let (hub, worker_failure) = Spec::Kv(opts.clone()).on(Split::new(&cfg, addr, 2)).run();
+    assert_eq!(worker_failure, None);
+    assert_replays(&opts, "uds x2", &hub);
+}
+
+/// The spontaneous order holds on one worker: a fork's right thread runs
+/// in its actor's next instant, after the sequencer has stepped, so the
+/// round-robin position guess is right every time — and one worker repeats
+/// its schedule exactly.
+#[test]
+fn one_worker_at_latency_zero_commits_every_position_guess() {
+    let spec = Spec::parse("kv:clients=4,ops=40,keys=1024").unwrap();
+    let cfg = RtConfig {
+        latency: Duration::ZERO,
+        ..rt_cfg(Executor::Sharded { workers: 1 }, NetFaults::none())
+    };
+    let twin = spec.twin().on(RtWorld::new(cfg.clone())).run();
+    let runs: Vec<_> = (0..3)
+        .map(|_| {
+            let r = spec.on(RtWorld::new(cfg.clone())).run();
+            spec.check(&r, &twin).expect("kv oracle");
+            r.stats.proto
+        })
+        .collect();
+    let st = runs[0];
+    assert_eq!(
+        (st.forks, st.commits, st.aborts, st.orphans),
+        (160, 160, 0, 0),
+        "{st:?}"
+    );
+    assert!(runs.iter().all(|r| *r == st), "counters moved: {runs:?}");
 }
