@@ -190,26 +190,53 @@ fn bench_stream_server(c: &mut Criterion) {
     g.finish();
 }
 
-/// A server that consumed a message guarded by a 128-deep pipeline
-/// ingests the pipeline's PRECEDENCE messages: guess k is preceded by
-/// guesses 1..k, ~8k edges in all.
+/// A server that consumed a message guarded by an n-deep pipeline ingests
+/// the pipeline's PRECEDENCE messages: guess k is preceded by guesses
+/// 1..k. Each guard is the previous subject's record plus that subject, so
+/// one edge per PRECEDENCE is linked — n − 1 in all, where one edge per
+/// member was n(n − 1)/2 — and every earlier guess still reaches every
+/// later one.
 fn bench_precedence_ingest(c: &mut Criterion) {
-    let pipeline: Vec<GuessId> = (1..=128).map(|i| GuessId::first(ProcessId(0), i)).collect();
-    let tag = env_with(ProcessId(2), pipeline.iter().copied().collect());
-    let guards: Vec<Guard> = (0..pipeline.len())
-        .map(|k| pipeline[..k].iter().copied().collect())
-        .collect();
-    c.bench_function("cdg/precedence_ingest/128", |b| {
-        b.iter(|| {
+    for n in [128u32, 512] {
+        let pipeline: Vec<GuessId> = (1..=n).map(|i| GuessId::first(ProcessId(0), i)).collect();
+        let tag = env_with(ProcessId(2), pipeline.iter().copied().collect());
+        let guards: Vec<Guard> = (0..pipeline.len())
+            .map(|k| pipeline[..k].iter().copied().collect())
+            .collect();
+        let ingest = || {
             let mut core = ProcessCore::new(ProcessId(2), CoreConfig::default());
             core.deliver(0, &tag);
             for (guess, guard) in pipeline.iter().zip(&guards) {
                 black_box(core.on_precedence(*guess, guard));
             }
-            assert_eq!(core.cdg.edge_count(), 128 * 127 / 2);
+            assert_eq!(core.cdg.edge_count(), n as usize - 1);
             core
-        })
-    });
+        };
+        // Each guess reaches the next, so by transitivity every later one.
+        let core = ingest();
+        for w in pipeline.windows(2) {
+            assert!(
+                reaches(&core.cdg, w[0], w[1]),
+                "{} does not precede {}",
+                w[0],
+                w[1]
+            );
+        }
+        c.bench_function(&format!("cdg/precedence_ingest/{n}"), |b| b.iter(ingest));
+    }
+}
+
+/// Is there a path `from ⇝ to`?
+fn reaches(cdg: &Cdg, from: GuessId, to: GuessId) -> bool {
+    let mut seen = std::collections::BTreeSet::from([from]);
+    let mut stack = vec![from];
+    while let Some(g) = stack.pop() {
+        if g == to {
+            return true;
+        }
+        stack.extend(cdg.successors(g).into_iter().filter(|s| seen.insert(*s)));
+    }
+    false
 }
 
 /// The §4.2.3 delivery choice over a backlog of 64 pooled messages whose

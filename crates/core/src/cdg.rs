@@ -3,11 +3,43 @@
 //! Each process maintains a DAG over guess identifiers (one per process,
 //! not one per thread — see the deviation note in [`crate::process`]).
 //! PRECEDENCE control messages add edges: `PRECEDENCE(x_n, Guard)` asserts
-//! that every `g ∈ Guard` precedes `x_n`, so edges `g → x_n` are added. If
-//! an edge insertion creates a cycle, a *time fault* has been detected and
-//! every guess on the cycle must abort (§4.2.5: "If an edge added to the CDG
-//! creates a cycle, then a time fault has been detected. All threads in the
-//! cycle are aborted.").
+//! that every `g ∈ Guard` precedes `x_n`. If an edge insertion creates a
+//! cycle, a *time fault* has been detected and every guess on the cycle
+//! must abort (§4.2.5: "If an edge added to the CDG creates a cycle, then a
+//! time fault has been detected. All threads in the cycle are aborted.").
+//!
+//! ## What a PRECEDENCE links
+//!
+//! The graph keeps the *order* §4.2.8 asserts, not one edge per member:
+//! what the protocol reads of it — cycle sets, the transitive successors
+//! an abort dooms, the transitive predecessors a commit infers — are all
+//! reachability. [`Cdg::add_guard_into`] ingests a guard run by run:
+//!
+//! 1. §4.2.8's admission rule ("if either g or x_n is a node of the CDG")
+//!    cuts the member list at its first known member — a range lookup per
+//!    run, not a lookup per member; a join admits everything;
+//! 2. the subject keeps what was admitted as its *record* (a [`Guard`],
+//!    merged over repeated ingests, dropped with the node);
+//! 3. in each admitted run, the last member that has a record contributes
+//!    that record as already implied, and only the rest is linked by
+//!    [`Cdg::add_edges_into`], with one reachability check.
+//!
+//! On a pipeline each guard is the previous subject's plus a few new
+//! guesses, so an ingest costs what it adds, not the size of its guard.
+//!
+//! **Why it is exact.** Every live member `u` of a record `R_h` reaches
+//! `h`, so a skipped edge `u → g` is implied by `u ⇝ h → g`. Removal keeps
+//! that so: a COMMIT removes a guess with all its predecessors
+//! ([`Cdg::remove`]), so if any node of `u ⇝ h` commits, `u` commits too;
+//! an abort ([`Cdg::remove_aborted`]) normally takes every successor of a
+//! doomed guess with it, and every node downstream that it does not take
+//! has its record linked member by member and dropped as the path breaks.
+//! Reachability between the nodes that remain is therefore exactly what
+//! one edge per admitted member would give, and so is every cycle set (a
+//! skipped `u` on a path `g ⇝ u` lies on the path `g ⇝ u ⇝ h`). Callers
+//! uphold two conditions: a committed guess is never named again (it is
+//! not a node, and nothing could tell it from a live one), and every guess
+//! on a reported cycle is aborted before the next ingest.
 //!
 //! ## Representation
 //!
@@ -28,16 +60,17 @@
 //! - [`Cdg::remove`] unlinks each incident edge from the opposite
 //!   endpoint's list in O(1), so it is O(degree) too — resolving a guess
 //!   never scans the rest of the graph;
-//! - [`Cdg::add_edges_into`] ingests a whole PRECEDENCE guard with *one*
-//!   forward reachability from the target instead of one per member (new
-//!   edges all point into the target, so they cannot change what the
-//!   target reaches), and skips even that when the target has no
-//!   successors — the case of every guess whose PRECEDENCE arrives before
-//!   anything was ordered after it.
+//! - [`Cdg::add_edges_into`] links a set of members with *one* forward
+//!   reachability from the target instead of one per member (new edges
+//!   all point into the target, so they cannot change what the target
+//!   reaches), and skips even that when the target has no successors —
+//!   the case of every guess whose PRECEDENCE arrives before anything was
+//!   ordered after it.
 //!
 //! Traversals mark nodes with an epoch stamp stored in the slot, so a
 //! reachability costs what it visits and allocates only its work stack.
 
+use crate::guard::{Guard, Run, RunBuf};
 use crate::ids::GuessId;
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
@@ -83,6 +116,9 @@ pub struct Cdg {
     free_edges: usize,
     /// Last traversal epoch handed out; node marks never exceed it.
     epoch: u32,
+    /// What each ingested subject admitted ([`Cdg::add_guard_into`]); every
+    /// member that is still a node reaches the subject.
+    records: BTreeMap<GuessId, Guard>,
 }
 
 impl Default for Cdg {
@@ -95,6 +131,7 @@ impl Default for Cdg {
             free_edge: NIL,
             free_edges: 0,
             epoch: 0,
+            records: BTreeMap::new(),
         }
     }
 }
@@ -142,17 +179,67 @@ impl Cdg {
     /// A self-loop `g → g` (the Figure 4 local time fault, `{x1} → {x1}`)
     /// is reported as a cycle containing just `g`.
     pub fn add_edge(&mut self, from: GuessId, to: GuessId) -> EdgeOutcome {
-        self.add_edges_into(to, [from], false)
+        self.add_edges_into(to, [from])
     }
 
-    /// Insert the edges `from → to` for every `from` in `froms` — one
-    /// PRECEDENCE guard — and report the union of the cycles they close,
-    /// exactly as inserting them one by one with [`Cdg::add_edge`] would.
-    ///
-    /// With `only_if_known`, §4.2.8's admission rule applies member by
-    /// member: the edge is added only "if either g or x_n is a node of the
-    /// CDG" at that point (so once one edge has made `to` a node, every
-    /// later member is admitted).
+    /// Ingest `PRECEDENCE(to, guard)` (§4.2.8) — or, with `only_if_known`
+    /// false, a join's own guard (§4.2.4) — and report the union of the
+    /// cycles it closes, exactly as [`Cdg::add_edges_into`] with every
+    /// member would: the admitted members are cut run by run, and what the
+    /// records of earlier subjects already imply is not linked again (the
+    /// module doc says why that is exact). `guard` holds no committed guess
+    /// and not `to` itself.
+    pub fn add_guard_into(
+        &mut self,
+        to: GuessId,
+        guard: &Guard,
+        only_if_known: bool,
+    ) -> EdgeOutcome {
+        debug_assert!(!guard.contains(to), "{to} precedes itself");
+        let admitted = match !only_if_known || self.index.contains_key(&to) {
+            true => guard.clone(),
+            false => self.admitted(guard),
+        };
+        let mut implied = Guard::empty();
+        for run in admitted.runs() {
+            if let Some((_, record)) = self.records.range(run.first()..=run.last()).next_back() {
+                implied.union_with(record);
+            }
+        }
+        let rest = implied.new_runs(&admitted).flat_map(Run::iter);
+        let outcome = self.add_edges_into(to, rest);
+        if !admitted.is_empty() {
+            self.records.entry(to).or_default().union_with(&admitted);
+        }
+        outcome
+    }
+
+    /// §4.2.8's admission rule for a target that is not a node: the first
+    /// member that is one admits itself and every member after it.
+    fn admitted(&self, guard: &Guard) -> Guard {
+        let mut admitted = RunBuf::new();
+        let mut open = false;
+        for &run in guard.runs() {
+            let lo = match open {
+                true => Some(run.lo),
+                false => self
+                    .index
+                    .range(run.first()..=run.last())
+                    .next()
+                    .map(|(g, _)| g.index),
+            };
+            if let Some(lo) = lo {
+                open = true;
+                admitted.push(Run { lo, ..run });
+            }
+        }
+        admitted.finish()
+    }
+
+    /// Insert the edges `from → to` for every `from` in `froms` and report
+    /// the union of the cycles they close, exactly as inserting them one
+    /// by one with [`Cdg::add_edge`] would. The primitive
+    /// [`Cdg::add_guard_into`] links what a record does not imply with.
     ///
     /// As with `add_edge`, cycle-closing edges are recorded anyway: callers
     /// abort every guess on the cycle and remove it, which erases them.
@@ -160,7 +247,6 @@ impl Cdg {
         &mut self,
         to: GuessId,
         froms: impl IntoIterator<Item = GuessId>,
-        only_if_known: bool,
     ) -> EdgeOutcome {
         let mut cycle: BTreeSet<GuessId> = BTreeSet::new();
         let [present, reached, on_cycle] = self.fresh_stamps();
@@ -180,9 +266,6 @@ impl Cdg {
             if from == to {
                 to_slot.get_or_insert_with(|| *self.index.entry(to).or_insert(NIL));
                 cycle.insert(to);
-                continue;
-            }
-            if only_if_known && to_slot.is_none() && !self.index.contains_key(&from) {
                 continue;
             }
             let f = self.slot_of(from);
@@ -274,10 +357,13 @@ impl Cdg {
         out
     }
 
-    /// Remove a resolved guess (committed or aborted) and its edges
-    /// (§4.2.6: "x_n is removed from the CDG. Any predecessors of x_n are
-    /// also removed").
+    /// Remove a committed guess and its edges (§4.2.6: "x_n is removed
+    /// from the CDG. Any predecessors of x_n are also removed") — the
+    /// caller removes those predecessors too, which is what keeps every
+    /// record exact (module doc). Aborted guesses go through
+    /// [`Cdg::remove_aborted`].
     pub fn remove(&mut self, g: GuessId) {
+        self.records.remove(&g);
         let slot = match self.index.remove(&g) {
             None | Some(NIL) => return,
             Some(slot) => slot,
@@ -298,6 +384,52 @@ impl Cdg {
         }
         self.nodes[slot as usize].out_head = self.free_node;
         self.free_node = slot;
+    }
+
+    /// Remove aborted guesses and their edges (§4.2.7). A guess outside
+    /// `doomed` that one of them reaches stays behind with a broken path:
+    /// its record's members that are still nodes afterwards are linked to
+    /// it directly and the record is dropped, so reachability among the
+    /// survivors is what one edge per admitted member would leave. (An
+    /// abort's doomed set normally holds every successor of what it
+    /// dooms, and then there is nothing downstream to visit.)
+    pub fn remove_aborted(&mut self, doomed: &BTreeSet<GuessId>) {
+        let [gone, seen, _] = self.fresh_stamps();
+        let mut stack: Vec<u32> = doomed
+            .iter()
+            .filter_map(|g| self.index.get(g).copied())
+            .filter(|&slot| slot != NIL)
+            .collect();
+        for &slot in &stack {
+            self.nodes[slot as usize].mark = gone;
+        }
+        let mut survivors: Vec<GuessId> = Vec::new();
+        while let Some(n) = stack.pop() {
+            let mut e = self.nodes[n as usize].out_head;
+            while e != NIL {
+                let edge = self.edges[e as usize];
+                let next = &mut self.nodes[edge.to as usize];
+                if next.mark != gone && next.mark != seen {
+                    next.mark = seen;
+                    stack.push(edge.to);
+                    if self.records.contains_key(&next.id) {
+                        survivors.push(next.id);
+                    }
+                }
+                e = edge.out_next;
+            }
+        }
+        for g in doomed {
+            self.remove(*g);
+        }
+        for s in survivors {
+            let Some(record) = self.records.remove(&s) else {
+                continue;
+            };
+            let members = Vec::from_iter(record.iter().filter(|u| self.index.contains_key(u)));
+            let outcome = self.add_edges_into(s, members);
+            debug_assert_eq!(outcome, EdgeOutcome::Acyclic, "a record reached {s}");
+        }
     }
 
     /// Is `g` a *root*: present, with no unresolved predecessors? A guess
@@ -613,19 +745,77 @@ mod tests {
     fn bulk_ingest_admits_members_by_the_paper_rule() {
         // §4.2.8: an edge is added only if one endpoint is already a node.
         let mut c = Cdg::new();
-        let members = [g(0, 1), g(1, 1), g(2, 1)];
+        let members = Guard::from_iter([g(0, 1), g(1, 1), g(2, 1)]);
         // Nothing known: nothing added.
         assert_eq!(
-            c.add_edges_into(g(5, 1), members, true),
+            c.add_guard_into(g(5, 1), &members, true),
             EdgeOutcome::Acyclic
         );
         assert_eq!(c.node_count(), 0);
         // y1 known: x1 (before it, target still unknown) is skipped, y1
         // makes the target a node, z1 is then admitted.
         c.add_node(g(1, 1));
-        c.add_edges_into(g(5, 1), members, true);
+        c.add_guard_into(g(5, 1), &members, true);
         assert!(!c.contains_node(g(0, 1)));
         assert_eq!(c.predecessors(g(5, 1)), vec![g(1, 1), g(2, 1)]);
+        // The cut falls inside a run too: once x2 is known, a guard naming
+        // x1..x3 and w1 admits x2 onwards. w1's record implies nothing
+        // about x2 and x3, so they are linked.
+        c.add_node(g(0, 2));
+        let guard = Guard::from_iter([g(0, 1), g(0, 2), g(0, 3), g(5, 1)]);
+        c.add_guard_into(g(6, 1), &guard, true);
+        assert_eq!(c.predecessors(g(6, 1)), vec![g(0, 2), g(0, 3), g(5, 1)]);
+        assert!(!c.contains_node(g(0, 1)));
+    }
+
+    #[test]
+    fn a_pipeline_guard_links_only_what_the_records_do_not_imply() {
+        // PRECEDENCE(x_k, {x_1 … x_{k-1}}) for k = 2..=6: each guard is the
+        // previous subject's record plus that subject, so one edge each.
+        let x = |n| g(0, n);
+        let mut c = Cdg::new();
+        for k in 2..=6 {
+            let guard = Guard::from_iter((1..k).map(x));
+            assert_eq!(c.add_guard_into(x(k), &guard, false), EdgeOutcome::Acyclic);
+        }
+        assert_eq!(c.edge_count(), 5);
+        assert_eq!(c.predecessors(x(6)), vec![x(5)]);
+        // A second process's stretch beside it: y2's guard names x1..x6
+        // and y1; x6's record covers x1..x5, so x6 and y1 are linked.
+        c.add_guard_into(g(1, 1), &Guard::single(x(2)), false);
+        let guard = Guard::from_iter((1..=6).map(x).chain([g(1, 1)]));
+        c.add_guard_into(g(1, 2), &guard, false);
+        assert_eq!(c.predecessors(g(1, 2)), vec![x(6), g(1, 1)]);
+        // Closing y2 → x1 reports every guess on the cycle, the ones only
+        // a record links to y2 (x1..x5) included.
+        match c.add_guard_into(x(1), &Guard::single(g(1, 2)), false) {
+            EdgeOutcome::Cycle(s) => {
+                let on_cycle = (1..=6).map(x).chain([g(1, 1), g(1, 2)]);
+                assert_eq!(s, BTreeSet::from_iter(on_cycle));
+            }
+            other => panic!("expected cycle, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn an_abort_that_spares_a_successor_links_its_record_first() {
+        // x1 → x2 → x3 through records; x3's edge from x1 is implied by x2.
+        let x = |n| g(0, n);
+        let mut c = Cdg::new();
+        c.add_guard_into(x(2), &Guard::single(x(1)), false);
+        c.add_guard_into(x(3), &Guard::from_iter([x(1), x(2)]), false);
+        c.add_guard_into(x(4), &Guard::from_iter([x(1), x(2), x(3)]), false);
+        assert_eq!(c.edge_count(), 3);
+        // x2 aborts without its successors (a guard dooms it, not the
+        // graph): x3 and x4 keep x1 before them, as one edge per member
+        // would have.
+        c.remove_aborted(&BTreeSet::from([x(2)]));
+        assert_eq!(c.predecessors(x(3)), vec![x(1)]);
+        assert_eq!(c.predecessors(x(4)), vec![x(1), x(3)]);
+        // Their records are gone, so x2 coming back is not taken as
+        // implied by them.
+        c.add_guard_into(x(5), &Guard::from_iter([x(2), x(4)]), false);
+        assert_eq!(c.predecessors(x(5)), vec![x(2), x(4)]);
     }
 
     #[test]
@@ -637,7 +827,7 @@ mod tests {
         c.add_edge(t, a);
         c.add_edge(a, b);
         c.add_edge(t, c_);
-        match c.add_edges_into(t, [b, c_, d], false) {
+        match c.add_edges_into(t, [b, c_, d]) {
             EdgeOutcome::Cycle(s) => assert_eq!(s, BTreeSet::from([t, a, b, c_])),
             other => panic!("expected cycle, got {other:?}"),
         }

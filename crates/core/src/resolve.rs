@@ -4,7 +4,6 @@
 
 use crate::cdg::EdgeOutcome;
 use crate::guard::Guard;
-use crate::history::Fate;
 use crate::ids::{ForkIndex, GuessId, Incarnation, StateIndex};
 use crate::process::{
     GuessResolution, OwnGuessState, ProcessCore, ResolutionCause, ThreadMeta, ThreadPhase,
@@ -107,9 +106,7 @@ impl ProcessCore {
         }
         // Unknown: some other guard g_m is in our past. Record the edges
         // locally and broadcast PRECEDENCE (§3.2).
-        if let EdgeOutcome::Cycle(members) =
-            self.cdg.add_edges_into(guess, left_guard.iter(), false)
-        {
+        if let EdgeOutcome::Cycle(members) = self.cdg.add_guard_into(guess, &left_guard, false) {
             let effects = self.abort_cycle(members);
             return JoinDecision::Abort { effects };
         }
@@ -163,28 +160,23 @@ impl ProcessCore {
     /// of `guard` precedes `g`. Edges are added "if either g or x_n is a
     /// node of the CDG"; cycles are time faults.
     ///
-    /// The guard is ingested in one pass. What the history already has
-    /// committed is left out — a late PRECEDENCE (it raced the COMMITs of
-    /// its members, or of `g` itself) constrains nothing any more, and
-    /// re-inserting a committed guess would leave a node no COMMIT will
-    /// ever remove. So a CDG node is never a committed guess.
+    /// The guard is ingested run by run (`Cdg::add_guard_into`: only what
+    /// earlier subjects' records do not imply is linked). What the history
+    /// already has committed is left out — a late PRECEDENCE (it raced the
+    /// COMMITs of its members, or of `g` itself) constrains nothing any
+    /// more, and re-inserting a committed guess would leave a node no
+    /// COMMIT will ever remove. So a CDG node is never a committed guess.
     pub fn on_precedence(&mut self, g: GuessId, guard: &Guard) -> AbortEffects {
         self.history.record_unknown(g);
         if self.history.is_committed(g) {
             return AbortEffects::default();
         }
         let mut cycle_members: BTreeSet<GuessId> = BTreeSet::new();
-        if guard.contains(g) {
+        let mut preceding = self.history.uncommitted(guard);
+        if preceding.remove(g) {
             cycle_members.insert(g);
         }
-        let uncommitted = self
-            .history
-            .fates_of(guard)
-            .filter(|(_, f)| *f != Fate::Committed);
-        let preceding = uncommitted
-            .flat_map(|(run, _)| run.iter())
-            .filter(|&h| h != g);
-        if let EdgeOutcome::Cycle(c) = self.cdg.add_edges_into(g, preceding, true) {
+        if let EdgeOutcome::Cycle(c) = self.cdg.add_guard_into(g, &preceding, true) {
             cycle_members.extend(c);
         }
         if cycle_members.is_empty() {
@@ -454,9 +446,7 @@ impl ProcessCore {
         }
 
         // 6. Clean up doomed guesses from CDG and thread metadata.
-        for d in &doomed {
-            self.cdg.remove(*d);
-        }
+        self.cdg.remove_aborted(&doomed);
         for tid in &effects.discard_threads {
             self.threads.remove(tid);
         }

@@ -3,11 +3,13 @@
 //! proportional to what is still *unresolved or went wrong*, not to the
 //! number of calls made. The shape is `core/stream_client/512`
 //! and `core/stream_server/512` (`protocol_micro`), 2 000 calls deep, with
-//! both cores driven through the public calls an engine makes.
+//! both cores driven through the public calls an engine makes — and, for
+//! the commit dependency graph, four client pipelines interleaved at one
+//! replica (the shape of `kv`), whose CDG must stay linear in its nodes.
 
 use opcsp_core::{
     ArrivalVerdict, CallId, CoreConfig, DataKind, Envelope, ForkIndex, Guard, GuessId,
-    JoinDecision, MsgId, ProcessCore, ProcessId, Value,
+    JoinDecision, MsgId, ProcessCore, ProcessId, Run, Value,
 };
 
 const CLIENT: ProcessId = ProcessId(0);
@@ -178,4 +180,59 @@ fn a_faulty_stream_leaves_records_in_proportion_to_its_faults() {
             "{entries} records for {faults} faults"
         );
     }
+}
+
+#[test]
+fn interleaved_pipelines_keep_the_cdg_linear_in_its_nodes() {
+    // Four clients send ops in rounds; a replica consumes each op tagged with
+    // everything uncommitted it has seen — every client's stretch of
+    // guesses forked so far — and then hears the op's PRECEDENCE. COMMITs
+    // land `LAG` rounds behind, so ≈ 4·LAG guesses are live at a time and
+    // every guard holds four runs of ≈ LAG members.
+    const CLIENTS: u32 = 4;
+    const LAG: u32 = 24;
+    let client = |c: u32, n: u32| GuessId::first(ProcessId(c), n);
+    let mut replica = ProcessCore::new(ProcessId(CLIENTS), CoreConfig::default());
+    let mut latest = [0u32; CLIENTS as usize];
+    let mut committed = [0u32; CLIENTS as usize];
+    let mut peak = 0;
+    for step in 0..2000u32 {
+        let (c, n) = (step % CLIENTS, step / CLIENTS + 1);
+        let stretches = (0..CLIENTS).filter(|&p| latest[p as usize] > committed[p as usize]);
+        let runs = stretches.map(|p| {
+            let (lo, hi) = (committed[p as usize] + 1, latest[p as usize]);
+            Run::new(ProcessId(p), client(p, lo).incarnation, lo, hi)
+        });
+        let guard = Guard::from_iter(runs.flat_map(Run::iter));
+        let mut tag = guard.clone();
+        tag.insert(client(c, n));
+        replica.deliver(
+            0,
+            &envelope(ProcessId(c), ProcessId(CLIENTS), tag, DataKind::Send),
+        );
+        assert!(replica.on_precedence(client(c, n), &guard).is_empty());
+        latest[c as usize] = n;
+        if n > LAG {
+            assert!(replica
+                .on_commit(client(c, n - LAG))
+                .own_committed
+                .is_empty());
+            committed[c as usize] = n - LAG;
+        }
+        let (nodes, edges) = (replica.cdg.node_count(), replica.cdg.edge_count());
+        assert!(
+            edges <= 8 * nodes,
+            "PRECEDENCE {step}: {edges} edges over {nodes} nodes"
+        );
+        peak = peak.max(edges);
+    }
+    // One edge per member would hold ≈ 4·LAG per live node.
+    assert!(peak <= 8 * (CLIENTS * LAG) as usize, "peak {peak} edges");
+    for c in 0..CLIENTS {
+        for n in committed[c as usize] + 1..=latest[c as usize] {
+            replica.on_commit(client(c, n));
+        }
+    }
+    assert_eq!((replica.cdg.node_count(), replica.cdg.edge_count()), (0, 0));
+    assert!(replica.is_committed(0));
 }

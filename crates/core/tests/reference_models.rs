@@ -6,7 +6,10 @@
 //!   `BTreeMap<_, BTreeSet<_>>` graph that used to live in `src/cdg.rs`,
 //!   kept here as the model: identical [`EdgeOutcome`]s (cycle member sets
 //!   included) and identical query results after every step, and a bulk
-//!   `add_edges_into` equal to the model's one-by-one insertion.
+//!   `add_edges_into` equal to the model's one-by-one insertion; and
+//!   `add_guard_into`, which links only what earlier subjects' records do
+//!   not imply, against the model linking every admitted member: the same
+//!   outcomes, commits, dooms and transitive closures.
 //! - `Guard` against `BTreeSet<GuessId>`: runs of consecutive guesses must
 //!   be indistinguishable from the member set they spell — through every
 //!   mutation (adjacent inserts merge, middle removals split), the set
@@ -228,9 +231,10 @@ fn envelope(guard: Guard) -> Envelope {
 
 proptest! {
     /// The indexed CDG is observationally identical to the naive one under
-    /// random single-edge insertions, bulk guard ingests (with and without
-    /// the §4.2.8 admission rule), node insertions and removals — whether
-    /// or not the caller erases reported cycles, as the protocol does.
+    /// random single-edge insertions, bulk ingests, node insertions and
+    /// removals — whether or not the caller erases reported cycles, as the
+    /// protocol does. (The §4.2.8 admission rule is `add_guard_into`'s,
+    /// checked against the model below.)
     #[test]
     fn cdg_matches_naive_model(
         ops in proptest::collection::vec(
@@ -249,10 +253,9 @@ proptest! {
                     f
                 }
                 3 | 4 => {
-                    let known = op == 4;
-                    let f = fast.add_edges_into(b, members.iter().copied(), known);
-                    let n = naive.add_edges_into(b, &members, known);
-                    prop_assert_eq!(&f, &n, "ingest {:?} → {} (known: {})", members, b, known);
+                    let f = fast.add_edges_into(b, members.iter().copied());
+                    let n = naive.add_edges_into(b, &members, false);
+                    prop_assert_eq!(&f, &n, "ingest {:?} → {}", members, b);
                     f
                 }
                 5 => {
@@ -287,6 +290,205 @@ proptest! {
                 prop_assert_eq!(fast.has_edge(x, b), naive.has_edge(x, b));
                 prop_assert_eq!(fast.has_edge(a, x), naive.has_edge(a, x));
             }
+        }
+    }
+}
+
+/// One resolution-path event, as a process core hands it to its CDG.
+#[derive(Debug, Clone)]
+enum CdgStep {
+    /// `PRECEDENCE(subject, guard)`, under §4.2.8's admission rule.
+    Precedence(GuessId, BTreeSet<GuessId>),
+    /// A join's own guard: every member admitted.
+    Join(GuessId, BTreeSet<GuessId>),
+    /// A delivery makes a guess known without an edge.
+    Known(GuessId),
+    /// COMMIT: the guess and all its predecessors leave the graph.
+    Commit(GuessId),
+    /// ABORT: the guess and all its successors leave the graph, with
+    /// further nodes (picked by position) that a thread's guard dooms
+    /// without their successors.
+    Abort(GuessId, Vec<usize>),
+}
+
+/// Guesses of up to five processes, two incarnations and 12 fork indexes:
+/// subjects come back as members of later guards.
+fn arb_cdg_guess() -> impl Strategy<Value = GuessId> {
+    (0u32..5, 0u32..2, 0u32..12).prop_map(|(p, i, n)| gid(p, i, n))
+}
+
+/// Interleaved pipeline stretches: up to four runs `x_{p,i,lo..=lo+len}`
+/// from any of the processes, and a stray member or two.
+fn arb_pipeline_guard() -> impl Strategy<Value = BTreeSet<GuessId>> {
+    let runs = proptest::collection::vec((0u32..5, 0u32..2, 0u32..10, 0u32..6), 0..5);
+    let strays = proptest::collection::btree_set(arb_cdg_guess(), 0..3);
+    (runs, strays).prop_map(|(runs, strays)| {
+        let members = runs
+            .into_iter()
+            .flat_map(|(p, i, lo, len)| (lo..=lo + len).map(move |n| gid(p, i, n)));
+        members.chain(strays).collect()
+    })
+}
+
+fn arb_cdg_step() -> impl Strategy<Value = CdgStep> {
+    let picks = proptest::collection::vec(0usize..64, 0..3);
+    (0u32..13, arb_cdg_guess(), arb_pipeline_guard(), picks).prop_map(
+        |(kind, g, members, picks)| match kind {
+            0..=5 => CdgStep::Precedence(g, members),
+            6 | 7 => CdgStep::Join(g, members),
+            8 | 9 => CdgStep::Known(g),
+            10 | 11 => CdgStep::Commit(g),
+            _ => CdgStep::Abort(g, picks),
+        },
+    )
+}
+
+/// Everything `g` reaches through `next` (`g` included).
+fn closure(g: GuessId, next: impl Fn(GuessId) -> Vec<GuessId>) -> BTreeSet<GuessId> {
+    let mut seen = BTreeSet::from([g]);
+    let mut stack = vec![g];
+    while let Some(n) = stack.pop() {
+        for m in next(n) {
+            if seen.insert(m) {
+                stack.push(m);
+            }
+        }
+    }
+    seen
+}
+
+/// The CDG under test beside [`NaiveCdg`] linking every admitted member,
+/// driven the way `ProcessCore` drives its graph: a committed guess is
+/// never named again, and every guess on a reported cycle aborts.
+#[derive(Default)]
+struct IngestPair {
+    fast: Cdg,
+    naive: NaiveCdg,
+    committed: BTreeSet<GuessId>,
+}
+
+impl IngestPair {
+    fn step(&mut self, step: CdgStep) {
+        match step {
+            CdgStep::Precedence(to, members) => self.ingest(to, members, true),
+            CdgStep::Join(to, members) => self.ingest(to, members, false),
+            CdgStep::Known(g) if !self.committed.contains(&g) => {
+                self.fast.add_node(g);
+                self.naive.add_node(g);
+            }
+            CdgStep::Commit(g) if !self.committed.contains(&g) => {
+                let fast = closure(g, |n| self.fast.predecessors(n));
+                let naive = closure(g, |n| self.naive.predecessors(n));
+                prop_assert_eq!(&fast, &naive, "committed with {}", g);
+                for c in fast {
+                    self.fast.remove(c);
+                    self.naive.remove(c);
+                    self.committed.insert(c);
+                }
+            }
+            CdgStep::Abort(g, picks) if !self.committed.contains(&g) => {
+                let nodes = Vec::from_iter(self.naive.nodes.iter().copied());
+                let extra = picks
+                    .iter()
+                    .filter_map(|i| nodes.get(i % nodes.len().max(1)));
+                self.abort(BTreeSet::from([g]), extra.copied().collect());
+            }
+            _ => {}
+        }
+        self.compare()
+    }
+
+    /// Ingest one guard into both graphs, the committed members left out
+    /// and the subject's own membership (a self-cycle the caller reports)
+    /// taken out, as `on_precedence` does.
+    fn ingest(&mut self, to: GuessId, mut members: BTreeSet<GuessId>, known: bool) {
+        if self.committed.contains(&to) {
+            return;
+        }
+        members.retain(|m| *m != to && !self.committed.contains(m));
+        let guard = Guard::from_iter(members.iter().copied());
+        let fast = self.fast.add_guard_into(to, &guard, known);
+        let naive = self.naive.add_edges_into(to, &members, known);
+        prop_assert_eq!(
+            &fast,
+            &naive,
+            "PRECEDENCE({}, {}) known: {}",
+            to,
+            guard,
+            known
+        );
+        if let EdgeOutcome::Cycle(on_cycle) = fast {
+            self.abort(on_cycle, BTreeSet::new());
+            prop_assert!(self.fast.is_acyclic());
+        }
+    }
+
+    /// Doom `roots` and their successors (equal in both graphs), plus
+    /// `extra` without theirs, and remove the lot.
+    fn abort(&mut self, roots: BTreeSet<GuessId>, extra: BTreeSet<GuessId>) {
+        let mut doomed = BTreeSet::new();
+        for &r in &roots {
+            let fast = closure(r, |n| self.fast.successors(n));
+            let naive = closure(r, |n| self.naive.successors(n));
+            prop_assert_eq!(&fast, &naive, "doomed by {}", r);
+            doomed.extend(fast);
+        }
+        doomed.extend(extra);
+        self.fast.remove_aborted(&doomed);
+        for d in &doomed {
+            self.naive.remove(*d);
+        }
+    }
+
+    /// The same nodes, and every node reaches and is reached by the same
+    /// guesses; the records never cost an edge.
+    fn compare(&self) {
+        let nodes = Vec::from_iter(self.fast.nodes());
+        prop_assert_eq!(&nodes, &Vec::from_iter(self.naive.nodes.iter().copied()));
+        for &n in &nodes {
+            prop_assert_eq!(
+                closure(n, |m| self.fast.successors(m)),
+                closure(n, |m| self.naive.successors(m)),
+                "successors of {}",
+                n
+            );
+            prop_assert_eq!(
+                closure(n, |m| self.fast.predecessors(m)),
+                closure(n, |m| self.naive.predecessors(m)),
+                "predecessors of {}",
+                n
+            );
+            prop_assert_eq!(self.fast.is_root(n), self.naive.is_root(n));
+        }
+        prop_assert!(self.fast.edge_count() <= self.naive.edge_count());
+    }
+}
+
+proptest! {
+    /// `Cdg::add_guard_into` — each ingest links only what the records of
+    /// earlier subjects do not imply — against the naive graph linking
+    /// every admitted member, over random PRECEDENCE / join / COMMIT /
+    /// ABORT sequences on 3–5 processes: the same `EdgeOutcome` for every
+    /// ingest, the same committed and doomed sets for every resolution,
+    /// and the same transitive successors and predecessors for every node
+    /// after every step.
+    #[test]
+    fn guard_ingest_matches_linking_every_member(
+        procs in 3u32..=5,
+        steps in proptest::collection::vec(arb_cdg_step(), 1..80),
+    ) {
+        let fold = |g: GuessId| gid(g.process.0 % procs, g.incarnation.0, g.index);
+        let fold_set = |s: BTreeSet<GuessId>| s.into_iter().map(fold).collect();
+        let mut pair = IngestPair::default();
+        for step in steps {
+            let step = match step {
+                CdgStep::Precedence(g, m) => CdgStep::Precedence(fold(g), fold_set(m)),
+                CdgStep::Join(g, m) => CdgStep::Join(fold(g), fold_set(m)),
+                CdgStep::Known(g) => CdgStep::Known(fold(g)),
+                CdgStep::Commit(g) => CdgStep::Commit(fold(g)),
+                CdgStep::Abort(g, picks) => CdgStep::Abort(fold(g), picks),
+            };
+            pair.step(step);
         }
     }
 }
