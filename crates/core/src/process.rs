@@ -209,9 +209,6 @@ pub struct OwnGuess {
     pub forked_at: StateIndex,
     /// Program location of the fork, for the §3.3 speculation policy.
     pub site: u32,
-    /// Value of the process's protocol-event clock at fork time; the
-    /// controller's fork→resolve latency is measured against it.
-    pub forked_tick: u64,
     pub state: OwnGuessState,
 }
 
@@ -272,12 +269,8 @@ pub struct ProcessCore {
     /// and discards are done.
     pub(crate) holders: BTreeSet<ForkIndex>,
     /// Per-fork-site speculation controllers (§3.3 policy state: retry
-    /// counts, success/latency EWMAs, effective budgets, decision log).
+    /// counts, success EWMA, effective budgets, decision log).
     speculation: SpeculationState,
-    /// Monotone protocol-event counter (forks, deliveries, resolutions):
-    /// the clock the controller's fork→resolve latency EWMA is measured
-    /// in. Engine-agnostic — no wall or virtual time reaches the core.
-    spec_clock: u64,
     /// Resolution provenance for this process's own guesses, in resolution
     /// order: why each guess committed or aborted (§4.2.4–4.2.8 paths).
     /// Forensics reads this to name the guess (and fault class) behind a
@@ -331,7 +324,6 @@ impl ProcessCore {
             pending_own: 0,
             holders: BTreeSet::new(),
             speculation: SpeculationState::default(),
-            spec_clock: 0,
             resolutions: Vec::new(),
         }
     }
@@ -399,20 +391,11 @@ impl ProcessCore {
     }
 
     /// Feed an own-guess resolution into the site's controller: retry
-    /// bookkeeping (commit resets, root abort increments), success and
-    /// latency EWMAs, budget shifts.
-    pub(crate) fn spec_resolved(
-        &mut self,
-        site: u32,
-        forked_tick: u64,
-        committed: bool,
-        is_root: bool,
-    ) {
-        self.spec_clock += 1;
-        let latency = self.spec_clock.saturating_sub(forked_tick);
+    /// bookkeeping (commit resets, root abort increments), the success
+    /// EWMA, budget shifts.
+    pub(crate) fn spec_resolved(&mut self, site: u32, committed: bool, is_root: bool) {
         let policy = self.config.speculation;
-        self.speculation
-            .resolved(&policy, site, committed, latency, is_root);
+        self.speculation.resolved(&policy, site, committed, is_root);
     }
 
     /// Controller state for one fork site (None if it never forked).
@@ -465,8 +448,6 @@ impl ProcessCore {
     /// Perform a fork (§4.2.1): thread `creating` splits; the new right
     /// thread is guarded by a fresh guess.
     pub fn fork(&mut self, creating: ForkIndex, site: u32) -> ForkRecord {
-        self.spec_clock += 1;
-        let forked_tick = self.spec_clock;
         let policy = self.config.speculation;
         self.speculation.note_fork(&policy, site);
         self.max_thread += 1;
@@ -505,7 +486,6 @@ impl ProcessCore {
                 right_thread: n,
                 forked_at,
                 site,
-                forked_tick,
                 state: OwnGuessState::Pending,
             },
         );
@@ -629,7 +609,6 @@ impl ProcessCore {
     /// The engine must checkpoint the thread's behavior state *before*
     /// applying the message whenever `new_interval` is returned.
     pub fn deliver(&mut self, thread: ForkIndex, env: &Envelope) -> DeliveryEffect {
-        self.spec_clock += 1;
         self.settle(thread);
         let history = &self.history;
         let meta = self.threads.get_mut(&thread).expect("thread exists");
@@ -988,9 +967,9 @@ mod tests {
     fn retry_limit_gates_optimism() {
         let mut core = ProcessCore::new(ProcessId(0), CoreConfig::static_limit(2));
         assert!(core.can_fork(7));
-        core.spec_resolved(7, 0, false, true);
+        core.spec_resolved(7, false, true);
         assert!(core.can_fork(7));
-        core.spec_resolved(7, 0, false, true);
+        core.spec_resolved(7, false, true);
         assert!(!core.can_fork(7));
         assert!(core.can_fork(8));
         assert_eq!(core.retries_at(7), 2);

@@ -209,12 +209,11 @@ impl ProcessCore {
         if let Some(o) = self.own.get(&g) {
             let left = o.left_thread;
             let site = o.site;
-            let forked_tick = o.forked_tick;
             self.set_own_state(g, Some(OwnGuessState::Committed));
             if let Some(t) = self.threads.get_mut(&left) {
                 t.phase = ThreadPhase::Done;
             }
-            self.spec_resolved(site, forked_tick, true, true);
+            self.spec_resolved(site, true, true);
             self.resolutions.push(GuessResolution {
                 guess: g,
                 committed: true,
@@ -392,7 +391,7 @@ impl ProcessCore {
                 // Root aborts count as a retry and a failed success
                 // sample; cascade victims only release their in-flight
                 // slot (they were dependent, not wrong).
-                self.spec_resolved(o.site, o.forked_tick, false, o.id == root);
+                self.spec_resolved(o.site, false, o.id == root);
                 min_aborted_index =
                     Some(min_aborted_index.map_or(o.id.index, |m| m.min(o.id.index)));
                 // The right thread dies with the guess (its guard contains

@@ -159,13 +159,10 @@ pub struct SiteController {
     /// EWMA of resolution outcomes (commit = 1.0, root abort = 0.0;
     /// cascade victims are not sampled — they were dependent, not wrong).
     pub success_ewma: f64,
-    /// EWMA of fork→resolve latency in protocol-event ticks.
-    pub latency_ewma: f64,
     /// Effective in-flight budget (`Adaptive` gates on this).
     pub limit: u32,
     /// Remaining denied attempts before this collapsed site probes again.
     pub cooloff: u32,
-    resolved_samples: u64,
 }
 
 impl SiteController {
@@ -179,10 +176,8 @@ impl SiteController {
             retries: 0,
             in_flight: 0,
             success_ewma: 1.0,
-            latency_ewma: 0.0,
             limit,
             cooloff: 0,
-            resolved_samples: 0,
         }
     }
 }
@@ -243,26 +238,19 @@ impl SpeculationState {
 
     /// Feed one own-guess resolution into the controller. `is_root` is
     /// false for cascade victims (`DependencyAbort`): they decrement the
-    /// in-flight count and update latency but are not a success sample and
-    /// do not count as a retry.
+    /// in-flight count but are not a success sample and do not count as a
+    /// retry.
     pub fn resolved(
         &mut self,
         policy: &SpeculationPolicy,
         site: u32,
         committed: bool,
-        latency: u64,
         is_root: bool,
     ) {
-        // Observability EWMAs run under every policy (Static sites show up
-        // in telemetry too); only Adaptive acts on them.
+        // The success EWMA runs under every policy (Static sites show up
+        // in telemetry too); only Adaptive acts on it.
         let c = self.site_mut(policy, site);
         c.in_flight = c.in_flight.saturating_sub(1);
-        c.latency_ewma = if c.resolved_samples == 0 {
-            latency as f64
-        } else {
-            EWMA_ALPHA * latency as f64 + (1.0 - EWMA_ALPHA) * c.latency_ewma
-        };
-        c.resolved_samples += 1;
         if committed || is_root {
             let sample = if committed { 1.0 } else { 0.0 };
             c.success_ewma = EWMA_ALPHA * sample + (1.0 - EWMA_ALPHA) * c.success_ewma;
@@ -337,12 +325,12 @@ mod tests {
     /// Drive one root abort through fork+resolve.
     fn abort_once(s: &mut SpeculationState, p: &SpeculationPolicy, site: u32) {
         s.note_fork(p, site);
-        s.resolved(p, site, false, 3, true);
+        s.resolved(p, site, false, true);
     }
 
     fn commit_once(s: &mut SpeculationState, p: &SpeculationPolicy, site: u32) {
         s.note_fork(p, site);
-        s.resolved(p, site, true, 3, true);
+        s.resolved(p, site, true, true);
     }
 
     #[test]
@@ -476,7 +464,7 @@ mod tests {
         s.note_fork(&p, 1);
         let before = s.site(1).unwrap().success_ewma;
         // A cascade victim resolves: in-flight drops, EWMA untouched.
-        s.resolved(&p, 1, false, 3, false);
+        s.resolved(&p, 1, false, false);
         let c = s.site(1).unwrap();
         assert_eq!(c.in_flight, 1);
         assert_eq!(c.success_ewma, before);

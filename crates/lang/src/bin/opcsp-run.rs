@@ -43,9 +43,8 @@
 //!   --workers <N>        (with --rt) host the processes on the sharded
 //!                        M:N executor with N worker threads instead of
 //!                        thread-per-process (DESIGN.md §11); with
-//!                        --compare both runs use the same executor, and
-//!                        with --listen every worker process runs its
-//!                        own pool of N threads
+//!                        --listen every worker process runs its own
+//!                        pool of N threads
 //!   --chaos <spec>       (with --rt) inject network faults under the
 //!                        reliable-delivery sublayer, e.g.
 //!                        drop=0.2,dup=0.1,reorder=3,seed=7,part=0-1@0+80
@@ -56,9 +55,9 @@
 //!                        (DESIGN.md §13). Each worker hosts a contiguous
 //!                        pid range under the same executor an in-process
 //!                        run would use (--workers); frames cross as
-//!                        binary Envelope frames. --compare diffs the
-//!                        socket run against an in-process fault-free
-//!                        baseline.
+//!                        binary Envelope frames. --compare replays the
+//!                        socket run's committed schedule on the
+//!                        pessimistic simulator.
 //!   --connect <addr>     (with --rt) worker mode: connect to a parent at
 //!                        <addr> and host this worker's pid share. Spawned
 //!                        internally by --listen; needs --sock-worker <i>.
@@ -88,9 +87,10 @@
 //! A spec is bounded (counts ≥ 1, at most 100 000 processes, calls within
 //! a `u32`); engine knobs come from the flags (`--seed` also seeds `kv`'s
 //! commands and `tally`'s faults); `--rt`, `--workers`, `--chaos` and
-//! `--listen` apply; and every run is held to the spec's own oracle against
-//! its pessimistic twin, so `--compare`, `--explore`, `--show-transform`
-//! and `--inject-*` do not. E.g. `opcsp-run kv: --jitter 40`, `opcsp-run
+//! `--listen` apply; and every run, on either engine, is held to the spec's
+//! own oracle (`Spec::check`: the run's committed schedule replayed on the
+//! pessimistic simulator, plus the world's own checks), so `--compare`,
+//! `--explore`, `--show-transform` and `--inject-*` do not. E.g. `opcsp-run kv: --jitter 40`, `opcsp-run
 //! pairs:pairs=64 --rt --workers 2`, `opcsp-run kv: --rt --listen
 //! uds:/tmp/kv.sock`.
 //!
@@ -101,9 +101,12 @@
 //! execution can produce — is a divergence; cross-sender merge order at a
 //! fan-in is legal CSP nondeterminism.
 //!
-//! `--rt --compare` is the chaos differential: the chaotic run's
-//! committed logs must equal a fault-free run's — the reliable sublayer
-//! must absorb every drop/duplicate/reorder before the protocol sees it.
+//! `--rt --compare` is the same check with the rt run — chaotic, sharded
+//! or across a socket — as the optimistic side: the reference and the
+//! replay run on the simulator, so the reliable sublayer must absorb every
+//! drop/duplicate/reorder before the protocol sees it, or the replay
+//! fails. Every process's committed log and its released externals, in
+//! release order, are compared. No second rt run is made.
 //!
 //! Exit code 1 on parse/transform errors (or an `--rt` run that times
 //! out or panics), 2 if `--compare` finds a Theorem-1 divergence or a
@@ -111,11 +114,11 @@
 
 use opcsp_core::{CoreConfig, ProcessId, SpeculationPolicy};
 use opcsp_lang::{parse_program, program_to_string, System};
-use opcsp_rt::{compare_logs, LogDiff, NetFaults, RtConfig, RtTransport, RtWorld};
+use opcsp_rt::{NetFaults, RtConfig, RtTransport, RtWorld};
 use opcsp_sim::{
     check_theorem1, explore, first_divergence, happens_before_chain, render_report,
-    render_schedule, shrink_schedule, DivergenceReport, ExploreOpts, FaultInjection, LatencyModel,
-    SimConfig, SimResult, Theorem1Verdict,
+    render_schedule, shrink_schedule, DivergenceReport, EquivReport, ExploreOpts, FaultInjection,
+    LatencyModel, SimConfig, SimResult, Theorem1Verdict,
 };
 use opcsp_workloads::catalog::{self, place, Roster, Spec, WORLDS};
 use std::collections::BTreeMap;
@@ -164,7 +167,7 @@ impl Options {
     }
 }
 
-fn parse_args() -> Result<Options, String> {
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Options, String> {
     let mut opts = Options {
         file: String::new(),
         pessimistic: false,
@@ -191,7 +194,7 @@ fn parse_args() -> Result<Options, String> {
         sock_worker: None,
         sock_workers: 2,
     };
-    let mut args = std::env::args().skip(1);
+    let mut args = args.into_iter();
     while let Some(a) = args.next() {
         let mut num = |name: &str| -> Result<u64, String> {
             args.next()
@@ -296,8 +299,8 @@ fn parse_args() -> Result<Options, String> {
     if opts.explore && opts.rt {
         return Err(
             "--explore runs bounded schedule exploration in the simulator; \
-             it cannot steer real threads. Drop --rt (the rt differential \
-             is --rt --compare)"
+             it cannot steer real threads. Drop --rt (an rt run is \
+             Theorem-1-checked with --rt --compare)"
                 .into(),
         );
     }
@@ -321,9 +324,9 @@ fn parse_args() -> Result<Options, String> {
     }
     if opts.forensics && opts.rt {
         return Err(
-            "--forensics reports on a simulator Theorem-1 divergence; the \
-             rt chaos differential has no forensics pipeline. Drop --rt \
-             and use --compare or --explore"
+            "--forensics mines the simulator's commit provenance, which \
+             an rt run does not record. Drop --rt and use --compare or \
+             --explore"
                 .into(),
         );
     }
@@ -542,37 +545,11 @@ fn parse_faults(opts: &Options) -> Result<NetFaults, String> {
     }
 }
 
-/// The one rt-config assembly point shared by the `.csp` path and the
-/// catalogue worlds — both must derive the runtime from the same flags.
-/// `pessimistic` as in [`Options::core_config`].
-fn rt_config(
-    opts: &Options,
-    pessimistic: bool,
-    faults: NetFaults,
-    transport: RtTransport,
-) -> RtConfig {
-    use std::time::Duration;
-    RtConfig {
-        core: opts.core_config(pessimistic),
-        // Simulator ticks become milliseconds on real threads; a fork
-        // timeout in simulated ticks would dwarf any real run, so cap it.
-        latency: Duration::from_millis(opts.latency),
-        fork_timeout: Duration::from_millis(opts.timeout).min(Duration::from_secs(10)),
-        run_timeout: Duration::from_secs(30),
-        faults,
-        telemetry: opts.trace_out.is_some(),
-        transport,
-        executor: match opts.workers {
-            Some(workers) => opcsp_rt::Executor::Sharded { workers },
-            None => opcsp_rt::RtConfig::default().executor,
-        },
-    }
-}
-
-/// The one rt launch, for every world and transport. With `--connect`
-/// this process is a socket worker: it hosts its pid share, stays quiet
-/// (the parent owns the merged result and all reporting) and the `Err` is
-/// its exit code, by its own success only. Otherwise the world runs here
+/// The one rt launch, for every world and transport: the `.csp` path and
+/// the catalogue worlds derive the runtime from the same flags here. With
+/// `--connect` this process is a socket worker: it hosts its pid share,
+/// stays quiet (the parent owns the merged result and all reporting) and
+/// the `Err` is its exit code, by its own success only. Otherwise the world runs here
 /// — in-process, or with `--listen` as the hub of `--sock-workers` copies
 /// of this binary — and the result comes back with whether every worker
 /// process exited cleanly. The verdict on it is the caller's.
@@ -592,7 +569,22 @@ fn launch_rt(
         Ok(RtTransport::Socket { addr, role })
     };
     let run = |transport| {
-        let cfg = rt_config(opts, opts.pessimistic, faults.clone(), transport);
+        use std::time::Duration;
+        let cfg = RtConfig {
+            core: opts.core_config(opts.pessimistic),
+            // Simulator ticks become milliseconds on real threads; a fork
+            // timeout in simulated ticks would dwarf any real run, so cap it.
+            latency: Duration::from_millis(opts.latency),
+            fork_timeout: Duration::from_millis(opts.timeout).min(Duration::from_secs(10)),
+            run_timeout: Duration::from_secs(30),
+            faults: faults.clone(),
+            telemetry: opts.trace_out.is_some(),
+            transport,
+            executor: match opts.workers {
+                Some(workers) => opcsp_rt::Executor::Sharded { workers },
+                None => RtConfig::default().executor,
+            },
+        };
         place(roster, RtWorld::new(cfg)).run()
     };
 
@@ -637,14 +629,6 @@ fn launch_rt(
     Ok((r, workers_ok))
 }
 
-/// An in-process, fault-free rt run of `roster` under the same executor:
-/// the baseline of `--rt --compare` and a catalogue world's pessimistic
-/// twin.
-fn rt_baseline(opts: &Options, roster: &Roster, pessimistic: bool) -> opcsp_rt::RtResult {
-    let cfg = rt_config(opts, pessimistic, NetFaults::none(), RtTransport::InProc);
-    place(roster, RtWorld::new(cfg)).run()
-}
-
 fn rt_label(opts: &Options) -> &'static str {
     if opts.pessimistic {
         "rt pessimistic"
@@ -653,62 +637,81 @@ fn rt_label(opts: &Options) -> &'static str {
     }
 }
 
-/// Run on the real-thread runtime; with `--compare`, check the chaos
-/// differential: the chaotic run's committed logs must equal a fault-free
-/// run's. With `--listen`/`--connect` the run crosses process boundaries
-/// over a real socket (DESIGN.md §13); the `--compare` baseline is then
-/// an in-process fault-free run of the same world.
+/// Run on the real-thread runtime — in-process, chaotic, or with
+/// `--listen`/`--connect` across process boundaries over a real socket
+/// (DESIGN.md §13). With `--compare` the run is held to Theorem 1 the way
+/// a simulator run is: its committed schedule is replayed on the
+/// pessimistic simulator ([`check_theorem1`]).
 fn run_rt(sys: &System, opts: &Options) -> ExitCode {
     let names: BTreeMap<ProcessId, String> =
         sys.bindings.iter().map(|(n, p)| (*p, n.clone())).collect();
-    let roster = sys.roster();
-    let (chaotic, workers_ok) = match launch_rt(opts, &names, &roster) {
+    let (r, workers_ok) = match launch_rt(opts, &names, &sys.roster()) {
         Ok(ran) => ran,
         Err(code) => return code,
     };
-    let failed = chaotic.timed_out || !chaotic.panicked.is_empty() || !workers_ok;
-    let code = if failed {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    };
-    if !opts.compare {
-        summarize_rt(rt_label(opts), &names, &chaotic);
-        return code;
+    summarize_rt(rt_label(opts), &names, &r);
+    if r.timed_out || !r.panicked.is_empty() || !workers_ok {
+        return ExitCode::FAILURE;
     }
-    let baseline = rt_baseline(opts, &roster, opts.pessimistic);
-    // In multi-process mode the baseline is both fault-free *and*
-    // in-process, so the differential checks the socket transport and the
-    // chaos absorption in one diff.
-    let (base_label, subject_label, diff_label) = if opts.listen.is_some() {
-        ("in-process", "socket    ", "socket differential")
-    } else {
-        ("fault-free", "chaotic   ", "chaos differential")
-    };
-    summarize_rt(base_label, &names, &baseline);
-    summarize_rt(subject_label, &names, &chaotic);
-    match compare_logs(
-        &baseline.logs,
-        &baseline.external,
-        &chaotic.logs,
-        &chaotic.external,
-    ) {
-        LogDiff::Identical => println!("{diff_label}: committed logs identical ✓"),
-        LogDiff::MergeOnly => println!(
-            "{diff_label}: holds modulo legal fan-in merge order ✓ \
-             (per-link FIFO projections identical; cross-sender \
-             interleaving differs, which is legal CSP nondeterminism)"
-        ),
-        LogDiff::Diverged(what) => {
-            eprintln!("DIVERGENCE under chaos: {what}");
-            eprintln!(
-                "the reliable-delivery sublayer failed to absorb the injected faults \
-                 (engine bug!)"
+    if !opts.compare {
+        return ExitCode::SUCCESS;
+    }
+    check_rt(sys, opts, &names, &r)
+}
+
+/// `--rt --compare`: Theorem 1 on the rt run `r` ([`check_theorem1`]) —
+/// its committed logs and its released externals, per process.
+fn check_rt(
+    sys: &System,
+    opts: &Options,
+    names: &BTreeMap<ProcessId, String>,
+    r: &opcsp_rt::RtResult,
+) -> ExitCode {
+    let pess = sys.run(sim_config(opts, false));
+    let verdict = check_theorem1(&pess, r, |sched| {
+        sys.run(SimConfig {
+            forced_order: Some(sched),
+            ..sim_config(opts, false)
+        })
+    });
+    theorem1_exit(verdict, |replay, _| {
+        eprint!("{}", replay.render(names));
+    })
+}
+
+/// Print a Theorem-1 verdict and map it to the exit code; on a violation
+/// `detail` reports the replay's mismatches and the replay run itself.
+fn theorem1_exit(
+    verdict: Theorem1Verdict,
+    detail: impl FnOnce(&EquivReport, &SimResult),
+) -> ExitCode {
+    match verdict {
+        Theorem1Verdict::Identical => {
+            println!("Theorem 1: committed traces identical ✓");
+            ExitCode::SUCCESS
+        }
+        Theorem1Verdict::EquivalentModuloMergeOrder { strict } => {
+            println!(
+                "Theorem 1: holds modulo legal fan-in merge order ✓ \
+                 ({} positional difference(s) vs the same-seed reference; \
+                 the committed delivery schedule replays to identical logs)",
+                strict.mismatches.len()
             );
-            return ExitCode::from(2);
+            ExitCode::SUCCESS
+        }
+        Theorem1Verdict::Violation {
+            replay,
+            replay_result,
+            ..
+        } => {
+            eprintln!(
+                "Theorem 1 DIVERGENCE (engine bug!): no sequential execution \
+                 reproduces the optimistic committed logs"
+            );
+            detail(&replay, &replay_result);
+            ExitCode::from(2)
         }
     }
-    code
 }
 
 /// The simulator config from the flags: `optimism` off is the sequential
@@ -732,8 +735,8 @@ fn sim_config(opts: &Options, optimism: bool) -> SimConfig {
 }
 
 /// A catalogue world on either engine, held to the spec's own oracle
-/// (`catalog::Spec::check`) against its pessimistic twin on the same
-/// engine — with `--listen`, an in-process one.
+/// (`catalog::Spec::check`): on every engine, the run's committed schedule
+/// is replayed on the pessimistic simulator.
 fn run_spec(opts: &Options) -> ExitCode {
     if opts.compare
         || opts.explore
@@ -743,9 +746,8 @@ fn run_spec(opts: &Options) -> ExitCode {
     {
         eprintln!(
             "error: --compare/--explore/--show-transform/--inject-* drive the .csp \
-             pipeline; a builtin world is held to its own oracle against its \
-             pessimistic twin on every run (the engine differentials live in the \
-             test suites)"
+             pipeline; a builtin world is held to its own oracle (its committed \
+             schedule replayed on the pessimistic simulator) on every run"
         );
         return ExitCode::FAILURE;
     }
@@ -777,12 +779,8 @@ fn run_spec(opts: &Options) -> ExitCode {
         if r.timed_out || !r.panicked.is_empty() || !workers_ok {
             return ExitCode::FAILURE;
         }
-        let twin = rt_baseline(opts, &roster, true);
         let rate = spec.ops() as f64 / r.wall.as_secs_f64().max(1e-9);
-        (
-            spec.check(&r, &twin),
-            format!("[{rate:.0} committed ops/s wall]"),
-        )
+        (spec.check(&r), format!("[{rate:.0} committed ops/s wall]"))
     } else {
         let r = catalog::run(&spec, &sim_config(opts, !opts.pessimistic));
         if opts.timeline {
@@ -800,10 +798,9 @@ fn run_spec(opts: &Options) -> ExitCode {
         if let Some(path) = &opts.trace_out {
             write_trace(path, &r.telemetry.to_perfetto_json(&names));
         }
-        let twin = catalog::run(&spec, &sim_config(opts, false));
         let rate = spec.ops() as f64 / (r.completion.max(1) as f64 / 1000.0);
         (
-            spec.check(&r, &twin),
+            spec.check(&r),
             format!("[{rate:.1} committed ops per kilotick]"),
         )
     };
@@ -820,7 +817,7 @@ fn run_spec(opts: &Options) -> ExitCode {
 }
 
 fn main() -> ExitCode {
-    let opts = match parse_args() {
+    let opts = match parse_args(std::env::args().skip(1)) {
         Ok(o) => o,
         Err(e) => {
             if e != "help" {
@@ -974,71 +971,47 @@ fn main() -> ExitCode {
             c.forced_order = Some(sched);
             sys.run(c)
         });
-        match verdict {
-            Theorem1Verdict::Identical => {
-                println!("Theorem 1: committed traces identical ✓");
-                ExitCode::SUCCESS
-            }
-            Theorem1Verdict::EquivalentModuloMergeOrder { strict } => {
-                println!(
-                    "Theorem 1: holds modulo legal fan-in merge order ✓ \
-                     ({} positional difference(s) vs the same-seed reference; \
-                     the committed delivery schedule replays to identical logs)",
-                    strict.mismatches.len()
-                );
-                ExitCode::SUCCESS
-            }
-            Theorem1Verdict::Violation {
-                replay,
-                replay_result,
-                ..
-            } => {
-                eprintln!(
-                    "Theorem 1 DIVERGENCE (engine bug!): no sequential execution \
-                     reproduces the optimistic committed logs"
-                );
-                if opts.forensics {
-                    let first = first_divergence(&replay, &replay_result, &opt)
-                        .expect("non-equivalent report has a first mismatch");
-                    let chain = happens_before_chain(&opt, &first);
-                    let shrunk = if opts.jitter > 0 {
-                        shrink_schedule(&opt.latency_draws, opts.latency, |ov| {
-                            let scripted = LatencyModel::scripted(
-                                opts.latency,
-                                opts.jitter,
-                                opts.seed,
-                                Arc::new(ov.clone()),
-                            );
-                            let make_cfg = |optimism| SimConfig {
-                                latency: scripted.clone(),
-                                ..cfg(optimism)
-                            };
-                            let p2 = sys.run(make_cfg(false));
-                            let o2 = sys.run(make_cfg(true));
-                            !check_theorem1(&p2, &o2, |sched| {
-                                let mut c = make_cfg(false);
-                                c.forced_order = Some(sched);
-                                sys.run(c)
-                            })
-                            .holds()
+        theorem1_exit(verdict, |replay, replay_result| {
+            if opts.forensics {
+                let first = first_divergence(replay, replay_result, &opt)
+                    .expect("non-equivalent report has a first mismatch");
+                let chain = happens_before_chain(&opt, &first);
+                let shrunk = if opts.jitter > 0 {
+                    shrink_schedule(&opt.latency_draws, opts.latency, |ov| {
+                        let scripted = LatencyModel::scripted(
+                            opts.latency,
+                            opts.jitter,
+                            opts.seed,
+                            Arc::new(ov.clone()),
+                        );
+                        let make_cfg = |optimism| SimConfig {
+                            latency: scripted.clone(),
+                            ..cfg(optimism)
+                        };
+                        let p2 = sys.run(make_cfg(false));
+                        let o2 = sys.run(make_cfg(true));
+                        !check_theorem1(&p2, &o2, |sched| {
+                            let mut c = make_cfg(false);
+                            c.forced_order = Some(sched);
+                            sys.run(c)
                         })
-                    } else {
-                        None
-                    };
-                    let report = DivergenceReport {
-                        first,
-                        chain,
-                        shrunk,
-                        unused_overrides: opt.unused_overrides.clone(),
-                    };
-                    eprint!("{}", render_report(&report, &names));
+                        .holds()
+                    })
                 } else {
-                    eprint!("{}", replay.render(&names));
-                    eprintln!("(re-run with --forensics for a full report)");
-                }
-                ExitCode::from(2)
+                    None
+                };
+                let report = DivergenceReport {
+                    first,
+                    chain,
+                    shrunk,
+                    unused_overrides: opt.unused_overrides.clone(),
+                };
+                eprint!("{}", render_report(&report, &names));
+            } else {
+                eprint!("{}", replay.render(&names));
+                eprintln!("(re-run with --forensics for a full report)");
             }
-        }
+        })
     } else {
         let r = sys.run(cfg(!opts.pessimistic));
         if opts.timeline {
@@ -1056,5 +1029,27 @@ fn main() -> ExitCode {
             &r,
         );
         ExitCode::SUCCESS
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `--rt --compare` holds the rt run's released externals to Theorem 1
+    /// as well as its logs: an output released twice is a divergence.
+    #[test]
+    fn rt_compare_rejects_an_external_released_twice() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/csp/putline.csp");
+        let src = std::fs::read_to_string(path).unwrap();
+        let sys = System::compile(&parse_program(&src).unwrap()).unwrap();
+        let args = [path, "--rt", "--compare", "--latency", "2"];
+        let opts = parse_args(args.map(String::from)).unwrap();
+        let names = BTreeMap::new();
+        let (mut r, _) = launch_rt(&opts, &names, &sys.roster()).unwrap();
+        assert_eq!(check_rt(&sys, &opts, &names, &r), ExitCode::SUCCESS);
+        let last = r.external.last().cloned().expect("putline releases outputs");
+        r.external.push(last);
+        assert_eq!(check_rt(&sys, &opts, &names, &r), ExitCode::from(2));
     }
 }

@@ -1,8 +1,8 @@
 //! True multi-process socket runs of `opcsp-run --rt --listen` (DESIGN.md
 //! §13): the parent binds a Unix-domain (or TCP) socket, re-spawns itself
-//! as worker processes, and the committed logs must match an in-process
-//! fault-free baseline under `--compare` — with chaos injected on the
-//! socket path. This is the one test layer where frames genuinely cross
+//! as worker processes, and under `--compare` the merged committed logs
+//! must pass Theorem 1 — their committed schedule replayed on the
+//! pessimistic simulator — with chaos injected on the socket path. This is the one test layer where frames genuinely cross
 //! OS process boundaries (the rt-crate tests in
 //! `crates/rt/tests/rt_sock.rs` run parent and workers as threads).
 
@@ -27,8 +27,8 @@ fn fresh_uds(tag: &str) -> String {
 }
 
 /// `--listen --compare` with chaos: spawned worker processes host the
-/// world, and the socket run must diff clean against the in-process
-/// fault-free baseline (exit 2 would mean a divergence — an engine bug).
+/// world, and the socket run must replay on the pessimistic simulator
+/// (exit 2 would mean a divergence — an engine bug).
 #[test]
 fn multi_process_uds_chaos_differential_holds() {
     let addr = fresh_uds("putline");
@@ -51,8 +51,8 @@ fn multi_process_uds_chaos_differential_holds() {
         out.status
     );
     assert!(
-        stdout.contains("socket differential"),
-        "expected the socket differential verdict:\n{stdout}"
+        stdout.contains("Theorem 1:"),
+        "expected the Theorem-1 verdict:\n{stdout}"
     );
     assert!(
         stdout.contains("✓"),
@@ -62,8 +62,8 @@ fn multi_process_uds_chaos_differential_holds() {
 
 /// A fan-in over three worker processes, each hosting its share on a
 /// two-thread pool (`--workers` is forwarded to the re-spawned workers):
-/// cross-sender merge order may legally differ, but the differential must
-/// still hold (modulo merge order at worst).
+/// cross-sender merge order may legally differ from the simulator's
+/// same-seed reference, but the committed schedule must still replay.
 #[test]
 fn multi_process_three_workers_fan_in_holds() {
     let addr = fresh_uds("fanin");
@@ -90,8 +90,8 @@ fn multi_process_three_workers_fan_in_holds() {
         out.status
     );
     assert!(
-        stdout.contains("socket differential"),
-        "expected the socket differential verdict:\n{stdout}"
+        stdout.contains("Theorem 1:"),
+        "expected the Theorem-1 verdict:\n{stdout}"
     );
 }
 

@@ -8,8 +8,10 @@
 //!
 //! Two executors host the same poll-able process core (DESIGN.md §11):
 //! [`Executor::Threaded`] is thread-per-process, [`Executor::Sharded`] is
-//! an M:N worker pool that scales a world to 10k–100k processes. Their
-//! committed-log agreement is the correctness oracle for the scheduler.
+//! an M:N worker pool that scales a world to 10k–100k processes. Every
+//! run on either is held to Theorem 1 the way a simulator run is:
+//! [`RtResult`] is an `opcsp_sim::Outcome`, so its committed schedule is
+//! replayed on the pessimistic simulator (`opcsp_sim::check_theorem1`).
 //! Executor and transport compose: `executor::spawn_world` hosts any pid
 //! range of a world, so a socket worker (DESIGN.md §13) runs its share
 //! under either executor, and one coordinator (`runtime::coordinate`)
@@ -29,7 +31,5 @@ pub mod sock;
 
 pub use executor::Executor;
 pub use net::{Delayer, Mailbox, NetFaults, NetStats, Partition, Transport};
-pub use runtime::{
-    compare_logs, merge_equiv, LogDiff, RtConfig, RtPhases, RtResult, RtStats, RtWorld,
-};
+pub use runtime::{merge_equiv, RtConfig, RtPhases, RtResult, RtStats, RtWorld};
 pub use sock::{RtTransport, SockAddr, SockRole};

@@ -45,7 +45,7 @@ use crate::executor::{self, Executor, WorldSpec};
 use crate::net::NetFaults;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError};
 use opcsp_core::{CoreConfig, ProcessId, ProtoStats, Telemetry, Value};
-use opcsp_sim::{Behavior, Observable};
+use opcsp_sim::{Behavior, Observable, Outcome};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -191,6 +191,29 @@ pub struct RtResult {
     pub telemetry: Telemetry,
     /// Where `wall` went, phase by phase.
     pub phases: RtPhases,
+}
+
+/// A run as the Theorem-1 oracles read it: it ended on its own — no
+/// time-out, no panic, no straggler — and its logs are already in the
+/// simulator's fork-index order, so `opcsp_sim::check_theorem1` replays it.
+impl Outcome for RtResult {
+    fn ended(&self) -> Result<(), String> {
+        if self.timed_out {
+            Err(format!("timed out ({:?})", self.stats))
+        } else if !self.panicked.is_empty() {
+            Err(format!("panics {:?}", self.panics))
+        } else if !self.stragglers.is_empty() {
+            Err(format!("stragglers {:?}", self.stragglers))
+        } else {
+            Ok(())
+        }
+    }
+    fn logs(&self) -> &BTreeMap<ProcessId, Vec<Observable>> {
+        &self.logs
+    }
+    fn external(&self) -> Vec<(ProcessId, Value)> {
+        self.external.clone()
+    }
 }
 
 /// A run's phases (DESIGN.md §9.2): spawning the world (on the socket hub
@@ -558,12 +581,15 @@ fn drain_to_quiescence(hosts: &impl Hosts, n: usize, coord: &mut Coord, deadline
     }
 }
 
-/// Theorem-1 merge-order equivalence for two committed logs: the reliable
-/// sublayer guarantees FIFO *per link*, so the projection of receives onto
-/// each sender (and of sends onto each target) must match positionally,
-/// but cross-sender interleaving at a fan-in is legal CSP nondeterminism —
-/// chaos (or a different executor's scheduling) may reorder it. Outputs are
-/// compared as multisets (they follow the merge).
+/// Merge-order equivalence for two committed logs: the projection of
+/// receives onto each sender (and of sends onto each target) must match
+/// positionally, cross-sender interleaving at a fan-in may differ, and
+/// outputs are compared as multisets. This is weaker than Theorem 1: it
+/// accepts a consumer log with two receives from different senders
+/// swapped. The Theorem-1 check is the exact replay instead
+/// (`opcsp_sim::check_theorem1`, `catalog::Spec::check`). This stays only
+/// because `benchmark/src/worlds.rs` names it, and for the sim-against-rt
+/// differential tests, which run the replay beside it.
 pub fn merge_equiv(base: &[Observable], other: &[Observable]) -> bool {
     use Observable as O;
     let project = |log: &[Observable]| {
@@ -580,55 +606,4 @@ pub fn merge_equiv(base: &[Observable], other: &[Observable]) -> bool {
         (links, outputs)
     };
     base.len() == other.len() && project(base) == project(other)
-}
-
-/// How one run's committed record compares with a baseline's.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum LogDiff {
-    /// Every log and the released externals are positionally equal.
-    Identical,
-    /// Equal up to legal fan-in merge order ([`merge_equiv`] per process,
-    /// externals as a multiset).
-    MergeOnly,
-    /// What differs.
-    Diverged(String),
-}
-
-/// The one log differential: `opcsp-run --rt --compare`, the chaos,
-/// executor and socket differentials, and the catalogue's twin check.
-pub fn compare_logs(
-    base: &BTreeMap<ProcessId, Vec<Observable>>,
-    base_external: &[(ProcessId, Value)],
-    other: &BTreeMap<ProcessId, Vec<Observable>>,
-    other_external: &[(ProcessId, Value)],
-) -> LogDiff {
-    if base == other && base_external == other_external {
-        return LogDiff::Identical;
-    }
-    let multiset = |e: &[(ProcessId, Value)]| {
-        let mut v: Vec<String> = e.iter().map(|x| format!("{x:?}")).collect();
-        v.sort();
-        v
-    };
-    let pids =
-        |logs: &BTreeMap<ProcessId, Vec<Observable>>| logs.keys().copied().collect::<Vec<_>>();
-    if pids(base) != pids(other) {
-        return LogDiff::Diverged(format!(
-            "process sets differ: {:?} vs {:?}",
-            pids(base),
-            pids(other)
-        ));
-    }
-    for (p, log) in base {
-        if !merge_equiv(log, &other[p]) {
-            let theirs = &other[p];
-            return LogDiff::Diverged(format!("log of {p}\n  base:  {log:?}\n  other: {theirs:?}"));
-        }
-    }
-    if multiset(base_external) != multiset(other_external) {
-        return LogDiff::Diverged(format!(
-            "released externals\n  base:  {base_external:?}\n  other: {other_external:?}"
-        ));
-    }
-    LogDiff::MergeOnly
 }

@@ -21,8 +21,8 @@
 //! run *inside each actor*, unchanged: the socket only replaces the
 //! in-memory channel hop between two actors' transports, so per-link
 //! sequencing, acks, retransmission, and fault injection all carry over
-//! — and with them the chaos differential suite as the correctness
-//! oracle for this transport.
+//! — and with them the oracle: a socket run's committed schedule is
+//! replayed on the pessimistic simulator like any other run's.
 //!
 //! Wire protocol: every message is `u32le len | version | tag | body`
 //! (little-endian length excludes itself; same `FRAME_VERSION` and size

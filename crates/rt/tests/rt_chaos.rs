@@ -1,7 +1,10 @@
 //! Chaos differential tests: the threaded runtime under an unreliable
 //! network (drops, duplicates, reordering, partitions) must commit
-//! exactly the observable logs of the fault-free run — the reliable
-//! sublayer absorbs the chaos before the protocol core sees it.
+//! exactly the observable logs and externals of the fault-free run — the
+//! reliable sublayer absorbs the chaos before the protocol core sees it —
+//! and every chaotic run passes its world's Theorem-1 oracle
+//! (`Spec::check`: its committed schedule replayed on the pessimistic
+//! simulator).
 //!
 //! Also pins the ISSUE-4 shutdown/liveness bugfixes: actor-panic
 //! propagation (not a fake timeout), drain-to-quiescence shutdown (no
@@ -10,9 +13,9 @@
 //! `net.rs` (`shutdown_flush_drops_timer_class_items`).
 
 use opcsp_core::ProcessId;
-use opcsp_rt::{compare_logs, Executor, LogDiff, NetFaults, Partition, RtConfig, RtResult, RtWorld};
-use opcsp_sim::{Behavior, BehaviorState, Effect, Observable, Resume};
-use opcsp_workloads::catalog::{clean, Spec};
+use opcsp_rt::{Executor, NetFaults, Partition, RtConfig, RtResult, RtWorld};
+use opcsp_sim::{Behavior, BehaviorState, Effect, Observable, Outcome, Resume};
+use opcsp_workloads::catalog::Spec;
 use opcsp_workloads::chain::ChainOpts;
 use opcsp_workloads::servers::Server;
 use opcsp_workloads::streaming::{PutLineClient, StreamingOpts};
@@ -39,46 +42,50 @@ fn chaos(seed: u64) -> NetFaults {
 }
 
 /// Workload 1: call streaming — client puts `n` lines to a server.
-fn run_streaming(faults: NetFaults) -> RtResult {
-    let world = Spec::Stream(StreamingOpts {
+fn streaming() -> Spec {
+    Spec::Stream(StreamingOpts {
         n: 8,
         ..StreamingOpts::default()
-    });
-    world.on(RtWorld::new(cfg(2, faults))).run()
+    })
 }
 
 /// Workload 2: a pipeline of optimistic forwarders — commits keep flowing
 /// downstream after the client is already done.
-fn run_chain(faults: NetFaults) -> RtResult {
-    let world = Spec::Chain(ChainOpts {
+fn chain() -> Spec {
+    Spec::Chain(ChainOpts {
         depth: 2,
         ..ChainOpts::default()
-    });
+    })
+}
+
+fn run(world: &Spec, faults: NetFaults) -> RtResult {
     world.on(RtWorld::new(cfg(2, faults))).run()
 }
 
-/// Committed observable logs must be identical per process — the
-/// `check_theorem1`-style positional comparison, applied to `RtResult`.
-fn assert_logs_equivalent(baseline: &RtResult, chaotic: &RtResult, label: &str) {
-    let diff = compare_logs(
-        &baseline.logs,
-        &baseline.external,
-        &chaotic.logs,
-        &chaotic.external,
+/// The chaotic run commits exactly the fault-free run's logs and
+/// externals, and passes the world's Theorem-1 oracle.
+fn assert_logs_equivalent(world: &Spec, baseline: &RtResult, chaotic: &RtResult, label: &str) {
+    assert_eq!(baseline.logs, chaotic.logs, "{label}: diverged under chaos");
+    assert_eq!(
+        baseline.external, chaotic.external,
+        "{label}: externals diverged under chaos"
     );
-    assert_eq!(diff, LogDiff::Identical, "{label}: diverged under chaos");
+    world
+        .check(chaotic)
+        .unwrap_or_else(|e| panic!("{label}: {e}"));
 }
 
 #[test]
 fn chaos_differential_streaming() {
-    let baseline = run_streaming(NetFaults::none());
-    clean(&baseline).expect("baseline");
+    let world = streaming();
+    let baseline = run(&world, NetFaults::none());
+    baseline.ended().expect("baseline");
     assert_eq!(baseline.stats.drops_injected, 0);
     for seed in [1u64, 7, 42] {
-        let chaotic = run_streaming(chaos(seed));
+        let chaotic = run(&world, chaos(seed));
         let label = format!("streaming seed={seed}");
-        clean(&chaotic).expect(&label);
-        assert_logs_equivalent(&baseline, &chaotic, &label);
+        chaotic.ended().expect(&label);
+        assert_logs_equivalent(&world, &baseline, &chaotic, &label);
         // The chaos layer provably fired and the sublayer absorbed it.
         assert!(chaotic.stats.drops_injected > 0, "{label}: {:?}", chaotic.stats);
         assert!(chaotic.stats.dups_injected > 0, "{label}: {:?}", chaotic.stats);
@@ -94,14 +101,15 @@ fn chaos_differential_streaming() {
 
 #[test]
 fn chaos_differential_chain() {
-    let baseline = run_chain(NetFaults::none());
-    clean(&baseline).expect("baseline");
+    let world = chain();
+    let baseline = run(&world, NetFaults::none());
+    baseline.ended().expect("baseline");
     assert_eq!(baseline.stats.aborts, 0, "{:?}", baseline.stats);
     for seed in [1u64, 7, 42] {
-        let chaotic = run_chain(chaos(seed));
+        let chaotic = run(&world, chaos(seed));
         let label = format!("chain seed={seed}");
-        clean(&chaotic).expect(&label);
-        assert_logs_equivalent(&baseline, &chaotic, &label);
+        chaotic.ended().expect(&label);
+        assert_logs_equivalent(&world, &baseline, &chaotic, &label);
         assert!(chaotic.stats.drops_injected > 0, "{label}: {:?}", chaotic.stats);
         assert!(chaotic.stats.dups_injected > 0, "{label}: {:?}", chaotic.stats);
         assert!(chaotic.stats.retransmits > 0, "{label}: {:?}", chaotic.stats);
@@ -117,7 +125,8 @@ fn chaos_differential_chain() {
 /// logs still match the fault-free run.
 #[test]
 fn partition_window_heals_and_run_completes() {
-    let baseline = run_streaming(NetFaults::none());
+    let world = streaming();
+    let baseline = run(&world, NetFaults::none());
     let faults = NetFaults {
         seed: 3,
         drop: 0.0,
@@ -130,11 +139,11 @@ fn partition_window_heals_and_run_completes() {
             duration_ms: 80,
         }],
     };
-    let r = run_streaming(faults);
-    clean(&r).expect("partition");
+    let r = run(&world, faults);
+    r.ended().expect("partition");
     assert!(r.stats.drops_injected > 0, "{:?}", r.stats);
     assert!(r.stats.retransmits > 0, "{:?}", r.stats);
-    assert_logs_equivalent(&baseline, &r, "partition");
+    assert_logs_equivalent(&world, &baseline, &r, "partition");
 }
 
 // ---------------------------------------------------------------------------
@@ -278,8 +287,8 @@ fn server_panic_is_attributed_even_on_timeout() {
 #[test]
 fn shutdown_drains_inflight_commit_waves() {
     for _ in 0..5 {
-        let r = run_chain(NetFaults::none());
-        clean(&r).expect("chain drain");
+        let r = run(&chain(), NetFaults::none());
+        r.ended().expect("chain drain");
         let terminal = ProcessId(3);
         let received = r.logs[&terminal]
             .iter()
@@ -313,12 +322,14 @@ impl Behavior for Stuck {
 /// that hung forever on a wedged actor. Now the join has a deadline
 /// derived from `run_timeout`: the wedged actor is reported as a
 /// straggler, the healthy actors' results still arrive, and the harness
-/// returns.
+/// returns. Thread-per-process, so the wedged actor blocks no one else
+/// (the sharded case is the next test).
 #[test]
 fn stuck_actor_is_reported_as_straggler_not_deadlock() {
     let t0 = std::time::Instant::now();
     let mut w = RtWorld::new(RtConfig {
         run_timeout: Duration::from_millis(600),
+        executor: Executor::Threaded,
         ..cfg(1, NetFaults::none())
     });
     let c = w.add_process(PutLineClient::new(2), true);
@@ -335,4 +346,34 @@ fn stuck_actor_is_reported_as_straggler_not_deadlock() {
         "healthy actors' final reports still collected"
     );
     assert!(r.panicked.is_empty());
+}
+
+/// The same wedge on the sharded executor. A pid runs on shard
+/// `(pid − lo) % workers`, so with two workers the client (P0) shares the
+/// wedged actor's (P2) shard and is wedged with it. What the executor
+/// guarantees: the harness still returns within its deadline, the
+/// stragglers are exactly the wedged actor and its shard-mates, nothing
+/// panicked, and the server on the other shard reports its log.
+#[test]
+fn stuck_actor_on_a_shard_strands_exactly_its_shard_mates() {
+    let t0 = std::time::Instant::now();
+    let mut w = RtWorld::new(RtConfig {
+        run_timeout: Duration::from_millis(600),
+        executor: Executor::Sharded { workers: 2 },
+        ..cfg(1, NetFaults::none())
+    });
+    let c = w.add_process(PutLineClient::new(2), true);
+    let s = w.add_process(Server::new("S", 0), false);
+    let stuck = w.add_process(Stuck, false);
+    let r = w.run();
+    assert!(
+        t0.elapsed() < Duration::from_secs(10),
+        "harness must not hang on a wedged shard"
+    );
+    assert_eq!(r.stragglers, vec![c, stuck]);
+    assert!(r.panicked.is_empty(), "{:?}", r.panics);
+    assert!(
+        r.logs.contains_key(&s),
+        "the server on the healthy shard still reports"
+    );
 }

@@ -20,13 +20,14 @@
 //! accounted for.
 
 use opcsp_rt::{Executor, RtConfig, RtResult, RtWorld};
-use opcsp_workloads::catalog::{clean, Spec};
+use opcsp_sim::Outcome;
+use opcsp_workloads::catalog::Spec;
 use opcsp_workloads::streaming::{PairsOpts, StreamingOpts};
 use std::time::Duration;
 
 fn assert_lossless_and_quiet(r: &RtResult, label: &str) {
     let s = &r.stats;
-    clean(r).expect(label);
+    r.ended().expect(label);
     assert_eq!(s.commits, s.forks, "{label}: unresolved guesses ({s:?})");
     assert_eq!(s.drops_injected + s.dups_injected, 0, "{label}: {s:?}");
     assert!(s.frames_sent > 0 && s.frames_delivered == s.frames_sent, "{label}: {s:?}");

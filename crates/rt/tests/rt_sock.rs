@@ -1,6 +1,7 @@
-//! Socket-transport differential tests (DESIGN.md §13): a world split
-//! across a parent and worker *runtimes* connected over a real socket
-//! must commit logs merge-equivalent to the same world run in-process.
+//! Socket-transport tests (DESIGN.md §13): a world split across a parent
+//! and worker *runtimes* connected over a real socket must pass its
+//! world's Theorem-1 oracle (`Spec::check`: the hub's merged committed
+//! schedule replayed on the pessimistic simulator).
 //!
 //! Parent and workers run as threads of this test process
 //! (`catalog::Split`), each calling `RtWorld::run()` with its own
@@ -10,18 +11,16 @@
 //! skipped. The CLI test in `crates/lang/tests/cli_sock.rs` covers true
 //! multi-process runs.
 //!
-//! Chaos runs on the socket path reuse the fault-free in-proc run as the
-//! oracle, under merge-order tolerance ([`opcsp_rt::compare_logs`]): the
-//! chaos layer lives inside each actor's transport, so the socket hop
+//! Chaos runs on the socket path are held to the same oracle: the chaos
+//! layer lives inside each actor's transport, so the socket hop
 //! underneath it must not change what commits.
 
 use opcsp_core::{ProcessId, FRAME_VERSION};
 use opcsp_rt::{
-    compare_logs, Executor, LogDiff, NetFaults, RtConfig, RtResult, RtTransport, RtWorld, SockAddr,
-    SockRole,
+    Executor, NetFaults, RtConfig, RtResult, RtTransport, RtWorld, SockAddr, SockRole,
 };
-use opcsp_sim::{Behavior, BehaviorState, Effect, Observable, Resume};
-use opcsp_workloads::catalog::{clean, place, Roster, Spec, Split};
+use opcsp_sim::{Behavior, BehaviorState, Effect, Observable, Outcome, Resume};
+use opcsp_workloads::catalog::{place, Roster, Spec, Split};
 use opcsp_workloads::chain::ChainOpts;
 use opcsp_workloads::servers::Server;
 use opcsp_workloads::streaming::{PairsOpts, PutLineClient, StreamingOpts};
@@ -74,7 +73,7 @@ impl Behavior for Boom {
 
 /// `streaming`: putline client → server. `chain`: client → 2 forwarding
 /// hops → terminal server. Both cross the worker boundary for any split.
-fn world(workload: &str) -> Roster {
+fn world(workload: &str) -> Spec {
     match workload {
         "streaming" => Spec::Stream(StreamingOpts {
             n: 8,
@@ -86,7 +85,6 @@ fn world(workload: &str) -> Roster {
         }),
         other => panic!("unknown workload {other}"),
     }
-    .roster()
 }
 
 /// A healthy client → server pair, a client that panics, and an idle
@@ -124,27 +122,26 @@ fn run_over_socket(
 
 fn run_inproc(workload: &str, faults: NetFaults) -> RtResult {
     let cfg = base_cfg(faults, default_executor());
-    place(&world(workload), RtWorld::new(cfg)).run()
+    world(workload).on(RtWorld::new(cfg)).run()
 }
 
-/// In-proc (fault-free) vs socket (chaos): per-process merge-equivalent
-/// committed logs, equal external output multisets.
-fn assert_socket_matches_inproc(base: &RtResult, sock: &RtResult, label: &str) {
-    let diff = compare_logs(&base.logs, &base.external, &sock.logs, &sock.external);
-    assert!(!matches!(diff, LogDiff::Diverged(_)), "{label}: {diff:?}");
+/// The socket run passes its world's Theorem-1 oracle.
+fn assert_replays(workload: &str, sock: &RtResult, label: &str) {
+    world(workload)
+        .check(sock)
+        .unwrap_or_else(|e| panic!("{label}: {e}"));
 }
 
 #[test]
-fn streaming_over_uds_with_chaos_matches_inproc() {
-    let base = run_inproc("streaming", NetFaults::none());
-    clean(&base).expect("in-proc streaming");
+fn streaming_over_uds_with_chaos_replays() {
     for (e, executor) in EXECUTORS.into_iter().enumerate() {
         for seed in [11u64, 12] {
             let label = format!("streaming seed {seed} {executor:?}");
             let addr = fresh_uds(&format!("streaming-{seed}-{e}"));
-            let sock = run_over_socket(&world("streaming"), chaos(seed), addr, 2, executor);
-            clean(&sock).unwrap_or_else(|e| panic!("socket {label}: {e}"));
-            assert_socket_matches_inproc(&base, &sock, &label);
+            let roster = world("streaming").roster();
+            let sock = run_over_socket(&roster, chaos(seed), addr, 2, executor);
+            sock.ended().unwrap_or_else(|e| panic!("socket {label}: {e}"));
+            assert_replays("streaming", &sock, &label);
             assert!(
                 sock.stats.retransmits > 0 || sock.stats.drops_injected == 0,
                 "{label}: chaos dropped frames but nothing retransmitted"
@@ -154,28 +151,27 @@ fn streaming_over_uds_with_chaos_matches_inproc() {
 }
 
 #[test]
-fn chain_over_uds_with_chaos_matches_inproc() {
-    let base = run_inproc("chain", NetFaults::none());
-    clean(&base).expect("in-proc chain");
+fn chain_over_uds_with_chaos_replays() {
     for seed in [21u64, 22] {
         let addr = fresh_uds(&format!("chain-{seed}"));
-        let sock = run_over_socket(&world("chain"), chaos(seed), addr, 2, default_executor());
-        clean(&sock).unwrap_or_else(|e| panic!("socket chain seed {seed}: {e}"));
-        assert_socket_matches_inproc(&base, &sock, &format!("chain seed {seed}"));
+        let roster = world("chain").roster();
+        let sock = run_over_socket(&roster, chaos(seed), addr, 2, default_executor());
+        sock.ended().unwrap_or_else(|e| panic!("socket chain seed {seed}: {e}"));
+        assert_replays("chain", &sock, &format!("chain seed {seed}"));
     }
 }
 
 #[test]
-fn chain_split_three_ways_fault_free_matches_inproc() {
+fn chain_split_three_ways_fault_free_replays() {
     // 4 pids over 3 workers: ranges 0..1, 1..2, 2..4 — every hop of the
     // chain crosses a worker boundary at least once.
-    let base = run_inproc("chain", NetFaults::none());
     for (e, executor) in EXECUTORS.into_iter().enumerate() {
         let label = format!("chain 3 workers {executor:?}");
         let addr = fresh_uds(&format!("chain-3w-{e}"));
-        let sock = run_over_socket(&world("chain"), NetFaults::none(), addr, 3, executor);
-        clean(&sock).unwrap_or_else(|e| panic!("socket {label}: {e}"));
-        assert_socket_matches_inproc(&base, &sock, &label);
+        let roster = world("chain").roster();
+        let sock = run_over_socket(&roster, NetFaults::none(), addr, 3, executor);
+        sock.ended().unwrap_or_else(|e| panic!("socket {label}: {e}"));
+        assert_replays("chain", &sock, &label);
     }
 }
 
@@ -220,14 +216,14 @@ fn phases_follow_one_another_within_the_wall() {
     // mark, and then the five overrun the wall.
     let inproc = run_inproc("streaming", NetFaults::none());
     let uds = run_over_socket(
-        &world("streaming"),
+        &world("streaming").roster(),
         NetFaults::none(),
         fresh_uds("phases"),
         2,
         default_executor(),
     );
     for (label, r) in [("in-proc", inproc), ("uds", uds)] {
-        clean(&r).expect(label);
+        r.ended().expect(label);
         let p = r.phases;
         let sum = p.setup + p.clients + p.drain + p.collect + p.reap;
         assert!(sum <= r.wall, "{label}: {p:?} add up to {sum:?} > wall {:?}", r.wall);
@@ -236,7 +232,7 @@ fn phases_follow_one_another_within_the_wall() {
 }
 
 #[test]
-fn streaming_over_tcp_matches_inproc() {
+fn streaming_over_tcp_replays() {
     // Reserve a port by binding to :0, then release it for the parent.
     // (Small race, but loopback port reuse makes it practically safe.)
     let port = {
@@ -244,16 +240,15 @@ fn streaming_over_tcp_matches_inproc() {
         l.local_addr().expect("local addr").port()
     };
     let addr = SockAddr::parse(&format!("tcp:127.0.0.1:{port}")).expect("tcp addr");
-    let base = run_inproc("streaming", NetFaults::none());
     let sock = run_over_socket(
-        &world("streaming"),
+        &world("streaming").roster(),
         NetFaults::none(),
         addr,
         2,
         default_executor(),
     );
-    clean(&sock).expect("socket streaming tcp");
-    assert_socket_matches_inproc(&base, &sock, "streaming tcp");
+    sock.ended().expect("socket streaming tcp");
+    assert_replays("streaming", &sock, "streaming tcp");
 }
 
 /// Two independent client→server pairs, split so each pair is local to one

@@ -1,12 +1,21 @@
 //! Real-thread runtime tests: call streaming with genuine wall-clock
-//! latency, value faults, and equivalence against the pessimistic run.
+//! latency, value faults, and Theorem 1 (`Spec::check`: the run's
+//! committed schedule replayed on the pessimistic simulator).
 
 use opcsp_core::CoreConfig;
 use opcsp_rt::{RtConfig, RtWorld};
 use opcsp_sim::Observable;
 use opcsp_workloads::catalog::Spec;
-use opcsp_workloads::streaming::{StreamingOpts, CLIENT, SERVER};
+use opcsp_workloads::streaming::{StreamingOpts, CLIENT};
 use std::time::Duration;
+
+fn world(n: u32, fail_at: Option<u32>) -> Spec {
+    Spec::Stream(StreamingOpts {
+        n,
+        fail_lines: fail_at.into_iter().collect(),
+        ..StreamingOpts::default()
+    })
+}
 
 fn run_rt(n: u32, optimism: bool, latency_ms: u64, fail_at: Option<u32>) -> opcsp_rt::RtResult {
     let cfg = RtConfig {
@@ -20,12 +29,7 @@ fn run_rt(n: u32, optimism: bool, latency_ms: u64, fail_at: Option<u32>) -> opcs
         run_timeout: Duration::from_secs(20),
         ..RtConfig::default()
     };
-    let world = Spec::Stream(StreamingOpts {
-        n,
-        fail_lines: fail_at.into_iter().collect(),
-        ..StreamingOpts::default()
-    });
-    world.on(RtWorld::new(cfg)).run()
+    world(n, fail_at).on(RtWorld::new(cfg)).run()
 }
 
 fn successful_receives(r: &opcsp_rt::RtResult) -> usize {
@@ -76,11 +80,12 @@ fn rt_value_fault_rolls_back_and_matches_sequential_outcome() {
     let pess = run_rt(8, false, 4, Some(fail));
     assert!(!opt.timed_out && !pess.timed_out);
     assert!(opt.stats.aborts >= 1, "{:?}", opt.stats);
-    // Both deliver exactly `fail` lines successfully.
-    assert_eq!(successful_receives(&pess), fail as usize);
-    assert_eq!(successful_receives(&opt), fail as usize);
-    // Committed client logs agree.
-    assert_eq!(pess.logs[&CLIENT], opt.logs[&CLIENT]);
+    // Both modes deliver exactly `fail` lines successfully, as sequentially,
+    // and each replays exactly on the pessimistic simulator.
+    for r in [&opt, &pess] {
+        assert_eq!(successful_receives(r), fail as usize);
+        world(8, Some(fail)).check(r).expect("Theorem 1");
+    }
 }
 
 #[test]
@@ -92,15 +97,16 @@ fn rt_pessimistic_mode_never_forks() {
     assert_eq!(successful_receives(&r), 4);
 }
 
+/// One client, one schedule: both modes replay to the same sequential
+/// execution, so their committed logs agree with each other too.
 #[test]
 fn rt_logs_match_across_modes() {
-    let opt = run_rt(6, true, 3, None);
-    let pess = run_rt(6, false, 3, None);
-    assert_eq!(
-        pess.logs[&CLIENT], opt.logs[&CLIENT],
-        "committed client observables must be identical"
-    );
-    assert_eq!(pess.logs[&SERVER], opt.logs[&SERVER]);
+    for optimism in [true, false] {
+        let r = run_rt(6, optimism, 3, None);
+        world(6, None)
+            .check(&r)
+            .unwrap_or_else(|e| panic!("optimism={optimism}: {e}"));
+    }
 }
 
 #[test]

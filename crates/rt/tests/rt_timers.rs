@@ -10,8 +10,8 @@
 //!   records no abort, while a short one fires on time.
 
 use opcsp_rt::{Executor, RtConfig, RtResult, RtWorld};
-use opcsp_sim::{Effect, FnBehavior, Observable};
-use opcsp_workloads::catalog::{clean, Spec};
+use opcsp_sim::{Effect, FnBehavior, Observable, Outcome};
+use opcsp_workloads::catalog::Spec;
 use opcsp_workloads::streaming::{PutLineClient, StreamingOpts};
 use std::time::{Duration, Instant};
 
@@ -38,7 +38,7 @@ fn stream(cfg: RtConfig, n: u32) -> RtResult {
 fn the_hold_keeps_link_order() {
     for ex in EXECUTORS {
         let r = stream(cfg(ex, Duration::from_millis(1)), 500);
-        clean(&r).unwrap_or_else(|e| panic!("{ex:?}: {e}"));
+        r.ended().unwrap_or_else(|e| panic!("{ex:?}: {e}"));
         let s = &r.stats;
         assert_eq!(
             (s.forks, s.commits, s.aborts),
@@ -62,7 +62,7 @@ fn one_call_takes_a_round_trip() {
     let latency = Duration::from_millis(25);
     for ex in EXECUTORS {
         let r = stream(cfg(ex, latency), 1);
-        clean(&r).unwrap_or_else(|e| panic!("{ex:?}: {e}"));
+        r.ended().unwrap_or_else(|e| panic!("{ex:?}: {e}"));
         assert_eq!(r.stats.commits, 1, "{ex:?}: {:?}", r.stats);
         let replied = r.logs[&opcsp_core::ProcessId(0)]
             .iter()

@@ -6,9 +6,14 @@
 //! each process plus its released external outputs, in *logical* order.
 //! Within a process the logical order is the right-branching fork order:
 //! thread 0's events, then thread 1's (its continuation), and so on — which
-//! is exactly how [`crate::engine::SimResult::logs`] concatenates them. The
+//! is exactly how every engine's committed logs concatenate them
+//! ([`crate::engine::SimResult::logs`], and the runtime's too). The
 //! pessimistic run executes everything on thread 0, giving the reference
 //! sequence.
+//!
+//! Every oracle here reads a run through [`Outcome`], so a run on any
+//! engine — the simulator, real threads, a socket split — is replayed on
+//! the pessimistic simulator the same way.
 
 use crate::driver::{DeliverySchedule, ObsKind, Observable};
 use crate::engine::SimResult;
@@ -16,6 +21,38 @@ use opcsp_core::{ProcessId, Value};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
+
+/// A finished run on any engine, as a Theorem-1 oracle reads it.
+pub trait Outcome {
+    /// `Err` unless the run ended on its own with every guess resolved.
+    fn ended(&self) -> Result<(), String>;
+    /// Per-process committed observable logs, in logical (fork-index)
+    /// order.
+    fn logs(&self) -> &BTreeMap<ProcessId, Vec<Observable>>;
+    /// The released externals, in release order.
+    fn external(&self) -> Vec<(ProcessId, Value)>;
+}
+
+impl Outcome for SimResult {
+    fn ended(&self) -> Result<(), String> {
+        if !self.unresolved.is_empty() {
+            return Err(format!("unresolved guesses: {:?}", self.unresolved));
+        }
+        if self.truncated {
+            return Err("run truncated (max_events)".into());
+        }
+        Ok(())
+    }
+    fn logs(&self) -> &BTreeMap<ProcessId, Vec<Observable>> {
+        &self.logs
+    }
+    fn external(&self) -> Vec<(ProcessId, Value)> {
+        self.external
+            .iter()
+            .map(|(_, p, v)| (*p, v.clone()))
+            .collect()
+    }
+}
 
 /// Outcome of comparing an optimistic run against the pessimistic
 /// reference.
@@ -26,12 +63,13 @@ pub struct EquivReport {
 }
 
 impl EquivReport {
-    /// The earliest mismatch (lowest event index; ties by process id) —
-    /// the forensics anchor.
+    /// The earliest log mismatch (lowest event index; ties by process id)
+    /// — the forensics anchor — or, when the logs agree, the earliest
+    /// release mismatch.
     pub fn first(&self) -> Option<&Mismatch> {
         self.mismatches
             .iter()
-            .min_by_key(|m| (m.position, m.process))
+            .min_by_key(|m| (m.released, m.position, m.process))
     }
 
     /// Render all mismatches with process names substituted (fall back to
@@ -49,7 +87,10 @@ impl EquivReport {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Mismatch {
     pub process: ProcessId,
-    /// Index into the process's committed observable log.
+    /// False: `position` indexes the process's committed observable log.
+    /// True: it indexes the process's released externals, in release
+    /// order, and both sides are `Observable::Output`s.
+    pub released: bool,
     pub position: usize,
     pub pessimistic: Option<Observable>,
     pub optimistic: Option<Observable>,
@@ -73,11 +114,13 @@ impl Mismatch {
                 payload,
             }) => format!("recv {kind} {payload} ← {}", name(*from)),
             Some(Observable::Output { payload }) => format!("out {payload}"),
+            None if self.released => "(nothing released)".to_string(),
             None => "(log ended)".to_string(),
         };
         format!(
-            "{} event #{}: pessimistic `{}` vs optimistic `{}`",
+            "{} {} #{}: pessimistic `{}` vs optimistic `{}`",
             name(self.process),
+            if self.released { "release" } else { "event" },
             self.position,
             side(&self.pessimistic),
             side(&self.optimistic),
@@ -91,21 +134,59 @@ impl fmt::Display for Mismatch {
     }
 }
 
-/// Compare the committed observable logs of two runs process by process.
-pub fn check_equivalence(pessimistic: &SimResult, optimistic: &SimResult) -> EquivReport {
+/// Compare two runs process by process: their committed observable logs,
+/// and their released externals in release order. (Not in the global
+/// release order: `kv`'s differs even between two simulator runs.) The
+/// externals are compared apart from the logs because they travel their
+/// own path — an engine could commit an output once and release it twice.
+pub fn check_equivalence(pessimistic: &impl Outcome, optimistic: &impl Outcome) -> EquivReport {
     let mut mismatches = Vec::new();
+    diff_by_process(
+        pessimistic.logs(),
+        optimistic.logs(),
+        false,
+        &mut mismatches,
+    );
+    diff_by_process(
+        &released(pessimistic),
+        &released(optimistic),
+        true,
+        &mut mismatches,
+    );
+    EquivReport {
+        equivalent: mismatches.is_empty(),
+        mismatches,
+    }
+}
+
+/// A run's released externals, per process in release order.
+fn released(run: &impl Outcome) -> BTreeMap<ProcessId, Vec<Observable>> {
+    let mut out: BTreeMap<ProcessId, Vec<Observable>> = BTreeMap::new();
+    for (p, payload) in run.external() {
+        out.entry(p)
+            .or_default()
+            .push(Observable::Output { payload });
+    }
+    out
+}
+
+fn diff_by_process(
+    pessimistic: &BTreeMap<ProcessId, Vec<Observable>>,
+    optimistic: &BTreeMap<ProcessId, Vec<Observable>>,
+    released: bool,
+    mismatches: &mut Vec<Mismatch>,
+) {
     let procs: Vec<ProcessId> = pessimistic
-        .logs
         .keys()
-        .chain(optimistic.logs.keys())
+        .chain(optimistic.keys())
         .copied()
         .collect::<std::collections::BTreeSet<_>>()
         .into_iter()
         .collect();
     for p in procs {
         let empty = Vec::new();
-        let a = pessimistic.logs.get(&p).unwrap_or(&empty);
-        let b = optimistic.logs.get(&p).unwrap_or(&empty);
+        let a = pessimistic.get(&p).unwrap_or(&empty);
+        let b = optimistic.get(&p).unwrap_or(&empty);
         let n = a.len().max(b.len());
         for i in 0..n {
             let ea = a.get(i);
@@ -113,16 +194,13 @@ pub fn check_equivalence(pessimistic: &SimResult, optimistic: &SimResult) -> Equ
             if ea != eb {
                 mismatches.push(Mismatch {
                     process: p,
+                    released,
                     position: i,
                     pessimistic: ea.cloned(),
                     optimistic: eb.cloned(),
                 });
             }
         }
-    }
-    EquivReport {
-        equivalent: mismatches.is_empty(),
-        mismatches,
     }
 }
 
@@ -132,9 +210,9 @@ pub fn check_equivalence(pessimistic: &SimResult, optimistic: &SimResult) -> Equ
 /// deterministic given the receive order), so replaying it through the
 /// pessimistic engine reconstructs the unique sequential execution the
 /// optimistic run claims to equal.
-pub fn committed_schedule(result: &SimResult) -> DeliverySchedule {
+pub fn committed_schedule(result: &impl Outcome) -> DeliverySchedule {
     let mut sched = DeliverySchedule::new();
-    for (&p, log) in &result.logs {
+    for (&p, log) in result.logs() {
         let order: Vec<ProcessId> = log
             .iter()
             .filter_map(|ev| match ev {
@@ -185,21 +263,17 @@ impl Theorem1Verdict {
 }
 
 /// Check Theorem 1: strict comparison first, then the committed-schedule
-/// replay oracle. `rerun` must execute the same system pessimistically
-/// under the given delivery schedule (same latency model and seed) — see
-/// `SimConfig::forced_order`.
+/// replay oracle ([`check_schedule_replay`]).
 pub fn check_theorem1(
-    pessimistic: &SimResult,
-    optimistic: &SimResult,
+    pessimistic: &impl Outcome,
+    optimistic: &impl Outcome,
     rerun: impl FnOnce(Arc<DeliverySchedule>) -> SimResult,
 ) -> Theorem1Verdict {
     let strict = check_equivalence(pessimistic, optimistic);
     if strict.equivalent {
         return Theorem1Verdict::Identical;
     }
-    let sched = Arc::new(committed_schedule(optimistic));
-    let replay_result = rerun(sched);
-    let replay = check_equivalence(&replay_result, optimistic);
+    let (replay, replay_result) = check_schedule_replay(optimistic, rerun);
     if replay.equivalent {
         Theorem1Verdict::EquivalentModuloMergeOrder { strict }
     } else {
@@ -209,6 +283,20 @@ pub fn check_theorem1(
             replay_result: Box::new(replay_result),
         }
     }
+}
+
+/// The replay oracle on its own: force `run`'s committed receive schedule
+/// through the pessimistic simulator and compare the replay with `run`
+/// ([`check_equivalence`]). `run` may be a run on any engine; `rerun` must
+/// execute the same system pessimistically on the simulator under the
+/// given delivery schedule — see `SimConfig::forced_order`. Returns the
+/// report (replay as the pessimistic side) and the replay run itself.
+pub fn check_schedule_replay(
+    run: &impl Outcome,
+    rerun: impl FnOnce(Arc<DeliverySchedule>) -> SimResult,
+) -> (EquivReport, SimResult) {
+    let replay = rerun(Arc::new(committed_schedule(run)));
+    (check_equivalence(&replay, run), replay)
 }
 
 /// Message conservation: at quiescence, the committed multiset of sends

@@ -88,9 +88,11 @@ pub fn first_divergence(
     optimistic: &SimResult,
 ) -> Option<FirstDivergence> {
     let m = report.first()?.clone();
+    // A release mismatch indexes no committed log, so it has no provenance.
     let meta_at = |r: &SimResult| {
         r.provenance
             .get(&m.process)
+            .filter(|_| !m.released)
             .and_then(|v| v.get(m.position))
             .cloned()
     };

@@ -26,8 +26,8 @@ pub use driver::{
 };
 pub use engine::{SimBuilder, SimConfig, SimResult, World};
 pub use equiv::{
-    check_conservation, check_equivalence, check_theorem1, committed_schedule, EquivReport,
-    Mismatch, Theorem1Verdict,
+    check_conservation, check_equivalence, check_schedule_replay, check_theorem1,
+    committed_schedule, EquivReport, Mismatch, Outcome, Theorem1Verdict,
 };
 pub use explore::{
     explore, naive_interleavings, per_receiver_orders, render_schedule, ExploreOpts,

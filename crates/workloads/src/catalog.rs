@@ -26,11 +26,12 @@ use crate::streaming::{
     CLIENT, SERVER,
 };
 use opcsp_core::{CoreConfig, ProcessId, Value};
-use opcsp_rt::{
-    compare_logs, LogDiff, RtConfig, RtResult, RtTransport, RtWorld, SockAddr, SockRole,
+use opcsp_rt::{RtConfig, RtResult, RtTransport, RtWorld, SockAddr, SockRole};
+use opcsp_sim::{
+    check_schedule_replay, Behavior, LatencyModel, Observable, Outcome, SimBuilder, SimConfig,
+    SimResult, VTime,
 };
-use opcsp_sim::{Behavior, LatencyModel, Observable, SimBuilder, SimConfig, SimResult, VTime};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt;
 use std::str::FromStr;
 use std::sync::Arc;
@@ -149,61 +150,6 @@ impl Split {
                 .expect("the hub reports failures, it does not panic");
             (hub, failure)
         })
-    }
-}
-
-/// A run that ended on its own: no time-out, no panic, no straggler.
-pub fn clean(r: &RtResult) -> Result<(), String> {
-    if r.timed_out {
-        Err(format!("timed out ({:?})", r.stats))
-    } else if !r.panicked.is_empty() {
-        Err(format!("panics {:?}", r.panics))
-    } else if !r.stragglers.is_empty() {
-        Err(format!("stragglers {:?}", r.stragglers))
-    } else {
-        Ok(())
-    }
-}
-
-/// A finished run on either engine, as an oracle reads it.
-pub trait Outcome {
-    /// `Err` unless the run ended on its own with every guess resolved.
-    fn ended(&self) -> Result<(), String>;
-    fn logs(&self) -> &BTreeMap<ProcessId, Vec<Observable>>;
-    /// The released externals, in release order.
-    fn external(&self) -> Vec<(ProcessId, Value)>;
-}
-
-impl Outcome for SimResult {
-    fn ended(&self) -> Result<(), String> {
-        if !self.unresolved.is_empty() {
-            return Err(format!("unresolved guesses: {:?}", self.unresolved));
-        }
-        if self.truncated {
-            return Err("run truncated (max_events)".into());
-        }
-        Ok(())
-    }
-    fn logs(&self) -> &BTreeMap<ProcessId, Vec<Observable>> {
-        &self.logs
-    }
-    fn external(&self) -> Vec<(ProcessId, Value)> {
-        self.external
-            .iter()
-            .map(|(_, p, v)| (*p, v.clone()))
-            .collect()
-    }
-}
-
-impl Outcome for RtResult {
-    fn ended(&self) -> Result<(), String> {
-        clean(self)
-    }
-    fn logs(&self) -> &BTreeMap<ProcessId, Vec<Observable>> {
-        &self.logs
-    }
-    fn external(&self) -> Vec<(ProcessId, Value)> {
-        self.external.clone()
     }
 }
 
@@ -557,56 +503,68 @@ impl Spec {
         }
     }
 
-    /// The spec's oracle on `run`, against `twin`, the pessimistic run of
-    /// the same world; both must have ended on their own ([`Outcome::ended`]).
-    /// For `kv`: replica agreement and the sequencer-order replay
-    /// (`replicated_kv::check_replay`) on both, and the same command, read
-    /// and written-key counts. For the others: every client
-    /// committed the calls its script makes, and the committed record is
-    /// merge-equivalent to the twin's (Theorem 1). A one-line summary, or
-    /// what failed.
-    pub fn check<R: Outcome>(&self, run: &R, twin: &R) -> Result<String, String> {
+    /// The spec's oracle on `run`, a run of this world on any engine —
+    /// the simulator, rt under either executor, a socket split — which must
+    /// have ended on its own ([`Outcome::ended`]). Theorem 1, exactly
+    /// (`Spec::replays`, below). Then for `kv`: replica agreement and the
+    /// sequencer-order replay (`replicated_kv::check_replay`); for the
+    /// others: every client committed the calls its script makes. A
+    /// one-line summary, or what failed.
+    pub fn check(&self, run: &impl Outcome) -> Result<String, String> {
         run.ended()?;
-        twin.ended().map_err(|e| format!("pessimistic twin: {e}"))?;
-        if let Spec::Kv(o) = self {
-            let agree = |r: &R| {
-                let streams = replica_streams(o, r.external());
-                let summary = check_replica_agreement(o, &streams)?;
-                check_replay(o, r.logs(), &streams)?;
-                Ok::<_, String>(summary)
-            };
-            let s = agree(run)?;
-            let t = agree(twin).map_err(|e| format!("pessimistic twin: {e}"))?;
-            if (s.applied, s.gets) != (t.applied, t.gets) || !s.store.keys().eq(t.store.keys()) {
-                return Err("command, read or written-key count differs from the twin's".into());
-            }
-            return Ok(format!(
+        self.replays(run)?;
+        let summary = if let Spec::Kv(o) = self {
+            let streams = replica_streams(o, run.external());
+            let s = check_replica_agreement(o, &streams)?;
+            check_replay(o, run.logs(), &streams)?;
+            format!(
                 "SMR agreement: {} replicas each applied {} commands ({} committed reads), \
                  stores identical and equal to the sequencer-order replay",
                 o.replicas, s.applied, s.gets
-            ));
-        }
-        let calls = self.calls();
-        for (pid, want) in &calls {
-            let got = run.logs().get(pid).map_or(0, |log| {
-                log.iter()
-                    .filter(|o| matches!(o, Observable::Received { .. }))
-                    .count()
-            });
-            if got != *want as usize {
-                return Err(format!("{pid} committed {got} of {want} calls"));
+            )
+        } else {
+            let calls = self.calls();
+            for (pid, want) in &calls {
+                let got = run.logs().get(pid).map_or(0, |log| {
+                    log.iter()
+                        .filter(|o| matches!(o, Observable::Received { .. }))
+                        .count()
+                });
+                if got != *want as usize {
+                    return Err(format!("{pid} committed {got} of {want} calls"));
+                }
             }
-        }
-        let diff = compare_logs(twin.logs(), &twin.external(), run.logs(), &run.external());
-        let how = match diff {
-            LogDiff::Identical => "identical to",
-            LogDiff::MergeOnly => "merge-equivalent to",
-            LogDiff::Diverged(e) => return Err(format!("diverged from the pessimistic twin: {e}")),
+            format!("call log: {} client(s) committed every call", calls.len())
         };
         Ok(format!(
-            "call log: {} client(s) committed every call, {how} the pessimistic twin",
-            calls.len()
+            "{summary}; the committed schedule replays exactly on the pessimistic simulator"
         ))
+    }
+
+    /// Theorem 1 on `run` ([`check_schedule_replay`]): its committed receive
+    /// schedule, forced through the pessimistic twin on the simulator
+    /// ([`SimConfig::forced_order`]), reproduces every process's log and
+    /// every process's released externals.
+    fn replays(&self, run: &impl Outcome) -> Result<(), String> {
+        let twin = self.twin();
+        let (report, replay) = check_schedule_replay(run, |sched| {
+            let cfg = SimConfig {
+                forced_order: Some(sched),
+                ..twin.sim_config()
+            };
+            self::run(&twin, &cfg)
+        });
+        replay
+            .ended()
+            .map_err(|e| format!("schedule replay: {e}"))?;
+        match report.first() {
+            None => Ok(()),
+            Some(m) => Err(format!(
+                "no sequential execution reproduces the committed run \
+                 ({} mismatch(es)); first: {m}",
+                report.mismatches.len()
+            )),
+        }
     }
 }
 

@@ -36,11 +36,11 @@
 //! replica — see [`check_replay`]. Used by experiment E14, `Spec::check`
 //! and the `tests/replicated_kv.rs` sim-vs-rt differentials.
 
-use crate::catalog::{self, Outcome};
+use crate::catalog;
 use opcsp_core::{CoreConfig, DataKind, ProcessId, Value};
 use opcsp_sim::{
-    reply_label, Behavior, BehaviorState, Effect, ObsKind, Observable, Resume, SimConfig,
-    SimResult, VTime,
+    reply_label, Behavior, BehaviorState, Effect, ObsKind, Observable, Outcome, Resume,
+    SimConfig, SimResult, VTime,
 };
 use std::collections::BTreeMap;
 use std::sync::Arc;

@@ -1,16 +1,17 @@
 //! The adaptive speculation controller changes *scheduling*, never
 //! *semantics*: whatever limits the per-site controllers pick, the
 //! committed behavior must equal the pessimistic execution on the
-//! simulator and stay merge-equivalent between the simulator and the
-//! real-thread runtime. The contention sweep (low → high → low conflict
+//! simulator, stay merge-equivalent between the simulator and the
+//! real-thread runtime, and the rt run's committed schedule must replay
+//! exactly on the pessimistic simulator (Theorem 1). The contention sweep (low → high → low conflict
 //! rate) drives the controller through its whole repertoire — deepen,
 //! back-off, cooloff, probe — in one run.
 
 use opcsp_core::speculation::MAX_LIMIT;
 use opcsp_core::{CoreConfig, ShiftReason, SpeculationPolicy, TelemetryEvent, Value};
-use opcsp_sim::check_equivalence;
-use opcsp_rt::RtWorld;
-use opcsp_workloads::catalog::place;
+use opcsp_rt::{RtResult, RtWorld};
+use opcsp_sim::{check_equivalence, check_theorem1, SimBuilder, SimConfig};
+use opcsp_workloads::catalog::{self, place};
 use opcsp_workloads::contention_sweep::{run_contention_sweep, Phase, SweepOpts};
 use opcsp_workloads::streaming::CLIENT;
 use std::time::Duration;
@@ -37,6 +38,27 @@ fn small_sweep(policy: SpeculationPolicy) -> SweepOpts {
         server_compute: 5,
         core: CoreConfig::default().with_speculation(policy),
     }
+}
+
+/// Theorem 1 on an rt run of the sweep: its committed receive schedule,
+/// forced through the pessimistic sweep on the simulator, reproduces its
+/// logs exactly.
+fn assert_rt_replays(opts: &SweepOpts, rt: &RtResult) {
+    let pessimistic = SweepOpts {
+        core: CoreConfig::pessimistic(),
+        ..opts.clone()
+    };
+    let reference = run_contention_sweep(pessimistic.clone()).result;
+    let verdict = check_theorem1(&reference, rt, |sched| {
+        let cfg = SimConfig {
+            forced_order: Some(sched),
+            ..catalog::sim_config(&pessimistic.core, opts.latency, 0, 0, None)
+        };
+        place(&pessimistic.roster(), SimBuilder::new(cfg))
+            .build()
+            .run()
+    });
+    assert!(verdict.holds(), "{verdict:?}");
 }
 
 /// Sim-side safety: under the adaptive policy the committed logs equal
@@ -110,6 +132,7 @@ fn sim_and_rt_agree_on_committed_behavior_under_adaptive() {
         sim_ext, rt_ext,
         "released phase markers must match across engines"
     );
+    assert_rt_replays(&opts, &rt);
 }
 
 /// Same differential under a static policy — the redesign must not have
@@ -131,6 +154,7 @@ fn sim_and_rt_agree_under_static_policy() {
             "{pid}: committed logs diverge under static policy"
         );
     }
+    assert_rt_replays(&opts, &rt);
 }
 
 /// Adaptive never exceeds its ceiling, visible end to end: over the

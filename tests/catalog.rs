@@ -2,10 +2,13 @@
 //! prints what it parses and refuses what it cannot run, and one roster
 //! per world that passes its own oracle on every host — the simulator, rt
 //! threaded, rt `sharded:2` and a UDS split (a hub plus two worker
-//! runtimes) — against its pessimistic twin.
+//! runtimes). The oracle replays each run's committed schedule on the
+//! pessimistic simulator, and it has teeth: a consumer log with two
+//! receives swapped, or one receive duplicated, fails it.
 
 use opcsp_core::CoreConfig;
 use opcsp_rt::{Executor, RtConfig, RtWorld, SockAddr};
+use opcsp_sim::Observable;
 use opcsp_workloads::catalog::{Spec, Split, MAX_PROCESSES, WORLDS};
 use proptest::prelude::*;
 use std::time::Duration;
@@ -125,7 +128,7 @@ fn rt_config(core: CoreConfig, executor: Executor) -> RtConfig {
 }
 
 /// Every world at smoke size on every host, each run held to the spec's
-/// oracle against the pessimistic twin on the same engine.
+/// oracle: its committed schedule replayed on the pessimistic simulator.
 #[test]
 fn every_world_passes_its_oracle_on_every_host() {
     for text in SMOKE {
@@ -134,16 +137,16 @@ fn every_world_passes_its_oracle_on_every_host() {
             v.unwrap_or_else(|e| panic!("{text} on {host}: {e}"));
         };
 
-        verdict("sim", spec.check(&spec.simulate(), &spec.twin().simulate()));
+        verdict("sim", spec.check(&spec.simulate()));
 
-        let rt = |core, executor| spec.on(RtWorld::new(rt_config(core, executor))).run();
-        let rt_twin = rt(CoreConfig::pessimistic(), Executor::Threaded);
         for (host, executor) in [
             ("rt threaded", Executor::Threaded),
             ("rt sharded:2", Executor::Sharded { workers: 2 }),
         ] {
-            let run = rt(CoreConfig::default(), executor);
-            verdict(host, spec.check(&run, &rt_twin));
+            let run = spec
+                .on(RtWorld::new(rt_config(CoreConfig::default(), executor)))
+                .run();
+            verdict(host, spec.check(&run));
         }
 
         let path = std::env::temp_dir().join(format!(
@@ -155,6 +158,72 @@ fn every_world_passes_its_oracle_on_every_host() {
         let cfg = rt_config(CoreConfig::default(), Executor::Threaded);
         let (hub, worker_failure) = spec.on(Split::new(&cfg, addr, 2)).run();
         assert_eq!(worker_failure, None, "{text}");
-        verdict("uds x2", spec.check(&hub, &rt_twin));
+        verdict("uds x2", spec.check(&hub));
     }
+}
+
+/// The oracle's teeth. An rt run of a fan-in, then two forged copies of
+/// its consumer's log: two adjacent committed receives from different
+/// senders swapped (its sends left where they are), and one committed
+/// receive duplicated (what a dedup failure under chaos would leave).
+/// Per-link FIFO order and every send are intact in the first, so a
+/// merge-order comparison accepts it; no sequential execution produces
+/// either, so the replay rejects both.
+#[test]
+fn the_oracle_rejects_a_swapped_or_duplicated_receive() {
+    let spec = Spec::parse("fan_in:producers=3,n=3").unwrap();
+    let mut run = spec
+        .on(RtWorld::new(rt_config(CoreConfig::default(), Executor::Threaded)))
+        .run();
+    spec.check(&run).expect("the genuine run passes");
+    let Spec::FanIn(o) = &spec else {
+        unreachable!()
+    };
+    let consumer = opcsp_workloads::fan_in::consumer(o);
+    let genuine = run.logs[&consumer].clone();
+    let receives: Vec<(usize, _)> = genuine
+        .iter()
+        .enumerate()
+        .filter_map(|(i, o)| match o {
+            Observable::Received { from, .. } => Some((i, *from)),
+            _ => None,
+        })
+        .collect();
+    let (a, b) = receives
+        .windows(2)
+        .find(|w| w[0].1 != w[1].1)
+        .map(|w| (w[0].0, w[1].0))
+        .expect("three producers interleave somewhere");
+
+    let mut swapped = genuine.clone();
+    swapped.swap(a, b);
+    assert!(
+        opcsp_rt::merge_equiv(&genuine, &swapped),
+        "the swap keeps every per-link projection"
+    );
+    run.logs.insert(consumer, swapped);
+    let e = spec.check(&run).expect_err("swapped receives");
+    assert!(e.contains("no sequential execution"), "{e}");
+
+    let mut duplicated = genuine.clone();
+    duplicated.insert(a + 1, genuine[a].clone());
+    run.logs.insert(consumer, duplicated);
+    let e = spec.check(&run).expect_err("duplicated receive");
+    assert!(e.contains("no sequential execution"), "{e}");
+}
+
+/// The teeth on the released outputs: they travel apart from the logs,
+/// so an output released twice leaves every log intact, and only the
+/// per-process comparison of the externals sees it.
+#[test]
+fn the_oracle_rejects_an_output_released_twice() {
+    let spec = Spec::parse("kv:replicas=2,clients=2,ops=4").unwrap();
+    let mut run = spec
+        .on(RtWorld::new(rt_config(CoreConfig::default(), Executor::Threaded)))
+        .run();
+    spec.check(&run).expect("the genuine run passes");
+    let last = run.external.last().cloned().expect("the replicas release");
+    run.external.push(last);
+    let e = spec.check(&run).expect_err("an output released twice");
+    assert!(e.contains("no sequential execution") && e.contains("release #"), "{e}");
 }

@@ -2,7 +2,7 @@
 //!
 //! Two properties, split by what is schedule-independent:
 //!
-//! - **Merge equivalence (Theorem-1-shaped):** with a single client the
+//! - **Merge equivalence across engines:** with a single client the
 //!   committed history is schedule-independent — the sequencer assigns
 //!   positions in issue order no matter how threads race — so the
 //!   simulator and the real-thread runtime (both executors) must commit
@@ -13,16 +13,19 @@
 //!   property itself — identical stores and read streams across
 //!   replicas, asserted under chaos faults and the sharded executor (the
 //!   socket transport's run is `tests/catalog.rs`'s matrix).
-//! - **Replay:** whatever order the sequencer saw, the positions the
-//!   clients committed are a legal sequencer order, and replaying the
-//!   commands in it reproduces every replica (`check_replay`) — on the
-//!   simulator, rt threaded, `sharded:1`, `sharded:2` and a UDS split.
+//! - **Replay:** whatever order the sequencer saw, every run passes
+//!   `Spec::check`: its committed receive schedule replays exactly on the
+//!   pessimistic simulator (Theorem 1), the positions the clients
+//!   committed are a legal sequencer order, and replaying the commands in
+//!   it reproduces every replica (`check_replay`) — on the simulator, rt
+//!   threaded, `sharded:1`, `sharded:2` and a UDS split.
 
 use opcsp_core::Value;
 use opcsp_rt::{merge_equiv, Executor, NetFaults, RtConfig, RtResult, RtWorld, SockAddr};
-use opcsp_workloads::catalog::{Outcome, Spec, Split};
+use opcsp_sim::Outcome;
+use opcsp_workloads::catalog::{Spec, Split};
 use opcsp_workloads::replicated_kv::{
-    check_replay, check_rt_agreement, check_sim_agreement, replica_streams, KvOpts,
+    check_rt_agreement, check_sim_agreement, replica_streams, KvOpts,
 };
 use std::time::Duration;
 
@@ -59,6 +62,7 @@ fn assert_rt_matches_sim(opts: &KvOpts, label: &str, executor: Executor) {
     assert!(!rt.timed_out, "{label}: rt timed out");
     assert!(rt.panicked.is_empty(), "{label}: rt panics {:?}", rt.panics);
     check_rt_agreement(opts, &rt).expect("rt SMR oracle");
+    assert_replays(opts, label, &rt);
 
     for (pid, sim_log) in &sim.logs {
         let rt_log = rt
@@ -224,12 +228,14 @@ fn optimism_beats_pessimism_at_fixed_latency() {
     );
 }
 
-// The replay oracle, on every engine.
+// The replay oracles, on every engine.
 
+/// `Spec::check`: the schedule replay (Theorem 1), replica agreement and
+/// the sequencer-order replay (`check_replay`).
 fn assert_replays(opts: &KvOpts, host: &str, run: &impl Outcome) {
-    run.ended().unwrap_or_else(|e| panic!("{host}: {e}"));
-    let streams = replica_streams(opts, run.external());
-    check_replay(opts, run.logs(), &streams).unwrap_or_else(|e| panic!("{host}: {e}"));
+    Spec::Kv(opts.clone())
+        .check(run)
+        .unwrap_or_else(|e| panic!("{host}: {e}"));
 }
 
 /// Four clients contend for the sequencer: the committed order is whatever
@@ -280,11 +286,10 @@ fn one_worker_at_latency_zero_commits_every_position_guess() {
         latency: Duration::ZERO,
         ..rt_cfg(Executor::Sharded { workers: 1 }, NetFaults::none())
     };
-    let twin = spec.twin().on(RtWorld::new(cfg.clone())).run();
     let runs: Vec<_> = (0..3)
         .map(|_| {
             let r = spec.on(RtWorld::new(cfg.clone())).run();
-            spec.check(&r, &twin).expect("kv oracle");
+            spec.check(&r).expect("kv oracle");
             r.stats.proto
         })
         .collect();

@@ -8,7 +8,8 @@
 //! `core::telemetry` layer exists to catch.
 
 use opcsp_core::CoreConfig;
-use opcsp_workloads::catalog::{clean, Spec};
+use opcsp_sim::Outcome;
+use opcsp_workloads::catalog::Spec;
 use opcsp_workloads::streaming::StreamingOpts;
 use std::time::Duration;
 
@@ -37,7 +38,7 @@ fn run_rt() -> opcsp_rt::RtResult {
             ..opcsp_rt::RtConfig::default()
         }))
         .run();
-    clean(&r).expect("rt differential run");
+    r.ended().expect("rt differential run");
     r
 }
 

@@ -7,7 +7,8 @@
 //! servers with varying reply policies and service times) and random
 //! latency models (fixed, jittered, per-link skews that provoke time
 //! faults). Every system is run both ways and the committed observable
-//! logs must be identical.
+//! logs must be identical. The last tests pin what `check_equivalence`
+//! compares besides the logs: each process's released externals.
 
 use opcsp_core::{CoreConfig, ProcessId};
 use opcsp_lang::{block, BinOp, Expr, ProcDef, Program, Stmt, System};
@@ -255,4 +256,50 @@ fn theorem1_fixture_seed_is_stable() {
     // A canary: any change to generator or engine that alters this seed's
     // statistics deserves a close look (update deliberately).
     check_seed(42);
+}
+
+/// Released externals are part of the compared behavior, per process in
+/// release order: they travel apart from the committed logs, so an output
+/// released twice leaves every log intact and shows only here.
+#[test]
+fn released_externals_are_compared_per_process_in_release_order() {
+    let released = |ext: &[(u32, i64)]| opcsp_rt::RtResult {
+        external: ext
+            .iter()
+            .map(|&(p, v)| (ProcessId(p), opcsp_core::Value::Int(v)))
+            .collect(),
+        ..Default::default()
+    };
+    let base = released(&[(0, 1), (1, 7), (0, 2)]);
+    // The interleaving across processes is not compared...
+    assert!(check_equivalence(&base, &released(&[(1, 7), (0, 1), (0, 2)])).equivalent);
+    // ...the order within one process is...
+    assert!(!check_equivalence(&base, &released(&[(0, 2), (1, 7), (0, 1)])).equivalent);
+    // ...and so is an output released twice.
+    let rep = check_equivalence(&base, &released(&[(0, 1), (1, 7), (0, 2), (0, 2)]));
+    assert_eq!(rep.mismatches.len(), 1);
+    assert_eq!(
+        rep.first().unwrap().to_string(),
+        "X release #2: pessimistic `(nothing released)` vs optimistic `out 2`"
+    );
+}
+
+/// The forensics anchor is a log mismatch whenever there is one: a release
+/// mismatch indexes no committed log.
+#[test]
+fn first_mismatch_prefers_a_log_to_a_release() {
+    let run = |logged: i64, released: i64| opcsp_rt::RtResult {
+        logs: [(
+            ProcessId(0),
+            vec![opcsp_sim::Observable::Output {
+                payload: opcsp_core::Value::Int(logged),
+            }],
+        )]
+        .into(),
+        external: vec![(ProcessId(0), opcsp_core::Value::Int(released))],
+        ..Default::default()
+    };
+    let rep = check_equivalence(&run(1, 1), &run(2, 9));
+    assert_eq!(rep.mismatches.len(), 2);
+    assert!(!rep.first().unwrap().released);
 }
