@@ -1,5 +1,5 @@
 //! Micro-benchmarks for the guard representation (runs of consecutive
-//! guesses): clone, union and difference (`new_guards`) across guard sizes
+//! guesses): clone, union and difference (`new_runs`) across guard sizes
 //! 0–64 spread over seven processes — a many-run guard — and,
 //! beside the 32-guess cases, a 512-deep single-process guard, which is
 //! one run: clone, union and front removal there cost what they cost for a
@@ -98,9 +98,9 @@ fn bench_diff(c: &mut Criterion) {
         let mine = guard_of(n);
         let incoming = half_overlap(n);
         g.bench_with_input(
-            BenchmarkId::new("new_guards", n),
+            BenchmarkId::new("new_runs", n),
             &(mine, incoming),
-            |b, (mine, incoming)| b.iter(|| black_box(mine.new_guards(incoming))),
+            |b, (mine, incoming)| b.iter(|| black_box(mine.new_runs(incoming).count())),
         );
         let mine2 = guard_of(n);
         let incoming2 = half_overlap(n);

@@ -50,8 +50,10 @@
 //! chained through their own link fields and reused, so storage is bounded
 //! by the peak number of live nodes and edges. There is no per-edge
 //! allocation and no per-node container, and a node takes a slot only once
-//! an edge touches it — a guess that is merely *known* (it sits in some
-//! guard, §4.2.3) is one index entry:
+//! an edge touches it. A guess that is merely *known* (it sits in some
+//! guard, §4.2.3) is one index entry, and a stretch of them that a delivery
+//! brings is one entry for the whole run ([`Cdg::add_run`]), which a
+//! pipeline's commits trim from the bottom:
 //!
 //! - inserting an edge is O(1) after the two index lookups;
 //! - [`Cdg::successors`] / [`Cdg::predecessors`] walk one list, O(degree)
@@ -70,7 +72,7 @@
 //! Traversals mark nodes with an epoch stamp stored in the slot, so a
 //! reachability costs what it visits and allocates only its work stack.
 
-use crate::guard::{Guard, Run, RunBuf};
+use crate::guard::{Guard, Run, RunBuf, RunMap};
 use crate::ids::GuessId;
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
@@ -104,9 +106,12 @@ struct Edge {
 /// `a` (logically) precedes guess `b`", i.e. `b` cannot commit before `a`.
 #[derive(Debug, Clone)]
 pub struct Cdg {
-    /// Live nodes, in `GuessId` order, with their slot — `NIL` until the
-    /// first edge touches the node.
+    /// Nodes in `GuessId` order with their slot — `NIL` until the first
+    /// edge touches the node.
     index: BTreeMap<GuessId, u32>,
+    /// The other nodes: known guesses no edge has touched yet, registered
+    /// a run of more than one at a time. Disjoint from `index`.
+    known: RunMap<()>,
     nodes: Vec<Node>,
     edges: Vec<Edge>,
     /// Heads of the free-slot chains (through `Node::out_head` and
@@ -125,6 +130,7 @@ impl Default for Cdg {
     fn default() -> Self {
         Cdg {
             index: BTreeMap::new(),
+            known: RunMap::default(),
             nodes: Vec::new(),
             edges: Vec::new(),
             free_node: NIL,
@@ -152,15 +158,50 @@ impl Cdg {
     }
 
     pub fn contains_node(&self, g: GuessId) -> bool {
-        self.index.contains_key(&g)
+        self.index.contains_key(&g) || self.known.contains(g)
     }
 
     pub fn add_node(&mut self, g: GuessId) {
-        self.index.entry(g).or_insert(NIL);
+        self.add_run(Run::single(g));
+    }
+
+    /// Make every member of `run` a node: one entry for what is new. A
+    /// single guess is one index entry, as cheap as a `known` one and
+    /// found first.
+    pub fn add_run(&mut self, run: Run) {
+        if run.len() == 1 {
+            if let Entry::Vacant(entry) = self.index.entry(run.first()) {
+                if !self.known.contains(run.first()) {
+                    entry.insert(NIL);
+                }
+            }
+            return;
+        }
+        let fresh = Guard::from_ascending(self.known.gaps(run));
+        for gap in fresh.runs() {
+            // The gap less the nodes an edge has touched.
+            let mut lo = Some(gap.lo);
+            for (&g, _) in self.index.range(gap.first()..=gap.last()) {
+                if let Some(lo) = lo.filter(|&lo| lo < g.index) {
+                    self.known.insert(
+                        Run {
+                            lo,
+                            hi: g.index - 1,
+                            ..*gap
+                        },
+                        (),
+                    );
+                }
+                lo = g.index.checked_add(1);
+            }
+            if let Some(lo) = lo.filter(|&lo| lo <= gap.hi) {
+                self.known.insert(Run { lo, ..*gap }, ());
+            }
+        }
     }
 
     pub fn node_count(&self) -> usize {
-        self.index.len()
+        self.index.len() + self.known.members()
     }
 
     pub fn edge_count(&self) -> usize {
@@ -196,7 +237,7 @@ impl Cdg {
         only_if_known: bool,
     ) -> EdgeOutcome {
         debug_assert!(!guard.contains(to), "{to} precedes itself");
-        let admitted = match !only_if_known || self.index.contains_key(&to) {
+        let admitted = match !only_if_known || self.contains_node(to) {
             true => guard.clone(),
             false => self.admitted(guard),
         };
@@ -222,11 +263,16 @@ impl Cdg {
         for &run in guard.runs() {
             let lo = match open {
                 true => Some(run.lo),
-                false => self
-                    .index
-                    .range(run.first()..=run.last())
-                    .next()
-                    .map(|(g, _)| g.index),
+                false => {
+                    let edged = self.index.range(run.first()..=run.last()).next();
+                    let known = self.known.first_in(run);
+                    edged
+                        .map(|(g, _)| *g)
+                        .into_iter()
+                        .chain(known)
+                        .min()
+                        .map(|g| g.index)
+                }
             };
             if let Some(lo) = lo {
                 open = true;
@@ -264,6 +310,7 @@ impl Cdg {
         let mut sources: Vec<u32> = Vec::new();
         for from in froms {
             if from == to {
+                self.known.remove(Run::single(to));
                 to_slot.get_or_insert_with(|| *self.index.entry(to).or_insert(NIL));
                 cycle.insert(to);
                 continue;
@@ -365,7 +412,8 @@ impl Cdg {
     pub fn remove(&mut self, g: GuessId) {
         self.records.remove(&g);
         let slot = match self.index.remove(&g) {
-            None | Some(NIL) => return,
+            None => return self.known.remove(Run::single(g)),
+            Some(NIL) => return,
             Some(slot) => slot,
         };
         let mut e = self.nodes[slot as usize].out_head;
@@ -426,7 +474,7 @@ impl Cdg {
             let Some(record) = self.records.remove(&s) else {
                 continue;
             };
-            let members = Vec::from_iter(record.iter().filter(|u| self.index.contains_key(u)));
+            let members = Vec::from_iter(record.iter().filter(|u| self.contains_node(*u)));
             let outcome = self.add_edges_into(s, members);
             debug_assert_eq!(outcome, EdgeOutcome::Acyclic, "a record reached {s}");
         }
@@ -436,14 +484,18 @@ impl Cdg {
     /// whose predecessors have all committed can itself commit when its own
     /// guard empties.
     pub fn is_root(&self, g: GuessId) -> bool {
-        self.index
-            .get(&g)
-            .is_some_and(|&slot| self.in_head(slot) == NIL)
+        match self.index.get(&g) {
+            Some(&slot) => self.in_head(slot) == NIL,
+            None => self.known.contains(g),
+        }
     }
 
-    /// Iterate nodes in deterministic order.
-    pub fn nodes(&self) -> impl Iterator<Item = GuessId> + '_ {
-        self.index.keys().copied()
+    /// Iterate nodes in deterministic (`GuessId`) order.
+    pub fn nodes(&self) -> impl Iterator<Item = GuessId> {
+        let known = self.known.iter().flat_map(|(run, ())| run.iter());
+        let mut nodes = Vec::from_iter(self.index.keys().copied().chain(known));
+        nodes.sort_unstable();
+        nodes.into_iter()
     }
 
     /// Exhaustive acyclicity check (test/diagnostic use; the incremental
@@ -481,6 +533,9 @@ impl Cdg {
             Entry::Occupied(o) if *o.get() != NIL => return *o.get(),
             entry => entry,
         };
+        if let Entry::Vacant(_) = entry {
+            self.known.remove(Run::single(g));
+        }
         let node = Node {
             id: g,
             out_head: NIL,

@@ -24,7 +24,7 @@
 
 use crate::ids::{ForkIndex, GuessId, Incarnation, ProcessId};
 use std::cmp::Ordering;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::Arc;
 
@@ -145,18 +145,24 @@ pub struct Guard {
 }
 
 /// Accumulates runs pushed in ascending order into a canonical guard,
-/// merging the ones that touch; allocates only past the inline capacity.
+/// merging the ones that touch. Up to [`RunBuf::STACK_CAP`] runs are held
+/// on the stack, so a guard is built with at most one allocation — none
+/// within [`Guard::INLINE_CAP`] runs, the shared copy's up to `STACK_CAP` —
+/// and only a longer one spills to a vector first.
 pub(crate) struct RunBuf {
     n: usize,
-    inline: [Run; Guard::INLINE_CAP],
+    stack: [Run; RunBuf::STACK_CAP],
     spill: Vec<Run>,
 }
 
 impl RunBuf {
+    /// Most runs accumulated without a heap allocation.
+    pub(crate) const STACK_CAP: usize = 16;
+
     pub(crate) fn new() -> RunBuf {
         RunBuf {
             n: 0,
-            inline: [FILL; Guard::INLINE_CAP],
+            stack: [FILL; RunBuf::STACK_CAP],
             spill: Vec::new(),
         }
     }
@@ -165,7 +171,7 @@ impl RunBuf {
     pub(crate) fn push(&mut self, run: Run) {
         let last = match self.spill.last_mut() {
             Some(last) => Some(last),
-            None => self.inline[..self.n].last_mut(),
+            None => self.stack[..self.n].last_mut(),
         };
         if let Some(last) = last {
             debug_assert!(last.key() <= run.key(), "runs pushed out of order");
@@ -174,12 +180,13 @@ impl RunBuf {
                 return;
             }
         }
-        if self.n < Guard::INLINE_CAP {
-            self.inline[self.n] = run;
+        if self.n < RunBuf::STACK_CAP {
+            self.stack[self.n] = run;
             self.n += 1;
         } else {
             if self.spill.is_empty() {
-                self.spill.extend_from_slice(&self.inline);
+                self.spill.reserve(2 * RunBuf::STACK_CAP);
+                self.spill.extend_from_slice(&self.stack);
             }
             self.spill.push(run);
         }
@@ -188,12 +195,17 @@ impl RunBuf {
     /// The guard pushed so far; shared storage exactly when its runs
     /// exceed `INLINE_CAP`.
     pub(crate) fn finish(self) -> Guard {
-        let repr = match self.spill.is_empty() {
-            true => Repr::Inline {
+        let repr = if !self.spill.is_empty() {
+            Repr::Shared(self.spill.into())
+        } else if self.n > Guard::INLINE_CAP {
+            Repr::Shared(self.stack[..self.n].into())
+        } else {
+            let mut runs = [FILL; Guard::INLINE_CAP];
+            runs[..self.n].copy_from_slice(&self.stack[..self.n]);
+            Repr::Inline {
                 n: self.n as u8,
-                runs: self.inline,
-            },
-            false => Repr::Shared(self.spill.into()),
+                runs,
+            }
         };
         Guard { repr }
     }
@@ -323,12 +335,6 @@ impl Guard {
         }
     }
 
-    /// The guesses present in `incoming` but not in `self` — the
-    /// `Newguards` of §4.2.3's message-arrival processing.
-    pub fn new_guards(&self, incoming: &Guard) -> Vec<GuessId> {
-        self.new_runs(incoming).flat_map(Run::iter).collect()
-    }
-
     /// Count of guesses `incoming` would add — used by the delivery
     /// optimization ("the one for which |Newguards| is smallest").
     pub fn new_guard_count(&self, incoming: &Guard) -> usize {
@@ -364,6 +370,147 @@ impl Guard {
         match (&self.repr, &other.repr) {
             (Repr::Shared(mine), Repr::Shared(theirs)) => Arc::ptr_eq(mine, theirs),
             _ => false,
+        }
+    }
+}
+
+/// Disjoint runs of guesses, each with a value: a set of members that
+/// arrive and leave a stretch at a time (a delivery's new runs, a
+/// pipeline's commits), stored as one entry per run instead of one per
+/// member. An entry is keyed by its *last* member, so a run losing its
+/// bottom — the way commits strip a pipeline — is updated in place.
+/// Adjacent entries are not merged: each keeps its own value.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RunMap<V> {
+    /// Last member → (first index, value).
+    map: BTreeMap<GuessId, (ForkIndex, V)>,
+}
+
+impl<V> Default for RunMap<V> {
+    fn default() -> Self {
+        RunMap {
+            map: BTreeMap::new(),
+        }
+    }
+}
+
+/// The run an entry keyed by `last` that starts at `lo` stands for.
+fn entry_run(last: GuessId, lo: ForkIndex) -> Run {
+    Run::new(last.process, last.incarnation, lo, last.index)
+}
+
+impl<V: Copy> RunMap<V> {
+    /// The entry holding `g`: its run and value.
+    pub fn get(&self, g: GuessId) -> Option<(Run, V)> {
+        let (&last, &(lo, value)) = self.map.range(g..).next()?;
+        let run = entry_run(last, lo);
+        run.contains(g).then_some((run, value))
+    }
+
+    pub fn contains(&self, g: GuessId) -> bool {
+        self.get(g).is_some()
+    }
+
+    /// The entries, ascending.
+    pub fn iter(&self) -> impl Iterator<Item = (Run, V)> + '_ {
+        self.map
+            .iter()
+            .map(|(&last, &(lo, value))| (entry_run(last, lo), value))
+    }
+
+    /// Number of entries (runs, not members).
+    pub fn len(&self) -> usize {
+        self.map.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.map.is_empty()
+    }
+
+    /// Number of members.
+    pub fn members(&self) -> usize {
+        self.iter().map(|(run, _)| run.len()).sum()
+    }
+
+    /// The first member of `run` that an entry holds.
+    pub(crate) fn first_in(&self, run: Run) -> Option<GuessId> {
+        let (&last, &(lo, _)) = self.map.range(run.first()..).next()?;
+        let held = last.process == run.process && last.incarnation == run.incarnation;
+        (held && lo <= run.hi).then(|| run.guess(lo.max(run.lo)))
+    }
+
+    /// The parts of `run` no entry holds, ascending.
+    pub(crate) fn gaps(&self, run: Run) -> impl Iterator<Item = Run> + '_ {
+        // The entries overlapping `run`, ascending, as (first, last) indices.
+        let mut held = self
+            .map
+            .range(run.first()..)
+            .map_while(move |(last, (lo, _))| {
+                let same = last.process == run.process && last.incarnation == run.incarnation;
+                (same && *lo <= run.hi).then_some((*lo, last.index))
+            });
+        // The lowest member of `run` not yet accounted for.
+        let mut next = Some(run.lo);
+        std::iter::from_fn(move || {
+            while let Some(lo) = next {
+                let Some((first, last)) = held.next() else {
+                    next = None;
+                    return Some(Run { lo, ..run });
+                };
+                next = last.checked_add(1).filter(|&n| n <= run.hi);
+                if first > lo {
+                    return Some(Run {
+                        lo,
+                        hi: first - 1,
+                        ..run
+                    });
+                }
+            }
+            None
+        })
+    }
+
+    /// Record `run` with `value`; no entry may hold any of its members.
+    pub(crate) fn insert(&mut self, run: Run, value: V) {
+        debug_assert!(self.first_in(run).is_none(), "{run:?} overlaps an entry");
+        self.map.insert(run.last(), (run.lo, value));
+    }
+
+    /// Forget `cut`'s members: an entry it overlaps is trimmed, split or
+    /// dropped.
+    pub(crate) fn remove(&mut self, cut: Run) {
+        while let Some((&last, entry)) = self.map.range_mut(cut.first()..).next() {
+            let (lo, value) = *entry;
+            if last.process != cut.process || last.incarnation != cut.incarnation || lo > cut.hi {
+                return;
+            }
+            let beyond = last.index > cut.hi;
+            match beyond {
+                // Its top survives, under the same key.
+                true => entry.0 = cut.hi + 1,
+                false => {
+                    self.map.remove(&last);
+                }
+            }
+            if lo < cut.lo {
+                self.map.insert(cut.guess(cut.lo - 1), (lo, value));
+            }
+            if beyond {
+                return;
+            }
+        }
+    }
+
+    /// Keep only the members of `guard`.
+    pub(crate) fn retain_in(&mut self, guard: &Guard) {
+        for (last, (lo, value)) in std::mem::take(&mut self.map) {
+            let run = entry_run(last, lo);
+            for held in guard.runs().iter().filter(|r| r.owner() == run.owner()) {
+                let (lo, hi) = (run.lo.max(held.lo), run.hi.min(held.hi));
+                if lo <= hi {
+                    self.insert(Run { lo, hi, ..run }, value);
+                }
+            }
         }
     }
 }
@@ -553,10 +700,10 @@ mod tests {
     }
 
     #[test]
-    fn new_guards_is_set_difference() {
+    fn new_runs_are_set_difference() {
         let mine = Guard::single(g(0, 1));
         let incoming = Guard::from_iter([g(0, 1), g(2, 3), g(1, 9)]);
-        let new = mine.new_guards(&incoming);
+        let new: Vec<GuessId> = mine.new_runs(&incoming).flat_map(Run::iter).collect();
         assert_eq!(new, vec![g(1, 9), g(2, 3)]);
         assert_eq!(mine.new_guard_count(&incoming), 2);
     }
@@ -664,6 +811,76 @@ mod tests {
         assert!(a < b);
         assert!(b < c);
         assert_eq!(a.cmp(&a.clone()), std::cmp::Ordering::Equal);
+    }
+
+    fn run(p: u32, lo: u32, hi: u32) -> Run {
+        Run::new(ProcessId(p), Incarnation(0), lo, hi)
+    }
+
+    #[test]
+    fn run_map_keeps_one_entry_per_run_and_trims_in_place() {
+        let mut map = RunMap::default();
+        map.insert(run(0, 1, 5), 'a');
+        map.insert(run(0, 6, 9), 'b');
+        map.insert(run(1, 2, 2), 'c');
+        assert_eq!(map.len(), 3);
+        assert_eq!(map.members(), 10);
+        assert_eq!(map.get(g(0, 4)), Some((run(0, 1, 5), 'a')));
+        assert_eq!(map.get(g(0, 6)), Some((run(0, 6, 9), 'b')));
+        assert_eq!(map.get(g(0, 10)), None);
+        assert_eq!(map.get(g(1, 1)), None);
+        // Commits strip the bottom: across the boundary of two entries,
+        // each keeps its own value.
+        map.remove(run(0, 1, 7));
+        assert_eq!(map.get(g(0, 8)), Some((run(0, 8, 9), 'b')));
+        assert!(!map.contains(g(0, 5)));
+        // A removal from the middle splits an entry.
+        map.insert(run(0, 20, 30), 'd');
+        map.remove(run(0, 24, 25));
+        let entries: Vec<_> = map.iter().collect();
+        assert_eq!(
+            entries,
+            [
+                (run(0, 8, 9), 'b'),
+                (run(0, 20, 23), 'd'),
+                (run(0, 26, 30), 'd'),
+                (run(1, 2, 2), 'c'),
+            ]
+        );
+        // What no entry holds, and what of an entry a guard holds.
+        let gaps: Vec<_> = map.gaps(run(0, 5, 22)).collect();
+        assert_eq!(gaps, [run(0, 5, 7), run(0, 10, 19)]);
+        assert_eq!(map.first_in(run(0, 10, 27)), Some(g(0, 20)));
+        assert_eq!(map.first_in(run(0, 10, 19)), None);
+        let guard = Guard::from_ascending([run(0, 9, 21), run(0, 29, 40)]);
+        map.retain_in(&guard);
+        let entries: Vec<_> = map.iter().collect();
+        assert_eq!(
+            entries,
+            [
+                (run(0, 9, 9), 'b'),
+                (run(0, 20, 21), 'd'),
+                (run(0, 29, 30), 'd')
+            ]
+        );
+    }
+
+    #[test]
+    fn a_guard_up_to_the_stack_capacity_is_one_allocation() {
+        // Inline up to `INLINE_CAP` runs; past it, one shared copy straight
+        // from the stack buffer; past `STACK_CAP`, a spill first.
+        for n in [
+            1,
+            Guard::INLINE_CAP,
+            Guard::INLINE_CAP + 1,
+            RunBuf::STACK_CAP + 3,
+        ] {
+            let guard: Guard = (0..n as u32).map(|p| g(p, 1)).collect();
+            assert_eq!(guard.runs().len(), n);
+            let shared = guard.clone().shares_storage_with(&guard);
+            assert_eq!(shared, n > Guard::INLINE_CAP);
+            assert!(guard.iter().eq((0..n as u32).map(|p| g(p, 1))));
+        }
     }
 
     #[test]

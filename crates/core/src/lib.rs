@@ -46,8 +46,8 @@ pub use history::{Fate, History, IncarnationTable};
 pub use ids::{ForkIndex, GuessId, Incarnation, ProcessId, StateIndex, ThreadId};
 pub use message::{CallId, Control, DataKind, Envelope, Label, MsgId};
 pub use process::{
-    ArrivalVerdict, CoreConfig, DeliveryEffect, ForkRecord, GuessResolution, MetaSnapshot,
-    OwnGuess, OwnGuessState, ProcessCore, ResolutionCause, ThreadMeta, ThreadPhase,
+    ArrivalVerdict, CoreConfig, DeliveryEffect, ForkRecord, GuessResolution, OwnGuess,
+    OwnGuessState, ProcessCore, ResolutionCause, ThreadMeta, ThreadPhase,
 };
 pub use resolve::{AbortEffects, CommitEffects, JoinDecision};
 pub use speculation::{PolicyShift, ShiftReason, SiteController, SpeculationPolicy};

@@ -34,7 +34,7 @@
 //! (`guard::Run`) and every question here is answered run by run.
 
 use crate::cdg::Cdg;
-use crate::guard::{Guard, Run, RunBuf};
+use crate::guard::{Guard, Run, RunBuf, RunMap};
 use crate::history::{Fate, History};
 use crate::ids::{ForkIndex, GuessId, Incarnation, ProcessId, StateIndex};
 use crate::message::{DataKind, Envelope};
@@ -95,23 +95,6 @@ impl CoreConfig {
     }
 }
 
-/// Protocol metadata snapshot taken at entry to each interval, so rollback
-/// can restore the guard/rollback maps along with the behavior state.
-///
-/// This is a delta checkpoint: the guard is a copy-on-write clone (a
-/// reference-count bump), and the rollback map is represented by the keys
-/// the interval transition *added* — restoring past the snapshot removes
-/// exactly those keys. Entries removed from the live map since a boundary
-/// went with their guess's resolution, and the restore path re-filters
-/// against the commit history, so added-keys are the complete delta.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MetaSnapshot {
-    pub guard: Guard,
-    /// Rollback-map keys first recorded upon entering this snapshot's
-    /// interval.
-    pub added: Vec<GuessId>,
-}
-
 /// Why a thread exists / what it is doing, from the protocol's viewpoint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ThreadPhase {
@@ -139,28 +122,30 @@ pub struct ThreadMeta {
     read_at: u64,
     /// `Rollbacks[g]` (§4.1.3) for the guesses this thread acquired by its
     /// *own* deliveries: the state index at which it first became dependent
-    /// upon `g`. Guard members a right thread was forked with have no entry
-    /// — see [`ThreadMeta::rollback_point`]. Keys are always guard members.
-    pub rollbacks: BTreeMap<GuessId, StateIndex>,
-    /// Snapshot of (guard, rollbacks) at entry to each interval;
-    /// `snapshots[i]` is the state on entering interval `i`.
-    pub snapshots: Vec<MetaSnapshot>,
+    /// upon `g`. Kept by run: a delivery records one entry per new run, and
+    /// every member of it shares that point. Guard members a right thread
+    /// was forked with have no entry — see [`ThreadMeta::rollback_point`].
+    /// Entries only ever hold guard members.
+    pub rollbacks: RunMap<StateIndex>,
+    /// The guard at entry to each interval (§4.1.3's checkpoint of the
+    /// protocol state): `snapshots[i]` is the guard on entering interval
+    /// `i` — a copy-on-write clone, a few words. The rollback map needs no
+    /// snapshot: the entries recorded in interval `k` or later hold members
+    /// `snapshots[k]` does not, so a restore to slot `k` drops them by
+    /// filtering the map with the restored guard.
+    pub snapshots: Vec<Guard>,
     pub phase: ThreadPhase,
 }
 
 impl ThreadMeta {
     fn new(index: ForkIndex, guard: Guard) -> Self {
-        let snap = MetaSnapshot {
-            guard: guard.clone(),
-            added: Vec::new(),
-        };
         ThreadMeta {
             index,
             interval: 0,
-            guard,
+            guard: guard.clone(),
             read_at: 0,
-            rollbacks: BTreeMap::new(),
-            snapshots: vec![snap],
+            rollbacks: RunMap::default(),
+            snapshots: vec![guard],
             phase: ThreadPhase::Running,
         }
     }
@@ -178,7 +163,7 @@ impl ThreadMeta {
     /// spelled `(n, 0)`.
     pub fn rollback_point(&self, g: GuessId) -> Option<StateIndex> {
         self.guard.contains(g).then(|| {
-            let own = self.rollbacks.get(&g).copied();
+            let own = self.rollbacks.get(g).map(|(_, at)| at);
             own.unwrap_or(StateIndex::new(self.index, 0))
         })
     }
@@ -234,8 +219,9 @@ pub enum ArrivalVerdict {
 /// Effect of actually delivering a message to a thread.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeliveryEffect {
-    /// Guesses newly added to the thread's guard.
-    pub new_guards: Vec<GuessId>,
+    /// Guesses newly added to the thread's guard, as runs (`len()` counts
+    /// the guesses).
+    pub new_guards: Guard,
     /// If a new interval began, its number. The engine must have
     /// checkpointed the behavior state *before* applying the message.
     pub new_interval: Option<u32>,
@@ -262,6 +248,16 @@ pub struct ProcessCore {
     /// paths wherever they change an [`OwnGuess::state`].
     pub(crate) awaiting: BTreeSet<GuessId>,
     pub(crate) pending_own: usize,
+    /// The commit cascade's watch index: every awaiting guess whose left
+    /// guard still holds an uncommitted member is filed under one such
+    /// member, as `(member, guess)`, and is looked at again only when that
+    /// member commits; the rest are `ready`, which the cascade commits
+    /// smallest first. An entry may be stale (its guess resolved since);
+    /// it is skipped when woken. An awaiting guess whose left thread is
+    /// gone is `leftless` until a fork reuses that thread index.
+    pub(crate) watch: BTreeSet<(GuessId, GuessId)>,
+    pub(crate) ready: BTreeSet<GuessId>,
+    pub(crate) leftless: BTreeSet<GuessId>,
     /// Indices of the threads whose *stored* guard is non-empty — a
     /// superset of the threads with an uncommitted dependency, and the only
     /// ones an ABORT has anything to remove from. `fork`, `deliver` and
@@ -322,6 +318,9 @@ impl ProcessCore {
             own: BTreeMap::new(),
             awaiting: BTreeSet::new(),
             pending_own: 0,
+            watch: BTreeSet::new(),
+            ready: BTreeSet::new(),
+            leftless: BTreeSet::new(),
             holders: BTreeSet::new(),
             speculation: SpeculationState::default(),
             resolutions: Vec::new(),
@@ -370,10 +369,20 @@ impl ProcessCore {
             "holder index out of step with the thread guards"
         );
         debug_assert!(
-            self.threads
-                .values()
-                .all(|t| t.rollbacks.keys().all(|g| t.guard.contains(*g))),
+            self.threads.values().all(|t| t
+                .rollbacks
+                .iter()
+                .all(|(run, _)| run.iter().all(|g| t.guard.contains(g)))),
             "a rollback point outlived its guard member"
+        );
+        debug_assert!(
+            self.threads.values().all(|t| {
+                let runs = || t.rollbacks.iter().map(|(run, _)| run);
+                runs().zip(runs().skip(1)).all(|(a, b)| {
+                    (a.process, a.incarnation, a.hi) < (b.process, b.incarnation, b.lo)
+                })
+            }),
+            "two rollback entries hold the same guess"
         );
     }
 
@@ -433,9 +442,7 @@ impl ProcessCore {
                 continue;
             }
             stripped = true;
-            while let Some((&g, _)) = meta.rollbacks.range(run.first()..=run.last()).next() {
-                meta.rollbacks.remove(&g);
-            }
+            meta.rollbacks.remove(run);
         }
         if stripped {
             meta.guard = live.finish();
@@ -491,6 +498,13 @@ impl ProcessCore {
         );
         debug_assert!(replaced.is_none(), "guess ids are never reused");
         self.pending_own += 1;
+        // An awaiting guess whose left thread index this fork reuses is
+        // read through the new thread from now on.
+        let reused = self.leftless.iter().copied();
+        for g in Vec::from_iter(reused.filter(|g| self.own[g].left_thread == n)) {
+            self.leftless.remove(&g);
+            self.file_awaiting(g);
+        }
         ForkRecord {
             guess,
             left_thread: creating,
@@ -620,21 +634,16 @@ impl ProcessCore {
         for new in meta.guard.new_runs(&env.guard) {
             history.unresolved(new).for_each(|run| live.push(run));
         }
-        let live = live.finish();
-        let new_guards: Vec<GuessId> = live.iter().collect();
+        let new_guards = live.finish();
         if new_guards.is_empty() {
             return DeliveryEffect {
                 new_guards,
                 new_interval: None,
             };
         }
-        // Delta checkpoint at the boundary (end of previous interval): a
-        // guard clone plus the keys this delivery adds to the rollback
-        // map — no map copy on the delivery path.
-        meta.snapshots.push(MetaSnapshot {
-            guard: meta.guard.clone(),
-            added: new_guards.clone(),
-        });
+        // Checkpoint at the boundary (end of previous interval): a guard
+        // clone — no map copy on the delivery path.
+        meta.snapshots.push(meta.guard.clone());
         meta.interval += 1;
         let idx = StateIndex::new(thread, meta.interval);
         if meta.guard.is_empty() {
@@ -645,11 +654,12 @@ impl ProcessCore {
             // that had none: adopt the tag's storage outright.
             meta.guard = env.guard.clone();
         } else {
-            meta.guard = meta.guard.merged(&live);
+            meta.guard = meta.guard.merged(&new_guards);
         }
-        for &g in &new_guards {
-            meta.rollbacks.insert(g, idx);
-            self.cdg.add_node(g);
+        // One rollback point and one CDG registration per new run.
+        for &run in new_guards.runs() {
+            meta.rollbacks.insert(run, idx);
+            self.cdg.add_run(run);
         }
         debug_assert_eq!(meta.snapshots.len() as u32, meta.interval + 1);
         DeliveryEffect {
@@ -688,6 +698,8 @@ impl ProcessCore {
             Some(OwnGuessState::Pending) => self.pending_own -= 1,
             Some(OwnGuessState::AwaitingResolution) => {
                 self.awaiting.remove(&g);
+                self.ready.remove(&g);
+                self.leftless.remove(&g);
             }
             _ => {}
         }
@@ -809,17 +821,44 @@ mod tests {
         let mut core = ProcessCore::new(ProcessId(2), CoreConfig::default());
         let env = env_with_guard(ProcessId(2), Guard::single(g(0, 1)), DataKind::Send);
         let eff = core.deliver(0, &env);
-        assert_eq!(eff.new_guards, vec![g(0, 1)]);
+        assert_eq!(eff.new_guards, Guard::single(g(0, 1)));
         assert_eq!(eff.new_interval, Some(1));
         let t = core.thread(0);
         assert_eq!(t.interval, 1);
-        assert_eq!(t.rollbacks[&g(0, 1)], StateIndex::new(0, 1));
+        assert_eq!(t.rollback_point(g(0, 1)), Some(StateIndex::new(0, 1)));
         assert_eq!(t.snapshots.len(), 2);
         // snapshots[1] is the state at the end of interval 0 — *before*
         // the dependency was acquired (it is the rollback restore point).
-        assert!(t.snapshots[1].guard.is_empty());
-        assert!(t.snapshots[0].guard.is_empty());
+        assert!(t.snapshots[1].is_empty());
+        assert!(t.snapshots[0].is_empty());
         assert!(t.guard.contains(g(0, 1)));
+    }
+
+    #[test]
+    fn a_delivery_records_one_rollback_point_per_run() {
+        // A tag holding a 19-deep pipeline of process 0 and one guess of
+        // process 1: two runs, two rollback entries, two CDG entries.
+        let tag: Guard = (1..=19).map(|n| g(0, n)).chain([g(1, 4)]).collect();
+        let mut core = ProcessCore::new(ProcessId(2), CoreConfig::default());
+        let eff = core.deliver(0, &env_with_guard(ProcessId(2), tag, DataKind::Send));
+        assert_eq!((eff.new_guards.len(), eff.new_guards.runs().len()), (20, 2));
+        let t = core.thread(0);
+        assert_eq!(t.rollbacks.len(), 2);
+        for m in eff.new_guards.iter() {
+            assert_eq!(t.rollback_point(m), Some(StateIndex::new(0, 1)));
+        }
+        assert_eq!(core.cdg.node_count(), 20);
+        // Commits strip the pipeline from the bottom; the entry shrinks in
+        // place when the guard is next read.
+        for n in 1..=5 {
+            core.on_commit(g(0, n));
+        }
+        core.settle(0);
+        let t = core.thread(0);
+        assert_eq!(t.rollbacks.len(), 2);
+        assert_eq!(t.rollback_point(g(0, 5)), None);
+        assert_eq!(t.rollback_point(g(0, 6)), Some(StateIndex::new(0, 1)));
+        assert_eq!(core.cdg.node_count(), 15);
     }
 
     #[test]

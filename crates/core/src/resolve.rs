@@ -3,8 +3,8 @@
 //! cascade and incarnation bumps.
 
 use crate::cdg::EdgeOutcome;
-use crate::guard::Guard;
-use crate::ids::{ForkIndex, GuessId, Incarnation, StateIndex};
+use crate::guard::{Guard, Run};
+use crate::ids::{ForkIndex, GuessId, Incarnation, ProcessId, StateIndex};
 use crate::process::{
     GuessResolution, OwnGuessState, ProcessCore, ResolutionCause, ThreadMeta, ThreadPhase,
 };
@@ -114,6 +114,7 @@ impl ProcessCore {
         if let Some(t) = self.threads.get_mut(&own.left_thread) {
             t.phase = ThreadPhase::AwaitingResolution;
         }
+        self.file_awaiting(guess);
         JoinDecision::Await {
             guess,
             precedence_guard: left_guard,
@@ -230,29 +231,101 @@ impl ProcessCore {
     /// once per guess: `on_commit` ignores repeats, and a CDG node is never
     /// a committed guess, so predecessor inference cannot reach one again.
     /// The guards that list it are left alone; they are read through the
-    /// history.
+    /// history. The awaiting guesses filed under it are looked at again.
     fn remove_committed_guess(&mut self, g: GuessId) {
         debug_assert!(!self.history.is_committed(g), "{g} committed twice");
         self.history.record_commit(g);
         self.cdg.remove(g);
+        let first = (g, GuessId::new(ProcessId(0), Incarnation(0), 0));
+        while let Some(&(m, w)) = self.watch.range(first..).next().filter(|(m, _)| *m == g) {
+            self.watch.remove(&(m, w));
+            if self.awaiting.contains(&w) {
+                self.file_awaiting(w);
+            }
+        }
     }
 
-    /// Commit every own guess awaiting resolution whose guard has emptied;
-    /// repeat until a fixpoint (a commit may empty the next guard).
+    /// File awaiting guess `g` in the watch index: under the last member of
+    /// its left thread's guard, read through the history, or as ready if
+    /// every member has committed. A guess whose left thread is gone is
+    /// not ready while it stays gone; it waits in `leftless` for a fork to
+    /// reuse the index.
+    pub(crate) fn file_awaiting(&mut self, g: GuessId) {
+        let left = self.own[&g].left_thread;
+        if !self.threads.contains_key(&left) {
+            self.leftless.insert(g);
+            return;
+        }
+        self.settle(left);
+        match self.threads[&left].guard.runs().last().map(Run::last) {
+            Some(member) => self.watch.insert((member, g)),
+            None => self.ready.insert(g),
+        };
+    }
+
+    /// File every awaiting guess afresh (the end of an abort, which
+    /// restores and strips guards wholesale); drops stale entries too.
+    fn rebuild_watch(&mut self) {
+        self.watch.clear();
+        self.ready.clear();
+        self.leftless.clear();
+        for g in Vec::from_iter(self.awaiting.iter().copied()) {
+            self.file_awaiting(g);
+        }
+    }
+
+    /// Commit every own guess awaiting resolution whose guard has emptied,
+    /// smallest first; a commit may empty the next guard, whose guess then
+    /// joins the ready set. The order is that of a rescan of every awaiting
+    /// guess after each commit, which the watch index spares.
     fn cascade_commits(&mut self) -> Vec<GuessId> {
         let mut committed = Vec::new();
-        loop {
-            let next: Option<GuessId> = self.awaiting.iter().copied().find(|g| {
-                let left = self.threads.get(&self.own[g].left_thread);
-                left.is_some_and(|t| self.history.all_committed(&t.guard))
-            });
-            match next {
-                Some(g) => {
-                    self.commit_own(g, ResolutionCause::CascadeCommit);
-                    committed.push(g);
-                }
-                None => return committed,
+        while let Some(g) = self.ready.pop_first() {
+            // A left thread that rolled back runs again, and may have
+            // taken on a dependency since `g` was found ready.
+            let left = self.threads.get(&self.own[&g].left_thread);
+            if !left.is_some_and(|t| self.history.all_committed(&t.guard)) {
+                self.file_awaiting(g);
+                continue;
             }
+            self.commit_own(g, ResolutionCause::CascadeCommit);
+            committed.push(g);
+        }
+        self.debug_check_watch();
+        committed
+    }
+
+    /// Debug builds check the watch index against a full rescan wherever it
+    /// has just been settled (a cascade's end, an abort's end): a guess is
+    /// ready exactly when its left guard has no uncommitted member, and
+    /// every other awaiting guess (whose left thread exists) is filed under
+    /// an uncommitted member of that guard.
+    pub(crate) fn debug_check_watch(&self) {
+        if !cfg!(debug_assertions) {
+            return;
+        }
+        assert!(
+            self.ready.is_subset(&self.awaiting),
+            "a ready guess is not awaiting"
+        );
+        for g in &self.awaiting {
+            let Some(left) = self.threads.get(&self.own[g].left_thread) else {
+                assert!(
+                    self.leftless.contains(g),
+                    "{g}: leftless guess not filed as such"
+                );
+                continue;
+            };
+            let ready = self.history.all_committed(&left.guard);
+            assert_eq!(self.ready.contains(g), ready, "{g}: ready set out of step");
+            let filed = self
+                .watch
+                .iter()
+                .any(|&(m, w)| w == *g && left.guard.contains(m) && !self.history.is_committed(m));
+            assert!(
+                ready || filed,
+                "{g}: awaiting guess filed under no live member"
+            );
         }
     }
 
@@ -460,11 +533,15 @@ impl ProcessCore {
         for t in self.threads.values_mut().filter(|t| !t.guard.is_empty()) {
             for d in &doomed {
                 if t.guard.remove(*d) {
-                    t.rollbacks.remove(d);
+                    t.rollbacks.remove(Run::single(*d));
                 }
             }
         }
         self.rebuild_holders();
+        if !self.awaiting.is_empty() {
+            self.rebuild_watch();
+        }
+        self.debug_check_watch();
 
         effects.discard_threads.sort_unstable();
         effects.discard_threads.dedup();
@@ -482,15 +559,7 @@ impl ProcessCore {
             None => return,
         };
         debug_assert!(slot >= 1, "slot 0 restores are thread discards");
-        t.guard = t.snapshots[slot as usize].guard.clone();
-        // Undo the rollback-map deltas of every truncated interval. Entries
-        // removed since the checkpoint were resolution-driven and stay
-        // removed — the history filter below re-applies those removals.
-        for snap in &t.snapshots[slot as usize..] {
-            for g in &snap.added {
-                t.rollbacks.remove(g);
-            }
-        }
+        t.guard = t.snapshots[slot as usize].clone();
         t.snapshots.truncate(slot as usize);
         t.interval = slot - 1;
         t.phase = ThreadPhase::Running;
@@ -504,7 +573,11 @@ impl ProcessCore {
             .iter()
             .flat_map(|r| self.history.unresolved(*r));
         t.guard = Guard::from_ascending(unresolved);
-        t.rollbacks.retain(|g, _| t.guard.contains(*g));
+        // A truncated interval's rollback entries hold members the guard
+        // it restores to did not (membership only ever shrinks, by
+        // resolution, between two deliveries), so filtering the map by the
+        // restored guard undoes them and the resolutions alike.
+        t.rollbacks.retain_in(&t.guard);
         debug_assert_eq!(t.snapshots.len() as u32, t.interval + 1);
         self.threads.insert(tid, t);
     }
@@ -878,6 +951,30 @@ mod tests {
         let eff = c.on_commit(g(1, 1));
         assert!(eff.own_committed.contains(&r1.guess));
         assert!(eff.own_committed.contains(&r2.guess));
+    }
+
+    #[test]
+    fn a_commit_that_readies_several_guesses_commits_them_smallest_first() {
+        // Thread 0 depends on y1 and forks x1, then x2: both guesses have
+        // thread 0 as their left thread, so both await y1 and are filed
+        // under it. x3, forked from x1's right thread, awaits x1 as well.
+        let mut c = client();
+        c.deliver(0, &env(0, Guard::single(g(1, 1))));
+        let r1 = c.fork(0, 1);
+        let r2 = c.fork(0, 1);
+        let r3 = c.fork(r1.right_thread, 1);
+        for r in [&r3, &r2, &r1] {
+            assert!(matches!(
+                c.join_left_done(r.guess, true),
+                JoinDecision::Await { .. }
+            ));
+        }
+        // COMMIT(y1) readies x1 and x2 at once, and x1's commit readies x3,
+        // which is still committed after x2: a rescan after every commit
+        // takes the smallest ready guess each time.
+        let committed = c.on_commit(g(1, 1)).own_committed;
+        assert_eq!(committed, vec![r1.guess, r2.guess, r3.guess]);
+        assert!(c.awaiting.is_empty() && c.ready.is_empty());
     }
 
     #[test]

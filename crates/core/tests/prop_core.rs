@@ -4,7 +4,7 @@
 
 use opcsp_core::{
     Cdg, CompactGuard, EdgeOutcome, Guard, GuessId, History, Incarnation, IncarnationTable,
-    ProcessId,
+    ProcessId, Run,
 };
 use proptest::prelude::*;
 use std::collections::{BTreeSet, HashMap, HashSet};
@@ -49,14 +49,14 @@ proptest! {
         prop_assert_eq!(&ae, &a);
     }
 
-    /// `new_guards` is exactly the set difference, and its count agrees.
+    /// `new_runs` spell exactly the set difference, and the count agrees.
     #[test]
-    fn new_guards_is_difference(mine in arb_guard(), incoming in arb_guard()) {
+    fn new_runs_are_difference(mine in arb_guard(), incoming in arb_guard()) {
         let diff: BTreeSet<GuessId> = incoming
             .iter()
             .filter(|g| !mine.contains(*g))
             .collect();
-        let got: BTreeSet<GuessId> = mine.new_guards(&incoming).into_iter().collect();
+        let got: BTreeSet<GuessId> = mine.new_runs(&incoming).flat_map(Run::iter).collect();
         prop_assert_eq!(&got, &diff);
         prop_assert_eq!(mine.new_guard_count(&incoming), diff.len());
     }
@@ -113,7 +113,7 @@ proptest! {
     /// The copy-on-write guard is observationally identical to a
     /// `BTreeSet` model under random insert/remove/union sequences:
     /// contents, length, deterministic iteration order, and the
-    /// `new_guards` difference all agree after every step, and an alias
+    /// `new_runs` difference all agree after every step, and an alias
     /// cloned before each mutation is never disturbed by it.
     #[test]
     fn guard_matches_btreeset_model(
@@ -149,7 +149,7 @@ proptest! {
             }
             // Same set ⇒ the difference in both directions is empty.
             let model_guard: Guard = model.iter().copied().collect();
-            prop_assert!(guard.new_guards(&model_guard).is_empty());
+            prop_assert!(guard.new_runs(&model_guard).next().is_none());
             prop_assert_eq!(model_guard.new_guard_count(&guard), 0);
             prop_assert_eq!(&guard, &model_guard);
             // The pre-mutation alias still reads its old contents.

@@ -24,6 +24,11 @@
 //!   thread's `Rollbacks` map materialised the way `fork` used to hand it
 //!   on — over random fork / deliver / join / commit / abort scripts on a
 //!   fork tree: the same `AbortEffects`, the same surviving guards.
+//! - Run-keyed rollback points and the watch-indexed commit cascade
+//!   against the same per-guess maps and a rescan of every awaiting guess
+//!   after each commit ([`rescan_cascade`]), with awaiting joins and
+//!   delivered runs in the scripts: the same points, the same rollback
+//!   targets, the same commits in the same order.
 
 use opcsp_core::{
     AbortEffects, Cdg, CoreConfig, DataKind, EdgeOutcome, Envelope, Fate, ForkIndex, Guard,
@@ -594,12 +599,12 @@ proptest! {
             prop_assert_eq!(other_guard.cmp(&guard), other_vec.cmp(&want));
             // Set difference, both ways, by members, by runs and by count.
             let new: Vec<GuessId> = other.difference(&model).copied().collect();
-            prop_assert_eq!(&guard.new_guards(&other_guard), &new);
             prop_assert_eq!(guard.new_guard_count(&other_guard), new.len());
             let new_runs: Guard = guard.new_runs(&other_guard).flat_map(Run::iter).collect();
             prop_assert!(new_runs.iter().eq(new.iter().copied()));
             let missing: Vec<GuessId> = model.difference(&other).copied().collect();
-            prop_assert_eq!(other_guard.new_guards(&guard), missing);
+            let missing_runs = other_guard.new_runs(&guard).flat_map(Run::iter);
+            prop_assert!(missing_runs.eq(missing.iter().copied()));
             prop_assert_eq!(guard.new_guard_count(&guard.clone()), 0);
             // Shared storage exactly above the inline capacity; a clone
             // reads the same storage, a differently-built equal guard does
@@ -1045,7 +1050,7 @@ proptest! {
                         .iter()
                         .filter(|g| !map.contains_key(g) && !core.history.is_resolved(*g))
                         .collect();
-                    prop_assert_eq!(&eff.new_guards, &new);
+                    prop_assert_eq!(eff.new_guards.iter().collect::<Vec<_>>(), new.clone());
                     let at = core.thread(thread).state_index();
                     map.extend(new.into_iter().map(|g| (g, at)));
                     None
@@ -1105,6 +1110,177 @@ proptest! {
                 prop_assert_eq!(holders.contains(t), !stored_empty);
                 prop_assert!(!map.is_empty() || core.is_committed(*t));
                 prop_assert!(map.is_empty() || holders.contains(t));
+            }
+        }
+    }
+}
+
+// ----------------------------------------------------------------------
+// Run-keyed rollback points and the watch-indexed commit cascade
+// ----------------------------------------------------------------------
+
+/// The own guesses a commit cascade must commit, in order, once `history`
+/// holds the commits that set it off: after each commit, a rescan of every
+/// guess `before` had awaiting, the smallest ready one first — the cascade
+/// as it was before the watch index.
+fn rescan_cascade(before: &ProcessCore, mut history: History) -> Vec<GuessId> {
+    let awaiting = Vec::from_iter(
+        before
+            .own
+            .values()
+            .filter(|o| o.state == OwnGuessState::AwaitingResolution)
+            .map(|o| o.id),
+    );
+    let mut order = Vec::new();
+    while let Some(g) = awaiting.iter().copied().find(|g| {
+        let left = before.threads.get(&before.own[g].left_thread);
+        !order.contains(g) && left.is_some_and(|t| history.all_committed(&t.guard))
+    }) {
+        order.push(g);
+        if !history.is_committed(g) {
+            history.record_commit(g);
+        }
+    }
+    order
+}
+
+/// `g` and its transitive CDG predecessors, which a COMMIT of `g` records.
+fn with_predecessors(core: &ProcessCore, g: GuessId) -> BTreeSet<GuessId> {
+    let mut all = BTreeSet::from([g]);
+    let mut stack = vec![g];
+    while let Some(n) = stack.pop() {
+        for p in core.cdg.predecessors(n) {
+            if all.insert(p) {
+                stack.push(p);
+            }
+        }
+    }
+    all
+}
+
+fn arb_run() -> impl Strategy<Value = Run> {
+    (0u32..4, 0u32..2, 0u32..12, 0u32..5)
+        .prop_map(|(p, i, lo, len)| Run::new(ProcessId(p), Incarnation(i), lo, lo + len))
+}
+
+proptest! {
+    /// Random fork / deliver / join / commit / abort scripts, awaiting
+    /// joins included, on a core that keeps rollback points by run and
+    /// finds ready guesses through its watch index: every guard member's
+    /// rollback point is the one a per-guess map records, an abort rolls
+    /// back and discards what that map prescribes, and every commit
+    /// cascade commits the guesses a full rescan would, in its order.
+    #[test]
+    fn run_rollbacks_and_watch_cascade_match_per_guess_rescans(
+        ops in proptest::collection::vec(
+            (0u32..10, 0u32..64, any::<bool>(), proptest::collection::vec(arb_run(), 0..3)),
+            1..60,
+        ),
+    ) {
+        const ME: ProcessId = ProcessId(7);
+        let mut core = ProcessCore::new(ME, CoreConfig::default());
+        let mut full = FullRollbacks::default();
+        full.maps.insert(0, BTreeMap::new());
+        for (op, pick, flag, runs) in ops {
+            let foreign: Vec<GuessId> = runs.iter().flat_map(|r| r.iter()).collect();
+            let running: Vec<ForkIndex> = core
+                .threads
+                .values()
+                .filter(|t| t.phase == ThreadPhase::Running)
+                .map(|t| t.index)
+                .collect();
+            let Some(&thread) = running.get(pick as usize % running.len().max(1)) else {
+                break;
+            };
+            let pending: Vec<GuessId> = core
+                .own
+                .values()
+                .filter(|o| o.state == OwnGuessState::Pending)
+                .map(|o| o.id)
+                .collect();
+            let own_pick = pending.get(pick as usize % pending.len().max(1)).copied();
+            let before = core.clone();
+            let aborted = match (op, own_pick) {
+                (0..=2, _) => {
+                    let rec = core.fork(thread, 1);
+                    full.fork(thread, rec.right_thread, rec.guess);
+                    None
+                }
+                (3..=5, _) => {
+                    // Runs of foreign guesses, and own ones that are not
+                    // the receiving thread's future.
+                    let past = pending.iter().filter(|g| flag && g.index <= thread);
+                    let tag: Guard = foreign.iter().chain(past).copied().collect();
+                    let eff = core.deliver(thread, &envelope(tag.clone()));
+                    let map = full.maps.get_mut(&thread).expect("thread exists");
+                    let new: Vec<GuessId> = tag
+                        .iter()
+                        .filter(|g| !map.contains_key(g) && !core.history.is_resolved(*g))
+                        .collect();
+                    prop_assert!(eff.new_guards.iter().eq(new.iter().copied()));
+                    // One rollback entry per new run, not one per guess.
+                    let at = core.thread(thread).state_index();
+                    let recorded = core.thread(thread).rollbacks.iter().filter(|(_, p)| *p == at);
+                    if eff.new_interval.is_some() {
+                        let runs = eff.new_guards.runs().iter().copied();
+                        prop_assert!(recorded.map(|(run, _)| run).eq(runs));
+                    }
+                    map.extend(new.into_iter().map(|g| (g, at)));
+                    None
+                }
+                // A join: a value fault aborts, an empty guard commits and
+                // cascades, anything else awaits.
+                (6..=7, Some(g)) if running.contains(&core.own[&g].left_thread) => {
+                    match core.join_left_done(g, flag || op == 7) {
+                        JoinDecision::Abort { effects } => Some(effects),
+                        JoinDecision::Commit { committed } => {
+                            let mut history = before.history.clone();
+                            history.record_commit(g);
+                            let mut expected = vec![g];
+                            expected.extend(rescan_cascade(&before, history));
+                            prop_assert_eq!(committed, expected);
+                            None
+                        }
+                        _ => None,
+                    }
+                }
+                (8, _) => foreign.first().map(|g| core.on_abort(*g)),
+                _ => {
+                    // COMMITs of foreign guesses, a run's members in order.
+                    for &g in foreign.iter().take(3) {
+                        let before = core.clone();
+                        let effects = core.on_commit(g);
+                        let expected = match before.history.is_committed(g) {
+                            true => Vec::new(),
+                            false => {
+                                let mut history = before.history.clone();
+                                with_predecessors(&before, g).into_iter().for_each(|c| history.record_commit(c));
+                                rescan_cascade(&before, history)
+                            }
+                        };
+                        prop_assert_eq!(effects.own_committed, expected);
+                    }
+                    None
+                }
+            };
+            match aborted {
+                Some(effects) => {
+                    let expected = full.abort(&core);
+                    prop_assert_eq!(&effects.discard_threads, &expected.discard_threads);
+                    prop_assert_eq!(&effects.rollback_threads, &expected.rollback_threads);
+                }
+                None => full.forget_resolved(&core),
+            }
+            prop_assert!(core.threads.keys().eq(full.maps.keys()));
+            for (t, map) in &full.maps {
+                let meta = core.thread(*t);
+                let guard = core.history.uncommitted(&meta.guard);
+                prop_assert!(guard.iter().eq(map.keys().copied()), "thread {}", t);
+                for (g, at) in map {
+                    let point = meta.rollback_point(*g).expect("guard member");
+                    prop_assert_eq!(discards(point, *t), discards(*at, *t));
+                    prop_assert!(discards(point, *t) || point == *at);
+                }
             }
         }
     }

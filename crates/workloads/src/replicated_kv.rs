@@ -413,9 +413,73 @@ impl Replica {
     }
 }
 
+/// Chunks a replica's store is cut into, by key hash.
+const STORE_CHUNKS: usize = 64;
+
+/// A replica's key→value store: a fixed set of copy-on-write chunks keyed
+/// by key hash. Cloning it — which every checkpoint of the replica's state
+/// does — copies chunk pointers, not entries; a write copies the one chunk
+/// it lands in, and only while a checkpoint still shares that chunk
+/// (DESIGN.md §15).
+#[derive(Clone)]
+struct Store {
+    chunks: [Arc<BTreeMap<String, i64>>; STORE_CHUNKS],
+}
+
+impl Store {
+    fn new() -> Store {
+        let empty = Arc::new(BTreeMap::new());
+        Store {
+            chunks: std::array::from_fn(|_| Arc::clone(&empty)),
+        }
+    }
+
+    /// The chunk `key` lives in (FNV-1a over its bytes).
+    fn chunk(key: &str) -> usize {
+        let hash = key.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        });
+        (hash % STORE_CHUNKS as u64) as usize
+    }
+
+    /// Every entry, in key order (the digest's order).
+    fn sorted(&self) -> BTreeMap<&str, i64> {
+        let entries = self.chunks.iter().flat_map(|c| c.iter());
+        entries.map(|(k, v)| (k.as_str(), *v)).collect()
+    }
+}
+
+/// What [`apply`] needs of a store: the replica's chunked [`Store`], or the
+/// replay oracle's plain map — an independent implementation of the same
+/// state machine.
+trait KvStore {
+    fn get(&self, key: &str) -> Option<i64>;
+    fn put(&mut self, key: String, val: i64);
+}
+
+impl KvStore for Store {
+    fn get(&self, key: &str) -> Option<i64> {
+        self.chunks[Store::chunk(key)].get(key).copied()
+    }
+
+    fn put(&mut self, key: String, val: i64) {
+        Arc::make_mut(&mut self.chunks[Store::chunk(&key)]).insert(key, val);
+    }
+}
+
+impl KvStore for BTreeMap<String, i64> {
+    fn get(&self, key: &str) -> Option<i64> {
+        BTreeMap::get(self, key).copied()
+    }
+
+    fn put(&mut self, key: String, val: i64) {
+        self.insert(key, val);
+    }
+}
+
 #[derive(Clone)]
 struct RepState {
-    store: BTreeMap<String, i64>,
+    store: Store,
     next_pos: i64,
     pending: BTreeMap<i64, Value>,
     emit: Vec<Value>,
@@ -447,7 +511,7 @@ impl Replica {
             st.next_pos += 1;
         }
         if st.next_pos == self.total as i64 {
-            st.emit.push(digest(&st.store, st.next_pos));
+            st.emit.push(digest(st.store.sorted(), st.next_pos));
             st.next_pos += 1; // emit the digest exactly once
         }
     }
@@ -470,7 +534,7 @@ impl Replica {
 impl Behavior for Replica {
     fn init(&self) -> BehaviorState {
         BehaviorState::new(RepState {
-            store: BTreeMap::new(),
+            store: Store::new(),
             next_pos: 0,
             pending: BTreeMap::new(),
             emit: Vec::new(),
@@ -514,17 +578,12 @@ impl Behavior for Replica {
 
 /// Apply the command at `pos` to `store`: a write of `put` to `key`, or a
 /// read of it, whose committed external (`{pos, key, val}`) this returns.
-fn apply(
-    store: &mut BTreeMap<String, i64>,
-    pos: i64,
-    key: String,
-    put: Option<i64>,
-) -> Option<Value> {
+fn apply(store: &mut impl KvStore, pos: i64, key: String, put: Option<i64>) -> Option<Value> {
     if let Some(val) = put {
-        store.insert(key, val);
+        store.put(key, val);
         return None;
     }
-    let val = store.get(&key).copied().unwrap_or(0);
+    let val = store.get(&key).unwrap_or(0);
     Some(Value::record([
         ("pos".to_string(), Value::Int(pos)),
         ("key".to_string(), Value::str(key)),
@@ -532,9 +591,12 @@ fn apply(
     ]))
 }
 
-/// A replica's final external: the committed store plus the applied count.
-fn digest(store: &BTreeMap<String, i64>, applied: i64) -> Value {
-    let store = store.iter().map(|(k, v)| (k.clone(), Value::Int(*v)));
+/// A replica's final external: the committed store, in key order, plus
+/// the applied count.
+fn digest<'a>(store: impl IntoIterator<Item = (&'a str, i64)>, applied: i64) -> Value {
+    let store = store
+        .into_iter()
+        .map(|(k, v)| (k.to_string(), Value::Int(v)));
     Value::record([
         (
             "store".to_string(),
@@ -712,7 +774,7 @@ pub fn check_replay(
     }
     // C·ops positions, none out of range, none twice: `owner` is full.
     let cdf = zipf_cdf(opts.keys, opts.zipf_s);
-    let mut store = BTreeMap::new();
+    let mut store: BTreeMap<String, i64> = BTreeMap::new();
     let mut want = Vec::new();
     for (pos, who) in owner.iter().enumerate() {
         let (client, op) = who.expect("every position is owned");
@@ -720,7 +782,8 @@ pub fn check_replay(
         let key = format!("k{}", cmd.key);
         want.extend(apply(&mut store, pos as i64, key, cmd.put));
     }
-    want.push(digest(&store, owner.len() as i64));
+    let entries = store.iter().map(|(k, v)| (k.as_str(), *v));
+    want.push(digest(entries, owner.len() as i64));
     for (r, stream) in streams.iter().enumerate() {
         if let Some(i) = (0..want.len().max(stream.len())).find(|&i| want.get(i) != stream.get(i)) {
             return Err(format!(
