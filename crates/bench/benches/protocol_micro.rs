@@ -80,7 +80,7 @@ fn bench_deliver(c: &mut Criterion) {
 
 fn bench_abort_cascade(c: &mut Criterion) {
     let mut g = c.benchmark_group("core/abort_cascade");
-    for depth in [2u32, 8, 32] {
+    for depth in [2u32, 8, 32, 128, 512] {
         g.bench_with_input(BenchmarkId::new("chain", depth), &depth, |b, &depth| {
             b.iter(|| {
                 // A right-branching chain of `depth` forks; abort the first.

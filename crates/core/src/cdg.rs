@@ -80,7 +80,7 @@ use std::collections::{BTreeMap, BTreeSet};
 /// Null link / absent slot.
 const NIL: u32 = u32::MAX;
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 struct Node {
     id: GuessId,
     /// First edge of the out-list (`id → _`) and in-list (`_ → id`).
@@ -92,7 +92,7 @@ struct Node {
 
 /// One edge `from → to` (slot numbers), linked into `from`'s out-list and
 /// `to`'s in-list.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct Edge {
     from: u32,
     to: u32,
@@ -104,7 +104,7 @@ struct Edge {
 
 /// Commit dependency graph: nodes are guesses, an edge `a → b` means "guess
 /// `a` (logically) precedes guess `b`", i.e. `b` cannot commit before `a`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Cdg {
     /// Nodes in `GuessId` order with their slot — `NIL` until the first
     /// edge touches the node.
@@ -441,7 +441,8 @@ impl Cdg {
     /// survivors is what one edge per admitted member would leave. (An
     /// abort's doomed set normally holds every successor of what it
     /// dooms, and then there is nothing downstream to visit.)
-    pub fn remove_aborted(&mut self, doomed: &BTreeSet<GuessId>) {
+    pub fn remove_aborted(&mut self, doomed: impl IntoIterator<Item = GuessId>) {
+        let doomed = Vec::from_iter(doomed);
         let [gone, seen, _] = self.fresh_stamps();
         let mut stack: Vec<u32> = doomed
             .iter()
@@ -468,7 +469,7 @@ impl Cdg {
             }
         }
         for g in doomed {
-            self.remove(*g);
+            self.remove(g);
         }
         for s in survivors {
             let Some(record) = self.records.remove(&s) else {
@@ -864,7 +865,7 @@ mod tests {
         // x2 aborts without its successors (a guard dooms it, not the
         // graph): x3 and x4 keep x1 before them, as one edge per member
         // would have.
-        c.remove_aborted(&BTreeSet::from([x(2)]));
+        c.remove_aborted([x(2)]);
         assert_eq!(c.predecessors(x(3)), vec![x(1)]);
         assert_eq!(c.predecessors(x(4)), vec![x(1), x(3)]);
         // Their records are gone, so x2 coming back is not taken as

@@ -234,6 +234,28 @@ impl Guard {
         buf.finish()
     }
 
+    /// The union of `runs`, in any order, overlapping or not.
+    pub(crate) fn union_of(mut runs: Vec<Run>) -> Guard {
+        runs.sort_unstable_by_key(Run::key);
+        Guard::from_ascending(runs)
+    }
+
+    /// The runs the two sets share, ascending: `self ∩ other`.
+    pub(crate) fn common_runs<'a>(&'a self, other: &'a Guard) -> impl Iterator<Item = Run> + 'a {
+        let theirs = other.runs();
+        self.runs().iter().flat_map(move |r| {
+            let from = theirs.partition_point(|o| (o.owner(), o.hi) < (r.owner(), r.lo));
+            let overlapping = theirs[from..]
+                .iter()
+                .take_while(move |o| o.owner() == r.owner() && o.lo <= r.hi);
+            overlapping.map(move |o| Run {
+                lo: o.lo.max(r.lo),
+                hi: o.hi.min(r.hi),
+                ..*r
+            })
+        })
+    }
+
     /// The union of the two sets.
     pub(crate) fn merged(&self, other: &Guard) -> Guard {
         let (mut a, mut b) = (self.runs(), other.runs());
@@ -437,6 +459,16 @@ impl<V: Copy> RunMap<V> {
         let (&last, &(lo, _)) = self.map.range(run.first()..).next()?;
         let held = last.process == run.process && last.incarnation == run.incarnation;
         (held && lo <= run.hi).then(|| run.guess(lo.max(run.lo)))
+    }
+
+    /// The entries holding a member of `run`, ascending.
+    pub(crate) fn overlapping(&self, run: Run) -> impl Iterator<Item = (Run, V)> + '_ {
+        self.map
+            .range(run.first()..)
+            .map_while(move |(&last, &(lo, value))| {
+                let same = last.process == run.process && last.incarnation == run.incarnation;
+                (same && lo <= run.hi).then(|| (entry_run(last, lo), value))
+            })
     }
 
     /// The parts of `run` no entry holds, ascending.
@@ -850,6 +882,8 @@ mod tests {
         // What no entry holds, and what of an entry a guard holds.
         let gaps: Vec<_> = map.gaps(run(0, 5, 22)).collect();
         assert_eq!(gaps, [run(0, 5, 7), run(0, 10, 19)]);
+        let held: Vec<_> = map.overlapping(run(0, 5, 22)).collect();
+        assert_eq!(held, [(run(0, 8, 9), 'b'), (run(0, 20, 23), 'd')]);
         assert_eq!(map.first_in(run(0, 10, 27)), Some(g(0, 20)));
         assert_eq!(map.first_in(run(0, 10, 19)), None);
         let guard = Guard::from_ascending([run(0, 9, 21), run(0, 29, 40)]);
@@ -863,6 +897,23 @@ mod tests {
                 (run(0, 29, 30), 'd')
             ]
         );
+    }
+
+    #[test]
+    fn union_and_intersection_work_run_by_run() {
+        // Unordered, overlapping and touching runs are one canonical set.
+        let union = Guard::union_of(vec![
+            run(1, 0, 2),
+            run(0, 5, 9),
+            run(0, 3, 6),
+            run(0, 10, 12),
+        ]);
+        assert_eq!(union.runs(), [run(0, 3, 12), run(1, 0, 2)]);
+        let other =
+            Guard::from_ascending([run(0, 0, 4), run(0, 8, 8), run(0, 11, 20), run(1, 3, 5)]);
+        let common: Vec<_> = union.common_runs(&other).collect();
+        assert_eq!(common, [run(0, 3, 4), run(0, 8, 8), run(0, 11, 12)]);
+        assert!(union.common_runs(&Guard::empty()).next().is_none());
     }
 
     #[test]

@@ -126,7 +126,7 @@ impl IncarnationTable {
 /// fork indexes, `(incarnation, lo) → (hi, fate)`, with touching stretches
 /// of one fate merged — a pipeline's commits are one entry however many
 /// there were.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 struct PeerFates(BTreeMap<(Incarnation, ForkIndex), (ForkIndex, Fate)>);
 
 impl PeerFates {
@@ -176,7 +176,7 @@ impl PeerFates {
 /// interval checkpoint, or an engine snapshotting a core) bumps one
 /// reference count per peer instead of copying every entry, and a later
 /// write unshares only the single peer's record it touches.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct History {
     fates: HashMap<ProcessId, Arc<PeerFates>>,
     incarnations: HashMap<ProcessId, Arc<IncarnationTable>>,

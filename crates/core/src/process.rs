@@ -108,7 +108,7 @@ pub enum ThreadPhase {
 }
 
 /// Protocol metadata for one thread of the process (§4.1.1, §4.1.3).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ThreadMeta {
     pub index: ForkIndex,
     /// Interval number, incremented when a message introduces a new
@@ -182,7 +182,7 @@ pub enum OwnGuessState {
 }
 
 /// Record of a fork this process performed (§4.2.1).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OwnGuess {
     pub id: GuessId,
     /// The creating (left) thread, which executes S1 and verifies.
@@ -228,7 +228,7 @@ pub struct DeliveryEffect {
 }
 
 /// Per-process protocol state.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProcessCore {
     pub id: ProcessId,
     pub config: CoreConfig,
@@ -243,11 +243,12 @@ pub struct ProcessCore {
     /// incarnations).
     pub own: BTreeMap<GuessId, OwnGuess>,
     /// Own guesses in [`OwnGuessState::AwaitingResolution`] — the only
-    /// candidates of the commit cascade — and the number still
-    /// [`OwnGuessState::Pending`]. Maintained by `fork` and the resolution
-    /// paths wherever they change an [`OwnGuess::state`].
+    /// candidates of the commit cascade — and those still
+    /// [`OwnGuessState::Pending`] — the only forks an abort can undo.
+    /// Maintained by `fork` and the resolution paths wherever they change
+    /// an [`OwnGuess::state`].
     pub(crate) awaiting: BTreeSet<GuessId>,
-    pub(crate) pending_own: usize,
+    pub(crate) pending: BTreeSet<GuessId>,
     /// The commit cascade's watch index: every awaiting guess whose left
     /// guard still holds an uncommitted member is filed under one such
     /// member, as `(member, guess)`, and is looked at again only when that
@@ -317,7 +318,7 @@ impl ProcessCore {
             threads,
             own: BTreeMap::new(),
             awaiting: BTreeSet::new(),
-            pending_own: 0,
+            pending: BTreeSet::new(),
             watch: BTreeSet::new(),
             ready: BTreeSet::new(),
             leftless: BTreeSet::new(),
@@ -497,7 +498,7 @@ impl ProcessCore {
             },
         );
         debug_assert!(replaced.is_none(), "guess ids are never reused");
-        self.pending_own += 1;
+        self.pending.insert(guess);
         // An awaiting guess whose left thread index this fork reuses is
         // read through the new thread from now on.
         let reused = self.leftless.iter().copied();
@@ -695,7 +696,9 @@ impl ProcessCore {
             "only `fork` creates pending guesses"
         );
         match old {
-            Some(OwnGuessState::Pending) => self.pending_own -= 1,
+            Some(OwnGuessState::Pending) => {
+                self.pending.remove(&g);
+            }
             Some(OwnGuessState::AwaitingResolution) => {
                 self.awaiting.remove(&g);
                 self.ready.remove(&g);
@@ -710,7 +713,7 @@ impl ProcessCore {
 
     /// Total live (unresolved) own guesses — diagnostics.
     pub fn pending_own_guesses(&self) -> usize {
-        self.pending_own + self.awaiting.len()
+        self.pending.len() + self.awaiting.len()
     }
 
     /// Poll-style completion check for executors: no own guess is still

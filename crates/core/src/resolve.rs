@@ -4,11 +4,14 @@
 
 use crate::cdg::EdgeOutcome;
 use crate::guard::{Guard, Run};
+use crate::history::Fate;
 use crate::ids::{ForkIndex, GuessId, Incarnation, ProcessId, StateIndex};
 use crate::process::{
-    GuessResolution, OwnGuessState, ProcessCore, ResolutionCause, ThreadMeta, ThreadPhase,
+    GuessResolution, OwnGuess, OwnGuessState, ProcessCore, ResolutionCause, ThreadMeta, ThreadPhase,
 };
 use std::collections::{BTreeMap, BTreeSet};
+
+mod memberwise;
 
 /// Decision produced when a left thread finishes S1 (§4.2.4).
 #[derive(Debug, Clone)]
@@ -193,8 +196,15 @@ impl ProcessCore {
         let mut total = AbortEffects::default();
         for m in members {
             let e = self.apply_abort(m, ResolutionCause::PrecedenceCycle);
-            merge_effects(&mut total, e);
+            total.discard_threads.extend(e.discard_threads);
+            total.rollback_threads.extend(e.rollback_threads);
+            total.own_aborted.extend(e.own_aborted);
+            total.rerun_sequential.extend(e.rerun_sequential);
         }
+        dedup_in_order(&mut total.discard_threads);
+        dedup_in_order(&mut total.rollback_threads);
+        dedup_in_order(&mut total.own_aborted);
+        dedup_in_order(&mut total.rerun_sequential);
         total
     }
 
@@ -340,7 +350,37 @@ impl ProcessCore {
     /// Retry accounting (§3.3's limit L): only the *root* guess counts as a
     /// failed optimistic execution of its fork site — cascade victims were
     /// not wrong, merely dependent.
+    ///
+    /// The doomed set is kept as runs, and every question about it is
+    /// asked run by run: what it costs is the holders' runs and the
+    /// pending forks, not holders × doomed members. Debug builds replay
+    /// every abort on a copy through the member-by-member reference
+    /// ([`ProcessCore::on_abort_memberwise`]) and require the same effects
+    /// and the same state afterwards.
     fn apply_abort(&mut self, root: GuessId, cause: ResolutionCause) -> AbortEffects {
+        #[cfg(debug_assertions)]
+        let reference = {
+            let mut core = self.clone();
+            let effects = core.apply_abort_memberwise(root, cause.clone());
+            (core, effects)
+        };
+        let effects = self.apply_abort_runwise(root, cause);
+        #[cfg(debug_assertions)]
+        {
+            let (core, expected) = reference;
+            assert_eq!(
+                effects, expected,
+                "abort of {root}: effects differ from the reference"
+            );
+            assert!(
+                *self == core,
+                "abort of {root}: state differs from the reference\n{self:#?}\n{core:#?}"
+            );
+        }
+        effects
+    }
+
+    fn apply_abort_runwise(&mut self, root: GuessId, cause: ResolutionCause) -> AbortEffects {
         let mut effects = AbortEffects::default();
 
         // Idempotence: if we already know it aborted and nothing local
@@ -356,70 +396,77 @@ impl ProcessCore {
         for tid in Vec::from_iter(self.holders.iter().copied()) {
             self.settle(tid);
         }
+        let holders = Vec::from_iter(self.holders.iter().copied());
 
         // 1. Doomed set: root + transitive CDG successors (guesses whose
         //    commit was already known to causally follow root).
-        let mut doomed: BTreeSet<GuessId> = BTreeSet::from([root]);
+        let mut successors: BTreeSet<GuessId> = BTreeSet::from([root]);
         let mut stack = vec![root];
         while let Some(n) = stack.pop() {
             for s in self.cdg.successors(n) {
-                if doomed.insert(s) {
+                if successors.insert(s) {
                     stack.push(s);
                 }
             }
         }
+        let mut doomed = Guard::from_iter(successors);
 
         // 2. Fixpoint: thread rollback targets can invalidate forks, whose
-        //    guesses join the doomed set, which can deepen targets.
-        fn target_discards(tgt: StateIndex, tid: ForkIndex) -> bool {
-            tgt.thread < tid || (tgt.thread == tid && tgt.interval == 0)
-        }
+        //    guesses join the doomed set, which can deepen targets. A
+        //    doomed guess is recorded aborted at the start of the pass after
+        //    it joined.
+        let mut unrecorded = doomed.clone();
         let mut targets: BTreeMap<ForkIndex, StateIndex> = BTreeMap::new();
         loop {
-            for d in &doomed {
-                self.history.record_abort(*d);
+            for d in unrecorded.iter() {
+                self.history.record_abort(d);
             }
             // Implicit aborts (same process, same incarnation, later index)
-            // apply to any guess currently appearing in a guard.
-            let mut implied: BTreeSet<GuessId> = BTreeSet::new();
-            for t in self.holders() {
-                for g in t.guard.iter() {
-                    if !doomed.contains(&g) && self.history.is_aborted(g) {
-                        implied.insert(g);
-                    }
-                }
-            }
-            doomed.extend(implied.iter().copied());
+            // apply to any guess currently appearing in a guard: the
+            // aborted stretches of the holders' guards, less what is
+            // doomed already.
+            let aborted = holders.iter().flat_map(|t| {
+                let fates = self.history.fates_of(&self.threads[t].guard);
+                fates
+                    .filter(|(_, f)| *f == Fate::Aborted)
+                    .map(|(run, _)| run)
+            });
+            let aborted = Guard::union_of(aborted.collect());
+            let implied = Guard::from_ascending(doomed.new_runs(&aborted));
+            doomed = doomed.merged(&implied);
 
-            // Compute per-thread rollback targets: the earliest rollback
-            // point among doomed guesses in that thread's guard (§4.2.7).
+            // Per-thread rollback targets: the earliest rollback point
+            // among the doomed members of that thread's guard (§4.2.7) —
+            // the earliest entry that holds one, or the thread's start if
+            // one has no entry of the thread's own.
             let mut new_targets: BTreeMap<ForkIndex, StateIndex> = BTreeMap::new();
-            for t in self.holders() {
-                if let Some(tgt) = doomed.iter().filter_map(|d| t.rollback_point(*d)).min() {
-                    new_targets.insert(t.index, tgt);
+            for &tid in &holders {
+                let t = &self.threads[&tid];
+                let target = t.guard.common_runs(&doomed).fold(None, |min, hit| {
+                    let own = t.rollbacks.overlapping(hit).map(|(_, at)| at);
+                    let inherited = t
+                        .rollbacks
+                        .gaps(hit)
+                        .next()
+                        .map(|_| StateIndex::new(tid, 0));
+                    own.chain(inherited).chain(min).min()
+                });
+                if let Some(tgt) = target {
+                    new_targets.insert(tid, tgt);
                 }
             }
 
             // A fork is undone if its creating thread is discarded or rolls
             // back to (or before) the fork point; the guess then joins the
             // doomed set.
-            let mut newly_doomed: Vec<GuessId> = Vec::new();
-            for o in self.own.values() {
-                if doomed.contains(&o.id) || o.state != OwnGuessState::Pending {
-                    continue;
-                }
-                let fork_undone = match new_targets.get(&o.left_thread) {
-                    Some(&tgt) => {
-                        target_discards(tgt, o.left_thread) || tgt.interval <= o.forked_at.interval
-                    }
-                    None => false,
-                };
-                if fork_undone {
-                    newly_doomed.push(o.id);
-                }
-            }
-            let grew = newly_doomed.iter().any(|g| !doomed.contains(g));
-            doomed.extend(newly_doomed);
+            let undone = self.pending.iter().filter(|g| {
+                let o = &self.own[*g];
+                !doomed.contains(o.id) && fork_undone(&new_targets, o)
+            });
+            let undone = Guard::from_iter(undone.copied());
+            let grew = !undone.is_empty();
+            doomed = doomed.merged(&undone);
+            unrecorded = implied.merged(&undone);
             if !grew && new_targets == targets {
                 targets = new_targets;
                 break;
@@ -428,8 +475,10 @@ impl ProcessCore {
         }
 
         // 3. Partition threads into discarded vs rolled back.
+        let mut discarding: BTreeSet<ForkIndex> = BTreeSet::new();
         for (&tid, &tgt) in &targets {
             if target_discards(tgt, tid) {
+                discarding.insert(tid);
                 effects.discard_threads.push(tid);
             } else {
                 debug_assert_eq!(tgt.thread, tid);
@@ -438,67 +487,55 @@ impl ProcessCore {
         }
 
         // 4. Own guesses in the doomed set: record aborts, count retries,
-        //    decide which need sequential re-execution now.
+        //    decide which need sequential re-execution now. Own guesses of
+        //    *older* incarnations may still be pending (a later fork
+        //    aborted first and bumped the incarnation); they are matched
+        //    by id, not by incarnation.
         let mut min_aborted_index: Option<ForkIndex> = None;
-        for d in doomed.iter() {
-            if d.process != self.id {
+        let own_runs = doomed.runs().iter().filter(|r| r.process == self.id);
+        let records = own_runs.flat_map(|r| self.own.range(r.first()..=r.last()));
+        for o in Vec::from_iter(records.map(|(_, o)| o.clone())) {
+            if o.state == OwnGuessState::Aborted || o.state == OwnGuessState::Committed {
                 continue;
             }
-            // Note: own guesses of *older* incarnations may still be
-            // pending (a later fork aborted first and bumped the
-            // incarnation); they are matched by id, not by incarnation.
-            if let Some(o) = self.own.get(d).cloned() {
-                if o.state == OwnGuessState::Aborted || o.state == OwnGuessState::Committed {
-                    continue;
-                }
-                effects.own_aborted.push(o.id);
-                self.resolutions.push(GuessResolution {
-                    guess: o.id,
-                    committed: false,
-                    cause: if o.id == root {
-                        cause.clone()
-                    } else {
-                        ResolutionCause::DependencyAbort { root }
-                    },
-                });
-                // Root aborts count as a retry and a failed success
-                // sample; cascade victims only release their in-flight
-                // slot (they were dependent, not wrong).
-                self.spec_resolved(o.site, false, o.id == root);
-                min_aborted_index =
-                    Some(min_aborted_index.map_or(o.id.index, |m| m.min(o.id.index)));
-                // The right thread dies with the guess (its guard contains
-                // it with rollback point (n, 0)); ensure it is listed even
-                // if it had already terminated its protocol bookkeeping.
-                if !effects.discard_threads.contains(&o.right_thread)
-                    && self.threads.contains_key(&o.right_thread)
-                {
-                    effects.discard_threads.push(o.right_thread);
-                }
-                let fork_undone = match targets.get(&o.left_thread) {
-                    Some(&tgt) => {
-                        target_discards(tgt, o.left_thread) || tgt.interval <= o.forked_at.interval
-                    }
-                    None => false,
-                };
-                if fork_undone {
-                    // Fork undone entirely; forget the record (replay may
-                    // re-fork under the new incarnation).
-                    self.set_own_state(*d, None);
+            effects.own_aborted.push(o.id);
+            self.resolutions.push(GuessResolution {
+                guess: o.id,
+                committed: false,
+                cause: if o.id == root {
+                    cause.clone()
                 } else {
-                    // Fork stands but its guess is dead. If S1 has already
-                    // finished and the left thread is not being rolled
-                    // back, S2 re-runs sequentially right now; otherwise
-                    // the engine learns of the abort at join time
-                    // (JoinDecision::AlreadyAborted) or during S1 replay.
-                    let left_untouched = !targets.contains_key(&o.left_thread);
-                    let awaiting = |t: &ThreadMeta| t.phase == ThreadPhase::AwaitingResolution;
-                    if left_untouched && self.threads.get(&o.left_thread).is_some_and(awaiting) {
-                        effects.rerun_sequential.push(o.id);
-                        self.thread_mut(o.left_thread).phase = ThreadPhase::Running;
-                    }
-                    self.set_own_state(*d, Some(OwnGuessState::Aborted));
+                    ResolutionCause::DependencyAbort { root }
+                },
+            });
+            // Root aborts count as a retry and a failed success sample;
+            // cascade victims only release their in-flight slot (they were
+            // dependent, not wrong).
+            self.spec_resolved(o.site, false, o.id == root);
+            min_aborted_index = Some(min_aborted_index.map_or(o.id.index, |m| m.min(o.id.index)));
+            // The right thread dies with the guess (its guard contains it
+            // with rollback point (n, 0)); ensure it is listed even if it
+            // had already terminated its protocol bookkeeping.
+            if self.threads.contains_key(&o.right_thread) && discarding.insert(o.right_thread) {
+                effects.discard_threads.push(o.right_thread);
+            }
+            if fork_undone(&targets, &o) {
+                // Fork undone entirely; forget the record (replay may
+                // re-fork under the new incarnation).
+                self.set_own_state(o.id, None);
+            } else {
+                // Fork stands but its guess is dead. If S1 has already
+                // finished and the left thread is not being rolled back, S2
+                // re-runs sequentially right now; otherwise the engine
+                // learns of the abort at join time
+                // (JoinDecision::AlreadyAborted) or during S1 replay.
+                let left_untouched = !targets.contains_key(&o.left_thread);
+                let awaiting = |t: &ThreadMeta| t.phase == ThreadPhase::AwaitingResolution;
+                if left_untouched && self.threads.get(&o.left_thread).is_some_and(awaiting) {
+                    effects.rerun_sequential.push(o.id);
+                    self.thread_mut(o.left_thread).phase = ThreadPhase::Running;
                 }
+                self.set_own_state(o.id, Some(OwnGuessState::Aborted));
             }
         }
 
@@ -512,39 +549,36 @@ impl ProcessCore {
                     .keys()
                     .rev()
                     .copied()
-                    .find(|t| !effects.discard_threads.contains(t))
+                    .find(|t| !discarding.contains(t))
                     .unwrap_or(0),
             );
         }
 
         // 6. Clean up doomed guesses from CDG and thread metadata.
-        self.cdg.remove_aborted(&doomed);
-        for tid in &effects.discard_threads {
+        self.cdg.remove_aborted(doomed.iter());
+        for tid in &discarding {
             self.threads.remove(tid);
         }
-        let rollbacks = effects.rollback_threads.clone();
-        for (tid, slot) in rollbacks {
+        for &(tid, slot) in &effects.rollback_threads {
             self.restore_thread_meta(tid, slot);
         }
-        // Drop any remaining guard entries for doomed guesses (threads that
-        // had the guess but whose rollback target was superseded by an even
-        // earlier one are already restored; surviving threads should not
-        // retain doomed entries).
-        for t in self.threads.values_mut().filter(|t| !t.guard.is_empty()) {
-            for d in &doomed {
-                if t.guard.remove(*d) {
-                    t.rollbacks.remove(Run::single(*d));
-                }
-            }
-        }
-        self.rebuild_holders();
+        // No surviving guard holds a doomed guess: every holder that held
+        // one has a target, so it is gone or restored, and a restore keeps
+        // only unresolved members. Only a holder can still hold anything.
+        let threads = &self.threads;
+        self.holders
+            .retain(|t| threads.get(t).is_some_and(|t| !t.guard.is_empty()));
+        debug_assert!(
+            self.holders()
+                .all(|t| t.guard.common_runs(&doomed).next().is_none()),
+            "a guard outlived the abort of one of its members"
+        );
         if !self.awaiting.is_empty() {
             self.rebuild_watch();
         }
         self.debug_check_watch();
 
         effects.discard_threads.sort_unstable();
-        effects.discard_threads.dedup();
         effects
     }
 
@@ -583,27 +617,23 @@ impl ProcessCore {
     }
 }
 
-fn merge_effects(total: &mut AbortEffects, e: AbortEffects) {
-    for t in e.discard_threads {
-        if !total.discard_threads.contains(&t) {
-            total.discard_threads.push(t);
-        }
-    }
-    for r in e.rollback_threads {
-        if !total.rollback_threads.contains(&r) {
-            total.rollback_threads.push(r);
-        }
-    }
-    for g in e.own_aborted {
-        if !total.own_aborted.contains(&g) {
-            total.own_aborted.push(g);
-        }
-    }
-    for g in e.rerun_sequential {
-        if !total.rerun_sequential.contains(&g) {
-            total.rerun_sequential.push(g);
-        }
-    }
+/// Does `tgt` discard `tid` outright (rather than roll it back)?
+fn target_discards(tgt: StateIndex, tid: ForkIndex) -> bool {
+    tgt.thread < tid || (tgt.thread == tid && tgt.interval == 0)
+}
+
+/// Is `o`'s fork undone by `targets`: its creating thread discarded, or
+/// rolled back to (or before) the fork point?
+fn fork_undone(targets: &BTreeMap<ForkIndex, StateIndex>, o: &OwnGuess) -> bool {
+    targets.get(&o.left_thread).is_some_and(|&tgt| {
+        target_discards(tgt, o.left_thread) || tgt.interval <= o.forked_at.interval
+    })
+}
+
+/// Keep the first occurrence of every entry, in order.
+fn dedup_in_order<T: Ord + Copy>(list: &mut Vec<T>) {
+    let mut seen = BTreeSet::new();
+    list.retain(|x| seen.insert(*x));
 }
 
 #[cfg(test)]

@@ -149,7 +149,7 @@ pub struct PolicyShift {
 }
 
 /// Per-fork-site controller state.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SiteController {
     /// Optimistic re-executions since the last commit (the paper's
     /// per-site retry count; `Static` gates on this).
@@ -183,7 +183,7 @@ impl SiteController {
 }
 
 /// All per-site controllers of one process, plus the decision log.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SpeculationState {
     sites: HashMap<u32, SiteController>,
     shifts: Vec<PolicyShift>,

@@ -29,6 +29,11 @@
 //!   after each commit ([`rescan_cascade`]), with awaiting joins and
 //!   delivered runs in the scripts: the same points, the same rollback
 //!   targets, the same commits in the same order.
+//! - The run-wise abort cascade against the member-wise one it replaced
+//!   (`ProcessCore::on_abort_memberwise`), over random fork / deliver /
+//!   join / commit / abort / PRECEDENCE scripts with forks nested deep:
+//!   the same `AbortEffects` in the same order, the same history, guards,
+//!   rollback points, thread metadata and CDG afterwards.
 
 use opcsp_core::{
     AbortEffects, Cdg, CoreConfig, DataKind, EdgeOutcome, Envelope, Fate, ForkIndex, Guard,
@@ -439,7 +444,7 @@ impl IngestPair {
             doomed.extend(fast);
         }
         doomed.extend(extra);
-        self.fast.remove_aborted(&doomed);
+        self.fast.remove_aborted(doomed.iter().copied());
         for d in &doomed {
             self.naive.remove(*d);
         }
@@ -1280,6 +1285,122 @@ proptest! {
                     let point = meta.rollback_point(*g).expect("guard member");
                     prop_assert_eq!(discards(point, *t), discards(*at, *t));
                     prop_assert!(discards(point, *t) || point == *at);
+                }
+            }
+        }
+    }
+}
+
+// ----------------------------------------------------------------------
+// The run-wise abort cascade
+// ----------------------------------------------------------------------
+
+/// `on_abort(g)` on `core` and the member-wise reference on a copy: the
+/// same effects and the same process state afterwards, piece by piece.
+fn abort_matches_reference(core: &mut ProcessCore, g: GuessId) {
+    let mut reference = core.clone();
+    let expected = reference.on_abort_memberwise(g);
+    let effects = core.on_abort(g);
+    prop_assert_eq!(&effects, &expected, "abort of {}", g);
+    prop_assert!(
+        core.history == reference.history,
+        "history after the abort of {}",
+        g
+    );
+    prop_assert!(core.cdg == reference.cdg, "CDG after the abort of {}", g);
+    prop_assert!(core.threads.keys().eq(reference.threads.keys()));
+    for (t, meta) in &core.threads {
+        let other = &reference.threads[t];
+        prop_assert_eq!(&meta.guard, &other.guard, "guard of thread {}", t);
+        prop_assert_eq!(
+            &meta.rollbacks,
+            &other.rollbacks,
+            "rollbacks of thread {}",
+            t
+        );
+        prop_assert_eq!(
+            &meta.snapshots,
+            &other.snapshots,
+            "snapshots of thread {}",
+            t
+        );
+        prop_assert_eq!((meta.interval, meta.phase), (other.interval, other.phase));
+    }
+    prop_assert!(*core == reference, "process state after the abort of {}", g);
+}
+
+proptest! {
+    /// Random scripts on one process: forks (mostly from the newest
+    /// thread, so chains grow deep), deliveries of foreign runs and of own
+    /// past guesses, joins, commits, PRECEDENCE of foreign and own guesses
+    /// (cycles abort through the same cascade) and aborts of own pending
+    /// guesses and of foreign ones. Every abort the script asks for is
+    /// replayed on a copy through the member-wise reference; debug builds
+    /// also check every abort a join or a PRECEDENCE sets off.
+    #[test]
+    fn runwise_abort_matches_memberwise_reference(
+        ops in proptest::collection::vec(
+            (0u32..12, 0u32..64, any::<bool>(), proptest::collection::vec(arb_run(), 0..3)),
+            1..80,
+        ),
+    ) {
+        const ME: ProcessId = ProcessId(7);
+        let mut core = ProcessCore::new(ME, CoreConfig::default());
+        for (op, pick, flag, runs) in ops {
+            let foreign: Vec<GuessId> = runs.iter().flat_map(|r| r.iter()).collect();
+            let running: Vec<ForkIndex> = core
+                .threads
+                .values()
+                .filter(|t| t.phase == ThreadPhase::Running)
+                .map(|t| t.index)
+                .collect();
+            let Some(&thread) = running.get(pick as usize % running.len().max(1)) else {
+                break;
+            };
+            let pending: Vec<GuessId> = core
+                .own
+                .values()
+                .filter(|o| o.state == OwnGuessState::Pending)
+                .map(|o| o.id)
+                .collect();
+            let own_pick = pending.get(pick as usize % pending.len().max(1)).copied();
+            match (op, own_pick) {
+                (0..=2, _) => {
+                    let from = match flag {
+                        true => *running.last().expect("a running thread"),
+                        false => thread,
+                    };
+                    core.fork(from, 1);
+                }
+                (3..=4, _) => {
+                    let past = pending.iter().filter(|g| flag && g.index <= thread);
+                    let tag: Guard = foreign.iter().chain(past).copied().collect();
+                    core.deliver(thread, &envelope(tag));
+                }
+                (5, Some(g)) if running.contains(&core.own[&g].left_thread) => {
+                    core.join_left_done(g, flag);
+                }
+                (6, Some(g)) => abort_matches_reference(&mut core, g),
+                (7, _) => {
+                    if let Some(&g) = foreign.first() {
+                        abort_matches_reference(&mut core, g);
+                    }
+                }
+                (8..=9, _) => {
+                    // PRECEDENCE(subject, guard): a foreign subject after
+                    // own guesses, or an own one after foreign guesses.
+                    let (subject, guard): (Option<GuessId>, Guard) = match (flag, own_pick) {
+                        (true, Some(g)) => (Some(g), foreign.iter().copied().collect()),
+                        _ => (foreign.first().copied(), pending.iter().copied().collect()),
+                    };
+                    if let Some(subject) = subject {
+                        core.on_precedence(subject, &guard);
+                    }
+                }
+                _ => {
+                    for &g in foreign.iter().take(3) {
+                        core.on_commit(g);
+                    }
                 }
             }
         }

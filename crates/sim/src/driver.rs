@@ -36,9 +36,11 @@ use opcsp_core::{
     Incarnation, JoinDecision, Label, MsgId, OwnGuessState, ProcessCore, ProcessId, ProtoStats,
     Telemetry, TelemetryEvent, ThreadId, ThreadMeta, ThreadPhase, Value,
 };
-use std::collections::BTreeMap;
+use pool::{Pool, Slot};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
+mod pool;
 #[cfg(test)]
 mod tests;
 
@@ -54,8 +56,9 @@ pub type DeliverySchedule = BTreeMap<ProcessId, Vec<ProcessId>>;
 pub enum FaultInjection {
     #[default]
     None,
-    /// At a receive point, deliver the *newest* pooled candidate instead of
-    /// the dependency-minimizing choice, and drop the per-link FIFO arrival
+    /// At a receive point, deliver the *newest* pooled candidate — any
+    /// pooled message, not just each sender's oldest — instead of the
+    /// dependency-minimizing choice, and drop the per-link FIFO arrival
     /// clamp so jitter can invert same-link message order — commits
     /// receive orders no sequential execution can produce. The protocol's
     /// precedence machinery is expected to *survive* this (time faults
@@ -339,8 +342,14 @@ pub struct Driver {
     /// Indices (ascending) of the threads with external output buffered:
     /// the only ones a flush can release anything from.
     buffered: Vec<u32>,
+    /// The threads a delivery can go to: those blocked at a receive
+    /// (ascending), and those blocked on a call, by the call. Kept in step
+    /// with `Thread::status` by [`Driver::set_status`] and
+    /// [`Driver::reindex`].
+    receivers: BTreeSet<u32>,
+    callers: BTreeMap<CallId, u32>,
     /// Arrived, not yet consumed messages.
-    pool: Vec<Envelope>,
+    pool: Pool,
     /// `Some(n)`: every pooled message passed the orphan check when the
     /// history's [`aborts_learned`](opcsp_core::History::aborts_learned)
     /// read `n`, so while it still does, a delivery need not repeat the
@@ -379,7 +388,9 @@ impl Driver {
             threads: BTreeMap::from([(0, thread0)]),
             live: vec![0],
             buffered: Vec::new(),
-            pool: Vec::new(),
+            receivers: BTreeSet::new(),
+            callers: BTreeMap::new(),
+            pool: Pool::default(),
             pool_checked: Some(0),
             guesses: BTreeMap::new(),
             forced_pos: 0,
@@ -425,9 +436,9 @@ impl Driver {
     pub fn undelivered(&self) -> Vec<ProcessId> {
         let mut left: Vec<(MsgId, ProcessId)> = self
             .pool
-            .iter()
-            .filter(|m| !m.kind.is_return())
-            .map(|m| (m.id, m.from))
+            .data()
+            .into_iter()
+            .map(|(_, m)| (m.id, m.from))
             .collect();
         left.sort_unstable();
         left.into_iter().map(|(_, from)| from).collect()
@@ -483,8 +494,69 @@ impl Driver {
     }
 
     fn resume<E: Env>(&mut self, env: &mut E, tid: u32, after: After, resume: Resume) {
-        self.th(tid).status = Status::Ready;
+        self.set_status(tid, Status::Ready);
         env.resume(self.thread_id(tid), after, resume);
+    }
+
+    /// Every write of a thread's status goes through here (or, in `step`,
+    /// through [`Driver::reindex`]), which keeps the receive and call
+    /// indices in step.
+    fn set_status(&mut self, tid: u32, status: Status) {
+        let old = std::mem::replace(&mut self.th(tid).status, status);
+        self.reindex(tid, old, status);
+    }
+
+    /// Move `tid` in the receive and call indices from `old` to `status`.
+    fn reindex(&mut self, tid: u32, old: Status, status: Status) {
+        match old {
+            Status::BlockedRecv => {
+                self.receivers.remove(&tid);
+            }
+            Status::BlockedCall(cid) => {
+                self.callers.remove(&cid);
+            }
+            _ => {}
+        }
+        match status {
+            Status::BlockedRecv => {
+                self.receivers.insert(tid);
+            }
+            Status::BlockedCall(cid) => {
+                self.callers.insert(cid, tid);
+            }
+            _ => {}
+        }
+    }
+
+    /// Debug builds check the receive and call indices against a scan of
+    /// the live threads wherever a delivery reads them.
+    #[cfg(debug_assertions)]
+    fn debug_check_waiting(&self) {
+        let receivers = self
+            .live_threads()
+            .filter(|(_, t)| t.status == Status::BlockedRecv);
+        assert!(
+            receivers
+                .map(|(tid, _)| tid)
+                .eq(self.receivers.iter().copied()),
+            "receive index out of step with the thread statuses"
+        );
+        let mut callers = 0;
+        for (tid, t) in self.live_threads() {
+            if let Status::BlockedCall(cid) = t.status {
+                callers += 1;
+                assert_eq!(
+                    self.callers.get(&cid),
+                    Some(&tid),
+                    "{cid:?}'s caller not indexed"
+                );
+            }
+        }
+        assert_eq!(
+            callers,
+            self.callers.len(),
+            "call index holds a thread not waiting"
+        );
     }
 
     /// Emit `Resolved` telemetry for resolutions the core recorded since
@@ -551,9 +623,10 @@ impl Driver {
         if th.status == Status::Done {
             return false;
         }
-        th.status = Status::Ready;
+        let old = std::mem::replace(&mut th.status, Status::Ready);
         th.steps += 1;
         let effect = self.behavior.step(&mut th.state, resume);
+        self.reindex(tid, old, Status::Ready);
         self.handle_effect(env, tid, effect);
         true
     }
@@ -570,7 +643,7 @@ impl Driver {
             Effect::Call { to, payload, label } => {
                 let cid = env.next_call_id();
                 self.send_data(env, tid, to, DataKind::Call(cid), payload, label);
-                self.th(tid).status = Status::BlockedCall(cid);
+                self.set_status(tid, Status::BlockedCall(cid));
                 self.try_deliver(env);
             }
             Effect::Reply { payload, label } => {
@@ -588,7 +661,7 @@ impl Driver {
                 self.resume(env, tid, After::Step, Resume::Continue);
             }
             Effect::Receive => {
-                self.th(tid).status = Status::BlockedRecv;
+                self.set_status(tid, Status::BlockedRecv);
                 self.try_deliver(env);
             }
             Effect::External { payload } => {
@@ -628,7 +701,7 @@ impl Driver {
                 // return — no resume for it.
                 let cid = env.next_call_id();
                 self.send_data(env, tid, to, DataKind::Call(cid), payload, label);
-                self.th(tid).status = Status::BlockedCall(cid);
+                self.set_status(tid, Status::BlockedCall(cid));
                 if self.core.can_fork(site) {
                     self.fork_right(env, tid, site, guesses, None);
                 }
@@ -636,7 +709,7 @@ impl Driver {
             }
             Effect::JoinLeft { actual } => self.handle_join(env, tid, actual),
             Effect::Done => {
-                self.th(tid).status = Status::Done;
+                self.set_status(tid, Status::Done);
                 let core = &mut self.core;
                 if let Some(meta) = core.threads.get_mut(&tid) {
                     if core.history.all_committed(&meta.guard) {
@@ -838,7 +911,7 @@ impl Driver {
                     guess,
                     guard: precedence_guard.clone(),
                 });
-                self.th(tid).status = Status::AwaitingJoin;
+                self.set_status(tid, Status::AwaitingJoin);
                 self.broadcast(env, Control::Precedence(guess, precedence_guard));
             }
             JoinDecision::AlreadyAborted { .. } => self.join_sequential(env, tid),
@@ -864,8 +937,8 @@ impl Driver {
         self.broadcast(env, Control::Commit(guess));
         if let Some(left) = self.core.own.get(&guess).map(|o| o.left_thread) {
             if let Some(th) = self.threads.get_mut(&left) {
-                th.status = Status::Done;
                 th.fork_guess = None;
+                self.set_status(left, Status::Done);
                 self.retire_if_finished(left);
                 let thread = self.thread_id(left);
                 env.trace(|t| TraceEvent::ThreadDone { t, thread });
@@ -894,11 +967,7 @@ impl Driver {
         // Early time-fault detection on returns (§4.2.3): the waiting
         // thread is the one blocked on this call id.
         if let DataKind::Return(cid) = msg.kind {
-            let waiter = self
-                .live_threads()
-                .find(|(_, t)| t.status == Status::BlockedCall(cid))
-                .map(|(tid, _)| tid);
-            if let Some(w) = waiter {
+            if let Some(&w) = self.callers.get(&cid) {
                 if let Some(doomed) = self.core.return_depends_on_future(w, &msg) {
                     let effects = self.core.on_abort(doomed);
                     let at = self.pid;
@@ -922,8 +991,8 @@ impl Driver {
 
     /// Match pooled messages to blocked threads until quiescent.
     fn try_deliver<E: Env>(&mut self, env: &mut E) {
-        while let Some((tid, pool_idx)) = self.pick_delivery() {
-            let msg = self.pool.remove(pool_idx);
+        while let Some((tid, slot)) = self.pick_delivery() {
+            let msg = self.pool.take(slot);
             // Re-check orphan status if an abort may have been learned
             // since the message was pooled (explicitly, or through a later
             // incarnation named in some other message's tag).
@@ -944,76 +1013,126 @@ impl Driver {
         }
     }
 
-    /// Choose (thread, pool index) for the next delivery, or None.
+    /// Choose (thread, pooled message) for the next delivery, or None.
     ///
     /// Returns-first: call-blocked threads match their return exactly.
     /// Receive-blocked threads are served in thread-index order (the paper:
-    /// deliver to "the earliest possible thread"), each choosing the
-    /// pooled message that introduces fewest new dependencies (§4.2.3),
-    /// and never a message that depends on one of this process's future
-    /// guesses relative to that thread.
-    fn pick_delivery(&self) -> Option<(u32, usize)> {
+    /// deliver to "the earliest possible thread"), each choosing among the
+    /// messages *available* to it — each sender's oldest pooled one, since
+    /// links are FIFO — the one that introduces fewest new dependencies
+    /// (§4.2.3), and never a message that depends on one of this process's
+    /// future guesses relative to that thread.
+    fn pick_delivery(&self) -> Option<(u32, Slot)> {
         if self.pool.is_empty() {
             return None;
         }
-        for (tid, th) in self.live_threads() {
-            if let Status::BlockedCall(cid) = th.status {
-                let ret = DataKind::Return(cid);
-                if let Some(i) = self.pool.iter().position(|m| m.kind == ret) {
-                    return Some((tid, i));
+        let pick = self.pick_indexed();
+        #[cfg(debug_assertions)]
+        {
+            self.debug_check_waiting();
+            let indexed = pick.map(|(tid, slot)| (tid, self.pool.stamp(slot)));
+            assert_eq!(
+                indexed,
+                self.pick_by_scan(),
+                "indexed delivery choice differs from the scan"
+            );
+        }
+        pick
+    }
+
+    fn pick_indexed(&self) -> Option<(u32, Slot)> {
+        // The earliest call-blocked thread whose return is pooled (a call
+        // has one waiter; a duplicate return is taken in pool order).
+        let mut ret: Option<(u32, Slot)> = None;
+        for (cid, slot) in self.pool.returns() {
+            if let Some(&tid) = self.callers.get(&cid) {
+                if ret.is_none_or(|(best, _)| tid < best) {
+                    ret = Some((tid, slot));
                 }
             }
         }
+        if ret.is_some() || self.receivers.is_empty() {
+            return ret;
+        }
+        let lifo = self.policy.fault == FaultInjection::LifoDelivery;
+        let available = match lifo {
+            true => self.pool.data(),
+            false => self.pool.heads(),
+        };
+        for &tid in &self.receivers {
+            let candidates = available.iter().copied();
+            let candidates = Vec::from_iter(candidates.filter(|(_, m)| !self.withheld(tid, m)));
+            if let Some(k) = self.choose(tid, &candidates) {
+                return Some((tid, candidates[k].0));
+            }
+        }
+        None
+    }
+
+    /// Withhold messages that depend on one of our own *live* future
+    /// guesses: delivering one to `tid` would make that guess depend on
+    /// itself (§4.2.3's x4/x5/x6 example). The liveness-based core check
+    /// also catches stale-incarnation guesses surviving in the pool across
+    /// an incarnation bump — an incarnation-equality filter here once let
+    /// those through prematurely (pinned by
+    /// `stale_incarnation_guess_still_withheld_from_earlier_thread` in
+    /// opcsp-core).
+    fn withheld(&self, tid: u32, m: &Envelope) -> bool {
+        self.core.guard_depends_on_future(tid, &m.guard).is_some()
+    }
+
+    /// The policy's choice among the `candidates` of a receive by `tid`,
+    /// in pool order; `None` if the thread takes none of them now.
+    fn choose<T>(&self, tid: u32, candidates: &[(T, &Envelope)]) -> Option<usize> {
+        if candidates.is_empty() {
+            return None;
+        }
+        // Forced order: serve the scheduled peer's oldest message, or hold
+        // this thread until it arrives. Past the schedule's end the normal
+        // policy applies.
+        let wanted = self
+            .policy
+            .forced_order
+            .as_ref()
+            .and_then(|sched| sched.get(&self.pid))
+            .and_then(|order| order.get(self.forced_pos));
+        let indexed = candidates.iter().enumerate();
+        if let Some(want) = wanted {
+            let from_wanted = indexed.filter(|(_, (_, m))| m.from == *want);
+            return from_wanted.min_by_key(|(_, (_, m))| m.id).map(|(k, _)| k);
+        }
+        if self.policy.fault == FaultInjection::LifoDelivery {
+            return indexed.max_by_key(|(_, (_, m))| m.id).map(|(k, _)| k);
+        }
+        let envs = Vec::from_iter(candidates.iter().map(|(_, m)| *m));
+        self.core.choose_delivery(tid, &envs)
+    }
+
+    /// [`Driver::pick_delivery`] by scanning every live thread and the
+    /// whole pool, as the pool stamp of the message chosen: the reference
+    /// the indices are checked against in debug builds.
+    #[cfg(debug_assertions)]
+    fn pick_by_scan(&self) -> Option<(u32, u64)> {
+        let all = self.pool.all();
+        for (tid, th) in self.live_threads() {
+            if let Status::BlockedCall(cid) = th.status {
+                let ret = DataKind::Return(cid);
+                if let Some((stamp, ..)) = all.iter().find(|(_, _, m)| m.kind == ret) {
+                    return Some((tid, *stamp));
+                }
+            }
+        }
+        let lifo = self.policy.fault == FaultInjection::LifoDelivery;
+        let data = || all.iter().filter(|(_, _, m)| !m.kind.is_return());
+        let oldest = |m: &Envelope| data().all(|(_, _, o)| o.from != m.from || o.id >= m.id);
         for (tid, th) in self.live_threads() {
             if th.status != Status::BlockedRecv {
                 continue;
             }
-            // Withhold messages that depend on one of our own *live*
-            // future guesses: delivering one to `tid` would make that
-            // guess depend on itself (§4.2.3's x4/x5/x6 example). The
-            // liveness-based core check also catches stale-incarnation
-            // guesses surviving in the pool across an incarnation bump —
-            // an incarnation-equality filter here once let those through
-            // prematurely (pinned by
-            // `stale_incarnation_guess_still_withheld_from_earlier_thread`
-            // in opcsp-core).
-            let candidates: Vec<(usize, &Envelope)> = self
-                .pool
-                .iter()
-                .enumerate()
-                .filter(|(_, m)| {
-                    !m.kind.is_return()
-                        && self.core.guard_depends_on_future(tid, &m.guard).is_none()
-                })
-                .collect();
-            if candidates.is_empty() {
-                continue;
-            }
-            // Forced order: serve the scheduled peer's oldest message, or
-            // hold this thread until it arrives. Past the schedule's end
-            // the normal policy applies.
-            let wanted = self
-                .policy
-                .forced_order
-                .as_ref()
-                .and_then(|sched| sched.get(&self.pid))
-                .and_then(|order| order.get(self.forced_pos));
-            if let Some(want) = wanted {
-                match candidates
-                    .iter()
-                    .filter(|(_, m)| m.from == *want)
-                    .min_by_key(|(_, m)| m.id)
-                {
-                    Some((i, _)) => return Some((tid, *i)),
-                    None => continue,
-                }
-            }
-            if self.policy.fault == FaultInjection::LifoDelivery {
-                let newest = candidates.iter().max_by_key(|(_, m)| m.id);
-                return newest.map(|(i, _)| (tid, *i));
-            }
-            let envs: Vec<&Envelope> = candidates.iter().map(|(_, e)| *e).collect();
-            if let Some(k) = self.core.choose_delivery(tid, &envs) {
+            let available = data().filter(|(_, _, m)| lifo || oldest(m));
+            let candidates = available.filter(|(_, _, m)| !self.withheld(tid, m));
+            let candidates = Vec::from_iter(candidates.map(|(stamp, _, m)| (*stamp, *m)));
+            if let Some(k) = self.choose(tid, &candidates) {
                 return Some((tid, candidates[k].0));
             }
         }
@@ -1165,9 +1284,11 @@ impl Driver {
         // Discards: kill the thread, return consumed messages to the pool
         // (orphan filtering drops the newly-invalid ones at delivery time).
         for &tid in &effects.discard_threads {
-            let Some(th) = self.threads.remove(&tid) else {
+            if !self.threads.contains_key(&tid) {
                 continue;
-            };
+            }
+            self.set_status(tid, Status::Done);
+            let th = self.threads.remove(&tid).expect("thread exists");
             self.retire_if_finished(tid);
             remove_sorted(&mut self.buffered, tid);
             self.stats.discarded_threads += 1;
@@ -1221,7 +1342,7 @@ impl Driver {
             // They were last checked before they were consumed.
             self.pool_checked = None;
         }
-        self.pool.extend(consumed);
+        consumed.into_iter().for_each(|m| self.pool.push(m));
     }
 
     fn restore_thread<E: Env>(&mut self, env: &mut E, tid: u32, slot: u32, root: Option<GuessId>) {
@@ -1237,7 +1358,6 @@ impl Driver {
         let chk = th.checkpoints.pop().expect("rollback slot exists");
         let steps_lost = th.steps - chk.steps;
         th.state = chk.state;
-        th.status = chk.status;
         th.call_stack = chk.call_stack;
         th.fork_guess = chk.fork_guess;
         th.steps = chk.steps;
@@ -1250,6 +1370,7 @@ impl Driver {
             remove_sorted(&mut self.buffered, tid);
         }
         let consumed = th.consumed.split_off(chk.consumed_len);
+        self.set_status(tid, chk.status);
         self.repool(consumed);
         self.mark_live(tid);
         self.stats.rollbacks += 1;
@@ -1274,18 +1395,14 @@ impl Driver {
 
     /// Drop pooled messages that have become orphans.
     fn purge_pool<E: Env>(&mut self, env: &mut E) {
-        let mut orphans = Vec::new();
         self.pool_checked = Some(self.core.history.aborts_learned());
         let core = &mut self.core;
-        self.pool.retain(|msg| match core.classify_arrival(msg) {
-            ArrivalVerdict::Orphan(g) => {
-                orphans.push((msg.id, msg.label.clone(), g));
-                false
-            }
-            ArrivalVerdict::Ok => true,
+        let orphans = self.pool.extract(|msg| match core.classify_arrival(msg) {
+            ArrivalVerdict::Orphan(g) => Some(g),
+            ArrivalVerdict::Ok => None,
         });
-        for (msg, label, g) in orphans {
-            self.orphaned(env, msg, label, g);
+        for (msg, g) in orphans {
+            self.orphaned(env, msg.id, msg.label, g);
         }
     }
 

@@ -643,3 +643,37 @@ fn return_that_dooms_its_own_guess_is_dropped_not_delivered() {
     assert_eq!(d.threads[&0].status, Status::BlockedCall(cid));
     assert!(d.threads[&0].consumed.is_empty() && d.pool.is_empty());
 }
+
+#[test]
+fn a_receive_takes_each_senders_oldest_message_first() {
+    // Both from P1, pooled before the thread first blocks. The later one
+    // adds no dependency and the earlier one adds g, but a link is FIFO:
+    // the later one is not available while the earlier one is pooled.
+    let mut d = driver(sink(), DriverPolicy::default());
+    let mut fake = Fake::default();
+    d.on_data(&mut fake, msg(1, P1, Guard::single(remote_guess(P3)), 10));
+    d.on_data(&mut fake, msg(2, P1, Guard::empty(), 20));
+    fake.ready.push_back((thread(0), Resume::Start));
+    fake.run(&mut d);
+    assert_eq!(seen(&d, 0), &[10, 20]);
+}
+
+#[test]
+fn a_message_a_rollback_hands_back_is_its_senders_oldest_again() {
+    // Thread 0 takes m0 (P2, guarded by g) and m1 (P1, guarded by h); m2
+    // (P1, no dependency) arrives while m1's resume is still queued. g
+    // aborts: the rollback to before m0 hands m0 (an orphan now) and m1
+    // back, pooled behind m2. m2 is the cheaper delivery, but m1 was sent
+    // first on the same link.
+    let (g, h) = (remote_guess(P2), remote_guess(P3));
+    let mut d = driver(sink(), DriverPolicy::default());
+    let mut fake = Fake::start(&mut d);
+    fake.arrive(&mut d, msg(0, P2, Guard::single(g), 1));
+    d.on_data(&mut fake, msg(1, P1, Guard::single(h), 10));
+    d.on_data(&mut fake, msg(2, P1, Guard::empty(), 20));
+    assert_eq!(d.pool.iter().map(|m| m.id).collect::<Vec<_>>(), [MsgId(2)]);
+    d.on_control(&mut fake, Control::Abort(g));
+    assert_eq!((d.stats.rollbacks, d.stats.orphans), (1, 1));
+    fake.run(&mut d);
+    assert_eq!(seen(&d, 0), &[10, 20]);
+}

@@ -12,10 +12,32 @@
 //! on other threads do not pollute a measurement; the simulator runs the
 //! whole world on the calling thread. `cargo test --release --test
 //! run_length -- --nocapture` prints the table.
+//!
+//! Two wall-time guards join it (DESIGN.md §5b, "An abort costs the runs
+//! it dooms"): aborting the root of a 4× deeper fork chain, and simulating
+//! a 4× longer call stream and checking it, must cost well under 16× —
+//! what a cost quadratic in the backlog reads. They are release-only: debug builds
+//! check every abort and every delivery choice against member-wise
+//! references that are quadratic by design.
 
+use opcsp_core::{CoreConfig, ProcessCore, ProcessId};
 use opcsp_workloads::catalog::Spec;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Mutex;
+use std::time::{Duration, Instant};
+
+/// Held by every test here: the wall-time guards must not share the
+/// machine with the others, and the allocation counts are per thread
+/// anyway.
+static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
+
+fn one_at_a_time() -> std::sync::MutexGuard<'static, ()> {
+    // A guard that failed poisons the lock; the next test still runs.
+    ONE_AT_A_TIME
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 struct Counting;
 
@@ -75,6 +97,7 @@ const GROWTH_BOUND: f64 = 1.3;
 
 #[test]
 fn kv_allocations_per_op_are_flat_in_run_length() {
+    let _alone = one_at_a_time();
     let mut table = Vec::new();
     for keys in [1024, 16] {
         let [short, long] = [150, 600]
@@ -101,4 +124,88 @@ fn kv_allocations_per_op_are_flat_in_run_length() {
             long / short
         );
     }
+}
+
+/// The least of `reps` walls of each of `short` and `long`, taken in
+/// turn, so that both see the machine in the same states.
+fn min_walls(
+    reps: usize,
+    mut short: impl FnMut() -> Duration,
+    mut long: impl FnMut() -> Duration,
+) -> [Duration; 2] {
+    let mut best = [Duration::MAX; 2];
+    for _ in 0..reps {
+        best[0] = best[0].min(short());
+        best[1] = best[1].min(long());
+    }
+    best
+}
+
+/// Wall of `ProcessCore::on_abort` of the root of a right-branching chain
+/// of `depth` forks (call streaming's shape: each right thread forks the
+/// next), which dooms every guess and discards every right thread.
+fn chain_abort(depth: u32) -> Duration {
+    let mut core = ProcessCore::new(ProcessId(0), CoreConfig::default());
+    let root = core.fork(0, 1).guess;
+    for t in 1..depth {
+        core.fork(t, 1);
+    }
+    let start = Instant::now();
+    let effects = core.on_abort(root);
+    let wall = start.elapsed();
+    assert_eq!(effects.own_aborted.len(), depth as usize);
+    assert_eq!(effects.discard_threads.len(), depth as usize);
+    wall
+}
+
+/// Wall of one simulated run of `spec` and of its oracle, the replay of
+/// its committed schedule on the pessimistic simulator: what `opcsp-run
+/// <spec>` does.
+fn simulate_and_check(spec: &str) -> Duration {
+    let spec = Spec::parse(spec).expect("spec parses");
+    let start = Instant::now();
+    let run = spec.simulate();
+    spec.check(&run).expect("the run passes its oracle");
+    start.elapsed()
+}
+
+/// Most a 4× larger input may cost, as a multiple of the smaller one's
+/// wall, for the two wall-time guards: linear reads 4×, `n log n` about
+/// 5× (the stream's records are never retired, and every map of them
+/// deepens), quadratic 16×.
+const GROWTH_4X_BOUND: f64 = 8.0;
+
+fn ratio_guard(what: &str, bound: f64, [short, long]: [Duration; 2]) {
+    let ratio = long.as_secs_f64() / short.as_secs_f64();
+    println!("{what}: {short:?} -> {long:?} ({ratio:.1}x, bound {bound}x)");
+    assert!(
+        ratio <= bound,
+        "{what}: {long:?} against {short:?} ({ratio:.1}x > {bound}x): the cost grows faster \
+         than the backlog"
+    );
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "wall-time guard: release builds only")]
+fn an_abort_costs_the_chain_it_dooms_not_its_square() {
+    let _alone = one_at_a_time();
+    let walls = min_walls(7, || chain_abort(128), || chain_abort(512));
+    ratio_guard(
+        "abort of a 128 / 512-deep fork chain",
+        GROWTH_4X_BOUND,
+        walls,
+    );
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "wall-time guard: release builds only")]
+fn a_simulated_stream_costs_its_calls_not_their_square() {
+    let _alone = one_at_a_time();
+    let run = |n: u32| move || simulate_and_check(&format!("stream:n={n}"));
+    let walls = min_walls(5, run(1000), run(4000));
+    ratio_guard(
+        "simulating and checking stream:n=1000 / 4000",
+        GROWTH_4X_BOUND,
+        walls,
+    );
 }
