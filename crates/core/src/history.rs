@@ -34,15 +34,23 @@ pub enum Fate {
 
 /// Incarnation start table for a single remote process (§4.1.5).
 ///
-/// `starts[i]` is the fork index at which incarnation `i` began. From it we
-/// can decide which guesses of earlier incarnations were implicitly aborted:
-/// if incarnation 2 of `x` begins at index 3, then `x_{1,3}` and later
-/// guesses of incarnation 1 are aborted, while `x_{1,1}`, `x_{1,2}` stand.
+/// The table maps each incarnation `i` up to the latest heard of to the
+/// fork index at which it began. From it we can decide which guesses of
+/// earlier incarnations were implicitly aborted: if incarnation 2 of `x`
+/// begins at index 3, then `x_{1,3}` and later guesses of incarnation 1
+/// are aborted, while `x_{1,1}`, `x_{1,2}` stand.
+///
+/// It is kept as what was recorded, not one start per number: hearing of
+/// incarnation `n` first fills every unheard-of number below it with the
+/// same start, so the table is a few stretches of incarnations with one
+/// start each, and recording costs one or two entries however far ahead
+/// `n` is.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IncarnationTable {
-    /// `starts[i]` = first fork index of incarnation `i`. Incarnation 0
-    /// implicitly starts at index 0 even before any entry is recorded.
-    starts: Vec<ForkIndex>,
+    /// `last → start`: the incarnations after the previous entry's `last`
+    /// up to this `last` began at `start`. Incarnation 0 starts at index 0
+    /// before anything is recorded.
+    stretches: BTreeMap<u32, ForkIndex>,
 }
 
 impl Default for IncarnationTable {
@@ -53,38 +61,53 @@ impl Default for IncarnationTable {
 
 impl IncarnationTable {
     pub fn new() -> Self {
-        IncarnationTable { starts: vec![0] }
+        IncarnationTable {
+            stretches: BTreeMap::from([(0, 0)]),
+        }
     }
 
     /// Highest incarnation we have heard of.
     pub fn latest(&self) -> Incarnation {
-        Incarnation(self.starts.len().saturating_sub(1) as u32)
+        Incarnation(self.stretches.keys().next_back().copied().unwrap_or(0))
     }
 
     /// Record that `inc` begins at fork index `start`. Later incarnations
     /// than any seen so far extend the table; re-recording an existing
     /// incarnation keeps the smallest start (starts never move forward).
     pub fn record(&mut self, inc: Incarnation, start: ForkIndex) {
-        let i = inc.0 as usize;
-        while self.starts.len() <= i {
-            // Unknown intermediate incarnations: assume they start no later
-            // than the one we are recording.
-            self.starts.push(start);
+        let i = inc.0;
+        let Some((&last, &old)) = self.stretches.range(i..).next() else {
+            // Unknown intermediate incarnations: assume they start no
+            // later than the one we are recording.
+            self.stretches.insert(i, start);
+            return;
+        };
+        if old <= start {
+            return;
         }
-        self.starts[i] = self.starts[i].min(start);
+        // Cut `i` out of its stretch, which keeps its start on both sides.
+        let first = self
+            .stretches
+            .range(..i)
+            .next_back()
+            .map_or(0, |(k, _)| k + 1);
+        if first < i {
+            self.stretches.insert(i - 1, old);
+        }
+        if last > i {
+            self.stretches.insert(last, old);
+        }
+        self.stretches.insert(i, start);
     }
 
     pub fn start_of(&self, inc: Incarnation) -> Option<ForkIndex> {
-        self.starts.get(inc.0 as usize).copied()
+        self.stretches.range(inc.0..).next().map(|(_, s)| *s)
     }
 
     /// Would [`record`](Self::record) modify the table? Lets the CoW
     /// history skip unsharing a table that already holds the information.
     fn record_would_change(&self, inc: Incarnation, start: ForkIndex) -> bool {
-        match self.starts.get(inc.0 as usize) {
-            Some(&s) => s > start,
-            None => true,
-        }
+        self.start_of(inc).is_none_or(|s| s > start)
     }
 
     /// Is the guess *implicitly aborted* because a later incarnation started
@@ -97,8 +120,8 @@ impl IncarnationTable {
     /// The lowest fork index at which some incarnation after `inc` starts:
     /// guesses of `inc` from there up are implicitly aborted.
     pub fn superseded_from(&self, inc: Incarnation) -> Option<ForkIndex> {
-        let later = self.starts.iter().skip((inc.0 as usize).saturating_add(1));
-        later.copied().min()
+        let later = self.stretches.range(inc.0.checked_add(1)?..);
+        later.map(|(_, s)| *s).min()
     }
 
     /// Does `a` logically precede `b` within this process's own fork order?
@@ -113,12 +136,17 @@ impl IncarnationTable {
             return true;
         }
         // a survives into b's past iff no incarnation in (ia, ib] started at
-        // or before a's index.
-        !(ia.0 + 1..=ib.0).any(|i| {
-            self.start_of(Incarnation(i))
-                .map(|s| s <= ma)
-                .unwrap_or(false)
-        })
+        // or before a's index: the stretches from the one holding ia + 1 to
+        // the one holding ib.
+        for (&last, &start) in self.stretches.range(ia.0 + 1..) {
+            if start <= ma {
+                return false;
+            }
+            if last >= ib.0 {
+                break;
+            }
+        }
+        true
     }
 }
 

@@ -13,11 +13,24 @@
 //! process), so we keep a single per-process CDG; behavior is equivalent and
 //! bookkeeping is simpler.
 //!
-//! Records are never retired here: every thread and every own guess this
-//! process ever created stays in [`ProcessCore::threads`] /
-//! [`ProcessCore::own`], because oracles, forensics and end-of-run reports
-//! read them. What the hot paths need is kept beside the records instead of
-//! being rediscovered by scanning them: the set of own guesses awaiting
+//! Nothing settled stays (DESIGN.md §5b). A thread can only be sent back to
+//! the rollback point of a guard member that has not committed (§4.1.3),
+//! so what a restore needs is needed from the earliest such point on — the
+//! thread's *restore floor* — and nothing below it is. The floor only ever
+//! rises. Each thread is filed under one member whose commit can raise it
+//! (`ProcessCore::pins`); that commit wakes the thread, and the engine
+//! collects the woken threads with [`ProcessCore::retire_settled`] and
+//! drops its checkpoints and consumed messages below their floors. A
+//! thread the engine reported finished ([`ProcessCore::finish`]) is
+//! retired once its guard empties: its metadata goes. An own guess's record
+//! goes once it has resolved and the engine has acted on it; a later look-up
+//! reads a missing record as resolved. The guard on entry to an interval is
+//! not kept at all: a restore reads it off the rollback map. What the
+//! oracles and forensics read — the commit history and
+//! [`ProcessCore::resolutions`] — is kept whole.
+//!
+//! What the hot paths need is kept beside the records instead of being
+//! rediscovered by scanning them: the set of own guesses awaiting
 //! resolution (the commit cascade's only candidates), the count of own
 //! guesses still pending (the completion check), and the threads whose
 //! guard is non-empty (the only ones an abort can touch). The
@@ -39,7 +52,7 @@ use crate::history::{Fate, History};
 use crate::ids::{ForkIndex, GuessId, Incarnation, ProcessId, StateIndex};
 use crate::message::{DataKind, Envelope};
 use crate::speculation::{PolicyShift, SiteController, SpeculationPolicy, SpeculationState};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Tuning knobs for the protocol core (ablation switches live here).
 #[derive(Debug, Clone, PartialEq)]
@@ -127,13 +140,20 @@ pub struct ThreadMeta {
     /// was forked with have no entry — see [`ThreadMeta::rollback_point`].
     /// Entries only ever hold guard members.
     pub rollbacks: RunMap<StateIndex>,
-    /// The guard at entry to each interval (§4.1.3's checkpoint of the
-    /// protocol state): `snapshots[i]` is the guard on entering interval
-    /// `i` — a copy-on-write clone, a few words. The rollback map needs no
-    /// snapshot: the entries recorded in interval `k` or later hold members
-    /// `snapshots[k]` does not, so a restore to slot `k` drops them by
-    /// filtering the map with the restored guard.
-    pub snapshots: Vec<Guard>,
+    /// The runs the thread's own deliveries added, each with the interval
+    /// it opened, oldest first: the entries of `rollbacks` in the order of
+    /// their points. A run no entry holds any more is dropped from the
+    /// front, so the front is the earliest own rollback point still
+    /// reachable.
+    pub(crate) acquired: VecDeque<(u32, Run)>,
+    /// The member this thread is filed under in `ProcessCore::pins`.
+    pub(crate) pin: Option<GuessId>,
+    /// Some member the thread was forked with may still be uncommitted.
+    inherited: bool,
+    /// The engine reported that the thread ran to its end and holds
+    /// nothing back ([`ProcessCore::finish`]): it retires once its guard
+    /// empties.
+    pub(crate) finished: bool,
     pub phase: ThreadPhase,
 }
 
@@ -142,10 +162,13 @@ impl ThreadMeta {
         ThreadMeta {
             index,
             interval: 0,
-            guard: guard.clone(),
+            guard,
             read_at: 0,
             rollbacks: RunMap::default(),
-            snapshots: vec![guard],
+            acquired: VecDeque::new(),
+            pin: None,
+            inherited: false,
+            finished: false,
             phase: ThreadPhase::Running,
         }
     }
@@ -179,6 +202,13 @@ pub enum OwnGuessState {
     AwaitingResolution,
     Committed,
     Aborted,
+}
+
+impl OwnGuessState {
+    /// Committed or aborted.
+    pub fn is_resolved(self) -> bool {
+        matches!(self, OwnGuessState::Committed | OwnGuessState::Aborted)
+    }
 }
 
 /// Record of a fork this process performed (§4.2.1).
@@ -265,6 +295,19 @@ pub struct ProcessCore {
     /// `settle` keep it in step; an abort rebuilds it once its rollbacks
     /// and discards are done.
     pub(crate) holders: BTreeSet<ForkIndex>,
+    /// Every thread with an uncommitted guard member is filed here under
+    /// one such member whose commit can raise its restore floor, as
+    /// `(member, thread)` — or is in `woken`. The commit moves it to
+    /// `woken`.
+    pub(crate) pins: BTreeSet<(GuessId, ForkIndex)>,
+    /// Threads whose floor may have risen, or that may be ready to retire,
+    /// since [`ProcessCore::retire_settled`] last ran.
+    pub(crate) woken: Vec<ForkIndex>,
+    /// Own guesses resolved since then: their records go at the next
+    /// [`ProcessCore::retire_settled`], once the engine has acted on them.
+    resolved: Vec<GuessId>,
+    /// The highest index of a retired thread: a fork never reuses it.
+    retired_hi: ForkIndex,
     /// Per-fork-site speculation controllers (§3.3 policy state: retry
     /// counts, success EWMA, effective budgets, decision log).
     speculation: SpeculationState,
@@ -323,6 +366,10 @@ impl ProcessCore {
             ready: BTreeSet::new(),
             leftless: BTreeSet::new(),
             holders: BTreeSet::new(),
+            pins: BTreeSet::new(),
+            woken: Vec::new(),
+            resolved: Vec::new(),
+            retired_hi: 0,
             speculation: SpeculationState::default(),
             resolutions: Vec::new(),
         }
@@ -477,6 +524,12 @@ impl ProcessCore {
         // (`ThreadMeta::rollback_point`).
         let mut meta = ThreadMeta::new(n, right_guard);
         meta.read_at = self.history.commits();
+        // Every member is one it was forked with, so its floor is a
+        // discard until the last of them commits.
+        let last = meta.guard.runs().last().map_or(guess, Run::last);
+        meta.pin = Some(last);
+        meta.inherited = true;
+        self.pins.insert((last, n));
         // Hand the same storage back to the caller instead of deep-copying.
         let right_guard = meta.guard.clone();
         self.threads.insert(n, meta);
@@ -642,9 +695,6 @@ impl ProcessCore {
                 new_interval: None,
             };
         }
-        // Checkpoint at the boundary (end of previous interval): a guard
-        // clone — no map copy on the delivery path.
-        meta.snapshots.push(meta.guard.clone());
         meta.interval += 1;
         let idx = StateIndex::new(thread, meta.interval);
         if meta.guard.is_empty() {
@@ -660,9 +710,16 @@ impl ProcessCore {
         // One rollback point and one CDG registration per new run.
         for &run in new_guards.runs() {
             meta.rollbacks.insert(run, idx);
+            meta.acquired.push_back((meta.interval, run));
             self.cdg.add_run(run);
         }
-        debug_assert_eq!(meta.snapshots.len() as u32, meta.interval + 1);
+        // A thread with no uncommitted member had no floor: the new runs
+        // hold it now.
+        if meta.pin.is_none() {
+            let first = new_guards.runs()[0].last();
+            meta.pin = Some(first);
+            self.pins.insert((first, thread));
+        }
         DeliveryEffect {
             new_guards,
             new_interval: Some(meta.interval),
@@ -709,6 +766,9 @@ impl ProcessCore {
         if old.is_some() && state == Some(OwnGuessState::AwaitingResolution) {
             self.awaiting.insert(g);
         }
+        if old.is_some() && state.is_some_and(OwnGuessState::is_resolved) {
+            self.resolved.push(g);
+        }
     }
 
     /// Total live (unresolved) own guesses — diagnostics.
@@ -725,18 +785,177 @@ impl ProcessCore {
     pub fn speculation_quiescent(&self) -> bool {
         debug_assert_eq!(
             self.pending_own_guesses(),
-            self.own
-                .values()
-                .filter(|o| matches!(
-                    o.state,
-                    OwnGuessState::Pending | OwnGuessState::AwaitingResolution
-                ))
-                .count(),
+            self.own.values().filter(|o| !o.state.is_resolved()).count(),
             "live-guess bookkeeping out of step with the own-guess records"
         );
         self.pending_own_guesses() == 0
     }
+
+    /// The engine's thread `t` ran to its end and holds nothing back (no
+    /// output buffered): it retires once no member of its guard is
+    /// uncommitted, at the next [`ProcessCore::retire_settled`].
+    pub fn finish(&mut self, t: ForkIndex) {
+        if let Some(meta) = self.threads.get_mut(&t) {
+            meta.finished = true;
+            self.woken.push(t);
+        }
+    }
+
+    /// Settle what the commits, restores and [`ProcessCore::finish`]
+    /// calls since the last call have settled. Each woken thread that
+    /// still exists is passed to `each` as `(t, Some(floor))` — nothing
+    /// before interval `floor` can be restored any more (`interval + 1`:
+    /// nothing at all) — or as `(t, None)` if it was finished and its
+    /// guard has emptied, in which case it is retired here. The records of
+    /// the own guesses resolved since go too: the engine has acted on
+    /// them, and whoever looks one up later reads a missing record as
+    /// resolved. Each call costs what it settles.
+    pub fn retire_settled(&mut self, mut each: impl FnMut(ForkIndex, Option<u32>)) {
+        if self.woken.is_empty() && self.resolved.is_empty() {
+            return;
+        }
+        for g in self.resolved.drain(..) {
+            // A record resolved twice is already gone.
+            if self.own.get(&g).is_some_and(|o| o.state.is_resolved()) {
+                self.own.remove(&g);
+            }
+        }
+        let mut woken = std::mem::take(&mut self.woken);
+        woken.sort_unstable();
+        woken.dedup();
+        for &t in &woken {
+            let Some(floor) = self.refile(t) else {
+                continue;
+            };
+            if self.threads[&t].finished && self.threads[&t].pin.is_none() {
+                self.retire(t);
+                each(t, None);
+            } else {
+                each(t, Some(floor));
+            }
+        }
+        woken.clear();
+        self.woken = woken;
+    }
+
+    /// File `t` under the member that holds its floor and return the
+    /// floor; `None` if the thread is gone. Its guard is read through the
+    /// history, not written: a settle here would rebuild it per commit.
+    fn refile(&mut self, t: ForkIndex) -> Option<u32> {
+        let meta = self.threads.get_mut(&t)?;
+        if let Some(m) = meta.pin.take() {
+            self.pins.remove(&(m, t));
+        }
+        let (floor, pin) = restore_floor(meta, &self.history);
+        debug_assert_eq!(pin.is_none(), self.history.all_committed(&meta.guard));
+        meta.pin = pin;
+        if let Some(m) = pin {
+            self.pins.insert((m, t));
+        }
+        Some(floor)
+    }
+
+    /// Forget a finished thread whose guard has emptied. No abort can
+    /// reach it again, and a fork never reuses its index.
+    fn retire(&mut self, t: ForkIndex) {
+        self.threads.remove(&t);
+        debug_assert!(
+            self.awaiting.iter().all(|g| self.own[g].left_thread != t),
+            "thread {t} retired while an awaiting guess reads through it"
+        );
+        self.holders.remove(&t);
+        self.retired_hi = self.retired_hi.max(t);
+    }
+
+    /// Remove a discarded thread's metadata and its filing.
+    pub(crate) fn drop_thread_meta(&mut self, t: ForkIndex) {
+        if let Some(meta) = self.threads.remove(&t) {
+            if let Some(m) = meta.pin {
+                self.pins.remove(&(m, t));
+            }
+        }
+    }
+
+    /// The highest thread index a fork may not reuse: the last live one
+    /// not in `discarding`, or a retired one.
+    pub(crate) fn highest_kept_thread(&self, discarding: impl Fn(ForkIndex) -> bool) -> ForkIndex {
+        let live = self.threads.keys().rev().copied().find(|t| !discarding(*t));
+        live.unwrap_or(0).max(self.retired_hi)
+    }
+
+    /// Wake the threads filed under `g`, which just committed.
+    pub(crate) fn wake_pinned(&mut self, g: GuessId) {
+        while let Some(&(_, t)) = self.pins.range((g, 0)..=(g, ForkIndex::MAX)).next() {
+            self.pins.remove(&(g, t));
+            if let Some(meta) = self.threads.get_mut(&t) {
+                meta.pin = None;
+            }
+            self.woken.push(t);
+        }
+    }
 }
+
+/// The earliest interval a restore can still send `meta`'s thread back
+/// to, with an uncommitted member whose commit can raise it. A member the
+/// thread was forked with is a discard, so the floor is 0 while one has
+/// not committed; after that it is the oldest own rollback point of an
+/// uncommitted member (an aborted one included: its abort may not have
+/// been applied yet); with none left it is `interval + 1`, past every
+/// restore.
+fn restore_floor(meta: &mut ThreadMeta, history: &History) -> (u32, Option<GuessId>) {
+    let uncommitted = |run: Run| {
+        let fates = history.fates_in(run);
+        fates
+            .filter(|(_, f)| *f != Fate::Committed)
+            .map(|(r, _)| r)
+            .next()
+    };
+    debug_assert!(
+        meta.inherited
+            || meta.guard.runs().iter().all(|&run| {
+                let mut inherited = meta.rollbacks.gaps(run);
+                inherited.all(|gap| uncommitted(gap).is_none())
+            }),
+        "an uncommitted member the thread was forked with went unseen"
+    );
+    if meta.inherited {
+        for &run in meta.guard.runs() {
+            if let Some(inherited) = meta.rollbacks.gaps(run).find_map(uncommitted) {
+                return (0, Some(inherited.last()));
+            }
+        }
+        // They have all committed, and none comes back.
+        meta.inherited = false;
+    }
+    let held_live = |run: Run| {
+        let mut held = meta.rollbacks.overlapping(run).map(|(held, _)| held);
+        held.find_map(uncommitted)
+    };
+    while let Some(&(at, run)) = meta.acquired.front() {
+        if let Some(live) = held_live(run) {
+            debug_assert_eq!(
+                meta.rollbacks
+                    .iter()
+                    .filter(|&(r, _)| uncommitted(r).is_some())
+                    .map(|(_, p)| p.interval)
+                    .min(),
+                Some(at),
+                "the oldest held run is not the earliest rollback point"
+            );
+            // Filed under a member of a run a few deliveries on, the
+            // thread wakes once per few of them, not once per commit, and
+            // holds a few checkpoints more meanwhile.
+            let ahead = meta.acquired.iter().take(PIN_AHEAD).skip(1).rev();
+            let pin = ahead.map(|&(_, r)| r).find_map(held_live).unwrap_or(live);
+            return (at, Some(pin.last()));
+        }
+        meta.acquired.pop_front();
+    }
+    (meta.interval + 1, None)
+}
+
+/// How many delivered runs past its floor a thread's pin may lie.
+const PIN_AHEAD: usize = 8;
 
 #[cfg(test)]
 mod tests {
@@ -829,12 +1048,12 @@ mod tests {
         let t = core.thread(0);
         assert_eq!(t.interval, 1);
         assert_eq!(t.rollback_point(g(0, 1)), Some(StateIndex::new(0, 1)));
-        assert_eq!(t.snapshots.len(), 2);
-        // snapshots[1] is the state at the end of interval 0 — *before*
-        // the dependency was acquired (it is the rollback restore point).
-        assert!(t.snapshots[1].is_empty());
-        assert!(t.snapshots[0].is_empty());
         assert!(t.guard.contains(g(0, 1)));
+        // The restore point is the end of interval 0 — *before* the
+        // dependency was acquired: an abort restores the empty guard.
+        core.on_abort(g(0, 1));
+        let t = core.thread(0);
+        assert!(t.guard.is_empty() && t.interval == 0);
     }
 
     #[test]

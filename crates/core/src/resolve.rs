@@ -246,6 +246,7 @@ impl ProcessCore {
         debug_assert!(!self.history.is_committed(g), "{g} committed twice");
         self.history.record_commit(g);
         self.cdg.remove(g);
+        self.wake_pinned(g);
         let first = (g, GuessId::new(ProcessId(0), Incarnation(0), 0));
         while let Some(&(m, w)) = self.watch.range(first..).next().filter(|(m, _)| *m == g) {
             self.watch.remove(&(m, w));
@@ -543,21 +544,15 @@ impl ProcessCore {
         //    index resets to just below the earliest aborted fork.
         if let Some(min_idx) = min_aborted_index {
             self.incarnation = Incarnation(self.incarnation.0 + 1);
-            self.max_thread = min_idx.saturating_sub(1).max(
-                // Never reset below a still-live thread index.
-                self.threads
-                    .keys()
-                    .rev()
-                    .copied()
-                    .find(|t| !discarding.contains(t))
-                    .unwrap_or(0),
-            );
+            // Never reset below a still-live or a retired thread index.
+            let kept = self.highest_kept_thread(|t| discarding.contains(&t));
+            self.max_thread = min_idx.saturating_sub(1).max(kept);
         }
 
         // 6. Clean up doomed guesses from CDG and thread metadata.
         self.cdg.remove_aborted(doomed.iter());
-        for tid in &discarding {
-            self.threads.remove(tid);
+        for &tid in &discarding {
+            self.drop_thread_meta(tid);
         }
         for &(tid, slot) in &effects.rollback_threads {
             self.restore_thread_meta(tid, slot);
@@ -585,6 +580,12 @@ impl ProcessCore {
     /// Restore a thread's protocol metadata to checkpoint `slot` (the state
     /// at the end of interval `slot - 1`), filtering out since-resolved
     /// guesses.
+    ///
+    /// The guard on entering interval `slot` is read off the rollback map:
+    /// it held every member the thread was forked with and every member it
+    /// took on before `slot`, and membership only shrinks, by resolution,
+    /// between two deliveries. So the restored guard is the current one
+    /// less the entries recorded at `slot` or later, less what has resolved.
     fn restore_thread_meta(&mut self, tid: ForkIndex, slot: u32) {
         // Detach the thread while restoring so the history can be consulted
         // without cloning it just to appease the borrow checker.
@@ -593,26 +594,26 @@ impl ProcessCore {
             None => return,
         };
         debug_assert!(slot >= 1, "slot 0 restores are thread discards");
-        t.guard = t.snapshots[slot as usize].clone();
-        t.snapshots.truncate(slot as usize);
+        debug_assert!(slot <= t.interval, "restore past the thread's interval");
+        let later = t.rollbacks.iter().filter(|(_, at)| at.interval >= slot);
+        let later = Guard::from_ascending(later.map(|(run, _)| run));
+        let kept = Guard::from_ascending(later.new_runs(&t.guard));
+        let unresolved = kept.runs().iter().flat_map(|r| self.history.unresolved(*r));
+        t.guard = Guard::from_ascending(unresolved);
         t.interval = slot - 1;
         t.phase = ThreadPhase::Running;
-        // Committed guesses acquired before the rollback point have since
-        // resolved; they are no longer guard members. Aborted ones cannot
-        // remain either (the abort that doomed them pointed at an even
-        // earlier rollback, or this very restore).
-        let unresolved = t
-            .guard
-            .runs()
-            .iter()
-            .flat_map(|r| self.history.unresolved(*r));
-        t.guard = Guard::from_ascending(unresolved);
-        // A truncated interval's rollback entries hold members the guard
-        // it restores to did not (membership only ever shrinks, by
-        // resolution, between two deliveries), so filtering the map by the
-        // restored guard undoes them and the resolutions alike.
+        // Dropping the entries of the truncated intervals and of what
+        // resolved is filtering the map by the restored guard.
         t.rollbacks.retain_in(&t.guard);
-        debug_assert_eq!(t.snapshots.len() as u32, t.interval + 1);
+        while t.acquired.back().is_some_and(|(at, _)| *at >= slot) {
+            t.acquired.pop_back();
+        }
+        // It runs again, and is filed afresh at the next settling.
+        t.finished = false;
+        if let Some(m) = t.pin.take() {
+            self.pins.remove(&(m, tid));
+        }
+        self.woken.push(tid);
         self.threads.insert(tid, t);
     }
 }
@@ -755,7 +756,6 @@ mod tests {
         // Guard restored to empty, interval back to 0.
         assert!(s.thread(0).guard.is_empty());
         assert_eq!(s.thread(0).interval, 0);
-        assert_eq!(s.thread(0).snapshots.len(), 1);
     }
 
     #[test]

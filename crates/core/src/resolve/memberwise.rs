@@ -192,21 +192,15 @@ impl ProcessCore {
         //    index resets to just below the earliest aborted fork.
         if let Some(min_idx) = min_aborted_index {
             self.incarnation = Incarnation(self.incarnation.0 + 1);
-            self.max_thread = min_idx.saturating_sub(1).max(
-                // Never reset below a still-live thread index.
-                self.threads
-                    .keys()
-                    .rev()
-                    .copied()
-                    .find(|t| !effects.discard_threads.contains(t))
-                    .unwrap_or(0),
-            );
+            // Never reset below a still-live or a retired thread index.
+            let kept = self.highest_kept_thread(|t| effects.discard_threads.contains(&t));
+            self.max_thread = min_idx.saturating_sub(1).max(kept);
         }
 
         // 6. Clean up doomed guesses from CDG and thread metadata.
         self.cdg.remove_aborted(doomed.iter().copied());
-        for tid in &effects.discard_threads {
-            self.threads.remove(tid);
+        for &tid in &effects.discard_threads {
+            self.drop_thread_meta(tid);
         }
         let rollbacks = effects.rollback_threads.clone();
         for (tid, slot) in rollbacks {

@@ -57,12 +57,12 @@ pub const MAX_FRAME_BYTES: usize = 1 << 24;
 /// dependencies, rollback points, CDG nodes) is per member.
 pub const MAX_GUARD_MEMBERS: u64 = ((MAX_FRAME_BYTES - 2) / GuessId::WIRE_BYTES) as u64;
 
-/// Highest incarnation number a decoded guess or run may carry. A
-/// receiver's incarnation table is dense — one start per incarnation
-/// number up to the highest it has heard of (ROADMAP item 3) — so a forged
-/// number is memory. Capped at one number per guess a frame could name,
-/// the table a forged frame can make a receiver allocate costs about what
-/// receiving the largest frame does.
+/// Highest incarnation number a decoded guess or run may carry: one number
+/// per guess a frame could name, since every incarnation a process starts
+/// aborts at least one guess. A sanity bound, not a memory guard: a
+/// receiver's incarnation table keeps what was recorded, stretches of
+/// numbers with one start each, so hearing of the highest number costs
+/// what hearing of the next one does (`tests/bounded_state.rs`).
 pub const MAX_INCARNATION: u64 = (MAX_FRAME_BYTES / GuessId::WIRE_BYTES) as u64;
 
 /// Maximum `Value` nesting depth the decoder will follow (lists/records).

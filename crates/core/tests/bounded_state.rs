@@ -6,11 +6,59 @@
 //! both cores driven through the public calls an engine makes — and, for
 //! the commit dependency graph, four client pipelines interleaved at one
 //! replica (the shape of `kv`), whose CDG must stay linear in its nodes.
+//! And a receiver's incarnation table: hearing of the highest incarnation
+//! number a frame may carry costs a few entries, not one per number below
+//! it (a per-thread counting allocator measures the bytes).
 
 use opcsp_core::{
-    ArrivalVerdict, CallId, CoreConfig, DataKind, Envelope, ForkIndex, Guard, GuessId,
-    JoinDecision, MsgId, ProcessCore, ProcessId, Run, Value,
+    ArrivalVerdict, CallId, CoreConfig, DataKind, Envelope, ForkIndex, Guard, GuessId, History,
+    Incarnation, JoinDecision, MsgId, ProcessCore, ProcessId, Run, Value, MAX_INCARNATION,
 };
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+struct Counting;
+
+thread_local! {
+    static BYTES: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count(bytes: usize) {
+    // `try_with`: the allocator may run while thread-locals are torn down.
+    let _ = BYTES.try_with(|n| n.set(n.get() + bytes as u64));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, so
+// `System` upholds each contract the caller relies on; counting only
+// touches a thread-local `Cell`, which never allocates (const-initialised).
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Bytes this thread has allocated so far.
+fn allocated() -> u64 {
+    BYTES.with(Cell::get)
+}
 
 const CLIENT: ProcessId = ProcessId(0);
 const SERVER: ProcessId = ProcessId(1);
@@ -235,4 +283,23 @@ fn interleaved_pipelines_keep_the_cdg_linear_in_its_nodes() {
     }
     assert_eq!((replica.cdg.node_count(), replica.cdg.edge_count()), (0, 0));
     assert!(replica.is_committed(0));
+}
+
+#[test]
+fn hearing_of_the_highest_incarnation_allocates_a_few_entries() {
+    let mut history = History::new();
+    let peer = ProcessId(3);
+    history.observe_guess(GuessId::first(peer, 1));
+    let before = allocated();
+    let highest = Incarnation(MAX_INCARNATION as u32);
+    history.observe_guess(GuessId::new(peer, highest, 2));
+    let used = allocated() - before;
+    let table = history.incarnation_table(peer).expect("the peer's table");
+    assert_eq!(table.latest(), highest);
+    assert_eq!(table.start_of(Incarnation(1)), Some(2));
+    assert!(table.implicitly_aborted(Incarnation(0), 2));
+    assert!(
+        used < 1024,
+        "{used} bytes to hear of incarnation {MAX_INCARNATION}: the table grows with the number"
+    );
 }

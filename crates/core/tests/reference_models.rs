@@ -18,6 +18,10 @@
 //!   used to live in `src/history.rs`: the same fate for every guess and
 //!   the same answer to every run query, whatever order the commits,
 //!   aborts, PRECEDENCE marks and incarnation rows arrive in.
+//! - The sparse [`IncarnationTable`] against [`DenseIncarnations`] — one
+//!   start per incarnation number, the way `src/history.rs` kept it: the
+//!   same latest incarnation, starts, implicit aborts and precedence after
+//!   every record, in any order and with any gaps.
 //! - Bounded `choose_delivery` against an exhaustive
 //!   `min_by_key((count, index))`.
 //! - Implicit inherited rollback points against [`FullRollbacks`] — every
@@ -37,8 +41,8 @@
 
 use opcsp_core::{
     AbortEffects, Cdg, CoreConfig, DataKind, EdgeOutcome, Envelope, Fate, ForkIndex, Guard,
-    GuessId, History, Incarnation, JoinDecision, MsgId, OwnGuessState, ProcessCore, ProcessId, Run,
-    StateIndex, ThreadPhase, Value,
+    GuessId, History, Incarnation, IncarnationTable, JoinDecision, MsgId, OwnGuessState,
+    ProcessCore, ProcessId, Run, StateIndex, ThreadPhase, Value,
 };
 use proptest::prelude::*;
 use std::collections::hash_map::DefaultHasher;
@@ -907,6 +911,79 @@ proptest! {
 }
 
 // ----------------------------------------------------------------------
+// The dense incarnation table (reference model)
+// ----------------------------------------------------------------------
+
+/// One start per incarnation number up to the latest heard of: how the
+/// incarnation table was kept before it went sparse.
+struct DenseIncarnations {
+    starts: Vec<ForkIndex>,
+}
+
+impl DenseIncarnations {
+    fn record(&mut self, inc: u32, start: ForkIndex) {
+        let i = inc as usize;
+        while self.starts.len() <= i {
+            self.starts.push(start);
+        }
+        self.starts[i] = self.starts[i].min(start);
+    }
+
+    fn start_of(&self, inc: u32) -> Option<ForkIndex> {
+        self.starts.get(inc as usize).copied()
+    }
+
+    fn superseded_from(&self, inc: u32) -> Option<ForkIndex> {
+        self.starts.iter().skip(inc as usize + 1).copied().min()
+    }
+
+    fn precedes(&self, (ia, ma): (u32, ForkIndex), (ib, nb): (u32, ForkIndex)) -> bool {
+        if ma >= nb || ia > ib {
+            return false;
+        }
+        !(ia + 1..=ib).any(|i| self.start_of(i).is_some_and(|s| s <= ma))
+    }
+}
+
+proptest! {
+    /// Recording incarnations in any order, with any gaps, the sparse
+    /// table answers every question exactly as the dense one does.
+    #[test]
+    fn sparse_incarnations_answer_as_the_dense_table(
+        records in proptest::collection::vec((0u32..24, 0u32..40), 0..12),
+    ) {
+        let mut sparse = IncarnationTable::new();
+        let mut dense = DenseIncarnations { starts: vec![0] };
+        for (inc, start) in records {
+            sparse.record(Incarnation(inc), start);
+            dense.record(inc, start);
+            prop_assert_eq!(sparse.latest().0 as usize, dense.starts.len() - 1);
+            for i in 0..26 {
+                prop_assert_eq!(sparse.start_of(Incarnation(i)), dense.start_of(i), "start of {}", i);
+                prop_assert_eq!(
+                    sparse.superseded_from(Incarnation(i)),
+                    dense.superseded_from(i),
+                    "superseded from {}", i
+                );
+                for index in (0..42).step_by(3) {
+                    let dense_aborted = dense.superseded_from(i).is_some_and(|s| s <= index);
+                    prop_assert_eq!(sparse.implicitly_aborted(Incarnation(i), index), dense_aborted);
+                }
+            }
+            for (a, b) in [(0, 3), (1, 2), (2, 9), (0, 25), (5, 5), (7, 4), (3, 23)] {
+                for (ma, nb) in [(0, 1), (4, 30), (12, 13), (39, 41), (20, 2)] {
+                    prop_assert_eq!(
+                        sparse.precedes((Incarnation(a), ma), (Incarnation(b), nb)),
+                        dense.precedes((a, ma), (b, nb)),
+                        "({}, {}) before ({}, {})", a, ma, b, nb
+                    );
+                }
+            }
+        }
+    }
+}
+
+// ----------------------------------------------------------------------
 // Delivery choice
 // ----------------------------------------------------------------------
 
@@ -1316,12 +1393,6 @@ fn abort_matches_reference(core: &mut ProcessCore, g: GuessId) {
             &meta.rollbacks,
             &other.rollbacks,
             "rollbacks of thread {}",
-            t
-        );
-        prop_assert_eq!(
-            &meta.snapshots,
-            &other.snapshots,
-            "snapshots of thread {}",
             t
         );
         prop_assert_eq!((meta.interval, meta.phase), (other.interval, other.phase));

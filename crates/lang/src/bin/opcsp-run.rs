@@ -118,7 +118,7 @@ use opcsp_rt::{NetFaults, RtConfig, RtTransport, RtWorld};
 use opcsp_sim::{
     check_theorem1, explore, first_divergence, happens_before_chain, render_report,
     render_schedule, shrink_schedule, DivergenceReport, EquivReport, ExploreOpts, FaultInjection,
-    LatencyModel, SimConfig, SimResult, Theorem1Verdict,
+    Held, LatencyModel, SimConfig, SimResult, Theorem1Verdict,
 };
 use opcsp_workloads::catalog::{self, place, Roster, Spec, WORLDS};
 use std::collections::BTreeMap;
@@ -372,6 +372,13 @@ fn usage() {
     );
 }
 
+/// What every process still held at the end of the run, summed.
+fn held_total(per_process: &BTreeMap<ProcessId, Held>) -> Held {
+    let mut total = Held::default();
+    per_process.values().for_each(|h| total.merge(h));
+    total
+}
+
 fn summarize(label: &str, r: &SimResult) {
     let s = r.stats();
     println!(
@@ -389,6 +396,7 @@ fn summarize(label: &str, r: &SimResult) {
         s.data_messages,
         s.control_messages,
     );
+    println!("  held: {}", held_total(&r.held));
     if !r.external.is_empty() {
         println!("outputs:");
         for (t, p, v) in &r.external {
@@ -432,6 +440,7 @@ fn summarize_rt(label: &str, names: &BTreeMap<ProcessId, String>, r: &opcsp_rt::
         ms(p.collect),
         ms(p.reap),
     );
+    println!("  held: {}", held_total(&r.held));
     if !r.external.is_empty() {
         println!("outputs:");
         for (p, v) in &r.external {

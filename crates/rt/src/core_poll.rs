@@ -42,7 +42,7 @@ use opcsp_core::{
     CallId, Control, Envelope, GuessId, MsgId, ProcessId, Telemetry, TelemetryEvent, ThreadId,
     Value,
 };
-use opcsp_sim::{After, Behavior, Driver, DriverPolicy, Env, Observable, Resume, TraceEvent};
+use opcsp_sim::{After, Behavior, Driver, DriverPolicy, Env, Held, Observable, Resume, TraceEvent};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -80,6 +80,7 @@ pub(crate) struct FinalReport {
     pub log: Vec<Observable>,
     pub external: Vec<Value>,
     pub events: Vec<TelemetryEvent>,
+    pub held: Held,
 }
 
 /// One CSP process as a poll-able core: feed it [`Wire`] items, it runs
@@ -339,6 +340,7 @@ impl ProcessActor {
             log: driver.log(),
             external: env.external,
             events: env.tele.events,
+            held: driver.held(),
         })));
     }
 

@@ -45,7 +45,7 @@ use crate::executor::{self, Executor, WorldSpec};
 use crate::net::NetFaults;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError};
 use opcsp_core::{CoreConfig, ProcessId, ProtoStats, Telemetry, Value};
-use opcsp_sim::{Behavior, Observable, Outcome};
+use opcsp_sim::{Behavior, Held, Observable, Outcome};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -191,6 +191,9 @@ pub struct RtResult {
     pub telemetry: Telemetry,
     /// Where `wall` went, phase by phase.
     pub phases: RtPhases,
+    /// What each actor's driver still held when it shut down: the records
+    /// retirement (DESIGN.md §5b, "Nothing settled stays") left behind.
+    pub held: BTreeMap<ProcessId, Held>,
 }
 
 /// A run as the Theorem-1 oracles read it: it ended on its own — no
@@ -414,6 +417,7 @@ pub(crate) fn coordinate(
     let collect_deadline = Instant::now() + join_budget(cfg);
     let mut stats = RtStats::default();
     let mut logs = BTreeMap::new();
+    let mut held = BTreeMap::new();
     let mut external = Vec::new();
     let mut telemetry = Telemetry::new(cfg.telemetry);
     while logs.len() < n - coord.dead.len() {
@@ -421,6 +425,7 @@ pub(crate) fn coordinate(
             Step::Got(Report::Final(f)) => {
                 stats.merge(&f.stats);
                 logs.insert(f.pid, f.log);
+                held.insert(f.pid, f.held);
                 for v in f.external {
                     external.push((f.pid, v));
                 }
@@ -458,6 +463,7 @@ pub(crate) fn coordinate(
         stragglers,
         telemetry,
         phases,
+        held,
     }
 }
 

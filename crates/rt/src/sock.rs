@@ -57,7 +57,7 @@ use opcsp_core::{
     parse_frame_len, put_uvarint, put_value, seal_frame_len, FrameError, FrameReader, ProcessId,
     FRAME_VERSION,
 };
-use opcsp_sim::{ObsKind, Observable};
+use opcsp_sim::{Held, ObsKind, Observable};
 use std::collections::BTreeSet;
 use std::io::{self, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -433,6 +433,17 @@ fn stats_fields(s: &mut RtStats) -> [&mut u64; 17] {
     ]
 }
 
+/// A [`Held`] gauge's counts, in the order a `Final` report carries them.
+fn held_fields(h: &mut Held) -> [&mut u64; 5] {
+    [
+        &mut h.threads,
+        &mut h.checkpoints,
+        &mut h.consumed,
+        &mut h.own,
+        &mut h.guesses,
+    ]
+}
+
 /// Append one message, length prefix included, to `buf`.
 fn encode_msg(buf: &mut Vec<u8>, m: &SockMsg) {
     let at = buf.len();
@@ -521,6 +532,9 @@ fn encode_msg(buf: &mut Vec<u8>, m: &SockMsg) {
                     put_uvarint(buf, f.external.len() as u64);
                     for v in &f.external {
                         put_value(buf, v);
+                    }
+                    for v in held_fields(&mut f.held.clone()) {
+                        put_uvarint(buf, *v);
                     }
                     // Telemetry events deliberately not shipped (module
                     // doc): `f.events` stays local to the worker.
@@ -621,12 +635,17 @@ fn decode_msg(body: &[u8]) -> Result<SockMsg, FrameError> {
                     for _ in 0..next {
                         external.push(get_value(&mut r)?);
                     }
+                    let mut held = Held::default();
+                    for v in held_fields(&mut held) {
+                        *v = r.uv()?;
+                    }
                     Report::Final(Box::new(FinalReport {
                         pid,
                         stats,
                         log,
                         external,
                         events: Vec::new(),
+                        held,
                     }))
                 }
                 tag => {
@@ -1285,6 +1304,13 @@ mod tests {
             ],
             external: vec![Value::Int(9), Value::Bool(true)],
             events: Vec::new(),
+            held: Held {
+                threads: 3,
+                checkpoints: 1,
+                consumed: 4,
+                own: 0,
+                guesses: 2,
+            },
         })));
         match (roundtrip(&fin), fin) {
             (SockMsg::Report(Report::Final(a)), SockMsg::Report(Report::Final(b))) => {
@@ -1292,6 +1318,7 @@ mod tests {
                 assert_eq!(a.stats, b.stats);
                 assert_eq!(a.log, b.log);
                 assert_eq!(a.external, b.external);
+                assert_eq!(a.held, b.held);
             }
             other => panic!("unexpected roundtrip shape: {other:?}"),
         }

@@ -33,11 +33,11 @@ use crate::behavior::{reply_label, Behavior, BehaviorState, Effect, Resume};
 use crate::trace::TraceEvent;
 use opcsp_core::{
     AbortEffects, ArrivalVerdict, CallId, Control, CoreConfig, DataKind, Envelope, Guard, GuessId,
-    Incarnation, JoinDecision, Label, MsgId, OwnGuessState, ProcessCore, ProcessId, ProtoStats,
-    Telemetry, TelemetryEvent, ThreadId, ThreadMeta, ThreadPhase, Value,
+    Incarnation, JoinDecision, Label, MsgId, ProcessCore, ProcessId, ProtoStats, Telemetry,
+    TelemetryEvent, ThreadId, ThreadMeta, ThreadPhase, Value,
 };
 use pool::{Pool, Slot};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
 mod pool;
@@ -243,11 +243,16 @@ struct Checkpoint {
 struct Thread {
     state: BehaviorState,
     status: Status,
-    checkpoints: Vec<Checkpoint>,
+    /// The boundary records of intervals `first..=interval` (§3.1): the
+    /// ones below the thread's restore floor are dropped as it rises.
+    checkpoints: VecDeque<Checkpoint>,
+    first: u32,
     /// Behavior steps executed (monotone except for rollback truncation).
     steps: u64,
-    /// Messages consumed, in delivery order.
-    consumed: Vec<Envelope>,
+    /// Messages consumed, in delivery order, from the `consumed_from`-th
+    /// on: the ones before the oldest checkpoint kept are dropped.
+    consumed: VecDeque<Envelope>,
+    consumed_from: usize,
     /// Observable log (sends, receives, external outputs) in local order.
     oblog: Vec<Observable>,
     /// Provenance per `oblog` entry (`DriverPolicy::provenance`).
@@ -275,9 +280,11 @@ impl Thread {
         Thread {
             state,
             status: Status::Ready,
-            checkpoints: vec![chk],
+            checkpoints: VecDeque::from([chk]),
+            first: 0,
             steps: 0,
-            consumed: Vec::new(),
+            consumed: VecDeque::new(),
+            consumed_from: 0,
             oblog: Vec::new(),
             obmeta: Vec::new(),
             out_buf: Vec::new(),
@@ -291,13 +298,59 @@ impl Thread {
     fn finished(&self) -> bool {
         self.status == Status::Done && self.out_buf.is_empty()
     }
+
+    /// Drop what no restore can reach any more: the checkpoints of the
+    /// intervals before `floor`, and the messages consumed before the
+    /// oldest checkpoint left (all of them, if none is).
+    fn trim(&mut self, floor: u32) {
+        while self.first < floor && self.checkpoints.pop_front().is_some() {
+            self.first += 1;
+        }
+        let consumed_to = self.consumed_from + self.consumed.len();
+        let keep = self
+            .checkpoints
+            .front()
+            .map_or(consumed_to, |c| c.consumed_len);
+        let drop = keep - self.consumed_from;
+        self.consumed.drain(..drop);
+        self.consumed_from = keep;
+    }
 }
 
-fn unresolved(state: OwnGuessState) -> bool {
-    matches!(
-        state,
-        OwnGuessState::Pending | OwnGuessState::AwaitingResolution
-    )
+/// What a process still holds at the end of a run, per kind of record: what
+/// retirement (DESIGN.md §5b, "Nothing settled stays") leaves behind.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Held {
+    /// Logical threads not yet retired (each with its core metadata).
+    pub threads: u64,
+    /// Interval checkpoints of those threads.
+    pub checkpoints: u64,
+    /// Consumed messages kept for a restore.
+    pub consumed: u64,
+    /// Own-guess records.
+    pub own: u64,
+    /// Guessed values awaiting their join.
+    pub guesses: u64,
+}
+
+impl Held {
+    pub fn merge(&mut self, o: &Held) {
+        self.threads += o.threads;
+        self.checkpoints += o.checkpoints;
+        self.consumed += o.consumed;
+        self.own += o.own;
+        self.guesses += o.guesses;
+    }
+}
+
+impl std::fmt::Display for Held {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "threads={} checkpoints={} consumed={} own={} guesses={}",
+            self.threads, self.checkpoints, self.consumed, self.own, self.guesses
+        )
+    }
 }
 
 fn insert_sorted(list: &mut Vec<u32>, tid: u32) {
@@ -333,11 +386,14 @@ pub struct Driver {
     pub core: ProcessCore,
     policy: DriverPolicy,
     threads: BTreeMap<u32, Thread>,
+    /// The observable logs (and provenance) of retired threads, by thread
+    /// index: committed, and all that is left of them.
+    retired: BTreeMap<u32, (Vec<Observable>, Vec<ObsMeta>)>,
     /// Indices (ascending) of the threads a delivery, waiter, flush or
     /// completion scan can still concern: every thread except those that
-    /// are `Done` with nothing buffered. Finished threads keep their record
-    /// in `threads` (the committed log is read from it) but are never
-    /// scanned again.
+    /// are `Done` with nothing buffered. A finished thread keeps its record
+    /// in `threads` until no member of its guard is uncommitted, and is
+    /// never scanned again.
     live: Vec<u32>,
     /// Indices (ascending) of the threads with external output buffered:
     /// the only ones a flush can release anything from.
@@ -356,7 +412,7 @@ pub struct Driver {
     /// check. `None`: some pooled message has not been checked since it
     /// was (re)pooled.
     pool_checked: Option<u64>,
-    /// Guessed values per fork, for join verification.
+    /// Guessed values per unresolved fork, for join verification.
     guesses: BTreeMap<GuessId, Vec<(String, Value)>>,
     /// Position in `policy.forced_order` (non-return receives currently
     /// consumed).
@@ -386,6 +442,7 @@ impl Driver {
             core: ProcessCore::new(pid, core),
             policy,
             threads: BTreeMap::from([(0, thread0)]),
+            retired: BTreeMap::new(),
             live: vec![0],
             buffered: Vec::new(),
             receivers: BTreeSet::new(),
@@ -408,27 +465,44 @@ impl Driver {
         self.stats
     }
 
-    /// Indices of the threads that exist (discarded ones are gone).
-    pub fn thread_ids(&self) -> impl Iterator<Item = u32> + '_ {
-        self.threads.keys().copied()
+    /// Every thread's log and provenance, retired or not, in fork-index
+    /// order.
+    fn logs(&self) -> BTreeMap<u32, (&[Observable], &[ObsMeta])> {
+        let retired = self
+            .retired
+            .iter()
+            .map(|(t, (l, m))| (*t, (&l[..], &m[..])));
+        let held = self
+            .threads
+            .iter()
+            .map(|(t, th)| (*t, (&th.oblog[..], &th.obmeta[..])));
+        retired.chain(held).collect()
     }
 
     /// The observable log: threads concatenated in fork-index order. At
     /// quiescence this is the committed log.
     pub fn log(&self) -> Vec<Observable> {
-        self.threads
-            .values()
-            .flat_map(|t| t.oblog.iter().cloned())
-            .collect()
+        let logs = self.logs().into_values();
+        logs.flat_map(|(log, _)| log.iter().cloned()).collect()
     }
 
     /// Provenance per [`Driver::log`] entry (empty unless the policy keeps
     /// it).
     pub fn provenance(&self) -> Vec<ObsMeta> {
-        self.threads
-            .values()
-            .flat_map(|t| t.obmeta.iter().cloned())
-            .collect()
+        let logs = self.logs().into_values();
+        logs.flat_map(|(_, meta)| meta.iter().cloned()).collect()
+    }
+
+    /// What this process holds now, per kind of record.
+    pub fn held(&self) -> Held {
+        let threads = self.threads.values();
+        Held {
+            threads: self.threads.len() as u64,
+            checkpoints: threads.clone().map(|t| t.checkpoints.len() as u64).sum(),
+            consumed: threads.map(|t| t.consumed.len() as u64).sum(),
+            own: self.core.own.len() as u64,
+            guesses: self.guesses.len() as u64,
+        }
     }
 
     /// Senders of the data (non-return) messages still pooled, in
@@ -449,7 +523,7 @@ impl Driver {
         self.core
             .own
             .values()
-            .filter(|o| unresolved(o.state))
+            .filter(|o| !o.state.is_resolved())
             .map(|o| o.id)
     }
 
@@ -482,11 +556,47 @@ impl Driver {
     }
 
     /// Drop `tid` from the scans if it was discarded, or is `Done` with
-    /// nothing buffered.
+    /// nothing buffered — and then tell the core, which retires it once its
+    /// guard has emptied.
     fn retire_if_finished(&mut self, tid: u32) {
-        if self.threads.get(&tid).is_none_or(|th| th.finished()) {
-            remove_sorted(&mut self.live, tid);
+        match self.threads.get(&tid) {
+            None => remove_sorted(&mut self.live, tid),
+            Some(th) if th.finished() => {
+                remove_sorted(&mut self.live, tid);
+                self.core.finish(tid);
+            }
+            Some(_) => {}
         }
+    }
+
+    /// Drop what the commits, restores and finished threads since the last
+    /// call have settled (DESIGN.md §5b, "Nothing settled stays"): the
+    /// checkpoints and consumed messages below each woken thread's restore
+    /// floor, and every thread the core retired, whose log moves to the
+    /// committed logs. Runs at the end of every entry point, and costs the
+    /// threads the core names.
+    fn retire_settled(&mut self) {
+        let Driver {
+            core,
+            threads,
+            retired,
+            ..
+        } = self;
+        core.retire_settled(|tid, floor| match floor {
+            Some(floor) => {
+                if let Some(th) = threads.get_mut(&tid) {
+                    th.trim(floor);
+                }
+            }
+            None => {
+                let mut th = threads.remove(&tid).expect("retired thread exists");
+                debug_assert!(th.finished(), "thread {tid} retired unfinished");
+                // The log is final: it keeps no room to grow.
+                th.oblog.shrink_to_fit();
+                th.obmeta.shrink_to_fit();
+                retired.insert(tid, (th.oblog, th.obmeta));
+            }
+        });
     }
 
     fn live_threads(&self) -> impl Iterator<Item = (u32, &Thread)> {
@@ -628,6 +738,7 @@ impl Driver {
         let effect = self.behavior.step(&mut th.state, resume);
         self.reindex(tid, old, Status::Ready);
         self.handle_effect(env, tid, effect);
+        self.retire_settled();
         true
     }
 
@@ -932,6 +1043,7 @@ impl Driver {
         let at = self.pid;
         env.trace(|t| TraceEvent::Commit { t, at, guess });
         self.stats.commits += 1;
+        self.guesses.remove(&guess);
         tele(env, |t| TelemetryEvent::WaveStart { t, guess });
         self.sync_telemetry(env);
         self.broadcast(env, Control::Commit(guess));
@@ -987,6 +1099,7 @@ impl Driver {
         }
         self.pool.push(msg);
         self.try_deliver(env);
+        self.retire_settled();
     }
 
     /// Match pooled messages to blocked threads until quiescent.
@@ -1152,17 +1265,17 @@ impl Driver {
                 state: th.state.clone(),
                 status: th.status,
                 steps: th.steps,
-                consumed_len: th.consumed.len(),
+                consumed_len: th.consumed_from + th.consumed.len(),
                 oblog_len: th.oblog.len(),
                 out_buf_len: th.out_buf.len(),
                 call_stack: th.call_stack.clone(),
                 fork_guess: th.fork_guess,
             };
-            th.checkpoints.push(chk);
+            th.checkpoints.push_back(chk);
             self.checkpoints_taken += 1;
         }
         debug_assert_eq!(
-            self.threads[&tid].checkpoints.len() as u32,
+            self.threads[&tid].first + self.threads[&tid].checkpoints.len() as u32,
             self.core.threads[&tid].interval + 1
         );
         let obs = Observable::Received {
@@ -1172,7 +1285,7 @@ impl Driver {
         };
         self.observe(env, tid, obs, Some((msg.id, msg.link_seq)));
         let th = self.th(tid);
-        th.consumed.push(msg.clone());
+        th.consumed.push_back(msg.clone());
         if let DataKind::Call(cid) = msg.kind {
             th.call_stack.push((msg.from, cid, msg.label.clone()));
         }
@@ -1243,22 +1356,20 @@ impl Driver {
             }
         }
         self.sync_telemetry(env);
+        self.retire_settled();
     }
 
     /// The fork timer of own guess `guess` expired (§3.2). Returns false if
     /// the guess had already resolved and nothing happened.
     pub fn on_timer<E: Env>(&mut self, env: &mut E, guess: GuessId) -> bool {
-        if !self
-            .core
-            .own
-            .get(&guess)
-            .is_some_and(|o| unresolved(o.state))
-        {
+        let own = self.core.own.get(&guess);
+        if own.is_none_or(|o| o.state.is_resolved()) {
             return false;
         }
         env.trace(|t| TraceEvent::Timeout { t, guess });
         let eff = self.core.on_abort(guess);
         self.apply_abort_effects(env, eff, Some(guess));
+        self.retire_settled();
         true
     }
 
@@ -1279,6 +1390,7 @@ impl Driver {
         for &guess in &effects.own_aborted {
             env.trace(|t| TraceEvent::Abort { t, at, guess });
             self.stats.aborts += 1;
+            self.guesses.remove(&guess);
             self.broadcast(env, Control::Abort(guess));
         }
         // Discards: kill the thread, return consumed messages to the pool
@@ -1292,9 +1404,15 @@ impl Driver {
             self.retire_if_finished(tid);
             remove_sorted(&mut self.buffered, tid);
             self.stats.discarded_threads += 1;
-            let intervals = (th.checkpoints.len() as u32).saturating_sub(1);
+            // A discard hands back everything the thread consumed, so
+            // nothing of it may have been dropped.
+            debug_assert!(
+                th.first == 0 && th.consumed_from == 0,
+                "thread {tid} discarded after its floor rose"
+            );
+            let intervals = th.first + th.checkpoints.len() as u32 - 1;
             let steps_lost = th.steps;
-            self.repool(th.consumed);
+            self.repool(th.consumed.into());
             let thread = self.thread_id(tid);
             env.cancel_resumes(thread);
             tele(env, |t| TelemetryEvent::Discard {
@@ -1349,13 +1467,21 @@ impl Driver {
         let Some(th) = self.threads.get_mut(&tid) else {
             return;
         };
-        let slot = slot as usize;
-        debug_assert!(slot >= 1 && slot < th.checkpoints.len());
+        // The checkpoint and the messages consumed since must still be
+        // held: the floor never passes a reachable restore point.
+        debug_assert!(
+            slot >= 1 && slot >= th.first && slot < th.first + th.checkpoints.len() as u32,
+            "thread {tid} restored to {slot}, but holds {}..{}",
+            th.first,
+            th.first + th.checkpoints.len() as u32
+        );
+        let at = (slot - th.first) as usize;
         // Intervals popped and behavior steps un-executed by this restore,
         // for wasted-work attribution.
-        let depth = (th.checkpoints.len() - slot) as u32;
-        th.checkpoints.truncate(slot + 1);
-        let chk = th.checkpoints.pop().expect("rollback slot exists");
+        let depth = (th.checkpoints.len() - at) as u32;
+        th.checkpoints.truncate(at + 1);
+        let chk = th.checkpoints.pop_back().expect("rollback slot exists");
+        debug_assert!(chk.consumed_len >= th.consumed_from);
         let steps_lost = th.steps - chk.steps;
         th.state = chk.state;
         th.call_stack = chk.call_stack;
@@ -1369,19 +1495,15 @@ impl Driver {
         if th.out_buf.is_empty() {
             remove_sorted(&mut self.buffered, tid);
         }
-        let consumed = th.consumed.split_off(chk.consumed_len);
+        let consumed = th.consumed.split_off(chk.consumed_len - th.consumed_from);
         self.set_status(tid, chk.status);
-        self.repool(consumed);
+        self.repool(consumed.into());
         self.mark_live(tid);
         self.stats.rollbacks += 1;
         // The thread is blocked at its checkpointed receive/call again.
         let thread = self.thread_id(tid);
         env.cancel_resumes(thread);
-        env.trace(|t| TraceEvent::Rollback {
-            t,
-            thread,
-            slot: slot as u32,
-        });
+        env.trace(|t| TraceEvent::Rollback { t, thread, slot });
         let process = self.pid;
         tele(env, |t| TelemetryEvent::Rollback {
             t,
@@ -1411,6 +1533,7 @@ impl Driver {
     /// messages"), and retire the threads that finished.
     fn flush_buffers<E: Env>(&mut self, env: &mut E) {
         let mut released = Vec::new();
+        let mut finished = Vec::new();
         let Driver {
             threads,
             live,
@@ -1427,9 +1550,13 @@ impl Driver {
             released.append(&mut th.out_buf);
             if th.finished() {
                 remove_sorted(live, *tid);
+                finished.push(*tid);
             }
             false
         });
+        for tid in finished {
+            core.finish(tid);
+        }
         debug_assert!(
             threads
                 .iter()

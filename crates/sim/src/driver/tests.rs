@@ -183,7 +183,9 @@ fn rollback_repools_cancels_reopens_and_rewinds() {
     assert!(fake.ready.is_empty(), "the queued resume was cancelled");
     let th = &d.threads[&0];
     assert_eq!(th.status, Status::BlockedRecv, "the receive is open again");
-    assert_eq!(th.checkpoints.len(), 1);
+    // Back in interval 0 with an empty guard: no restore can reach it, so
+    // not even its first checkpoint is kept.
+    assert_eq!((th.first, th.checkpoints.len()), (1, 0));
     assert!(th.consumed.is_empty() && th.oblog.is_empty() && th.out_buf.is_empty());
     assert!(seen(&d, 0).is_empty());
     // Both consumed messages went back to the pool; the one guarded by the
@@ -240,7 +242,7 @@ fn forker() -> Arc<dyn Behavior> {
 fn discard_repools_cancels_rewinds_and_drops_the_thread() {
     let mut d = driver(forker(), forced(&[P2]));
     let mut fake = Fake::start(&mut d);
-    assert_eq!(d.thread_ids().collect::<Vec<_>>(), [0, 1]);
+    assert_eq!(d.threads.keys().copied().collect::<Vec<_>>(), [0, 1]);
     let x1 = fake.timers[0];
     // The left thread is parked on its call, so the right thread (S2) is
     // the earliest receiver.
@@ -252,7 +254,11 @@ fn discard_repools_cancels_rewinds_and_drops_the_thread() {
     assert!(d.on_timer(&mut fake, x1));
 
     assert_eq!(d.stats.discarded_threads, 1);
-    assert_eq!(d.thread_ids().collect::<Vec<_>>(), [0], "thread 1 is gone");
+    assert_eq!(
+        d.threads.keys().copied().collect::<Vec<_>>(),
+        [0],
+        "thread 1 is gone"
+    );
     assert_eq!(d.live, [0]);
     assert_eq!(fake.cancelled, vec![thread(1)]);
     assert!(fake.ready.is_empty(), "the queued resume was cancelled");
@@ -474,7 +480,7 @@ fn stale_incarnation_guess_is_still_withheld_from_the_earlier_thread() {
     // leaving x1 live under a stale incarnation number.
     assert!(d.on_timer(&mut fake, x2));
     assert_eq!(d.core.incarnation, Incarnation(1));
-    assert_eq!(d.thread_ids().collect::<Vec<_>>(), [0, 1]);
+    assert_eq!(d.threads.keys().copied().collect::<Vec<_>>(), [0, 1]);
     assert!(d.threads.values().all(|t| t.status == Status::BlockedRecv));
 
     // A message that depends on x1 is thread 0's own future: it must go to
@@ -676,4 +682,94 @@ fn a_message_a_rollback_hands_back_is_its_senders_oldest_again() {
     assert_eq!((d.stats.rollbacks, d.stats.orphans), (1, 1));
     fake.run(&mut d);
     assert_eq!(seen(&d, 0), &[10, 20]);
+}
+
+#[test]
+fn a_settled_thread_retires_and_keeps_only_its_log() {
+    // Thread 0 forks x1 and calls P1; thread 1 (x1's right thread) takes a
+    // message guarded by P3's guess y. The return commits x1: thread 0 is
+    // done and holds nothing uncommitted, so it retires at once. Thread 1
+    // can no longer be discarded, so only the checkpoint y's rollback
+    // point names is left, until COMMIT(y).
+    let mut d = driver(forker(), DriverPolicy::default());
+    let mut fake = Fake::start(&mut d);
+    let x1 = fake.timers[0];
+    let y = remote_guess(P3);
+    fake.arrive(&mut d, msg(1, P2, Guard::single(y), 7));
+    let DataKind::Call(cid) = fake.data[0].kind else {
+        panic!("the left thread's call");
+    };
+    let mut ret = msg(2, P1, Guard::empty(), 0);
+    ret.kind = DataKind::Return(cid);
+    fake.arrive(&mut d, ret);
+    assert_eq!(d.stats.commits, 1);
+    assert_eq!(
+        d.threads.keys().copied().collect::<Vec<_>>(),
+        [1],
+        "thread 0 retired"
+    );
+    assert_eq!(d.held().own, 0, "x1's record went with its commit");
+    assert_eq!(d.held().guesses, 0);
+    assert_eq!((d.held().checkpoints, d.held().consumed), (1, 1));
+    d.on_control(&mut fake, Control::Commit(y));
+    let th = &d.threads[&1];
+    assert_eq!(
+        (th.first, th.checkpoints.len(), th.consumed.len()),
+        (2, 0, 0)
+    );
+    assert_eq!(d.held().threads, 1);
+    // The retired thread's log is still the committed log, in fork order.
+    let call = Observable::Sent {
+        to: P1,
+        kind: ObsKind::Call,
+        payload: Value::Int(0),
+    };
+    let reply = Observable::Received {
+        from: P1,
+        kind: ObsKind::Return,
+        payload: Value::Int(0),
+    };
+    assert_eq!(d.log(), [call, reply, received(P2, 7)]);
+    assert!(d.provenance().is_empty());
+    assert!(d.unresolved_guesses().all(|g| g != x1));
+}
+
+#[test]
+fn forged_resolutions_after_retirement_bring_nothing_back() {
+    // The world of the test above, settled: thread 0 retired with x1's
+    // record, thread 1 holds no checkpoint.
+    let mut d = driver(forker(), DriverPolicy::default());
+    let mut fake = Fake::start(&mut d);
+    let x1 = fake.timers[0];
+    let DataKind::Call(cid) = fake.data[0].kind else {
+        panic!("the left thread's call");
+    };
+    let mut ret = msg(1, P1, Guard::empty(), 0);
+    ret.kind = DataKind::Return(cid);
+    fake.arrive(&mut d, ret);
+    fake.arrive(&mut d, msg(2, P2, Guard::single(remote_guess(P3)), 7));
+    d.on_control(&mut fake, Control::Commit(remote_guess(P3)));
+    let (held, log) = (d.held(), d.log());
+    assert_eq!(d.threads.keys().copied().collect::<Vec<_>>(), [1]);
+
+    // Resolutions naming the retired guess, guesses never seen, and
+    // incarnations far ahead — this process's own and a peer's.
+    let never = GuessId::new(P2, Incarnation(0), 99);
+    let own_future = GuessId::new(P0, Incarnation(7), 3);
+    let peer_future = GuessId::new(P3, Incarnation(opcsp_core::MAX_INCARNATION as u32), 1);
+    for g in [x1, never, own_future, peer_future] {
+        for ctrl in [
+            Control::Precedence(g, Guard::single(x1)),
+            Control::Precedence(g, Guard::from_iter([never, peer_future])),
+            Control::Commit(g),
+            Control::Abort(g),
+        ] {
+            d.on_control(&mut fake, ctrl);
+            fake.run(&mut d);
+            assert_eq!(d.held(), held, "a record came back after {g}");
+            assert_eq!(d.log(), log, "the committed log moved after {g}");
+        }
+    }
+    assert_eq!(d.threads.keys().copied().collect::<Vec<_>>(), [1]);
+    assert!(d.unresolved_guesses().next().is_none());
 }

@@ -16,7 +16,7 @@
 
 use crate::behavior::{control_domains, Behavior, Resume, Undeclared};
 use crate::driver::{
-    After, DeliverySchedule, Driver, DriverPolicy, Env, FaultInjection, ObsMeta, Observable,
+    After, DeliverySchedule, Driver, DriverPolicy, Env, FaultInjection, Held, ObsMeta, Observable,
 };
 use crate::latency::{DrawKey, LatencyModel, LatencySampler};
 use crate::trace::{SimStats, Trace, TraceEvent, VTime};
@@ -132,7 +132,9 @@ impl SimBuilder {
 pub struct SimResult {
     /// Virtual time of the last processed event.
     pub completion: VTime,
-    /// Virtual time at which each process's thread activity finished.
+    /// Virtual time at which each process's thread activity finished: the
+    /// latest scheduling clock of any thread it ever ran, retired and
+    /// discarded ones included.
     pub process_done: BTreeMap<ProcessId, VTime>,
     pub trace: Trace,
     /// Released (committed) external outputs in release order.
@@ -161,6 +163,9 @@ pub struct SimResult {
     /// [`DrawKey`] was never drawn this run: the script drifted from the
     /// workload and those entries tested nothing. Empty for other models.
     pub unused_overrides: Vec<DrawKey>,
+    /// What each process still held at the end: the records retirement
+    /// (DESIGN.md §5b, "Nothing settled stays") left behind.
+    pub held: BTreeMap<ProcessId, Held>,
     /// Unified lifecycle event stream (`core::telemetry`): fork→resolution
     /// spans, rollback depth/wasted-step attribution, commit waves,
     /// deliveries and orphan drops. Always recorded by the simulator (it
@@ -465,6 +470,7 @@ impl World {
             resolutions: BTreeMap::new(),
             undelivered: BTreeMap::new(),
             unused_overrides: net.latency.unused_overrides(),
+            held: BTreeMap::new(),
             trace: net.trace,
             telemetry: net.tele,
         };
@@ -479,18 +485,14 @@ impl World {
             if !p.core.resolutions.is_empty() {
                 result.resolutions.insert(pid, p.core.resolutions.clone());
             }
-            let done = p
-                .thread_ids()
-                .filter_map(|index| {
-                    net.sched.get(&ThreadId {
-                        process: pid,
-                        index,
-                    })
-                })
-                .map(|s| s.clock)
-                .max()
-                .unwrap_or(0);
+            let thread = |index| ThreadId {
+                process: pid,
+                index,
+            };
+            let clocks = net.sched.range(thread(0)..=thread(u32::MAX));
+            let done = clocks.map(|(_, s)| s.clock).max().unwrap_or(0);
             result.process_done.insert(pid, done);
+            result.held.insert(pid, p.held());
             result.unresolved.extend(p.unresolved_guesses());
         }
         result

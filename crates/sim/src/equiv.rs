@@ -355,6 +355,7 @@ mod tests {
         SimResult {
             completion: 0,
             process_done: BTreeMap::new(),
+            held: BTreeMap::new(),
             trace: crate::trace::Trace::default(),
             external: Vec::new(),
             logs,

@@ -21,7 +21,7 @@ pub use behavior::{
     control_domains, reply_label, Behavior, BehaviorState, Effect, FnBehavior, Resume,
 };
 pub use driver::{
-    After, DeliverySchedule, Driver, DriverPolicy, Env, FaultInjection, ObsKind, ObsMeta,
+    After, DeliverySchedule, Driver, DriverPolicy, Env, FaultInjection, Held, ObsKind, ObsMeta,
     Observable,
 };
 pub use engine::{SimBuilder, SimConfig, SimResult, World};

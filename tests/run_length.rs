@@ -19,8 +19,17 @@
 //! what a cost quadratic in the backlog reads. They are release-only: debug builds
 //! check every abort and every delivery choice against member-wise
 //! references that are quadratic by design.
+//!
+//! And two memory guards (DESIGN.md §5b, "Nothing settled stays"): what the
+//! drivers still hold at quiescence — threads, checkpoints, consumed
+//! messages, own-guess records, guessed values — is the same small count
+//! after a run twice or four times as long; and the optimistic `kv` world's
+//! peak live heap (the counting allocator also tracks live bytes) stays
+//! within a bound of its pessimistic twin's. The second is release-only
+//! too: debug builds keep reference copies for their cross-checks.
 
 use opcsp_core::{CoreConfig, ProcessCore, ProcessId};
+use opcsp_sim::Held;
 use opcsp_workloads::catalog::Spec;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -43,11 +52,23 @@ struct Counting;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes allocated on this thread and not yet freed, and their
+    /// high-water mark (a thread that frees what another allocated can
+    /// take it below zero; the simulator runs on one thread).
+    static LIVE: Cell<i64> = const { Cell::new(0) };
+    static PEAK: Cell<i64> = const { Cell::new(0) };
 }
 
 fn count() {
     // `try_with`: the allocator may run while thread-locals are torn down.
     let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+fn grow(bytes: usize, by: i64) {
+    let _ = LIVE.try_with(|live| {
+        live.set(live.get() + by * bytes as i64);
+        let _ = PEAK.try_with(|peak| peak.set(peak.get().max(live.get())));
+    });
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`, so
@@ -56,20 +77,25 @@ fn count() {
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count();
+        grow(layout.size(), 1);
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         count();
+        grow(layout.size(), 1);
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count();
+        grow(new_size, 1);
+        grow(layout.size(), -1);
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        grow(layout.size(), -1);
         System.dealloc(ptr, layout)
     }
 }
@@ -207,5 +233,75 @@ fn a_simulated_stream_costs_its_calls_not_their_square() {
         "simulating and checking stream:n=1000 / 4000",
         GROWTH_4X_BOUND,
         walls,
+    );
+}
+
+/// What every process of one simulated run of `spec` still holds at
+/// quiescence, summed.
+fn held_at_quiescence(spec: &str) -> Held {
+    let run = Spec::parse(spec).expect("spec parses").simulate();
+    let mut total = Held::default();
+    run.held.values().for_each(|h| total.merge(h));
+    total
+}
+
+/// Most of any one kind of record a world may hold at quiescence: its
+/// servers' threads, still blocked at their receives, and nothing else.
+const HELD_BOUND: u64 = 8;
+
+#[test]
+fn what_a_run_leaves_held_does_not_grow_with_its_length() {
+    let _alone = one_at_a_time();
+    for [short, long] in [
+        [
+            "kv:replicas=3,clients=4,ops=150,keys=1024",
+            "kv:replicas=3,clients=4,ops=300,keys=1024",
+        ],
+        ["stream:n=1000", "stream:n=4000"],
+    ] {
+        let (a, b) = (held_at_quiescence(short), held_at_quiescence(long));
+        println!("held at quiescence: {short}: {a}; {long}: {b}");
+        assert_eq!(a, b, "{long} holds more than {short} at quiescence");
+        let counts = [a.threads, a.checkpoints, a.consumed, a.own, a.guesses];
+        assert!(
+            counts.iter().all(|&n| n <= HELD_BOUND),
+            "{short} holds {a} at quiescence: settled records were kept"
+        );
+    }
+}
+
+/// The peak live heap of one simulated run of `spec`, in bytes above what
+/// was live before it.
+fn peak_live_bytes(spec: &Spec) -> i64 {
+    let before = LIVE.with(Cell::get);
+    PEAK.with(|p| p.set(before));
+    let run = spec.simulate();
+    let peak = PEAK.with(Cell::get) - before;
+    drop(run);
+    peak
+}
+
+/// Most the optimistic `kv` world's peak live heap may be, as a multiple of
+/// its pessimistic twin's.
+const TWIN_HEAP_BOUND: f64 = 1.84;
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "memory guard: release builds only")]
+fn kv_peak_heap_stays_near_its_pessimistic_twins() {
+    let _alone = one_at_a_time();
+    let spec = Spec::parse("kv:replicas=3,clients=4,ops=150,keys=1024").expect("spec parses");
+    let optimistic = peak_live_bytes(&spec);
+    let pessimistic = peak_live_bytes(&spec.twin());
+    let ratio = optimistic as f64 / pessimistic as f64;
+    println!(
+        "peak live heap, {spec}: optimistic {:.2} MB, pessimistic twin {:.2} MB ({ratio:.2}x, \
+         bound {TWIN_HEAP_BOUND}x)",
+        optimistic as f64 / 1e6,
+        pessimistic as f64 / 1e6,
+    );
+    assert!(
+        ratio <= TWIN_HEAP_BOUND,
+        "{spec}: optimistic peak live heap {ratio:.2}x its pessimistic twin's \
+         (bound {TWIN_HEAP_BOUND}x): speculation keeps what it has settled"
     );
 }
