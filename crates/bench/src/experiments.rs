@@ -457,7 +457,7 @@ pub fn e8_guard_compaction() -> Table {
             latency: 50,
             ..Default::default()
         })
-        .simulate();
+        .simulate_recorded();
         row(format!("stream N={n}"), r, true);
     }
     let tally = Spec::Tally(TallyOpts {
@@ -467,7 +467,7 @@ pub fn e8_guard_compaction() -> Table {
         seed: 7,
         core: CoreConfig::default(),
     })
-    .simulate();
+    .simulate_recorded();
     row("tally n=64 p=0.1".to_string(), tally, false);
     t.note("§4.1.2: 'only the most recent guess from each process needs to be maintained in the commit guard set'. A member list grows O(N²) over a stream; a frame carries the guard's runs, and a stream's tag {x1..xk} is one run — the same bytes as §4.1.2's one span per process, without the incarnation-table rows, acknowledgements and fallback a receiver needs to expand a span. Run bytes are what the engines count as `guard_bytes` (asserted per row).");
     t.note("The one shape where a span is smaller is a tag that spans k incarnations of one process: k runs against one span — but only for a receiver that already holds the process's table rows 1..=i (i the span's latest incarnation). Self-contained, as this column counts it, the span ships those rows, and on the tally row, whose rejected lines restart the client's incarnation, it costs more than twice the runs. No workload ships that shape compact: the compact codec was never a default and is gone (DESIGN.md §5c).");

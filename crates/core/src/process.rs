@@ -27,7 +27,9 @@
 //! reads a missing record as resolved. The guard on entry to an interval is
 //! not kept at all: a restore reads it off the rollback map. What the
 //! oracles and forensics read — the commit history and
-//! [`ProcessCore::resolutions`] — is kept whole.
+//! [`ProcessCore::resolutions`] — is kept whole; the engine's driver
+//! empties the resolutions when neither its telemetry nor a recorded run
+//! reads them.
 //!
 //! What the hot paths need is kept beside the records instead of being
 //! rediscovered by scanning them: the set of own guesses awaiting

@@ -10,7 +10,9 @@
 //!   --latency <d>        one-way network latency in ticks   [default 50]
 //!   --jitter <spread>    add uniform jitter of up to <spread>
 //!   --seed <n>           jitter seed                        [default 1]
-//!   --timeline           print the execution time-line
+//!   --timeline           print the execution time-line (the run keeps
+//!                        its event trace; without this flag, or
+//!                        --forensics, a simulated run builds none)
 //!   --show-transform     print the transformed program and fork sites
 //!   --timeout <t>        fork timeout in ticks              [default 100000]
 //!   --speculation <p>    speculation policy: pessimistic | static:N (the
@@ -29,7 +31,10 @@
 //!   --forensics          on a --compare/--explore divergence, print a
 //!                        first-divergence report with a happens-before
 //!                        chain and a ddmin-shrunk minimal latency
-//!                        schedule
+//!                        schedule (--compare's runs keep their trace and
+//!                        commit provenance; --explore searches without
+//!                        them and re-simulates the violation it reports
+//!                        with them)
 //!   --inject-lifo        deliberately scramble optimistic delivery (LIFO
 //!                        pooled pick + non-FIFO links); the protocol's
 //!                        precedence machinery should absorb this
@@ -724,10 +729,12 @@ fn theorem1_exit(
 }
 
 /// The simulator config from the flags: `optimism` off is the sequential
-/// baseline, and only the optimistic run carries an injected fault.
+/// baseline, and only the optimistic run carries an injected fault. A run
+/// keeps its trace and provenance only for `--timeline` or `--forensics`.
 fn sim_config(opts: &Options, optimism: bool) -> SimConfig {
     let core = opts.core_config(!optimism);
     SimConfig {
+        record: opts.timeline || opts.forensics,
         fault: match (optimism, opts.inject_phantom, opts.inject_lifo) {
             (true, true, _) => FaultInjection::PhantomLog,
             (true, false, true) => FaultInjection::LifoDelivery,
@@ -995,6 +1002,7 @@ fn main() -> ExitCode {
                         );
                         let make_cfg = |optimism| SimConfig {
                             latency: scripted.clone(),
+                            record: false,
                             ..cfg(optimism)
                         };
                         let p2 = sys.run(make_cfg(false));

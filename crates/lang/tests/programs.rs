@@ -72,7 +72,12 @@ fn two_optimistic_processes_precedence_chain() {
         }
     "#,
     );
-    let (pess, opt) = both(&sys, 40);
+    let pess = sys.run(cfg(false, 40));
+    // The failure message draws the run's time-line.
+    let opt = sys.run(SimConfig {
+        record: true,
+        ..cfg(true, 40)
+    });
     assert_eq!(opt.stats().forks, 2);
     assert_eq!(
         opt.stats().aborts,

@@ -322,7 +322,7 @@ impl ProcessActor {
     /// Emit the final report and consume the actor (on `Wire::Shutdown`).
     pub fn finalize(self) {
         let ProcessActor {
-            driver,
+            mut driver,
             mut env,
             report,
             ..

@@ -13,6 +13,10 @@
 //! 4. **Fork before resolution** — every commit/abort of a guess follows
 //!    its fork (at the owner).
 //! 5. **Time monotonicity** — trace event times never decrease.
+//!
+//! An empty trace is a violation of its own: a run keeps its events only
+//! when asked (`SimConfig::record`), and an audit of a run that kept none
+//! would pass without having looked at anything.
 
 use crate::trace::{Trace, TraceEvent};
 use opcsp_core::{GuessId, ProcessId};
@@ -28,6 +32,12 @@ pub struct Violation {
 /// Audit a trace; returns all violations found (empty = clean).
 pub fn audit_trace(trace: &Trace) -> Vec<Violation> {
     let mut v = Vec::new();
+    if trace.events.is_empty() {
+        v.push(Violation {
+            rule: "recorded",
+            detail: "no events: the run kept no trace (SimConfig::record)".into(),
+        });
+    }
     check_time_monotonicity(trace, &mut v);
     check_causal_delivery(trace, &mut v);
     check_resolution_exclusivity(trace, &mut v);
@@ -299,5 +309,11 @@ mod tests {
         });
         let v = audit_trace(&tr);
         assert!(v.iter().any(|x| x.rule == "time-monotonicity"), "{v:?}");
+    }
+
+    #[test]
+    fn a_run_that_kept_no_trace_is_not_clean() {
+        let v = audit_trace(&Trace::default());
+        assert!(v.iter().any(|x| x.rule == "recorded"), "{v:?}");
     }
 }

@@ -154,8 +154,9 @@ impl std::fmt::Display for Observable {
 
 /// The policies a driver can run under that are not protocol (`CoreConfig`)
 /// and not environment: whether a delivery order is forced, which
-/// deliberate fault to commit, whether to keep provenance. The simulator
-/// fills this from `SimConfig`; the runtime uses the default.
+/// deliberate fault to commit, whether to keep what only a recorded run's
+/// readers read. The simulator fills this from `SimConfig`; the runtime
+/// uses the default.
 #[derive(Debug, Clone, Default)]
 pub struct DriverPolicy {
     /// Forced receive order: the first `forced_order[p].len()` non-return
@@ -166,8 +167,10 @@ pub struct DriverPolicy {
     pub forced_order: Option<Arc<DeliverySchedule>>,
     /// Deliberate misbehavior for oracle-teeth tests.
     pub fault: FaultInjection,
-    /// Record an [`ObsMeta`] for every observable-log entry.
-    pub provenance: bool,
+    /// Keep an [`ObsMeta`] for every observable-log entry, and every
+    /// resolution of an own guess (`ProcessCore::resolutions`) past the
+    /// telemetry's reading of it.
+    pub record: bool,
 }
 
 /// When a resumed thread should run, relative to now. The simulator turns
@@ -245,6 +248,8 @@ struct Thread {
     status: Status,
     /// The boundary records of intervals `first..=interval` (§3.1): the
     /// ones below the thread's restore floor are dropped as it rises.
+    /// Interval 0 has none: going back to it is a discard, which restores
+    /// nothing, so `first` starts at 1.
     checkpoints: VecDeque<Checkpoint>,
     first: u32,
     /// Behavior steps executed (monotone except for rollback truncation).
@@ -255,7 +260,7 @@ struct Thread {
     consumed_from: usize,
     /// Observable log (sends, receives, external outputs) in local order.
     oblog: Vec<Observable>,
-    /// Provenance per `oblog` entry (`DriverPolicy::provenance`).
+    /// Provenance per `oblog` entry (`DriverPolicy::record`).
     obmeta: Vec<ObsMeta>,
     /// External outputs awaiting commit.
     out_buf: Vec<Value>,
@@ -267,21 +272,11 @@ struct Thread {
 
 impl Thread {
     fn new(state: BehaviorState, call_stack: CallStack) -> Self {
-        let chk = Checkpoint {
-            state: state.clone(),
-            status: Status::Ready,
-            steps: 0,
-            consumed_len: 0,
-            oblog_len: 0,
-            out_buf_len: 0,
-            call_stack: call_stack.clone(),
-            fork_guess: None,
-        };
         Thread {
             state,
             status: Status::Ready,
-            checkpoints: VecDeque::from([chk]),
-            first: 0,
+            checkpoints: VecDeque::new(),
+            first: 1,
             steps: 0,
             consumed: VecDeque::new(),
             consumed_from: 0,
@@ -301,20 +296,42 @@ impl Thread {
 
     /// Drop what no restore can reach any more: the checkpoints of the
     /// intervals before `floor`, and the messages consumed before the
-    /// oldest checkpoint left (all of them, if none is).
+    /// oldest checkpoint left (all of them, if none is). At floor 0 a
+    /// discard can still hand every consumed message back.
     fn trim(&mut self, floor: u32) {
         while self.first < floor && self.checkpoints.pop_front().is_some() {
             self.first += 1;
         }
         let consumed_to = self.consumed_from + self.consumed.len();
-        let keep = self
-            .checkpoints
-            .front()
-            .map_or(consumed_to, |c| c.consumed_len);
+        let keep = match self.checkpoints.front() {
+            _ if floor == 0 => 0,
+            Some(c) => c.consumed_len,
+            None => consumed_to,
+        };
         let drop = keep - self.consumed_from;
         self.consumed.drain(..drop);
         self.consumed_from = keep;
     }
+}
+
+/// What a driver counts beyond [`ProtoStats`] for the simulator's
+/// [`SimStats`](crate::trace::SimStats), each where the event it is traced
+/// as is emitted, so a run counts the same whether it keeps a trace or not.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct SimCounts {
+    /// Joins whose guessed values were wrong (§2, Figure 5).
+    pub(crate) value_faults: u64,
+    /// Time faults: a guess in its own left thread's guard at the join, a
+    /// return that depends on a future guess, a PRECEDENCE cycle.
+    pub(crate) time_faults: u64,
+    /// Fork timers that fired on an unresolved guess (§3.2).
+    pub(crate) timeouts: u64,
+    /// Control messages broadcast, one per broadcast.
+    pub(crate) broadcasts: u64,
+    /// Payload bytes of data messages sent.
+    pub(crate) data_bytes: u64,
+    /// Full state snapshots taken, fork copies included.
+    pub(crate) checkpoints_taken: u64,
 }
 
 /// What a process still holds at the end of a run, per kind of record: what
@@ -419,8 +436,8 @@ pub struct Driver {
     forced_pos: usize,
     /// Protocol counters.
     stats: ProtoStats,
-    /// Full state snapshots taken, fork copies included.
-    pub checkpoints_taken: u64,
+    /// What only the simulator reports.
+    pub(crate) counts: SimCounts,
 }
 
 impl Driver {
@@ -452,7 +469,7 @@ impl Driver {
             guesses: BTreeMap::new(),
             forced_pos: 0,
             stats: ProtoStats::default(),
-            checkpoints_taken: 0,
+            counts: SimCounts::default(),
         }
     }
 
@@ -486,8 +503,8 @@ impl Driver {
         logs.flat_map(|(log, _)| log.iter().cloned()).collect()
     }
 
-    /// Provenance per [`Driver::log`] entry (empty unless the policy keeps
-    /// it).
+    /// Provenance per [`Driver::log`] entry (empty unless the policy
+    /// records).
     pub fn provenance(&self) -> Vec<ObsMeta> {
         let logs = self.logs().into_values();
         logs.flat_map(|(_, meta)| meta.iter().cloned()).collect()
@@ -672,20 +689,23 @@ impl Driver {
     /// Emit `Resolved` telemetry for resolutions the core recorded since
     /// the last sync (cursor-idempotent; the driver calls it after every
     /// resolution-producing protocol step, engines once more when the run
-    /// ends).
-    pub fn sync_telemetry<E: Env>(&self, env: &mut E) {
+    /// ends). With telemetry off and no record asked for, nothing reads
+    /// the resolutions, and they go.
+    pub fn sync_telemetry<E: Env>(&mut self, env: &mut E) {
         if env.telemetry().enabled() {
             let t = env.now();
             let sink = env.telemetry();
             sink.sync_resolutions(t, self.pid, &self.core.resolutions);
             sink.sync_policy_shifts(t, self.pid, self.core.policy_shifts());
+        } else if !self.policy.record {
+            self.core.resolutions.clear();
         }
     }
 
     /// Append to `tid`'s observable log. `msg` is the (id, link sequence
     /// number) of a sent or received message.
     fn observe<E: Env>(&mut self, env: &E, tid: u32, obs: Observable, msg: Option<(MsgId, u32)>) {
-        let meta = self.policy.provenance.then(|| ObsMeta {
+        let meta = self.policy.record.then(|| ObsMeta {
             t: env.now(),
             thread: tid,
             msg: msg.map(|m| m.0),
@@ -867,6 +887,7 @@ impl Driver {
         };
         self.stats.data_messages += 1;
         self.stats.guard_bytes += msg.guard.wire_size() as u64;
+        self.counts.data_bytes += msg.wire_size() as u64;
         let from = self.thread_id(tid);
         env.trace(|t| TraceEvent::Send {
             t,
@@ -907,6 +928,7 @@ impl Driver {
     /// exist). A received control message is never forwarded.
     fn broadcast<E: Env>(&mut self, env: &mut E, ctrl: Control) {
         let from = self.pid;
+        self.counts.broadcasts += 1;
         env.trace(|t| TraceEvent::ControlSent {
             t,
             from,
@@ -946,7 +968,7 @@ impl Driver {
         self.mark_live(right);
         self.guesses.insert(guess, guesses.clone());
         self.stats.forks += 1;
-        self.checkpoints_taken += 1; // the fork's state copy
+        self.counts.checkpoints_taken += 1; // the fork's state copy
         let (lt, rt) = (self.thread_id(tid), self.thread_id(right));
         env.trace(|t| TraceEvent::Fork {
             t,
@@ -989,6 +1011,11 @@ impl Driver {
             }
             JoinDecision::Abort { effects } => {
                 let at = self.pid;
+                if value_ok {
+                    self.counts.time_faults += 1;
+                } else {
+                    self.counts.value_faults += 1;
+                }
                 env.trace(|t| {
                     if value_ok {
                         TraceEvent::TimeFault {
@@ -1083,6 +1110,7 @@ impl Driver {
                 if let Some(doomed) = self.core.return_depends_on_future(w, &msg) {
                     let effects = self.core.on_abort(doomed);
                     let at = self.pid;
+                    self.counts.time_faults += 1;
                     env.trace(|t| TraceEvent::TimeFault {
                         t,
                         at,
@@ -1272,7 +1300,7 @@ impl Driver {
                 fork_guess: th.fork_guess,
             };
             th.checkpoints.push_back(chk);
-            self.checkpoints_taken += 1;
+            self.counts.checkpoints_taken += 1;
         }
         debug_assert_eq!(
             self.threads[&tid].first + self.threads[&tid].checkpoints.len() as u32,
@@ -1345,6 +1373,7 @@ impl Driver {
             Control::Precedence(guess, guard) => {
                 let eff = self.core.on_precedence(guess, &guard);
                 if !eff.is_empty() {
+                    self.counts.time_faults += 1;
                     env.trace(|t| TraceEvent::TimeFault {
                         t,
                         at,
@@ -1366,6 +1395,7 @@ impl Driver {
         if own.is_none_or(|o| o.state.is_resolved()) {
             return false;
         }
+        self.counts.timeouts += 1;
         env.trace(|t| TraceEvent::Timeout { t, guess });
         let eff = self.core.on_abort(guess);
         self.apply_abort_effects(env, eff, Some(guess));
@@ -1407,7 +1437,7 @@ impl Driver {
             // A discard hands back everything the thread consumed, so
             // nothing of it may have been dropped.
             debug_assert!(
-                th.first == 0 && th.consumed_from == 0,
+                th.first == 1 && th.consumed_from == 0,
                 "thread {tid} discarded after its floor rose"
             );
             let intervals = th.first + th.checkpoints.len() as u32 - 1;

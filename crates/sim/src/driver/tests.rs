@@ -174,7 +174,7 @@ fn rollback_repools_cancels_reopens_and_rewinds() {
     d.on_data(&mut fake, msg(2, P2, Guard::empty(), 20));
     assert_eq!(fake.ready.len(), 1);
     assert_eq!(d.forced_pos, 2);
-    assert_eq!(d.threads[&0].checkpoints.len(), 2);
+    assert_eq!(d.threads[&0].checkpoints.len(), 1);
 
     d.on_control(&mut fake, Control::Abort(g));
 
@@ -328,8 +328,8 @@ fn a_rollback_to_boundary_2_restores_its_snapshot() {
         let m = msg(i as u64, owner, Guard::single(remote_guess(owner)), 1 << i);
         fake.arrive(&mut d, m);
     }
-    assert_eq!(d.threads[&0].checkpoints.len(), 5);
-    assert_eq!(d.checkpoints_taken, 4);
+    assert_eq!(d.threads[&0].checkpoints.len(), 4);
+    assert_eq!(d.counts.checkpoints_taken, 4);
     d.on_control(&mut fake, Control::Abort(remote_guess(P2)));
     assert_eq!(seen(&d, 0), &[1]);
     fake.run(&mut d);
@@ -772,4 +772,65 @@ fn forged_resolutions_after_retirement_bring_nothing_back() {
     }
     assert_eq!(d.threads.keys().copied().collect::<Vec<_>>(), [1]);
     assert!(d.unresolved_guesses().next().is_none());
+}
+
+#[test]
+fn a_new_thread_keeps_no_checkpoint_for_interval_0() {
+    // Thread 0 forks x1; thread 1 is its right thread. Going back to
+    // interval 0 is a discard, which restores nothing: neither thread keeps
+    // a copy of the state it started from, and only the fork's own copy
+    // counts as a snapshot.
+    let mut d = driver(forker(), DriverPolicy::default());
+    Fake::start(&mut d);
+    assert_eq!(d.threads.keys().copied().collect::<Vec<_>>(), [0, 1]);
+    for th in d.threads.values() {
+        assert_eq!((th.first, th.checkpoints.len()), (1, 0));
+    }
+    assert_eq!(d.counts.checkpoints_taken, 1);
+}
+
+/// Thread 0 forks x1 and its call returns: x1 commits at the join.
+fn commit_x1(policy: DriverPolicy, telemetry: bool) -> (Driver, Fake) {
+    let mut d = driver(forker(), policy);
+    let mut fake = Fake {
+        tele: Telemetry::new(telemetry),
+        ..Fake::default()
+    };
+    fake.ready.push_back((thread(0), Resume::Start));
+    fake.run(&mut d);
+    let DataKind::Call(cid) = fake.data[0].kind else {
+        panic!("the left thread's call");
+    };
+    let mut ret = msg(1, P1, Guard::empty(), 0);
+    ret.kind = DataKind::Return(cid);
+    fake.arrive(&mut d, ret);
+    assert_eq!(d.stats.commits, 1);
+    (d, fake)
+}
+
+#[test]
+fn a_resolution_is_kept_only_while_something_reads_it() {
+    let resolved = |fake: &Fake| {
+        let events = fake.tele.events.iter();
+        events
+            .filter(|e| matches!(e, TelemetryEvent::Resolved { .. }))
+            .count()
+    };
+    // Telemetry off, nothing recorded: nothing reads x1's resolution.
+    let (d, _) = commit_x1(DriverPolicy::default(), false);
+    assert!(d.core.resolutions.is_empty());
+    // Telemetry reads it through its cursor, once, however often synced.
+    let (mut d, mut fake) = commit_x1(DriverPolicy::default(), true);
+    assert_eq!(d.core.resolutions.len(), 1);
+    assert_eq!(resolved(&fake), 1);
+    d.sync_telemetry(&mut fake);
+    assert_eq!(resolved(&fake), 1);
+    // A recorded run hands it to its result.
+    let record = DriverPolicy {
+        record: true,
+        ..DriverPolicy::default()
+    };
+    let (d, _) = commit_x1(record, false);
+    assert_eq!(d.core.resolutions.len(), 1);
+    assert!(d.core.resolutions[0].committed);
 }

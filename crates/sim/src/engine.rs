@@ -7,7 +7,8 @@
 //! (DESIGN.md §7). This module supplies the world it runs in, as the
 //! driver's [`Env`]: an event heap ordered by virtual time, per-link
 //! latency draws with a FIFO arrival clamp, a clock and a cancellation
-//! epoch per logical thread, the [`Trace`], and the [`SimResult`] record.
+//! epoch per logical thread, the [`Trace`] (kept only when the run was
+//! asked to record, [`SimConfig::record`]), and the [`SimResult`] record.
 //!
 //! The same engine runs the *pessimistic* baseline
 //! (`CoreConfig::pessimistic()`): every fork is denied, so programs
@@ -21,8 +22,8 @@ use crate::driver::{
 use crate::latency::{DrawKey, LatencyModel, LatencySampler};
 use crate::trace::{SimStats, Trace, TraceEvent, VTime};
 use opcsp_core::{
-    CallId, Control, CoreConfig, Envelope, GuessId, GuessResolution, MsgId, ProcessId, ProtoStats,
-    Telemetry, ThreadId, Value,
+    CallId, Control, CoreConfig, Envelope, GuessId, GuessResolution, MsgId, ProcessId, Telemetry,
+    ThreadId, Value,
 };
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
@@ -53,6 +54,15 @@ pub struct SimConfig {
     pub forced_order: Option<Arc<DeliverySchedule>>,
     /// Deliberate misbehavior for oracle-teeth tests.
     pub fault: FaultInjection,
+    /// Keep what only a reader of the whole run needs: every
+    /// [`TraceEvent`] ([`SimResult::trace`]), the commit provenance of
+    /// every committed observable ([`SimResult::provenance`]) and every
+    /// guess resolution ([`SimResult::resolutions`]). Off, the run keeps
+    /// none of them and builds no event; its logs, externals,
+    /// [`SimStats`], telemetry and completion time are the same. Asked for
+    /// by `--timeline` and `--forensics`, by `sim::explore` for the
+    /// violation it reports, and by what renders or audits a trace.
+    pub record: bool,
 }
 
 impl Default for SimConfig {
@@ -64,6 +74,7 @@ impl Default for SimConfig {
             max_events: 5_000_000,
             forced_order: None,
             fault: FaultInjection::None,
+            record: false,
         }
     }
 }
@@ -132,10 +143,9 @@ impl SimBuilder {
 pub struct SimResult {
     /// Virtual time of the last processed event.
     pub completion: VTime,
-    /// Virtual time at which each process's thread activity finished: the
-    /// latest scheduling clock of any thread it ever ran, retired and
-    /// discarded ones included.
-    pub process_done: BTreeMap<ProcessId, VTime>,
+    /// Counters of the whole run, counted by the drivers.
+    pub stats: SimStats,
+    /// Every event, in order; empty unless [`SimConfig::record`].
     pub trace: Trace,
     /// Released (committed) external outputs in release order.
     pub external: Vec<(VTime, ProcessId, Value)>,
@@ -147,12 +157,14 @@ pub struct SimResult {
     pub unresolved: Vec<GuessId>,
     /// True if the run stopped because `max_events` was hit.
     pub truncated: bool,
-    /// Commit provenance per `logs` entry (same keys, same indices).
+    /// Commit provenance per `logs` entry (same keys, same indices);
+    /// empty unless [`SimConfig::record`].
     pub provenance: BTreeMap<ProcessId, Vec<ObsMeta>>,
     /// Every latency draw made, in sample order, keyed by (from, to, k) —
     /// the schedule shrinker's search space. Empty for non-jitter models.
     pub latency_draws: Vec<(DrawKey, u64)>,
-    /// Per-process guess-resolution provenance (owners only).
+    /// Per-process guess-resolution provenance (owners only); empty
+    /// unless [`SimConfig::record`].
     pub resolutions: BTreeMap<ProcessId, Vec<GuessResolution>>,
     /// Senders of data (non-return) messages still pooled undelivered at
     /// quiescence, in arrival-id order. Normally empty; non-empty when a
@@ -168,15 +180,15 @@ pub struct SimResult {
     pub held: BTreeMap<ProcessId, Held>,
     /// Unified lifecycle event stream (`core::telemetry`): fork→resolution
     /// spans, rollback depth/wasted-step attribution, commit waves,
-    /// deliveries and orphan drops. Always recorded by the simulator (it
-    /// already keeps a full [`Trace`]); export with
+    /// deliveries and orphan drops. Always recorded by the simulator,
+    /// recording or not; export with
     /// [`opcsp_core::Telemetry::to_perfetto_json`].
     pub telemetry: Telemetry,
 }
 
 impl SimResult {
     pub fn stats(&self) -> &SimStats {
-        &self.trace.stats
+        &self.stats
     }
 }
 
@@ -280,7 +292,6 @@ impl Env for Net {
         let link = (msg.from, msg.to);
         let (d, link_seq) = self.link_delay(link.0, link.1);
         msg.link_seq = link_seq;
-        self.trace.stats.data_bytes += msg.wire_size() as u64;
         let mut at = self.now + d;
         if self.cfg.fault != FaultInjection::LifoDelivery {
             // FIFO clamp: a data message never overtakes the previous one
@@ -336,7 +347,9 @@ impl Env for Net {
     }
 
     fn trace(&mut self, ev: impl FnOnce(u64) -> TraceEvent) {
-        self.trace.push(ev(self.now));
+        if self.cfg.record {
+            self.trace.push(ev(self.now));
+        }
     }
 }
 
@@ -345,7 +358,7 @@ impl World {
         let policy = DriverPolicy {
             forced_order: cfg.forced_order.clone(),
             fault: cfg.fault,
-            provenance: true,
+            record: cfg.record,
         };
         let mut net = Net {
             now: 0,
@@ -424,43 +437,47 @@ impl World {
     }
 
     fn finish(self, truncated: bool) -> SimResult {
-        let World { procs, mut net } = self;
-        for p in &procs {
+        let World { mut procs, mut net } = self;
+        for p in &mut procs {
             // Catch any resolutions recorded since the last per-event sync.
             p.sync_telemetry(&mut net);
         }
-        // `Trace::push` derived the lifecycle counters from the events the
-        // drivers traced; the drivers counted the same facts themselves
-        // (that is all the runtime has). What no event carries comes from
-        // the drivers.
-        let stats = &mut net.trace.stats;
-        let mut counted = ProtoStats::default();
+        // The drivers count every fact themselves (that is all the runtime
+        // has); a recorded trace derived the same facts from its events.
+        let mut stats = SimStats::default();
+        let mut broadcasts = 0;
         for p in &procs {
-            counted.merge(&p.stats());
-            stats.checkpoints_taken += p.checkpoints_taken;
+            let c = &p.counts;
+            stats.proto.merge(&p.stats());
+            broadcasts += c.broadcasts;
+            stats.value_faults += c.value_faults;
+            stats.time_faults += c.time_faults;
+            stats.timeouts += c.timeouts;
+            stats.data_bytes += c.data_bytes;
+            stats.checkpoints_taken += c.checkpoints_taken;
         }
-        let lifecycle = |s: &ProtoStats| {
-            (
-                s.forks,
-                s.commits,
-                s.aborts,
-                s.rollbacks,
-                s.discarded_threads,
-                s.orphans,
-            )
-        };
-        debug_assert_eq!(
-            lifecycle(&stats.proto),
-            lifecycle(&counted),
-            "trace-derived and driver-counted lifecycle counters disagree"
-        );
-        stats.data_messages += counted.data_messages;
-        stats.control_messages += counted.control_messages;
-        stats.guard_bytes += counted.guard_bytes;
+        if net.cfg.record {
+            let traced = |s: &SimStats| {
+                (
+                    (s.forks, s.commits, s.aborts, s.rollbacks),
+                    (s.discarded_threads, s.orphans),
+                    (s.value_faults, s.time_faults, s.timeouts),
+                )
+            };
+            debug_assert_eq!(
+                traced(&net.trace.stats),
+                traced(&stats),
+                "trace-derived and driver-counted counters disagree"
+            );
+            debug_assert_eq!(net.trace.stats.control_messages, broadcasts);
+        }
+        // The simulator counts a broadcast once, as well as once per
+        // recipient.
+        stats.control_messages += broadcasts;
 
         let mut result = SimResult {
             completion: net.last_activity,
-            process_done: BTreeMap::new(),
+            stats,
             external: net.external,
             logs: BTreeMap::new(),
             unresolved: Vec::new(),
@@ -474,24 +491,20 @@ impl World {
             trace: net.trace,
             telemetry: net.tele,
         };
-        for p in &procs {
+        for p in &mut procs {
             let pid = p.pid();
             let undelivered = p.undelivered();
             if !undelivered.is_empty() {
                 result.undelivered.insert(pid, undelivered);
             }
             result.logs.insert(pid, p.log());
-            result.provenance.insert(pid, p.provenance());
-            if !p.core.resolutions.is_empty() {
-                result.resolutions.insert(pid, p.core.resolutions.clone());
+            if net.cfg.record {
+                result.provenance.insert(pid, p.provenance());
+                if !p.core.resolutions.is_empty() {
+                    let resolutions = std::mem::take(&mut p.core.resolutions);
+                    result.resolutions.insert(pid, resolutions);
+                }
             }
-            let thread = |index| ThreadId {
-                process: pid,
-                index,
-            };
-            let clocks = net.sched.range(thread(0)..=thread(u32::MAX));
-            let done = clocks.map(|(_, s)| s.clock).max().unwrap_or(0);
-            result.process_done.insert(pid, done);
             result.held.insert(pid, p.held());
             result.unresolved.extend(p.unresolved_guesses());
         }

@@ -354,7 +354,7 @@ mod tests {
         }
         SimResult {
             completion: 0,
-            process_done: BTreeMap::new(),
+            stats: crate::trace::SimStats::default(),
             held: BTreeMap::new(),
             trace: crate::trace::Trace::default(),
             external: Vec::new(),

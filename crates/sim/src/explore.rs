@@ -38,7 +38,9 @@
 //! On a violation the explorer shrinks the forcing script to a minimal
 //! prefix that still violates, then (under jitter) delta-debugs the
 //! latency draws with [`shrink_schedule`], and packages the full
-//! forensics report.
+//! forensics report. No run of the search keeps a trace or provenance
+//! ([`SimConfig::record`]): the minimal violating run is simulated once
+//! more, recorded, for the report (the engine is deterministic).
 //!
 //! Budgets: `depth` bounds the per-receiver positions eligible for
 //! branching; `budget` bounds executed runs. `stats.complete` reports
@@ -262,6 +264,7 @@ pub fn explore(
     runner: &dyn Fn(&SimConfig) -> SimResult,
     opts: &ExploreOpts,
 ) -> ExploreOutcome {
+    let (opt_cfg, pess_cfg) = (&recording(opt_cfg, false), &recording(pess_cfg, false));
     let mut stats = ExploreStats {
         complete: true,
         ..ExploreStats::default()
@@ -395,7 +398,8 @@ fn try_violation(
 
 /// Shrink a violating script to a minimal forcing prefix (greedy tail
 /// trimming per receiver, highest pid first, to a fixpoint — deterministic)
-/// and package the forensics of the minimal run.
+/// and package the forensics of the minimal run, simulated again with a
+/// record kept.
 fn shrink_violation(
     opt_cfg: &SimConfig,
     pess_cfg: &SimConfig,
@@ -405,8 +409,6 @@ fn shrink_violation(
 ) -> ExploreViolation {
     let mut shrink_tests = 0usize;
     let mut minimal = script.clone();
-    let mut best = try_violation(opt_cfg, pess_cfg, runner, pess_ref, &minimal)
-        .expect("caller verified the script violates");
     loop {
         let mut improved = false;
         let pids: Vec<ProcessId> = minimal.keys().rev().copied().collect();
@@ -419,14 +421,11 @@ fn shrink_violation(
                     trial.remove(&p);
                 }
                 shrink_tests += 1;
-                match try_violation(opt_cfg, pess_cfg, runner, pess_ref, &trial) {
-                    Some(vr) => {
-                        minimal = trial;
-                        best = vr;
-                        improved = true;
-                    }
-                    None => break,
+                if try_violation(opt_cfg, pess_cfg, runner, pess_ref, &trial).is_none() {
+                    break;
                 }
+                minimal = trial;
+                improved = true;
             }
         }
         if !improved {
@@ -434,7 +433,10 @@ fn shrink_violation(
         }
     }
 
-    // Forensics of the minimal violating run.
+    // Forensics of the minimal violating run, and of its replay.
+    let (rec_opt, rec_pess) = (recording(opt_cfg, true), recording(pess_cfg, true));
+    let best = try_violation(&rec_opt, &rec_pess, runner, pess_ref, &minimal)
+        .expect("the script violates, and the engine is deterministic");
     let first = first_divergence(&best.replay, &best.replay_result, &best.opt)
         .expect("violating replay has a first mismatch");
     let chain = happens_before_chain(&best.opt, &first);
@@ -468,6 +470,14 @@ fn shrink_violation(
             shrunk,
             unused_overrides: best.opt.unused_overrides.clone(),
         },
+    }
+}
+
+/// `cfg`, keeping a record of the run or not ([`SimConfig::record`]).
+fn recording(cfg: &SimConfig, record: bool) -> SimConfig {
+    SimConfig {
+        record,
+        ..cfg.clone()
     }
 }
 

@@ -1,6 +1,8 @@
 //! Execution traces: the simulator's record of everything that happened,
-//! used to re-render the paper's time-line figures, compute statistics, and
-//! check Theorem 1 (trace equivalence with the pessimistic execution).
+//! kept only when a run is asked to record (`SimConfig::record`). It
+//! re-renders the paper's time-line figures, feeds the forensics and the
+//! trace audits, and cross-checks the counters the drivers keep
+//! ([`SimStats`], which every run has, recorded or not).
 
 use opcsp_core::{Control, Guard, GuessId, Label, MsgId, ProcessId, ProtoStats, ThreadId, Value};
 use std::collections::BTreeMap;
@@ -127,7 +129,9 @@ impl TraceEvent {
 }
 
 /// Aggregate statistics of one run — the raw material of the experiment
-/// tables in EXPERIMENTS.md.
+/// tables in EXPERIMENTS.md. The drivers count every field
+/// (`Driver::stats`, `Driver::counts`), whether or not the run keeps a
+/// trace.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SimStats {
     /// Protocol counters shared with the runtime (`core::telemetry`):
@@ -165,7 +169,11 @@ impl std::ops::DerefMut for SimStats {
 #[derive(Debug, Clone, Default)]
 pub struct Trace {
     pub events: Vec<TraceEvent>,
-    pub stats: SimStats,
+    /// What the events count, derived in [`Trace::push`]: the lifecycle
+    /// counters, faults, time-outs, and one control message per broadcast.
+    /// A recorded run's `World::finish` checks them against the drivers'
+    /// counts; the run's figures are `SimResult::stats` alone.
+    pub(crate) stats: SimStats,
 }
 
 impl Trace {

@@ -15,6 +15,8 @@ fn cfg(optimism: bool) -> SimConfig {
             CoreConfig::pessimistic()
         },
         latency: LatencyModel::fixed(10),
+        // Several tests here read the run's trace.
+        record: true,
         ..SimConfig::default()
     }
 }

@@ -376,6 +376,16 @@ impl Spec {
         run(self, &self.sim_config())
     }
 
+    /// [`Spec::simulate`] with the run's trace and provenance kept
+    /// (`SimConfig::record`), for a reader of either.
+    pub fn simulate_recorded(&self) -> SimResult {
+        let cfg = SimConfig {
+            record: true,
+            ..self.sim_config()
+        };
+        run(self, &cfg)
+    }
+
     /// Place the world on `host`.
     pub fn on<H: Host>(&self, host: H) -> H {
         place(&self.roster(), host)

@@ -151,7 +151,8 @@ impl Behavior for Fig6Z {
     }
 }
 
-/// Build and run the Figure 6 scenario.
+/// Build and run the Figure 6 scenario, recorded (`SimConfig::record`):
+/// the figure is its time-line.
 ///
 /// Y's service time is slow (3d) so that z1's join happens while x1 is
 /// still unresolved — opening the PRECEDENCE window; Z's S2 computation
@@ -160,6 +161,7 @@ pub fn run_fig6(core: CoreConfig, d: u64) -> SimResult {
     let cfg = SimConfig {
         core,
         latency: LatencyModel::fixed(d),
+        record: true,
         ..SimConfig::default()
     };
     let mut b = SimBuilder::new(cfg);
@@ -251,7 +253,8 @@ impl Behavior for Fig7Client {
 
 /// A server whose service time is long enough that a one-way send can slip
 /// in between receiving a call and replying — use compute cost ≫ latency
-/// asymmetry to force the Figure 7 contamination.
+/// asymmetry to force the Figure 7 contamination. Recorded, as
+/// [`run_fig6`].
 pub fn run_fig7(core: CoreConfig, d: u64) -> SimResult {
     // The speculative sends (Z's M1 → Y, X's M2 → W) travel on faster
     // links than the calls, so each server consumes the contaminating send
@@ -264,6 +267,7 @@ pub fn run_fig7(core: CoreConfig, d: u64) -> SimResult {
     let cfg = SimConfig {
         core,
         latency,
+        record: true,
         ..SimConfig::default()
     };
     let mut b = SimBuilder::new(cfg);

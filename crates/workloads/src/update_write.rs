@@ -152,11 +152,13 @@ pub fn fig4_latency(d: u64) -> LatencyModel {
     LatencyModel::fixed(d)
 }
 
-/// Build and run the scenario.
+/// Build and run the scenario, recorded (`SimConfig::record`): Figures
+/// 2–5 are its time-line.
 pub fn run_update_write(opts: UpdateWriteOpts) -> SimResult {
     let cfg = SimConfig {
         core: opts.core.clone(),
         latency: opts.latency.clone(),
+        record: true,
         ..SimConfig::default()
     };
     let mut b = SimBuilder::new(cfg);

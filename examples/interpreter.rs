@@ -58,6 +58,8 @@ fn main() {
             CoreConfig::pessimistic()
         },
         latency: LatencyModel::fixed(80),
+        // Keep the trace: the optimistic timeline is printed below.
+        record: true,
         ..SimConfig::default()
     };
     let pess = sys.run(cfg(false));

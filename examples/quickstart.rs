@@ -26,7 +26,7 @@ fn main() {
         ..base.clone()
     })
     .simulate();
-    let streaming = Spec::Stream(base).simulate();
+    let streaming = Spec::Stream(base).simulate_recorded();
 
     println!("== Optimistic execution timeline ==\n");
     println!("{}", streaming.trace.render_timeline(&[CLIENT, SERVER]));

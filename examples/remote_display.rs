@@ -159,7 +159,8 @@ impl Behavior for Display {
     }
 }
 
-fn run(optimism: bool, capacity: usize, d: u64) -> SimResult {
+/// `record` keeps the run's trace (`SimConfig::record`).
+fn run(optimism: bool, capacity: usize, d: u64, record: bool) -> SimResult {
     let cfg = SimConfig {
         core: if optimism {
             CoreConfig::default()
@@ -167,6 +168,7 @@ fn run(optimism: bool, capacity: usize, d: u64) -> SimResult {
             CoreConfig::pessimistic()
         },
         latency: LatencyModel::fixed(d),
+        record,
         ..SimConfig::default()
     };
     let mut b = SimBuilder::new(cfg);
@@ -186,8 +188,8 @@ fn show_screen(r: &SimResult) {
 fn main() {
     let d = 80;
 
-    let rpc = run(false, 99, d);
-    let streamed = run(true, 99, d);
+    let rpc = run(false, 99, d, false);
+    let streamed = run(true, 99, d, false);
     println!("Pushing {} lines over a d={d} link:\n", DOCUMENT.len());
     println!("  plain RPC : {:>5} ticks", rpc.completion);
     println!(
@@ -203,7 +205,7 @@ fn main() {
     // Now a display that runs out of room after 4 lines: the speculative
     // tail (lines 5..) must be rolled back; the screen shows exactly the
     // accepted prefix.
-    let cramped = run(true, 4, d);
+    let cramped = run(true, 4, d, true);
     if std::env::var("DBG").is_ok() {
         println!("{}", cramped.trace.render_timeline(&[EDITOR, DISPLAY]));
     }
@@ -214,7 +216,7 @@ fn main() {
         cramped.stats().orphans,
     );
     show_screen(&cramped);
-    let sequential = run(false, 4, d);
+    let sequential = run(false, 4, d, false);
     let seq_screen: Vec<_> = sequential
         .external
         .iter()

@@ -54,7 +54,7 @@ fn chain_commit_wave_resolves_all_guesses() {
         n: 2,
         ..ChainOpts::default()
     };
-    let r = Spec::Chain(o).simulate();
+    let r = Spec::Chain(o).simulate_recorded();
     assert!(r.unresolved.is_empty());
     assert_eq!(r.stats().aborts, 0);
     // Forks: client forks once per item; each hop forks once per item.

@@ -217,7 +217,7 @@ fn streaming_run_tags_shrink_guard_bytes() {
         latency: 40,
         ..StreamingOpts::default()
     })
-    .simulate();
+    .simulate_recorded();
     let listed: u64 = r
         .trace
         .iter()

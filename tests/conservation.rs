@@ -119,25 +119,29 @@ mod audits {
             })
             .trace,
         );
-        assert_audit_clean(&Spec::Stream(StreamingOpts::default()).simulate().trace);
+        assert_audit_clean(
+            &Spec::Stream(StreamingOpts::default())
+                .simulate_recorded()
+                .trace,
+        );
         assert_audit_clean(
             &Spec::Stream(StreamingOpts {
                 fail_lines: BTreeSet::from([3]),
                 ..StreamingOpts::default()
             })
-            .simulate()
+            .simulate_recorded()
             .trace,
         );
         assert_audit_clean(&run_fig6(CoreConfig::default(), 40).trace);
         assert_audit_clean(&run_fig7(CoreConfig::default(), 40).trace);
-        assert_audit_clean(&Spec::Chain(ChainOpts::default()).simulate().trace);
+        assert_audit_clean(&Spec::Chain(ChainOpts::default()).simulate_recorded().trace);
         assert_audit_clean(
             &Spec::Tally(TallyOpts {
                 n: 24,
                 p_per_mille: 400,
                 ..TallyOpts::default()
             })
-            .simulate()
+            .simulate_recorded()
             .trace,
         );
     }

@@ -54,6 +54,8 @@ fn cfg(model: &LatencyModel, optimism: bool, fault: FaultInjection) -> SimConfig
         latency: model.clone(),
         fork_timeout: 10_000,
         fault,
+        // The forensics reports read the runs' trace and provenance.
+        record: true,
         ..SimConfig::default()
     }
 }

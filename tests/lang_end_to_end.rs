@@ -187,7 +187,10 @@ const OUTPUTTER: &str = r#"
 fn speculative_outputs_wait_for_commit() {
     let p = parse_program(OUTPUTTER).unwrap();
     let sys = System::compile(&p).unwrap();
-    let r = sys.run(cfg(true, LatencyModel::fixed(30)));
+    let r = sys.run(SimConfig {
+        record: true,
+        ..cfg(true, LatencyModel::fixed(30))
+    });
     assert!(r.unresolved.is_empty());
     assert_eq!(r.external.len(), 1);
     let (t_out, _, v) = &r.external[0];

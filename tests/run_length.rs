@@ -27,10 +27,14 @@
 //! peak live heap (the counting allocator also tracks live bytes) stays
 //! within a bound of its pessimistic twin's. The second is release-only
 //! too: debug builds keep reference copies for their cross-checks.
+//!
+//! And one more, release-only (DESIGN.md §5b, "A run keeps what its reader
+//! asks for"): a run that keeps no trace, provenance or resolutions — the
+//! default — peaks well below the same run recorded (`SimConfig::record`).
 
 use opcsp_core::{CoreConfig, ProcessCore, ProcessId};
-use opcsp_sim::Held;
-use opcsp_workloads::catalog::Spec;
+use opcsp_sim::{Held, SimConfig};
+use opcsp_workloads::catalog::{self, Spec};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Mutex;
@@ -270,12 +274,12 @@ fn what_a_run_leaves_held_does_not_grow_with_its_length() {
     }
 }
 
-/// The peak live heap of one simulated run of `spec`, in bytes above what
-/// was live before it.
-fn peak_live_bytes(spec: &Spec) -> i64 {
+/// The peak live heap of one simulated run of `spec` under `cfg`, in
+/// bytes above what was live before it.
+fn peak_live_bytes(spec: &Spec, cfg: &SimConfig) -> i64 {
     let before = LIVE.with(Cell::get);
     PEAK.with(|p| p.set(before));
-    let run = spec.simulate();
+    let run = catalog::run(spec, cfg);
     let peak = PEAK.with(Cell::get) - before;
     drop(run);
     peak
@@ -290,8 +294,9 @@ const TWIN_HEAP_BOUND: f64 = 1.84;
 fn kv_peak_heap_stays_near_its_pessimistic_twins() {
     let _alone = one_at_a_time();
     let spec = Spec::parse("kv:replicas=3,clients=4,ops=150,keys=1024").expect("spec parses");
-    let optimistic = peak_live_bytes(&spec);
-    let pessimistic = peak_live_bytes(&spec.twin());
+    let optimistic = peak_live_bytes(&spec, &spec.sim_config());
+    let twin = spec.twin();
+    let pessimistic = peak_live_bytes(&twin, &twin.sim_config());
     let ratio = optimistic as f64 / pessimistic as f64;
     println!(
         "peak live heap, {spec}: optimistic {:.2} MB, pessimistic twin {:.2} MB ({ratio:.2}x, \
@@ -304,4 +309,38 @@ fn kv_peak_heap_stays_near_its_pessimistic_twins() {
         "{spec}: optimistic peak live heap {ratio:.2}x its pessimistic twin's \
          (bound {TWIN_HEAP_BOUND}x): speculation keeps what it has settled"
     );
+}
+
+/// Most a default run, which keeps no record, may peak at, as a multiple
+/// of the same run recorded.
+const LEAN_HEAP_BOUND: f64 = 0.8;
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "memory guard: release builds only")]
+fn a_run_that_records_nothing_peaks_well_below_the_same_run_recorded() {
+    let _alone = one_at_a_time();
+    for spec in [
+        "kv:replicas=3,clients=4,ops=150,keys=1024",
+        "tally:n=600,faults=20",
+    ] {
+        let spec = Spec::parse(spec).expect("spec parses");
+        let lean = peak_live_bytes(&spec, &spec.sim_config());
+        let recorded = SimConfig {
+            record: true,
+            ..spec.sim_config()
+        };
+        let recorded = peak_live_bytes(&spec, &recorded);
+        let ratio = lean as f64 / recorded as f64;
+        println!(
+            "peak live heap, {spec}: lean {:.2} MB, recorded {:.2} MB ({ratio:.2}x, bound \
+             {LEAN_HEAP_BOUND}x)",
+            lean as f64 / 1e6,
+            recorded as f64 / 1e6,
+        );
+        assert!(
+            ratio <= LEAN_HEAP_BOUND,
+            "{spec}: a run that keeps no record peaks at {ratio:.2}x the recorded run's heap \
+             (bound {LEAN_HEAP_BOUND}x): it keeps what only a reader of the record needs"
+        );
+    }
 }

@@ -131,7 +131,7 @@ fn immediate_failure_rolls_back_everything() {
 fn guard_bytes_per_message_do_not_grow_with_stream_depth() {
     // (deepest tag's members, largest tag's bytes) over every data message.
     let tags = |n| {
-        let r = Spec::Stream(opts(n, 50)).simulate();
+        let r = Spec::Stream(opts(n, 50)).simulate_recorded();
         let sends: Vec<&opcsp_core::Guard> = r
             .trace
             .iter()
@@ -173,7 +173,7 @@ fn fault_dooms_dependent_tail() {
         fail_lines: BTreeSet::from([0]),
         ..opts(8, 40)
     };
-    let r = Spec::Stream(o).simulate();
+    let r = Spec::Stream(o).simulate_recorded();
     assert!(r.unresolved.is_empty());
     assert_eq!(r.stats().value_faults, 1);
     let aborted = r.trace.aborted_guesses();
@@ -285,12 +285,12 @@ mod fork_after_send {
     fn saves_a_step_per_call() {
         // The calls leave one engine-step earlier: first call's send time.
         let base = opts(8, 100);
-        let regular = Spec::Stream(base.clone()).simulate();
+        let regular = Spec::Stream(base.clone()).simulate_recorded();
         let fas = Spec::Stream(StreamingOpts {
             fork_after_send: true,
             ..base
         })
-        .simulate();
+        .simulate_recorded();
         let first_send = |r: &opcsp_sim::SimResult| {
             r.trace
                 .iter()

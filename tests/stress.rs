@@ -33,7 +33,7 @@ fn deep_chain_with_contention_and_faults() {
         fail_items: [5u32].into(),
         ..ChainOpts::default()
     };
-    let opt = Spec::Chain(o.clone()).simulate();
+    let opt = Spec::Chain(o.clone()).simulate_recorded();
     let pess = Spec::Chain(o).twin().simulate();
     assert!(
         opt.unresolved.is_empty(),
@@ -77,7 +77,7 @@ fn contention_with_heavy_jitter_resolves() {
             seed,
             ..FanInOpts::default()
         })
-        .simulate();
+        .simulate_recorded();
         assert!(r.unresolved.is_empty(), "seed {seed}: {:?}", r.unresolved);
         assert!(!r.truncated, "seed {seed}");
         check_conservation(&r).unwrap_or_else(|e| panic!("seed {seed}: {e}"));

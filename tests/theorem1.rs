@@ -165,6 +165,7 @@ pub fn debug_seed(seed: u64) {
     let opt = sys.run(SimConfig {
         latency,
         fork_timeout: 10_000,
+        record: true,
         ..SimConfig::default()
     });
     let procs2: Vec<ProcessId> = (0..1 + n_servers).map(ProcessId).collect();
@@ -196,6 +197,8 @@ pub fn check_seed(seed: u64) {
         core: CoreConfig::default(),
         latency: latency.clone(),
         fork_timeout: 10_000,
+        // Audited below.
+        record: true,
         ..SimConfig::default()
     });
 
