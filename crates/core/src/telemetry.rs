@@ -674,6 +674,7 @@ pub struct ProtoStats {
     /// incarnation bump).
     pub orphans: u64,
     pub data_messages: u64,
+    /// Control messages sent, one per recipient, on either engine.
     pub control_messages: u64,
     /// Bytes of data-message guard tags, by `Guard::wire_size`.
     pub guard_bytes: u64,

@@ -95,9 +95,11 @@
 //! `--listen` apply; and every run, on either engine, is held to the spec's
 //! own oracle (`Spec::check`: the run's committed schedule replayed on the
 //! pessimistic simulator, plus the world's own checks), so `--compare`,
-//! `--explore`, `--show-transform` and `--inject-*` do not. E.g. `opcsp-run kv: --jitter 40`, `opcsp-run
-//! pairs:pairs=64 --rt --workers 2`, `opcsp-run kv: --rt --listen
-//! uds:/tmp/kv.sock`.
+//! `--show-transform` and `--inject-*` do not; `--explore` does, and
+//! checks Theorem 1 on every schedule within its bounds. E.g. `opcsp-run
+//! kv: --jitter 40`, `opcsp-run pairs:pairs=64 --rt --workers 2`,
+//! `opcsp-run kv: --rt --listen uds:/tmp/kv.sock`, `opcsp-run
+//! kv:replicas=2,clients=2,ops=2 --explore --depth 4`.
 //!
 //! `--compare` checks Theorem 1 with the replay oracle: the strict
 //! same-seed comparison first, and on a positional difference it replays
@@ -750,18 +752,98 @@ fn sim_config(opts: &Options, optimism: bool) -> SimConfig {
     }
 }
 
+/// `--explore`: drive the optimistic simulator through every
+/// partial-order-distinct delivery schedule within the bounds, each
+/// Theorem-1-checked against one pessimistic reference. `runner` runs the
+/// program or the catalogue world under a config.
+fn run_explore(
+    opts: &Options,
+    names: &BTreeMap<ProcessId, String>,
+    runner: &dyn Fn(&SimConfig) -> SimResult,
+) -> ExitCode {
+    let eopts = ExploreOpts {
+        depth: opts.depth.unwrap_or(8),
+        budget: opts.budget.unwrap_or(4096),
+    };
+    let out = explore(
+        &sim_config(opts, true),
+        &sim_config(opts, false),
+        runner,
+        &eopts,
+    );
+    let s = &out.stats;
+    println!(
+        "explore: {} forced runs, {} distinct schedules \
+         ({} duplicate, {} infeasible), {} oracle replays",
+        s.runs_executed,
+        s.distinct_schedules,
+        s.duplicate_schedules,
+        s.infeasible_scripts,
+        s.oracle_runs,
+    );
+    println!(
+        "reduction: {:.3e} naive FIFO interleavings → {} explored ({:.1}×{})",
+        s.naive_interleavings,
+        s.distinct_schedules,
+        s.reduction_factor(),
+        if s.complete {
+            ", exhaustive within bounds"
+        } else {
+            ", bounds NOT exhausted"
+        },
+    );
+    if s.unused_overrides > 0 {
+        println!(
+            "WARNING: {} scripted latency override(s) were never drawn — \
+             the latency script drifted from the workload and tested nothing",
+            s.unused_overrides
+        );
+    }
+    match out.violation {
+        None => {
+            if s.complete {
+                println!(
+                    "Theorem 1: holds on every schedule within depth {} ✓",
+                    eopts.depth
+                );
+            } else {
+                println!(
+                    "Theorem 1: holds on every explored schedule \
+                     (budget {} exhausted before the space — raise --budget)",
+                    eopts.budget
+                );
+            }
+            ExitCode::SUCCESS
+        }
+        Some(v) => {
+            eprintln!(
+                "Theorem 1 DIVERGENCE (engine bug!): exploration found a \
+                 delivery order no sequential execution reproduces"
+            );
+            eprintln!(
+                "minimal forcing script ({} shrink runs): {}",
+                v.shrink_tests,
+                render_schedule(&v.minimal_script, names)
+            );
+            eprintln!("realised schedule: {}", render_schedule(&v.schedule, names));
+            if opts.forensics {
+                eprint!("{}", render_report(&v.report, names));
+            } else {
+                eprint!("{}", v.replay.render(names));
+                eprintln!("(re-run with --forensics for a full report)");
+            }
+            ExitCode::from(2)
+        }
+    }
+}
+
 /// A catalogue world on either engine, held to the spec's own oracle
 /// (`catalog::Spec::check`): on every engine, the run's committed schedule
 /// is replayed on the pessimistic simulator.
 fn run_spec(opts: &Options) -> ExitCode {
-    if opts.compare
-        || opts.explore
-        || opts.show_transform
-        || opts.inject_lifo
-        || opts.inject_phantom
-    {
+    if opts.compare || opts.show_transform || opts.inject_lifo || opts.inject_phantom {
         eprintln!(
-            "error: --compare/--explore/--show-transform/--inject-* drive the .csp \
+            "error: --compare/--show-transform/--inject-* drive the .csp \
              pipeline; a builtin world is held to its own oracle (its committed \
              schedule replayed on the pessimistic simulator) on every run"
         );
@@ -786,6 +868,9 @@ fn run_spec(opts: &Options) -> ExitCode {
         .zip(&roster)
         .map(|(i, (b, _))| (ProcessId(i), format!("{}#{i}", b.name())))
         .collect();
+    if opts.explore {
+        return run_explore(opts, &names, &|c| catalog::run(&spec, c));
+    }
     let (checked, rate) = if opts.rt {
         let (r, workers_ok) = match launch_rt(opts, &names, &roster) {
             Ok(ran) => ran,
@@ -893,78 +978,7 @@ fn main() -> ExitCode {
         sys.bindings.iter().map(|(n, p)| (*p, n.clone())).collect();
 
     if opts.explore {
-        let eopts = ExploreOpts {
-            depth: opts.depth.unwrap_or(8),
-            budget: opts.budget.unwrap_or(4096),
-        };
-        let out = explore(&cfg(true), &cfg(false), &|c| sys.run(c.clone()), &eopts);
-        let s = &out.stats;
-        println!(
-            "explore: {} forced runs, {} distinct schedules \
-             ({} duplicate, {} infeasible), {} oracle replays",
-            s.runs_executed,
-            s.distinct_schedules,
-            s.duplicate_schedules,
-            s.infeasible_scripts,
-            s.oracle_runs,
-        );
-        println!(
-            "reduction: {:.3e} naive FIFO interleavings → {} explored ({:.1}×{})",
-            s.naive_interleavings,
-            s.distinct_schedules,
-            s.reduction_factor(),
-            if s.complete {
-                ", exhaustive within bounds"
-            } else {
-                ", bounds NOT exhausted"
-            },
-        );
-        if s.unused_overrides > 0 {
-            println!(
-                "WARNING: {} scripted latency override(s) were never drawn — \
-                 the latency script drifted from the workload and tested nothing",
-                s.unused_overrides
-            );
-        }
-        return match out.violation {
-            None => {
-                if s.complete {
-                    println!(
-                        "Theorem 1: holds on every schedule within depth {} ✓",
-                        eopts.depth
-                    );
-                } else {
-                    println!(
-                        "Theorem 1: holds on every explored schedule \
-                         (budget {} exhausted before the space — raise --budget)",
-                        eopts.budget
-                    );
-                }
-                ExitCode::SUCCESS
-            }
-            Some(v) => {
-                eprintln!(
-                    "Theorem 1 DIVERGENCE (engine bug!): exploration found a \
-                     delivery order no sequential execution reproduces"
-                );
-                eprintln!(
-                    "minimal forcing script ({} shrink runs): {}",
-                    v.shrink_tests,
-                    render_schedule(&v.minimal_script, &names)
-                );
-                eprintln!(
-                    "realised schedule: {}",
-                    render_schedule(&v.schedule, &names)
-                );
-                if opts.forensics {
-                    eprint!("{}", render_report(&v.report, &names));
-                } else {
-                    eprint!("{}", v.replay.render(&names));
-                    eprintln!("(re-run with --forensics for a full report)");
-                }
-                ExitCode::from(2)
-            }
-        };
+        return run_explore(&opts, &names, &|c| sys.run(c.clone()));
     }
 
     if opts.compare {

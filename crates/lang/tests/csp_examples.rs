@@ -90,11 +90,11 @@ fn every_example_survives_jitter() {
 /// `two_pairs.csp` is two independent client→server pairs. The interpreter
 /// declares each process's `call`/`send` targets, so the world is two
 /// control domains and every control message has one recipient instead of
-/// three: the simulator's `ctrl=` (one trace event plus one count per
-/// recipient, for each dissemination) is exactly half of what the same
-/// program sends with its declarations stripped — and nothing else moves.
+/// three: the simulator's `ctrl=` (one count per recipient) is exactly a
+/// third of what the same program sends with its declarations stripped —
+/// and nothing else moves.
 #[test]
-fn two_pairs_sends_half_the_control_of_a_world_broadcast() {
+fn two_pairs_sends_a_third_of_the_control_of_a_world_broadcast() {
     let src = std::fs::read_to_string(examples_dir().join("two_pairs.csp")).unwrap();
     let sys = System::compile(&parse_program(&src).unwrap()).unwrap();
     let cfg = || SimConfig {
@@ -105,7 +105,7 @@ fn two_pairs_sends_half_the_control_of_a_world_broadcast() {
     let world = sys.builder(cfg()).undeclared().build().run();
     assert!(scoped.stats().commits > 0 && scoped.stats().aborts > 0);
     assert_eq!(
-        scoped.stats().control_messages * 2,
+        scoped.stats().control_messages * 3,
         world.stats().control_messages
     );
     assert_eq!(scoped.logs, world.logs);

@@ -20,20 +20,16 @@
 //! §11.2). [`ProcessActor::next_due`] and `fire_due` are an executor's
 //! whole interface to time, [`ProcessActor::deferred`] and `next_instant`
 //! its interface to the instant. That makes a process a coroutine in all
-//! but name, so an executor can host it however it likes:
+//! but name, so an executor can host it however it likes. There is one
+//! ([`crate::executor`]): a worker multiplexes the actors of its shard,
+//! feeding each one batches drained from the shard's inbox and waking for
+//! the earliest due instant in its shard; thread-per-process is a shard of
+//! one actor per worker.
 //!
-//! - the **threaded** executor gives each actor an OS thread that blocks
-//!   on a dedicated inbox channel until its next due instant (the original
-//!   runtime shape);
-//! - the **sharded** executor multiplexes many actors over a fixed worker
-//!   pool, feeding each one batches drained from a per-shard inbox and
-//!   waking for the earliest due instant in its shard
-//!   ([`crate::executor`]).
-//!
-//! Because an actor is owned by exactly one executor thread at a time and
-//! all of its state transitions happen inside `start`, `on_wire`,
-//! `fire_due` and `next_instant`,
-//! per-owner telemetry event order is identical under both executors.
+//! Because an actor is owned by exactly one worker at a time and all of
+//! its state transitions happen inside `start`, `on_wire`, `fire_due` and
+//! `next_instant`, per-owner telemetry event order does not depend on how
+//! many actors share a worker.
 
 use crate::net::{Frame, Mailbox, Payload, TimerQueue, Transport, Wire};
 use crate::runtime::{RtConfig, RtStats};

@@ -3,45 +3,44 @@
 //!
 //! [`spawn_world`] is the one way a world gets hosted. It takes an
 //! `n`-process world and the pid range this OS process runs ([`WorldSpec`]),
-//! builds the whole address book — a local inbox for every pid in the
+//! builds the whole address book — a shard inbox for every pid in the
 //! range, [`Mailbox::Remote`] for the rest — and runs the local actors under
 //! [`RtConfig::executor`]. The in-proc runtime passes `0..n`; a socket
 //! worker (`rt::sock`) passes its tile and the sender its frames leave by.
 //! Transport and executor compose: neither knows which the other is.
 //!
-//! [`Executor::Threaded`] is the original shape — one OS thread per CSP
-//! process, blocking on a dedicated inbox channel. Simple and honest about
-//! parallelism, but a world caps out at a few hundred processes before
-//! thread-spawn cost and scheduler pressure dominate.
+//! There is one actor loop, [`shard_loop`]: a worker owns the shard of
+//! local processes with `(pid - lo) % workers == worker`, drains its shard
+//! inbox in batches, demultiplexes the batch into per-slot run queues, and
+//! runs each actor's queued items back-to-back under one panic boundary.
+//! The two executors differ only in how many workers there are:
+//! [`Executor::Sharded`] is an M:N pool of `workers` OS threads, and
+//! [`Executor::Threaded`] is one worker — one OS thread — per local
+//! process, honest about parallelism but capped at a few hundred processes
+//! before thread-spawn cost and scheduler pressure dominate.
 //!
-//! [`Executor::Sharded`] is an M:N pool: `workers` OS threads, each owning
-//! the shard of local processes with `(pid - lo) % workers == worker`. A
-//! worker drains its shard inbox in batches, demultiplexes the batch into
-//! per-slot run queues, and runs each actor's queued items back-to-back
-//! under one panic boundary.
-//!
-//! Neither executor keeps a clock of its own. An actor holds what it waits
-//! for — frames in transit, fork timers, transport ticks — in its own
-//! timer queue; the executor sleeps on the inbox until the earliest
+//! The loop keeps no clock of its own. An actor holds what it waits for —
+//! frames in transit, fork timers, transport ticks — in its own timer
+//! queue; a worker sleeps on its inbox until the earliest
 //! `ProcessActor::next_due` it hosts, and lets an actor fire what is due
 //! (`ProcessActor::fire_due`) only once its inbox is drained: an endpoint
 //! too busy to read its inbox is too busy to tick.
 //!
-//! Both keep one round: the inbox, then what is due, then the **next
-//! instant** of every actor with a right thread waiting
-//! (`ProcessActor::next_instant`), in slot order. A right thread forked in
-//! that pass waits for the next round, and while one waits the executor
-//! polls its inbox instead of sleeping on it. So a fork's continuation
-//! never starts before the frames already queued for its actor, nor before
-//! the other actors on its thread have stepped: the current/next-instant
-//! swap of a synchronous-reactive scheduler (DESIGN.md §11.2).
+//! A round is the inbox, then what is due, then the **next instant** of
+//! every actor with a right thread waiting (`ProcessActor::next_instant`),
+//! in slot order. A right thread forked in that pass waits for the next
+//! round, and while one waits the worker polls its inbox instead of
+//! sleeping on it. So a fork's continuation never starts before the frames
+//! already queued for its actor, nor before the other actors on its thread
+//! have stepped: the current/next-instant swap of a synchronous-reactive
+//! scheduler (DESIGN.md §11.2).
 //!
-//! Both executors host the same [`ProcessActor`], answer the same
-//! coordinator reports and contain a panic the same way ([`contain`]: the
-//! unwind is caught on the thread that ran the actor and becomes
-//! `Report::Panicked`), so the committed-log differential between them is
-//! the correctness oracle for the sharded scheduler (see
-//! `tests/rt_executor.rs`).
+//! A panic is contained per actor ([`contain`]: the unwind is caught on the
+//! worker that ran the actor and becomes `Report::Panicked`), so one
+//! poisoned behaviour takes out its actor, not its worker. The
+//! committed-log differential between a pool and one thread per process
+//! (`tests/rt_executor.rs`) checks that the shard count changes scheduling
+//! only.
 
 use crate::core_poll::{ActorSpec, ProcessActor, Report};
 use crate::net::{recv_until, Frame, Mailbox, Wire};
@@ -60,7 +59,8 @@ use std::time::Instant;
 /// Which executor hosts the world's actors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Executor {
-    /// One OS thread per process (the original runtime shape).
+    /// One OS thread per process: the worker pool with one worker per
+    /// local process.
     Threaded,
     /// M:N worker pool: `workers` OS threads each own the shard of
     /// processes with `pid % workers == worker`.
@@ -150,13 +150,18 @@ struct Host {
 }
 
 impl WorldSpec {
-    /// Build the whole world's address book — `inbox(pid)` for a local
-    /// pid, the remote sender for the rest — and the host around it.
-    fn into_host(self, inbox: impl Fn(usize) -> Mailbox) -> Host {
+    /// Build the whole world's address book — a local pid's shard of
+    /// `shards` (`(pid - lo) % shards.len()`), the remote sender for the
+    /// rest — and the host around it.
+    fn into_host(self, shards: &[Sender<(ProcessId, Wire)>]) -> Host {
+        let lo = self.local.start;
         let net = (0..self.behaviors.len())
             .map(|pid| {
                 if self.local.contains(&pid) {
-                    inbox(pid)
+                    Mailbox::Shard {
+                        pid: ProcessId(pid as u32),
+                        tx: shards[(pid - lo) % shards.len()].clone(),
+                    }
                 } else {
                     let remote = self.remote.as_ref();
                     Mailbox::Remote(remote.expect("a non-local pid needs a remote").clone())
@@ -203,8 +208,8 @@ impl Host {
     }
 }
 
-/// A spawned host: the world's address book plus the OS threads running
-/// the local actors.
+/// A spawned host: the world's address book plus the workers running the
+/// local actors.
 pub(crate) struct Running {
     net: Arc<Vec<Mailbox>>,
     local: Range<usize>,
@@ -253,7 +258,7 @@ impl Hosts for Running {
 
 /// The one panic boundary around actor code: a panic inside `f` becomes
 /// `Report::Panicked` for `pid` (and `None`), so the coordinator learns
-/// of a death the same way under either executor and from any host.
+/// of a death the same way from any worker and any host.
 fn contain<T>(report: &Sender<Report>, pid: ProcessId, f: impl FnOnce() -> T) -> Option<T> {
     match catch_unwind(AssertUnwindSafe(f)) {
         Ok(done) => Some(done),
@@ -271,37 +276,15 @@ fn contain<T>(report: &Sender<Report>, pid: ProcessId, f: impl FnOnce() -> T) ->
     }
 }
 
-/// Spawn the local actors of `spec`'s world under the configured executor.
+/// Spawn the local actors of `spec`'s world under the configured
+/// executor. Both are the one shard loop: thread-per-process is a pool of
+/// one worker per local process.
 pub(crate) fn spawn_world(spec: WorldSpec) -> Running {
-    match spec.cfg.executor {
-        Executor::Threaded => spawn_threaded(spec),
-        Executor::Sharded { workers } => spawn_sharded(spec, workers.max(1)),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Threaded: one OS thread per process
-// ---------------------------------------------------------------------------
-
-fn spawn_threaded(spec: WorldSpec) -> Running {
-    let lo = spec.local.start;
-    let (txs, rxs): (Vec<_>, Vec<_>) = spec.local.clone().map(|_| unbounded::<Wire>()).unzip();
-    let host = spec.into_host(|pid| Mailbox::Direct(txs[pid - lo].clone()));
-    let handles = rxs
-        .into_iter()
-        .zip(host.local.clone())
-        .map(|(rx, pid)| {
-            let aspec = host.actor_spec(pid);
-            let report = host.report.clone();
-            std::thread::Builder::new()
-                .name(format!("opcsp-rt-{pid}"))
-                .spawn(move || {
-                    contain(&report, aspec.pid, || threaded_loop(aspec, rx));
-                })
-                .expect("spawn actor")
-        })
-        .collect();
-    host.running(handles)
+    let workers = match spec.cfg.executor {
+        Executor::Threaded => spec.local.len(),
+        Executor::Sharded { workers } => workers.max(1),
+    };
+    spawn_sharded(spec, workers)
 }
 
 /// Wait on `rx` until `due` — or not at all while right threads are
@@ -316,48 +299,16 @@ fn wait<T>(rx: &Receiver<T>, deferred: bool, due: Option<Instant>) -> Result<T, 
     })
 }
 
-/// The thread-per-process actor loop: build the actor on the thread that
-/// will own it, run it until `Shutdown` (or a dropped inbox), report. It
-/// sleeps on the inbox until the actor's next due instant, drains what
-/// came, fires what is due, then runs the actor's next instant.
-fn threaded_loop(spec: ActorSpec, rx: Receiver<Wire>) {
-    let mut actor = ProcessActor::new(spec);
-    actor.start();
-    'run: loop {
-        match wait(&rx, actor.deferred(), actor.next_due()) {
-            Ok(w) => {
-                for w in std::iter::once(w).chain(rx.try_iter()) {
-                    match w {
-                        Wire::Shutdown => break 'run,
-                        w => actor.on_wire(w),
-                    }
-                }
-            }
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => break,
-        }
-        actor.fire_due(Instant::now());
-        actor.next_instant();
-    }
-    actor.finalize();
-}
-
-// ---------------------------------------------------------------------------
-// Sharded: M:N worker pool
-// ---------------------------------------------------------------------------
-
+/// The worker pool: `workers` OS threads (at most one per local process),
+/// each running [`shard_loop`] over its shard.
 fn spawn_sharded(spec: WorldSpec, workers: usize) -> Running {
-    let lo = spec.local.start;
     let workers = workers.min(spec.local.len().max(1));
     let (txs, rxs): (Vec<_>, Vec<_>) = (0..workers)
         .map(|_| unbounded::<(ProcessId, Wire)>())
         .unzip();
     // Shared, not per-worker: each actor is built from it inside the
     // owning worker (lazy construction — no O(N) coordinator-side spike).
-    let host = Arc::new(spec.into_host(|pid| Mailbox::Shard {
-        pid: ProcessId(pid as u32),
-        tx: txs[(pid - lo) % workers].clone(),
-    }));
+    let host = Arc::new(spec.into_host(&txs));
     let handles = rxs
         .into_iter()
         .enumerate()
@@ -500,9 +451,8 @@ fn shard_loop(host: &Host, worker: usize, workers: usize, rx: Receiver<(ProcessI
                 wakeups.track(slot, actor);
                 continue;
             }
-            // Shut down or dead. Items queued behind Shutdown are
-            // discarded, exactly as the threaded loop ignores its inbox
-            // after one.
+            // Shut down or dead: an actor reads nothing queued behind its
+            // Shutdown.
             queue.clear();
             let actor = actors[slot].take().expect("checked above");
             if shut_down == Some(true) {

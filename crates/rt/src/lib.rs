@@ -6,10 +6,11 @@
 //! transformation is not simulator-bound and provides the wall-clock
 //! measurements of experiment E7.
 //!
-//! Two executors host the same poll-able process core (DESIGN.md §11):
-//! [`Executor::Threaded`] is thread-per-process, [`Executor::Sharded`] is
-//! an M:N worker pool that scales a world to 10k–100k processes. Every
-//! run on either is held to Theorem 1 the way a simulator run is:
+//! One actor loop hosts the poll-able process core (DESIGN.md §11): a
+//! worker runs a shard of the processes. [`Executor::Sharded`] is an M:N
+//! pool that scales a world to 10k–100k processes, [`Executor::Threaded`]
+//! one worker per process. Every run on either is held to Theorem 1 the
+//! way a simulator run is:
 //! [`RtResult`] is an `opcsp_sim::Outcome`, so its committed schedule is
 //! replayed on the pessimistic simulator (`opcsp_sim::check_theorem1`).
 //! Executor and transport compose: `executor::spawn_world` hosts any pid

@@ -87,14 +87,14 @@ pub enum Payload {
     Ctrl(Control),
 }
 
-/// Address of a process inbox, independent of executor shape (DESIGN.md
-/// §11): the threaded executor gives every actor a dedicated channel; the
-/// sharded executor multiplexes a worker's whole shard over one channel
-/// with the destination pid tagged on each item, so a scheduling round can
-/// drain cross-shard traffic in one batch.
+/// Address of a process inbox (DESIGN.md §11): a worker multiplexes its
+/// whole shard over one channel with the destination pid tagged on each
+/// item, so a scheduling round can drain its traffic in one batch — under
+/// either executor, since thread-per-process is a shard of one.
 #[derive(Clone)]
 pub enum Mailbox {
-    /// Dedicated per-process channel (thread-per-process executor).
+    /// A bare per-process channel. No executor builds one: it is a shim
+    /// kept for `benchmark/`'s transport probe (DESIGN.md §5c, §9.1).
     Direct(Sender<Wire>),
     /// Shared shard channel; the worker demultiplexes by pid.
     Shard {

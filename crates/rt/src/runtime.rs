@@ -11,12 +11,13 @@
 //! (`net::TimerQueue`, DESIGN.md §9.1).
 //!
 //! How actors map onto OS threads is the executor's business
-//! ([`RtConfig::executor`], DESIGN.md §11): [`Executor::Threaded`] gives
-//! every process its own thread (the original shape, honest parallelism,
-//! caps at a few hundred processes); [`Executor::Sharded`] multiplexes
-//! 10k–100k processes over a fixed worker pool. Both run the identical
-//! protocol core, so their committed logs must agree — the differential
-//! in `tests/rt_executor.rs` holds them to that.
+//! ([`RtConfig::executor`], DESIGN.md §11). There is one actor loop, a
+//! worker running its shard of the processes: [`Executor::Sharded`]
+//! multiplexes 10k–100k processes over a fixed pool, and
+//! [`Executor::Threaded`] gives every process a worker — an OS thread — of
+//! its own (honest parallelism, caps at a few hundred processes). Both run
+//! the identical protocol core, so their committed logs must agree — the
+//! differential in `tests/rt_executor.rs` holds them to that.
 //!
 //! All protocol traffic goes through the two-layer `net::Transport`
 //! (DESIGN.md §9): a seeded chaos layer (drops, duplicates, reordering,

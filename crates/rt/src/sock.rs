@@ -706,9 +706,14 @@ fn read_msg(stream: &mut impl Read, raw: &mut Vec<u8>) -> io::Result<Option<Sock
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
 }
 
-/// Whether `buf` begins with a whole message, so reading it cannot block.
+/// Whether reading the message `buf` begins with cannot block: `buf` holds
+/// all of it, or a header [`parse_frame_len`] refuses (that read fails at
+/// once).
 fn holds_whole_msg(buf: &[u8]) -> bool {
-    buf.len() >= 4 && buf.len() - 4 >= u32::from_le_bytes([buf[0], buf[1], buf[2], buf[3]]) as usize
+    let Some(header) = buf.first_chunk::<4>() else {
+        return false;
+    };
+    parse_frame_len(*header).map_or(true, |len| buf.len() - 4 >= len)
 }
 
 fn write_msg(stream: &Writer, m: &SockMsg) -> io::Result<()> {
@@ -1403,6 +1408,9 @@ mod tests {
         for cut in 0..first + 8 {
             assert_eq!(holds_whole_msg(&stream[..cut]), cut >= first, "cut {cut}");
         }
+        // A header the read refuses is as good as whole: it cannot block.
+        assert!(holds_whole_msg(&0u32.to_le_bytes()));
+        assert!(holds_whole_msg(&u32::MAX.to_le_bytes()));
     }
 
     #[test]

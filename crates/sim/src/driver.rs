@@ -326,7 +326,8 @@ pub(crate) struct SimCounts {
     pub(crate) time_faults: u64,
     /// Fork timers that fired on an unresolved guess (§3.2).
     pub(crate) timeouts: u64,
-    /// Control messages broadcast, one per broadcast.
+    /// Control messages broadcast, one per broadcast whatever its
+    /// recipients: only the cross-check against a recorded trace reads it.
     pub(crate) broadcasts: u64,
     /// Payload bytes of data messages sent.
     pub(crate) data_bytes: u64,

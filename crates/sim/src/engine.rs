@@ -469,11 +469,10 @@ impl World {
                 traced(&stats),
                 "trace-derived and driver-counted counters disagree"
             );
+            // A recorded trace counts a broadcast once; the drivers count
+            // its recipients, as rt does.
             debug_assert_eq!(net.trace.stats.control_messages, broadcasts);
         }
-        // The simulator counts a broadcast once, as well as once per
-        // recipient.
-        stats.control_messages += broadcasts;
 
         let mut result = SimResult {
             completion: net.last_activity,

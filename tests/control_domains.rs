@@ -80,15 +80,15 @@ fn pair_and_one(third: impl Behavior + 'static) -> SimResult {
 fn an_undeclared_behavior_keeps_the_world_one_domain() {
     // `FnBehavior` declares nothing (`None`): every COMMIT still goes to
     // both other processes, exactly the broadcast of before — 4 commits,
-    // each traced once and sent twice.
+    // each sent twice.
     let mixed = pair_and_one(bystander());
     assert_eq!(mixed.stats().commits, 4);
-    assert_eq!(mixed.stats().control_messages, 4 + 4 * 2);
+    assert_eq!(mixed.stats().control_messages, 4 * 2);
     // Declared (a `Server` nobody calls), the third process is its own
     // component and hears nothing.
     let declared = pair_and_one(Server::new("Idle", 0));
     assert_eq!(declared.stats().commits, 4);
-    assert_eq!(declared.stats().control_messages, 4 + 4);
+    assert_eq!(declared.stats().control_messages, 4);
     assert_eq!(mixed.logs, declared.logs);
     assert_eq!(mixed.completion, declared.completion);
 }
@@ -165,11 +165,11 @@ fn independent_pairs_hear_only_their_own_resolutions() {
     let commits = u64::from(pairs) * 4;
     assert_eq!(scoped.stats().commits, commits);
     assert_eq!(scoped.stats().aborts, 0);
-    // One trace event and one recipient per commit, against 2·pairs − 1.
-    assert_eq!(scoped.stats().control_messages, commits * 2);
+    // One recipient per commit, against 2·pairs − 1.
+    assert_eq!(scoped.stats().control_messages, commits);
     assert_eq!(
         world.stats().control_messages,
-        commits * u64::from(2 * pairs)
+        commits * u64::from(2 * pairs - 1)
     );
     assert_eq!(scoped.logs, world.logs);
     assert_eq!(scoped.completion, world.completion);

@@ -203,3 +203,27 @@ fn chain_collapses_to_one_schedule() {
     assert_eq!(out.stats.naive_interleavings as u64, 63_063_000);
     assert!(out.stats.reduction_factor() >= 10.0);
 }
+
+#[test]
+fn kv_is_clean_on_every_schedule_within_depth_4() {
+    // The flagship at its smallest: two clients guessing their log
+    // positions at the sequencer, two replicas applying what it orders.
+    // Debug builds cross-check every abort, receive choice and retirement
+    // of every schedule against its full-scan reference.
+    let world = Spec::parse("kv:replicas=2,clients=2,ops=2").unwrap();
+    let opt_cfg = world.sim_config();
+    let mut pess_cfg = opt_cfg.clone();
+    pess_cfg.core.speculation = SpeculationPolicy::Pessimistic;
+    let out = explore(
+        &opt_cfg,
+        &pess_cfg,
+        &|c| catalog::run(&world, c),
+        &ExploreOpts {
+            depth: 4,
+            budget: 4096,
+        },
+    );
+    assert!(out.violation.is_none(), "kv must stay green");
+    assert!(out.stats.complete, "bounded space must be exhausted");
+    assert!(out.stats.distinct_schedules > 1, "{:?}", out.stats);
+}

@@ -1,9 +1,9 @@
 //! Engine-differential lifecycle counters: on a deterministic,
 //! zero-jitter, chaos-free workload the simulator and the real-thread
 //! runtime run the *same protocol*, so the unified `ProtoStats` counters
-//! (forks, commits, aborts, rollbacks, orphans) and the per-guess
-//! lifecycle verdicts derived from the telemetry stream must agree
-//! exactly. A drift here means one engine counts a protocol event the
+//! (forks, commits, aborts, rollbacks, orphans, control messages) and the
+//! per-guess lifecycle verdicts derived from the telemetry stream must
+//! agree exactly. A drift here means one engine counts a protocol event the
 //! other doesn't — precisely the class of bug the shared
 //! `core::telemetry` layer exists to catch.
 
@@ -54,6 +54,10 @@ fn sim_and_rt_protocol_counters_agree() {
     assert_eq!(s.aborts, r.aborts, "aborts: sim {s:?} vs rt {r:?}");
     assert_eq!(s.rollbacks, r.rollbacks, "rollbacks: sim {s:?} vs rt {r:?}");
     assert_eq!(s.orphans, r.orphans, "orphans: sim {s:?} vs rt {r:?}");
+    assert_eq!(
+        s.control_messages, r.control_messages,
+        "control messages (one per recipient): sim {s:?} vs rt {r:?}"
+    );
     // Fault-free: every one of the N pipelined guesses commits, nothing
     // rolls back, nothing is orphaned.
     assert_eq!(s.forks, u64::from(N));
