@@ -9,10 +9,13 @@
 //! worker (`rt::sock`) passes its tile and the sender its frames leave by.
 //! Transport and executor compose: neither knows which the other is.
 //!
-//! There is one actor loop, [`shard_loop`]: a worker owns the shard of
-//! local processes with `(pid - lo) % workers == worker`, drains its shard
-//! inbox in batches, demultiplexes the batch into per-slot run queues, and
-//! runs each actor's queued items back-to-back under one panic boundary.
+//! There is one actor loop, [`shard_loop`]: a worker owns one contiguous
+//! [`tile`] of the local pids, drains its shard inbox in batches,
+//! demultiplexes the batch into per-slot run queues, and runs each actor's
+//! queued items back-to-back under one panic boundary. Contiguous, because
+//! neighbours talk: the pairs roster puts each client next to its server,
+//! so a pair shares a worker and its frames never cross threads, and the
+//! socket hub cuts a world into worker runtimes by the same rule.
 //! The two executors differ only in how many workers there are:
 //! [`Executor::Sharded`] is an M:N pool of `workers` OS threads, and
 //! [`Executor::Threaded`] is one worker — one OS thread — per local
@@ -44,7 +47,7 @@
 
 use crate::core_poll::{ActorSpec, ProcessActor, Report};
 use crate::net::{recv_until, Frame, Mailbox, Wire};
-use crate::runtime::{join_by, Hosts, RtConfig};
+use crate::runtime::{join_by, spawn_joinable, Hosts, Joinable, RtConfig};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use opcsp_core::ProcessId;
 use opcsp_sim::{control_domains, Behavior};
@@ -53,7 +56,6 @@ use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Instant;
 
 /// Which executor hosts the world's actors.
@@ -62,8 +64,8 @@ pub enum Executor {
     /// One OS thread per process: the worker pool with one worker per
     /// local process.
     Threaded,
-    /// M:N worker pool: `workers` OS threads each own the shard of
-    /// processes with `pid % workers == worker`.
+    /// M:N worker pool: `workers` OS threads each own one contiguous
+    /// [`tile`] of the local processes.
     Sharded { workers: usize },
 }
 
@@ -150,23 +152,22 @@ struct Host {
 }
 
 impl WorldSpec {
-    /// Build the whole world's address book — a local pid's shard of
-    /// `shards` (`(pid - lo) % shards.len()`), the remote sender for the
-    /// rest — and the host around it.
+    /// Build the whole world's address book — a local pid's inbox is the
+    /// shard of the worker whose [`tile`] of `local` holds it, the remote
+    /// sender serves the rest — and the host around it.
     fn into_host(self, shards: &[Sender<(ProcessId, Wire)>]) -> Host {
-        let lo = self.local.start;
-        let net = (0..self.behaviors.len())
-            .map(|pid| {
-                if self.local.contains(&pid) {
-                    Mailbox::Shard {
-                        pid: ProcessId(pid as u32),
-                        tx: shards[(pid - lo) % shards.len()].clone(),
-                    }
-                } else {
-                    let remote = self.remote.as_ref();
-                    Mailbox::Remote(remote.expect("a non-local pid needs a remote").clone())
-                }
-            })
+        let remote = || {
+            let remote = self.remote.as_ref();
+            Mailbox::Remote(remote.expect("a non-local pid needs a remote").clone())
+        };
+        let local = tile_owners(shards.len(), self.local.clone()).map(|(pid, w)| Mailbox::Shard {
+            pid: ProcessId(pid as u32),
+            tx: shards[w].clone(),
+        });
+        let net = (0..self.local.start)
+            .map(|_| remote())
+            .chain(local)
+            .chain((self.local.end..self.behaviors.len()).map(|_| remote()))
             .collect();
         Host {
             domains: control_domains(&self.behaviors),
@@ -199,7 +200,7 @@ impl Host {
         }
     }
 
-    fn running(&self, handles: Vec<JoinHandle<()>>) -> Running {
+    fn running(&self, handles: Vec<Joinable>) -> Running {
         Running {
             net: self.net.clone(),
             local: self.local.clone(),
@@ -213,7 +214,7 @@ impl Host {
 pub(crate) struct Running {
     net: Arc<Vec<Mailbox>>,
     local: Range<usize>,
-    handles: Vec<JoinHandle<()>>,
+    handles: Vec<Joinable>,
 }
 
 impl Running {
@@ -299,8 +300,27 @@ fn wait<T>(rx: &Receiver<T>, deferred: bool, due: Option<Instant>) -> Result<T, 
     })
 }
 
+/// The contiguous tile of `pids` that part `index` of `parts` owns. The
+/// tiles of parts `0..parts` cover `pids` in order, each pid exactly once,
+/// and differ in length by at most one; none is empty while `parts` is at
+/// most `pids.len()`. The one placement rule of rt: which pids a socket
+/// worker runtime hosts (`rt::sock` tiles `0..n`), and which of a host's
+/// pids each of its shard workers runs.
+pub(crate) fn tile(index: usize, parts: usize, pids: Range<usize>) -> Range<usize> {
+    let n = pids.len();
+    pids.start + index * n / parts..pids.start + (index + 1) * n / parts
+}
+
+/// Every pid of `pids` with the part whose [`tile`] holds it, in order.
+pub(crate) fn tile_owners(
+    parts: usize,
+    pids: Range<usize>,
+) -> impl Iterator<Item = (usize, usize)> {
+    (0..parts).flat_map(move |w| tile(w, parts, pids.clone()).map(move |pid| (pid, w)))
+}
+
 /// The worker pool: `workers` OS threads (at most one per local process),
-/// each running [`shard_loop`] over its shard.
+/// each running [`shard_loop`] over its tile of the local pids.
 fn spawn_sharded(spec: WorldSpec, workers: usize) -> Running {
     let workers = workers.min(spec.local.len().max(1));
     let (txs, rxs): (Vec<_>, Vec<_>) = (0..workers)
@@ -314,10 +334,10 @@ fn spawn_sharded(spec: WorldSpec, workers: usize) -> Running {
         .enumerate()
         .map(|(w, rx)| {
             let host = host.clone();
-            std::thread::Builder::new()
-                .name(format!("opcsp-shard-{w}"))
-                .spawn(move || shard_loop(&host, w, workers, rx))
-                .expect("spawn shard worker")
+            let pids = tile(w, workers, host.local.clone());
+            spawn_joinable(format!("opcsp-shard-{w}"), move || {
+                shard_loop(&host, pids, rx)
+            })
         })
         .collect();
     host.running(handles)
@@ -371,20 +391,19 @@ impl Wakeups {
     }
 }
 
-/// One worker: owns every local actor with `(pid - lo) % workers ==
-/// worker`, mapped to slot `(pid - lo) / workers`.
-fn shard_loop(host: &Host, worker: usize, workers: usize, rx: Receiver<(ProcessId, Wire)>) {
-    let lo = host.local.start;
-    let my_pids: Vec<usize> = (lo + worker..host.local.end).step_by(workers).collect();
-    let slots = my_pids.len();
-    let pid_of = |slot: usize| ProcessId(my_pids[slot] as u32);
+/// One worker: owns the local actors with pids in `pids` (its [`tile`]),
+/// the actor of pid `p` in slot `p - pids.start`.
+fn shard_loop(host: &Host, pids: Range<usize>, rx: Receiver<(ProcessId, Wire)>) {
+    let base = pids.start;
+    let slots = pids.len();
+    let pid_of = |slot: usize| ProcessId((base + slot) as u32);
 
     // Construct + start each actor inside the worker, one panic boundary
     // each: a poisoned behavior takes out its actor, not the shard.
     let mut actors: Vec<Option<ProcessActor>> = (0..slots)
         .map(|slot| {
             contain(&host.report, pid_of(slot), || {
-                let mut a = ProcessActor::new(host.actor_spec(my_pids[slot]));
+                let mut a = ProcessActor::new(host.actor_spec(base + slot));
                 a.start();
                 a
             })
@@ -417,7 +436,7 @@ fn shard_loop(host: &Host, worker: usize, workers: usize, rx: Receiver<(ProcessI
         match wait(&rx, !wakeups.deferred.is_empty(), due) {
             Ok(item) => {
                 let mut enqueue = |(pid, w): (ProcessId, Wire)| {
-                    let slot = (pid.0 as usize - lo) / workers;
+                    let slot = pid.0 as usize - base;
                     if queues[slot].is_empty() {
                         run_queue.push(slot);
                     }
@@ -512,5 +531,68 @@ mod tests {
         assert!(Executor::parse("sharded:0").is_err());
         assert!(Executor::parse("sharded:x").is_err());
         assert!(Executor::parse("green-threads").is_err());
+    }
+
+    /// The one placement rule, for a socket hub's worker runtimes (`0..n`)
+    /// and for a host's shard workers (its own tile, `lo > 0` on every
+    /// socket worker but the first).
+    #[test]
+    fn tiles_cover_the_pids_once_each_in_order() {
+        let ranges = [
+            0..1usize,
+            0..2,
+            0..3,
+            0..7,
+            0..10,
+            0..256,
+            0..1000,
+            5..12,
+            43..86,
+        ];
+        for pids in ranges {
+            let n = pids.len();
+            for parts in [1usize, 2, 3, 4, 7, n] {
+                let label = format!("pids={pids:?} parts={parts}");
+                let mut next = pids.start;
+                for w in 0..parts {
+                    let t = tile(w, parts, pids.clone());
+                    assert_eq!(t.start, next, "{label} w={w}");
+                    assert!(
+                        t.len() == n / parts || t.len() == n / parts + 1,
+                        "{label} w={w}"
+                    );
+                    next = t.end;
+                }
+                assert_eq!(next, pids.end, "{label}");
+                // Every pid is owned exactly once, by the part whose tile
+                // holds it, which the closed form names too.
+                let owners: Vec<(usize, usize)> = tile_owners(parts, pids.clone()).collect();
+                let owned: Vec<usize> = owners.iter().map(|&(pid, _)| pid).collect();
+                assert_eq!(owned, pids.clone().collect::<Vec<_>>(), "{label}");
+                for (pid, w) in owners {
+                    assert!(
+                        tile(w, parts, pids.clone()).contains(&pid),
+                        "{label} pid={pid}"
+                    );
+                    let i = pid - pids.start;
+                    assert_eq!(w, ((i + 1) * parts - 1) / n, "{label} pid={pid}");
+                }
+            }
+            // One part is the identity; one part per pid is one pid each.
+            assert_eq!(tile(0, 1, pids.clone()), pids);
+            for (w, pid) in pids.clone().enumerate() {
+                assert_eq!(tile(w, n, pids.clone()), pid..pid + 1);
+            }
+        }
+        // Uneven, and the pairs world on 2 workers, where no pair
+        // (2k, 2k + 1) straddles the cut.
+        let tiles = |parts, pids: Range<usize>| -> Vec<Range<usize>> {
+            (0..parts).map(|w| tile(w, parts, pids.clone())).collect()
+        };
+        assert_eq!(tiles(3, 0..10), [0..3, 3..6, 6..10]);
+        assert_eq!(tiles(2, 0..256), [0..128, 128..256]);
+        assert_eq!(tiles(2, 43..86), [43..64, 64..86]);
+        // More parts than pids: empty tiles, still a cover.
+        assert_eq!(tiles(3, 0..2), [0..0, 0..1, 1..2]);
     }
 }

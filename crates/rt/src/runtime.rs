@@ -43,7 +43,7 @@
 
 use crate::core_poll::Report;
 use crate::executor::{self, Executor, WorldSpec};
-use crate::net::NetFaults;
+use crate::net::{recv_until, NetFaults};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError};
 use opcsp_core::{CoreConfig, ProcessId, ProtoStats, Telemetry, Value};
 use opcsp_sim::{Behavior, Held, Observable, Outcome};
@@ -332,17 +332,52 @@ pub(crate) fn join_budget(cfg: &RtConfig) -> Duration {
         .min(Duration::from_secs(5))
 }
 
-/// Join `h` if it finishes by `deadline`; otherwise detach it (the thread
-/// leaks, the harness survives) and return false.
-pub(crate) fn join_by(h: JoinHandle<()>, deadline: Instant) -> bool {
-    while !h.is_finished() && Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(1));
+/// A thread a host joins at the end of a run ([`join_by`]): its handle,
+/// and the receiving half of a channel whose only sender the thread holds
+/// until its closure has returned (or unwound).
+pub(crate) struct Joinable {
+    handle: JoinHandle<()>,
+    exited: Receiver<()>,
+}
+
+/// Spawn a thread named `name` running `f`, for a host to join.
+pub(crate) fn spawn_joinable(name: String, f: impl FnOnce() + Send + 'static) -> Joinable {
+    let (tx, exited) = unbounded::<()>();
+    let handle = std::thread::Builder::new()
+        .name(name)
+        .spawn(move || {
+            // Dropped after `f` and everything it owned: the exit signal.
+            let _exit = tx;
+            f()
+        })
+        .expect("spawn a host thread");
+    Joinable { handle, exited }
+}
+
+impl Joinable {
+    /// Whether the thread's closure has returned by `deadline`. Blocks on
+    /// the exit signal, so it waits no longer than the thread takes.
+    pub(crate) fn exited_by(&self, deadline: Instant) -> bool {
+        matches!(
+            recv_until(&self.exited, Some(deadline)),
+            Err(RecvTimeoutError::Disconnected)
+        )
     }
-    let finished = h.is_finished();
+
+    /// Join the thread: `Err` if its closure panicked.
+    pub(crate) fn join(self) -> std::thread::Result<()> {
+        self.handle.join()
+    }
+}
+
+/// Join `t` if its closure returns by `deadline`; otherwise detach it (the
+/// thread leaks, the harness survives) and return false.
+pub(crate) fn join_by(t: Joinable, deadline: Instant) -> bool {
+    let finished = t.exited_by(deadline);
     if finished {
         // Actor panics are contained and reported where they happen; an
         // `Err` here has nothing more to tell.
-        let _ = h.join();
+        let _ = t.join();
     }
     finished
 }

@@ -44,10 +44,11 @@
 //! is empty under this transport.
 
 use crate::core_poll::{FinalReport, Report};
-use crate::executor::{spawn_world, WorldSpec};
+use crate::executor::{spawn_world, tile, tile_owners, WorldSpec};
 use crate::net::{recv_until, Frame, Payload, TimerQueue};
 use crate::runtime::{
-    coordinate, join_budget, join_by, Hosts, RtConfig, RtResult, RtStats, RtWorld,
+    coordinate, join_budget, join_by, spawn_joinable, Hosts, Joinable, RtConfig, RtResult, RtStats,
+    RtWorld,
 };
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 #[cfg(test)]
@@ -67,7 +68,6 @@ use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Where the world's processes physically live (DESIGN.md §13).
@@ -733,12 +733,6 @@ fn write_bytes(stream: &Writer, bytes: &[u8]) -> io::Result<()> {
 /// Most bytes a worker pump gathers into one write, so memory stays bounded.
 const MAX_BATCH: usize = 64 << 10;
 
-/// Pid range owned by worker `index` of `workers`: contiguous tiles so
-/// the parent can validate coverage of `0..n` by simple concatenation.
-fn worker_range(index: usize, workers: usize, n: usize) -> (usize, usize) {
-    (index * n / workers, (index + 1) * n / workers)
-}
-
 // ---------------------------------------------------------------------------
 // Entry
 // ---------------------------------------------------------------------------
@@ -781,7 +775,7 @@ type Writer = Arc<Mutex<SockStream>>;
 struct Hub {
     /// By worker index; `None` is a worker lost in the handshake.
     writers: Vec<Option<Writer>>,
-    readers: Vec<(usize, JoinHandle<()>, Arc<ConnState>)>,
+    readers: Vec<(usize, Joinable, Arc<ConnState>)>,
 }
 
 impl Hub {
@@ -856,18 +850,19 @@ fn handshake(
                 hi,
             })) => {
                 let idx = index as usize;
-                let (want_lo, want_hi) = worker_range(idx, workers, n);
+                // Clamped: a forged index must not overflow the tiling.
+                let want = tile(idx.min(workers), workers, 0..n);
                 let ok = w as usize == workers
                     && wn as usize == n
                     && idx < workers
-                    && lo as usize == want_lo
-                    && hi as usize == want_hi
+                    && lo as usize == want.start
+                    && hi as usize == want.end
                     && conns[idx.min(workers - 1)].is_none();
                 if !ok {
                     eprintln!(
                         "rt::sock parent: bad hello (index {index}, workers {w}, n {wn}, \
                          range {lo}..{hi}; expected workers {workers}, n {n}, \
-                         range {want_lo}..{want_hi})"
+                         range {want:?})"
                     );
                     return None;
                 }
@@ -927,18 +922,13 @@ fn run_parent(world: RtWorld, addr: &SockAddr, workers: usize) -> RtResult {
         reader_streams.push(reader);
     }
     // Routing table: pid → owning connection, from the contiguous tiling.
-    let owner: Vec<usize> = (0..workers)
-        .flat_map(|w| {
-            let (lo, hi) = worker_range(w, workers, n);
-            std::iter::repeat_n(w, hi - lo)
-        })
-        .collect();
+    let owner: Vec<usize> = tile_owners(workers, 0..n).map(|(_, w)| w).collect();
     let (report_tx, reports) = unbounded::<Report>();
     let mut readers = Vec::with_capacity(workers);
     for (w, reader) in reader_streams.into_iter().enumerate() {
-        let (lo, hi) = worker_range(w, workers, n);
+        let pids = tile(w, workers, 0..n);
         let Some(reader) = reader else {
-            for pid in lo..hi {
+            for pid in pids {
                 let _ = report_tx.send(Report::Panicked {
                     pid: ProcessId(pid as u32),
                     msg: format!("worker connection {w} lost during handshake"),
@@ -953,12 +943,11 @@ fn run_parent(world: RtWorld, addr: &SockAddr, workers: usize) -> RtResult {
             writers: writers.clone(),
             report: report_tx.clone(),
             state: state.clone(),
-            pids: lo..hi,
+            pids,
         };
-        let handle = std::thread::Builder::new()
-            .name(format!("opcsp-sock-conn-{w}"))
-            .spawn(move || parent_reader(reader, conn))
-            .expect("spawn parent reader");
+        let handle = spawn_joinable(format!("opcsp-sock-conn-{w}"), move || {
+            parent_reader(reader, conn)
+        });
         readers.push((w, handle, state));
     }
     drop(report_tx);
@@ -1080,45 +1069,42 @@ fn pump<T: Send + 'static>(
     rx: Receiver<T>,
     writer: Writer,
     wrap: fn(T) -> (Instant, SockMsg),
-) -> JoinHandle<()> {
-    std::thread::Builder::new()
-        .name(name)
-        .spawn(move || {
-            let mut held = TimerQueue::default();
-            let mut batch = Vec::new();
-            let mut open = true;
-            while open {
-                match recv_until(&rx, held.next_due()) {
-                    Ok(item) => {
-                        for (at, m) in std::iter::once(item).chain(rx.try_iter()).map(wrap) {
-                            held.push(at, m);
-                        }
+) -> Joinable {
+    spawn_joinable(name, move || {
+        let mut held = TimerQueue::default();
+        let mut batch = Vec::new();
+        let mut open = true;
+        while open {
+            match recv_until(&rx, held.next_due()) {
+                Ok(item) => {
+                    for (at, m) in std::iter::once(item).chain(rx.try_iter()).map(wrap) {
+                        held.push(at, m);
                     }
-                    Err(RecvTimeoutError::Timeout) => {}
-                    Err(RecvTimeoutError::Disconnected) => open = false,
                 }
-                let now = Instant::now();
-                loop {
-                    batch.clear();
-                    while batch.len() < MAX_BATCH {
-                        let next = if open {
-                            held.pop_due(now)
-                        } else {
-                            held.pop_any()
-                        };
-                        let Some(m) = next else { break };
-                        encode_msg(&mut batch, &m);
-                    }
-                    if batch.is_empty() {
-                        break;
-                    }
-                    if write_bytes(&writer, &batch).is_err() {
-                        return;
-                    }
+                Err(RecvTimeoutError::Timeout) => {}
+                Err(RecvTimeoutError::Disconnected) => open = false,
+            }
+            let now = Instant::now();
+            loop {
+                batch.clear();
+                while batch.len() < MAX_BATCH {
+                    let next = if open {
+                        held.pop_due(now)
+                    } else {
+                        held.pop_any()
+                    };
+                    let Some(m) = next else { break };
+                    encode_msg(&mut batch, &m);
+                }
+                if batch.is_empty() {
+                    break;
+                }
+                if write_bytes(&writer, &batch).is_err() {
+                    return;
                 }
             }
-        })
-        .expect("spawn socket pump")
+        }
+    })
 }
 
 /// A worker is [`spawn_world`] on its tile plus framing: handshake,
@@ -1134,7 +1120,7 @@ fn run_worker(world: RtWorld, addr: &SockAddr, index: usize, workers: usize) -> 
         // pids; nothing to host.
         return empty_result(start, false);
     }
-    let (lo, hi) = worker_range(index, workers, n);
+    let pids = tile(index, workers, 0..n);
 
     // The hub may not have bound yet when a spawned worker starts.
     let connect = || SockStream::connect(addr);
@@ -1158,8 +1144,8 @@ fn run_worker(world: RtWorld, addr: &SockAddr, index: usize, workers: usize) -> 
             index: index as u64,
             workers: workers as u64,
             n: n as u64,
-            lo: lo as u64,
-            hi: hi as u64,
+            lo: pids.start as u64,
+            hi: pids.end as u64,
         },
     ) {
         eprintln!("rt::sock worker {index}: hello: {e}");
@@ -1197,7 +1183,7 @@ fn run_worker(world: RtWorld, addr: &SockAddr, index: usize, workers: usize) -> 
         // Run start for latency/timer purposes is *this* worker's Start
         // receipt; absolute cross-worker timestamps are never compared.
         start: Instant::now(),
-        local: lo..hi,
+        local: pids,
         // 2^48 ids per worker is unreachable in any real run.
         id_base: ((index + 1) as u64) << 48,
         remote: Some(frames_tx),
@@ -1450,7 +1436,35 @@ mod tests {
         assert!(Instant::now() >= due, "written before it was due");
         drop(tx);
         assert_eq!(next(), Some(SockMsg::Probe(2)), "held at close");
-        pumped.join().unwrap();
+        let exit_by = Instant::now() + Duration::from_secs(5);
+        assert!(
+            pumped.exited_by(exit_by),
+            "the pump exits once its channel closes"
+        );
+        pumped.join().expect("the pump does not panic");
+    }
+
+    /// A well-formed Hello with an index no tiling has is skew like any
+    /// wrong Hello: the hub refuses the world. The index is clamped before
+    /// the tiling arithmetic, where a forged one overflowed.
+    #[cfg(unix)]
+    #[test]
+    fn a_hello_with_a_forged_index_is_refused() {
+        let file = format!("opcsp-sock-hello-{}.sock", std::process::id());
+        let path = std::env::temp_dir().join(file);
+        let listener = SockListener::bind(&SockAddr::Uds(path.clone())).expect("bind");
+        let mut forger = UnixStream::connect(&path).expect("connect");
+        let hello = SockMsg::Hello {
+            index: 1 << 62,
+            workers: 2,
+            n: 4,
+            lo: 2,
+            hi: 4,
+        };
+        forger.write_all(&encoded(&hello)).expect("hello");
+        let deadline = Instant::now() + Duration::from_secs(5);
+        assert!(handshake(&listener, 2, 4, deadline).is_none());
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
@@ -1507,20 +1521,5 @@ mod tests {
         }
         assert!(SockAddr::parse("").is_err());
         assert!(SockAddr::parse("tcp:").is_err());
-    }
-
-    #[test]
-    fn worker_ranges_tile_the_pid_space() {
-        for n in [1usize, 2, 3, 7, 10, 1000] {
-            for workers in [1usize, 2, 3, 4, 7] {
-                let mut next = 0;
-                for w in 0..workers {
-                    let (lo, hi) = worker_range(w, workers, n);
-                    assert_eq!(lo, next, "n={n} workers={workers} w={w}");
-                    next = hi;
-                }
-                assert_eq!(next, n);
-            }
-        }
     }
 }

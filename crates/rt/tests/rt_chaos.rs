@@ -348,12 +348,13 @@ fn stuck_actor_is_reported_as_straggler_not_deadlock() {
     assert!(r.panicked.is_empty());
 }
 
-/// The same wedge on the sharded executor. A pid runs on shard
-/// `(pid − lo) % workers`, so with two workers the client (P0) shares the
-/// wedged actor's (P2) shard and is wedged with it. What the executor
-/// guarantees: the harness still returns within its deadline, the
-/// stragglers are exactly the wedged actor and its shard-mates, nothing
-/// panicked, and the server on the other shard reports its log.
+/// The same wedge on the sharded executor. A worker owns a contiguous
+/// tile of the pids, so with two workers over three pids the server (P0)
+/// runs alone and the client (P1) shares the wedged actor's (P2) shard and
+/// is wedged with it. What the executor guarantees: the harness still
+/// returns within its deadline, the stragglers are exactly the wedged
+/// actor and its shard-mates, nothing panicked, and the server on the
+/// other shard reports its log.
 #[test]
 fn stuck_actor_on_a_shard_strands_exactly_its_shard_mates() {
     let t0 = std::time::Instant::now();
@@ -362,8 +363,8 @@ fn stuck_actor_on_a_shard_strands_exactly_its_shard_mates() {
         executor: Executor::Sharded { workers: 2 },
         ..cfg(1, NetFaults::none())
     });
-    let c = w.add_process(PutLineClient::new(2), true);
     let s = w.add_process(Server::new("S", 0), false);
+    let c = w.add_process(PutLineClient::to(2, s), true);
     let stuck = w.add_process(Stuck, false);
     let r = w.run();
     assert!(

@@ -123,7 +123,8 @@ fn executor_differential_streaming_exact() {
 fn executor_differential_chain_exact() {
     let threaded = run_chain(Executor::Threaded, NetFaults::none());
     threaded.ended().expect("threaded chain");
-    // 2 workers for a 4-process pipeline: every link crosses a shard.
+    // 2 workers for a 4-process pipeline: each owns a tile of two, so the
+    // middle link crosses a shard and the outer two do not.
     let sharded = run_chain(Executor::Sharded { workers: 2 }, NetFaults::none());
     sharded.ended().expect("sharded chain");
     assert_logs_exact(&threaded, &sharded, "chain");
@@ -221,8 +222,10 @@ fn run_pairs_over_uds(ex: Executor, workers: usize) -> RtResult {
 /// 64 independent client→server pairs: each pair is its own component of
 /// the declared graph, so a COMMIT is one frame to the pair's server and
 /// nothing else — whichever executor runs it and wherever the server is
-/// hosted. Over the socket the 128 pids tile 43/43/42, so a tile boundary
-/// cuts a pair and its COMMITs cross the hub.
+/// hosted. In-proc, pairs never cross a worker: two workers tile the 128
+/// pids 64/64, and a pair (2k, 2k + 1) sits inside one tile. Over the
+/// socket the 128 pids tile 43/43/42, so a tile boundary cuts a pair and
+/// its COMMITs cross the hub.
 #[test]
 fn pairs_control_stays_inside_each_pair() {
     let inproc = |ex, core: CoreConfig| {
