@@ -1,83 +1,54 @@
-//! `opcsp-run` — execute a mini-CSP source file, or a catalogue world,
-//! under the optimistic protocol.
+//! `opcsp-run` — run a mini-CSP program, or a catalogue world, under the
+//! optimistic protocol, and hold every run to Theorem 1.
 //!
 //! ```text
 //! opcsp-run program.csp [options]
 //! opcsp-run <world>[:key=value,...] [options]
 //!
 //!   --pessimistic        run sequentially (the baseline semantics)
-//!   --compare            run both modes, check Theorem-1 equivalence
 //!   --latency <d>        one-way network latency in ticks   [default 50]
 //!   --jitter <spread>    add uniform jitter of up to <spread>
-//!   --seed <n>           jitter seed                        [default 1]
+//!   --seed <n>           jitter seed; also seeds kv's commands and
+//!                        tally's faults                     [default 1]
 //!   --timeline           print the execution time-line (the run keeps
-//!                        its event trace; without this flag, or
-//!                        --forensics, a simulated run builds none)
-//!   --show-transform     print the transformed program and fork sites
+//!                        its event trace only with this or --forensics)
+//!   --show-transform     (a .csp program) print the transformed program
+//!                        and its fork sites
 //!   --timeout <t>        fork timeout in ticks              [default 100000]
-//!   --speculation <p>    speculation policy: pessimistic | static:N (the
-//!                        §3.3 retry limit L) | adaptive (the per-fork-site
-//!                        controller, core::speculation)    [default static:3]
-//!   --explore            bounded systematic schedule exploration: drive
-//!                        the optimistic engine through every partial-
-//!                        order-distinct delivery schedule (within the
-//!                        bounds), Theorem-1-checking each against one
-//!                        pessimistic reference — exhaustion instead of
-//!                        seed luck. Exit 2 with a shrunk forcing script
-//!                        on a violation. Subsumes --compare.
-//!   --depth <k>          (with --explore) per-receiver branch-position
-//!                        bound                               [default 8]
-//!   --budget <n>         (with --explore) max forced runs [default 4096]
-//!   --forensics          on a --compare/--explore divergence, print a
-//!                        first-divergence report with a happens-before
-//!                        chain and a ddmin-shrunk minimal latency
-//!                        schedule (--compare's runs keep their trace and
-//!                        commit provenance; --explore searches without
-//!                        them and re-simulates the violation it reports
-//!                        with them)
-//!   --inject-lifo        deliberately scramble optimistic delivery (LIFO
-//!                        pooled pick + non-FIFO links); the protocol's
-//!                        precedence machinery should absorb this
-//!   --inject-phantom     deliberately skip observable-log truncation on
-//!                        rollback — a genuine Theorem-1 violation that
-//!                        demos the forensics path
-//!   --rt                 run on the real-thread runtime instead of the
-//!                        simulator (latency/timeout ticks become ms);
-//!                        processes without an infinite loop are the
-//!                        clients whose completion ends the run
-//!   --workers <N>        (with --rt) host the processes on the sharded
-//!                        M:N executor with N worker threads instead of
-//!                        thread-per-process (DESIGN.md §11); with
-//!                        --listen every worker process runs its own
-//!                        pool of N threads
-//!   --chaos <spec>       (with --rt) inject network faults under the
-//!                        reliable-delivery sublayer, e.g.
-//!                        drop=0.2,dup=0.1,reorder=3,seed=7,part=0-1@0+80
-//!   --listen <addr>      (with --rt) run cross-process: bind <addr>
-//!                        (tcp:host:port or uds:/path), spawn
-//!                        --sock-workers copies of this binary as worker
-//!                        processes, and coordinate them over the socket
-//!                        (DESIGN.md §13). Each worker hosts a contiguous
-//!                        pid range under the same executor an in-process
-//!                        run would use (--workers); frames cross as
-//!                        binary Envelope frames. --compare replays the
-//!                        socket run's committed schedule on the
-//!                        pessimistic simulator.
-//!   --connect <addr>     (with --rt) worker mode: connect to a parent at
-//!                        <addr> and host this worker's pid share. Spawned
-//!                        internally by --listen; needs --sock-worker <i>.
-//!   --sock-worker <i>    (with --connect) this worker's index
+//!   --speculation <p>    pessimistic | static:N (the §3.3 retry limit L) |
+//!                        adaptive (core::speculation)    [default static:3]
+//!   --explore            bounded schedule exploration: every partial-order-
+//!                        distinct delivery schedule within the bounds,
+//!                        each Theorem-1-checked; exit 2 with a shrunk
+//!                        forcing script on a violation
+//!   --depth <k>          (with --explore) per-receiver branch bound [8]
+//!   --budget <n>         (with --explore) max forced runs        [4096]
+//!   --forensics          when a simulated run diverges, print the first
+//!                        divergent event, its happens-before chain and,
+//!                        under --jitter, a ddmin-shrunk latency schedule
+//!   --inject-lifo        scramble optimistic delivery (LIFO pooled pick,
+//!                        non-FIFO links); the protocol should absorb it
+//!   --inject-phantom     skip observable-log truncation on rollback: a
+//!                        genuine Theorem-1 violation the oracle must catch
+//!   --rt                 run on real threads (ticks become ms); a run ends
+//!                        when every process without an infinite loop ends
+//!   --workers <N>        (with --rt) the sharded executor with N worker
+//!                        threads (DESIGN.md §11), in every socket worker
+//!   --chaos <spec>       (with --rt) network faults under the reliable
+//!                        sublayer, e.g. drop=0.2,dup=0.1,reorder=3,seed=7
+//!   --listen <addr>      (with --rt) bind tcp:host:port or uds:/path and
+//!                        host the world on --sock-workers copies of this
+//!                        binary, a contiguous pid range each (DESIGN.md §13)
+//!   --connect <addr> --sock-worker <i>
+//!                        (with --rt) worker mode, spawned by --listen
 //!   --sock-workers <N>   worker-process count for --listen   [default 2]
-//!   --trace-out <path>   write a Chrome/Perfetto-loadable JSON trace of
-//!                        the guess lifecycle (forks, resolutions,
-//!                        rollbacks, commit waves, orphans); works with
-//!                        both the simulator and --rt. With --compare the
-//!                        optimistic run is traced.
+//!   --trace-out <path>   write a Perfetto-loadable JSON trace of the guess
+//!                        lifecycle, on either engine
 //! ```
 //!
-//! Instead of a `.csp` file, a catalogue spec (`opcsp_workloads::catalog`,
-//! DESIGN.md §3a) runs a built-in world. The grammar is
-//! `name[:key=value,...]`; a key left out keeps its default:
+//! A `.csp` file is parsed, transformed (§2) and compiled into a world
+//! (`System::spec`); a catalogue spec (DESIGN.md §3a) names a built-in
+//! one, each key left out keeping its default and counts bounded:
 //!
 //! ```text
 //! stream:n=N                      one PutLine client, N calls
@@ -89,53 +60,57 @@
 //!                                 the replicated-KV flagship (DESIGN.md §15)
 //! ```
 //!
-//! A spec is bounded (counts ≥ 1, at most 100 000 processes, calls within
-//! a `u32`); engine knobs come from the flags (`--seed` also seeds `kv`'s
-//! commands and `tally`'s faults); `--rt`, `--workers`, `--chaos` and
-//! `--listen` apply; and every run, on either engine, is held to the spec's
-//! own oracle (`Spec::check`: the run's committed schedule replayed on the
-//! pessimistic simulator, plus the world's own checks), so `--compare`,
-//! `--show-transform` and `--inject-*` do not; `--explore` does, and
-//! checks Theorem 1 on every schedule within its bounds. E.g. `opcsp-run
-//! kv: --jitter 40`, `opcsp-run pairs:pairs=64 --rt --workers 2`,
-//! `opcsp-run kv: --rt --listen uds:/tmp/kv.sock`, `opcsp-run
-//! kv:replicas=2,clients=2,ops=2 --explore --depth 4`.
-//!
-//! `--compare` checks Theorem 1 with the replay oracle: the strict
-//! same-seed comparison first, and on a positional difference it replays
-//! the optimistic run's committed delivery schedule through the
-//! sequential engine. Only a replay mismatch — behavior NO sequential
-//! execution can produce — is a divergence; cross-sender merge order at a
-//! fan-in is legal CSP nondeterminism.
-//!
-//! `--rt --compare` is the same check with the rt run — chaotic, sharded
-//! or across a socket — as the optimistic side: the reference and the
-//! replay run on the simulator, so the reliable sublayer must absorb every
-//! drop/duplicate/reorder before the protocol sees it, or the replay
-//! fails. Every process's committed log and its released externals, in
-//! release order, are compared. No second rt run is made.
-//!
-//! Exit code 1 on parse/transform errors (or an `--rt` run that times
-//! out or panics), 2 if `--compare` finds a Theorem-1 divergence or a
-//! spec fails its oracle (either would be an engine bug worth reporting).
+//! Either way the world is one `catalog::Spec`, and one runner drives it
+//! on the simulator, on rt or under `--explore`. Every run, on every
+//! engine, is held to `Spec::check`: its committed receive schedule,
+//! replayed on the pessimistic simulator, must reproduce every process's
+//! committed log and released outputs (Theorem 1; cross-sender merge order
+//! at a fan-in is legal nondeterminism), and a catalogue world adds its own
+//! checks. A flag the world or engine has no data for is refused by one
+//! rule. Exit 1 on a bad argument or program (or an rt run that times out
+//! or panics), 2 if a run fails its oracle (an engine bug).
 
 use opcsp_core::{CoreConfig, ProcessId, SpeculationPolicy};
 use opcsp_lang::{parse_program, program_to_string, System};
 use opcsp_rt::{NetFaults, RtConfig, RtTransport, RtWorld};
 use opcsp_sim::{
-    check_theorem1, explore, first_divergence, happens_before_chain, render_report,
-    render_schedule, shrink_schedule, DivergenceReport, EquivReport, ExploreOpts, FaultInjection,
-    Held, LatencyModel, SimConfig, SimResult, Theorem1Verdict,
+    explore, first_divergence, happens_before_chain, render_report, render_schedule,
+    shrink_schedule, DivergenceReport, EquivReport, ExploreOpts, FaultInjection, Held,
+    LatencyModel, SimConfig, SimResult,
 };
-use opcsp_workloads::catalog::{self, place, Roster, Spec, WORLDS};
+use opcsp_workloads::catalog::{self, place, Refusal, Roster, Spec, WORLDS};
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 use std::sync::Arc;
 
+/// Print one line of the report on stdout. A reader that goes away
+/// (`opcsp-run … | head -1`, a broken pipe) ends the report quietly
+/// instead of panicking, and any other write error ends it with one line
+/// on stderr; the exit code is still the verdict's.
+fn say(line: std::fmt::Arguments) {
+    use std::io::{ErrorKind, Write};
+    use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
+    static ENDED: AtomicBool = AtomicBool::new(false);
+    if ENDED.load(Relaxed) {
+        return;
+    }
+    if let Err(e) = writeln!(std::io::stdout(), "{line}") {
+        ENDED.store(true, Relaxed);
+        if e.kind() != ErrorKind::BrokenPipe {
+            eprintln!("error: stdout: {e}; the report ends here");
+        }
+    }
+}
+
+macro_rules! say {
+    ($($arg:tt)*) => {
+        say(format_args!($($arg)*))
+    };
+}
+
 struct Options {
     file: String,
     pessimistic: bool,
-    compare: bool,
     latency: u64,
     jitter: u64,
     seed: u64,
@@ -160,11 +135,8 @@ struct Options {
 }
 
 impl Options {
-    /// The one `CoreConfig` assembly point for both engines: the sim and
-    /// rt paths must build the protocol core from the same knobs, or a new
-    /// option silently applies to only one side of a `--compare`.
-    /// `pessimistic` is the sequential baseline: `--pessimistic`, or the
-    /// reference run a `--compare`/`--explore` builds for itself.
+    /// The one `CoreConfig` assembly point for both engines. `pessimistic`
+    /// is the sequential baseline: `--pessimistic`, or `--explore`'s reference.
     fn core_config(&self, pessimistic: bool) -> CoreConfig {
         CoreConfig::default().with_speculation(if pessimistic {
             SpeculationPolicy::Pessimistic
@@ -174,11 +146,16 @@ impl Options {
     }
 }
 
+/// A catalogue spec names a world; anything else is a `.csp` path.
+fn is_catalogue(file: &str) -> bool {
+    let world = file.split(':').next().unwrap_or_default();
+    WORLDS.contains(&world) && !std::path::Path::new(file).exists()
+}
+
 fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Options, String> {
     let mut opts = Options {
         file: String::new(),
         pessimistic: false,
-        compare: false,
         latency: 50,
         jitter: 0,
         seed: 1,
@@ -211,7 +188,12 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Options, String>
         };
         match a.as_str() {
             "--pessimistic" => opts.pessimistic = true,
-            "--compare" => opts.compare = true,
+            "--compare" => {
+                return Err("--compare is gone: every run is held to Theorem 1 (its \
+                            committed schedule replayed on the pessimistic simulator); \
+                            drop the flag"
+                    .into())
+            }
             "--timeline" => opts.timeline = true,
             "--show-transform" => opts.show_transform = true,
             "--explore" => opts.explore = true,
@@ -301,21 +283,11 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Options, String>
             ));
         }
     }
-    // Ineffective flag combinations are parse errors naming the supported
-    // path — several of these used to be accepted and silently ignored.
     if opts.explore && opts.rt {
         return Err(
             "--explore runs bounded schedule exploration in the simulator; \
-             it cannot steer real threads. Drop --rt (an rt run is \
-             Theorem-1-checked with --rt --compare)"
-                .into(),
-        );
-    }
-    if opts.explore && opts.compare {
-        return Err(
-            "--explore subsumes --compare (every explored schedule is \
-             Theorem-1-checked against the pessimistic reference); pass \
-             one of the two"
+             it cannot steer real threads. Drop --rt (every rt run is \
+             Theorem-1-checked on its own)"
                 .into(),
         );
     }
@@ -329,43 +301,38 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Options, String>
     if (opts.depth.is_some() || opts.budget.is_some()) && !opts.explore {
         return Err("--depth/--budget bound --explore; add --explore".into());
     }
-    if opts.forensics && opts.rt {
-        return Err(
-            "--forensics mines the simulator's commit provenance, which \
-             an rt run does not record. Drop --rt and use --compare or \
-             --explore"
-                .into(),
-        );
+    match no_data(&opts) {
+        Some(refused) => Err(refused),
+        None => Ok(opts),
     }
-    if opts.forensics && !opts.compare && !opts.explore {
-        return Err(
-            "--forensics only fires on a Theorem-1 divergence; add \
-             --compare or --explore"
-                .into(),
-        );
-    }
-    if (opts.inject_lifo || opts.inject_phantom) && opts.rt {
-        return Err(
-            "--inject-lifo/--inject-phantom are simulator fault \
-             injections; --rt never consults them. Drop --rt to \
-             demonstrate the fault (e.g. --compare --inject-phantom)"
-                .into(),
-        );
-    }
-    if (opts.inject_lifo || opts.inject_phantom) && opts.pessimistic && !opts.compare {
-        return Err(
-            "--inject-lifo/--inject-phantom only perturb the optimistic \
-             engine; a --pessimistic run never speculates. Drop \
-             --pessimistic or use --compare/--explore"
-                .into(),
-        );
-    }
-    Ok(opts)
+}
+
+/// The one rule for a flag that the world or the engine has no data for:
+/// it is refused, not silently ignored, each in the same words.
+fn no_data(opts: &Options) -> Option<String> {
+    const RT: &str = "an rt run (it keeps no trace or provenance and injects no simulator fault)";
+    const PESSIMISTIC: &str = "a pessimistic run (it never speculates)";
+    const CATALOGUE: &str = "a catalogue world (only a .csp program is transformed)";
+    let (rt, pess) = (opts.rt, opts.pessimistic);
+    let (lifo, phantom) = (opts.inject_lifo, opts.inject_phantom);
+    let transform = opts.show_transform && is_catalogue(&opts.file);
+    [
+        (transform, "--show-transform", CATALOGUE),
+        (opts.forensics && rt, "--forensics", RT),
+        (opts.timeline && rt, "--timeline", RT),
+        (lifo && rt, "--inject-lifo", RT),
+        (phantom && rt, "--inject-phantom", RT),
+        (lifo && pess, "--inject-lifo", PESSIMISTIC),
+        (phantom && pess, "--inject-phantom", PESSIMISTIC),
+    ]
+    .into_iter()
+    .find(|(set, ..)| *set)
+    .map(|(_, flag, run)| format!("{flag} has no data on {run}"))
 }
 
 fn usage() {
     eprintln!(
-        "usage: opcsp-run <file.csp | world[:key=value,...]> [--pessimistic] [--compare] [--latency d] \
+        "usage: opcsp-run <file.csp | world[:key=value,...]> [--pessimistic] [--latency d] \
          [--jitter s] [--seed n] [--timeline] [--show-transform] [--timeout t] \
          [--speculation pessimistic|static:N|adaptive] \
          [--explore [--depth k] [--budget n]] \
@@ -388,7 +355,7 @@ fn held_total(per_process: &BTreeMap<ProcessId, Held>) -> Held {
 
 fn summarize(label: &str, r: &SimResult) {
     let s = r.stats();
-    println!(
+    say!(
         "{label}: completion={} forks={} commits={} aborts={} (value={}, time={}, \
          timeouts={}) rollbacks={} orphans={} msgs={} ctrl={}",
         r.completion,
@@ -403,24 +370,24 @@ fn summarize(label: &str, r: &SimResult) {
         s.data_messages,
         s.control_messages,
     );
-    println!("  held: {}", held_total(&r.held));
+    say!("  held: {}", held_total(&r.held));
     if !r.external.is_empty() {
-        println!("outputs:");
+        say!("outputs:");
         for (t, p, v) in &r.external {
-            println!("  [{t:>6}] {p}: {v}");
+            say!("  [{t:>6}] {p}: {v}");
         }
     }
     if !r.unresolved.is_empty() {
-        println!("WARNING: unresolved guesses: {:?}", r.unresolved);
+        say!("WARNING: unresolved guesses: {:?}", r.unresolved);
     }
     if r.truncated {
-        println!("WARNING: run truncated by the event cap");
+        say!("WARNING: run truncated by the event cap");
     }
 }
 
 fn summarize_rt(label: &str, names: &BTreeMap<ProcessId, String>, r: &opcsp_rt::RtResult) {
     let s = &r.stats;
-    println!(
+    say!(
         "{label}: wall={:.1}ms forks={} commits={} aborts={} rollbacks={} orphans={} \
          msgs={} ctrl={} | net: drops={} dups={} retx={} dup-frames={} acks={} reorder-releases={}",
         r.wall.as_secs_f64() * 1e3,
@@ -439,7 +406,7 @@ fn summarize_rt(label: &str, names: &BTreeMap<ProcessId, String>, r: &opcsp_rt::
         s.reorder_releases,
     );
     let (p, ms) = (&r.phases, |d: std::time::Duration| d.as_secs_f64() * 1e3);
-    println!(
+    say!(
         "  phases: setup={:.1}ms clients={:.1}ms drain={:.1}ms collect={:.1}ms reap={:.1}ms",
         ms(p.setup),
         ms(p.clients),
@@ -447,27 +414,27 @@ fn summarize_rt(label: &str, names: &BTreeMap<ProcessId, String>, r: &opcsp_rt::
         ms(p.collect),
         ms(p.reap),
     );
-    println!("  held: {}", held_total(&r.held));
+    say!("  held: {}", held_total(&r.held));
     if !r.external.is_empty() {
-        println!("outputs:");
+        say!("outputs:");
         for (p, v) in &r.external {
             let name = names.get(p).cloned().unwrap_or_else(|| p.to_string());
-            println!("  {name}: {v}");
+            say!("  {name}: {v}");
         }
     }
     if r.timed_out {
-        println!("WARNING: run timed out before clients finished or the network drained");
+        say!("WARNING: run timed out before clients finished or the network drained");
     }
     for p in &r.panicked {
         let name = names.get(p).cloned().unwrap_or_else(|| p.to_string());
-        println!(
+        say!(
             "WARNING: {name} panicked: {}",
             r.panics.get(p).map(String::as_str).unwrap_or("<unknown>")
         );
     }
     for p in &r.stragglers {
         let name = names.get(p).cloned().unwrap_or_else(|| p.to_string());
-        println!("WARNING: {name} was still running at the join deadline (straggler)");
+        say!("WARNING: {name} was still running at the join deadline (straggler)");
     }
 }
 
@@ -475,14 +442,14 @@ fn summarize_rt(label: &str, names: &BTreeMap<ProcessId, String>, r: &opcsp_rt::
 /// I/O errors — the run itself already succeeded.
 fn write_trace(path: &str, json: &str) {
     match std::fs::write(path, json) {
-        Ok(()) => println!("trace written to {path}"),
+        Ok(()) => say!("trace written to {path}"),
         Err(e) => eprintln!("error: cannot write trace to {path}: {e}"),
     }
 }
 
 /// Re-spawn this binary `workers` times in `--connect` worker mode,
 /// forwarding the original argv minus the parent-only flags (`--listen`,
-/// `--sock-workers`, `--compare`, `--trace-out`) so every worker builds
+/// `--sock-workers`, `--trace-out`) so every worker builds
 /// the same world from the same file with the same protocol knobs.
 fn spawn_sock_workers(addr: &str, workers: usize) -> Result<Vec<std::process::Child>, String> {
     let exe = std::env::current_exe().map_err(|e| format!("cannot locate own binary: {e}"))?;
@@ -493,7 +460,6 @@ fn spawn_sock_workers(addr: &str, workers: usize) -> Result<Vec<std::process::Ch
             "--listen" | "--sock-workers" | "--trace-out" => {
                 args.next();
             }
-            "--compare" => {}
             _ => forwarded.push(a),
         }
     }
@@ -561,8 +527,7 @@ fn parse_faults(opts: &Options) -> Result<NetFaults, String> {
     }
 }
 
-/// The one rt launch, for every world and transport: the `.csp` path and
-/// the catalogue worlds derive the runtime from the same flags here. With
+/// The one rt launch, for every world and transport. With
 /// `--connect` this process is a socket worker: it hosts its pid share,
 /// stays quiet (the parent owns the merged result and all reporting) and
 /// the `Err` is its exit code, by its own success only. Otherwise the world runs here
@@ -645,91 +610,6 @@ fn launch_rt(
     Ok((r, workers_ok))
 }
 
-fn rt_label(opts: &Options) -> &'static str {
-    if opts.pessimistic {
-        "rt pessimistic"
-    } else {
-        "rt optimistic "
-    }
-}
-
-/// Run on the real-thread runtime — in-process, chaotic, or with
-/// `--listen`/`--connect` across process boundaries over a real socket
-/// (DESIGN.md §13). With `--compare` the run is held to Theorem 1 the way
-/// a simulator run is: its committed schedule is replayed on the
-/// pessimistic simulator ([`check_theorem1`]).
-fn run_rt(sys: &System, opts: &Options) -> ExitCode {
-    let names: BTreeMap<ProcessId, String> =
-        sys.bindings.iter().map(|(n, p)| (*p, n.clone())).collect();
-    let (r, workers_ok) = match launch_rt(opts, &names, &sys.roster()) {
-        Ok(ran) => ran,
-        Err(code) => return code,
-    };
-    summarize_rt(rt_label(opts), &names, &r);
-    if r.timed_out || !r.panicked.is_empty() || !workers_ok {
-        return ExitCode::FAILURE;
-    }
-    if !opts.compare {
-        return ExitCode::SUCCESS;
-    }
-    check_rt(sys, opts, &names, &r)
-}
-
-/// `--rt --compare`: Theorem 1 on the rt run `r` ([`check_theorem1`]) —
-/// its committed logs and its released externals, per process.
-fn check_rt(
-    sys: &System,
-    opts: &Options,
-    names: &BTreeMap<ProcessId, String>,
-    r: &opcsp_rt::RtResult,
-) -> ExitCode {
-    let pess = sys.run(sim_config(opts, false));
-    let verdict = check_theorem1(&pess, r, |sched| {
-        sys.run(SimConfig {
-            forced_order: Some(sched),
-            ..sim_config(opts, false)
-        })
-    });
-    theorem1_exit(verdict, |replay, _| {
-        eprint!("{}", replay.render(names));
-    })
-}
-
-/// Print a Theorem-1 verdict and map it to the exit code; on a violation
-/// `detail` reports the replay's mismatches and the replay run itself.
-fn theorem1_exit(
-    verdict: Theorem1Verdict,
-    detail: impl FnOnce(&EquivReport, &SimResult),
-) -> ExitCode {
-    match verdict {
-        Theorem1Verdict::Identical => {
-            println!("Theorem 1: committed traces identical ✓");
-            ExitCode::SUCCESS
-        }
-        Theorem1Verdict::EquivalentModuloMergeOrder { strict } => {
-            println!(
-                "Theorem 1: holds modulo legal fan-in merge order ✓ \
-                 ({} positional difference(s) vs the same-seed reference; \
-                 the committed delivery schedule replays to identical logs)",
-                strict.mismatches.len()
-            );
-            ExitCode::SUCCESS
-        }
-        Theorem1Verdict::Violation {
-            replay,
-            replay_result,
-            ..
-        } => {
-            eprintln!(
-                "Theorem 1 DIVERGENCE (engine bug!): no sequential execution \
-                 reproduces the optimistic committed logs"
-            );
-            detail(&replay, &replay_result);
-            ExitCode::from(2)
-        }
-    }
-}
-
 /// The simulator config from the flags: `optimism` off is the sequential
 /// baseline, and only the optimistic run carries an injected fault. A run
 /// keeps its trace and provenance only for `--timeline` or `--forensics`.
@@ -753,14 +633,10 @@ fn sim_config(opts: &Options, optimism: bool) -> SimConfig {
 }
 
 /// `--explore`: drive the optimistic simulator through every
-/// partial-order-distinct delivery schedule within the bounds, each
-/// Theorem-1-checked against one pessimistic reference. `runner` runs the
-/// program or the catalogue world under a config.
-fn run_explore(
-    opts: &Options,
-    names: &BTreeMap<ProcessId, String>,
-    runner: &dyn Fn(&SimConfig) -> SimResult,
-) -> ExitCode {
+/// partial-order-distinct delivery schedule of `spec` within the bounds,
+/// each Theorem-1-checked against one pessimistic reference.
+fn run_explore(opts: &Options, spec: &Spec) -> ExitCode {
+    let names = spec.names();
     let eopts = ExploreOpts {
         depth: opts.depth.unwrap_or(8),
         budget: opts.budget.unwrap_or(4096),
@@ -768,11 +644,11 @@ fn run_explore(
     let out = explore(
         &sim_config(opts, true),
         &sim_config(opts, false),
-        runner,
+        &|c| catalog::run(spec, c),
         &eopts,
     );
     let s = &out.stats;
-    println!(
+    say!(
         "explore: {} forced runs, {} distinct schedules \
          ({} duplicate, {} infeasible), {} oracle replays",
         s.runs_executed,
@@ -781,7 +657,7 @@ fn run_explore(
         s.infeasible_scripts,
         s.oracle_runs,
     );
-    println!(
+    say!(
         "reduction: {:.3e} naive FIFO interleavings → {} explored ({:.1}×{})",
         s.naive_interleavings,
         s.distinct_schedules,
@@ -793,7 +669,7 @@ fn run_explore(
         },
     );
     if s.unused_overrides > 0 {
-        println!(
+        say!(
             "WARNING: {} scripted latency override(s) were never drawn — \
              the latency script drifted from the workload and tested nothing",
             s.unused_overrides
@@ -802,12 +678,12 @@ fn run_explore(
     match out.violation {
         None => {
             if s.complete {
-                println!(
+                say!(
                     "Theorem 1: holds on every schedule within depth {} ✓",
                     eopts.depth
                 );
             } else {
-                println!(
+                say!(
                     "Theorem 1: holds on every explored schedule \
                      (budget {} exhausted before the space — raise --budget)",
                     eopts.budget
@@ -823,13 +699,16 @@ fn run_explore(
             eprintln!(
                 "minimal forcing script ({} shrink runs): {}",
                 v.shrink_tests,
-                render_schedule(&v.minimal_script, names)
+                render_schedule(&v.minimal_script, &names)
             );
-            eprintln!("realised schedule: {}", render_schedule(&v.schedule, names));
+            eprintln!(
+                "realised schedule: {}",
+                render_schedule(&v.schedule, &names)
+            );
             if opts.forensics {
-                eprint!("{}", render_report(&v.report, names));
+                eprint!("{}", render_report(&v.report, &names));
             } else {
-                eprint!("{}", v.replay.render(names));
+                eprint!("{}", v.replay.render(&names));
                 eprintln!("(re-run with --forensics for a full report)");
             }
             ExitCode::from(2)
@@ -837,84 +716,152 @@ fn run_explore(
     }
 }
 
-/// A catalogue world on either engine, held to the spec's own oracle
-/// (`catalog::Spec::check`): on every engine, the run's committed schedule
-/// is replayed on the pessimistic simulator.
-fn run_spec(opts: &Options) -> ExitCode {
-    if opts.compare || opts.show_transform || opts.inject_lifo || opts.inject_phantom {
-        eprintln!(
-            "error: --compare/--show-transform/--inject-* drive the .csp \
-             pipeline; a builtin world is held to its own oracle (its committed \
-             schedule replayed on the pessimistic simulator) on every run"
-        );
-        return ExitCode::FAILURE;
+/// `--forensics` on `opt`, a simulated run of `spec` that failed Theorem 1:
+/// its first divergent event against `replay` (the schedule replay that
+/// `Spec::check` made, `report` its mismatches), that event's
+/// happens-before chain and, under `--jitter`, a ddmin-shrunk latency
+/// schedule that still fails the same replay.
+fn forensics(
+    opts: &Options,
+    spec: &Spec,
+    opt: &SimResult,
+    report: &EquivReport,
+    replay: &SimResult,
+) -> DivergenceReport {
+    let first =
+        first_divergence(report, replay, opt).expect("a failed replay has a first mismatch");
+    let chain = happens_before_chain(opt, &first);
+    let shrunk = (opts.jitter > 0)
+        .then(|| {
+            shrink_schedule(&opt.latency_draws, opts.latency, |overrides| {
+                let cfg = SimConfig {
+                    latency: LatencyModel::scripted(
+                        opts.latency,
+                        opts.jitter,
+                        opts.seed,
+                        Arc::new(overrides.clone()),
+                    ),
+                    record: false,
+                    ..sim_config(opts, !opts.pessimistic)
+                };
+                let verdict = spec.verdict(&catalog::run(spec, &cfg), false);
+                verdict.is_err_and(|f| f.divergence.is_some())
+            })
+        })
+        .flatten();
+    DivergenceReport {
+        first,
+        chain,
+        shrunk,
+        unused_overrides: opt.unused_overrides.clone(),
     }
-    let mut spec = match Spec::parse(&opts.file) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: {e}");
-            usage();
-            return ExitCode::FAILURE;
+}
+
+/// A refusal as one message: the reason and, when Theorem 1 failed, what
+/// `explain` makes of the replay that showed it.
+fn explained(
+    verdict: Result<String, Refusal>,
+    explain: impl FnOnce(&EquivReport, &SimResult) -> String,
+) -> Result<String, String> {
+    verdict.map_err(|f| match f.divergence {
+        Some((report, replay)) => {
+            format!("{}\n{}", f.reason, explain(&report, &replay).trim_end())
         }
+        None => f.reason,
+    })
+}
+
+/// The one runner: `spec` on the simulator or with `--rt`, held to
+/// `Spec::check`, whatever the world and the engine.
+fn run_spec(opts: &Options, spec: &Spec) -> ExitCode {
+    let names = spec.names();
+    let ops = spec.ops() as f64;
+    let side = if opts.pessimistic {
+        "pessimistic"
+    } else {
+        "optimistic"
     };
-    // `--seed` also seeds what the world itself draws.
-    match &mut spec {
-        Spec::Kv(o) => o.seed = opts.seed,
-        Spec::Tally(o) => o.seed = opts.seed,
-        _ => {}
-    }
-    let roster = spec.roster();
-    let names: BTreeMap<ProcessId, String> = (0..)
-        .zip(&roster)
-        .map(|(i, (b, _))| (ProcessId(i), format!("{}#{i}", b.name())))
-        .collect();
-    if opts.explore {
-        return run_explore(opts, &names, &|c| catalog::run(&spec, c));
-    }
     let (checked, rate) = if opts.rt {
-        let (r, workers_ok) = match launch_rt(opts, &names, &roster) {
+        let (r, workers_ok) = match launch_rt(opts, &names, &spec.roster()) {
             Ok(ran) => ran,
             Err(code) => return code,
         };
-        summarize_rt(rt_label(opts), &names, &r);
+        summarize_rt(&format!("rt {side:<11}"), &names, &r);
         if r.timed_out || !r.panicked.is_empty() || !workers_ok {
             return ExitCode::FAILURE;
         }
-        let rate = spec.ops() as f64 / r.wall.as_secs_f64().max(1e-9);
-        (spec.check(&r), format!("[{rate:.0} committed ops/s wall]"))
+        let rate = ops / r.wall.as_secs_f64().max(1e-9);
+        (
+            explained(spec.verdict(&r, false), |report, _| report.render(&names)),
+            format!("[{rate:.0} committed ops/s wall]"),
+        )
     } else {
-        let r = catalog::run(&spec, &sim_config(opts, !opts.pessimistic));
+        let r = catalog::run(spec, &sim_config(opts, !opts.pessimistic));
         if opts.timeline {
-            let procs: Vec<ProcessId> = (0..roster.len() as u32).map(ProcessId).collect();
-            println!("{}", r.trace.render_timeline(&procs));
+            let procs: Vec<ProcessId> = names.keys().copied().collect();
+            say!("{}", r.trace.render_timeline(&procs));
         }
-        summarize(
-            if opts.pessimistic {
-                "pessimistic"
-            } else {
-                "optimistic"
-            },
-            &r,
-        );
+        summarize(side, &r);
         if let Some(path) = &opts.trace_out {
             write_trace(path, &r.telemetry.to_perfetto_json(&names));
         }
-        let rate = spec.ops() as f64 / (r.completion.max(1) as f64 / 1000.0);
+        let rate = ops / (r.completion.max(1) as f64 / 1000.0);
+        let explain = |report: &EquivReport, replay: &SimResult| {
+            if opts.forensics {
+                render_report(&forensics(opts, spec, &r, report, replay), &names)
+            } else {
+                format!(
+                    "{}(re-run with --forensics for a full report)",
+                    report.render(&names)
+                )
+            }
+        };
         (
-            spec.check(&r),
+            explained(spec.verdict(&r, opts.forensics), explain),
             format!("[{rate:.1} committed ops per kilotick]"),
         )
     };
     match checked {
-        Ok(summary) => {
-            println!("{summary} ✓ ({spec}) {rate}");
-            ExitCode::SUCCESS
-        }
+        Ok(summary) if ops > 0.0 => say!("{summary} ✓ ({spec}) {rate}"),
+        Ok(summary) => say!("{summary} ✓ ({spec})"),
         Err(e) => {
             eprintln!("ORACLE FAILURE on {spec} (engine bug!): {e}");
-            ExitCode::from(2)
+            return ExitCode::from(2);
         }
     }
+    ExitCode::SUCCESS
+}
+
+/// The world `opts.file` names: a catalogue spec (`--seed` also seeds what
+/// the world itself draws), or a `.csp` program compiled into one.
+fn world(opts: &Options) -> Result<Spec, String> {
+    let file = &opts.file;
+    if is_catalogue(file) {
+        let mut spec = Spec::parse(file)?;
+        match &mut spec {
+            Spec::Kv(o) => o.seed = opts.seed,
+            Spec::Tally(o) => o.seed = opts.seed,
+            _ => {}
+        }
+        return Ok(spec);
+    }
+    let src = std::fs::read_to_string(file).map_err(|e| format!("cannot read {file}: {e}"))?;
+    let program = parse_program(&src).map_err(|e| format!("{file}: {e}"))?;
+    let sys = System::compile(&program).map_err(|e| format!("{file}: transform error: {e}"))?;
+    if opts.show_transform {
+        say!("{}", program_to_string(&sys.transformed.program));
+        for site in &sys.transformed.sites {
+            say!(
+                "// fork site {} in {}: passed {:?}, copy needed: {}",
+                site.site,
+                site.proc,
+                site.passed,
+                site.copy_needed
+            );
+        }
+        say!("");
+    }
+    Ok(sys.spec(file))
 }
 
 fn main() -> ExitCode {
@@ -928,159 +875,12 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    // A catalogue spec names a world; anything else is a `.csp` path.
-    let world = opts.file.split(':').next().unwrap_or_default();
-    if WORLDS.contains(&world) && !std::path::Path::new(&opts.file).exists() {
-        return run_spec(&opts);
-    }
-    let src = match std::fs::read_to_string(&opts.file) {
-        Ok(s) => s,
+    match world(&opts) {
         Err(e) => {
-            eprintln!("error: cannot read {}: {e}", opts.file);
-            return ExitCode::FAILURE;
+            eprintln!("error: {e}");
+            ExitCode::FAILURE
         }
-    };
-    let program = match parse_program(&src) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("{}: {e}", opts.file);
-            return ExitCode::FAILURE;
-        }
-    };
-    let sys = match System::compile(&program) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("{}: transform error: {e}", opts.file);
-            return ExitCode::FAILURE;
-        }
-    };
-    if opts.show_transform {
-        println!("{}", program_to_string(&sys.transformed.program));
-        for site in &sys.transformed.sites {
-            println!(
-                "// fork site {} in {}: passed {:?}, copy needed: {}",
-                site.site, site.proc, site.passed, site.copy_needed
-            );
-        }
-        println!();
-    }
-
-    if opts.rt {
-        return run_rt(&sys, &opts);
-    }
-
-    let cfg = |optimism: bool| sim_config(&opts, optimism);
-
-    let procs: Vec<ProcessId> = (0..sys.transformed.program.procs.len() as u32)
-        .map(ProcessId)
-        .collect();
-    let names: BTreeMap<ProcessId, String> =
-        sys.bindings.iter().map(|(n, p)| (*p, n.clone())).collect();
-
-    if opts.explore {
-        return run_explore(&opts, &names, &|c| sys.run(c.clone()));
-    }
-
-    if opts.compare {
-        let pess = sys.run(cfg(false));
-        let opt = sys.run(cfg(true));
-        if opts.timeline {
-            println!("{}", opt.trace.render_timeline(&procs));
-        }
-        summarize("pessimistic", &pess);
-        summarize("optimistic ", &opt);
-        if let Some(path) = &opts.trace_out {
-            write_trace(path, &opt.telemetry.to_perfetto_json(&names));
-        }
-        println!(
-            "speedup: {:.2}x",
-            pess.completion as f64 / opt.completion.max(1) as f64
-        );
-        let verdict = check_theorem1(&pess, &opt, |sched| {
-            let mut c = cfg(false);
-            c.forced_order = Some(sched);
-            sys.run(c)
-        });
-        theorem1_exit(verdict, |replay, replay_result| {
-            if opts.forensics {
-                let first = first_divergence(replay, replay_result, &opt)
-                    .expect("non-equivalent report has a first mismatch");
-                let chain = happens_before_chain(&opt, &first);
-                let shrunk = if opts.jitter > 0 {
-                    shrink_schedule(&opt.latency_draws, opts.latency, |ov| {
-                        let scripted = LatencyModel::scripted(
-                            opts.latency,
-                            opts.jitter,
-                            opts.seed,
-                            Arc::new(ov.clone()),
-                        );
-                        let make_cfg = |optimism| SimConfig {
-                            latency: scripted.clone(),
-                            record: false,
-                            ..cfg(optimism)
-                        };
-                        let p2 = sys.run(make_cfg(false));
-                        let o2 = sys.run(make_cfg(true));
-                        !check_theorem1(&p2, &o2, |sched| {
-                            let mut c = make_cfg(false);
-                            c.forced_order = Some(sched);
-                            sys.run(c)
-                        })
-                        .holds()
-                    })
-                } else {
-                    None
-                };
-                let report = DivergenceReport {
-                    first,
-                    chain,
-                    shrunk,
-                    unused_overrides: opt.unused_overrides.clone(),
-                };
-                eprint!("{}", render_report(&report, &names));
-            } else {
-                eprint!("{}", replay.render(&names));
-                eprintln!("(re-run with --forensics for a full report)");
-            }
-        })
-    } else {
-        let r = sys.run(cfg(!opts.pessimistic));
-        if opts.timeline {
-            println!("{}", r.trace.render_timeline(&procs));
-        }
-        if let Some(path) = &opts.trace_out {
-            write_trace(path, &r.telemetry.to_perfetto_json(&names));
-        }
-        summarize(
-            if opts.pessimistic {
-                "pessimistic"
-            } else {
-                "optimistic"
-            },
-            &r,
-        );
-        ExitCode::SUCCESS
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// `--rt --compare` holds the rt run's released externals to Theorem 1
-    /// as well as its logs: an output released twice is a divergence.
-    #[test]
-    fn rt_compare_rejects_an_external_released_twice() {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/csp/putline.csp");
-        let src = std::fs::read_to_string(path).unwrap();
-        let sys = System::compile(&parse_program(&src).unwrap()).unwrap();
-        let args = [path, "--rt", "--compare", "--latency", "2"];
-        let opts = parse_args(args.map(String::from)).unwrap();
-        let names = BTreeMap::new();
-        let (mut r, _) = launch_rt(&opts, &names, &sys.roster()).unwrap();
-        assert_eq!(check_rt(&sys, &opts, &names, &r), ExitCode::SUCCESS);
-        let last = r.external.last().cloned().expect("putline releases outputs");
-        r.external.push(last);
-        assert_eq!(check_rt(&sys, &opts, &names, &r), ExitCode::from(2));
+        Ok(spec) if opts.explore => run_explore(&opts, &spec),
+        Ok(spec) => run_spec(&opts, &spec),
     }
 }

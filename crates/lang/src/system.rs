@@ -5,9 +5,9 @@ use crate::analyze::runs_forever;
 use crate::ast::Program;
 use crate::interp::ProgramBehavior;
 use crate::transform::{transform_program, TransformError, Transformed};
-use opcsp_core::ProcessId;
+use opcsp_core::{CoreConfig, ProcessId};
 use opcsp_sim::{Behavior, SimBuilder, SimConfig, SimResult};
-use opcsp_workloads::catalog::{place, Roster};
+use opcsp_workloads::catalog::{self, place, Roster, Spec};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -54,6 +54,18 @@ impl System {
                 (Arc::new(b) as Arc<dyn Behavior>, !runs_forever(&proc.body))
             })
             .collect()
+    }
+
+    /// The program as a catalogue world labelled `label` (its source path):
+    /// run, checked ([`Spec::check`]: Theorem 1 by the committed-schedule
+    /// replay) and explored as every hand-written world is.
+    pub fn spec(&self, label: &str) -> Spec {
+        Spec::Program(catalog::Program {
+            roster: self.roster(),
+            names: self.bindings.iter().map(|(n, p)| (*p, n.clone())).collect(),
+            label: label.to_string(),
+            core: CoreConfig::default(),
+        })
     }
 
     /// The compiled system's simulation world, not yet built.

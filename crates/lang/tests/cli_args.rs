@@ -1,5 +1,6 @@
 //! CLI argument handling for `opcsp-run`, exercised end to end against
-//! the built binary: the `--speculation` grammar and the error paths.
+//! the built binary: the `--speculation` grammar, the error paths and the
+//! exit code of the one oracle every run is held to.
 
 use std::process::Command;
 
@@ -85,19 +86,23 @@ fn unknown_options_are_rejected() {
 fn ineffective_flag_combos_are_parse_errors_naming_the_supported_path() {
     // These combinations used to be accepted with the extra flag silently
     // ignored (--forensics --rt being the reported one). Each must now
-    // fail fast and point at a combination that works.
+    // fail fast: a flag the world or engine has no data for is refused by
+    // one rule, in one shape.
+    let rt = "has no data on an rt run";
     for (args, expect) in [
-        (vec!["--forensics"], "--compare or --explore"),
-        (vec!["--forensics", "--rt"], "--compare or --explore"),
-        (vec!["--forensics", "--pessimistic"], "--compare or --explore"),
+        (vec!["--forensics", "--rt"], rt),
+        (vec!["--timeline", "--rt"], rt),
+        (vec!["--inject-phantom", "--rt"], rt),
+        (vec!["--inject-lifo", "--rt"], rt),
+        (
+            vec!["--inject-phantom", "--pessimistic"],
+            "never speculates",
+        ),
         (vec!["--depth", "3"], "--explore"),
         (vec!["--budget", "10"], "--explore"),
-        (vec!["--inject-phantom", "--rt"], "simulator fault"),
-        (vec!["--inject-lifo", "--rt"], "simulator fault"),
-        (vec!["--inject-phantom", "--pessimistic"], "never speculates"),
         (vec!["--explore", "--rt"], "simulator"),
-        (vec!["--explore", "--compare"], "subsumes --compare"),
         (vec!["--explore", "--pessimistic"], "pessimistic reference"),
+        (vec!["--compare"], "--compare is gone"),
     ] {
         let mut full = vec![putline()];
         full.extend(args.iter().map(|s| s.to_string()));
@@ -114,6 +119,60 @@ fn ineffective_flag_combos_are_parse_errors_naming_the_supported_path() {
             "{args:?}: stderr should name the supported path ({expect:?}): {err}"
         );
     }
+    for args in [
+        &["stream:n=4", "--show-transform"][..],
+        &["stream:n=4", "--rt", "--timeline"][..],
+    ] {
+        let out = run(args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("has no data on"), "{args:?}: {err}");
+    }
+}
+
+/// Every run is held to Theorem 1 with no flag asked for: a phantom log
+/// (an observable the rollback failed to truncate) exits 2 on a `.csp`
+/// program and on a catalogue world alike. (`tally` rolls back; `stream`
+/// rejects no line, so a phantom there has nothing to leave behind.)
+#[test]
+fn a_phantom_exits_2_on_every_world() {
+    for world in [putline().as_str(), "tally:n=60,faults=50"] {
+        let out = run(&[world, "--inject-phantom"]);
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "{world}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("no sequential execution reproduces"), "{err}");
+        let ok = run(&[world]);
+        assert!(ok.status.success(), "{world} without the fault must pass");
+    }
+}
+
+/// A reader that closes the pipe after one line (`opcsp-run … | head -1`)
+/// is a quiet end, not a panic: the exit code is still the verdict's. The
+/// time-line is longer than a pipe buffer, so the runner is still writing
+/// when the pipe closes.
+#[test]
+fn a_closed_stdout_is_a_quiet_end() {
+    use std::io::{BufRead, BufReader};
+    let mut child = Command::new(env!("CARGO_BIN_EXE_opcsp-run"))
+        .args(["stream:n=200", "--timeline"])
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("spawn opcsp-run");
+    let mut first = String::new();
+    BufReader::new(child.stdout.take().unwrap())
+        .read_line(&mut first)
+        .unwrap();
+    assert!(!first.is_empty());
+    let out = child.wait_with_output().unwrap();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
 }
 
 #[test]

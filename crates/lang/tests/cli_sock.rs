@@ -1,8 +1,9 @@
 //! True multi-process socket runs of `opcsp-run --rt --listen` (DESIGN.md
 //! §13): the parent binds a Unix-domain (or TCP) socket, re-spawns itself
-//! as worker processes, and under `--compare` the merged committed logs
-//! must pass Theorem 1 — their committed schedule replayed on the
-//! pessimistic simulator — with chaos injected on the socket path. This is the one test layer where frames genuinely cross
+//! as worker processes, and the merged committed logs must pass Theorem 1
+//! — their committed schedule replayed on the pessimistic simulator, as on
+//! every run — with chaos injected on the socket path. This is the one
+//! test layer where frames genuinely cross
 //! OS process boundaries (the rt-crate tests in
 //! `crates/rt/tests/rt_sock.rs` run parent and workers as threads).
 
@@ -26,7 +27,7 @@ fn fresh_uds(tag: &str) -> String {
     format!("uds:{}", p.display())
 }
 
-/// `--listen --compare` with chaos: spawned worker processes host the
+/// `--listen` with chaos: spawned worker processes host the
 /// world, and the socket run must replay on the pessimistic simulator
 /// (exit 2 would mean a divergence — an engine bug).
 #[test]
@@ -41,13 +42,12 @@ fn multi_process_uds_chaos_differential_holds() {
         "drop=0.15,dup=0.1,reorder=3,seed=7",
         "--listen",
         &addr,
-        "--compare",
     ]);
     let stdout = String::from_utf8_lossy(&out.stdout);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(
         out.status.success(),
-        "multi-process compare failed ({:?})\nstdout:\n{stdout}\nstderr:\n{stderr}",
+        "multi-process run failed ({:?})\nstdout:\n{stdout}\nstderr:\n{stderr}",
         out.status
     );
     assert!(
@@ -80,13 +80,12 @@ fn multi_process_three_workers_fan_in_holds() {
         "3",
         "--workers",
         "2",
-        "--compare",
     ]);
     let stdout = String::from_utf8_lossy(&out.stdout);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(
         out.status.success(),
-        "3-worker fan-in compare failed ({:?})\nstdout:\n{stdout}\nstderr:\n{stderr}",
+        "3-worker fan-in run failed ({:?})\nstdout:\n{stdout}\nstderr:\n{stderr}",
         out.status
     );
     assert!(
@@ -95,8 +94,8 @@ fn multi_process_three_workers_fan_in_holds() {
     );
 }
 
-/// Without `--compare`, a plain `--listen` run still merges the workers'
-/// outputs into the parent's summary.
+/// A plain `--listen` run merges the workers' outputs into the parent's
+/// summary.
 #[test]
 fn multi_process_plain_run_reports_outputs() {
     let addr = fresh_uds("plain");

@@ -12,7 +12,10 @@
 //! prints and bounds itself, and carries its oracle ([`Spec::check`]). The
 //! keys are the world's shape; engine knobs (latency, jitter, seed, fork
 //! time-out, speculation) stay in the opts, and `opcsp-run` sets them from
-//! its ordinary flags.
+//! its ordinary flags. A compiled `.csp` program is a spec too
+//! ([`Spec::Program`], built by `opcsp_lang::System::spec`), outside the
+//! grammar: the transformed program is run and checked as every
+//! hand-written world is.
 
 use crate::chain::{ChainOpts, OptimisticForwarder};
 use crate::fan_in::{consumer, FanInOpts};
@@ -28,10 +31,10 @@ use crate::streaming::{
 use opcsp_core::{CoreConfig, ProcessId, Value};
 use opcsp_rt::{RtConfig, RtResult, RtTransport, RtWorld, SockAddr, SockRole};
 use opcsp_sim::{
-    check_schedule_replay, Behavior, LatencyModel, Observable, Outcome, SimBuilder, SimConfig,
-    SimResult, VTime,
+    check_schedule_replay, Behavior, EquivReport, LatencyModel, Observable, Outcome, SimBuilder,
+    SimConfig, SimResult, VTime,
 };
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::str::FromStr;
 use std::sync::Arc;
@@ -169,7 +172,51 @@ const MAX_GAP_TICKS: u64 = 1 << 48;
 /// latency is `RtConfig`'s).
 const PAIRS_LATENCY: u64 = 20;
 
-/// A catalogue world, named and sized in the grammar `name[:key=value,…]`.
+/// A compiled `.csp` program as a world: its roster, its processes' names,
+/// a label (the source path) and the protocol config of its default run.
+/// Two programs are the same world when their labels are.
+#[derive(Clone)]
+pub struct Program {
+    pub roster: Roster,
+    pub names: BTreeMap<ProcessId, String>,
+    pub label: String,
+    pub core: CoreConfig,
+}
+
+impl fmt::Debug for Program {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Program")
+            .field("label", &self.label)
+            .finish_non_exhaustive()
+    }
+}
+
+impl PartialEq for Program {
+    fn eq(&self, other: &Program) -> bool {
+        self.label == other.label
+    }
+}
+
+/// Why [`Spec::verdict`] refused a run: what failed and, when Theorem 1
+/// failed, the schedule replay that showed it (its report against the run,
+/// and the replay run itself).
+#[derive(Debug)]
+pub struct Refusal {
+    pub reason: String,
+    pub divergence: Option<(EquivReport, Box<SimResult>)>,
+}
+
+impl From<String> for Refusal {
+    fn from(reason: String) -> Refusal {
+        Refusal {
+            reason,
+            divergence: None,
+        }
+    }
+}
+
+/// A catalogue world, named and sized in the grammar `name[:key=value,…]`,
+/// or a compiled program.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Spec {
     /// `stream:n=N` — one PutLine client streaming N calls to a server.
@@ -185,6 +232,10 @@ pub enum Spec {
     /// `kv:replicas=R,clients=C,ops=N,gap=G,keys=K,writes=W,zipf=S` — the
     /// replicated-KV flagship.
     Kv(KvOpts),
+    /// A compiled `.csp` program (`opcsp_lang::System::spec`); not in the
+    /// grammar, and printed as its label. Its twin is the pessimistic
+    /// policy; it has no call script, so its oracle is Theorem 1 alone.
+    Program(Program),
 }
 
 /// One key of a spec, with the bound it is held to.
@@ -257,6 +308,7 @@ impl Spec {
             Spec::FanIn(_) => "fan_in",
             Spec::Tally(_) => "tally",
             Spec::Kv(_) => "kv",
+            Spec::Program(_) => "program",
         }
     }
 
@@ -283,6 +335,7 @@ impl Spec {
                 ("writes", PerMille(&mut o.write_per_mille)),
                 ("zipf", Exponent(&mut o.zipf_s)),
             ],
+            Spec::Program(_) => Vec::new(),
         }
     }
 
@@ -323,6 +376,7 @@ impl Spec {
                 (w(o.clients) + 1 + w(o.replicas), "clients and replicas"),
                 (w(o.clients) * w(o.ops_per_client), "clients and ops"),
             ),
+            Spec::Program(_) => return Ok(()),
         };
         if processes > MAX_PROCESSES {
             return Err(format!(
@@ -346,6 +400,7 @@ impl Spec {
             Spec::FanIn(o) => &mut o.core,
             Spec::Tally(o) => &mut o.core,
             Spec::Kv(o) => &mut o.core,
+            Spec::Program(p) => &mut p.core,
         }
     }
 
@@ -368,6 +423,10 @@ impl Spec {
             }
             Spec::Tally(o) => sim_config(&o.core, o.latency, 0, 0, None),
             Spec::Kv(o) => kv_config(o),
+            Spec::Program(p) => SimConfig {
+                core: p.core.clone(),
+                ..SimConfig::default()
+            },
         }
     }
 
@@ -488,11 +547,24 @@ impl Spec {
                 }
                 r
             }
+            Spec::Program(p) => p.roster.clone(),
         }
     }
 
+    /// Each process's name, by pid: a program's own, or a catalogue
+    /// process's behaviour name and pid (`WindowManager#1`).
+    pub fn names(&self) -> BTreeMap<ProcessId, String> {
+        if let Spec::Program(p) = self {
+            return p.names.clone();
+        }
+        (0..)
+            .zip(self.roster())
+            .map(|(i, (b, _))| (ProcessId(i), format!("{}#{i}", b.name())))
+            .collect()
+    }
+
     /// Every client's pid and the returns its script commits; a client
-    /// stops at the first rejected call. Empty for `kv`.
+    /// stops at the first rejected call. Empty for `kv` and a program.
     fn calls(&self) -> Vec<(ProcessId, u32)> {
         let upto = |n: u32, fails: &BTreeSet<u32>| fails.range(..n).next().map_or(n, |f| f + 1);
         match self {
@@ -501,11 +573,12 @@ impl Spec {
             Spec::Tally(o) => vec![(CLIENT, o.n)],
             Spec::Pairs(o) => (0..o.pairs).map(|k| (ProcessId(2 * k), o.n)).collect(),
             Spec::FanIn(o) => (0..o.producers).map(|p| (ProcessId(p), o.n)).collect(),
-            Spec::Kv(_) => Vec::new(),
+            Spec::Kv(_) | Spec::Program(_) => Vec::new(),
         }
     }
 
-    /// The calls the world commits in all (the numerator of a rate).
+    /// The calls the world commits in all (the numerator of a rate); 0 for
+    /// a program, which has no call script.
     pub fn ops(&self) -> u64 {
         match self {
             Spec::Kv(o) => u64::from(o.total_ops()),
@@ -517,34 +590,48 @@ impl Spec {
     /// the simulator, rt under either executor, a socket split — which must
     /// have ended on its own ([`Outcome::ended`]). Theorem 1, exactly
     /// (`Spec::replays`, below). Then for `kv`: replica agreement and the
-    /// sequencer-order replay (`replicated_kv::check_replay`); for the
-    /// others: every client committed the calls its script makes. A
-    /// one-line summary, or what failed.
+    /// sequencer-order replay (`replicated_kv::check_replay`); for a
+    /// program, nothing more; for the others: every client committed the
+    /// calls its script makes. A one-line summary, or what failed.
     pub fn check(&self, run: &impl Outcome) -> Result<String, String> {
+        self.verdict(run, false).map_err(|r| r.reason)
+    }
+
+    /// [`Spec::check`], handing back on a Theorem-1 failure the replay that
+    /// showed it, kept recorded ([`SimConfig::record`]) when `record` is
+    /// set: what a forensics reader mines.
+    pub fn verdict(&self, run: &impl Outcome, record: bool) -> Result<String, Refusal> {
         run.ended()?;
-        self.replays(run)?;
-        let summary = if let Spec::Kv(o) = self {
-            let streams = replica_streams(o, run.external());
-            let s = check_replica_agreement(o, &streams)?;
-            check_replay(o, run.logs(), &streams)?;
-            format!(
-                "SMR agreement: {} replicas each applied {} commands ({} committed reads), \
-                 stores identical and equal to the sequencer-order replay",
-                o.replicas, s.applied, s.gets
-            )
-        } else {
-            let calls = self.calls();
-            for (pid, want) in &calls {
-                let got = run.logs().get(pid).map_or(0, |log| {
-                    log.iter()
-                        .filter(|o| matches!(o, Observable::Received { .. }))
-                        .count()
-                });
-                if got != *want as usize {
-                    return Err(format!("{pid} committed {got} of {want} calls"));
-                }
+        self.replays(run, record)?;
+        let summary = match self {
+            Spec::Kv(o) => {
+                let streams = replica_streams(o, run.external());
+                let s = check_replica_agreement(o, &streams)?;
+                check_replay(o, run.logs(), &streams)?;
+                format!(
+                    "SMR agreement: {} replicas each applied {} commands ({} committed reads), \
+                     stores identical and equal to the sequencer-order replay",
+                    o.replicas, s.applied, s.gets
+                )
             }
-            format!("call log: {} client(s) committed every call", calls.len())
+            Spec::Program(p) => format!(
+                "Theorem 1: {} process(es), every committed log and released output",
+                p.roster.len()
+            ),
+            _ => {
+                let calls = self.calls();
+                for (pid, want) in &calls {
+                    let got = run.logs().get(pid).map_or(0, |log| {
+                        log.iter()
+                            .filter(|o| matches!(o, Observable::Received { .. }))
+                            .count()
+                    });
+                    if got != *want as usize {
+                        return Err(format!("{pid} committed {got} of {want} calls").into());
+                    }
+                }
+                format!("call log: {} client(s) committed every call", calls.len())
+            }
         };
         Ok(format!(
             "{summary}; the committed schedule replays exactly on the pessimistic simulator"
@@ -555,11 +642,12 @@ impl Spec {
     /// schedule, forced through the pessimistic twin on the simulator
     /// ([`SimConfig::forced_order`]), reproduces every process's log and
     /// every process's released externals.
-    fn replays(&self, run: &impl Outcome) -> Result<(), String> {
+    fn replays(&self, run: &impl Outcome, record: bool) -> Result<(), Refusal> {
         let twin = self.twin();
         let (report, replay) = check_schedule_replay(run, |sched| {
             let cfg = SimConfig {
                 forced_order: Some(sched),
+                record,
                 ..twin.sim_config()
             };
             self::run(&twin, &cfg)
@@ -569,17 +657,23 @@ impl Spec {
             .map_err(|e| format!("schedule replay: {e}"))?;
         match report.first() {
             None => Ok(()),
-            Some(m) => Err(format!(
-                "no sequential execution reproduces the committed run \
-                 ({} mismatch(es)); first: {m}",
-                report.mismatches.len()
-            )),
+            Some(m) => Err(Refusal {
+                reason: format!(
+                    "no sequential execution reproduces the committed run \
+                     ({} mismatch(es)); first: {m}",
+                    report.mismatches.len()
+                ),
+                divergence: Some((report, Box::new(replay))),
+            }),
         }
     }
 }
 
 impl fmt::Display for Spec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if let Spec::Program(p) = self {
+            return f.write_str(&p.label);
+        }
         f.write_str(self.name())?;
         for (i, (key, field)) in self.clone().fields().into_iter().enumerate() {
             let sep = if i == 0 { ':' } else { ',' };
